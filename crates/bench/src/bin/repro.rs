@@ -518,7 +518,7 @@ fn hostile() {
         );
     }
     println!("(every receiver completes; leaves stay bounded by the channel's burst episodes,");
-    println!(" and the client's packet-buffer cap is never hit by honest traffic)");
+    println!(" and a carousel client refuses no packet)");
 }
 
 fn rateless() {

@@ -132,8 +132,8 @@ pub fn measure_vandermonde_repeated(k: usize, packet_size: usize) -> CodingTimes
 /// path — datagrams pumped through `SimMulticast` into
 /// `ClientSession::handle_datagram` until the file reconstructs — as the
 /// decode time.  Unlike the raw codec rows this includes packet framing,
-/// validation, reception accounting and the statistical-attempt machinery,
-/// so it tracks protocol overhead on top of `measure_tornado`.
+/// validation and reception accounting, so it tracks protocol overhead on
+/// top of `measure_tornado`.
 pub fn measure_proto_throughput(k: usize, packet_size: usize) -> CodingTimes {
     use df_proto::{ClientEvent, ClientSession, ServerSession, SessionConfig, Transport};
 

@@ -169,9 +169,8 @@ impl TornadoCode {
     /// # Errors
     ///
     /// Returns [`crate::TornadoError::NeedMorePackets`] if the supplied set is
-    /// insufficient (the caller should gather more packets and retry — the
-    /// "statistical" client mode of Section 7.2), or other errors for
-    /// malformed input.
+    /// insufficient (the caller should gather more packets and retry), or
+    /// other errors for malformed input.
     pub fn decode(&self, received: &[(usize, Vec<u8>)]) -> Result<Vec<Vec<u8>>> {
         let mut decoder = self.decoder();
         for (idx, payload) in received {

@@ -1,18 +1,21 @@
 //! The peeling (substitution) decoder for Tornado codes.
 //!
 //! Decoding is the process described in Section 5.1 of the paper: every check
-//! packet is the XOR of its neighbours in the previous cascade level, so
-//! whenever a known check packet has exactly one unknown neighbour, that
-//! neighbour is recovered with a handful of XORs; whenever all neighbours of
-//! an *unknown* check packet are known, the check packet itself can be
-//! recomputed (which in turn feeds the next cascade level and the final
-//! Reed–Solomon block).  The final cascade level is recovered through the
-//! conventional MDS code as soon as enough of its block has arrived.  The
-//! decoder runs this relaxation to a fixed point after every packet arrival,
-//! so it can operate in either of the two client modes discussed in
-//! Section 7.2 — incremental (decode as packets arrive) or statistical
-//! (buffer ≈ (1+ε)k packets, then decode in one go); both are exercised by the
-//! tests.
+//! packet is the XOR of its neighbours in the previous cascade level, so a
+//! known check packet with exactly one unknown neighbour yields that
+//! neighbour, and a check packet whose neighbours are all known is itself
+//! known.  The final cascade level is recovered through the conventional MDS
+//! code as soon as enough of its block is known.  The decoder runs this
+//! relaxation after every packet arrival and stops at the packet that makes
+//! the source level known.
+//!
+//! Arrival only *counts*: a packet that becomes known decrements the
+//! unknown-neighbour count of its checks, and a check whose count reaches
+//! zero is *computable* — counted as known, its value not built.  XORs are
+//! spent at release, when a held check with one missing neighbour recovers
+//! it (building the computable neighbours it needs, once each).  A reception
+//! that already contains the source therefore performs no XOR at all, and no
+//! check costs anything unless a recovery goes through it.
 //!
 //! The decoder is generic over [`Symbol`]: with `Vec<u8>` it produces real
 //! payloads, with [`crate::symbol::Mark`] it is the index-only decoder
@@ -27,7 +30,8 @@ use std::sync::Arc;
 /// Outcome of feeding one packet to the decoder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AddOutcome {
-    /// The packet index had already been received or recovered; it contributed
+    /// The packet index had already been received or recovered, or the
+    /// decoder could already compute it from packets it holds; it contributed
     /// nothing (a "useless duplicate" in the paper's terminology).
     Duplicate,
     /// The packet was new but the source data is not yet fully recovered.
@@ -41,24 +45,23 @@ pub enum AddOutcome {
 /// Generic over how the cascade is held (`C`): a plain reference for
 /// short-lived decoders ([`PayloadDecoder`], [`SymbolicDecoder`]) or an
 /// [`Arc`] for decoders that must live independently of the code that created
-/// them ([`OwnedPayloadDecoder`]) — e.g. a protocol session that keeps one
-/// decoder alive across many statistical decode attempts.
+/// them ([`OwnedPayloadDecoder`]) — e.g. a protocol session that feeds one
+/// decoder for the length of a download.
 #[derive(Debug, Clone)]
 pub struct PeelingDecoder<S: Symbol, C: Borrow<Cascade> + Clone> {
     cascade: C,
-    /// Current value of every encoding packet (global index), if known.
+    /// Value of every encoding packet (global index) the decoder holds:
+    /// received, recovered, or built from its neighbours on demand.
     values: Vec<Option<S>>,
-    /// Per check node (levels 1..): number of still-unknown left neighbours.
+    /// Packets that are held or computable.
+    known: Vec<bool>,
+    /// Per check node (levels 1..): left neighbours not yet known.
     unknown_left: Vec<u32>,
-    /// Per check node: XOR of the already-known left neighbours.
-    acc: Vec<Option<S>>,
     /// Global index of the first check node (= first packet of level 1), when
     /// the cascade has more than one level.
     check_base: usize,
-    /// Number of check nodes (packets in levels 1..).
-    check_count: usize,
-    /// Distinct packets currently known (received or recovered).
-    known: usize,
+    /// Values currently stored in `values`.
+    held: usize,
     /// Distinct packets received from the channel.
     received_distinct: usize,
     /// Packets offered including duplicates.
@@ -67,8 +70,8 @@ pub struct PeelingDecoder<S: Symbol, C: Borrow<Cascade> + Clone> {
     source_known: usize,
     /// Known packets among the final block (last level + RS checks).
     rs_block_known: usize,
-    /// Whether the final level has already been recovered through the MDS
-    /// code.
+    /// Whether the final level is fully known, through the MDS code or
+    /// without it.
     rs_done: bool,
 }
 
@@ -81,24 +84,20 @@ impl<S: Symbol, C: Borrow<Cascade> + Clone> PeelingDecoder<S, C> {
         } else {
             c.rs_offset()
         };
-        let check_count = c.rs_offset() - check_base;
-        let mut unknown_left = Vec::with_capacity(check_count);
-        for level in 1..c.num_levels() {
-            let graph = &c.graphs()[level - 1];
-            for pos in 0..graph.right() {
-                unknown_left.push(graph.check_neighbors(pos).len() as u32);
-            }
-        }
-        debug_assert_eq!(unknown_left.len(), check_count);
+        let unknown_left: Vec<u32> = c
+            .graphs()
+            .iter()
+            .flat_map(|graph| (0..graph.right()).map(|pos| graph.check_neighbors(pos).len() as u32))
+            .collect();
+        debug_assert_eq!(unknown_left.len(), c.rs_offset() - check_base);
         let n = c.n();
         PeelingDecoder {
             cascade,
             values: vec![None; n],
+            known: vec![false; n],
             unknown_left,
-            acc: vec![None; check_count],
             check_base,
-            check_count,
-            known: 0,
+            held: 0,
             received_distinct: 0,
             received_total: 0,
             source_known: 0,
@@ -127,9 +126,10 @@ impl<S: Symbol, C: Borrow<Cascade> + Clone> PeelingDecoder<S, C> {
         self.received_total
     }
 
-    /// Number of packets currently known (received or recovered).
-    pub fn known(&self) -> usize {
-        self.known
+    /// Packet values the decoder stores — its memory footprint in packets,
+    /// at most `n` whatever is fed.
+    pub fn held(&self) -> usize {
+        self.held
     }
 
     /// Reception overhead so far: `received_total / k − 1`.
@@ -147,7 +147,9 @@ impl<S: Symbol, C: Borrow<Cascade> + Clone> PeelingDecoder<S, C> {
     /// # Errors
     ///
     /// Returns [`TornadoError::MalformedInput`] for an out-of-range index and
-    /// propagates final-code errors.
+    /// propagates final-code errors (mixed payload lengths in the final
+    /// block), after which the decoder may never complete: what the packet
+    /// would have released is not revisited.
     pub fn add_packet(&mut self, index: usize, value: S) -> Result<AddOutcome> {
         if self.register(index)? {
             return Ok(AddOutcome::Duplicate);
@@ -185,212 +187,186 @@ impl<S: Symbol, C: Borrow<Cascade> + Clone> PeelingDecoder<S, C> {
             });
         }
         self.received_total += 1;
-        Ok(self.values[index].is_some())
+        Ok(self.known[index])
     }
 
     /// Take ownership of a new packet's value and run peeling.
     fn accept_new(&mut self, index: usize, value: S) -> Result<AddOutcome> {
         self.received_distinct += 1;
-        self.propagate(index, value)?;
-        if self.is_complete() {
-            Ok(AddOutcome::Complete)
-        } else {
-            Ok(AddOutcome::Accepted)
-        }
-    }
-
-    /// Feed a batch of `(index, value)` pairs (the "statistical" client mode).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PeelingDecoder::add_packet`].
-    pub fn add_packets<I>(&mut self, packets: I) -> Result<bool>
-    where
-        I: IntoIterator<Item = (usize, S)>,
-    {
-        for (idx, value) in packets {
-            self.add_packet(idx, value)?;
-        }
-        Ok(self.is_complete())
-    }
-
-    /// The recovered source packets, if decoding is complete.
-    pub fn source(&self) -> Option<Vec<S>> {
-        if !self.is_complete() {
-            return None;
-        }
-        Some(
-            (0..self.cascade.borrow().k())
-                .map(|i| {
-                    self.values[i]
-                        .clone()
-                        .expect("complete decoder knows all source packets")
-                })
-                .collect(),
-        )
-    }
-
-    /// Set a packet value and run peeling to a fixed point.
-    fn propagate(&mut self, index: usize, value: S) -> Result<()> {
-        let mut worklist = vec![(index, value)];
-        while let Some((g, v)) = worklist.pop() {
-            if self.values[g].is_some() {
-                continue;
-            }
-            self.mark_known(g, v, &mut worklist)?;
-        }
-        Ok(())
-    }
-
-    /// Record a newly-known packet and push any recoveries it enables.
-    fn mark_known(&mut self, g: usize, value: S, worklist: &mut Vec<(usize, S)>) -> Result<()> {
-        let role = self.cascade.borrow().role(g);
-        let num_levels = self.cascade.borrow().num_levels();
-        self.values[g] = Some(value);
-        self.known += 1;
-        match role {
-            PacketRole::Level { level, pos } => {
-                if level == 0 {
-                    self.source_known += 1;
-                }
-                if level + 1 == num_levels {
-                    self.rs_block_known += 1;
-                }
-                // As a left node of the graph above (if any): update the check
-                // accumulators of its neighbours.
-                if level + 1 < num_levels {
-                    self.update_checks_above(level, pos, g, worklist);
-                }
-                // As a check node of the graph below (levels >= 1): it may now
-                // resolve its one unknown neighbour.
-                if level >= 1 {
-                    self.try_resolve_check(g, worklist);
-                }
-            }
-            PacketRole::RsCheck { .. } => {
-                self.rs_block_known += 1;
-            }
-        }
-        // The final level becomes recoverable as soon as k of its block's
-        // packets are known.
-        if !self.rs_done && self.rs_block_known >= self.cascade.borrow().final_code().k() {
-            self.try_final_level(worklist)?;
-        }
-        Ok(())
-    }
-
-    /// Left node `(level, pos)` just became known: update every check node of
-    /// the graph between `level` and `level + 1`.
-    fn update_checks_above(
-        &mut self,
-        level: usize,
-        pos: usize,
-        g: usize,
-        worklist: &mut Vec<(usize, S)>,
-    ) {
         // Clone the cascade handle (a pointer copy / `Arc` bump) so the graph
         // borrow is independent of `self` while the decoder state mutates.
         let cascade = self.cascade.clone();
         let cascade: &Cascade = cascade.borrow();
-        let graph = &cascade.graphs()[level];
-        let check_offset = cascade.level_offset(level + 1);
-        for &c in graph.left_neighbors(pos) {
-            let check_global = check_offset + c as usize;
-            let ci = check_global - self.check_base;
-            self.unknown_left[ci] -= 1;
-            // Borrow the value out of the store per neighbour (disjoint
-            // fields, so no clone); it is only cloned to seed a check node's
-            // first accumulator, which must own its running XOR.
-            let value = self.values[g].as_ref().expect("value was just set");
-            match &mut self.acc[ci] {
-                Some(acc) => acc.xor(value),
-                None => self.acc[ci] = Some(value.clone()),
-            }
-            if self.unknown_left[ci] == 0 {
-                // Every neighbour known: the check packet itself can be
-                // recomputed if it has not arrived (useful both for upward
-                // recovery and for feeding the final MDS block).  The
-                // accumulator has served its purpose, so move it out instead
-                // of cloning — `unknown_left` never increments, making this
-                // branch unreachable twice for the same check node.
-                if self.values[check_global].is_none() {
-                    if let Some(acc) = self.acc[ci].take() {
-                        worklist.push((check_global, acc));
+        let mut worklist = Vec::new();
+        self.learn(index, value, &mut worklist);
+        // Stop at the source level: what else the packet would have made
+        // known no longer matters.
+        while !self.is_complete() {
+            let Some(g) = worklist.pop() else {
+                return Ok(AddOutcome::Accepted);
+            };
+            self.settle(cascade, g, &mut worklist)?;
+        }
+        Ok(AddOutcome::Complete)
+    }
+
+    /// Borrow the recovered source packets, in order, if decoding is
+    /// complete.
+    pub fn source_iter(&self) -> Option<impl ExactSizeIterator<Item = &S> + '_> {
+        self.is_complete().then(|| {
+            self.values[..self.cascade.borrow().k()]
+                .iter()
+                .map(|v| v.as_ref().expect("known source packets are held"))
+        })
+    }
+
+    /// The recovered source packets, if decoding is complete.
+    pub fn source(&self) -> Option<Vec<S>> {
+        Some(self.source_iter()?.cloned().collect())
+    }
+
+    /// Store the value of a packet that was unknown and queue it for
+    /// [`Self::settle`].
+    fn learn(&mut self, g: usize, value: S, worklist: &mut Vec<usize>) {
+        debug_assert!(!self.known[g]);
+        self.values[g] = Some(value);
+        self.held += 1;
+        self.known[g] = true;
+        worklist.push(g);
+    }
+
+    /// Packet `g` just became known (held or computable): count it, tell the
+    /// checks above it, and queue whatever that makes known.
+    fn settle(&mut self, cascade: &Cascade, g: usize, worklist: &mut Vec<usize>) -> Result<()> {
+        match cascade.role(g) {
+            PacketRole::Level { level, pos } => {
+                if level == 0 {
+                    self.source_known += 1;
+                }
+                if level + 1 == cascade.num_levels() {
+                    self.rs_block_known += 1;
+                } else {
+                    let check_offset = cascade.level_offset(level + 1);
+                    for &c in cascade.graphs()[level].left_neighbors(pos) {
+                        let check = check_offset + c as usize;
+                        let unknown = &mut self.unknown_left[check - self.check_base];
+                        *unknown -= 1;
+                        match *unknown {
+                            // Every neighbour known: the check is computable
+                            // (it feeds the level above and the final block),
+                            // but nothing is XORed until something needs it.
+                            0 if !self.known[check] => {
+                                self.known[check] = true;
+                                worklist.push(check);
+                            }
+                            1 if self.values[check].is_some() => {
+                                self.recover_neighbor(cascade, check, worklist);
+                            }
+                            _ => {}
+                        }
                     }
                 }
-            } else if self.unknown_left[ci] == 1 && self.values[check_global].is_some() {
-                self.recover_single_neighbor(check_global, worklist);
+                // As a held check of the graph below: it may now resolve its
+                // one unknown neighbour.  (A computable check has none.)
+                if level >= 1
+                    && self.values[g].is_some()
+                    && self.unknown_left[g - self.check_base] == 1
+                {
+                    self.recover_neighbor(cascade, g, worklist);
+                }
             }
+            PacketRole::RsCheck { .. } => self.rs_block_known += 1,
         }
+        // The final level becomes recoverable as soon as k of its block's
+        // packets are known.
+        if !self.rs_done && !self.is_complete() && self.rs_block_known >= cascade.final_code().k() {
+            self.try_final_level(cascade, worklist)?;
+        }
+        Ok(())
     }
 
-    /// Check node `check_global` is known; if exactly one of its neighbours is
-    /// unknown, recover it.
-    fn try_resolve_check(&mut self, check_global: usize, worklist: &mut Vec<(usize, S)>) {
-        let ci = check_global - self.check_base;
-        if ci < self.check_count && self.unknown_left[ci] == 1 {
-            self.recover_single_neighbor(check_global, worklist);
-        }
-    }
-
-    /// Recover the single unknown neighbour of a known check node.
-    fn recover_single_neighbor(&mut self, check_global: usize, worklist: &mut Vec<(usize, S)>) {
-        let cascade = self.cascade.clone();
-        let cascade: &Cascade = cascade.borrow();
-        let PacketRole::Level { level, pos } = cascade.role(check_global) else {
+    /// The left neighbours of check node `check`, as global indices.
+    fn neighbors_below(cascade: &Cascade, check: usize) -> impl Iterator<Item = usize> + '_ {
+        let PacketRole::Level { level, pos } = cascade.role(check) else {
             unreachable!("check nodes are level packets");
         };
-        debug_assert!(level >= 1);
-        let graph = &cascade.graphs()[level - 1];
         let left_offset = cascade.level_offset(level - 1);
-        let missing = graph
+        cascade.graphs()[level - 1]
             .check_neighbors(pos)
             .iter()
-            .map(|&l| left_offset + l as usize)
-            .find(|&lg| self.values[lg].is_none());
-        let Some(missing_global) = missing else {
-            return;
-        };
-        let ci = check_global - self.check_base;
-        let mut recovered = self.values[check_global]
-            .clone()
-            .expect("check value is known");
-        if let Some(acc) = &self.acc[ci] {
-            recovered.xor(acc);
-        }
-        worklist.push((missing_global, recovered));
+            .map(move |&l| left_offset + l as usize)
     }
 
-    /// Attempt to recover the entire final cascade level through the MDS code.
-    fn try_final_level(&mut self, worklist: &mut Vec<(usize, S)>) -> Result<()> {
-        let cascade = self.cascade.clone();
-        let cascade: &Cascade = cascade.borrow();
+    /// Recover the one unknown neighbour of held check node `check`: the
+    /// check's value XOR every other neighbour.
+    fn recover_neighbor(&mut self, cascade: &Cascade, check: usize, worklist: &mut Vec<usize>) {
+        // None when the neighbour still counted as unknown is a computable
+        // check waiting in the worklist.
+        let Some(missing) = Self::neighbors_below(cascade, check).find(|&g| !self.known[g]) else {
+            return;
+        };
+        let mut recovered = self.values[check].clone().expect("check value is held");
+        for g in Self::neighbors_below(cascade, check).filter(|&g| g != missing) {
+            self.materialize(cascade, g);
+            recovered.xor(self.values[g].as_ref().expect("just materialized"));
+        }
+        self.learn(missing, recovered, worklist);
+    }
+
+    /// Build and keep the value of computable check `g` from its neighbours
+    /// (building those first where they are computable too); no-op when `g`
+    /// is held.
+    fn materialize(&mut self, cascade: &Cascade, g: usize) {
+        if self.values[g].is_some() {
+            return;
+        }
+        debug_assert!(self.known[g]);
+        for below in Self::neighbors_below(cascade, g) {
+            self.materialize(cascade, below);
+        }
+        let mut neighbors = Self::neighbors_below(cascade, g)
+            .map(|below| self.values[below].as_ref().expect("just materialized"));
+        let mut value = neighbors
+            .next()
+            .expect("a computable check has neighbours")
+            .clone();
+        for v in neighbors {
+            value.xor(v);
+        }
+        self.values[g] = Some(value);
+        self.held += 1;
+    }
+
+    /// Recover the final cascade level through the MDS code — unless every
+    /// packet of it is known already, which is what a reception that started
+    /// with the source looks like.
+    fn try_final_level(&mut self, cascade: &Cascade, worklist: &mut Vec<usize>) -> Result<()> {
         let last_level = cascade.num_levels() - 1;
         let level_offset = cascade.level_offset(last_level);
-        let level_size = cascade.level_sizes()[last_level];
+        let level = level_offset..level_offset + cascade.level_sizes()[last_level];
         let rs_offset = cascade.rs_offset();
-        let rs_checks = cascade.rs_checks();
 
-        // Borrow the known packets straight out of the value store: recovery
-        // attempts (which can fire repeatedly near the completion threshold)
-        // never clone payloads.
-        let mut received: Vec<(usize, &S)> = Vec::with_capacity(self.rs_block_known);
-        for i in 0..level_size {
-            if let Some(v) = &self.values[level_offset + i] {
-                received.push((i, v));
-            }
-        }
-        for j in 0..rs_checks {
-            if let Some(v) = &self.values[rs_offset + j] {
-                received.push((level_size + j, v));
-            }
-        }
-        if let Some(level) = S::recover_final_level(cascade.final_code(), &received)? {
+        if level.clone().all(|g| self.known[g]) {
             self.rs_done = true;
-            for (i, v) in level.into_iter().enumerate() {
-                let g = level_offset + i;
-                if self.values[g].is_none() {
-                    worklist.push((g, v));
+            return Ok(());
+        }
+        // Level packets are the systematic part of the block: each one held
+        // is one fewer for the MDS code to solve for, at a few XORs.
+        for g in level.clone() {
+            if self.known[g] {
+                self.materialize(cascade, g);
+            }
+        }
+        // Borrow the packets straight out of the value store: the solve
+        // never clones payloads.
+        let received: Vec<(usize, &S)> = (level.clone().chain(rs_offset..cascade.n()))
+            .filter_map(|g| Some((g - level_offset, self.values[g].as_ref()?)))
+            .collect();
+        if let Some(solved) = S::recover_final_level(cascade.final_code(), &received)? {
+            self.rs_done = true;
+            for (g, v) in level.zip(solved) {
+                if !self.known[g] {
+                    self.learn(g, v, worklist);
                 }
             }
         }
@@ -406,9 +382,8 @@ pub type SymbolicDecoder<'a> = PeelingDecoder<Mark, &'a Cascade>;
 
 /// Payload decoder that *owns* (a share of) its cascade, so it can outlive
 /// the [`crate::TornadoCode`] borrow that created it.  This is the decoder a
-/// long-lived protocol session holds across statistical decode attempts: the
-/// session feeds each received packet exactly once, instead of re-feeding its
-/// whole buffer into a fresh borrowing decoder per attempt.
+/// protocol session holds for the length of a download, feeding each distinct
+/// packet as it arrives.
 pub type OwnedPayloadDecoder = PeelingDecoder<Vec<u8>, Arc<Cascade>>;
 
 /// Index-only decoder that owns a share of its cascade (see
@@ -579,23 +554,56 @@ mod tests {
     }
 
     #[test]
-    fn statistical_mode_batch_decode() {
-        // The client mode chosen in Section 7.2: buffer a batch, decode once.
+    fn a_source_first_reception_holds_only_what_arrived() {
+        // Every check becomes computable on the way, the final level with
+        // them, and none of it is built: the decode is the k packets fed.
         let k = 500;
         let cascade = Cascade::build(k, TORNADO_A, 7).unwrap();
+        assert!(cascade.num_levels() > 1, "premise: a real cascade");
         let src = random_source(k, 48, 7);
-        let enc = encode_all(&cascade, &src);
-        let mut order: Vec<usize> = (0..cascade.n()).collect();
-        let mut rng = ChaCha8Rng::seed_from_u64(8);
-        order.shuffle(&mut rng);
-        // Take 1.5k packets in one batch — comfortably above the expected
-        // overhead at this small k, so a single batch must always suffice.
-        let batch: Vec<(usize, Vec<u8>)> = order[..(k * 3 / 2)]
-            .iter()
-            .map(|&i| (i, enc[i].clone()))
-            .collect();
         let mut dec = PayloadDecoder::new(&cascade);
-        assert!(dec.add_packets(batch).unwrap());
+        for (i, p) in src.iter().enumerate() {
+            let expected = if i + 1 < k {
+                AddOutcome::Accepted
+            } else {
+                AddOutcome::Complete
+            };
+            assert_eq!(dec.add_packet_ref(i, p).unwrap(), expected);
+        }
+        assert_eq!(dec.held(), k);
+        assert!(dec.source_iter().unwrap().eq(src.iter()));
+    }
+
+    #[test]
+    fn a_computable_check_arriving_late_is_a_duplicate() {
+        let k = 500;
+        let cascade = Cascade::build(k, TORNADO_A, 8).unwrap();
+        let src = random_source(k, 16, 8);
+        let enc = encode_all(&cascade, &src);
+        // All but the last source packet: some level-1 check has every
+        // neighbour among them.
+        let graph = &cascade.graphs()[0];
+        let check = (0..graph.right())
+            .find(|&c| !graph.check_neighbors(c).contains(&(k as u32 - 1)))
+            .unwrap();
+        let g = cascade.global_index(1, check);
+        let mut dec = PayloadDecoder::new(&cascade);
+        for (i, p) in src[..k - 1].iter().enumerate() {
+            dec.add_packet_ref(i, p).unwrap();
+        }
+        assert_eq!(
+            dec.add_packet_ref(g, &enc[g]).unwrap(),
+            AddOutcome::Duplicate
+        );
+        assert_eq!(dec.held(), k - 1, "neither built nor stored");
+        // A check that does cover the missing packet recovers it, building
+        // nothing but that one packet.
+        let covering = cascade.global_index(1, graph.left_neighbors(k - 1)[0] as usize);
+        assert_eq!(
+            dec.add_packet_ref(covering, &enc[covering]).unwrap(),
+            AddOutcome::Complete
+        );
+        assert_eq!(dec.held(), k + 1);
         assert_eq!(dec.source().unwrap(), src);
     }
 

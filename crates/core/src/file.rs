@@ -113,25 +113,25 @@ impl PacketizedFile {
     /// Reassemble the original byte stream, stripping the final packet's
     /// padding.
     pub fn reassemble(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.file_len);
-        for pkt in &self.packets {
-            out.extend_from_slice(pkt);
-        }
-        out.truncate(self.file_len);
-        out
+        reassemble_file(&self.packets, self.file_len)
     }
 }
 
 /// Reassemble a file from decoded source packets and the original length.
 ///
-/// Convenience wrapper for receivers that obtained the packets from a decoder
-/// and the length from the control channel.
-pub fn reassemble_file(packets: &[Vec<u8>], file_len: usize) -> Vec<u8> {
+/// For receivers that obtained the packets from a decoder and the length from
+/// the control channel.  Takes anything that yields byte slices, so packets
+/// borrowed from a decoder are written once, straight into the file.
+pub fn reassemble_file<I>(packets: I, file_len: usize) -> Vec<u8>
+where
+    I: IntoIterator,
+    I::Item: AsRef<[u8]>,
+{
     let mut out = Vec::with_capacity(file_len);
     for pkt in packets {
-        out.extend_from_slice(pkt);
+        let pkt = pkt.as_ref();
+        out.extend_from_slice(&pkt[..pkt.len().min(file_len - out.len())]);
     }
-    out.truncate(file_len);
     out
 }
 

@@ -299,10 +299,9 @@ struct PendingEq<S> {
 /// Memory model: recovered symbols are `O(count)`; buffered equations are
 /// whatever the caller admits — check [`LtDecoder::pending_equations`] /
 /// [`LtDecoder::pending_edges`] *before* feeding a symbol to enforce a cap
-/// (the protocol layer rejects above `buffer_cap`, mirroring the carousel
-/// hardening).  Duplicate detection covers currently-pending seeds exactly;
-/// a seed whose equation was already consumed re-reduces to nothing and is
-/// absorbed without growing state.
+/// (the protocol layer rejects above its `buffer_cap`).  Duplicate detection
+/// covers currently-pending seeds exactly; a seed whose equation was already
+/// consumed re-reduces to nothing and is absorbed without growing state.
 #[derive(Debug, Clone)]
 pub struct LtDecoder<S: Symbol> {
     encoder: LtEncoder,
@@ -412,12 +411,15 @@ impl<S: Symbol> LtDecoder<S> {
         std::mem::take(&mut self.newly)
     }
 
+    /// Borrow all source symbols, in order, once complete.
+    pub fn source_iter(&self) -> Option<impl Iterator<Item = &S> + '_> {
+        self.is_complete()
+            .then(|| self.known.iter().filter_map(|s| s.as_ref()))
+    }
+
     /// All source symbols, once complete.
     pub fn source(&self) -> Option<Vec<S>> {
-        if !self.is_complete() {
-            return None;
-        }
-        Some(self.known.iter().filter_map(|s| s.clone()).collect())
+        Some(self.source_iter()?.cloned().collect())
     }
 
     /// Accept one `(seed, payload)` symbol.

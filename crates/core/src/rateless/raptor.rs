@@ -205,6 +205,11 @@ impl<S: Symbol> RaptorDecoder<S> {
         self.inner.is_complete()
     }
 
+    /// Borrow the recovered source packets, in order, once complete.
+    pub fn source_iter(&self) -> Option<impl Iterator<Item = &S> + '_> {
+        self.inner.source_iter()
+    }
+
     /// The recovered source packets, once complete.
     pub fn source(&self) -> Option<Vec<S>> {
         self.inner.source()

@@ -38,7 +38,10 @@
 //! In **stepped** mode ([`DriverConfig::stepped`]) workers tick only on
 //! [`Driver::step`] — each shard executes the same step budget and the call
 //! returns when every shard acknowledges, giving the deterministic cadence
-//! the simulation experiments need.  In **paced** mode workers run their
+//! the simulation experiments need.  The caller is parked while it waits
+//! (each `Step` carries its thread handle and the worker unparks it behind
+//! the ack), so a batch never shares a core with a polling control plane.
+//! In **paced** mode workers run their
 //! loops' wall-clock pacing continuously; the control plane just drains
 //! events ([`Driver::wait_complete`] / [`Driver::poll_events`]).
 
@@ -62,6 +65,9 @@ const EVENT_QUEUE_CAP: usize = 4096;
 const COMMAND_QUEUE_CAP: usize = 256;
 /// Per shard; the control plane keeps at most one ack outstanding.
 const ACK_QUEUE_CAP: usize = 4;
+/// Longest the control plane sleeps in [`Driver::step`] between looks at the
+/// ack and event queues when no worker wakes it.
+const ACK_PARK: Duration = Duration::from_millis(1);
 
 /// One control-plane instruction to a shard worker.
 enum ShardCommand<T> {
@@ -83,8 +89,12 @@ enum ShardCommand<T> {
         control: Option<UdpSocket>,
         pacing: Pacing,
     },
-    /// Execute `steps` deterministic loop steps, then acknowledge.
-    Step { steps: usize },
+    /// Execute `steps` deterministic loop steps, then acknowledge and wake
+    /// `waiter`, the control-plane thread parked in [`Driver::step`].
+    Step {
+        steps: usize,
+        waiter: thread::Thread,
+    },
     /// Flush, acknowledge with final counters, and exit.
     Shutdown,
 }
@@ -229,7 +239,7 @@ impl<T: Transport> Worker<T> {
     /// the ack so a control plane that has seen the ack (and keeps draining)
     /// observes every event the batch produced no later than the next
     /// [`Driver::poll_events`].
-    fn run_steps(&mut self, steps: usize) {
+    fn run_steps(&mut self, steps: usize, waiter: &thread::Thread) {
         for _ in 0..steps {
             self.el.step();
             self.collect_loop_events();
@@ -241,8 +251,11 @@ impl<T: Transport> Worker<T> {
             match flush_pending(&mut self.pending, &self.events) {
                 FlushState::Flushed | FlushState::Closed => break,
                 // The control plane is awaiting our ack and drains events
-                // while it waits, so yielding here cannot deadlock.
-                FlushState::Backlogged => thread::yield_now(),
+                // each time it wakes, so waking it here cannot deadlock.
+                FlushState::Backlogged => {
+                    waiter.unpark();
+                    thread::yield_now();
+                }
             }
         }
         let mut ack = ShardAck::Stepped {
@@ -258,6 +271,7 @@ impl<T: Transport> Worker<T> {
                 Err(PushError::Closed(_)) => break,
             }
         }
+        waiter.unpark();
     }
 
     /// Teardown handoff: whatever cannot be flushed rides back inside the
@@ -294,7 +308,7 @@ fn worker_main<T: Transport>(mut worker: Worker<T>, cmds: IntentReceiver<ShardCo
                     worker.teardown();
                     return;
                 }
-                Ok(ShardCommand::Step { steps }) => worker.run_steps(steps),
+                Ok(ShardCommand::Step { steps, waiter }) => worker.run_steps(steps, &waiter),
                 Ok(cmd) => worker.apply(cmd),
                 Err(PopError::Empty) => break,
             }
@@ -651,7 +665,8 @@ impl<T: Transport + Send + 'static> Driver<T> {
         // Send every command before awaiting any ack: the shards tick
         // concurrently.
         for shard in 0..self.shards.len() {
-            self.send_cmd(shard, ShardCommand::Step { steps })?;
+            let waiter = thread::current();
+            self.send_cmd(shard, ShardCommand::Step { steps, waiter })?;
         }
         let mut result = Ok(());
         for shard in 0..self.shards.len() {
@@ -681,10 +696,13 @@ impl<T: Transport + Send + 'static> Driver<T> {
                         format!("shard {shard} worker stopped"),
                     ));
                 }
-                // Yield rather than sleep: the worker is mid-batch and the
-                // ack is imminent; on a loaded box the yield hands the core
-                // straight to it.
-                Err(PopError::Empty) => thread::yield_now(),
+                // Park rather than spin: a batch runs for milliseconds, and
+                // a control plane that polls through it takes the worker's
+                // core whenever the box has none to spare.  The worker
+                // unparks us behind its ack (and when its events back up);
+                // the timeout only bounds a wake-up lost to a worker that
+                // died mid-batch.
+                Err(PopError::Empty) => thread::park_timeout(ACK_PARK),
                 Err(PopError::Disconnected) => {
                     return Err(io::Error::new(
                         io::ErrorKind::BrokenPipe,

@@ -4,8 +4,8 @@
 //! Tornado codes, announces the session parameters over a unicast UDP control
 //! channel, and then carousels each encoding over one or more multicast
 //! groups; clients fetch the control information, subscribe, collect packets
-//! through whatever loss their path imposes, and run the *statistical* decode
-//! strategy (gather ≈ (1+ε)k packets, try to decode, fetch more on failure).
+//! through whatever loss their path imposes, and decode as the packets
+//! arrive, finishing on the first one that makes the file decodable.
 //!
 //! ## Sans-I/O design
 //!

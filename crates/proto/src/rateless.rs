@@ -14,7 +14,7 @@
 //! seeds and payloads, so it must never panic and must hold bounded memory
 //! no matter what arrives (see [`RatelessReceiver`]).
 
-use df_core::{AddOutcome, LtDecoder, LtEncoder, RaptorCode, RaptorDecoder};
+use df_core::{reassemble_file, AddOutcome, LtDecoder, LtEncoder, RaptorCode, RaptorDecoder};
 use df_core::{LT_DEFAULT_C, LT_DEFAULT_DELTA};
 
 /// How a session's data datagrams are encoded, as announced on the control
@@ -227,11 +227,10 @@ impl RatelessReceiver {
         }
     }
 
-    /// Equation cap for a `k`-packet session: the same `1.5k + 64` envelope
-    /// the carousel client uses as its buffer cap — comfortably above the
-    /// ≈`1.11k` (LT) / ≈`1.06k` (Raptor) symbols an honest decode needs, and
-    /// each pending equation is dropped as peeling consumes it, so an honest
-    /// session never comes near it.
+    /// Equation cap for a `k`-packet session: `1.5k + 64`, comfortably above
+    /// the ≈`1.11k` (LT) / ≈`1.06k` (Raptor) symbols an honest decode needs,
+    /// and each pending equation is dropped as peeling consumes it, so an
+    /// honest session never comes near it.
     fn equation_cap(k: usize) -> usize {
         k + k / 2 + 64
     }
@@ -316,18 +315,22 @@ impl RatelessReceiver {
         }
     }
 
-    /// The recovered source packets once complete, each truncated back to
-    /// the session packet size (Raptor intermediates may carry GF(2^16)
-    /// padding bytes that must not reach the reassembled file).
-    pub fn source_packets(&self) -> Option<Vec<Vec<u8>>> {
-        let mut packets = match &self.inner {
-            Inner::Lt(d) => d.source()?,
-            Inner::Raptor(d) => d.source()?,
-        };
-        for p in &mut packets {
-            p.truncate(self.packet_size);
+    /// The reconstructed file once complete, written once from the decoder's
+    /// own packets — each cut back to the session packet size on the way
+    /// (Raptor intermediates may carry GF(2^16) padding bytes that must not
+    /// reach the file).
+    pub fn file(&self, file_len: usize) -> Option<Vec<u8>> {
+        fn write<'a>(
+            packets: impl Iterator<Item = &'a Vec<u8>>,
+            packet_size: usize,
+            file_len: usize,
+        ) -> Vec<u8> {
+            reassemble_file(packets.map(|p| p.get(..packet_size).unwrap_or(p)), file_len)
         }
-        Some(packets)
+        Some(match &self.inner {
+            Inner::Lt(d) => write(d.source_iter()?, self.packet_size, file_len),
+            Inner::Raptor(d) => write(d.source_iter()?, self.packet_size, file_len),
+        })
     }
 }
 
@@ -393,7 +396,7 @@ mod tests {
             rounds += 1;
             assert!(rounds < 50, "LT stream failed to converge");
         }
-        assert_eq!(rx.source_packets().unwrap(), source);
+        assert_eq!(rx.file(60 * 32).unwrap(), source.concat());
     }
 
     #[test]
@@ -417,8 +420,8 @@ mod tests {
             assert!(rounds < 50, "Raptor stream failed to converge");
         }
         // Intermediates carry padding at odd sizes; the receiver must hand
-        // back exactly the original source packets regardless.
-        assert_eq!(rx.source_packets().unwrap(), source);
+        // back exactly the original bytes regardless.
+        assert_eq!(rx.file(80 * 33).unwrap(), source.concat());
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! 1. **No panic.**  `ClientSession::handle_datagram` and the control-channel
 //!    parsers are total functions over arbitrary bytes.
 //! 2. **Bounded memory.**  However many forged-but-plausible datagrams
-//!    arrive, the client never buffers more than
-//!    [`ClientSession::buffer_cap`] undecoded packets; the overflow is
-//!    refused with a counted [`ClientEvent::Rejected`].
+//!    arrive, the client never holds more than [`ClientSession::buffer_cap`]
+//!    payloads: a carousel's `n` by construction (nothing is refused, the
+//!    index space is the bound), a rateless session's equation cap by a
+//!    counted [`ClientEvent::Rejected`].
 //!
 //! Iteration counts are fixed and the RNG is seeded, so this doubles as the
 //! CI fuzz smoke: deterministic, a few seconds, no corpus to manage.
@@ -35,14 +36,13 @@ fn client_for(data: &[u8], layers: usize, seed: u64) -> (ServerSession, ClientSe
     (server, client)
 }
 
-/// The memory invariant checked after every hostile datagram: staged packets
-/// plus packets already handed to the decoder never exceed the cap.
+/// The memory invariant checked after every hostile datagram: the payloads
+/// the decode machinery holds never exceed the cap.
 fn assert_bounded(client: &ClientSession) {
     assert!(
-        client.buffered_packets() + client.decoder_packets_fed() <= client.buffer_cap(),
-        "memory bound violated: {} staged + {} fed > cap {}",
-        client.buffered_packets(),
-        client.decoder_packets_fed(),
+        client.held_packets() <= client.buffer_cap(),
+        "memory bound violated: {} held > cap {}",
+        client.held_packets(),
         client.buffer_cap()
     );
 }
@@ -129,10 +129,9 @@ fn truncations_and_bit_flips_of_honest_packets_never_panic() {
 fn a_forged_flood_of_plausible_packets_stays_within_the_memory_bound() {
     // Datagrams that parse fine (valid index range, right payload length)
     // but carry garbage payloads: the worst case for memory, because every
-    // one is "new".  With an honest announcement the decoder structurally
-    // absorbs or dedupes everything before the cap can fire (the `Rejected`
-    // overflow path itself is unit-tested in `client.rs` with a shrunk
-    // cap), so the invariant here is the bound, not the rejection.
+    // one is "new".  A carousel refuses none of them — a refusal is what
+    // would stall an honest receiver — so the bound is the index space: at
+    // most `n` payloads, checked at every step of a flood that sends all `n`.
     let data = random_file(100_000, 3);
     let (server, mut client) = client_for(&data, 1, 17);
     let k = server.control_info().k as u32;
@@ -149,10 +148,9 @@ fn a_forged_flood_of_plausible_packets_stays_within_the_memory_bound() {
         let junk: Vec<u8> = (0..payload_len).map(|_| rng.gen()).collect();
         DataPacket::frame(&header, &junk)
     };
-    // Phase 1: check-packet indices only, each twice.  The decode threshold
-    // sits above `k` distinct packets, so no attempt ever fires: the buffer
-    // holds exactly the distinct count and every repeat is dropped as a
-    // duplicate, not buffered again.
+    assert_eq!(client.buffer_cap(), n as usize);
+    // Phase 1: check-packet indices only, each twice.  Every repeat is
+    // dropped as a duplicate before the decoder sees it.
     for lap in 0..2u32 {
         for index in k..n {
             let event = client.handle_datagram(frame(index, index, &mut rng));
@@ -162,7 +160,8 @@ fn a_forged_flood_of_plausible_packets_stays_within_the_memory_bound() {
             assert_bounded(&client);
         }
     }
-    assert_eq!(client.buffered_packets(), (n - k) as usize);
+    assert_eq!(client.stats().distinct(), (n - k) as usize);
+    assert!(client.held_packets() >= (n - k) as usize);
     assert!(!client.is_complete(), "check packets alone cannot decode");
     // Phase 2: sweep the source indices too.  The bound must hold at every
     // step; whatever the decoder does with forged payloads (the wire format
@@ -172,10 +171,7 @@ fn a_forged_flood_of_plausible_packets_stays_within_the_memory_bound() {
         client.handle_datagram(frame(index, n + index, &mut rng));
         assert_bounded(&client);
     }
-    assert!(
-        client.buffered_packets() + client.decoder_packets_fed() <= client.buffer_cap(),
-        "the flood must end inside the cap"
-    );
+    assert_eq!(client.stats().rejected(), 0, "a carousel refuses nothing");
 }
 
 #[test]
@@ -203,7 +199,7 @@ fn cross_session_spoofs_are_ignored_wholesale() {
         server_b.advance_round();
     }
     assert_eq!(client_a.stats().received(), received_before);
-    assert_eq!(client_a.buffered_packets(), 0);
+    assert_eq!(client_a.held_packets(), 0);
 }
 
 #[test]
@@ -388,9 +384,9 @@ fn rateless_absurd_degree_floods_hit_the_edge_cap_not_the_heap() {
             other => panic!("unexpected event under a high-degree flood: {other:?}"),
         }
         assert!(
-            client.buffered_packets() <= client.buffer_cap(),
+            client.held_packets() <= client.buffer_cap(),
             "equation buffer outgrew its cap: {} > {}",
-            client.buffered_packets(),
+            client.held_packets(),
             client.buffer_cap()
         );
     }
@@ -452,7 +448,7 @@ fn rateless_colliding_neighbor_sets_reduce_cleanly() {
                 matches!(event, ClientEvent::Buffered | ClientEvent::Duplicate),
                 "colliding seed {seed} produced {event:?}"
             );
-            assert!(client.buffered_packets() <= client.buffer_cap());
+            assert!(client.held_packets() <= client.buffer_cap());
         }
     }
     // Same collisions with *garbage* payloads against a fresh client: the
@@ -538,7 +534,7 @@ fn rateless_sessions_are_total_over_forged_seeds_and_noise() {
                 "rateless sessions have no layers to join: {event:?}"
             );
             assert!(
-                client.buffered_packets() <= client.buffer_cap(),
+                client.held_packets() <= client.buffer_cap(),
                 "memory bound violated under {mode:?} noise"
             );
         }

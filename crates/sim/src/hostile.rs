@@ -128,7 +128,7 @@ pub struct HostileOutcome {
     pub distinct: usize,
     /// Source packets in the file.
     pub k: usize,
-    /// Packets refused by the client's buffer cap (0 for an honest server).
+    /// Packets the client refused (0: a carousel session refuses nothing).
     pub rejected: u64,
     /// The full join/leave trace, in execution order.
     pub events: Vec<SubscriptionEvent>,
@@ -273,7 +273,7 @@ mod tests {
     fn a_hostile_download_completes_and_stays_within_its_memory_bound() {
         let out = hostile_channel_experiment(&HostileConfig::default());
         assert!(out.complete, "{out:?}");
-        assert_eq!(out.rejected, 0, "an honest carousel never hits the cap");
+        assert_eq!(out.rejected, 0, "a carousel client refuses nothing");
         assert!(
             out.burst_episodes > 0,
             "premise: the channel actually bursts"

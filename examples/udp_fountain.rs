@@ -182,11 +182,10 @@ fn main() {
             assert_eq!(session.file().unwrap(), &file[..], "{name}: corrupt file");
             println!(
                 "{name}: done in {:.2?} — {} packets received, {} distinct, \
-                 {} decode attempt(s), efficiency η = {:.3} (η_c {:.3} · η_d {:.3})",
+                 efficiency η = {:.3} (η_c {:.3} · η_d {:.3})",
                 t0.elapsed(),
                 stats.received(),
                 stats.distinct(),
-                stats.decode_attempts(),
                 stats.reception_efficiency(),
                 stats.coding_efficiency(),
                 stats.distinctness_efficiency(),

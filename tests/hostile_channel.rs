@@ -23,13 +23,12 @@ fn random_file(len: usize, seed: u64) -> Vec<u8> {
     (0..len).map(|_| rng.gen()).collect()
 }
 
-/// Staged + decoder-held packets never exceed the advertised cap.
+/// The payloads a session holds never exceed the advertised cap.
 fn assert_bounded(client: &ClientSession) {
     assert!(
-        client.buffered_packets() + client.decoder_packets_fed() <= client.buffer_cap(),
-        "memory bound violated: {} staged + {} fed > cap {}",
-        client.buffered_packets(),
-        client.decoder_packets_fed(),
+        client.held_packets() <= client.buffer_cap(),
+        "memory bound violated: {} held > cap {}",
+        client.held_packets(),
         client.buffer_cap()
     );
 }
