@@ -7,8 +7,9 @@
 //! ```
 //!
 //! where `<experiment>` is one of `table1`, `table2`, `table3`, `table4`,
-//! `table5`, `figure2`, `figure4`, `figure5`, `figure6`, `figure8`,
-//! `layered`, `hostile`, or `all`.  The `layered` experiment runs the
+//! `table5`, `figure2`, `figure4`, `figure5`, `figure6`, `figure7`,
+//! `figure8`, `layered`, `hostile`, `rateless`, or `all` (any other name
+//! exits 2 with the list on stderr).  The `layered` experiment runs the
 //! Figure 7-style heterogeneous-bottleneck population through the real
 //! `df-proto` layered sessions (receiver-driven join/leave over
 //! `SimMulticast`); `hostile` sweeps Gilbert–Elliott bursty-loss parameters
@@ -576,7 +577,14 @@ fn main() {
         .find(|a| !a.starts_with("--"))
         .cloned()
         .unwrap_or_else(|| "all".to_string());
-    let run = |name: &str| what == name || what == "all";
+    // Every name the dispatch below asks about, so that an unknown `what`
+    // (which matches none of them, and runs nothing) can be answered with
+    // the list itself rather than a copy of it.
+    let known = std::cell::RefCell::new(Vec::new());
+    let run = |name: &'static str| {
+        known.borrow_mut().push(name);
+        what == name || what == "all"
+    };
     if what == "bench-json" {
         // Machine-readable perf trajectory: encode/decode MB/s for all four
         // codes at the 1 MB / 1 KB-packet operating point of Table 2 — the
@@ -604,10 +612,6 @@ fn main() {
         println!();
     }
     if run("table2") || run("table3") {
-        coding_tables(&cfg);
-        println!();
-    }
-    if what == "all" && !(run("table2") || run("table3")) {
         coding_tables(&cfg);
         println!();
     }
@@ -650,5 +654,12 @@ fn main() {
     if run("rateless") {
         rateless();
         println!();
+    }
+    if what != "all" && !known.borrow().contains(&what.as_str()) {
+        eprintln!(
+            "unknown experiment `{what}`; expected one of: {}, all, bench-json",
+            known.borrow().join(", ")
+        );
+        std::process::exit(2);
     }
 }

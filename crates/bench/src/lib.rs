@@ -270,7 +270,7 @@ pub fn measure_driver_throughput() -> df_sim::SwarmOutcome {
 /// One point of the shard sweep: the `measure_driver_throughput` workload
 /// partitioned across `shards` worker threads (best of three runs).
 pub fn measure_driver_shards(shards: usize) -> df_sim::SwarmOutcome {
-    let run_once = || df_sim::swarm_experiment_sharded(500_000, 1024, 128, 0xd21f, 4_000, shards);
+    let run_once = || df_sim::swarm_experiment(500_000, 1024, 128, 0xd21f, 4_000, shards);
     let mut best = run_once();
     for _ in 1..3 {
         let run = run_once();

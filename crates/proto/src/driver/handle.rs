@@ -1,39 +1,33 @@
-//! The redesigned driver API surface: configuration, handles and events.
+//! The driver's value types: what goes in ([`DriverConfig`], [`Session`]),
+//! what comes back ([`SessionHandle`], [`DriverEvent`], [`DriverReport`]).
 //!
-//! The sharded [`Driver`] replaces three
-//! single-threaded assumptions baked into the old `EventLoop`-only API:
-//!
-//! * **Raw tokens** — a [`Token`] indexes one loop's
-//!   slot table, which is meaningless once sessions live on N loops.
-//!   Registration now returns a [`SessionHandle`] pairing the owning shard
-//!   with its shard-local token.
-//! * **Callbacks on the loop thread** — completion used to invoke a closure
-//!   while the loop held `&mut self`; with worker threads that contract
-//!   would run owner code on an arbitrary shard.  Completion (and every
-//!   other notification) is now a [`DriverEvent`] drained from the control
-//!   thread via [`Driver::poll_events`](crate::driver::Driver::poll_events).
-//! * **Constructor soup** — shard count, placement policy and pacing
-//!   interact, so they are grouped in a builder-style [`DriverConfig`].
+//! Shard count, placement policy and pacing interact, so they are grouped in
+//! a builder-style [`DriverConfig`].  A bare slot index means nothing once
+//! sessions live on N shards, so a [`SessionHandle`] pairs it with the shard.
+//! Nothing ever runs owner code on a shard thread: every notification is a
+//! [`DriverEvent`] drained on the control thread.
 
-use crate::client::{ClientSession, DownloadStats};
+use crate::client::ClientSession;
 use crate::driver::placement::Placement;
 use crate::driver::shard::Driver;
-use crate::driver::{EventLoopStats, Pacing, Token};
+use crate::driver::{Pacing, ShardStats};
+use crate::server::{FountainServer, ServerSession};
 use crate::transport::Transport;
+use std::net::UdpSocket;
 use std::time::Duration;
 
-/// Identifies one session registered with a [`Driver`]:
-/// the shard that owns it plus its shard-local [`Token`].  Handles are opaque
-/// to callers — the accessors exist for logging and tests.
+/// Identifies one session registered with a [`Driver`]: the shard that owns
+/// it plus its slot on that shard.  Handles are opaque to callers — the
+/// accessors exist for logging and tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SessionHandle {
     shard: usize,
-    token: Token,
+    slot: usize,
 }
 
 impl SessionHandle {
-    pub(crate) fn new(shard: usize, token: Token) -> SessionHandle {
-        SessionHandle { shard, token }
+    pub(crate) fn new(shard: usize, slot: usize) -> SessionHandle {
+        SessionHandle { shard, slot }
     }
 
     /// Index of the worker shard that owns this session's slot and sockets.
@@ -41,45 +35,91 @@ impl SessionHandle {
         self.shard
     }
 
-    /// The session's token *within its shard's loop*.  Tokens from different
-    /// shards collide freely; only the (shard, token) pair is unique.
-    pub fn token(&self) -> Token {
-        self.token
+    /// The session's slot index *within its shard*.  Slots from different
+    /// shards collide freely; only the (shard, slot) pair is unique.
+    pub fn token(&self) -> usize {
+        self.slot
     }
 }
 
-/// One notification from a [`Driver`], drained on the
-/// control thread via
+/// Anything a [`Driver`] can run, as handed to
+/// [`Driver::add_on`](crate::driver::Driver::add_on) (the plain `add_*`
+/// methods build one of these and let the placement policy pick the shard).
+#[derive(Debug)]
+pub enum Session {
+    /// A downloading client.
+    Client(Box<ClientSession>),
+    /// A single carousel session emitting one `pacing` budget per tick.
+    Server {
+        /// The carousel.
+        session: Box<ServerSession>,
+        /// Its token bucket.
+        pacing: Pacing,
+    },
+    /// A multi-session [`FountainServer`], optionally answering its binary
+    /// control channel on `control` (made non-blocking by the shard).
+    Fountain {
+        /// The carousels.
+        server: Box<FountainServer>,
+        /// The control socket, if this shard should answer it.
+        control: Option<UdpSocket>,
+        /// The token bucket all its sessions share.
+        pacing: Pacing,
+    },
+}
+
+impl Session {
+    /// What the placement policy sees: the base multicast group (a
+    /// [`FountainServer`] is anchored at its first session) and the weight
+    /// (`k` for clients, total `n` for servers, at least 1).
+    pub(crate) fn placement_key(&self) -> (u32, usize) {
+        let (base_group, weight) = match self {
+            Session::Client(session) => {
+                let info = session.control_info();
+                (info.base_group, info.k)
+            }
+            Session::Server { session, .. } => {
+                let info = session.control_info();
+                (info.base_group, info.n)
+            }
+            Session::Fountain { server, .. } => {
+                let sessions = server.sessions();
+                (
+                    sessions.first().map_or(0, |s| s.control_info().base_group),
+                    sessions.iter().map(|s| s.control_info().n).sum(),
+                )
+            }
+        };
+        (base_group, weight.max(1))
+    }
+}
+
+/// One notification from a [`Driver`], drained on the control thread via
 /// [`Driver::poll_events`](crate::driver::Driver::poll_events).
-///
-/// This is the cross-thread analogue of
-/// [`LoopEvent`](crate::driver::LoopEvent): shard workers forward their
-/// loops' events through the driver's bounded event queue, wrapping tokens
-/// into [`SessionHandle`]s and — for completions — carrying the finished
-/// session itself back to the owner (its transport is dropped on the worker,
-/// closing the sockets a finished receiver no longer needs).
 #[derive(Debug)]
 pub enum DriverEvent {
-    /// A client finished its download; the decoded file is in `session`.
+    /// A client finished its download; the decoded file and the final
+    /// reception statistics are in `session`.  Its transport was dropped on
+    /// the shard, closing the sockets a finished receiver no longer needs.
     Completed {
         /// Handle the session was registered under.
         handle: SessionHandle,
-        /// Reception statistics at the moment of completion.
-        stats: DownloadStats,
         /// The finished session, moved off the shard.
         session: Box<ClientSession>,
     },
-    /// A client's Join intent failed at its transport; the layer's datagrams
-    /// read as loss (see
-    /// [`LoopEvent::JoinFailed`](crate::driver::LoopEvent::JoinFailed)).
+    /// A client's Join intent failed at its transport
+    /// ([`Transport::join`] returned an error).  The layer stays subscribed
+    /// session-side and the lost datagrams read as channel loss; this event
+    /// lets the owner observe the degradation.
     JoinFailed {
         /// Handle of the session whose join failed.
         handle: SessionHandle,
         /// The multicast group that could not be joined.
         group: u32,
     },
-    /// A client registration failed on its shard (an initial join refused).
-    /// The handle returned by the add is dead: it never occupied a slot.
+    /// A registration failed on its shard (an initial join refused, a
+    /// control socket that would not go non-blocking).  The handle returned
+    /// by the add is dead: its slot stays empty.
     AddFailed {
         /// The dead handle.
         handle: SessionHandle,
@@ -89,23 +129,12 @@ pub enum DriverEvent {
     },
 }
 
-impl DriverEvent {
-    /// The handle this event concerns.
-    pub fn handle(&self) -> SessionHandle {
-        match self {
-            DriverEvent::Completed { handle, .. }
-            | DriverEvent::JoinFailed { handle, .. }
-            | DriverEvent::AddFailed { handle, .. } => *handle,
-        }
-    }
-}
-
 /// Final accounting returned by
 /// [`Driver::shutdown`](crate::driver::Driver::shutdown).
 #[derive(Debug, Default)]
 pub struct DriverReport {
-    /// Lifetime loop counters per shard, indexed by shard.
-    pub shard_stats: Vec<EventLoopStats>,
+    /// Lifetime counters per shard, indexed by shard.
+    pub shard_stats: Vec<ShardStats>,
     /// Events still undrained at shutdown (completions the caller never
     /// polled, plus any teardown leftovers handed back by workers).
     pub events: Vec<DriverEvent>,
@@ -113,14 +142,14 @@ pub struct DriverReport {
 
 impl DriverReport {
     /// Field-wise sum of every shard's counters.
-    pub fn total_stats(&self) -> EventLoopStats {
+    pub fn total_stats(&self) -> ShardStats {
         self.shard_stats
             .iter()
-            .fold(EventLoopStats::default(), |acc, s| acc.merge(*s))
+            .fold(ShardStats::default(), |acc, s| acc.merge(*s))
     }
 }
 
-/// Builder-style configuration for a sharded [`Driver`].
+/// Builder-style configuration for a [`Driver`].
 ///
 /// ```
 /// use df_proto::driver::{DriverConfig, Placement, Pacing};
@@ -163,7 +192,10 @@ impl DriverConfig {
     }
 
     /// Number of worker shards (clamped to at least 1).  Each shard is one
-    /// `EventLoop` on its own thread.
+    /// readiness loop on its own thread — including a lone one, so the
+    /// control thread is free to sleep between
+    /// [`Driver::poll_events`](crate::driver::Driver::poll_events) calls
+    /// whatever the shard count.
     pub fn shards(mut self, shards: usize) -> DriverConfig {
         self.shards = shards.max(1);
         self
@@ -175,22 +207,24 @@ impl DriverConfig {
         self
     }
 
-    /// Default pacing for server sessions added without an explicit pacing.
-    /// This is the *aggregate* budget of one logical server: when a carousel
-    /// is replicated across shards the driver splits it with
-    /// [`Pacing::split`] so the total emission rate is shard-count
-    /// invariant.
+    /// Pacing of servers registered through
+    /// [`Driver::add_server_session`](crate::driver::Driver::add_server_session)
+    /// and
+    /// [`Driver::add_fountain_server`](crate::driver::Driver::add_fountain_server).
+    /// To replicate one logical carousel across shards at this aggregate
+    /// rate, [`Pacing::split`] it and register each part with
+    /// [`Driver::add_on`](crate::driver::Driver::add_on).
     pub fn pacing(mut self, pacing: Pacing) -> DriverConfig {
         self.pacing = pacing;
         self
     }
 
     /// Stepped mode: workers tick only when the control thread calls
-    /// [`Driver::step`](crate::driver::Driver::step) /
-    /// [`Driver::step_until_complete`](crate::driver::Driver::step_until_complete),
-    /// each step being one deterministic `EventLoop::step`.  This is the
-    /// mode the simulation experiments use; paced mode (the default) runs
-    /// each worker's wall-clock loop continuously.
+    /// [`Driver::step`](crate::driver::Driver::step), each step being one
+    /// deterministic iteration (every server ticks once, every client is
+    /// drained, in slot order).  This is the mode the simulation experiments
+    /// use; paced mode (the default) runs each worker's wall-clock loop
+    /// continuously.
     pub fn stepped(mut self, stepped: bool) -> DriverConfig {
         self.stepped = stepped;
         self

@@ -1,78 +1,71 @@
-//! The readiness-driven I/O driver layer: from one event loop to N.
+//! The I/O driver: every socket, clock and thread the sans-I/O sessions
+//! never touch.
 //!
-//! Everything below this crate's session layer is sans-I/O — the sessions
-//! *produce* and *consume* datagrams but never touch a socket.  This module
-//! is the other half of that bargain, at two levels:
+//! [`Driver`] is the one public engine.  It owns N shards — one worker
+//! thread each, built from a [`DriverConfig`] — and every registered
+//! [`Session`] is *moved* to one of them together with its transport.
+//! Registration returns a [`SessionHandle`]; everything a session has to
+//! report (completion, a failed join, a failed registration) comes back as
+//! a [`DriverEvent`] drained with [`Driver::poll_events`].  The control
+//! plane, queues and teardown protocol live in [`shard`]; this module holds
+//! the loop each shard runs (`ShardLoop`, crate-private) and the value
+//! types they share.
 //!
-//! * [`EventLoop`] — the single-shard engine: owns the transports and
-//!   multiplexes any number of [`ServerSession`]s / [`FountainServer`]s and
-//!   [`ClientSession`]s over them on **one** thread, the epoll-style server
-//!   shape of Section 7.1 (a stateless carousel feeding arbitrarily many
-//!   heterogeneous receivers at once).
-//! * [`Driver`] — the sharded facade: N per-core `EventLoop` worker threads
-//!   behind a builder-style [`DriverConfig`], each owning a disjoint slice
-//!   of sessions and their sockets, with session registration returning
-//!   opaque [`SessionHandle`]s and completion delivered through a drainable
-//!   event channel ([`Driver::poll_events`]) instead of callbacks on a loop
-//!   thread.  See [`shard`] and DESIGN.md "Sharded driver".
+//! # Slots
 //!
-//! # Token / slot model
-//!
-//! Every session added to a loop occupies a **slot** identified by a
-//! [`Token`] (a plain index; tokens are never reused within one loop).  A
-//! slot owns its session *and* its transport — the loop never shares
-//! sockets between sessions, mirroring how each multicast receiver owns its
-//! own group memberships.  Poller keys are *internal dense indices* mapped
-//! back to slots on each wait; tokens no longer double as poller keys (see
-//! DESIGN.md for the migration note), so the fd set can be rebuilt from an
-//! owned [`EventLoop::readiness_snapshot`] without borrowing every slot.
+//! A shard stores each session in a **slot** — the index its
+//! [`SessionHandle`] carries, assigned by the control plane and never
+//! reused.  A slot owns its session *and* its transport: sockets are never
+//! shared between sessions, mirroring how each multicast receiver owns its
+//! own group memberships.  A client's slot empties at the moment its
+//! download completes — the session leaves inside
+//! [`DriverEvent::Completed`] and the transport is dropped there, on the
+//! owning shard.
 //!
 //! # Readiness vs. polled transports
 //!
 //! Each transport reports its [`Readiness`]: socket-backed transports hand
-//! over raw fds and the loop sleeps in the `polling` shim (epoll on Linux,
+//! over raw fds and the shard sleeps in the `polling` shim (epoll on Linux,
 //! `poll(2)` elsewhere — see `DF_POLL_BACKEND`) until one turns readable;
 //! in-memory transports ([`crate::SimMulticast`] endpoints) report
 //! [`Readiness::Polled`] and are drained on every iteration instead.  The
 //! fd set is rebuilt lazily whenever memberships change (joins and leaves
-//! open and close sockets).
+//! open and close sockets), each fd under a dense key that means nothing
+//! outside one registration epoch.
 //!
 //! # Pacing
 //!
 //! Server slots are rate-paced by a token bucket: every [`Pacing`] interval
 //! the slot may emit up to `datagrams_per_tick` datagrams.  Missed ticks are
-//! dropped rather than accumulated, so a loop that stalls (or a laptop that
+//! dropped rather than accumulated, so a shard that stalls (or a laptop that
 //! sleeps) resumes at the configured rate instead of blasting a catch-up
-//! burst.  [`EventLoop::step`] is the wall-clock-free variant — exactly one
-//! tick per server plus a full drain — which is what the deterministic
-//! tests and the simulation experiments drive.  When one logical server's
-//! carousel is replicated across shards, [`Pacing::split`] divides the
-//! per-tick budget so the *aggregate* emission rate is shard-count
-//! invariant.
+//! burst.  A *stepped* driver replaces the clock with [`Driver::step`] —
+//! exactly one tick per server plus a full drain of every client, in slot
+//! order — which is what the deterministic tests and the simulation
+//! experiments drive.  When one logical server's carousel is replicated
+//! across shards, [`Pacing::split`] divides the per-tick budget so the
+//! *aggregate* emission rate is shard-count invariant.
 //!
-//! # Join/Leave intent execution and completion events
+//! # Join/Leave intents and completion
 //!
 //! Layered [`ClientSession`]s decide subscription changes but never touch
 //! sockets; their [`ClientEvent::Join`] / [`ClientEvent::Leave`] intents are
-//! executed *here*, against the slot's own transport.  A failed join is
-//! counted ([`EventLoopStats::join_failures`]), surfaced as
-//! [`LoopEvent::JoinFailed`], and otherwise treated as loss, exactly like
-//! the channel it models.  On completion a client's groups are left
-//! immediately — a finished receiver stops consuming multicast bandwidth —
-//! and a [`LoopEvent::Completed`] is buffered for the owner to drain via
-//! [`EventLoop::poll_events`] (the callback-on-the-loop-thread contract of
-//! earlier revisions is gone).
+//! executed by the shard, against the slot's own transport.  A failed join
+//! is counted ([`ShardStats::join_failures`]), surfaced as
+//! [`DriverEvent::JoinFailed`], and otherwise treated as loss, exactly like
+//! the channel it models.  On completion a client's groups are left at
+//! once: a finished receiver stops consuming multicast bandwidth.
 
 pub mod handle;
 pub mod placement;
 pub mod queue;
 pub mod shard;
 
-pub use handle::{DriverConfig, DriverEvent, DriverReport, SessionHandle};
+pub use handle::{DriverConfig, DriverEvent, DriverReport, Session, SessionHandle};
 pub use placement::Placement;
 pub use shard::Driver;
 
-use crate::client::{ClientEvent, ClientSession, DownloadStats};
+use crate::client::{ClientEvent, ClientSession};
 use crate::server::{FountainServer, ServerSession};
 use crate::transport::{Readiness, Transport};
 use bytes::Bytes;
@@ -81,11 +74,6 @@ use std::collections::VecDeque;
 use std::io;
 use std::net::UdpSocket;
 use std::time::{Duration, Instant};
-
-/// Identifies one session slot in an [`EventLoop`].  Tokens are shard-local:
-/// the sharded [`Driver`] wraps them in [`SessionHandle`]s.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct Token(pub usize);
 
 /// Rate pacing for a server slot: a token bucket releasing
 /// `datagrams_per_tick` datagrams every `interval` of wall-clock time.
@@ -111,20 +99,11 @@ impl Pacing {
         }
     }
 
-    /// Approximate a target datagram rate with a 5 ms tick — fine-grained
-    /// enough that per-tick bursts stay well inside kernel socket buffers.
-    pub fn per_second(datagrams: usize) -> Pacing {
-        Pacing {
-            interval: Duration::from_millis(5),
-            datagrams_per_tick: (datagrams / 200).max(1),
-        }
-    }
-
     /// Divide this budget across `parts` co-owners of one logical server so
     /// the *aggregate* rate stays exactly this pacing: the per-tick budgets
     /// of the returned pacings sum to `datagrams_per_tick` (the remainder
     /// goes to the lowest-indexed parts), and every part keeps the same
-    /// interval.  Token buckets are per-loop, so replicating a carousel
+    /// interval.  Token buckets are per-shard, so replicating a carousel
     /// across N shards *without* splitting would multiply the send rate by
     /// N.  A part may receive a zero budget when `parts` exceeds the total
     /// (that share of the carousel sends nothing).
@@ -141,9 +120,9 @@ impl Pacing {
     }
 }
 
-/// Aggregate counters for one [`EventLoop`]'s lifetime.
+/// Lifetime counters of one shard (see [`DriverReport::shard_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EventLoopStats {
+pub struct ShardStats {
     /// Datagrams emitted by all server slots.
     pub datagrams_sent: u64,
     /// Datagrams drained from client transports (before session validation).
@@ -156,10 +135,10 @@ pub struct EventLoopStats {
     pub control_answered: u64,
 }
 
-impl EventLoopStats {
-    /// Field-wise sum, for aggregating per-shard loop counters.
-    pub fn merge(self, other: EventLoopStats) -> EventLoopStats {
-        EventLoopStats {
+impl ShardStats {
+    /// Field-wise sum, for aggregating per-shard counters.
+    pub fn merge(self, other: ShardStats) -> ShardStats {
+        ShardStats {
             datagrams_sent: self.datagrams_sent + other.datagrams_sent,
             datagrams_received: self.datagrams_received + other.datagrams_received,
             ticks: self.ticks + other.ticks,
@@ -167,31 +146,6 @@ impl EventLoopStats {
             control_answered: self.control_answered + other.control_answered,
         }
     }
-}
-
-/// One buffered notification from an [`EventLoop`], drained by the owner via
-/// [`EventLoop::poll_events`].  This replaces the completion-callback
-/// contract: the loop never calls back into owner code mid-iteration.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LoopEvent {
-    /// A client slot finished its download.  The session (and its decoded
-    /// file) stays in the slot until [`EventLoop::take_client`].
-    Completed {
-        /// Slot of the finished client.
-        token: Token,
-        /// Reception statistics at the moment of completion.
-        stats: DownloadStats,
-    },
-    /// A client's Join intent failed at the transport ([`Transport::join`]
-    /// returned an error).  The layer stays subscribed session-side and the
-    /// lost datagrams read as channel loss; this event lets the owner
-    /// observe the degradation.
-    JoinFailed {
-        /// Slot whose join failed.
-        token: Token,
-        /// The multicast group that could not be joined.
-        group: u32,
-    },
 }
 
 /// Either kind of carousel a server slot can pump.
@@ -229,7 +183,6 @@ struct ServerSlot<T> {
 struct ClientSlot<T> {
     session: ClientSession,
     transport: T,
-    done: bool,
 }
 
 enum Slot<T> {
@@ -237,16 +190,16 @@ enum Slot<T> {
     Client(Box<ClientSlot<T>>),
 }
 
-/// A single-threaded readiness-driven event loop multiplexing many protocol
-/// sessions over their transports.  See the [module docs](self) for the
-/// token/slot model, pacing and readiness semantics.
+/// The readiness-driven loop one shard worker runs: any number of server
+/// carousels and downloading clients multiplexed over their transports on
+/// one thread — the epoll-style server shape of Section 7.1.  See the
+/// [module docs](self) for the slot, pacing and readiness semantics.
 ///
-/// The transport type is homogeneous per loop (all
-/// [`crate::UdpMulticastTransport`], or all [`crate::SimEndpoint`], …);
-/// server and client slots may be mixed freely, including a server and its
-/// own thousand clients in the same loop — the scale test in `df-sim` does
-/// exactly that.
-pub struct EventLoop<T: Transport> {
+/// The transport type is homogeneous per driver; server and client slots
+/// may be mixed freely, including a server and its own thousand clients on
+/// one shard — the scale test in `df-sim` does exactly that.
+pub(crate) struct ShardLoop<T: Transport> {
+    shard: usize,
     slots: Vec<Option<Slot<T>>>,
     poller: Option<Poller>,
     /// Fd registrations must be rebuilt before the next wait (membership or
@@ -255,28 +208,22 @@ pub struct EventLoop<T: Transport> {
     /// At least one live slot has no fds and must be drained every
     /// iteration.
     has_polled_slots: bool,
-    /// Dense poller key → slot index.  Keys are assigned per registered fd
-    /// at rebuild time and mean nothing outside one registration epoch;
-    /// tokens are *not* poller keys.
+    /// Dense poller key → slot index, assigned per registered fd at rebuild
+    /// time.
     poll_keys: Vec<usize>,
     events_buf: Vec<Event>,
-    /// Buffered [`LoopEvent`]s awaiting [`EventLoop::poll_events`].
-    events: VecDeque<LoopEvent>,
+    /// Events observed and not yet handed to the control plane; the worker
+    /// flushes this deque through the bounded event queue.
+    pub(super) events: VecDeque<DriverEvent>,
     live_clients: usize,
-    completed_clients: usize,
-    stats: EventLoopStats,
+    stats: ShardStats,
 }
 
-impl<T: Transport> Default for EventLoop<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T: Transport> EventLoop<T> {
-    /// An empty loop.
-    pub fn new() -> EventLoop<T> {
-        EventLoop {
+impl<T: Transport> ShardLoop<T> {
+    /// An empty loop for shard `shard`.
+    pub(crate) fn new(shard: usize) -> ShardLoop<T> {
+        ShardLoop {
+            shard,
             slots: Vec::new(),
             // On platforms without poll(2) the loop degrades to pure
             // tick-paced polling, which every code path below supports.
@@ -287,219 +234,108 @@ impl<T: Transport> EventLoop<T> {
             events_buf: Vec::new(),
             events: VecDeque::new(),
             live_clients: 0,
-            completed_clients: 0,
-            stats: EventLoopStats::default(),
+            stats: ShardStats::default(),
         }
     }
 
-    fn push_slot(&mut self, slot: Slot<T>) -> Token {
-        self.slots.push(Some(slot));
-        self.registrations_dirty = true;
-        Token(self.slots.len() - 1)
+    /// The handle of `slot` on this shard.
+    pub(super) fn handle(&self, slot: usize) -> SessionHandle {
+        SessionHandle::new(self.shard, slot)
     }
 
-    /// Burn a token on a permanently vacant slot.  The sharded driver uses
-    /// this to keep its control-plane token prediction aligned with the
-    /// loop when an add fails before occupying a slot.
-    pub(crate) fn push_vacant(&mut self) -> Token {
-        self.slots.push(None);
-        Token(self.slots.len() - 1)
-    }
-
-    /// Add a single carousel session paced by `pacing`; its first tick is
-    /// due immediately.
-    pub fn add_server_session(
-        &mut self,
-        session: ServerSession,
-        transport: T,
-        pacing: Pacing,
-    ) -> Token {
-        self.push_slot(Slot::Server(Box::new(ServerSlot {
-            carousel: Carousel::Session(Box::new(session)),
-            transport,
-            control: None,
-            pacing,
-            next_tick: Instant::now(),
-        })))
-    }
-
-    /// Add a multi-session [`FountainServer`], optionally answering its
-    /// binary control channel on `control` (made non-blocking here).
+    /// Store `session` and its transport at `slot`, the index the control
+    /// plane assigned.  A server's first tick is due immediately; a
+    /// client's currently subscribed groups are joined on `transport` here,
+    /// and afterwards the loop tracks the session's Join/Leave intents.
     ///
     /// # Errors
     ///
-    /// Fails only if the control socket cannot be switched to non-blocking
-    /// mode.
-    pub fn add_fountain_server(
+    /// Fails — leaving the slot empty — if a client's *initial* join fails
+    /// (a client that cannot reach the base layer will never receive a
+    /// datagram, so this is a setup error, not channel loss) or a control
+    /// socket cannot be switched to non-blocking mode.
+    pub(crate) fn add(
         &mut self,
-        server: FountainServer,
-        transport: T,
-        control: Option<UdpSocket>,
-        pacing: Pacing,
-    ) -> io::Result<Token> {
-        if let Some(socket) = &control {
-            socket.set_nonblocking(true)?;
-        }
-        Ok(self.push_slot(Slot::Server(Box::new(ServerSlot {
-            carousel: Carousel::Server(server),
-            transport,
-            control,
-            pacing,
-            next_tick: Instant::now(),
-        }))))
-    }
-
-    /// Add a downloading client.  The session's currently subscribed groups
-    /// are joined on `transport` here; afterwards the loop tracks the
-    /// session's Join/Leave intents.
-    ///
-    /// # Errors
-    ///
-    /// Fails if any *initial* join fails — a client that cannot reach the
-    /// base layer will never receive a datagram, so this is a setup error,
-    /// not channel loss.
-    pub fn add_client(&mut self, session: ClientSession, mut transport: T) -> io::Result<Token> {
-        for group in session.subscribed_groups() {
-            transport.join(group)?;
-        }
-        self.live_clients += 1;
-        Ok(self.push_slot(Slot::Client(Box::new(ClientSlot {
-            session,
-            transport,
-            done: false,
-        }))))
-    }
-
-    /// Drain every buffered [`LoopEvent`] (completions, failed joins), in
-    /// the order the loop observed them.  Events accumulate until drained;
-    /// owners that do not care may simply never call this (the buffer is
-    /// bounded by the number of clients plus their failed joins).
-    pub fn poll_events(&mut self) -> Vec<LoopEvent> {
-        self.events.drain(..).collect()
-    }
-
-    /// The client session in `token`'s slot, if that slot holds a live or
-    /// completed client.
-    pub fn client(&self, token: Token) -> Option<&ClientSession> {
-        match self.slots.get(token.0)?.as_ref()? {
-            Slot::Client(c) => Some(&c.session),
-            Slot::Server(_) => None,
-        }
-    }
-
-    /// Remove a client slot, returning the session and its transport (e.g.
-    /// to extract the downloaded file and reuse the socket set).
-    pub fn take_client(&mut self, token: Token) -> Option<(ClientSession, T)> {
-        match self.slots.get(token.0)? {
-            Some(Slot::Client(_)) => {}
-            _ => return None,
-        }
-        let Some(Slot::Client(slot)) = self.slots[token.0].take() else {
-            unreachable!("checked above");
+        slot: usize,
+        session: Session,
+        mut transport: T,
+    ) -> io::Result<()> {
+        let server_slot = |carousel, control, pacing, transport| {
+            Slot::Server(Box::new(ServerSlot {
+                carousel,
+                transport,
+                control,
+                pacing,
+                next_tick: Instant::now(),
+            }))
         };
-        if slot.done {
-            self.completed_clients -= 1;
-        } else {
-            self.live_clients -= 1;
+        let occupant = match session {
+            Session::Client(session) => {
+                for group in session.subscribed_groups() {
+                    transport.join(group)?;
+                }
+                self.live_clients += 1;
+                let session = *session;
+                Slot::Client(Box::new(ClientSlot { session, transport }))
+            }
+            Session::Server { session, pacing } => {
+                server_slot(Carousel::Session(session), None, pacing, transport)
+            }
+            Session::Fountain {
+                server,
+                control,
+                pacing,
+            } => {
+                if let Some(socket) = &control {
+                    socket.set_nonblocking(true)?;
+                }
+                server_slot(Carousel::Server(*server), control, pacing, transport)
+            }
+        };
+        if self.slots.len() <= slot {
+            self.slots.resize_with(slot + 1, || None);
         }
+        self.slots[slot] = Some(occupant);
         self.registrations_dirty = true;
-        Some((slot.session, slot.transport))
-    }
-
-    /// Clients added and not yet complete (nor taken).
-    pub fn pending_clients(&self) -> usize {
-        self.live_clients
-    }
-
-    /// Clients whose downloads have completed (and are still in the loop).
-    pub fn completed_clients(&self) -> usize {
-        self.completed_clients
-    }
-
-    /// True once every client added to the loop has completed its download.
-    pub fn all_clients_complete(&self) -> bool {
-        self.live_clients == 0
+        Ok(())
     }
 
     /// Lifetime counters.
-    pub fn stats(&self) -> EventLoopStats {
+    pub(crate) fn stats(&self) -> ShardStats {
         self.stats
     }
 
-    /// Rounds transmitted so far by the server slot at `token` (for a
-    /// [`FountainServer`] slot, the maximum across its sessions).
-    pub fn server_rounds(&self, token: Token) -> Option<usize> {
-        match self.slots.get(token.0)?.as_ref()? {
-            Slot::Server(s) => Some(match &s.carousel {
-                Carousel::Session(session) => session.rounds_sent(),
-                Carousel::Server(server) => server
-                    .sessions()
-                    .iter()
-                    .map(|s| s.rounds_sent())
-                    .max()
-                    .unwrap_or(0),
-            }),
-            Slot::Client(_) => None,
-        }
-    }
-
-    /// An owned snapshot of every waitable slot's current [`Readiness`],
-    /// keyed by [`Token`].  Building the poll set from this snapshot means
-    /// registration never holds borrows into the slot table — the property
-    /// that lets a shard rebuild its fd set while the control plane
-    /// inspects it.  Completed clients are excluded (they no longer wait on
-    /// anything); a server slot's entry is its control socket, since its
+    /// Rebuild the poller's fd registrations from every occupied slot's
+    /// current [`Readiness`], each fd under a fresh *dense* key recorded in
+    /// `poll_keys`.  A server slot waits on its control socket only — its
     /// data transport is send-only.
-    pub fn readiness_snapshot(&self) -> Vec<(Token, Readiness)> {
-        let mut snapshot = Vec::new();
-        for (index, slot) in self.slots.iter().enumerate() {
-            let Some(slot) = slot else { continue };
-            match slot {
-                Slot::Server(s) => {
-                    let fds: Vec<i32> = s
-                        .control
-                        .as_ref()
-                        .and_then(control_fd)
-                        .into_iter()
-                        .collect();
-                    snapshot.push((Token(index), Readiness::Sockets(fds)));
-                }
-                Slot::Client(c) => {
-                    if c.done {
-                        continue;
-                    }
-                    snapshot.push((Token(index), c.transport.readiness()));
-                }
-            }
-        }
-        snapshot
-    }
-
-    /// Rebuild the poller's fd registrations from an owned readiness
-    /// snapshot.  Each fd gets a fresh *dense* key recorded in `poll_keys`;
-    /// tokens are never used as poller keys (see the module docs).
     fn rebuild_registrations(&mut self) {
         self.registrations_dirty = false;
         self.has_polled_slots = false;
         self.poll_keys.clear();
-        let snapshot = self.readiness_snapshot();
         let Some(poller) = &self.poller else {
             self.has_polled_slots = true;
             return;
         };
         poller.clear();
-        for (token, readiness) in snapshot {
-            match readiness {
-                Readiness::Polled => self.has_polled_slots = true,
-                Readiness::Sockets(fds) => {
-                    for fd in fds {
-                        let key = self.poll_keys.len();
-                        poller
-                            .add(fd, Event::readable(key))
-                            .expect("slots own their sockets, so fds are distinct");
-                        self.poll_keys.push(token.0);
+        for (index, slot) in self.slots.iter().enumerate() {
+            let fds: Vec<i32> = match slot {
+                None => continue,
+                Some(Slot::Server(s)) => s.control.iter().filter_map(control_fd).collect(),
+                Some(Slot::Client(c)) => match c.transport.readiness() {
+                    Readiness::Sockets(fds) => fds,
+                    Readiness::Polled => {
+                        self.has_polled_slots = true;
+                        continue;
                     }
-                }
+                },
+            };
+            for fd in fds {
+                let key = self.poll_keys.len();
+                poller
+                    .add(fd, Event::readable(key))
+                    .expect("slots own their sockets, so fds are distinct");
+                self.poll_keys.push(index);
             }
         }
     }
@@ -524,19 +360,18 @@ impl<T: Transport> EventLoop<T> {
     }
 
     /// Drain one client slot: feed every waiting datagram to the session,
-    /// executing subscription intents against the slot's transport,
-    /// buffering a [`LoopEvent::Completed`] when the download finishes.
+    /// executing subscription intents against the slot's transport.  When
+    /// the download finishes the slot is emptied: the session leaves in a
+    /// [`DriverEvent::Completed`] and its transport is dropped here, on the
+    /// owning shard, closing the sockets a finished receiver no longer
+    /// needs.
     fn drain_client(&mut self, index: usize) {
+        let handle = self.handle(index);
         let Some(Some(Slot::Client(slot))) = self.slots.get_mut(index) else {
             return;
         };
-        if slot.done {
-            // Completed clients keep their slot (the owner may still
-            // `take_client`) but drop arrivals unread.
-            while slot.transport.try_recv().is_some() {}
-            return;
-        }
         let mut membership_changed = false;
+        let mut complete = false;
         while let Some((_group, datagram)) = slot.transport.try_recv() {
             self.stats.datagrams_received += 1;
             match slot.session.handle_datagram(datagram) {
@@ -547,10 +382,8 @@ impl<T: Transport> EventLoop<T> {
                         // datagram it would have carried is loss, which the
                         // congestion controller will read as such.
                         self.stats.join_failures += 1;
-                        self.events.push_back(LoopEvent::JoinFailed {
-                            token: Token(index),
-                            group,
-                        });
+                        self.events
+                            .push_back(DriverEvent::JoinFailed { handle, group });
                     }
                 }
                 ClientEvent::Leave { group } => {
@@ -563,17 +396,21 @@ impl<T: Transport> EventLoop<T> {
                         slot.transport.leave(group);
                     }
                     membership_changed = true;
-                    slot.done = true;
-                    self.events.push_back(LoopEvent::Completed {
-                        token: Token(index),
-                        stats: slot.session.stats().clone(),
-                    });
-                    self.live_clients -= 1;
-                    self.completed_clients += 1;
+                    complete = true;
                     break;
                 }
                 _ => {}
             }
+        }
+        if complete {
+            let Some(Slot::Client(slot)) = self.slots[index].take() else {
+                unreachable!("matched as a client slot above");
+            };
+            self.live_clients -= 1;
+            self.events.push_back(DriverEvent::Completed {
+                handle,
+                session: Box::new(slot.session),
+            });
         }
         if membership_changed {
             self.registrations_dirty = true;
@@ -581,13 +418,13 @@ impl<T: Transport> EventLoop<T> {
     }
 
     /// One deterministic iteration, free of clocks and sleeps: every server
-    /// slot ticks exactly once (in token order), then every client slot is
-    /// drained (in token order).  Driving the loop exclusively through
+    /// slot ticks exactly once (in slot order), then every client slot is
+    /// drained (in slot order).  Driving the loop exclusively through
     /// `step` yields a bit-identical run for an identical transport trace —
     /// the property the determinism tests pin down — and is how the
     /// simulation experiments pump thousands of sim-backed sessions without
     /// wall-clock pacing.
-    pub fn step(&mut self) {
+    pub(crate) fn step(&mut self) {
         for index in 0..self.slots.len() {
             if matches!(self.slots[index], Some(Slot::Server(_))) {
                 self.tick_server(index);
@@ -608,7 +445,7 @@ impl<T: Transport> EventLoop<T> {
     ///
     /// Propagates poller failures (which on a healthy system do not occur;
     /// the sleep degrades gracefully on platforms without `poll(2)`).
-    pub fn poll_io(&mut self, timeout: Duration) -> io::Result<usize> {
+    fn poll_io(&mut self, timeout: Duration) -> io::Result<usize> {
         if self.registrations_dirty {
             self.rebuild_registrations();
         }
@@ -663,28 +500,29 @@ impl<T: Transport> EventLoop<T> {
         Ok(fired)
     }
 
-    /// Run the wall-clock loop: rate-paced server ticks, readiness-driven
-    /// client drains, until every client completes or `deadline` passes.
-    /// Returns `true` when all clients completed.
-    ///
-    /// A loop with no clients (a pure server) runs until the deadline —
-    /// that is the deployment shape, where the carousel never ends.
+    /// Run the wall-clock loop for one `slice`: rate-paced server ticks and
+    /// readiness-driven client drains.  Comes back early when the last
+    /// pending client has just completed, so the worker can hand that news
+    /// over without waiting out the slice; a loop with nothing pending and
+    /// nothing to report (a pure server — the deployment shape, where the
+    /// carousel never ends) runs the whole slice.
     ///
     /// # Errors
     ///
-    /// Propagates poller failures from [`EventLoop::poll_io`].
-    pub fn run(&mut self, deadline: Duration) -> io::Result<bool> {
-        let end = Instant::now() + deadline;
+    /// Propagates poller failures from `poll_io`.
+    pub(crate) fn run(&mut self, slice: Duration) -> io::Result<()> {
+        let end = Instant::now() + slice;
         // An idle cap so polled transports and late-arriving control traffic
         // are still serviced between distant server ticks.
         const IDLE_CAP: Duration = Duration::from_millis(5);
+        let already_buffered = self.events.len();
         loop {
-            if self.live_clients == 0 && self.completed_clients > 0 {
-                return Ok(true);
+            if self.live_clients == 0 && self.events.len() > already_buffered {
+                return Ok(());
             }
             let now = Instant::now();
             if now >= end {
-                return Ok(self.live_clients == 0 && self.completed_clients > 0);
+                return Ok(());
             }
             let mut nearest_tick: Option<Instant> = None;
             for index in 0..self.slots.len() {
@@ -755,6 +593,39 @@ fn answer_control(carousel: &mut Carousel, control: Option<&UdpSocket>) -> u64 {
     answered
 }
 
+/// What the unit tests read back out of a loop they drive directly.
+#[cfg(test)]
+impl<T: Transport> ShardLoop<T> {
+    /// [`ShardLoop::add`] at the next unused slot, which is returned.
+    fn push(&mut self, session: Session, transport: T) -> io::Result<usize> {
+        let slot = self.slots.len();
+        self.add(slot, session, transport).map(|()| slot)
+    }
+
+    fn all_clients_complete(&self) -> bool {
+        self.live_clients == 0
+    }
+
+    /// The still-downloading client in `slot`, if any.
+    fn client(&self, slot: usize) -> Option<&ClientSession> {
+        match self.slots.get(slot)?.as_ref()? {
+            Slot::Client(c) => Some(&c.session),
+            Slot::Server(_) => None,
+        }
+    }
+
+    /// Rounds transmitted so far by the single-session server in `slot`.
+    fn server_rounds(&self, slot: usize) -> Option<usize> {
+        match self.slots.get(slot)?.as_ref()? {
+            Slot::Server(s) => match &s.carousel {
+                Carousel::Session(session) => Some(session.rounds_sent()),
+                Carousel::Server(_) => None,
+            },
+            Slot::Client(_) => None,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -766,15 +637,32 @@ mod tests {
         (0..len).map(|i| ((i * 131 + salt) % 251) as u8).collect()
     }
 
-    fn sim_server(
-        data: &[u8],
-        config: SessionConfig,
-        net: &SimMulticast,
-    ) -> (ServerSession, ControlInfo) {
+    fn sim_server(data: &[u8], config: SessionConfig) -> (ServerSession, ControlInfo) {
         let session = ServerSession::new(data, config).unwrap();
         let info = session.control_info().clone();
-        let _ = net; // endpoints are created per-slot by the callers
         (session, info)
+    }
+
+    fn server(session: ServerSession, pacing: Pacing) -> Session {
+        Session::Server {
+            session: Box::new(session),
+            pacing,
+        }
+    }
+
+    fn client(info: ControlInfo) -> Session {
+        Session::Client(Box::new(ClientSession::new(info).unwrap()))
+    }
+
+    /// Drain the loop's buffered completions as `(slot, session)` pairs.
+    fn finished<T: Transport>(el: &mut ShardLoop<T>) -> Vec<(usize, Box<ClientSession>)> {
+        el.events
+            .drain(..)
+            .filter_map(|event| match event {
+                DriverEvent::Completed { handle, session } => Some((handle.token(), session)),
+                _ => None,
+            })
+            .collect()
     }
 
     #[test]
@@ -787,19 +675,17 @@ mod tests {
                 code_seed: 5,
                 ..SessionConfig::default()
             },
-            &net,
         );
-        let mut el: EventLoop<crate::SimEndpoint> = EventLoop::new();
-        el.add_server_session(
-            session,
+        let mut el: ShardLoop<crate::SimEndpoint> = ShardLoop::new(0);
+        el.push(
+            server(session, Pacing::new(Duration::from_millis(1), 256)),
             net.endpoint(0.0),
-            Pacing::new(Duration::from_millis(1), 256),
-        );
-        let mut tokens = Vec::new();
+        )
+        .unwrap();
+        let mut slots = Vec::new();
         for i in 0..20 {
             let loss = if i % 2 == 0 { 0.0 } else { 0.25 };
-            let client = ClientSession::new(info.clone()).unwrap();
-            tokens.push(el.add_client(client, net.endpoint(loss)).unwrap());
+            slots.push(el.push(client(info.clone()), net.endpoint(loss)).unwrap());
         }
         for _ in 0..10_000 {
             el.step();
@@ -808,12 +694,19 @@ mod tests {
             }
         }
         assert!(el.all_clients_complete());
-        assert_eq!(el.completed_clients(), 20);
-        for token in tokens {
-            let (client, _endpoint) = el.take_client(token).unwrap();
-            assert_eq!(client.file().unwrap(), &data[..]);
+        let mut done = finished(&mut el);
+        done.sort_by_key(|(slot, _)| *slot);
+        assert_eq!(
+            done.iter().map(|(slot, _)| *slot).collect::<Vec<_>>(),
+            slots
+        );
+        for (slot, session) in done {
+            assert_eq!(session.file().unwrap(), &data[..]);
+            assert!(
+                el.client(slot).is_none(),
+                "a finished client leaves its slot"
+            );
         }
-        assert_eq!(el.completed_clients(), 0);
         assert!(el.stats().datagrams_sent > 0);
     }
 
@@ -821,15 +714,14 @@ mod tests {
     fn completion_event_is_delivered_exactly_once_with_final_stats() {
         let data = patterned(30_000, 2);
         let net = SimMulticast::new(4);
-        let (session, info) = sim_server(&data, SessionConfig::default(), &net);
-        let mut el: EventLoop<crate::SimEndpoint> = EventLoop::new();
-        el.add_server_session(
-            session,
+        let (session, info) = sim_server(&data, SessionConfig::default());
+        let mut el: ShardLoop<crate::SimEndpoint> = ShardLoop::new(0);
+        el.push(
+            server(session, Pacing::new(Duration::from_millis(1), 512)),
             net.endpoint(0.0),
-            Pacing::new(Duration::from_millis(1), 512),
-        );
-        let client = ClientSession::new(info).unwrap();
-        let token = el.add_client(client, net.endpoint(0.0)).unwrap();
+        )
+        .unwrap();
+        let slot = el.push(client(info), net.endpoint(0.0)).unwrap();
         for _ in 0..5_000 {
             el.step();
             if el.all_clients_complete() {
@@ -840,20 +732,13 @@ mod tests {
         for _ in 0..20 {
             el.step();
         }
-        let events = el.poll_events();
-        assert_eq!(events.len(), 1, "exactly one completion event: {events:?}");
-        let LoopEvent::Completed {
-            token: ev_token,
-            stats,
-        } = &events[0]
-        else {
-            panic!("expected Completed, got {events:?}");
+        assert_eq!(el.events.len(), 1, "exactly one event: {:?}", el.events);
+        let Some(DriverEvent::Completed { handle, session }) = el.events.pop_front() else {
+            panic!("expected Completed");
         };
-        assert_eq!(*ev_token, token);
-        assert!(stats.distinct() > 0);
-        assert!(el.client(token).unwrap().is_complete());
-        // The drain consumed the buffer: a second poll is empty.
-        assert!(el.poll_events().is_empty());
+        assert_eq!(handle, el.handle(slot));
+        assert!(session.is_complete());
+        assert!(session.stats().distinct() > 0);
     }
 
     #[test]
@@ -873,48 +758,21 @@ mod tests {
         }
     }
 
-    #[test]
-    fn readiness_snapshot_is_owned_and_skips_finished_clients() {
-        let data = patterned(20_000, 5);
-        let net = SimMulticast::new(12);
-        let (session, info) = sim_server(&data, SessionConfig::default(), &net);
-        let mut el: EventLoop<crate::SimEndpoint> = EventLoop::new();
-        let server = el.add_server_session(
-            session,
-            net.endpoint(0.0),
-            Pacing::new(Duration::from_millis(1), 256),
-        );
-        let client = el
-            .add_client(ClientSession::new(info).unwrap(), net.endpoint(0.0))
-            .unwrap();
-        let snapshot = el.readiness_snapshot();
-        // Both slots report: the (control-less) server with an empty fd
-        // set, the sim client as Polled.  The snapshot owns its data — no
-        // borrow of the loop survives it.
-        assert_eq!(snapshot.len(), 2);
-        assert!(snapshot
-            .iter()
-            .any(|(t, r)| *t == server && matches!(r, Readiness::Sockets(f) if f.is_empty())));
-        assert!(snapshot
-            .iter()
-            .any(|(t, r)| *t == client && matches!(r, Readiness::Polled)));
-        while !el.all_clients_complete() {
-            el.step();
+    /// Pass-through transport that refuses to join the groups `allow`
+    /// rejects, to drive the JoinFailed and AddFailed paths.
+    pub(super) struct MaybeJoin {
+        inner: crate::SimEndpoint,
+        allow: fn(u32) -> bool,
+    }
+
+    impl MaybeJoin {
+        pub(super) fn on(net: &SimMulticast, allow: fn(u32) -> bool) -> MaybeJoin {
+            let inner = net.endpoint(0.0);
+            MaybeJoin { inner, allow }
         }
-        // Finished clients wait on nothing and drop out of the snapshot.
-        let snapshot = el.readiness_snapshot();
-        assert_eq!(snapshot.len(), 1);
-        assert_eq!(snapshot[0].0, server);
     }
 
-    /// Transport wrapper whose joins fail above a group threshold, to drive
-    /// the JoinFailed event path.
-    struct FailingJoins<T: Transport> {
-        inner: T,
-        max_group: u32,
-    }
-
-    impl<T: Transport> Transport for FailingJoins<T> {
+    impl Transport for MaybeJoin {
         fn send(&mut self, group: u32, datagram: Bytes) {
             self.inner.send(group, datagram);
         }
@@ -922,7 +780,7 @@ mod tests {
             self.inner.recv()
         }
         fn join(&mut self, group: u32) -> std::io::Result<()> {
-            if group > self.max_group {
+            if !(self.allow)(group) {
                 return Err(std::io::Error::other("join refused"));
             }
             self.inner.join(group)
@@ -948,28 +806,18 @@ mod tests {
                 burst_rounds: 1,
                 ..SessionConfig::default()
             },
-            &net,
         );
         let n = session.code().unwrap().n();
-        let mut el: EventLoop<FailingJoins<crate::SimEndpoint>> = EventLoop::new();
-        el.add_server_session(
-            session,
-            FailingJoins {
-                inner: net.endpoint(0.0),
-                max_group: u32::MAX,
-            },
-            Pacing::new(Duration::from_millis(1), 2 * n),
-        );
+        let mut el: ShardLoop<MaybeJoin> = ShardLoop::new(0);
+        el.push(
+            server(session, Pacing::new(Duration::from_millis(1), 2 * n)),
+            MaybeJoin::on(&net, |_| true),
+        )
+        .unwrap();
         // The client can join only the base layer; every upgrade attempt
         // fails at the transport.
-        let token = el
-            .add_client(
-                ClientSession::new(info).unwrap(),
-                FailingJoins {
-                    inner: net.endpoint(0.0),
-                    max_group: 0,
-                },
-            )
+        let slot = el
+            .push(client(info), MaybeJoin::on(&net, |group| group == 0))
             .unwrap();
         for _ in 0..2_000 {
             el.step();
@@ -978,11 +826,11 @@ mod tests {
             }
         }
         assert!(el.all_clients_complete(), "base layer alone must suffice");
-        let events = el.poll_events();
+        let events = Vec::from(std::mem::take(&mut el.events));
         let failed: Vec<_> = events
             .iter()
             .filter_map(|e| match e {
-                LoopEvent::JoinFailed { token: t, group } => Some((*t, *group)),
+                DriverEvent::JoinFailed { handle, group } => Some((handle.token(), *group)),
                 _ => None,
             })
             .collect();
@@ -991,10 +839,10 @@ mod tests {
             !failed.is_empty(),
             "an unconstrained layered client must have tried to upgrade"
         );
-        assert!(failed.iter().all(|(t, g)| *t == token && *g > 0));
+        assert!(failed.iter().all(|(s, g)| *s == slot && *g > 0));
         assert!(events
             .iter()
-            .any(|e| matches!(e, LoopEvent::Completed { token: t, .. } if *t == token)));
+            .any(|e| matches!(e, DriverEvent::Completed { handle, .. } if handle.token() == slot)));
     }
 
     #[test]
@@ -1013,19 +861,16 @@ mod tests {
                     code_seed: 13,
                     ..SessionConfig::default()
                 },
-                &net,
             );
-            let mut el: EventLoop<crate::SimEndpoint> = EventLoop::new();
-            el.add_server_session(
-                session,
+            let mut el: ShardLoop<crate::SimEndpoint> = ShardLoop::new(0);
+            el.push(
+                server(session, Pacing::new(Duration::from_millis(1), 128)),
                 net.endpoint(0.0),
-                Pacing::new(Duration::from_millis(1), 128),
-            );
-            let mut tokens = Vec::new();
+            )
+            .unwrap();
             for i in 0..4 {
                 let loss = if i % 2 == 0 { 0.0 } else { 0.3 };
-                let client = ClientSession::new(info.clone()).unwrap();
-                tokens.push(el.add_client(client, net.endpoint(loss)).unwrap());
+                el.push(client(info.clone()), net.endpoint(loss)).unwrap();
             }
             for _ in 0..10_000 {
                 el.step();
@@ -1034,8 +879,9 @@ mod tests {
                 }
             }
             assert!(el.all_clients_complete(), "mode {mode:?} stalled");
-            for token in tokens {
-                let (client, _endpoint) = el.take_client(token).unwrap();
+            let done = finished(&mut el);
+            assert_eq!(done.len(), 4);
+            for (_slot, client) in done {
                 assert_eq!(client.file().unwrap(), &data[..], "mode {mode:?}");
                 assert_eq!(client.stats().distinctness_efficiency(), 1.0);
             }
@@ -1055,19 +901,19 @@ mod tests {
                 burst_rounds: 1,
                 ..SessionConfig::default()
             },
-            &net,
         );
         let n = session.code().unwrap().n();
-        let mut el: EventLoop<crate::SimEndpoint> = EventLoop::new();
-        el.add_server_session(
-            session,
-            net.endpoint(0.0),
+        let mut el: ShardLoop<crate::SimEndpoint> = ShardLoop::new(0);
+        el.push(
             // Whole rounds per tick keep the layered cadence dense in time.
-            Pacing::new(Duration::from_millis(1), 2 * n),
-        );
+            server(session, Pacing::new(Duration::from_millis(1), 2 * n)),
+            net.endpoint(0.0),
+        )
+        .unwrap();
         let client = ClientSession::new(info).unwrap();
         assert!(client.is_layered());
-        let token = el.add_client(client, net.endpoint(0.0)).unwrap();
+        el.push(Session::Client(Box::new(client)), net.endpoint(0.0))
+            .unwrap();
         for _ in 0..2_000 {
             el.step();
             if el.all_clients_complete() {
@@ -1075,7 +921,7 @@ mod tests {
             }
         }
         assert!(el.all_clients_complete());
-        let client = el.client(token).unwrap();
+        let (_slot, client) = finished(&mut el).pop().unwrap();
         let level = client.subscription_level().unwrap();
         assert!(
             level >= 1,
@@ -1090,23 +936,24 @@ mod tests {
         // Fairness: N server sessions with identical pacing each advance the
         // same number of rounds (±1 for mid-round budgets) after M steps.
         let net = SimMulticast::new(6);
-        let mut el: EventLoop<crate::SimEndpoint> = EventLoop::new();
+        let mut el: ShardLoop<crate::SimEndpoint> = ShardLoop::new(0);
         let mut tokens = Vec::new();
         for salt in 0..5 {
             let data = patterned(40_000, salt);
-            let session = ServerSession::new(
+            let (session, _info) = sim_server(
                 &data,
                 SessionConfig {
                     code_seed: salt as u64,
                     ..SessionConfig::default()
                 },
-            )
-            .unwrap();
-            tokens.push(el.add_server_session(
-                session,
-                net.endpoint(0.0),
-                Pacing::new(Duration::from_millis(1), 64),
-            ));
+            );
+            tokens.push(
+                el.push(
+                    server(session, Pacing::new(Duration::from_millis(1), 64)),
+                    net.endpoint(0.0),
+                )
+                .unwrap(),
+            );
         }
         for _ in 0..100 {
             el.step();
@@ -1172,7 +1019,7 @@ mod tests {
         let run = || {
             let data = patterned(150_000, 4);
             let net = SimMulticast::new(17);
-            let session = ServerSession::new(
+            let (session, info) = sim_server(
                 &data,
                 SessionConfig {
                     layers: 6,
@@ -1181,25 +1028,23 @@ mod tests {
                     burst_rounds: 1,
                     ..SessionConfig::default()
                 },
-            )
-            .unwrap();
+            );
             let n = session.code().unwrap().n();
-            let info = session.control_info().clone();
             let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-            let mut el: EventLoop<Recording<crate::SimEndpoint>> = EventLoop::new();
-            el.add_server_session(
-                session,
+            let mut el: ShardLoop<Recording<crate::SimEndpoint>> = ShardLoop::new(0);
+            el.push(
+                server(session, Pacing::new(Duration::from_millis(1), n)),
                 Recording {
                     inner: net.endpoint(0.0),
                     log: log.clone(),
                 },
-                Pacing::new(Duration::from_millis(1), n),
-            );
-            let mut tokens = Vec::new();
+            )
+            .unwrap();
+            let mut slots = Vec::new();
             for loss in [0.0, 0.3] {
-                tokens.push(
-                    el.add_client(
-                        ClientSession::new(info.clone()).unwrap(),
+                slots.push(
+                    el.push(
+                        client(info.clone()),
                         Recording {
                             inner: net.endpoint(loss),
                             log: log.clone(),
@@ -1214,10 +1059,14 @@ mod tests {
                     break;
                 }
             }
-            let states: Vec<_> = tokens
+            let done = finished(&mut el);
+            let states: Vec<_> = slots
                 .iter()
-                .map(|&t| {
-                    let c = el.client(t).unwrap();
+                .map(|&s| {
+                    let c: &ClientSession = match done.iter().find(|(slot, _)| *slot == s) {
+                        Some((_, session)) => session,
+                        None => el.client(s).unwrap(),
+                    };
                     (
                         c.is_complete(),
                         c.subscription_level(),
@@ -1253,23 +1102,22 @@ mod tests {
             steps in 1usize..120,
         ) {
             let net = SimMulticast::new(8);
-            let mut el: EventLoop<crate::SimEndpoint> = EventLoop::new();
+            let mut el: ShardLoop<crate::SimEndpoint> = ShardLoop::new(0);
             let mut tokens = Vec::new();
             for salt in 0..servers {
                 let data = patterned(10_000, salt);
-                let session = ServerSession::new(
+                let (session, _info) = sim_server(
                     &data,
                     SessionConfig {
                         code_seed: salt as u64,
                         ..SessionConfig::default()
                     },
-                )
-                .unwrap();
-                tokens.push(el.add_server_session(
-                    session,
+                );
+                tokens.push(el.push(
+                    server(session, Pacing::new(Duration::from_millis(1), budget)),
                     net.endpoint(0.0),
-                    Pacing::new(Duration::from_millis(1), budget),
-                ));
+                )
+                .unwrap());
             }
             for _ in 0..steps {
                 el.step();
@@ -1286,33 +1134,5 @@ mod tests {
                 rounds, budget, steps
             );
         }
-    }
-
-    #[test]
-    fn tokens_survive_taking_other_slots() {
-        let data = patterned(20_000, 9);
-        let net = SimMulticast::new(9);
-        let (session, info) = sim_server(&data, SessionConfig::default(), &net);
-        let mut el: EventLoop<crate::SimEndpoint> = EventLoop::new();
-        el.add_server_session(
-            session,
-            net.endpoint(0.0),
-            Pacing::new(Duration::from_millis(1), 256),
-        );
-        let a = el
-            .add_client(ClientSession::new(info.clone()).unwrap(), net.endpoint(0.0))
-            .unwrap();
-        let b = el
-            .add_client(ClientSession::new(info).unwrap(), net.endpoint(0.0))
-            .unwrap();
-        while !el.all_clients_complete() {
-            el.step();
-        }
-        let (client_a, _) = el.take_client(a).unwrap();
-        // Token b still resolves to client b after a's slot was vacated.
-        assert!(el.client(b).unwrap().is_complete());
-        assert!(el.take_client(a).is_none(), "a token cannot be taken twice");
-        let (client_b, _) = el.take_client(b).unwrap();
-        assert_eq!(client_a.file(), client_b.file());
     }
 }

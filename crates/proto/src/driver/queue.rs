@@ -1,24 +1,23 @@
-//! Bounded MPSC handoff queue for cross-loop intents.
+//! Bounded MPSC handoff queue between the control plane and shard workers.
 //!
-//! Today's [`EventLoop`](crate::driver::EventLoop) executes Join/Leave
-//! intents inline — sessions and sockets live on one thread.  The ROADMAP's
-//! multi-core driver shards sessions across worker loops, and at that point
-//! a worker that decides "leave group 3" must hand the intent to the loop
-//! that *owns* the socket.  [`IntentQueue`] is that handoff edge: a bounded
-//! multi-producer single-consumer queue carrying [`LoopIntent`]s, small
-//! enough to model-check exhaustively (`tests/model_check.rs` under
-//! `RUSTFLAGS=--cfg df_check` explores every interleaving of its push/pop
-//! protocol and proves no intent is lost, duplicated or reordered).
+//! A shard owns its sessions and sockets outright, so everything that
+//! crosses a thread crosses it as an *intent* pushed through one of these —
+//! an add or step command going in, an ack or a
+//! [`DriverEvent`](crate::driver::DriverEvent) coming out.  The queue is
+//! bounded, multi-producer, single-consumer, and small enough to model-check
+//! exhaustively (`tests/model_check.rs` under `RUSTFLAGS=--cfg df_check`
+//! explores every interleaving of its push/pop protocol and proves no
+//! intent is lost, duplicated or reordered).
 //!
 //! # Why bounded, why errors instead of blocking
 //!
-//! An unbounded intent queue converts a stalled owner loop into unbounded
-//! memory growth; a blocking push converts it into a stalled *worker* loop.
-//! Both are the failure modes the driver exists to avoid, so `push` returns
-//! the intent to the caller on a full queue ([`PushError::Full`]) and the
-//! caller treats it like channel loss — the same discipline the rest of the
-//! protocol applies to its best-effort channel.  Join/Leave intents are
-//! idempotent to re-send; a completion handoff retries on the next tick.
+//! An unbounded queue converts a stalled consumer into unbounded memory
+//! growth; a blocking push converts it into a stalled *producer*.  Both are
+//! the failure modes the driver exists to avoid, so `push` returns the
+//! intent to the caller on a full queue ([`PushError::Full`]) and the caller
+//! decides: a worker keeps the event in its own buffer and retries after
+//! its next iteration, the control plane drains events while it waits for
+//! command room.
 //!
 //! # The disconnect protocol
 //!
@@ -31,42 +30,15 @@
 //! stranded; the model-check suite catches exactly that bug if you reorder
 //! the lines.)
 
-use crate::driver::Token;
 use crate::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use crate::sync::{Arc, Mutex};
 use std::collections::VecDeque;
-
-/// A subscription or lifecycle decision made on one loop that must be
-/// executed on the loop owning the slot's transport.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LoopIntent {
-    /// Subscribe the slot's transport to `group`.
-    Join {
-        /// Slot whose transport executes the join.
-        token: Token,
-        /// Multicast group to join.
-        group: u32,
-    },
-    /// Unsubscribe the slot's transport from `group`.
-    Leave {
-        /// Slot whose transport executes the leave.
-        token: Token,
-        /// Multicast group to leave.
-        group: u32,
-    },
-    /// The slot's client session finished decoding; the owning loop should
-    /// leave its groups and fire the completion callback.
-    Completed {
-        /// Slot that completed.
-        token: Token,
-    },
-}
 
 /// Why a [`IntentSender::push`] was refused; the intent comes back to the
 /// caller either way.
 #[derive(Debug, PartialEq, Eq)]
 pub enum PushError<T> {
-    /// The queue is at capacity; retry on a later tick or drop like loss.
+    /// The queue is at capacity; retry later.
     Full(T),
     /// The consumer is gone; the intent can never be delivered.
     Closed(T),
@@ -93,18 +65,18 @@ struct Shared<T> {
     capacity: usize,
 }
 
-/// Producer half of an [`IntentQueue`]; clone one per worker loop.
+/// Producer half of a [`bounded`] queue; clone one per producer thread.
 pub struct IntentSender<T> {
     shared: Arc<Shared<T>>,
 }
 
-/// Consumer half of an [`IntentQueue`]; owned by the loop that executes the
-/// intents.
+/// Consumer half of a [`bounded`] queue; owned by the one thread that drains
+/// it.
 pub struct IntentReceiver<T> {
     shared: Arc<Shared<T>>,
 }
 
-/// Create a bounded MPSC intent queue with room for `capacity` intents.
+/// Create a bounded MPSC queue with room for `capacity` intents.
 ///
 /// `capacity` is clamped to at least 1 (a zero-capacity queue could never
 /// deliver anything).
@@ -122,10 +94,6 @@ pub fn bounded<T>(capacity: usize) -> (IntentSender<T>, IntentReceiver<T>) {
         IntentReceiver { shared },
     )
 }
-
-/// A bounded MPSC queue of [`LoopIntent`]s — the concrete instantiation the
-/// multi-core driver will use.
-pub type IntentQueue = (IntentSender<LoopIntent>, IntentReceiver<LoopIntent>);
 
 impl<T> IntentSender<T> {
     /// Enqueue `intent`, or hand it back if the queue is full or the
@@ -148,22 +116,6 @@ impl<T> IntentSender<T> {
         }
         ring.push_back(intent);
         Ok(())
-    }
-
-    /// Number of intents currently queued (racy snapshot; use only for
-    /// telemetry and backpressure heuristics).
-    pub fn len(&self) -> usize {
-        self.shared.ring.lock().len()
-    }
-
-    /// Whether the queue currently holds no intents (racy snapshot).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The fixed capacity this queue was created with.
-    pub fn capacity(&self) -> usize {
-        self.shared.capacity
     }
 }
 
@@ -224,16 +176,6 @@ impl<T> IntentReceiver<T> {
             Err(PopError::Empty)
         }
     }
-
-    /// Number of intents currently queued (racy snapshot).
-    pub fn len(&self) -> usize {
-        self.shared.ring.lock().len()
-    }
-
-    /// Whether the queue currently holds no intents (racy snapshot).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 impl<T> Drop for IntentReceiver<T> {
@@ -261,24 +203,11 @@ mod tests {
     fn fifo_within_capacity() {
         let (tx, rx) = bounded(3);
         for g in 0..3u32 {
-            tx.push(LoopIntent::Join {
-                token: Token(0),
-                group: g,
-            })
-            .unwrap();
+            tx.push(g).unwrap();
         }
-        assert_eq!(
-            tx.push(LoopIntent::Completed { token: Token(0) }),
-            Err(PushError::Full(LoopIntent::Completed { token: Token(0) }))
-        );
+        assert_eq!(tx.push(9), Err(PushError::Full(9)));
         for g in 0..3u32 {
-            assert_eq!(
-                rx.try_pop(),
-                Ok(LoopIntent::Join {
-                    token: Token(0),
-                    group: g
-                })
-            );
+            assert_eq!(rx.try_pop(), Ok(g));
         }
         assert_eq!(rx.try_pop(), Err(PopError::Empty));
     }
@@ -307,11 +236,7 @@ mod tests {
                 let tx = tx.clone();
                 std::thread::spawn(move || {
                     for g in 0..16u32 {
-                        tx.push(LoopIntent::Join {
-                            token: Token(t as usize),
-                            group: g,
-                        })
-                        .unwrap();
+                        tx.push((t, g)).unwrap();
                     }
                 })
             })
@@ -329,14 +254,12 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(got.len(), 64);
-        // Per-producer FIFO: each token's groups arrive in push order.
-        for t in 0..4usize {
+        // Per-producer FIFO: each producer's items arrive in push order.
+        for t in 0..4u32 {
             let groups: Vec<u32> = got
                 .iter()
-                .filter_map(|i| match i {
-                    LoopIntent::Join { token, group } if token.0 == t => Some(*group),
-                    _ => None,
-                })
+                .filter(|(producer, _)| *producer == t)
+                .map(|(_, g)| *g)
                 .collect();
             assert_eq!(groups, (0..16u32).collect::<Vec<_>>());
         }

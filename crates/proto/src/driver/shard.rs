@@ -1,37 +1,38 @@
-//! The sharded driver: N per-core event loops behind one facade.
+//! The [`Driver`]'s control plane: worker threads, queues and teardown.
 //!
 //! # Ownership model
 //!
 //! A [`Driver`] spawns one worker thread per shard, each running its own
-//! [`EventLoop`].  A session registered with the driver is *moved* to its
-//! shard — slot, session and transport (with its sockets and multicast
-//! memberships) live and die on that one thread, so no lock ever guards a
-//! socket and no membership migrates between threads.  The control plane
-//! (whichever thread owns the `Driver`) talks to workers exclusively through
-//! three bounded [`IntentQueue`](crate::driver::queue)s per shard:
+//! readiness loop — a lone shard included, so the control thread never has
+//! to pump I/O itself and the paced and stepped modes share one engine.  A
+//! session registered with the driver is *moved* to its shard — slot,
+//! session and transport (with its sockets and multicast memberships) live
+//! and die on that one thread, so no lock ever guards a socket and no
+//! membership migrates between threads.  The control plane (whichever
+//! thread owns the `Driver`) talks to workers exclusively through bounded
+//! [queues](crate::driver::queue):
 //!
-//! * **commands** (control → worker): session adds, step batches, shutdown;
-//! * **acks** (worker → control): step/shutdown acknowledgements carrying
-//!   the shard's loop counters;
+//! * **commands** (control → worker, one queue per shard): session adds,
+//!   step batches, shutdown.  Commands to one shard are FIFO and the control
+//!   plane assigns each add its slot, so registration returns a
+//!   [`SessionHandle`] immediately — no round-trip; an add that fails on the
+//!   shard leaves its slot empty and reports [`DriverEvent::AddFailed`].
+//! * **acks** (worker → control, one queue per shard): step/shutdown
+//!   acknowledgements carrying the shard's counters.  They keep a queue of
+//!   their own because the control plane waits on *one shard's* ack while
+//!   the event queue interleaves every shard's traffic, and because the
+//!   `Stopped` ack is the second half of the teardown handoff below.
 //! * **events** (workers → control, one queue shared by all shards):
 //!   [`DriverEvent`]s — completions (carrying the finished session back),
 //!   failed joins, failed adds.
 //!
-//! The queues are the PR 9 `IntentQueue`: bounded, loss-free on disconnect
-//! (a worker's final flush happens-before its sender drop, so the control
-//! plane's `Disconnected` implies it has seen every event).  Workers never
-//! block on a full event queue mid-iteration — events buffer in a local
-//! `pending` deque and flush opportunistically; the teardown handoff is the
+//! The queues are bounded and loss-free on disconnect (a worker's final
+//! flush happens-before its sender drop, so the control plane's
+//! `Disconnected` implies it has seen every event).  Workers never block on
+//! a full event queue mid-iteration — events wait in the loop's own buffer
+//! and flush opportunistically; whatever a stopping worker still cannot
+//! flush rides its `Stopped` ack as `leftover`.  That handoff is the
 //! model-checked path (`tests/model_check.rs` under `--cfg df_check`).
-//!
-//! # Token prediction
-//!
-//! Commands to one shard are FIFO, and an `EventLoop` assigns tokens
-//! sequentially, so the control plane *predicts* each session's
-//! [`Token`] at registration time and returns a [`SessionHandle`]
-//! immediately — no round-trip.  When an add fails on the worker (an
-//! initial join refused), the worker burns the predicted token on a vacant
-//! slot to stay aligned and reports [`DriverEvent::AddFailed`].
 //!
 //! # Stepped vs paced workers
 //!
@@ -41,15 +42,15 @@
 //! the simulation experiments need.  The caller is parked while it waits
 //! (each `Step` carries its thread handle and the worker unparks it behind
 //! the ack), so a batch never shares a core with a polling control plane.
-//! In **paced** mode workers run their
-//! loops' wall-clock pacing continuously; the control plane just drains
-//! events ([`Driver::wait_complete`] / [`Driver::poll_events`]).
+//! In **paced** mode workers run their loops' wall-clock pacing
+//! continuously; the control plane just drains events
+//! ([`Driver::wait_complete`] / [`Driver::poll_events`]).
 
 use crate::client::ClientSession;
-use crate::driver::handle::{DriverConfig, DriverEvent, DriverReport, SessionHandle};
+use crate::driver::handle::{DriverConfig, DriverEvent, DriverReport, Session, SessionHandle};
 use crate::driver::placement::Placer;
 use crate::driver::queue::{bounded, IntentReceiver, IntentSender, PopError, PushError};
-use crate::driver::{EventLoop, EventLoopStats, LoopEvent, Pacing, Token};
+use crate::driver::{Pacing, ShardLoop, ShardStats};
 use crate::server::{FountainServer, ServerSession};
 use crate::transport::Transport;
 use std::collections::{HashSet, VecDeque};
@@ -71,23 +72,11 @@ const ACK_PARK: Duration = Duration::from_millis(1);
 
 /// One control-plane instruction to a shard worker.
 enum ShardCommand<T> {
-    AddClient {
-        token: Token,
-        session: Box<ClientSession>,
+    /// Store `session` and its transport at `slot`.
+    Add {
+        slot: usize,
+        session: Session,
         transport: T,
-    },
-    AddServerSession {
-        token: Token,
-        session: Box<ServerSession>,
-        transport: T,
-        pacing: Pacing,
-    },
-    AddFountainServer {
-        token: Token,
-        server: Box<FountainServer>,
-        transport: T,
-        control: Option<UdpSocket>,
-        pacing: Pacing,
     },
     /// Execute `steps` deterministic loop steps, then acknowledge and wake
     /// `waiter`, the control-plane thread parked in [`Driver::step`].
@@ -101,13 +90,13 @@ enum ShardCommand<T> {
 
 /// A worker's acknowledgement back to the control plane.
 enum ShardAck {
-    /// A `Step` batch finished; `stats` are the loop's lifetime counters.
-    Stepped { stats: EventLoopStats },
+    /// A `Step` batch finished; `stats` are the shard's lifetime counters.
+    Stepped { stats: ShardStats },
     /// The worker tore down.  `leftover` holds events that could not be
     /// flushed through the (bounded) event queue before exit — the other
     /// half of the loss-free teardown handoff.
     Stopped {
-        stats: EventLoopStats,
+        stats: ShardStats,
         leftover: Vec<DriverEvent>,
     },
 }
@@ -148,107 +137,34 @@ pub fn flush_pending<E>(pending: &mut VecDeque<E>, tx: &IntentSender<E>) -> Flus
 
 /// Worker-thread state for one shard.
 struct Worker<T: Transport> {
-    shard: usize,
     stepped: bool,
-    el: EventLoop<T>,
-    /// Events observed but not yet pushed through the bounded queue.
-    pending: VecDeque<DriverEvent>,
+    el: ShardLoop<T>,
     events: IntentSender<DriverEvent>,
     acks: IntentSender<ShardAck>,
 }
 
 impl<T: Transport> Worker<T> {
-    /// Apply one add command, burning the predicted token on failure so the
-    /// control plane's token prediction stays aligned with the loop.
-    fn apply(&mut self, cmd: ShardCommand<T>) {
-        match cmd {
-            ShardCommand::AddClient {
-                token,
-                session,
-                transport,
-            } => match self.el.add_client(*session, transport) {
-                Ok(actual) => debug_assert_eq!(actual, token, "token prediction drifted"),
-                Err(error) => self.burn(token, error),
-            },
-            ShardCommand::AddServerSession {
-                token,
-                session,
-                transport,
-                pacing,
-            } => {
-                let actual = self.el.add_server_session(*session, transport, pacing);
-                debug_assert_eq!(actual, token, "token prediction drifted");
-            }
-            ShardCommand::AddFountainServer {
-                token,
-                server,
-                transport,
-                control,
-                pacing,
-            } => match self
-                .el
-                .add_fountain_server(*server, transport, control, pacing)
-            {
-                Ok(actual) => debug_assert_eq!(actual, token, "token prediction drifted"),
-                Err(error) => self.burn(token, error),
-            },
-            ShardCommand::Step { .. } | ShardCommand::Shutdown => {
-                unreachable!("handled by the worker loop")
-            }
-        }
-    }
-
-    fn burn(&mut self, token: Token, error: io::Error) {
-        let actual = self.el.push_vacant();
-        debug_assert_eq!(actual, token, "token prediction drifted");
-        self.pending.push_back(DriverEvent::AddFailed {
-            handle: SessionHandle::new(self.shard, token),
-            error: error.to_string(),
-        });
-    }
-
-    /// Move the loop's buffered events into `pending` as [`DriverEvent`]s.
-    /// Completions pull the finished session out of its slot; its transport
-    /// is dropped *here*, on the owning shard, closing the sockets a
-    /// finished receiver no longer needs.
-    fn collect_loop_events(&mut self) {
-        for event in self.el.poll_events() {
-            let event = match event {
-                LoopEvent::Completed { token, stats } => {
-                    let (session, transport) = self
-                        .el
-                        .take_client(token)
-                        .expect("a Completed event's token holds a client slot");
-                    drop(transport);
-                    DriverEvent::Completed {
-                        handle: SessionHandle::new(self.shard, token),
-                        stats,
-                        session: Box::new(session),
-                    }
-                }
-                LoopEvent::JoinFailed { token, group } => DriverEvent::JoinFailed {
-                    handle: SessionHandle::new(self.shard, token),
-                    group,
-                },
-            };
-            self.pending.push_back(event);
+    fn add(&mut self, slot: usize, session: Session, transport: T) {
+        if let Err(error) = self.el.add(slot, session, transport) {
+            self.el.events.push_back(DriverEvent::AddFailed {
+                handle: self.el.handle(slot),
+                error: error.to_string(),
+            });
         }
     }
 
     /// Run one `Step` batch and acknowledge it.  Events are flushed *before*
-    /// the ack so a control plane that has seen the ack (and keeps draining)
-    /// observes every event the batch produced no later than the next
-    /// [`Driver::poll_events`].
+    /// the ack, so a control plane that has seen the ack finds every event
+    /// the batch produced already in the queue.
     fn run_steps(&mut self, steps: usize, waiter: &thread::Thread) {
         for _ in 0..steps {
             self.el.step();
-            self.collect_loop_events();
-            if flush_pending(&mut self.pending, &self.events) == FlushState::Closed {
+            if flush_pending(&mut self.el.events, &self.events) == FlushState::Closed {
                 break;
             }
         }
         loop {
-            match flush_pending(&mut self.pending, &self.events) {
+            match flush_pending(&mut self.el.events, &self.events) {
                 FlushState::Flushed | FlushState::Closed => break,
                 // The control plane is awaiting our ack and drains events
                 // each time it wakes, so waking it here cannot deadlock.
@@ -278,11 +194,10 @@ impl<T: Transport> Worker<T> {
     /// `Stopped` ack, so no event is ever stranded (the property the loom
     /// suite proves for the queue half of this protocol).
     fn teardown(mut self) {
-        self.collect_loop_events();
-        let _ = flush_pending(&mut self.pending, &self.events);
+        let _ = flush_pending(&mut self.el.events, &self.events);
         let mut ack = ShardAck::Stopped {
             stats: self.el.stats(),
-            leftover: self.pending.drain(..).collect(),
+            leftover: self.el.events.drain(..).collect(),
         };
         // The ack ring (capacity 4, at most one outstanding ack) has room in
         // every non-pathological schedule; bounded retry, then give up — the
@@ -309,7 +224,11 @@ fn worker_main<T: Transport>(mut worker: Worker<T>, cmds: IntentReceiver<ShardCo
                     return;
                 }
                 Ok(ShardCommand::Step { steps, waiter }) => worker.run_steps(steps, &waiter),
-                Ok(cmd) => worker.apply(cmd),
+                Ok(ShardCommand::Add {
+                    slot,
+                    session,
+                    transport,
+                }) => worker.add(slot, session, transport),
                 Err(PopError::Empty) => break,
             }
         }
@@ -319,16 +238,16 @@ fn worker_main<T: Transport>(mut worker: Worker<T>, cmds: IntentReceiver<ShardCo
             thread::sleep(Duration::from_micros(20));
         } else {
             // Paced mode: run the loop's own wall-clock pacing for a slice,
-            // then come back for commands.  `run` returns immediately once
-            // every client completed, so back off when it does.
+            // then come back for commands.  `run` cuts a slice short when
+            // the last pending client completes (and when the poller
+            // fails); never let that turn into a spin.
             let started = Instant::now();
             let _ = worker.el.run(Duration::from_millis(1));
-            worker.collect_loop_events();
             if started.elapsed() < Duration::from_micros(100) {
                 thread::sleep(Duration::from_micros(200));
             }
         }
-        let _ = flush_pending(&mut worker.pending, &worker.events);
+        let _ = flush_pending(&mut worker.el.events, &worker.events);
     }
 }
 
@@ -337,14 +256,13 @@ struct ShardHandle<T> {
     cmds: IntentSender<ShardCommand<T>>,
     acks: IntentReceiver<ShardAck>,
     thread: Option<thread::JoinHandle<()>>,
-    /// Next token this shard's loop will assign (see "token prediction").
-    next_token: usize,
+    /// Slot the next session registered on this shard is stored at.
+    next_slot: usize,
 }
 
-/// The sharded driver facade: N per-core [`EventLoop`] workers behind
-/// handle-based registration and a drainable event channel.  Built via
-/// [`DriverConfig::build`]; see the [module docs](self) for the ownership
-/// and handoff model.
+/// The I/O engine: N shard workers behind handle-based registration and a
+/// drainable event channel.  Built via [`DriverConfig::build`]; see the
+/// [module docs](self) for the ownership and handoff model.
 pub struct Driver<T: Transport + Send + 'static> {
     shards: Vec<ShardHandle<T>>,
     events_rx: IntentReceiver<DriverEvent>,
@@ -354,10 +272,11 @@ pub struct Driver<T: Transport + Send + 'static> {
     /// Handles of client sessions still downloading (used to classify
     /// `AddFailed` events, which can also come from server adds).
     live_handles: HashSet<SessionHandle>,
+    registered_clients: usize,
     completed_clients: usize,
     pacing: Pacing,
     /// Latest lifetime counters per shard (refreshed by acks and shutdown).
-    shard_stats: Vec<EventLoopStats>,
+    shard_stats: Vec<ShardStats>,
 }
 
 impl<T: Transport + Send + 'static> Driver<T> {
@@ -374,10 +293,8 @@ impl<T: Transport + Send + 'static> Driver<T> {
                 .spawn(move || {
                     worker_main(
                         Worker {
-                            shard,
                             stepped,
-                            el: EventLoop::new(),
-                            pending: VecDeque::new(),
+                            el: ShardLoop::new(shard),
                             events,
                             acks: ack_tx,
                         },
@@ -389,7 +306,7 @@ impl<T: Transport + Send + 'static> Driver<T> {
                 cmds: cmd_tx,
                 acks: ack_rx,
                 thread: Some(thread),
-                next_token: 0,
+                next_slot: 0,
             });
         }
         // Workers hold the only event senders: `Disconnected` on the control
@@ -401,9 +318,10 @@ impl<T: Transport + Send + 'static> Driver<T> {
             placer: Placer::new(cfg.placement, cfg.shards),
             pending: Vec::new(),
             live_handles: HashSet::new(),
+            registered_clients: 0,
             completed_clients: 0,
             pacing: cfg.pacing,
-            shard_stats: vec![EventLoopStats::default(); cfg.shards],
+            shard_stats: vec![ShardStats::default(); cfg.shards],
         }
     }
 
@@ -435,52 +353,11 @@ impl<T: Transport + Send + 'static> Driver<T> {
         session: ClientSession,
         transport: T,
     ) -> io::Result<SessionHandle> {
-        let info = session.control_info();
-        let weight = info.k.max(1);
-        let shard = self.placer.place(info.base_group, weight);
-        self.client_inner(shard, session, transport)
+        self.register(None, Session::Client(Box::new(session)), transport)
     }
 
-    /// Register a client on an explicit shard (recorded against the
-    /// placement accounting).
-    ///
-    /// # Errors
-    ///
-    /// Fails if `shard` does not exist or its worker has exited.
-    pub fn add_client_on(
-        &mut self,
-        shard: usize,
-        session: ClientSession,
-        transport: T,
-    ) -> io::Result<SessionHandle> {
-        self.check_shard(shard)?;
-        self.placer.record(shard, session.control_info().k.max(1));
-        self.client_inner(shard, session, transport)
-    }
-
-    fn client_inner(
-        &mut self,
-        shard: usize,
-        session: ClientSession,
-        transport: T,
-    ) -> io::Result<SessionHandle> {
-        let handle = self.predict_handle(shard)?;
-        self.send_cmd(
-            shard,
-            ShardCommand::AddClient {
-                token: handle.token(),
-                session: Box::new(session),
-                transport,
-            },
-        )?;
-        self.live_handles.insert(handle);
-        Ok(handle)
-    }
-
-    /// Register a single carousel session paced by the *configured*
-    /// aggregate pacing; the placement policy picks its shard.  To replicate
-    /// one logical server across shards at an invariant aggregate rate, use
-    /// [`Pacing::split`] with [`Driver::add_server_session_on`].
+    /// Register a single carousel session paced by the *configured* pacing;
+    /// the placement policy picks its shard.
     ///
     /// # Errors
     ///
@@ -490,49 +367,11 @@ impl<T: Transport + Send + 'static> Driver<T> {
         session: ServerSession,
         transport: T,
     ) -> io::Result<SessionHandle> {
-        let info = session.control_info();
-        let weight = info.n.max(1);
-        let shard = self.placer.place(info.base_group, weight);
-        let pacing = self.pacing;
-        self.server_inner(shard, session, transport, pacing)
-    }
-
-    /// Register a carousel session on an explicit shard with explicit
-    /// pacing.
-    ///
-    /// # Errors
-    ///
-    /// Fails if `shard` does not exist or its worker has exited.
-    pub fn add_server_session_on(
-        &mut self,
-        shard: usize,
-        session: ServerSession,
-        transport: T,
-        pacing: Pacing,
-    ) -> io::Result<SessionHandle> {
-        self.check_shard(shard)?;
-        self.placer.record(shard, session.control_info().n.max(1));
-        self.server_inner(shard, session, transport, pacing)
-    }
-
-    fn server_inner(
-        &mut self,
-        shard: usize,
-        session: ServerSession,
-        transport: T,
-        pacing: Pacing,
-    ) -> io::Result<SessionHandle> {
-        let handle = self.predict_handle(shard)?;
-        self.send_cmd(
-            shard,
-            ShardCommand::AddServerSession {
-                token: handle.token(),
-                session: Box::new(session),
-                transport,
-                pacing,
-            },
-        )?;
-        Ok(handle)
+        let session = Session::Server {
+            session: Box::new(session),
+            pacing: self.pacing,
+        };
+        self.register(None, session, transport)
     }
 
     /// Register a multi-session [`FountainServer`] (optionally with its
@@ -548,86 +387,69 @@ impl<T: Transport + Send + 'static> Driver<T> {
         transport: T,
         control: Option<UdpSocket>,
     ) -> io::Result<SessionHandle> {
-        let weight = server
-            .sessions()
-            .iter()
-            .map(|s| s.control_info().n)
-            .sum::<usize>()
-            .max(1);
-        let base = server
-            .sessions()
-            .first()
-            .map(|s| s.control_info().base_group)
-            .unwrap_or(0);
-        let shard = self.placer.place(base, weight);
-        let pacing = self.pacing;
-        self.fountain_inner(shard, server, transport, control, pacing)
+        let session = Session::Fountain {
+            server: Box::new(server),
+            control,
+            pacing: self.pacing,
+        };
+        self.register(None, session, transport)
     }
 
-    /// Register a [`FountainServer`] on an explicit shard with explicit
-    /// pacing.
+    /// Register any [`Session`] on an explicit shard, with the pacing it
+    /// carries (recorded against the placement accounting).  This is how one
+    /// logical server is replicated across shards at an invariant aggregate
+    /// rate: [`Pacing::split`] the budget and add one part per shard.
     ///
     /// # Errors
     ///
     /// Fails if `shard` does not exist or its worker has exited.
-    pub fn add_fountain_server_on(
+    pub fn add_on(
         &mut self,
         shard: usize,
-        server: FountainServer,
+        session: Session,
         transport: T,
-        control: Option<UdpSocket>,
-        pacing: Pacing,
     ) -> io::Result<SessionHandle> {
-        self.check_shard(shard)?;
-        let weight = server
-            .sessions()
-            .iter()
-            .map(|s| s.control_info().n)
-            .sum::<usize>()
-            .max(1);
-        self.placer.record(shard, weight);
-        self.fountain_inner(shard, server, transport, control, pacing)
+        self.register(Some(shard), session, transport)
     }
 
-    fn fountain_inner(
+    /// The one registration path: pick (or check) the shard, assign the next
+    /// slot there, and send the add.
+    fn register(
         &mut self,
-        shard: usize,
-        server: FountainServer,
+        shard: Option<usize>,
+        session: Session,
         transport: T,
-        control: Option<UdpSocket>,
-        pacing: Pacing,
     ) -> io::Result<SessionHandle> {
-        let handle = self.predict_handle(shard)?;
+        let (base_group, weight) = session.placement_key();
+        let shard = match shard {
+            Some(shard) if shard < self.shards.len() => {
+                self.placer.record(shard, weight);
+                shard
+            }
+            Some(shard) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    format!("no such shard {shard} (driver has {})", self.shards.len()),
+                ))
+            }
+            None => self.placer.place(base_group, weight),
+        };
+        let is_client = matches!(session, Session::Client(_));
+        let handle = SessionHandle::new(shard, self.shards[shard].next_slot);
+        self.shards[shard].next_slot += 1;
         self.send_cmd(
             shard,
-            ShardCommand::AddFountainServer {
-                token: handle.token(),
-                server: Box::new(server),
+            ShardCommand::Add {
+                slot: handle.token(),
+                session,
                 transport,
-                control,
-                pacing,
             },
         )?;
-        Ok(handle)
-    }
-
-    fn check_shard(&self, shard: usize) -> io::Result<()> {
-        if shard < self.shards.len() {
-            Ok(())
-        } else {
-            Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("no such shard {shard} (driver has {})", self.shards.len()),
-            ))
+        if is_client {
+            self.live_handles.insert(handle);
+            self.registered_clients += 1;
         }
-    }
-
-    fn predict_handle(&mut self, shard: usize) -> io::Result<SessionHandle> {
-        self.check_shard(shard)?;
-        let handle = &mut self.shards[shard];
-        let token = Token(handle.next_token);
-        handle.next_token += 1;
-        Ok(SessionHandle::new(shard, token))
+        Ok(handle)
     }
 
     fn send_cmd(&mut self, shard: usize, cmd: ShardCommand<T>) -> io::Result<()> {
@@ -642,20 +464,17 @@ impl<T: Transport + Send + 'static> Driver<T> {
                     self.drain_events();
                     thread::yield_now();
                 }
-                Err(PushError::Closed(_)) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::BrokenPipe,
-                        format!("shard {shard} worker exited"),
-                    ))
-                }
+                Err(PushError::Closed(_)) => return Err(worker_gone(shard)),
             }
         }
     }
 
     /// Drive every shard through `steps` deterministic loop steps
     /// (stepped-mode drivers; paced workers tick themselves).  Returns when
-    /// all shards acknowledge; events produced by the batch are buffered for
-    /// [`Driver::poll_events`].
+    /// all shards acknowledge, with every event the batch produced already
+    /// counted — a caller looping `step(1)` until
+    /// [`Driver::all_clients_complete`] stops on exactly the step that
+    /// finished the last download.
     ///
     /// # Errors
     ///
@@ -674,27 +493,38 @@ impl<T: Transport + Send + 'static> Driver<T> {
                 result = Err(e);
             }
         }
+        // Workers flush a batch's events before its ack; every ack is in.
+        self.drain_events();
         result
+    }
+
+    /// Record an ack's counters and, from a stopping worker, the events it
+    /// could not flush.  True if the worker stopped.
+    fn absorb_ack(&mut self, shard: usize, ack: ShardAck) -> bool {
+        match ack {
+            ShardAck::Stepped { stats } => {
+                self.shard_stats[shard] = stats;
+                false
+            }
+            ShardAck::Stopped { stats, leftover } => {
+                self.shard_stats[shard] = stats;
+                leftover.into_iter().for_each(|event| self.buffer(event));
+                true
+            }
+        }
     }
 
     fn await_ack(&mut self, shard: usize) -> io::Result<()> {
         loop {
             self.drain_events();
             match self.shards[shard].acks.try_pop() {
-                Ok(ShardAck::Stepped { stats }) => {
-                    self.shard_stats[shard] = stats;
-                    return Ok(());
-                }
-                Ok(ShardAck::Stopped { stats, leftover }) => {
-                    self.shard_stats[shard] = stats;
-                    for event in leftover {
-                        self.note(&event);
-                        self.pending.push(event);
-                    }
-                    return Err(io::Error::new(
-                        io::ErrorKind::BrokenPipe,
-                        format!("shard {shard} worker stopped"),
-                    ));
+                Ok(ack) => {
+                    let stopped = self.absorb_ack(shard, ack);
+                    return if stopped {
+                        Err(worker_gone(shard))
+                    } else {
+                        Ok(())
+                    };
                 }
                 // Park rather than spin: a batch runs for milliseconds, and
                 // a control plane that polls through it takes the worker's
@@ -703,50 +533,24 @@ impl<T: Transport + Send + 'static> Driver<T> {
                 // the timeout only bounds a wake-up lost to a worker that
                 // died mid-batch.
                 Err(PopError::Empty) => thread::park_timeout(ACK_PARK),
-                Err(PopError::Disconnected) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::BrokenPipe,
-                        format!("shard {shard} worker exited"),
-                    ))
-                }
+                Err(PopError::Disconnected) => return Err(worker_gone(shard)),
             }
         }
     }
 
-    /// Step all shards until every registered client has completed (or
-    /// `max_steps` is exhausted), in chunks so slow shards and the event
-    /// drain interleave.  Returns the number of steps executed per shard.
-    ///
-    /// # Errors
-    ///
-    /// Propagates worker failures from [`Driver::step`].
-    pub fn step_until_complete(&mut self, max_steps: usize) -> io::Result<usize> {
-        const CHUNK: usize = 64;
-        let mut executed = 0;
-        while executed < max_steps {
-            self.drain_events();
-            if self.live_handles.is_empty() && self.completed_clients > 0 {
-                break;
-            }
-            let steps = CHUNK.min(max_steps - executed);
-            self.step(steps)?;
-            executed += steps;
-        }
-        self.drain_events();
-        Ok(executed)
-    }
-
-    /// Block until every registered client has completed or `deadline`
-    /// elapses (paced-mode drivers).  Returns `true` when all completed.
+    /// Block until no registered client is pending — each has completed or
+    /// failed to register — or `deadline` elapses (paced-mode drivers).
+    /// Returns whether every one of them completed.  A driver with no
+    /// clients at all (a pure server) runs to the deadline.
     pub fn wait_complete(&mut self, deadline: Duration) -> bool {
         let end = Instant::now() + deadline;
         loop {
             self.drain_events();
-            if self.live_handles.is_empty() && self.completed_clients > 0 {
-                return true;
+            if self.registered_clients > 0 && self.all_clients_complete() {
+                return self.completed_clients == self.registered_clients;
             }
             if Instant::now() >= end {
-                return self.live_handles.is_empty() && self.completed_clients > 0;
+                return false;
             }
             thread::sleep(Duration::from_millis(1));
         }
@@ -758,19 +562,14 @@ impl<T: Transport + Send + 'static> Driver<T> {
         std::mem::take(&mut self.pending)
     }
 
-    /// Clients registered and not yet completed (or failed to add).
-    pub fn pending_clients(&self) -> usize {
-        self.live_handles.len()
-    }
-
     /// Clients whose completion events have been observed.
     pub fn completed_clients(&self) -> usize {
         self.completed_clients
     }
 
-    /// True once every registered client has completed or failed.  Note the
-    /// control plane only learns of completions through the event queue, so
-    /// call [`Driver::poll_events`] / [`Driver::step`] /
+    /// True once no registered client is pending: each has completed or
+    /// failed to register.  The control plane only learns of either through
+    /// the event queue, so call [`Driver::poll_events`] / [`Driver::step`] /
     /// [`Driver::wait_complete`] to make progress first.
     pub fn all_clients_complete(&self) -> bool {
         self.live_handles.is_empty()
@@ -779,14 +578,15 @@ impl<T: Transport + Send + 'static> Driver<T> {
     /// Merged lifetime counters across shards, as of the latest
     /// acknowledgement (stepped mode) or shutdown.  Paced-mode drivers see
     /// fresh counters only in the final [`DriverReport`].
-    pub fn stats(&self) -> EventLoopStats {
+    pub fn stats(&self) -> ShardStats {
         self.shard_stats
             .iter()
-            .fold(EventLoopStats::default(), |acc, s| acc.merge(*s))
+            .fold(ShardStats::default(), |acc, s| acc.merge(*s))
     }
 
-    fn note(&mut self, event: &DriverEvent) {
-        match event {
+    /// Account for `event` and keep it for [`Driver::poll_events`].
+    fn buffer(&mut self, event: DriverEvent) {
+        match &event {
             DriverEvent::Completed { handle, .. } => {
                 if self.live_handles.remove(handle) {
                     self.completed_clients += 1;
@@ -799,12 +599,12 @@ impl<T: Transport + Send + 'static> Driver<T> {
             }
             DriverEvent::JoinFailed { .. } => {}
         }
+        self.pending.push(event);
     }
 
     fn drain_events(&mut self) {
         while let Ok(event) = self.events_rx.try_pop() {
-            self.note(&event);
-            self.pending.push(event);
+            self.buffer(event);
         }
     }
 
@@ -832,15 +632,11 @@ impl<T: Transport + Send + 'static> Driver<T> {
             loop {
                 self.drain_events();
                 match self.shards[shard].acks.try_pop() {
-                    Ok(ShardAck::Stopped { stats, leftover }) => {
-                        self.shard_stats[shard] = stats;
-                        for event in leftover {
-                            self.note(&event);
-                            self.pending.push(event);
+                    Ok(ack) => {
+                        if self.absorb_ack(shard, ack) {
+                            break;
                         }
-                        break;
                     }
-                    Ok(ShardAck::Stepped { stats }) => self.shard_stats[shard] = stats,
                     Err(PopError::Empty) => thread::sleep(Duration::from_micros(50)),
                     Err(PopError::Disconnected) => break,
                 }
@@ -852,12 +648,16 @@ impl<T: Transport + Send + 'static> Driver<T> {
         // Every worker has exited and flushed; drain the tail.  The queue's
         // disconnect protocol guarantees `Disconnected` only after the last
         // pushed event has been popped.
-        while let Ok(event) = self.events_rx.try_pop() {
-            self.note(&event);
-            self.pending.push(event);
-        }
+        self.drain_events();
         self.shards.clear();
     }
+}
+
+fn worker_gone(shard: usize) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::BrokenPipe,
+        format!("shard {shard} worker exited"),
+    )
 }
 
 impl<T: Transport + Send + 'static> Drop for Driver<T> {
@@ -871,13 +671,56 @@ impl<T: Transport + Send + 'static> Drop for Driver<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::tests::MaybeJoin;
     use crate::driver::Placement;
     use crate::server::SessionConfig;
     use crate::transport::SimMulticast;
-    use crate::{ClientSession, SimEndpoint};
+    use crate::{ClientSession, ControlInfo, SimEndpoint};
 
     fn patterned(len: usize, salt: usize) -> Vec<u8> {
         (0..len).map(|i| ((i * 131 + salt) % 251) as u8).collect()
+    }
+
+    /// Step until no client is pending (or `max_steps` ran).
+    fn step_to_completion<T: Transport + Send + 'static>(driver: &mut Driver<T>, max_steps: usize) {
+        for _ in 0..max_steps {
+            if driver.all_clients_complete() {
+                break;
+            }
+            driver.step(1).unwrap();
+        }
+    }
+
+    /// A carousel of `data` and the control info its clients start from.
+    fn carousel(data: &[u8], code_seed: u64, base_group: u32) -> (ServerSession, ControlInfo) {
+        let config = SessionConfig {
+            code_seed,
+            base_group,
+            ..SessionConfig::default()
+        };
+        let session = ServerSession::new(data, config).unwrap();
+        let info = session.control_info().clone();
+        (session, info)
+    }
+
+    /// The completions among `events`.
+    fn completed(events: Vec<DriverEvent>) -> Vec<(SessionHandle, Box<ClientSession>)> {
+        let completion = |event| match event {
+            DriverEvent::Completed { handle, session } => Some((handle, session)),
+            _ => None,
+        };
+        events.into_iter().filter_map(completion).collect()
+    }
+
+    fn server_at(session: ServerSession, datagrams_per_tick: usize) -> Session {
+        Session::Server {
+            session: Box::new(session),
+            pacing: Pacing::new(Duration::from_millis(1), datagrams_per_tick),
+        }
+    }
+
+    fn client(info: ControlInfo) -> Session {
+        Session::Client(Box::new(ClientSession::new(info).unwrap()))
     }
 
     /// Tentpole shape: two shards, each owning a server replica and its
@@ -893,53 +736,38 @@ mod tests {
             .build::<SimEndpoint>();
         let pacing = Pacing::new(Duration::from_millis(1), 512).split(shards);
         let mut handles = Vec::new();
-        for (shard, &shard_pacing) in pacing.iter().enumerate() {
+        for (shard, &pacing) in pacing.iter().enumerate() {
             // Each shard gets its own sim channel and a server replica with
             // the same code seed — the same fountain, sharded.
             let net = SimMulticast::new(40 + shard as u64);
-            let session = ServerSession::new(
-                &data,
-                SessionConfig {
-                    code_seed: 7,
-                    ..SessionConfig::default()
-                },
-            )
-            .unwrap();
-            let info = session.control_info().clone();
-            driver
-                .add_server_session_on(shard, session, net.endpoint(0.0), shard_pacing)
-                .unwrap();
+            let (session, info) = carousel(&data, 7, 0);
+            let session = Session::Server {
+                session: Box::new(session),
+                pacing,
+            };
+            driver.add_on(shard, session, net.endpoint(0.0)).unwrap();
             for i in 0..4 {
                 let loss = if i % 2 == 0 { 0.0 } else { 0.2 };
                 let handle = driver
-                    .add_client_on(
-                        shard,
-                        ClientSession::new(info.clone()).unwrap(),
-                        net.endpoint(loss),
-                    )
+                    .add_on(shard, client(info.clone()), net.endpoint(loss))
                     .unwrap();
                 assert_eq!(handle.shard(), shard);
                 handles.push(handle);
             }
         }
-        driver.step_until_complete(20_000).unwrap();
+        step_to_completion(&mut driver, 20_000);
         assert!(driver.all_clients_complete());
         assert_eq!(driver.completed_clients(), 8);
         let report = driver.shutdown().unwrap();
         assert!(report.total_stats().datagrams_sent > 0);
-        let mut completed = Vec::new();
-        for event in report.events {
-            if let DriverEvent::Completed {
-                handle, session, ..
-            } = event
-            {
-                assert_eq!(session.file().unwrap(), &data[..]);
-                completed.push(handle);
-            }
+        let mut done = Vec::new();
+        for (handle, session) in completed(report.events) {
+            assert_eq!(session.file().unwrap(), &data[..]);
+            done.push(handle);
         }
-        completed.sort();
+        done.sort();
         handles.sort();
-        assert_eq!(completed, handles);
+        assert_eq!(done, handles);
     }
 
     /// Satellite regression: splitting one logical server across 1/2/4
@@ -956,19 +784,13 @@ mod tests {
                 .stepped(true)
                 .build::<SimEndpoint>();
             let pacing = Pacing::new(Duration::from_millis(1), budget).split(shards);
-            for (shard, &shard_pacing) in pacing.iter().enumerate() {
+            for (shard, &pacing) in pacing.iter().enumerate() {
                 let net = SimMulticast::new(50 + shard as u64);
-                let session = ServerSession::new(
-                    &data,
-                    SessionConfig {
-                        code_seed: 3,
-                        ..SessionConfig::default()
-                    },
-                )
-                .unwrap();
-                driver
-                    .add_server_session_on(shard, session, net.endpoint(0.0), shard_pacing)
-                    .unwrap();
+                let session = Session::Server {
+                    session: Box::new(carousel(&data, 3, 0).0),
+                    pacing,
+                };
+                driver.add_on(shard, session, net.endpoint(0.0)).unwrap();
             }
             driver.step(steps).unwrap();
             let sent = driver.stats().datagrams_sent;
@@ -1000,16 +822,8 @@ mod tests {
         let mut files = Vec::new();
         for (i, len) in [6_000usize, 12_000, 24_000, 48_000].iter().enumerate() {
             let data = patterned(*len, i);
-            let session = ServerSession::new(
-                &data,
-                SessionConfig {
-                    code_seed: i as u64 + 1,
-                    base_group: (i * 8) as u32,
-                    ..SessionConfig::default()
-                },
-            )
-            .unwrap();
-            infos.push(session.control_info().clone());
+            let (session, info) = carousel(&data, i as u64 + 1, (i * 8) as u32);
+            infos.push(info);
             files.push(data);
             driver
                 .add_server_session(session, net.endpoint(0.0))
@@ -1039,22 +853,15 @@ mod tests {
             "every shard must own sessions: {:?}",
             driver.shard_counts()
         );
-        driver.step_until_complete(40_000).unwrap();
+        step_to_completion(&mut driver, 40_000);
         assert!(driver.all_clients_complete(), "stress population stalled");
         assert_eq!(driver.completed_clients(), 256);
         let report = driver.shutdown().unwrap();
-        let mut seen = 0;
-        for event in report.events {
-            if let DriverEvent::Completed {
-                handle, session, ..
-            } = event
-            {
-                let which = expect[&handle];
-                assert_eq!(session.file().unwrap(), &files[which][..]);
-                seen += 1;
-            }
+        let done = completed(report.events);
+        assert_eq!(done.len(), 256);
+        for (handle, session) in done {
+            assert_eq!(session.file().unwrap(), &files[expect[&handle]][..]);
         }
-        assert_eq!(seen, 256);
     }
 
     /// Paced mode: workers tick on their own wall clocks; the control plane
@@ -1063,15 +870,7 @@ mod tests {
     fn paced_driver_completes_without_stepping() {
         let data = patterned(30_000, 3);
         let net = SimMulticast::new(60);
-        let session = ServerSession::new(
-            &data,
-            SessionConfig {
-                code_seed: 9,
-                ..SessionConfig::default()
-            },
-        )
-        .unwrap();
-        let info = session.control_info().clone();
+        let (session, info) = carousel(&data, 9, 0);
         let mut driver = DriverConfig::new()
             .shards(1)
             .pacing(Pacing::new(Duration::from_millis(1), 512))
@@ -1088,18 +887,10 @@ mod tests {
             driver.wait_complete(Duration::from_secs(30)),
             "paced download timed out"
         );
-        let events = driver.poll_events();
-        assert_eq!(
-            events
-                .iter()
-                .filter(|e| matches!(e, DriverEvent::Completed { .. }))
-                .count(),
-            3
-        );
-        for event in &events {
-            if let DriverEvent::Completed { session, .. } = event {
-                assert_eq!(session.file().unwrap(), &data[..]);
-            }
+        let done = completed(driver.poll_events());
+        assert_eq!(done.len(), 3);
+        for (_handle, session) in done {
+            assert_eq!(session.file().unwrap(), &data[..]);
         }
         driver.shutdown().unwrap();
     }
@@ -1108,105 +899,98 @@ mod tests {
     /// in the final report instead of losing them.
     #[test]
     fn shutdown_delivers_undrained_events_in_the_report() {
-        let data = patterned(15_000, 4);
         let net = SimMulticast::new(61);
-        let session = ServerSession::new(&data, SessionConfig::default()).unwrap();
-        let info = session.control_info().clone();
+        let (session, info) = carousel(&patterned(15_000, 4), 0, 0);
         let mut driver = DriverConfig::new()
             .shards(2)
             .stepped(true)
             .build::<SimEndpoint>();
         driver
-            .add_server_session_on(
-                0,
-                session,
-                net.endpoint(0.0),
-                Pacing::new(Duration::from_millis(1), 256),
-            )
+            .add_on(0, server_at(session, 256), net.endpoint(0.0))
             .unwrap();
-        let handle = driver
-            .add_client_on(1, ClientSession::new(info).unwrap(), net.endpoint(0.0))
-            .unwrap();
-        driver.step_until_complete(10_000).unwrap();
+        let handle = driver.add_on(1, client(info), net.endpoint(0.0)).unwrap();
+        step_to_completion(&mut driver, 10_000);
         // Deliberately do NOT poll_events: shutdown must hand them over.
-        let report = driver.shutdown().unwrap();
-        assert!(report
-            .events
-            .iter()
-            .any(|e| matches!(e, DriverEvent::Completed { handle: h, .. } if *h == handle)));
+        let done = completed(driver.shutdown().unwrap().events);
+        assert!(done.iter().any(|(h, _)| *h == handle));
     }
 
-    /// A refused initial join surfaces as AddFailed (with the predicted
-    /// handle) and later sessions on the same shard stay correctly
-    /// addressed — token prediction survives the failure.
+    /// A refused initial join surfaces as AddFailed under the handle the add
+    /// returned, its slot stays empty, and every later session on the same
+    /// shard — explicit-shard or policy-placed — stays correctly addressed.
     #[test]
-    fn failed_add_burns_its_token_and_reports() {
-        /// Pass-through transport whose joins can be refused wholesale.
-        struct MaybeJoin {
-            inner: SimEndpoint,
-            allow_join: bool,
-        }
-        impl Transport for MaybeJoin {
-            fn send(&mut self, group: u32, datagram: bytes::Bytes) {
-                self.inner.send(group, datagram);
-            }
-            fn recv(&mut self) -> Option<(u32, bytes::Bytes)> {
-                self.inner.recv()
-            }
-            fn join(&mut self, group: u32) -> io::Result<()> {
-                if !self.allow_join {
-                    return Err(io::Error::other("join refused"));
-                }
-                self.inner.join(group)
-            }
-            fn leave(&mut self, group: u32) {
-                self.inner.leave(group);
-            }
-            fn readiness(&self) -> crate::transport::Readiness {
-                self.inner.readiness()
-            }
-        }
-        let endpoint = |net: &SimMulticast, allow_join| MaybeJoin {
-            inner: net.endpoint(0.0),
-            allow_join,
-        };
+    fn failed_add_leaves_later_handles_correctly_addressed() {
         let data = patterned(15_000, 5);
         let net = SimMulticast::new(62);
-        let session = ServerSession::new(&data, SessionConfig::default()).unwrap();
-        let info = session.control_info().clone();
+        let (session, info) = carousel(&data, 0, 0);
         let mut driver = DriverConfig::new()
             .shards(1)
             .stepped(true)
             .build::<MaybeJoin>();
         driver
-            .add_server_session_on(
-                0,
-                session,
-                endpoint(&net, true),
-                Pacing::new(Duration::from_millis(1), 256),
-            )
+            .add_on(0, server_at(session, 256), MaybeJoin::on(&net, |_| true))
             .unwrap();
         let bad = driver
-            .add_client_on(
-                0,
+            .add_on(0, client(info.clone()), MaybeJoin::on(&net, |_| false))
+            .unwrap();
+        let placed = driver
+            .add_client(
                 ClientSession::new(info.clone()).unwrap(),
-                endpoint(&net, false),
+                MaybeJoin::on(&net, |_| true),
             )
             .unwrap();
-        let good = driver
-            .add_client_on(0, ClientSession::new(info).unwrap(), endpoint(&net, true))
+        let pinned = driver
+            .add_on(0, client(info), MaybeJoin::on(&net, |_| true))
             .unwrap();
-        assert_ne!(bad.token(), good.token());
-        driver.step_until_complete(10_000).unwrap();
+        assert_eq!(
+            [bad.token(), placed.token(), pinned.token()],
+            [1, 2, 3],
+            "slots are assigned in registration order, failed or not"
+        );
+        step_to_completion(&mut driver, 10_000);
         assert!(driver.all_clients_complete());
-        assert_eq!(driver.completed_clients(), 1);
+        assert_eq!(driver.completed_clients(), 2);
         let events = driver.poll_events();
         assert!(events.iter().any(
             |e| matches!(e, DriverEvent::AddFailed { handle, error } if *handle == bad && error.contains("join refused"))
         ));
-        assert!(events.iter().any(
-            |e| matches!(e, DriverEvent::Completed { handle, session, .. } if *handle == good && session.file().unwrap() == &data[..])
-        ));
+        let done = completed(events);
+        for good in [placed, pinned] {
+            let (_, session) = done.iter().find(|(h, _)| *h == good).unwrap();
+            assert_eq!(session.file().unwrap(), &data[..]);
+        }
+        driver.shutdown().unwrap();
+    }
+
+    /// `wait_complete` and `all_clients_complete` agree: when every
+    /// registered client fails to add, nothing is pending, so the wait
+    /// returns (false — nobody completed) instead of sleeping out its
+    /// deadline.
+    #[test]
+    fn wait_complete_returns_once_every_client_failed_to_add() {
+        let net = SimMulticast::new(63);
+        let (session, info) = carousel(&patterned(15_000, 6), 0, 0);
+        let mut driver = DriverConfig::new().shards(1).build::<MaybeJoin>();
+        driver
+            .add_server_session(session, MaybeJoin::on(&net, |_| true))
+            .unwrap();
+        for _ in 0..2 {
+            driver
+                .add_client(
+                    ClientSession::new(info.clone()).unwrap(),
+                    MaybeJoin::on(&net, |_| false),
+                )
+                .unwrap();
+        }
+        let deadline = Duration::from_secs(60);
+        let started = Instant::now();
+        assert!(!driver.wait_complete(deadline), "no client completed");
+        assert!(
+            started.elapsed() < deadline / 4,
+            "wait_complete slept toward its deadline with nothing pending"
+        );
+        assert!(driver.all_clients_complete());
+        assert_eq!(driver.completed_clients(), 0);
         driver.shutdown().unwrap();
     }
 

@@ -29,17 +29,15 @@
 //! deterministic in-memory [`SimMulticast`] in tests and over real UDP
 //! sockets ([`UdpMulticastTransport`]) in the `udp_fountain` and
 //! `layered_fountain` examples at the workspace root and the UDP integration
-//! tests.  The production drivers live in [`driver`]:
-//! [`driver::EventLoop`] is the single-shard engine — a readiness-driven
-//! loop ([`Transport::try_recv`] + [`Transport::readiness`] over an
-//! `epoll(7)`/`poll(2)` wrapper) that multiplexes thousands of sessions —
-//! servers, clients, or both — with token-bucket pacing, its completions
-//! drained as [`LoopEvent`]s; [`driver::Driver`] shards that engine across
-//! per-core worker threads behind a builder-configured facade
-//! ([`DriverConfig`]), handing sessions out by [`Placement`] policy,
-//! addressing them as [`SessionHandle`]s and surfacing every completion as
-//! a drainable [`DriverEvent`] — all without changing a line of session
-//! code.
+//! tests.  The production driver is [`driver::Driver`]: N shards (one
+//! worker thread each, built from a [`DriverConfig`]), each running a
+//! readiness-driven loop ([`Transport::try_recv`] + [`Transport::readiness`]
+//! over an `epoll(7)`/`poll(2)` wrapper) that multiplexes thousands of
+//! sessions — servers, clients, or both — with token-bucket pacing.
+//! Sessions are handed out by [`Placement`] policy, addressed as
+//! [`SessionHandle`]s, and every completion surfaces as a drainable
+//! [`DriverEvent`] carrying the finished [`ClientSession`] — all without
+//! changing a line of session code.
 //!
 //! ## Layered congestion control
 //!
@@ -92,8 +90,8 @@ pub mod wire;
 pub use client::{ClientEvent, ClientSession, DownloadStats};
 pub use control::{ControlInfo, ControlRequest, ControlResponse};
 pub use driver::{
-    Driver, DriverConfig, DriverEvent, DriverReport, EventLoop, EventLoopStats, LoopEvent, Pacing,
-    Placement, SessionHandle, Token,
+    Driver, DriverConfig, DriverEvent, DriverReport, Pacing, Placement, Session, SessionHandle,
+    ShardStats,
 };
 pub use rateless::{
     seed_from_words, seed_to_words, RatelessMode, RatelessReceiver, RatelessSender,

@@ -4,8 +4,8 @@
 //! `std::sync::atomic`); under `RUSTFLAGS=--cfg df_check` the same names
 //! resolve to the `loom` shim so the model-check suite
 //! (`tests/model_check.rs`) can exhaustively explore interleavings of
-//! [`crate::SimMulticast`] and [`crate::driver::queue::IntentQueue`] without
-//! touching call sites.  Keep every concurrent structure in this crate
+//! [`crate::SimMulticast`] and the [`crate::driver::queue`] without touching
+//! call sites.  Keep every concurrent structure in this crate
 //! importing its primitives from here.
 
 #[cfg(df_check)]

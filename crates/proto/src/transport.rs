@@ -26,7 +26,7 @@ use std::collections::VecDeque;
 /// How an I/O driver can learn that a transport has datagrams waiting,
 /// without spinning on [`Transport::try_recv`].
 ///
-/// A readiness-driven driver (see [`crate::driver::EventLoop`]) collects
+/// A readiness-driven driver (see [`crate::driver::Driver`]) collects
 /// every transport's readiness once, registers the socket-backed ones with a
 /// poller, and sleeps until the OS reports one readable — which is what lets
 /// a single thread pump thousands of sessions.  In-memory transports have no

@@ -173,7 +173,7 @@ impl UdpMulticastTransport {
     /// need: every receive loop built on this method makes progress — and
     /// therefore reaches its own deadline check — even if the sender dies
     /// mid-download, without the spin-and-sleep polling the tests used
-    /// before.  The readiness-driven [`crate::driver::EventLoop`] gets the
+    /// before.  The readiness-driven [`crate::driver::Driver`] gets the
     /// same guarantee from its poller; this method is the one-socket-set
     /// version for simple single-session drivers.
     pub fn recv_timeout(&mut self, timeout: Duration) -> Option<(u32, Bytes)> {

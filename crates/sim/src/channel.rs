@@ -49,7 +49,10 @@ use crate::loss::{GilbertElliottLoss, LossModel};
 /// call, whether or not an earlier stage already dropped the datagram — a
 /// Gilbert–Elliott state machine keeps burning through its sojourn times
 /// even while an upstream stage is eating the traffic.
-pub trait ChannelModel: std::fmt::Debug {
+///
+/// Stages are `Send` (they are plain data) so that a [`HostileChannel`] can
+/// move to the `df_proto::Driver` shard that owns its session.
+pub trait ChannelModel: std::fmt::Debug + Send {
     /// Rewrite the delivery fate of the next arriving datagram.
     ///
     /// `deliveries` holds one displacement offset per copy to deliver and
@@ -467,6 +470,12 @@ mod tests {
             out.push(usize::from_be_bytes(d[..].try_into().unwrap()));
         }
         out
+    }
+
+    #[test]
+    fn a_hostile_channel_can_move_to_a_driver_shard() {
+        fn assert_send<T: Send>() {}
+        assert_send::<HostileChannel<df_proto::SimEndpoint>>();
     }
 
     #[test]

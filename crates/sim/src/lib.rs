@@ -21,7 +21,7 @@
 //!   client sessions (receiver-driven join/leave) over `SimMulticast`.
 //! * [`swarm`] — the driver-scale experiment: thousands of concurrent
 //!   client sessions pumped through the sharded `df_proto::Driver`, from
-//!   one event-loop thread up to a per-core shard sweep.
+//!   one shard thread up to a per-core shard sweep.
 //! * [`channel`] — composable hostile-channel stages (Gilbert–Elliott
 //!   bursty loss, bounded reordering, duplication, jitter) and the
 //!   [`HostileChannel`] transport decorator that applies them to any
@@ -63,5 +63,5 @@ pub use rateless::{
     RatelessOverheadOutcome,
 };
 pub use receiver::{simulate_interleaved_receiver, simulate_tornado_receiver, ReceiverOutcome};
-pub use swarm::{swarm_experiment, swarm_experiment_sharded, SwarmOutcome};
+pub use swarm::{swarm_experiment, SwarmOutcome};
 pub use trace::{ReceiverTrace, TraceSet};

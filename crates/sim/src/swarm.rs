@@ -1,24 +1,23 @@
-//! The driver-scale experiment: a sharded [`df_proto::Driver`] pumping
-//! server carousels and an arbitrarily large population of concurrent
+//! The driver-scale experiment: a [`df_proto::Driver`] pumping server
+//! carousels and an arbitrarily large population of concurrent
 //! [`df_proto::ClientSession`]s over [`df_proto::SimMulticast`].
 //!
 //! The paper's server is a stateless carousel meant to feed *arbitrarily
 //! many* heterogeneous receivers at once (Sections 3 and 7); the sans-I/O
 //! session layer makes the per-receiver state a plain struct, so the only
 //! scaling questions left are whether the I/O driver can multiplex them —
-//! answered with thousands of sessions on one loop — and whether it can
-//! *shard* them across cores, answered by [`swarm_experiment_sharded`]:
-//! the population is partitioned into per-shard sub-swarms (own channel,
-//! own full-rate server replica, SO_REUSEPORT-style), so wall-clock
-//! throughput scales with worker threads while every sub-population sees
-//! the canonical carousel rate.  This is the operating point behind the
-//! `driver_throughput` shard sweep of `repro bench-json` (aggregate
-//! client-side MB/s and completed sessions/s across 100+ concurrent
-//! downloads at 1/2/4 shards).
+//! answered with thousands of sessions on one shard — and whether it can
+//! *shard* them across cores: [`swarm_experiment`] partitions the
+//! population into per-shard sub-swarms (own channel, own full-rate server
+//! replica, SO_REUSEPORT-style), so wall-clock throughput scales with
+//! worker threads while every sub-population sees the canonical carousel
+//! rate.  This is the operating point behind the `driver_throughput` shard
+//! sweep of `repro bench-json` (aggregate client-side MB/s and completed
+//! sessions/s across 100+ concurrent downloads at 1/2/4 shards).
 
 use df_proto::{
-    ClientSession, DriverConfig, DriverEvent, Pacing, ServerSession, SessionConfig, SimEndpoint,
-    SimMulticast,
+    ClientSession, DriverConfig, DriverEvent, Pacing, ServerSession, Session, SessionConfig,
+    SimEndpoint, SimMulticast,
 };
 use std::time::{Duration, Instant};
 
@@ -31,7 +30,7 @@ pub struct SwarmOutcome {
     pub completed: usize,
     /// Driver steps (deterministic per-shard ticks) executed.
     pub steps: usize,
-    /// Worker shards (event-loop threads) the population was split across.
+    /// Worker shards (threads) the population was split across.
     pub shards: usize,
     /// Datagrams emitted by all server slots.
     pub datagrams_sent: u64,
@@ -63,47 +62,33 @@ impl SwarmOutcome {
 }
 
 /// Drive `clients` concurrent downloads of one `file_len`-byte file through
-/// a single-shard [`df_proto::Driver`] and report completion counts and
-/// throughput.  Equivalent to [`swarm_experiment_sharded`] with one shard.
+/// a stepped [`df_proto::Driver`] and report completion counts and
+/// throughput.
+///
+/// The population is partitioned into `shards` independent sub-swarms, each
+/// on its own worker thread with its own [`SimMulticast`] channel and its
+/// own *full-rate* server replica (the SO_REUSEPORT shape: N fountains each
+/// feeding 1/N of the receivers).  Every sub-population therefore
+/// experiences the same carousel rate as a one-shard run and completes in
+/// the same number of steps — what changes with the shard count is
+/// wall-clock, which is exactly what the `driver_throughput` shard sweep
+/// measures.
 ///
 /// Clients `i` with `i % 4 == 3` sit behind 20 % independent loss, the rest
 /// are clean — enough heterogeneity that the carousel must keep cycling for
 /// the tail while the bulk completes early, which is the scheduling pattern
 /// a real deployment produces.  The run is deterministic for a given
-/// (`seed`, population) pair: workers are driven in stepped mode
-/// (wall-clock-free ticks).
+/// (`seed`, population, `shards`) triple: workers tick only on
+/// [`df_proto::Driver::step`], and per-shard channels keep each worker's
+/// loss draws on its own seeded RNG (`seed + shard`).
 ///
 /// # Panics
 ///
 /// Panics if the file cannot be encoded (degenerate `file_len`/
-/// `packet_size`) — this is an experiment driver, not a validation surface.
+/// `packet_size` — this is an experiment driver, not a validation surface),
+/// or (in debug builds) if any completed download fails byte-for-byte
+/// verification.
 pub fn swarm_experiment(
-    file_len: usize,
-    packet_size: usize,
-    clients: usize,
-    seed: u64,
-    max_steps: usize,
-) -> SwarmOutcome {
-    swarm_experiment_sharded(file_len, packet_size, clients, seed, max_steps, 1)
-}
-
-/// The multi-core variant of [`swarm_experiment`]: the population is
-/// partitioned into `shards` independent sub-swarms, each on its own worker
-/// thread with its own [`SimMulticast`] channel and its own *full-rate*
-/// server replica (the SO_REUSEPORT shape: N fountains each feeding 1/N of
-/// the receivers).  Every sub-population therefore experiences the same
-/// carousel rate as the single-shard experiment and completes in the same
-/// number of steps — what changes with the shard count is wall-clock, which
-/// is exactly what the `driver_throughput` shard sweep measures.
-///
-/// Per-shard channels keep each worker's loss draws on its own seeded RNG
-/// (`seed + shard`), so the run stays deterministic at any shard count.
-///
-/// # Panics
-///
-/// Panics if the file cannot be encoded, or (in debug builds) if any
-/// completed download fails byte-for-byte verification.
-pub fn swarm_experiment_sharded(
     file_len: usize,
     packet_size: usize,
     clients: usize,
@@ -137,8 +122,12 @@ pub fn swarm_experiment_sharded(
         // driver's scheduling (tick, drain, repeat) is actually exercised
         // rather than every client completing inside a single monster tick.
         let pacing = Pacing::new(Duration::from_millis(1), info.n.div_ceil(4).max(1));
+        let server = Session::Server {
+            session: Box::new(server),
+            pacing,
+        };
         driver
-            .add_server_session_on(shard, server, net.endpoint(0.0), pacing)
+            .add_on(shard, server, net.endpoint(0.0))
             .expect("shard workers are alive at setup");
         nets.push(net);
         infos.push(info);
@@ -149,14 +138,20 @@ pub fn swarm_experiment_sharded(
         let session =
             ClientSession::new(infos[shard].clone()).expect("server-produced control info");
         driver
-            .add_client_on(shard, session, nets[shard].endpoint(loss))
+            .add_on(
+                shard,
+                Session::Client(Box::new(session)),
+                nets[shard].endpoint(loss),
+            )
             .expect("sim adds cannot fail");
     }
 
     let t0 = Instant::now();
-    let steps = driver
-        .step_until_complete(max_steps)
-        .expect("shard workers stay alive");
+    let mut steps = 0;
+    while steps < max_steps && !driver.all_clients_complete() {
+        driver.step(1).expect("shard workers stay alive");
+        steps += 1;
+    }
     let elapsed = t0.elapsed();
 
     let completed = driver.completed_clients();
@@ -190,12 +185,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn a_thousand_concurrent_sessions_complete_on_one_event_loop() {
+    fn a_thousand_concurrent_sessions_complete_on_one_shard() {
         // The acceptance scenario: ≥1000 concurrent ClientSessions, one
-        // EventLoop, one thread, every download completing and verifying.
+        // shard, one thread, every download completing and verifying.
         // Small per-client files keep the test fast; the point is session
         // *count*, not bytes.
-        let outcome = swarm_experiment(10_000, 500, 1_000, 7, 400);
+        let outcome = swarm_experiment(10_000, 500, 1_000, 7, 400, 1);
         assert_eq!(outcome.clients, 1_000);
         assert_eq!(
             outcome.completed, 1_000,
@@ -213,8 +208,8 @@ mod tests {
 
     #[test]
     fn swarm_is_deterministic_per_seed() {
-        let a = swarm_experiment(8_000, 500, 60, 11, 400);
-        let b = swarm_experiment(8_000, 500, 60, 11, 400);
+        let a = swarm_experiment(8_000, 500, 60, 11, 400, 1);
+        let b = swarm_experiment(8_000, 500, 60, 11, 400, 1);
         assert_eq!(a.completed, b.completed);
         assert_eq!(a.steps, b.steps);
         assert_eq!(a.datagrams_sent, b.datagrams_sent);
@@ -224,20 +219,23 @@ mod tests {
     #[test]
     fn sharded_swarm_completes_and_is_deterministic() {
         // Per-shard channels give each worker its own seeded RNG, so even a
-        // four-thread run is reproducible draw-for-draw.
-        let a = swarm_experiment_sharded(8_000, 500, 64, 11, 800, 4);
-        let b = swarm_experiment_sharded(8_000, 500, 64, 11, 800, 4);
-        assert_eq!(a.shards, 4);
-        assert_eq!(a.completed, 64, "sharded population stalled: {a:?}");
-        assert_eq!(a.completed, b.completed);
-        assert_eq!(a.steps, b.steps);
-        assert_eq!(a.datagrams_sent, b.datagrams_sent);
-        assert_eq!(a.datagrams_received, b.datagrams_received);
+        // four-thread run is reproducible draw-for-draw — down to the exact
+        // step the last download finished on.
+        for shards in [1, 4] {
+            let a = swarm_experiment(8_000, 500, 64, 11, 800, shards);
+            let b = swarm_experiment(8_000, 500, 64, 11, 800, shards);
+            assert_eq!(a.shards, shards);
+            assert_eq!(a.completed, 64, "sharded population stalled: {a:?}");
+            assert_eq!(a.completed, b.completed);
+            assert_eq!(a.steps, b.steps);
+            assert_eq!(a.datagrams_sent, b.datagrams_sent);
+            assert_eq!(a.datagrams_received, b.datagrams_received);
+        }
     }
 
     #[test]
     fn lossy_clients_finish_later_but_finish() {
-        let outcome = swarm_experiment(20_000, 500, 16, 3, 800);
+        let outcome = swarm_experiment(20_000, 500, 16, 3, 800, 1);
         assert_eq!(outcome.completed, 16);
         assert!(outcome.aggregate_mbps() > 0.0);
         assert!(outcome.sessions_per_second() > 0.0);

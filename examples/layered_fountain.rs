@@ -4,13 +4,13 @@
 //! synchronisation point every other round and a double-rate burst before
 //! each SP.  Receivers subscribe to the base layer only and then *find
 //! their own rate* — the session emits `ClientEvent::Join`/`Leave` intents
-//! and the [`EventLoop`] executes them on the slot's transport, joining a
+//! and the [`Driver`] shard executes them on the slot's transport, joining a
 //! higher group after every clean burst and shedding the top layer on
 //! sustained loss.  No receiver ever sends a packet towards the source.
 //!
 //! Run with: `cargo run --release --example layered_fountain`
 //!
-//! Server and receiver share **one readiness-driven event loop on one
+//! Server and receiver share **one readiness-driven driver shard — one
 //! thread**.  Two receivers use the carousel in turn (a fountain client
 //! joins the perpetual stream whenever it likes; sequential receivers also
 //! keep the group ports free for one another in loopback mode): an
@@ -25,8 +25,8 @@
 //! loopback unicast otherwise (same sessions, same datagrams either way).
 
 use digital_fountain::proto::{
-    ClientSession, EventLoop, FountainServer, GroupAddressing, LoopEvent, Pacing, Readiness,
-    SessionConfig, Transport, UdpMulticastTransport,
+    ClientSession, Driver, DriverConfig, DriverEvent, FountainServer, GroupAddressing, Pacing,
+    Readiness, SessionConfig, Transport, UdpMulticastTransport,
 };
 use std::time::{Duration, Instant};
 
@@ -101,10 +101,10 @@ impl Transport for ThrottledLink {
     }
 }
 
-/// Run one receiver through the shared event loop until its download
+/// Run one receiver through the shared driver until its download
 /// completes, reporting its subscription journey.
 fn run_receiver(
-    el: &mut EventLoop<ThrottledLink>,
+    driver: &mut Driver<ThrottledLink>,
     name: &'static str,
     addressing: GroupAddressing,
     drop_every: u64,
@@ -123,23 +123,19 @@ fn run_receiver(
         drop_every,
     );
     let t0 = Instant::now();
-    let token = el.add_client(client, link).expect("join base layer");
-    let done = el
-        .run(Duration::from_secs(120))
-        .expect("event loop runs to completion");
-    // Completion is an event drained from the loop, not a callback: the
-    // single-shard engine speaks the same drain dialect as the sharded
-    // `Driver` facade.
-    let stats = el
+    let handle = driver.add_client(client, link).expect("shard is alive");
+    let done = driver.wait_complete(Duration::from_secs(120));
+    // Completion is an event drained from the driver, not a callback, and it
+    // carries the finished session (its link was closed on the shard).
+    let client = driver
         .poll_events()
         .into_iter()
         .find_map(|event| match event {
-            LoopEvent::Completed { token: t, stats } if t == token => Some(stats),
+            DriverEvent::Completed { handle: h, session } if h == handle => Some(session),
             _ => None,
         })
         .unwrap_or_else(|| panic!("[{name}] no completion event (done = {done})"));
-    let (client, _link) = el.take_client(token).expect("token valid");
-    assert!(done, "[{name}] download stalled at {:?}", stats);
+    let stats = client.stats();
     assert_eq!(client.file().unwrap(), expected, "[{name}] corrupt file");
     println!(
         "[{name}] complete in {:.2?}: level {}, {} received / {} distinct (eta {:.3}, eta_d {:.3})",
@@ -185,24 +181,27 @@ fn main() {
         "server: 1 layered session, groups 0..6, bandwidths 1,1,2,4,8,16 (SP/burst congestion control)"
     );
 
-    // One event loop owns the carousel and, in turn, each receiver — the
-    // server keeps transmitting between receivers, as a real carousel does.
-    let mut el: EventLoop<ThrottledLink> = EventLoop::new();
-    el.add_fountain_server(
-        server,
-        ThrottledLink::new(
-            UdpMulticastTransport::new(addressing).expect("server transport"),
-            0,
-        ),
-        None,
-        Pacing::new(Duration::from_millis(1), 64),
-    )
-    .expect("register server slot");
+    // One shard owns the carousel and, in turn, each receiver — the server
+    // keeps transmitting between receivers, as a real carousel does.
+    let mut driver = DriverConfig::new()
+        .shards(1)
+        .pacing(Pacing::new(Duration::from_millis(1), 64))
+        .build::<ThrottledLink>();
+    let server_link = ThrottledLink::new(
+        UdpMulticastTransport::new(addressing).expect("server transport"),
+        0,
+    );
+    driver
+        .add_fountain_server(server, server_link, None)
+        .expect("register server slot");
 
-    run_receiver(&mut el, "wideband", addressing, 0, info.clone(), &file);
-    run_receiver(&mut el, "congested", addressing, 4, info, &file);
+    run_receiver(&mut driver, "wideband", addressing, 0, info.clone(), &file);
+    run_receiver(&mut driver, "congested", addressing, 4, info, &file);
 
-    let stats = el.stats();
+    let stats = driver
+        .shutdown()
+        .expect("clean driver shutdown")
+        .total_stats();
     println!(
         "both receivers rebuilt the file; neither sent a packet upstream \
          ({} datagrams caroused on one thread)",

@@ -169,12 +169,8 @@ fn main() {
 
     let report = driver.shutdown().expect("clean driver shutdown");
     for event in &report.events {
-        if let DriverEvent::Completed {
-            handle,
-            stats,
-            session,
-        } = event
-        {
+        if let DriverEvent::Completed { handle, session } = event {
+            let stats = session.stats();
             let (name, _, file) = expected
                 .iter()
                 .find(|(_, h, _)| h == handle)

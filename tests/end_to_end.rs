@@ -5,8 +5,8 @@
 
 use digital_fountain::core::{reassemble_file, PacketizedFile, TornadoCode, TORNADO_B};
 use digital_fountain::proto::{
-    ClientEvent, ClientSession, EventLoop, FountainServer, Pacing, ServerSession, SessionConfig,
-    SimMulticast, Transport,
+    ClientEvent, ClientSession, DriverConfig, DriverEvent, FountainServer, Pacing, ServerSession,
+    SessionConfig, SimMulticast, Transport,
 };
 use digital_fountain::sim::{
     simulate_interleaved_receiver, simulate_tornado_receiver, BernoulliLoss, InterleavedCode,
@@ -192,10 +192,10 @@ fn heterogeneous_bottlenecks_find_distinct_layers_and_all_complete() {
 
 #[test]
 fn event_loop_multiplexes_flat_and_layered_sessions_concurrently() {
-    // The readiness-driven driver as the system's front door: one EventLoop
+    // The readiness-driven driver as the system's front door: one shard
     // hosts a two-session FountainServer (one flat carousel, one layered
     // SP/burst session) and five clients — flat clients behind different
-    // loss rates plus a layered client that climbs by Join intents the loop
+    // loss rates plus layered clients that climb by Join intents the shard
     // executes — all advancing deterministically via `step` on one thread.
     let file_flat = random_file(120_000, 21);
     let file_layered = random_file(200_000, 22);
@@ -227,52 +227,60 @@ fn event_loop_multiplexes_flat_and_layered_sessions_concurrently() {
     assert!(info_layered.sp_interval > 0);
 
     let net = SimMulticast::new(31);
-    let mut el: EventLoop<digital_fountain::proto::SimEndpoint> = EventLoop::new();
-    el.add_fountain_server(
-        server,
-        net.endpoint(0.0),
-        None,
-        Pacing::new(Duration::from_millis(1), 2_000),
-    )
-    .unwrap();
+    let mut driver = DriverConfig::new()
+        .shards(1)
+        .stepped(true)
+        .pacing(Pacing::new(Duration::from_millis(1), 2_000))
+        .build::<digital_fountain::proto::SimEndpoint>();
+    driver
+        .add_fountain_server(server, net.endpoint(0.0), None)
+        .unwrap();
 
-    let mut flat_tokens = Vec::new();
+    let mut flat_handles = Vec::new();
     for loss in [0.0, 0.15, 0.4] {
         let client = ClientSession::new(info_flat.clone()).unwrap();
-        flat_tokens.push(el.add_client(client, net.endpoint(loss)).unwrap());
+        flat_handles.push(driver.add_client(client, net.endpoint(loss)).unwrap());
     }
-    let layered_tokens: Vec<_> = (0..2)
+    let layered_handles: Vec<_> = (0..2)
         .map(|_| {
             let client = ClientSession::new(info_layered.clone()).unwrap();
-            el.add_client(client, net.endpoint(0.0)).unwrap()
+            driver.add_client(client, net.endpoint(0.0)).unwrap()
         })
         .collect();
 
     for _ in 0..3_000 {
-        el.step();
-        if el.all_clients_complete() {
+        if driver.all_clients_complete() {
             break;
         }
+        driver.step(1).unwrap();
     }
     assert!(
-        el.all_clients_complete(),
+        driver.all_clients_complete(),
         "not all clients finished: {:?}",
-        el.stats()
+        driver.stats()
     );
-    for token in flat_tokens {
-        let client = el.client(token).unwrap();
+    assert_eq!(driver.stats().join_failures, 0);
+    let finished: std::collections::HashMap<_, _> = driver
+        .poll_events()
+        .into_iter()
+        .filter_map(|event| match event {
+            DriverEvent::Completed { handle, session } => Some((handle, session)),
+            _ => None,
+        })
+        .collect();
+    for handle in flat_handles {
+        let client = &finished[&handle];
         assert_eq!(client.file().unwrap(), &file_flat[..]);
         assert!(client.subscription_level().is_none(), "flat session");
     }
-    for token in layered_tokens {
-        let client = el.client(token).unwrap();
+    for handle in layered_handles {
+        let client = &finished[&handle];
         assert_eq!(client.file().unwrap(), &file_layered[..]);
         assert!(
             client.subscription_level().unwrap() >= 1,
-            "the loop must have executed at least one Join intent"
+            "the shard must have executed at least one Join intent"
         );
     }
-    assert_eq!(el.stats().join_failures, 0);
 }
 
 #[test]

@@ -1,4 +1,4 @@
-//! Hostile-channel integration: the readiness-driven [`EventLoop`] pumping a
+//! Hostile-channel integration: a one-shard stepped [`Driver`] pumping a
 //! layered carousel to a fleet of receivers that each sit behind their own
 //! [`HostileChannel`] — Gilbert–Elliott bursty loss up to a 50 % bad state,
 //! reordering, duplication and delay jitter — plus the sweep-level claims the
@@ -9,7 +9,8 @@
 //! logic does not oscillate (leaves bounded by the channel's burst episodes).
 
 use digital_fountain::proto::{
-    ClientSession, EventLoop, Pacing, ServerSession, SessionConfig, SimEndpoint, SimMulticast,
+    ClientSession, Driver, DriverConfig, DriverEvent, Pacing, ServerSession, SessionConfig,
+    SimEndpoint, SimMulticast,
 };
 use digital_fountain::sim::{
     hostile_channel_experiment, hostile_sweep, HostileChannel, HostileChannelBuilder, HostileConfig,
@@ -38,7 +39,7 @@ fn event_loop_completes_a_fleet_behind_hostile_channels() {
     // One layered carousel, eight receivers, each behind an independently
     // seeded hostile channel averaging ~15 % loss in long bursts.  The
     // server rides a *transparent* HostileChannel (empty pipeline) so the
-    // whole fleet shares one EventLoop<HostileChannel<SimEndpoint>>.
+    // whole fleet shares one Driver<HostileChannel<SimEndpoint>>.
     let data = random_file(80_000, 21);
     let server = ServerSession::new(
         &data,
@@ -55,14 +56,18 @@ fn event_loop_completes_a_fleet_behind_hostile_channels() {
     let info = server.control_info().clone();
 
     let net = SimMulticast::new(21);
-    let mut el: EventLoop<HostileChannel<SimEndpoint>> = EventLoop::new();
-    el.add_server_session(
-        server,
-        HostileChannelBuilder::new(0).wrap(net.endpoint(0.0)),
-        Pacing::new(Duration::from_millis(1), n.div_ceil(4).max(1)),
-    );
+    let mut driver: Driver<HostileChannel<SimEndpoint>> = DriverConfig::new()
+        .shards(1)
+        .stepped(true)
+        .pacing(Pacing::new(Duration::from_millis(1), n.div_ceil(4).max(1)))
+        .build();
+    driver
+        .add_server_session(
+            server,
+            HostileChannelBuilder::new(0).wrap(net.endpoint(0.0)),
+        )
+        .unwrap();
     let fleet = 8;
-    let mut tokens = Vec::with_capacity(fleet);
     for i in 0..fleet as u64 {
         let session = ClientSession::new(info.clone()).unwrap();
         let channel = HostileChannelBuilder::new(900 + i)
@@ -71,34 +76,35 @@ fn event_loop_completes_a_fleet_behind_hostile_channels() {
             .duplicate(0.02)
             .jitter(2)
             .wrap(net.endpoint(0.0));
-        tokens.push(el.add_client(session, channel).unwrap());
+        driver.add_client(session, channel).unwrap();
     }
 
     let mut steps = 0;
-    while steps < 600_000 && !el.all_clients_complete() {
-        el.step();
+    let mut finished = Vec::with_capacity(fleet);
+    while steps < 600_000 && !driver.all_clients_complete() {
+        driver.step(1).unwrap();
         steps += 1;
-        if steps % 4096 == 0 {
-            for &token in &tokens {
-                assert_bounded(el.client(token).unwrap());
+        for event in driver.poll_events() {
+            if let DriverEvent::Completed { session, .. } = event {
+                finished.push(session);
             }
         }
     }
 
-    assert!(
-        el.all_clients_complete(),
+    assert_eq!(
+        finished.len(),
+        fleet,
         "only {}/{fleet} hostile-channel clients completed after {steps} steps",
-        el.completed_clients()
+        finished.len()
     );
-    for token in tokens {
-        let client = el.client(token).unwrap();
+    for client in finished {
         assert_eq!(
             client.file().unwrap(),
             &data[..],
             "corrupted reconstruction"
         );
         assert_eq!(client.stats().rejected(), 0, "honest carousel hit the cap");
-        assert_bounded(client);
+        assert_bounded(&client);
     }
 }
 

@@ -5,8 +5,8 @@
 //! client pumps its transport on the test thread.
 
 use digital_fountain::proto::{
-    ClientSession, ControlRequest, ControlResponse, Driver, DriverConfig, DriverEvent, EventLoop,
-    FountainServer, LoopEvent, Pacing, ServerSession, SessionConfig, SessionHandle, Transport,
+    ClientSession, ControlRequest, ControlResponse, Driver, DriverConfig, DriverEvent,
+    FountainServer, Pacing, Placement, ServerSession, SessionConfig, SessionHandle, Transport,
     UdpMulticastTransport,
 };
 use std::net::{Ipv4Addr, UdpSocket};
@@ -334,162 +334,59 @@ fn recv_timeout_expires_when_the_sender_dies() {
     assert_eq!(empty.recv_timeout(Duration::from_millis(20)), None);
 }
 
-#[test]
-fn event_loop_drives_64_concurrent_real_socket_clients_on_one_thread() {
-    // The readiness-driven driver at real-socket scale: one EventLoop on the
-    // test thread owns the server carousel (64 sessions on 64 groups) AND 64
-    // downloading clients, each with its own UDP loopback transport — 65
-    // session state machines, 64 receive sockets in one poll(2) set, zero
-    // helper threads.  Every client must complete and verify its file.
-    let clients = 64;
+/// The driver at real-socket scale: one paced [`Driver`] of `shards` shards
+/// owns a [`FountainServer`] carouselling `clients` files (one session and
+/// one multicast group each) AND the `clients` receivers downloading them,
+/// each on its own UDP loopback transport.  The shards pace themselves on
+/// their own threads while the test thread only waits; every download must
+/// then verify byte-for-byte out of the shutdown report, exactly once.
+fn loopback_fleet_downloads_and_verifies(shards: usize, clients: usize, first_port: u16) {
     let files: Vec<Vec<u8>> = (0..clients).map(|i| patterned_file(20_000, i)).collect();
 
-    let try_setup = |data_port: u16| -> std::io::Result<(
-        EventLoop<UdpMulticastTransport>,
-        Vec<digital_fountain::proto::Token>,
-    )> {
+    type Fleet = (Driver<UdpMulticastTransport>, Vec<SessionHandle>);
+    let try_setup = |data_port: u16| -> std::io::Result<Fleet> {
         let mut server = FountainServer::new();
-        let mut ids = Vec::new();
+        let mut infos = Vec::new();
         for (i, file) in files.iter().enumerate() {
-            ids.push(
-                server
-                    .add_session(
-                        file,
-                        SessionConfig {
-                            code_seed: 100 + i as u64,
-                            ..SessionConfig::default()
-                        },
-                    )
-                    .unwrap(),
-            );
+            let config = SessionConfig {
+                code_seed: 100 + i as u64,
+                ..SessionConfig::default()
+            };
+            let id = server.add_session(file, config).unwrap();
+            infos.push(server.session(id).unwrap().control_info().clone());
         }
-        let infos: Vec<_> = ids
-            .iter()
-            .map(|&id| server.session(id).unwrap().control_info().clone())
-            .collect();
-
-        let mut el: EventLoop<UdpMulticastTransport> = EventLoop::new();
-        el.add_fountain_server(
-            server,
-            UdpMulticastTransport::loopback(data_port)?,
-            None,
-            // 128 datagrams/ms across 64 sessions: each client sees ~2 per ms,
-            // well inside loopback socket buffers.
-            Pacing::new(Duration::from_millis(1), 128),
-        )?;
-
-        let mut tokens = Vec::new();
-        for info in infos {
-            let client = ClientSession::new(info).unwrap();
-            let transport = UdpMulticastTransport::loopback(data_port)?;
-            tokens.push(el.add_client(client, transport)?);
-        }
-        Ok((el, tokens))
-    };
-
-    // The 64 consecutive data ports sit inside the kernel's ephemeral range,
-    // so an unrelated socket (another test's sender, another process) can
-    // legitimately hold one of them; move to a fresh range instead of
-    // flaking.
-    let mut attempt = 0u16;
-    let (mut el, tokens) = loop {
-        match try_setup(48700 + attempt * 200) {
-            Ok(setup) => break setup,
-            Err(e) if e.kind() == std::io::ErrorKind::AddrInUse && attempt < 4 => attempt += 1,
-            Err(e) => panic!("could not stage the loopback fleet: {e}"),
-        }
-    };
-
-    let all_done = el.run(Duration::from_secs(60)).unwrap();
-    assert!(
-        all_done,
-        "only {}/{} clients completed: {:?}",
-        el.completed_clients(),
-        clients,
-        el.stats()
-    );
-    // Completions are drained events, not callbacks: every client token must
-    // surface exactly one Completed carrying its final stats.
-    let mut completed_tokens: Vec<_> = el
-        .poll_events()
-        .into_iter()
-        .filter_map(|event| match event {
-            LoopEvent::Completed { token, stats } => {
-                assert!(stats.distinct() > 0, "empty stats on a completion event");
-                Some(token)
-            }
-            _ => None,
-        })
-        .collect();
-    completed_tokens.sort_unstable();
-    let mut expected_tokens = tokens.clone();
-    expected_tokens.sort_unstable();
-    assert_eq!(completed_tokens, expected_tokens);
-    for (i, token) in tokens.into_iter().enumerate() {
-        let (client, _transport) = el.take_client(token).unwrap();
-        assert_eq!(
-            client.file().unwrap(),
-            &files[i][..],
-            "client {i} reconstructed the wrong bytes"
-        );
-    }
-}
-
-#[test]
-fn sharded_driver_downloads_over_real_sockets_on_two_shards() {
-    // The PR-10 facade at real-socket scale: a two-shard Driver owns one
-    // FountainServer (8 sessions) and 8 UDP loopback clients, the workers
-    // pacing themselves on their own threads while the test thread only
-    // waits and drains events.  Every download must complete and verify
-    // byte-for-byte out of the shutdown report.
-    let sessions = 8;
-    let files: Vec<Vec<u8>> = (0..sessions)
-        .map(|i| patterned_file(15_000, 50 + i))
-        .collect();
-
-    type ShardedFleet = (Driver<UdpMulticastTransport>, Vec<(SessionHandle, usize)>);
-    let try_setup = |data_port: u16| -> std::io::Result<ShardedFleet> {
-        let mut server = FountainServer::new();
-        let mut ids = Vec::new();
-        for (i, file) in files.iter().enumerate() {
-            ids.push(
-                server
-                    .add_session(
-                        file,
-                        SessionConfig {
-                            code_seed: 900 + i as u64,
-                            ..SessionConfig::default()
-                        },
-                    )
-                    .unwrap(),
-            );
-        }
-        let infos: Vec<_> = ids
-            .iter()
-            .map(|&id| server.session(id).unwrap().control_info().clone())
-            .collect();
-
         let mut driver = DriverConfig::new()
-            .shards(2)
-            .placement(digital_fountain::proto::Placement::LeastLoaded)
-            .pacing(Pacing::new(Duration::from_millis(1), 64))
+            .shards(shards)
+            .placement(Placement::LeastLoaded)
+            // Two datagrams per client per millisecond: well inside
+            // loopback socket buffers.
+            .pacing(Pacing::new(Duration::from_millis(1), 2 * clients))
             .build::<UdpMulticastTransport>();
         driver.add_fountain_server(server, UdpMulticastTransport::loopback(data_port)?, None)?;
         let mut handles = Vec::new();
-        for (i, info) in infos.into_iter().enumerate() {
+        for info in infos {
             let client = ClientSession::new(info).unwrap();
-            let transport = UdpMulticastTransport::loopback(data_port)?;
-            handles.push((driver.add_client(client, transport)?, i));
+            let mut transport = UdpMulticastTransport::loopback(data_port)?;
+            // Bind the receive sockets here, where a taken port can still
+            // move the whole fleet; the shard's own join is then a no-op.
+            for group in client.subscribed_groups() {
+                transport.join(group)?;
+            }
+            handles.push(driver.add_client(client, transport)?);
         }
         Ok((driver, handles))
     };
 
+    // The consecutive data ports sit inside the kernel's ephemeral range, so
+    // an unrelated socket (another test's sender, another process) can
+    // legitimately hold one of them; move to a fresh range instead of
+    // flaking.
     let mut attempt = 0u16;
     let (mut driver, handles) = loop {
-        match try_setup(49500 + attempt * 100) {
+        match try_setup(first_port + attempt * 200) {
             Ok(setup) => break setup,
             Err(e) if e.kind() == std::io::ErrorKind::AddrInUse && attempt < 4 => attempt += 1,
-            Err(e) => panic!("could not stage the sharded loopback fleet: {e}"),
+            Err(e) => panic!("could not stage the loopback fleet: {e}"),
         }
     };
     // LeastLoaded placement must actually have spread the registrations.
@@ -500,35 +397,46 @@ fn sharded_driver_downloads_over_real_sockets_on_two_shards() {
     );
 
     let all_done = driver.wait_complete(Duration::from_secs(60));
+    let done = driver.completed_clients();
+    let report = driver.shutdown().unwrap();
     assert!(
         all_done,
-        "only {}/{} clients completed",
-        driver.completed_clients(),
-        sessions
+        "only {done}/{clients} clients completed: {:?}",
+        report.total_stats()
     );
-    let report = driver.shutdown().unwrap();
-    let mut verified = 0;
+    // Completions are drained events, not callbacks: every client handle
+    // must surface exactly one Completed carrying its session.
+    let mut completed = Vec::new();
     for event in &report.events {
-        if let DriverEvent::Completed {
-            handle, session, ..
-        } = event
-        {
-            let &(_, i) = handles
+        if let DriverEvent::Completed { handle, session } = event {
+            let i = handles
                 .iter()
-                .find(|(h, _)| h == handle)
+                .position(|h| h == handle)
                 .expect("completion for a registered handle");
             assert_eq!(
                 session.file().unwrap(),
                 &files[i][..],
                 "client {i} reconstructed the wrong bytes"
             );
-            verified += 1;
+            completed.push(*handle);
         }
     }
-    assert_eq!(
-        verified, sessions,
-        "every download verifies from the report"
-    );
+    completed.sort_unstable();
+    let mut expected = handles;
+    expected.sort_unstable();
+    assert_eq!(completed, expected);
+}
+
+#[test]
+fn event_loop_drives_64_concurrent_real_socket_clients_on_one_thread() {
+    // 65 session state machines and 64 receive sockets in one poller set,
+    // all on the one shard thread.
+    loopback_fleet_downloads_and_verifies(1, 64, 48700);
+}
+
+#[test]
+fn sharded_driver_downloads_over_real_sockets_on_two_shards() {
+    loopback_fleet_downloads_and_verifies(2, 8, 49500);
 }
 
 #[test]
