@@ -15,20 +15,6 @@
 //! `SimMulticast`); `hostile` sweeps Gilbert–Elliott bursty-loss parameters
 //! (plus reordering and duplication) through the adaptive receiver and
 //! reports completion, join/leave stability and reception efficiency.
-//! The additional `bench-json` mode (with optional `--pr=N` and `--out=PATH`,
-//! defaulting to `--pr=1` and `BENCH_pr<N>.json`) emits a machine-readable
-//! encode/decode-throughput report for the four Table 2/3 codes — plus a
-//! repeated-pattern Vandermonde decode row isolating the per-pattern inverse
-//! cache, a `proto_throughput` row measuring the client-side protocol
-//! path (`ClientSession::handle_datagram` over `SimMulticast`), a
-//! `driver_throughput` row (aggregate MB/s and sessions/s for 128
-//! concurrent downloads through the sharded `df_proto::Driver`, swept
-//! across 1/2/4 worker shards), and a
-//! `layered_efficiency` section recording convergence level, completion
-//! rounds and reception efficiency per bottleneck — used to track
-//! performance across PRs.  CI regenerates the report and
-//! `crates/bench/src/bin/perf_gate.rs` fails the build if any row shared
-//! with the committed baseline regressed beyond its tolerance.
 //! By default the harness runs *scaled-down* parameter sets (smaller maximum
 //! file sizes and fewer trials) so that `all` completes in a few minutes;
 //! pass `--full` for the paper's full sizes and trial counts (hours for the
@@ -463,7 +449,10 @@ fn layered() {
         "{:>12} {:>10} {:>8} {:>8} {:>10} {:>8} {:>8}",
         "bottleneck", "complete", "level", "rounds", "pkts/round", "eta", "eta_d"
     );
-    for r in df_bench::measure_layered_efficiency() {
+    // Bottlenecks of 1×, 3× and 7× the base-layer rate: the Figure 7 scenario.
+    let population =
+        df_sim::layered_population_experiment(500_000, 6, 2, 1, &[1.0, 3.0, 7.0], 42, 400);
+    for r in population {
         println!(
             "{:>12.1} {:>10} {:>8} {:>8} {:>10.0} {:>8.3} {:>8.3}",
             r.bottleneck,
@@ -585,28 +574,6 @@ fn main() {
         known.borrow_mut().push(name);
         what == name || what == "all"
     };
-    if what == "bench-json" {
-        // Machine-readable perf trajectory: encode/decode MB/s for all four
-        // codes at the 1 MB / 1 KB-packet operating point of Table 2 — the
-        // smallest size at which Tornado A has a real cascade (at 250 KB it
-        // degenerates to a single Reed–Solomon block) while every code still
-        // finishes in seconds.
-        let pr: u32 = args
-            .iter()
-            .find(|a| a.starts_with("--pr="))
-            .map(|a| a["--pr=".len()..].parse().expect("--pr must be a number"))
-            .unwrap_or(1);
-        let path = args
-            .iter()
-            .find(|a| a.starts_with("--out="))
-            .map(|a| a["--out=".len()..].to_string())
-            .unwrap_or_else(|| format!("BENCH_pr{pr}.json"));
-        let report = df_bench::bench_json_report(pr, 1000, PACKET_KB * 1024);
-        std::fs::write(&path, &report).expect("write benchmark report");
-        print!("{report}");
-        eprintln!("wrote {path}");
-        return;
-    }
     if run("table1") {
         table1();
         println!();
@@ -657,7 +624,7 @@ fn main() {
     }
     if what != "all" && !known.borrow().contains(&what.as_str()) {
         eprintln!(
-            "unknown experiment `{what}`; expected one of: {}, all, bench-json",
+            "unknown experiment `{what}`; expected one of: {}, all",
             known.borrow().join(", ")
         );
         std::process::exit(2);

@@ -68,7 +68,7 @@ impl TornadoProfile {
     /// every file size.  Before this recalibration the final block sat just
     /// above 256 packets for typical `k` (e.g. 500 at `k = 1000`), forcing
     /// GF(2^16) and making the MDS tail — a few percent of the packets —
-    /// dominate whole-file encode time (see BENCH_pr1.json).
+    /// dominate whole-file encode time.
     pub const fn tornado_a() -> Self {
         TornadoProfile {
             name: "tornado-a",

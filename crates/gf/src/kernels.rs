@@ -45,12 +45,11 @@
 //!    where it avoids pulling a fresh 256-byte table row into cache for a
 //!    handful of bytes.  It is **not** the machine-wide fallback: its 8-step
 //!    serial dependency chain measures ~3.6× *slower* than the scalar table
-//!    row on out-of-order x86 (see `benches/kernels.rs`), so machines without
+//!    row on out-of-order x86, so machines without
 //!    SSSE3 dispatch to the scalar row instead.
 //! 3. **Scalar reference** ([`scalar`]) — the original 256-entry-row loop,
-//!    retained as the semantic definition the other tiers must match, as the
-//!    baseline the Criterion benches compare against, and as the no-SIMD
-//!    dispatch target.
+//!    retained as the semantic definition the other tiers must match and as
+//!    the no-SIMD dispatch target.
 //!
 //! Dispatch happens **once per slice call**, not per byte.
 
@@ -232,8 +231,7 @@ pub fn mul_slice(coeff: u8, data: &mut [u8]) {
 
 /// Scalar reference kernels: one 256-entry table row, one byte at a time.
 ///
-/// These define the semantics the vectorized tiers are tested against, and
-/// serve as the baseline for the `kernels` Criterion bench.
+/// These define the semantics the vectorized tiers are tested against.
 pub mod scalar {
     /// Reference `dst[i] ^= coeff · src[i]`.
     ///

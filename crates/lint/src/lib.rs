@@ -19,7 +19,9 @@
 //!    (modulo whitespace).  Stale allowlist entries are also errors.
 //! 4. **doc-drift** — the wire-format constants quoted in DESIGN.md (magic,
 //!    version, header size, layer caps) are cross-checked against the code,
-//!    and `MAX_SCHEDULED_LAYERS` must stay single-sourced from `df_mcast`.
+//!    `MAX_SCHEDULED_LAYERS` must stay single-sourced from `df_mcast`, and a
+//!    root-level `*.md`/`*.json` file cited by bare name from a comment under
+//!    [`CITING_DIRS`] or from one of [`CITING_DOCS`] must exist.
 //! 5. **unsafe-posture** — every crate root (`crates/*/src/lib.rs`,
 //!    `shims/*/src/lib.rs`, the workspace root `src/lib.rs`) must declare
 //!    `#![forbid(unsafe_code)]` or `#![deny(unsafe_op_in_unsafe_fn)]`.
@@ -605,7 +607,7 @@ pub fn check_ffi_allowlist(files: &[(String, Vec<SourceLine>)]) -> Vec<Diagnosti
 }
 
 // ---------------------------------------------------------------------------
-// Rule 4: DESIGN.md wire-constant drift.
+// Rule 4: DESIGN.md wire-constant drift, and citations of root-level files.
 // ---------------------------------------------------------------------------
 
 /// The wire-format constants single-sourced in code (rule 4 inputs).
@@ -843,6 +845,57 @@ pub fn check_design_text(design: &str, c: &WireConstants) -> Vec<(usize, String)
                 1,
                 format!("DESIGN.md never states `{name}` — the drift check has nothing to pin"),
             ));
+        }
+    }
+    out
+}
+
+/// Source directories whose comments may cite root-level files (rule 4).
+pub const CITING_DIRS: &[&str] = &["crates/", "src/", "examples/", "shims/"];
+
+/// Documents whose whole text may cite root-level files (rule 4).
+pub const CITING_DOCS: &[&str] = &["DESIGN.md", "README.md", "shims/README.md"];
+
+/// The `*.md`/`*.json` file names `text` cites bare — `EXPERIMENTS.md`, but
+/// not the path `shims/README.md`, the glob `*.trace.json` or the template
+/// `<workload>.trace.json` — which is how this repository's comments refer to
+/// the files at its root.
+fn cited_root_files(text: &str) -> impl Iterator<Item = &str> {
+    fn is_name(c: char) -> bool {
+        c.is_ascii_alphanumeric() || c == '_' || c == '-'
+    }
+    [".md", ".json"].into_iter().flat_map(move |ext| {
+        text.match_indices(ext).filter_map(move |(dot, _)| {
+            let end = dot + ext.len();
+            if text[end..].starts_with(is_name) {
+                return None; // `.mdx`, `.json5`
+            }
+            let stem = text[..dot].trim_end_matches(is_name).len();
+            let bare = !text[..stem].ends_with(['/', '.', '*', '>']);
+            (stem < dot && bare).then(|| &text[stem..end])
+        })
+    })
+}
+
+/// Rule `doc-drift` over citations: every root-level `*.md`/`*.json` file
+/// that `lines` (the comments of a source file, or the lines of a document)
+/// cite by bare name must exist under `root`.
+pub fn check_root_citations<'a>(
+    file: &str,
+    lines: impl Iterator<Item = &'a str>,
+    root: &Path,
+) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
+    for (idx, line) in lines.enumerate() {
+        for name in cited_root_files(line) {
+            if !root.join(name).is_file() {
+                out.push(diag(
+                    file,
+                    idx + 1,
+                    "doc-drift",
+                    format!("cites `{name}`, which does not exist at the repository root"),
+                ));
+            }
         }
     }
     out
@@ -1228,10 +1281,21 @@ pub fn run(root: &Path) -> Vec<Diagnostic> {
         if is_crate_root(rel) {
             out.extend(check_unsafe_posture(rel, lines));
         }
+        if CITING_DIRS.iter().any(|dir| rel.starts_with(dir)) {
+            let comments = lines.iter().map(|l| l.comment.as_str());
+            out.extend(check_root_citations(rel, comments, root));
+        }
     }
     out.extend(check_ffi_allowlist(&files));
     out.extend(check_send_sync_audit(&files));
     out.extend(check_doc_drift(root));
+    for doc in CITING_DOCS {
+        // A missing DESIGN.md is check_doc_drift's finding; the other two
+        // documents cite nothing while they do not exist.
+        if let Ok(text) = std::fs::read_to_string(root.join(doc)) {
+            out.extend(check_root_citations(doc, text.lines(), root));
+        }
+    }
 
     out.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     out

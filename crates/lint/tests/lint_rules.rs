@@ -10,8 +10,8 @@ use std::path::{Path, PathBuf};
 
 use df_lint::{
     check_atomic_ordering, check_design_text, check_ffi_allowlist, check_lock_discipline,
-    check_safety_comments, check_send_sync_audit, check_unsafe_posture, check_wire_discipline, run,
-    split_comments, WireConstants,
+    check_root_citations, check_safety_comments, check_send_sync_audit, check_unsafe_posture,
+    check_wire_discipline, run, split_comments, WireConstants,
 };
 
 fn fixture(name: &str) -> (String, Vec<df_lint::SourceLine>) {
@@ -112,6 +112,20 @@ fn doc_drift_fires_on_seeded_control_version_drift() {
     let diags = check_design_text(&drifted, &consts);
     assert!(!diags.is_empty());
     assert!(diags.iter().all(|(line, _)| *line > 0));
+}
+
+#[test]
+fn doc_drift_fires_on_a_comment_citing_a_missing_root_file() {
+    let (file, lines) = fixture("missing_root_file.rs");
+    let comments = || lines.iter().map(|l| l.comment.as_str());
+    // Against the fixture directory, which has no such file.
+    let nowhere = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures");
+    let diags = check_root_citations(&file, comments(), &nowhere);
+    assert_eq!(diags.len(), 1, "only the bare name in a comment: {diags:?}");
+    assert_eq!((diags[0].line, diags[0].rule), (5, "doc-drift"));
+    assert!(diags[0].message.contains("EXPERIMENTS.md"));
+    // Against the repository root, where the file exists.
+    assert!(check_root_citations(&file, comments(), &repo_root()).is_empty());
 }
 
 #[test]
