@@ -7,6 +7,24 @@
 //! sender needs to communicate out of band (in the prototype protocol this
 //! travels on the UDP control channel together with the file length).
 //!
+//! # One live cascade per key
+//!
+//! Because a cascade is a pure function of that key, a process never needs
+//! two copies of one: [`TornadoCode::with_profile`] — which every other
+//! constructor here, every protocol session and [`crate::RaptorCode`] go
+//! through — hands back the cascade some other holder already keeps alive
+//! when there is one, and builds only when there is none.  The registry
+//! behind that (`LIVE_CODES`) holds [`Weak`] references only: a cascade
+//! lives exactly as long as a code, decoder or session holds it, the
+//! registry is never larger than the number of distinct codes currently
+//! held, and there is nothing to size, evict or configure.  A miss builds
+//! *outside* the lock, so one large construction never stalls another key's
+//! lookup; two threads that miss on the same key both build, the first to
+//! come back registers its cascade and the other adopts it and drops its
+//! own (the builds are identical by construction — the same benign race
+//! `df-rs`'s `InverseCache` documents).  [`Cascade::build`] stays the
+//! uncached primitive.
+//!
 //! # Example
 //!
 //! ```
@@ -37,27 +55,74 @@ use crate::error::Result;
 use crate::profile::{TornadoProfile, TORNADO_A, TORNADO_B};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
+
+/// The registry's shape: `(k, seed, profile name)` → the live cascades built
+/// from it.  The name stands in for the profile in the ordering (a profile
+/// holds floats, which have none); a bucket has more than one entry only
+/// when two profiles share a name and differ elsewhere, which
+/// [`shared_cascade`] tells apart with [`TornadoProfile`]'s `PartialEq`.
+type LiveCodes = BTreeMap<(usize, u64, &'static str), Vec<Weak<Cascade>>>;
+
+/// Every cascade some [`TornadoCode`] in this process currently holds.
+static LIVE_CODES: Mutex<LiveCodes> = Mutex::new(BTreeMap::new());
+
+fn registry() -> MutexGuard<'static, LiveCodes> {
+    // A panic under this lock can only come from an allocation inside one
+    // map operation, and those leave the map valid: a poisoned registry is
+    // still a correct one.
+    LIVE_CODES.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The live cascade for `(k, profile, seed)`, built first if there is none.
+fn shared_cascade(k: usize, profile: TornadoProfile, seed: u64) -> Result<Arc<Cascade>> {
+    let key = (k, seed, profile.name);
+    let find = |codes: &LiveCodes| {
+        let mut live = codes.get(&key)?.iter().filter_map(Weak::upgrade);
+        live.find(|cascade| *cascade.profile() == profile)
+    };
+    if let Some(cascade) = find(&registry()) {
+        return Ok(cascade);
+    }
+    // No lock is held here: an error registers nothing, and a long build
+    // blocks nobody.
+    let built = Arc::new(Cascade::build(k, profile, seed)?);
+    let mut codes = registry();
+    if let Some(raced) = find(&codes) {
+        return Ok(raced);
+    }
+    codes.retain(|_, bucket| {
+        bucket.retain(|cascade| cascade.strong_count() > 0);
+        !bucket.is_empty()
+    });
+    codes.entry(key).or_default().push(Arc::downgrade(&built));
+    Ok(built)
+}
 
 /// A Tornado erasure code with fixed `k`, stretch factor and graph structure.
 ///
 /// The cascade is held behind an [`Arc`], so cloning a `TornadoCode` — or
 /// creating an [`OwnedPayloadDecoder`] with [`TornadoCode::owned_decoder`] —
-/// shares the graph structure instead of copying it.
+/// shares the graph structure instead of copying it, and so does building
+/// the same `(k, profile, seed)` again while this one is alive (see the
+/// [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct TornadoCode {
     cascade: Arc<Cascade>,
 }
 
 impl TornadoCode {
-    /// Build a code from an explicit profile.
+    /// The code for an explicit profile: the process's live cascade for
+    /// `(k, profile, seed)` when some holder keeps one alive, a freshly built
+    /// one otherwise.
     ///
     /// # Errors
     ///
     /// See [`Cascade::build`].
     pub fn with_profile(k: usize, profile: TornadoProfile, seed: u64) -> Result<Self> {
         Ok(TornadoCode {
-            cascade: Arc::new(Cascade::build(k, profile, seed)?),
+            cascade: shared_cascade(k, profile, seed)?,
         })
     }
 
@@ -146,6 +211,16 @@ impl TornadoCode {
     /// See [`crate::encode::encode`].
     pub fn encode(&self, source: &[Vec<u8>]) -> Result<Vec<Vec<u8>>> {
         crate::encode::encode(&self.cascade, source)
+    }
+
+    /// [`Self::encode`] taking the source packets by value: they become the
+    /// first `k` encoding packets without being copied.
+    ///
+    /// # Errors
+    ///
+    /// See [`crate::encode::encode_owned`].
+    pub fn encode_owned(&self, source: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>> {
+        crate::encode::encode_owned(&self.cascade, source)
     }
 
     /// Create an incremental payload decoder borrowing this code's cascade.
@@ -297,6 +372,137 @@ mod tests {
             crate::FinalCode::Small(_)
         ));
         assert_eq!(a.expected_payload_len(a.n() - 1, 499), 499);
+    }
+
+    /// Live cascades registered under one key.  Each test below uses a key no
+    /// other test builds, so the parallel test threads cannot move its count.
+    fn live_codes(key: (usize, u64, &'static str)) -> usize {
+        registry().get(&key).map_or(0, |bucket| {
+            bucket.iter().filter(|c| c.strong_count() > 0).count()
+        })
+    }
+
+    #[test]
+    fn the_same_key_shares_one_cascade_and_any_other_key_does_not() {
+        let code = TornadoCode::new_a(611, 0xC0DE).unwrap();
+        let again = TornadoCode::with_profile(611, TORNADO_A, 0xC0DE).unwrap();
+        assert!(Arc::ptr_eq(&code.cascade, &again.cascade));
+        assert!(std::ptr::eq(code.cascade(), code.owned_decoder().cascade()));
+        assert_eq!(live_codes((611, 0xC0DE, TORNADO_A.name)), 1);
+
+        let distinct = |other: TornadoCode| {
+            assert!(!Arc::ptr_eq(&code.cascade, &other.cascade));
+            other
+        };
+        let _k = distinct(TornadoCode::new_a(612, 0xC0DE).unwrap());
+        let _seed = distinct(TornadoCode::new_a(611, 0xC0DF).unwrap());
+        // Every profile field is part of the key, the ones `name` does not
+        // imply included: each variant below keeps the name "tornado-a".
+        let variants = [
+            TornadoProfile {
+                distribution: crate::DegreeDistribution::heavy_tail(9),
+                ..TORNADO_A
+            },
+            TornadoProfile {
+                check_side: crate::CheckSide::Poisson,
+                ..TORNADO_A
+            },
+            TornadoProfile {
+                stretch_factor: 2.5,
+                ..TORNADO_A
+            },
+            TornadoProfile {
+                final_level_threshold: 300,
+                ..TORNADO_A
+            },
+            TornadoProfile {
+                final_level_divisor: 2,
+                ..TORNADO_A
+            },
+            TornadoProfile {
+                prefer_gf8_final: false,
+                ..TORNADO_A
+            },
+        ];
+        let held: Vec<TornadoCode> = variants
+            .iter()
+            .map(|&p| distinct(TornadoCode::with_profile(611, p, 0xC0DE).unwrap()))
+            .collect();
+        // One entry each: no two of them met in the registry either.
+        assert_eq!(live_codes((611, 0xC0DE, TORNADO_A.name)), 1 + held.len());
+        let _b = distinct(TornadoCode::new_b(611, 0xC0DE).unwrap());
+        assert_eq!(live_codes((611, 0xC0DE, TORNADO_B.name)), 1);
+    }
+
+    #[test]
+    fn a_registered_cascade_dies_with_its_last_holder() {
+        let key = (733, 0xDEAD, TORNADO_A.name);
+        assert_eq!(live_codes(key), 0);
+        let code = TornadoCode::new_a(733, 0xDEAD).unwrap();
+        let decoder = code.owned_decoder();
+        let clone = code.clone();
+        assert_eq!(live_codes(key), 1);
+        drop(code);
+        drop(clone);
+        // A decoder is a holder like any other.
+        assert_eq!(live_codes(key), 1);
+        assert!(std::ptr::eq(
+            decoder.cascade(),
+            TornadoCode::new_a(733, 0xDEAD).unwrap().cascade()
+        ));
+        drop(decoder);
+        assert_eq!(live_codes(key), 0);
+        // The next construction is a fresh build, and the dead entry it finds
+        // is swept rather than kept beside it.
+        let rebuilt = TornadoCode::new_a(733, 0xDEAD).unwrap();
+        assert_eq!(registry().get(&key).map(Vec::len), Some(1));
+        drop(rebuilt);
+        assert_eq!(live_codes(key), 0);
+    }
+
+    #[test]
+    fn concurrent_constructions_of_one_key_agree() {
+        const THREADS: usize = 8;
+        let start = std::sync::Barrier::new(THREADS);
+        let codes: Vec<TornadoCode> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        TornadoCode::new_a(877, 0xFACE)
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("no constructor panics").unwrap())
+                .collect()
+        });
+        let reference = Cascade::build(877, TORNADO_A, 0xFACE).unwrap();
+        for code in &codes {
+            assert_eq!(code.n(), reference.n());
+            assert_eq!(code.cascade().level_sizes(), reference.level_sizes());
+            assert_eq!(code.cascade().graphs()[0], reference.graphs()[0]);
+        }
+        // Racing misses each built, but only the first registered: everyone
+        // left holding the same cascade.
+        assert!(codes
+            .iter()
+            .all(|c| Arc::ptr_eq(&c.cascade, &codes[0].cascade)));
+        assert_eq!(live_codes((877, 0xFACE, TORNADO_A.name)), 1);
+    }
+
+    #[test]
+    fn a_failed_build_registers_nothing() {
+        assert!(TornadoCode::new_a(0, 0xBAD).is_err());
+        let flat = TornadoProfile {
+            stretch_factor: 1.0,
+            ..TORNADO_A
+        };
+        assert!(TornadoCode::with_profile(100, flat, 0xBAD).is_err());
+        let codes = registry();
+        assert!(!codes.contains_key(&(0, 0xBAD, TORNADO_A.name)));
+        assert!(!codes.contains_key(&(100, 0xBAD, TORNADO_A.name)));
     }
 
     #[test]

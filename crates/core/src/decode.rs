@@ -20,6 +20,13 @@
 //! The decoder is generic over [`Symbol`]: with `Vec<u8>` it produces real
 //! payloads, with [`crate::symbol::Mark`] it is the index-only decoder
 //! used by the reception-efficiency simulations (Figures 4–6).
+//!
+//! A decoder owns only its per-download state.  The graphs, and the checks'
+//! initial unknown-neighbour counts, belong to the [`Cascade`] — which every
+//! session of one code in a process shares (see [`crate::codec`]) — so
+//! creating a decoder is three allocations, one of them a copy, and a
+//! finished one can [`PeelingDecoder::release`] its packet values once the
+//! caller has written the file out of them.
 
 use crate::cascade::{Cascade, PacketRole};
 use crate::error::{Result, TornadoError};
@@ -84,11 +91,7 @@ impl<S: Symbol, C: Borrow<Cascade> + Clone> PeelingDecoder<S, C> {
         } else {
             c.rs_offset()
         };
-        let unknown_left: Vec<u32> = c
-            .graphs()
-            .iter()
-            .flat_map(|graph| (0..graph.right()).map(|pos| graph.check_neighbors(pos).len() as u32))
-            .collect();
+        let unknown_left = c.check_degrees().to_vec();
         debug_assert_eq!(unknown_left.len(), c.rs_offset() - check_base);
         let n = c.n();
         PeelingDecoder {
@@ -127,9 +130,25 @@ impl<S: Symbol, C: Borrow<Cascade> + Clone> PeelingDecoder<S, C> {
     }
 
     /// Packet values the decoder stores — its memory footprint in packets,
-    /// at most `n` whatever is fed.
+    /// at most `n` whatever is fed, and `0` after [`Self::release`].
     pub fn held(&self) -> usize {
         self.held
+    }
+
+    /// Let go of every packet value, for a caller that has copied what it
+    /// needs out of [`Self::source_iter`] and keeps the decoder only for its
+    /// counters.  Completion and the reception counts stay as they are;
+    /// [`Self::source_iter`] answers `None` from here on and every further
+    /// packet is a [`AddOutcome::Duplicate`] (so a decoder released before
+    /// it completed never completes).
+    pub fn release(&mut self) {
+        self.values = Vec::new();
+        self.held = 0;
+    }
+
+    /// `values` has a slot per packet (`n ≥ 2`) until it is released.
+    fn released(&self) -> bool {
+        self.values.is_empty()
     }
 
     /// Reception overhead so far: `received_total / k − 1`.
@@ -176,7 +195,7 @@ impl<S: Symbol, C: Borrow<Cascade> + Clone> PeelingDecoder<S, C> {
     }
 
     /// Validate `index`, count the reception, and report whether the packet
-    /// is a duplicate.
+    /// is a duplicate — as every packet is to a released decoder.
     fn register(&mut self, index: usize) -> Result<bool> {
         if index >= self.cascade.borrow().n() {
             return Err(TornadoError::MalformedInput {
@@ -187,7 +206,7 @@ impl<S: Symbol, C: Borrow<Cascade> + Clone> PeelingDecoder<S, C> {
             });
         }
         self.received_total += 1;
-        Ok(self.known[index])
+        Ok(self.known[index] || self.released())
     }
 
     /// Take ownership of a new packet's value and run peeling.
@@ -211,16 +230,16 @@ impl<S: Symbol, C: Borrow<Cascade> + Clone> PeelingDecoder<S, C> {
     }
 
     /// Borrow the recovered source packets, in order, if decoding is
-    /// complete.
+    /// complete and the values have not been [released](Self::release).
     pub fn source_iter(&self) -> Option<impl ExactSizeIterator<Item = &S> + '_> {
-        self.is_complete().then(|| {
+        (self.is_complete() && !self.released()).then(|| {
             self.values[..self.cascade.borrow().k()]
                 .iter()
                 .map(|v| v.as_ref().expect("known source packets are held"))
         })
     }
 
-    /// The recovered source packets, if decoding is complete.
+    /// The recovered source packets, if [`Self::source_iter`] has them.
     pub fn source(&self) -> Option<Vec<S>> {
         Some(self.source_iter()?.cloned().collect())
     }
@@ -572,6 +591,47 @@ mod tests {
         }
         assert_eq!(dec.held(), k);
         assert!(dec.source_iter().unwrap().eq(src.iter()));
+    }
+
+    #[test]
+    fn a_released_decoder_keeps_its_counters_and_nothing_else() {
+        let k = 300;
+        let cascade = Cascade::build(k, TORNADO_A, 13).unwrap();
+        let src = random_source(k, 16, 13);
+        let enc = encode_all(&cascade, &src);
+        let mut dec = PayloadDecoder::new(&cascade);
+        for (i, p) in enc.iter().enumerate().rev() {
+            if dec.add_packet_ref(i, p).unwrap() == AddOutcome::Complete {
+                break;
+            }
+        }
+        assert_eq!(dec.source().unwrap(), src);
+        let (distinct, total) = (dec.received_distinct(), dec.received_total());
+        dec.release();
+        assert_eq!(dec.held(), 0);
+        assert!(dec.is_complete() && dec.source_iter().is_none());
+        // Held or not before, every packet is a duplicate now; an index out
+        // of range is still an error.
+        for i in [0, k, cascade.n() - 1] {
+            assert_eq!(
+                dec.add_packet_ref(i, &enc[i]).unwrap(),
+                AddOutcome::Duplicate
+            );
+        }
+        assert!(dec.add_packet_ref(cascade.n(), &enc[0]).is_err());
+        assert_eq!(
+            (dec.received_distinct(), dec.received_total(), dec.held()),
+            (distinct, total + 3, 0)
+        );
+
+        // Released early, a decoder takes nothing more and never completes.
+        let mut early = PayloadDecoder::new(&cascade);
+        early.add_packet_ref(0, &enc[0]).unwrap();
+        early.release();
+        for (i, p) in enc.iter().enumerate() {
+            assert_eq!(early.add_packet_ref(i, p).unwrap(), AddOutcome::Duplicate);
+        }
+        assert!(!early.is_complete() && early.held() == 0);
     }
 
     #[test]

@@ -14,6 +14,22 @@ use df_gf::field::xor_slice;
 /// Produce the full encoding of `source`: `n` packets whose first `k` are the
 /// source packets themselves (the code is systematic).
 ///
+/// Clones `source` and hands the copy to [`encode_owned`]; a caller that is
+/// done with its packets calls that directly and saves the copy.
+///
+/// # Errors
+///
+/// See [`encode_owned`].
+pub fn encode(cascade: &Cascade, source: &[Vec<u8>]) -> Result<Vec<Vec<u8>>> {
+    // Sized for the whole encoding, so the by-value body never regrows it.
+    let mut owned = Vec::with_capacity(cascade.n().max(source.len()));
+    owned.extend_from_slice(source);
+    encode_owned(cascade, owned)
+}
+
+/// [`encode`] for a caller that gives its source packets up: they become the
+/// systematic prefix of the encoding as they are, uncopied.
+///
 /// Any packet length works: a GF(2^16) final block pads odd-length packets
 /// internally (its check packets then carry two extra bytes; see
 /// [`crate::cascade::FinalCode`]).
@@ -23,7 +39,7 @@ use df_gf::field::xor_slice;
 /// Returns [`TornadoError::MalformedInput`] if the source packet count does
 /// not match the cascade's `k` or the packets have inconsistent lengths, and
 /// propagates final-code errors.
-pub fn encode(cascade: &Cascade, source: &[Vec<u8>]) -> Result<Vec<Vec<u8>>> {
+pub fn encode_owned(cascade: &Cascade, source: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>> {
     if source.len() != cascade.k() {
         return Err(TornadoError::MalformedInput {
             reason: format!(
@@ -40,8 +56,8 @@ pub fn encode(cascade: &Cascade, source: &[Vec<u8>]) -> Result<Vec<Vec<u8>>> {
         });
     }
 
-    let mut encoding: Vec<Vec<u8>> = Vec::with_capacity(cascade.n());
-    encoding.extend(source.iter().cloned());
+    let mut encoding = source;
+    encoding.reserve_exact(cascade.n() - cascade.k());
 
     // Cascade levels: level i+1 packets are XORs over level i.
     for (level, graph) in cascade.graphs().iter().enumerate() {
@@ -112,6 +128,17 @@ mod tests {
                 assert_eq!(acc, enc[check_offset + c], "level {level} check {c}");
             }
         }
+    }
+
+    #[test]
+    fn the_by_value_encoder_keeps_the_source_buffers_as_its_prefix() {
+        let cascade = Cascade::build(300, TORNADO_A, 6).unwrap();
+        let src = random_source(300, 24, 6);
+        let by_ref = encode(&cascade, &src).unwrap();
+        let buffers: Vec<*const u8> = src.iter().map(|p| p.as_ptr()).collect();
+        let by_value = encode_owned(&cascade, src).unwrap();
+        assert_eq!(by_value, by_ref);
+        assert!(by_value.iter().zip(buffers).all(|(p, b)| p.as_ptr() == b));
     }
 
     #[test]

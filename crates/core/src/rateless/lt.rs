@@ -361,7 +361,7 @@ impl<S: Symbol> LtDecoder<S> {
 
     /// Number of source symbols.
     pub fn count(&self) -> usize {
-        self.known.len()
+        self.encoder.count()
     }
 
     /// The shared encoder (seed → equation derivation).
@@ -376,7 +376,25 @@ impl<S: Symbol> LtDecoder<S> {
 
     /// True once every source symbol is recovered.
     pub fn is_complete(&self) -> bool {
-        self.known_count == self.known.len()
+        self.known_count == self.count()
+    }
+
+    /// Let go of every symbol value and buffered equation, for a caller that
+    /// has copied what it needs out of [`Self::source_iter`] and keeps the
+    /// decoder only for its counters — the counterpart of
+    /// [`crate::PeelingDecoder::release`].  Completion and the reception
+    /// counts stay; [`Self::symbol`] and [`Self::source_iter`] answer `None`
+    /// from here on and every further symbol is a [`AddOutcome::Duplicate`].
+    pub fn release(&mut self) {
+        self.known = Vec::new();
+        self.pending = HashMap::new();
+        self.pending_edges = 0;
+        self.by_symbol = Vec::new();
+    }
+
+    /// `known` has a slot per symbol (`count ≥ 1`) until it is released.
+    fn released(&self) -> bool {
+        self.known.is_empty()
     }
 
     /// Symbols accepted, including duplicates.
@@ -411,9 +429,10 @@ impl<S: Symbol> LtDecoder<S> {
         std::mem::take(&mut self.newly)
     }
 
-    /// Borrow all source symbols, in order, once complete.
+    /// Borrow all source symbols, in order, once complete (and until
+    /// [released](Self::release)).
     pub fn source_iter(&self) -> Option<impl Iterator<Item = &S> + '_> {
-        self.is_complete()
+        (self.is_complete() && !self.released())
             .then(|| self.known.iter().filter_map(|s| s.as_ref()))
     }
 
@@ -433,7 +452,7 @@ impl<S: Symbol> LtDecoder<S> {
     /// XOR reduction meaningless).
     pub fn add_symbol(&mut self, seed: u64, value: S) -> AddOutcome {
         self.received_total += 1;
-        if self.is_complete() {
+        if self.is_complete() || self.released() {
             return AddOutcome::Duplicate;
         }
         if self.pending.contains_key(&seed) {

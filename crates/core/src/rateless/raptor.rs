@@ -205,9 +205,17 @@ impl<S: Symbol> RaptorDecoder<S> {
         self.inner.is_complete()
     }
 
-    /// Borrow the recovered source packets, in order, once complete.
+    /// Borrow the recovered source packets, in order, once complete (and
+    /// until [released](Self::release)).
     pub fn source_iter(&self) -> Option<impl Iterator<Item = &S> + '_> {
         self.inner.source_iter()
+    }
+
+    /// Let go of every intermediate and source value in both layers; see
+    /// [`PeelingDecoder::release`] and [`LtDecoder::release`].
+    pub fn release(&mut self) {
+        self.lt.release();
+        self.inner.release();
     }
 
     /// The recovered source packets, once complete.
@@ -355,6 +363,16 @@ mod tests {
             assert!(seed < 1000 + 10 * k as u64, "decode did not converge");
         }
         assert_eq!(dec.source().unwrap(), src);
+
+        // Released, both layers hold nothing and take nothing; what was
+        // counted stays counted.
+        let received = dec.received_distinct();
+        dec.release();
+        assert!(dec.is_complete() && dec.source_iter().is_none());
+        assert_eq!((dec.pending_equations(), dec.pending_edges()), (0, 0));
+        let sym = code.encode_symbol(seed, &inter).unwrap();
+        assert_eq!(dec.add_symbol(seed, sym).unwrap(), AddOutcome::Duplicate);
+        assert_eq!(dec.received_distinct(), received);
     }
 
     #[test]

@@ -41,6 +41,14 @@
 //!    order — the discipline that makes the loom deadlock check
 //!    (`detects_lock_order_inversion_deadlock`) stay vacuous in production
 //!    code.
+//! 9. **global-state** — a `static` under `crates/*/src` (outside
+//!    `#[cfg(test)]`) that can change after initialisation — `static mut`, or
+//!    a type that mentions `Mutex`, `RwLock` or an `Atomic*` — must match a
+//!    row of [`GLOBAL_STATE_ALLOWLIST`] verbatim (modulo whitespace).
+//!    Process-wide state outlives every test's set-up and couples callers
+//!    that share nothing else; the diff to the table is where each instance
+//!    gets argued for.  Write-once tables (`OnceLock`/`LazyLock` around plain
+//!    data) are constants and exempt by construction.  Stale rows are errors.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -1213,6 +1221,126 @@ pub fn check_lock_discipline(file: &str, lines: &[SourceLine]) -> Vec<Diagnostic
     out
 }
 
+// ---------------------------------------------------------------------------
+// Rule 9: process-wide mutable state allowlist.
+// ---------------------------------------------------------------------------
+
+/// One allowlisted mutable `static`.
+#[derive(Debug, Clone, Copy)]
+pub struct GlobalStateEntry {
+    /// Repo-relative path (with `/` separators) the static may live in.
+    pub file: &'static str,
+    /// The declaration up to (not including) its initialiser, compared
+    /// whitespace-insensitively.
+    pub declaration: &'static str,
+}
+
+/// Every `static` under `crates/*/src` that changes after initialisation.
+///
+/// State of this kind is shared by every caller in the process whether they
+/// know of each other or not, so each row needs an argument for why that is
+/// sound — adding one means adding it here *in the same PR*.  The one row is
+/// the code registry: it holds `Weak` references only, so it keeps nothing
+/// alive and two callers that meet in it observe nothing but a shared,
+/// immutable cascade (see `codec.rs`'s module docs).
+pub const GLOBAL_STATE_ALLOWLIST: &[GlobalStateEntry] = &[GlobalStateEntry {
+    file: "crates/core/src/codec.rs",
+    // Wrapped so that a grep of `crates/*/src` for statics of these types
+    // prints the declarations themselves and not this table.
+    declaration: "static LIVE_CODES: \
+                  Mutex<LiveCodes>",
+}];
+
+/// True when a `static` declaration (`static [mut] NAME: TYPE`) names state
+/// that can change after initialisation.
+fn is_mutable_static(decl: &str) -> bool {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    let ty = decl.split_once(':').map_or("", |(_, ty)| ty);
+    decl.starts_with("static mut ")
+        || ty
+            .split(|c| !is_ident(c))
+            .any(|word| word == "Mutex" || word == "RwLock" || word.starts_with("Atomic"))
+}
+
+/// Extract the mutable `static` declarations outside `#[cfg(test)]` regions
+/// (up to the initialiser), with 1-based line numbers.
+pub fn collect_mutable_statics(lines: &[SourceLine]) -> Vec<(usize, String)> {
+    let in_test = test_region_mask(lines);
+    let mut out = Vec::new();
+    for (i, line) in lines.iter().enumerate() {
+        if in_test[i] {
+            continue;
+        }
+        // `'static` is a lifetime, not a declaration.
+        let Some(pos) =
+            keyword_positions(&line.code, "static").find(|&p| !line.code[..p].ends_with('\''))
+        else {
+            continue;
+        };
+        // The declaration may wrap: read on to its `=` (or `;`, in an
+        // `extern` block).
+        let mut decl = line.code[pos..].to_string();
+        for next in &lines[i + 1..] {
+            if decl.contains(['=', ';']) {
+                break;
+            }
+            decl.push(' ');
+            decl.push_str(&next.code);
+        }
+        let end = decl.find(['=', ';']).unwrap_or(decl.len());
+        let decl = decl[..end].split_whitespace().collect::<Vec<_>>().join(" ");
+        if is_mutable_static(&decl) {
+            out.push((i + 1, decl));
+        }
+    }
+    out
+}
+
+/// Rule `global-state`: every mutable `static` under `crates/*/src` must be
+/// in [`GLOBAL_STATE_ALLOWLIST`]; stale allowlist rows are flagged too.
+pub fn check_global_state(files: &[(String, Vec<SourceLine>)]) -> Vec<Diagnostic> {
+    let mut out = Vec::new();
+    let mut matched = vec![false; GLOBAL_STATE_ALLOWLIST.len()];
+    for (file, lines) in files {
+        let mut parts = file.split('/');
+        if (parts.next(), parts.nth(1)) != (Some("crates"), Some("src")) {
+            continue;
+        }
+        for (line, decl) in collect_mutable_statics(lines) {
+            let norm = normalize_signature(&decl);
+            let hit = GLOBAL_STATE_ALLOWLIST
+                .iter()
+                .position(|e| e.file == file && normalize_signature(e.declaration) == norm);
+            match hit {
+                Some(idx) => matched[idx] = true,
+                None => out.push(diag(
+                    file,
+                    line,
+                    "global-state",
+                    format!(
+                        "`{decl}` is process-wide mutable state not in the df-lint \
+                         allowlist (crates/lint/src/lib.rs GLOBAL_STATE_ALLOWLIST)"
+                    ),
+                )),
+            }
+        }
+    }
+    for (entry, hit) in GLOBAL_STATE_ALLOWLIST.iter().zip(&matched) {
+        if !hit {
+            out.push(diag(
+                "crates/lint/src/lib.rs",
+                1,
+                "global-state",
+                format!(
+                    "stale global-state allowlist entry: `{}` not found in {}",
+                    entry.declaration, entry.file
+                ),
+            ));
+        }
+    }
+    out
+}
+
 fn is_crate_root(rel: &str) -> bool {
     rel == "src/lib.rs"
         || ((rel.starts_with("crates/") || rel.starts_with("shims/"))
@@ -1288,6 +1416,7 @@ pub fn run(root: &Path) -> Vec<Diagnostic> {
     }
     out.extend(check_ffi_allowlist(&files));
     out.extend(check_send_sync_audit(&files));
+    out.extend(check_global_state(&files));
     out.extend(check_doc_drift(root));
     for doc in CITING_DOCS {
         // A missing DESIGN.md is check_doc_drift's finding; the other two

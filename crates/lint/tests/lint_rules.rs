@@ -9,9 +9,9 @@
 use std::path::{Path, PathBuf};
 
 use df_lint::{
-    check_atomic_ordering, check_design_text, check_ffi_allowlist, check_lock_discipline,
-    check_root_citations, check_safety_comments, check_send_sync_audit, check_unsafe_posture,
-    check_wire_discipline, run, split_comments, WireConstants,
+    check_atomic_ordering, check_design_text, check_ffi_allowlist, check_global_state,
+    check_lock_discipline, check_root_citations, check_safety_comments, check_send_sync_audit,
+    check_unsafe_posture, check_wire_discipline, run, split_comments, WireConstants,
 };
 
 fn fixture(name: &str) -> (String, Vec<df_lint::SourceLine>) {
@@ -157,6 +157,62 @@ fn send_sync_rule_fires_on_unlisted_impl_and_stale_rows() {
     assert!(diags
         .iter()
         .any(|d| d.message.contains("stale Send/Sync allowlist entry")));
+}
+
+#[test]
+fn global_state_rule_fires_on_unlisted_mutable_statics_and_stale_rows() {
+    let (_, lines) = fixture("global_state.rs");
+    let files = vec![("crates/evil/src/lib.rs".to_string(), lines.clone())];
+    let diags = check_global_state(&files);
+    let hits: Vec<(usize, &str)> = diags
+        .iter()
+        .filter(|d| d.file == "crates/evil/src/lib.rs")
+        .map(|d| (d.line, d.rule))
+        .collect();
+    assert_eq!(
+        hits,
+        [
+            (11, "global-state"),
+            (13, "global-state"),
+            (17, "global-state")
+        ],
+        "the atomic, the wrapped mutex and the static mut; not the OnceLock \
+         table, the lifetime or the test mod: {diags:?}"
+    );
+    assert!(diags[1]
+        .message
+        .contains("OnceLock< Mutex<Option<String>>, >"));
+    // With no codec.rs among the files, the registry's row is stale.
+    assert!(diags
+        .iter()
+        .any(|d| d.message.contains("stale global-state allowlist entry")));
+
+    // The rule's scope is crates/*/src: a shim, an example or a test may
+    // keep what state it likes (and the row is still stale).
+    for outside in [
+        "shims/loom/src/rt.rs",
+        "examples/quickstart.rs",
+        "crates/proto/tests/liveness.rs",
+    ] {
+        let diags = check_global_state(&[(outside.to_string(), lines.clone())]);
+        assert_eq!(diags.len(), 1, "{outside}: {diags:?}");
+    }
+}
+
+#[test]
+fn global_state_rule_is_silent_on_the_allowlisted_registry() {
+    let (_, lines) = fixture("global_state_clean.rs");
+    let files = vec![("crates/core/src/codec.rs".to_string(), lines.clone())];
+    assert_eq!(check_global_state(&files), []);
+    // The row names its file: the same declaration elsewhere is not covered.
+    let files = vec![("crates/proto/src/server.rs".to_string(), lines)];
+    let diags = check_global_state(&files);
+    assert!(
+        diags
+            .iter()
+            .any(|d| d.file == "crates/proto/src/server.rs" && d.line == 10),
+        "{diags:?}"
+    );
 }
 
 #[test]

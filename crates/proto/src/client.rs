@@ -19,6 +19,15 @@
 //! filter come first, so the decoder holds at most `n` payloads whatever a
 //! channel — honest or forged — delivers, and a receiver that keeps
 //! listening always finishes.
+//!
+//! What a session costs beyond its packets is small on purpose.  The code it
+//! rebuilds is the process's one live cascade for the announced
+//! `(k, profile, code_seed)` ([`df_core::codec`]): the first session of a
+//! file builds it, every later one — and the server session itself, when it
+//! lives in the same process — finds it alive, so a swarm of receivers pays
+//! for one graph.  And a finished session holds its file once: the decoder's
+//! packet values are released the moment [`ClientSession::file`] is written
+//! from them, leaving only the counters behind.
 
 use crate::control::ControlInfo;
 use crate::layered::LayerController;
@@ -494,7 +503,8 @@ impl ClientSession {
 
     /// Payloads the decode machinery holds: packet values inside the peeling
     /// decoder (carousel) or undecoded equations (rateless).  Never more than
-    /// [`Self::buffer_cap`].
+    /// [`Self::buffer_cap`], and `0` once the download is complete: the
+    /// decoder's values are released as soon as [`Self::file`] is written.
     pub fn held_packets(&self) -> usize {
         match &self.backend {
             Backend::Carousel { decoder, .. } => decoder.held(),
@@ -589,8 +599,13 @@ impl ClientSession {
                 if let Ok(df_core::AddOutcome::Complete) =
                     decoder.add_packet(idx, pkt.payload.to_vec())
                 {
-                    if let Some(source) = decoder.source_iter() {
-                        self.file = Some(reassemble_file(source, self.control.file_len));
+                    let file = decoder
+                        .source_iter()
+                        .map(|source| reassemble_file(source, self.control.file_len));
+                    if file.is_some() {
+                        self.file = file;
+                        // The file is the one copy worth keeping.
+                        decoder.release();
                         return ClientEvent::Complete;
                     }
                 }
@@ -626,6 +641,7 @@ impl ClientSession {
                         match receiver.file(self.control.file_len) {
                             Some(file) => {
                                 self.file = Some(file);
+                                receiver.release();
                                 ClientEvent::Complete
                             }
                             // Completion without source() would be a decoder
@@ -680,15 +696,56 @@ mod tests {
     #[test]
     fn a_lossless_one_group_download_takes_exactly_k_receptions() {
         // The carousel opens with the source packets, so the k-th reception
-        // completes the download — and completes it as a copy: the decoder
-        // holds the k payloads it was fed and built nothing.
-        let (client, data) = run_download(0.0, 1, 200_000);
+        // completes the download — and completes it as a copy: up to then the
+        // decoder holds exactly the payloads it was fed and built nothing.
+        let data: Vec<u8> = (0..200_000).map(|i| (i * 131 % 251) as u8).collect();
+        let mut server = ServerSession::with_defaults(&data, 1, 7).unwrap();
+        let mut client = ClientSession::new(server.control_info().clone()).unwrap();
+        assert_eq!(client.stats().k(), 400);
+        for fed in 1..400 {
+            let (_group, datagram) = server.poll_transmit().unwrap();
+            assert_eq!(client.handle_datagram(datagram), ClientEvent::Buffered);
+            assert_eq!(client.held_packets(), fed);
+        }
+        assert!(!client.is_complete());
+        let (_group, datagram) = server.poll_transmit().unwrap();
+        assert_eq!(
+            client.handle_datagram(datagram.clone()),
+            ClientEvent::Complete
+        );
         assert_eq!(client.file().unwrap(), &data[..]);
         let stats = client.stats();
-        assert_eq!(stats.k(), 400);
         assert_eq!((stats.received(), stats.distinct()), (400, 400));
-        assert_eq!(client.held_packets(), 400);
         assert_eq!((stats.decode_attempts(), stats.rejected()), (0, 0));
+        // The file is held once: the decoder let its packets go, and the
+        // session goes on serving the file and answering late datagrams.
+        assert_eq!(client.held_packets(), 0);
+        assert_eq!(client.handle_datagram(datagram), ClientEvent::Complete);
+        let (_group, late) = server.poll_transmit().unwrap();
+        assert_eq!(client.handle_datagram(late), ClientEvent::Complete);
+        assert_eq!(client.file().unwrap(), &data[..]);
+        assert_eq!(client.stats().received(), 400);
+    }
+
+    #[test]
+    fn a_swarm_of_one_session_shares_its_servers_cascade() {
+        let server = ServerSession::with_defaults(&[3u8; 60_000], 1, 0x5AAB).unwrap();
+        let cascade = server.code().unwrap().shared_cascade();
+        let alone = std::sync::Arc::strong_count(&cascade);
+        let clients: Vec<ClientSession> = (0..256)
+            .map(|_| ClientSession::new(server.control_info().clone()).unwrap())
+            .collect();
+        // Every client's code and decoder are handles on the server's own
+        // cascade: there is no second one to hold.
+        for client in &clients {
+            let Backend::Carousel { code, decoder } = &client.backend else {
+                panic!("a carousel session");
+            };
+            assert!(std::ptr::eq(code.cascade(), &*cascade));
+            assert!(std::ptr::eq(decoder.cascade(), &*cascade));
+        }
+        drop(clients);
+        assert_eq!(std::sync::Arc::strong_count(&cascade), alone);
     }
 
     #[test]
@@ -1104,6 +1161,7 @@ mod tests {
         let (client, data) = run_rateless_download(RatelessMode::Lt, 0.3, 30_000, 500, 0);
         assert!(client.is_complete());
         assert_eq!(client.file().unwrap(), &data[..]);
+        assert_eq!(client.held_packets(), 0, "released at completion");
         let stats = client.stats();
         // Every rateless symbol is fresh: distinctness is exactly 1.
         assert_eq!(stats.distinctness_efficiency(), 1.0);
@@ -1116,9 +1174,20 @@ mod tests {
         // 499-byte packets force the GF(2^16) two-byte intermediate padding
         // through the whole wire path: symbols are 501 bytes, yet the
         // reassembled file must be byte-exact.
-        let (client, data) = run_rateless_download(RatelessMode::Raptor, 0.2, 49_900, 499, 0);
+        let (mut client, data) = run_rateless_download(RatelessMode::Raptor, 0.2, 49_900, 499, 0);
         assert!(client.is_complete());
         assert_eq!(client.file().unwrap(), &data[..]);
+        // Both decoder layers let go at completion; the session still
+        // answers (and ignores the content of) whatever arrives late.
+        assert_eq!(client.held_packets(), 0);
+        let Backend::Rateless(receiver) = &mut client.backend else {
+            panic!("a rateless session");
+        };
+        assert_eq!(
+            receiver.add(u64::MAX, vec![0; receiver.payload_len()]),
+            df_core::AddOutcome::Duplicate
+        );
+        assert!(receiver.is_complete() && receiver.file(49_900).is_none());
         assert_eq!(client.stats().distinctness_efficiency(), 1.0);
     }
 

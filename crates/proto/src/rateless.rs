@@ -315,6 +315,17 @@ impl RatelessReceiver {
         }
     }
 
+    /// Let go of the decoder's symbol values once [`RatelessReceiver::file`]
+    /// has been taken: [`RatelessReceiver::pending_equations`] is `0` from
+    /// here on, `file` answers `None`, and completion and the reception
+    /// counts stay as they are.
+    pub fn release(&mut self) {
+        match &mut self.inner {
+            Inner::Lt(d) => d.release(),
+            Inner::Raptor(d) => d.release(),
+        }
+    }
+
     /// The reconstructed file once complete, written once from the decoder's
     /// own packets — each cut back to the session packet size on the way
     /// (Raptor intermediates may carry GF(2^16) padding bytes that must not

@@ -7,6 +7,11 @@
 //! fairly, and answers [`ControlRequest`]s — the whole of Section 7.1's
 //! deployed server, minus the I/O, which belongs to whatever driver loop owns
 //! the [`crate::Transport`].
+//!
+//! A carousel session's code is the process's live cascade for its
+//! `(k, profile, code_seed)` (see [`df_core::codec`]), so the receivers of a
+//! session that run in the same process — a test, a simulation, the
+//! benchmark — decode over the very graph it encoded with.
 
 use crate::control::{ControlInfo, ControlRequest, ControlResponse};
 use crate::rateless::{seed_to_words, RatelessMode, RatelessSender};
@@ -127,7 +132,10 @@ impl ServerSession {
             return Self::new_rateless(&file, config);
         }
         let code = TornadoCode::with_profile(file.num_packets(), config.profile, config.code_seed)?;
-        let encoding = code.encode(file.packets())?;
+        let file_len = file.file_len();
+        // The packets move into the encoding as its systematic prefix: the
+        // session never holds the file a second time.
+        let encoding = code.encode_owned(file.into_packets())?;
         let layered = if config.sp_interval > 0 {
             Some(LayeredSession::new(
                 config.layers,
@@ -141,7 +149,7 @@ impl ServerSession {
         let schedule = TransmissionSchedule::new(config.layers, code.n());
         let control = ControlInfo {
             session_id: config.session_id,
-            file_len: file.file_len(),
+            file_len,
             packet_size: config.packet_size,
             k: code.k(),
             n: code.n(),
