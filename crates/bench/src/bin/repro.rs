@@ -537,8 +537,8 @@ fn rateless() {
             );
         }
     }
-    println!("(overhead = received/k at completion; shrinks toward the k = 1000 acceptance");
-    println!(" point of 1.15, with Raptor's precode beating plain LT at every size)");
+    println!("(overhead = received/k at completion; both modes decode by inactivation, so it");
+    println!(" falls toward 1.00 as k grows, far inside the k = 1000 acceptance point of 1.15)");
     println!();
     println!("-- Late join, 98% loss: the carousel pays duplicates, the fountain does not --");
     println!(

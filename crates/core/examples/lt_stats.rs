@@ -1,109 +1,71 @@
-//! Scratch calibration harness for the rateless LT/Raptor overhead numbers.
+//! Scratch harness for the rateless decoder's operating point: reception
+//! overhead and how many symbols the solver had to inactivate, per mode and
+//! `k`, over seeded symbolic decodes.
 //!
 //! Not part of the test suite; run with
 //! `cargo run -p df-core --release --example lt_stats`.
 
 use df_core::rateless::{LtDecoder, LtEncoder};
-use df_core::{Mark, RaptorCode};
+use df_core::{Mark, RaptorCode, LT_DEFAULT_C, LT_DEFAULT_DELTA};
 
-fn lt_trial(k: usize, c: f64, delta: f64, seed: u64) -> (f64, usize) {
-    let enc = LtEncoder::new(k, c, delta, seed).unwrap();
-    let mut dec = LtDecoder::<Mark>::new(enc);
+/// `(received / k, inactivated symbols)` of one decode fed by `add`, which
+/// takes a seed and says whether the decode is complete.
+fn trial(k: usize, seed: u64, mut add: impl FnMut(u64) -> (bool, usize)) -> (f64, usize) {
     let mut sent = 0u64;
-    let mut max_missing_at_stall = 0usize;
-    while !dec.is_complete() {
-        dec.add_symbol(seed.wrapping_mul(1_000_003).wrapping_add(sent), Mark);
+    loop {
+        let (complete, inactive) = add(seed.wrapping_mul(1_000_003).wrapping_add(sent));
         sent += 1;
-        if sent >= k as u64 {
-            let missing = dec.count() - dec.known();
-            if missing > 0 {
-                max_missing_at_stall = missing;
-            }
+        if complete {
+            return (sent as f64 / k as f64, inactive);
         }
-        assert!(sent < 4 * k as u64 + 1000);
+        assert!(sent < 4 * k as u64 + 1000, "decode runaway at k = {k}");
     }
-    (sent as f64 / k as f64, max_missing_at_stall)
 }
 
-fn raptor_table_trial(k: usize, stretch: f64, seed: u64) -> f64 {
-    let mut profile = df_core::RAPTOR_PRECODE;
-    profile.stretch_factor = stretch;
-    let code = RaptorCode::with_profile(k, profile, seed).unwrap();
-    let mut dec = code.symbolic_decoder();
-    let mut sent = 0u64;
-    while !dec.is_complete() {
-        dec.add_mark(seed.wrapping_mul(1_000_003).wrapping_add(sent))
-            .unwrap();
-        sent += 1;
-        assert!(sent < 4 * k as u64 + 1000);
-    }
-    sent as f64 / k as f64
+fn lt_trial(k: usize, seed: u64) -> (f64, usize) {
+    let enc = LtEncoder::new(k, LT_DEFAULT_C, LT_DEFAULT_DELTA, seed).unwrap();
+    let mut dec = LtDecoder::<Mark>::new(enc);
+    trial(k, seed, |s| {
+        dec.add_symbol(s, Mark);
+        (dec.is_complete(), dec.inactive_symbols())
+    })
 }
 
-fn raptor_soliton_trial(k: usize, c: f64, delta: f64, stretch: f64, seed: u64) -> f64 {
-    let mut profile = df_core::RAPTOR_PRECODE;
-    profile.stretch_factor = stretch;
-    let code = RaptorCode::with_profile_and_soliton(k, profile, c, delta, seed).unwrap();
+fn raptor_trial(k: usize, seed: u64) -> (f64, usize) {
+    let code = RaptorCode::new(k, seed).unwrap();
     let mut dec = code.symbolic_decoder();
-    let mut sent = 0u64;
-    while !dec.is_complete() {
-        dec.add_mark(seed.wrapping_mul(1_000_003).wrapping_add(sent))
-            .unwrap();
-        sent += 1;
-        assert!(sent < 4 * k as u64 + 1000);
-    }
-    sent as f64 / k as f64
+    trial(k, seed, |s| {
+        dec.add_mark(s).unwrap();
+        (dec.is_complete(), dec.inactive_symbols())
+    })
 }
 
 fn main() {
-    let k = 1000;
-    println!("== plain LT, k = {k} ==");
-    for (c, delta) in [
-        (0.03, 0.5),
-        (0.05, 0.5),
-        (0.1, 0.5),
-        (0.03, 0.1),
-        (0.1, 0.05),
+    println!("mode    k      trials  overhead mean / p95 / max     inactive mean / max");
+    for (k, trials) in [
+        (64usize, 200u64),
+        (150, 200),
+        (512, 100),
+        (1000, 100),
+        (4096, 40),
+        (16384, 10),
     ] {
-        let mut ovs: Vec<f64> = Vec::new();
-        let mut stall_sum = 0usize;
-        for t in 0..100u64 {
-            let (ov, stall) = lt_trial(k, c, delta, 0xACCE_5500 + t);
-            ovs.push(ov);
-            stall_sum += stall;
+        for (mode, run) in [
+            ("lt", lt_trial as fn(usize, u64) -> (f64, usize)),
+            ("raptor", raptor_trial),
+        ] {
+            let mut results: Vec<(f64, usize)> =
+                (0..trials).map(|t| run(k, 0xACCE_5500 + t)).collect();
+            results.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let n = results.len();
+            let mean = results.iter().map(|r| r.0).sum::<f64>() / n as f64;
+            let inactive_mean = results.iter().map(|r| r.1).sum::<usize>() as f64 / n as f64;
+            let inactive_max = results.iter().map(|r| r.1).max().unwrap_or(0);
+            println!(
+                "{mode:<7} {k:<6} {trials:<7} {mean:.4} / {:.4} / {:.4}          {inactive_mean:.0} / {inactive_max}",
+                results[n * 95 / 100 - 1].0,
+                results[n - 1].0,
+            );
         }
-        ovs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let mean = ovs.iter().sum::<f64>() / ovs.len() as f64;
-        let within = ovs.iter().filter(|&&o| o <= 1.15).count();
-        println!(
-            "c={c:<5} d={delta:<5} mean={mean:.4} p50={:.4} p95={:.4} max={:.4} within1.15={within}/100 avg-late-missing={}",
-            ovs[49], ovs[94], ovs[99], stall_sum / 100
-        );
-    }
-    println!("== raptor (fixed table), k = {k} ==");
-    for stretch in [1.02, 1.03, 1.05, 1.08] {
-        let mut ovs: Vec<f64> = Vec::new();
-        for t in 0..100u64 {
-            ovs.push(raptor_table_trial(k, stretch, 0xBEEF_0000 + t));
-        }
-        ovs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let mean = ovs.iter().sum::<f64>() / ovs.len() as f64;
-        println!(
-            "stretch={stretch:<5} mean={mean:.4} p50={:.4} p95={:.4} max={:.4}",
-            ovs[49], ovs[94], ovs[99]
-        );
-    }
-    println!("== raptor (soliton layer, for comparison), k = {k} ==");
-    for (c, delta, stretch) in [(0.01, 0.5, 1.05), (0.03, 0.5, 1.05)] {
-        let mut ovs: Vec<f64> = Vec::new();
-        for t in 0..40u64 {
-            ovs.push(raptor_soliton_trial(k, c, delta, stretch, 0xBEEF_0000 + t));
-        }
-        ovs.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let mean = ovs.iter().sum::<f64>() / ovs.len() as f64;
-        println!(
-            "c={c:<6} d={delta:<5} stretch={stretch:<5} mean={mean:.4} p50={:.4} max={:.4}",
-            ovs[19], ovs[39]
-        );
     }
 }

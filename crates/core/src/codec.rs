@@ -11,8 +11,7 @@
 //!
 //! Because a cascade is a pure function of that key, a process never needs
 //! two copies of one: [`TornadoCode::with_profile`] — which every other
-//! constructor here, every protocol session and [`crate::RaptorCode`] go
-//! through — hands back the cascade some other holder already keeps alive
+//! constructor here and every carousel session go through — hands back the cascade some other holder already keeps alive
 //! when there is one, and builds only when there is none.  The registry
 //! behind that (`LIVE_CODES`) holds [`Weak`] references only: a cascade
 //! lives exactly as long as a code, decoder or session holds it, the

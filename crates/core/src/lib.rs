@@ -71,9 +71,9 @@ pub use file::{reassemble_file, PacketizedFile};
 pub use fountain::{Carousel, PacketStream, ReceptionCounter};
 pub use graph::{BipartiteGraph, CheckSide};
 pub use overhead::OverheadStats;
-pub use profile::{TornadoProfile, RAPTOR_PRECODE, TORNADO_A, TORNADO_B};
+pub use profile::{TornadoProfile, TORNADO_A, TORNADO_B};
 pub use rateless::{
     DegreeTable, LtDecoder, LtEncoder, LtEquation, RaptorCode, RaptorDecoder, RobustSoliton,
-    INACTIVATION_CAP, LT_DEFAULT_C, LT_DEFAULT_DELTA, RAPTOR_DEGREE_TABLE,
+    INACTIVATION_CAP, LT_DEFAULT_C, LT_DEFAULT_DELTA, PRECODE_DEGREE, RAPTOR_DEGREE_TABLE,
 };
 pub use symbol::{Mark, Symbol};

@@ -104,33 +104,8 @@ impl TornadoProfile {
         }
     }
 
-    /// The Raptor precode profile: a low-stretch cascade whose redundancy
-    /// sits almost entirely in the final MDS block.
-    ///
-    /// The rateless Raptor construction (`df_core::rateless::RaptorCode`)
-    /// LT-encodes over this cascade's full encoding.  The precode's only job
-    /// is to repair the intermediate symbols the LT layer leaves unrecovered,
-    /// so what matters is *reception* overhead, not decode speed: with the
-    /// enormous threshold below the cascade usually has no XOR levels at all
-    /// for bench-scale `k` and degenerates to `k` source packets plus an MDS
-    /// tail — which any `k` distinct intermediates complete, i.e. a
-    /// zero-overhead precode.  For `k` beyond the threshold the normal
-    /// cascade construction resumes and keeps the final block inside
-    /// GF(2^16).
-    pub const fn raptor_precode() -> Self {
-        TornadoProfile {
-            name: "raptor-pre",
-            distribution: DegreeDistribution::heavy_tail(8),
-            check_side: CheckSide::Regular,
-            stretch_factor: 1.05,
-            final_level_threshold: 60_000,
-            final_level_divisor: 16,
-            prefer_gf8_final: false,
-        }
-    }
-
     /// Look a built-in profile up by its wire name (`"tornado-a"`,
-    /// `"tornado-b"`, `"raptor-pre"`).
+    /// `"tornado-b"`).
     ///
     /// Returns `None` for unknown names; protocol layers should surface that
     /// as a malformed-input error rather than silently substituting a default
@@ -139,7 +114,6 @@ impl TornadoProfile {
         match name {
             "tornado-a" => Some(TORNADO_A),
             "tornado-b" => Some(TORNADO_B),
-            "raptor-pre" => Some(RAPTOR_PRECODE),
             _ => None,
         }
     }
@@ -168,9 +142,6 @@ pub const TORNADO_A: TornadoProfile = TornadoProfile::tornado_a();
 
 /// The Tornado B profile (see [`TornadoProfile::tornado_b`]).
 pub const TORNADO_B: TornadoProfile = TornadoProfile::tornado_b();
-
-/// The Raptor precode profile (see [`TornadoProfile::raptor_precode`]).
-pub const RAPTOR_PRECODE: TornadoProfile = TornadoProfile::raptor_precode();
 
 #[cfg(test)]
 mod tests {

@@ -10,97 +10,30 @@
 //! uses only integer PRNG output and CDF table lookups, it is bit-identical
 //! across the GF kernel tiers (`DF_GF_FORCE_TIER` does not touch it).
 //!
-//! The decoder is the same peeling idea as [`crate::PeelingDecoder`], adapted
-//! from a fixed bipartite graph to an unbounded stream of equations: each
-//! arriving symbol is reduced against already-known source symbols, released
-//! immediately if one unknown remains, or parked as a pending equation
-//! indexed by its unknowns.  Every recovered symbol propagates through the
-//! pending set worklist-style, exactly like `decode.rs` propagates through
-//! cascade checks.
+//! The decoder is a thin equation *source*: it turns each arriving seed back
+//! into its equation and hands `(neighbours, payload)` to the one streaming
+//! GF(2) solver of the rateless path (`solve.rs` — degree-one release while
+//! a ripple exists, inactivation when it dries up, payloads touched once the
+//! system is determined).  [`crate::RaptorDecoder`] is the same source over
+//! the same solver, with the precode's checks fed in up front.
 //!
 //! Hostile-input posture: a forged seed cannot construct an invalid
 //! equation — the degree is sampled from the shared distribution and clamped
 //! to `1..=count`, and neighbors are distinct by construction — so the worst
-//! a flood of fresh seeds can do is grow the pending set.  The decoder
+//! a flood of fresh seeds can do is grow the buffered set.  The decoder
 //! exposes [`LtDecoder::pending_equations`] and [`LtDecoder::pending_edges`]
 //! so the protocol layer can bound that growth (see
 //! `df-proto`'s rateless receive path).
 
 use crate::decode::AddOutcome;
 use crate::error::{Result, TornadoError};
+use crate::graph::BipartiteGraph;
 use crate::rateless::soliton::{DegreeTable, RobustSoliton};
+use crate::rateless::solve::Solver;
 use crate::symbol::Symbol;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Largest number of still-unknown source symbols the decoder will hand to
-/// the inactivation finisher.
-///
-/// Robust-soliton peeling at moderate `k` completes in a phase transition:
-/// recovery sits near zero (a few percent, from short degree-1 chains) until
-/// a critical reception count, then one arrival avalanches essentially every
-/// symbol at once — and the transition point has a fat upper tail (at
-/// `k = 1000` roughly a quarter of decodes need more than `1.15·k` symbols).
-/// The finisher removes that tail: once the reception count passes the
-/// engagement point (see [`LtDecoder::add_symbol`]) it solves the buffered
-/// equations directly by GF(2) Gaussian elimination — each row is a bitmask
-/// over the missing symbols, so a *failed* attempt costs only integer work
-/// and payloads are only XOR-combined once some unknowns are provably
-/// determined.  This is "inactivation decoding" as in the Raptor standards
-/// (RFC 5053 §5.5).
-///
-/// Because the transition leaves nearly all of `k` unknown, the elimination
-/// is cubic-ish in `k` (`O(missing² · pending / 64)` bit operations) and the
-/// cap bounds that cost: at `k ≤ 2048` one attempt is a few milliseconds;
-/// beyond the cap the decoder stays purely linear-time peeling, which is the
-/// right trade anyway — the soliton transition *concentrates* as `k` grows,
-/// so large-`k` decodes do not need rescuing.
-pub const INACTIVATION_CAP: usize = 2048;
-
-/// Arrivals to wait before re-running a failed (rank-deficient) elimination.
-const FINISHER_BACKOFF: u64 = 8;
-
-fn mask_set(m: &mut [u64], bit: usize) {
-    m[bit / 64] |= 1u64 << (bit % 64);
-}
-
-fn mask_xor(dst: &mut [u64], src: &[u64]) {
-    for (d, s) in dst.iter_mut().zip(src.iter()) {
-        *d ^= s;
-    }
-}
-
-fn mask_lowest(m: &[u64]) -> Option<usize> {
-    m.iter()
-        .enumerate()
-        .find(|(_, &w)| w != 0)
-        .map(|(i, &w)| i * 64 + w.trailing_zeros() as usize)
-}
-
-fn mask_popcount(m: &[u64]) -> usize {
-    m.iter().map(|w| w.count_ones() as usize).sum()
-}
-
-fn mask_next_set(m: &[u64], from: usize) -> Option<usize> {
-    let mut w = from / 64;
-    if w >= m.len() {
-        return None;
-    }
-    let mut word = m[w] & (!0u64 << (from % 64));
-    loop {
-        if word != 0 {
-            return Some(w * 64 + word.trailing_zeros() as usize);
-        }
-        w += 1;
-        if w >= m.len() {
-            return None;
-        }
-        word = m[w];
-    }
-}
 
 /// One LT equation: the encoded symbol is the XOR of the source symbols at
 /// `neighbors`.
@@ -123,9 +56,9 @@ impl LtEquation {
 /// seed → equation derivation to agree).
 #[derive(Debug, Clone)]
 enum LtDist {
-    /// Robust soliton — plain-LT sessions (full recovery by peeling).
+    /// Robust soliton — plain-LT sessions.
     Soliton(Arc<RobustSoliton>),
-    /// Fixed table — Raptor's LT layer (partial recovery, precode repairs).
+    /// Fixed table — Raptor's LT layer.
     Table(Arc<DegreeTable>),
 }
 
@@ -284,48 +217,23 @@ impl LtEncoder {
     }
 }
 
-/// A pending (not yet releasable) equation held by the decoder.
-#[derive(Debug, Clone)]
-struct PendingEq<S> {
-    /// Neighbor indices still unknown, in no particular order.
-    unknowns: Vec<u32>,
-    /// Payload XOR-reduced by every already-known neighbor.
-    acc: S,
-}
-
 /// Streaming LT decoder: accepts an unbounded stream of `(seed, payload)`
-/// symbols and peels source symbols out as equations release.
+/// symbols and completes on the first one that determines every source
+/// symbol (see `solve.rs`: peeling first, inactivation decoding once as
+/// many equations are held as unknowns remain).
 ///
 /// Memory model: recovered symbols are `O(count)`; buffered equations are
 /// whatever the caller admits — check [`LtDecoder::pending_equations`] /
 /// [`LtDecoder::pending_edges`] *before* feeding a symbol to enforce a cap
 /// (the protocol layer rejects above its `buffer_cap`).  Duplicate detection
-/// covers currently-pending seeds exactly; a seed whose equation was already
-/// consumed re-reduces to nothing and is absorbed without growing state.
+/// covers currently-buffered seeds exactly; a seed whose equation was already
+/// consumed says nothing new and is absorbed without growing state.
 #[derive(Debug, Clone)]
 pub struct LtDecoder<S: Symbol> {
     encoder: LtEncoder,
-    known: Vec<Option<S>>,
-    known_count: usize,
-    pending: HashMap<u64, PendingEq<S>>,
-    pending_edges: usize,
-    /// symbol index → seeds of pending equations that list it as unknown.
-    /// Entries go stale when an equation resolves through another symbol;
-    /// stale seeds are skipped (and dropped) on the next lookup.
-    by_symbol: Vec<Vec<u64>>,
-    /// Recovered indices not yet handed to the caller via
-    /// [`LtDecoder::drain_recovered`].
-    newly: Vec<u32>,
+    solver: Solver<S>,
     received_total: u64,
     received_distinct: u64,
-    /// Distinct-reception count before which the finisher will not re-run
-    /// after a rank-deficient attempt (each new equation typically adds one
-    /// rank, so retrying every arrival would repeat the same near-miss).
-    next_finisher_attempt: u64,
-    /// Distinct-reception threshold at which the finisher engages.
-    /// Defaults to `count + count/8` (peeling-first); Raptor lowers it to
-    /// `count` via [`LtDecoder::engage_finisher_eagerly`].
-    finisher_gate: usize,
 }
 
 impl<S: Symbol> LtDecoder<S> {
@@ -333,33 +241,34 @@ impl<S: Symbol> LtDecoder<S> {
     pub fn new(encoder: LtEncoder) -> Self {
         let count = encoder.count();
         LtDecoder {
+            solver: Solver::new(count, count),
             encoder,
-            known: vec![None; count],
-            known_count: 0,
-            pending: HashMap::new(),
-            pending_edges: 0,
-            by_symbol: vec![Vec::new(); count],
-            newly: Vec::new(),
             received_total: 0,
             received_distinct: 0,
-            next_finisher_attempt: 0,
-            finisher_gate: count + count / 8,
         }
     }
 
-    /// Engage the inactivation finisher as soon as reception reaches the
-    /// symbol count itself, rather than waiting out the peeling transition.
-    ///
-    /// This is how [`crate::RaptorDecoder`] runs its LT layer: standard
-    /// Raptor decoding is elimination-led ("inactivation decoding",
-    /// RFC 5053 §5.5) — the precode repairs whatever the elimination leaves
-    /// undetermined, so there is no reason to wait for the soliton avalanche
-    /// plain LT needs.
-    pub fn engage_finisher_eagerly(&mut self) {
-        self.finisher_gate = self.count();
+    /// A decoder over a precoded symbol array: the first `precode.left()`
+    /// symbols are the source, the rest are `precode`'s checks, each the XOR
+    /// of its neighbours — which the solver is told up front as the
+    /// zero-valued equation `check ⊕ Σ neighbours = 0`.
+    pub(crate) fn over_precode(encoder: LtEncoder, precode: &BipartiteGraph) -> Self {
+        let k = precode.left();
+        let mut solver = Solver::new(encoder.count(), k);
+        for j in 0..precode.right() {
+            let mut cols = vec![(k + j) as u32];
+            cols.extend_from_slice(precode.check_neighbors(j));
+            solver.add(None, cols, None);
+        }
+        LtDecoder {
+            solver,
+            encoder,
+            received_total: 0,
+            received_distinct: 0,
+        }
     }
 
-    /// Number of source symbols.
+    /// Number of symbols the equations range over.
     pub fn count(&self) -> usize {
         self.encoder.count()
     }
@@ -369,14 +278,22 @@ impl<S: Symbol> LtDecoder<S> {
         &self.encoder
     }
 
-    /// Number of source symbols recovered so far.
+    /// Number of symbols whose value has been computed so far.  Peeling
+    /// computes them one by one; once the decoder has had to inactivate it
+    /// computes nothing until everything is determined.
     pub fn known(&self) -> usize {
-        self.known_count
+        self.solver.known()
     }
 
     /// True once every source symbol is recovered.
     pub fn is_complete(&self) -> bool {
-        self.known_count == self.count()
+        self.solver.is_complete()
+    }
+
+    /// Symbols the decoder has inactivated so far — the side of the dense
+    /// GF(2) system it solves instead of waiting for a ripple.
+    pub fn inactive_symbols(&self) -> usize {
+        self.solver.inactive_columns()
     }
 
     /// Let go of every symbol value and buffered equation, for a caller that
@@ -386,15 +303,7 @@ impl<S: Symbol> LtDecoder<S> {
     /// counts stay; [`Self::symbol`] and [`Self::source_iter`] answer `None`
     /// from here on and every further symbol is a [`AddOutcome::Duplicate`].
     pub fn release(&mut self) {
-        self.known = Vec::new();
-        self.pending = HashMap::new();
-        self.pending_edges = 0;
-        self.by_symbol = Vec::new();
-    }
-
-    /// `known` has a slot per symbol (`count ≥ 1`) until it is released.
-    fn released(&self) -> bool {
-        self.known.is_empty()
+        self.solver.release();
     }
 
     /// Symbols accepted, including duplicates.
@@ -402,38 +311,34 @@ impl<S: Symbol> LtDecoder<S> {
         self.received_total
     }
 
-    /// Symbols accepted whose seed was not pending at arrival (exact for
+    /// Symbols accepted whose seed was not buffered at arrival (exact for
     /// honest never-repeating streams).
     pub fn received_distinct(&self) -> u64 {
         self.received_distinct
     }
 
-    /// Equations currently buffered (received but not yet released).
+    /// Equations currently held (received, or the precode's, and not yet
+    /// used up).
     pub fn pending_equations(&self) -> usize {
-        self.pending.len()
+        self.solver.pending_equations()
     }
 
-    /// Total unknown-neighbor references across buffered equations — the
-    /// decoder's true `O(memory)` term, bounded by the caller's admission cap.
+    /// Total references from held equations to symbols without a value —
+    /// the decoder's true `O(memory)` term, bounded by the caller's
+    /// admission cap.
     pub fn pending_edges(&self) -> usize {
-        self.pending_edges
+        self.solver.pending_edges()
     }
 
     /// The recovered symbol at `index`, if known.
     pub fn symbol(&self, index: usize) -> Option<&S> {
-        self.known.get(index).and_then(|s| s.as_ref())
-    }
-
-    /// Indices recovered since the last drain (in recovery order).
-    pub fn drain_recovered(&mut self) -> Vec<u32> {
-        std::mem::take(&mut self.newly)
+        self.solver.value(index)
     }
 
     /// Borrow all source symbols, in order, once complete (and until
     /// [released](Self::release)).
     pub fn source_iter(&self) -> Option<impl Iterator<Item = &S> + '_> {
-        (self.is_complete() && !self.released())
-            .then(|| self.known.iter().filter_map(|s| s.as_ref()))
+        self.solver.wanted_iter()
     }
 
     /// All source symbols, once complete.
@@ -452,255 +357,18 @@ impl<S: Symbol> LtDecoder<S> {
     /// XOR reduction meaningless).
     pub fn add_symbol(&mut self, seed: u64, value: S) -> AddOutcome {
         self.received_total += 1;
-        if self.is_complete() || self.released() {
+        if self.solver.is_complete() || self.solver.released() {
             return AddOutcome::Duplicate;
         }
-        if self.pending.contains_key(&seed) {
+        let equation = self.encoder.equation(seed);
+        if !self.solver.add(Some(seed), equation.neighbors, Some(value)) {
             return AddOutcome::Duplicate;
         }
         self.received_distinct += 1;
-
-        let eq = self.encoder.equation(seed);
-        let mut acc = value;
-        let mut unknowns: Vec<u32> = Vec::new();
-        for &idx in &eq.neighbors {
-            match &self.known[idx as usize] {
-                Some(k) => acc.xor(k),
-                None => unknowns.push(idx),
-            }
-        }
-        match unknowns.len() {
-            // Every neighbor already known: the equation carries no new
-            // information; absorb it without growing state.
-            0 => {}
-            1 => {
-                let idx = unknowns[0];
-                self.resolve(idx, acc);
-            }
-            _ => {
-                for &idx in &unknowns {
-                    self.by_symbol[idx as usize].push(seed);
-                }
-                self.pending_edges += unknowns.len();
-                self.pending.insert(seed, PendingEq { unknowns, acc });
-            }
-        }
-        if !self.is_complete()
-            && self.finisher_engaged()
-            && self.received_distinct >= self.next_finisher_attempt
-        {
-            self.try_inactivation();
-        }
         if self.is_complete() {
             AddOutcome::Complete
         } else {
             AddOutcome::Accepted
-        }
-    }
-
-    /// Whether the inactivation finisher may run yet.
-    ///
-    /// Plain-LT decoders defer engagement until reception passes
-    /// `count + count/8` symbols — past the robust soliton's expected peeling
-    /// transition (`β·k` plus finite-k margin) — so the linear-time peeling
-    /// path settles the typical decode and elimination only rescues
-    /// transition-tail trials.  Raptor decoders lower the gate to `count`
-    /// ([`LtDecoder::engage_finisher_eagerly`]): their completion is
-    /// elimination-led by design.
-    fn finisher_engaged(&self) -> bool {
-        self.received_distinct as usize >= self.finisher_gate
-    }
-
-    /// Bounded-inactivation finisher: once at most [`INACTIVATION_CAP`]
-    /// source symbols remain unknown, solve the buffered equations directly
-    /// by GF(2) elimination instead of waiting for the peeling ripple to
-    /// reach them.
-    ///
-    /// Every buffered equation's unknowns are a subset of the missing set
-    /// (peeling reduces eagerly), so each equation is one bitmask row over
-    /// the missing columns.  The elimination runs to *reduced* row-echelon
-    /// form and commits every unknown that is uniquely determined — a pivot
-    /// row whose only remaining bit is its own column — even when the system
-    /// as a whole is rank-deficient.  Partial commits are what make the
-    /// Raptor path work: a fixed-degree-table LT layer always leaves a few
-    /// intermediates uncovered by every received equation, and the precode
-    /// repairs exactly those, so demanding full rank would wait forever.
-    ///
-    /// A mask-only pass runs first; payloads are cloned and XOR-combined
-    /// only when at least one unknown is provably determined, so a failed
-    /// attempt costs integer work and no payload traffic.
-    fn try_inactivation(&mut self) -> bool {
-        let missing_count = self.known.len() - self.known_count;
-        if missing_count == 0 || missing_count > INACTIVATION_CAP {
-            return false;
-        }
-        // Even a partial solve needs roughly as many independent equations
-        // as unknowns (the slack covers uncovered columns); skip the attempt
-        // cheaply when the buffer cannot possibly deliver that.
-        if self.pending.len() + 64 < missing_count {
-            return false;
-        }
-        let missing: Vec<u32> = (0..self.known.len() as u32)
-            .filter(|&i| self.known[i as usize].is_none())
-            .collect();
-        let words = missing_count.div_ceil(64);
-        let col_of = |idx: u32| -> usize {
-            // `missing` is sorted ascending by construction; every pending
-            // unknown is in it (peeling keeps equations reduced).
-            missing.partition_point(|&m| m < idx)
-        };
-        let row_of = |unknowns: &[u32]| -> Vec<u64> {
-            let mut mask = vec![0u64; words];
-            for &idx in unknowns {
-                mask_set(&mut mask, col_of(idx));
-            }
-            mask
-        };
-        // Rows beyond this many cannot be needed for a solve; any solution
-        // derived from a subset of the (consistent) equations is valid, so
-        // truncating a flood-sized buffer only defers, never corrupts.
-        let row_cap = missing_count + 512;
-
-        // Pass 1: masks only.  Forward-eliminate into one pivot row per
-        // column, then reduce to RREF from the highest pivot down (every
-        // higher pivot a row references is already fully reduced — a single
-        // bit plus free columns — when it is folded in).  Bail without
-        // touching payloads unless some unknown came out determined.
-        let mut pivot_mask: Vec<Option<Vec<u64>>> = vec![None; missing_count];
-        let mut rank = 0usize;
-        for eq in self.pending.values().take(row_cap) {
-            let mut mask = row_of(&eq.unknowns);
-            while let Some(c) = mask_lowest(&mask) {
-                match &pivot_mask[c] {
-                    Some(pm) => mask_xor(&mut mask, pm),
-                    None => {
-                        pivot_mask[c] = Some(mask);
-                        rank += 1;
-                        break;
-                    }
-                }
-            }
-            if rank == missing_count {
-                break;
-            }
-        }
-        let mut determined = 0usize;
-        for c in (0..missing_count).rev() {
-            let Some(mut mask) = pivot_mask[c].take() else {
-                continue;
-            };
-            let mut h = c;
-            while let Some(b) = mask_next_set(&mask, h + 1) {
-                if let Some(pm) = &pivot_mask[b] {
-                    // Folding in row `b` clears bit `b` and can only set
-                    // free (pivotless) bits above it, so the ascending scan
-                    // terminates.
-                    mask_xor(&mut mask, pm);
-                }
-                h = b;
-            }
-            if mask_popcount(&mask) == 1 {
-                determined += 1;
-            }
-            pivot_mask[c] = Some(mask);
-        }
-        if determined == 0 {
-            self.next_finisher_attempt = self.received_distinct + FINISHER_BACKOFF;
-            return false;
-        }
-
-        // Pass 2: repeat the identical elimination carrying payloads — the
-        // pending map was not touched, so iteration order and hence the
-        // pivot structure match pass 1 exactly — then commit every
-        // single-bit row through the ordinary peeling propagation (which
-        // also re-reduces the surviving pending equations).
-        let mut pivots: Vec<Option<(Vec<u64>, S)>> = (0..missing_count).map(|_| None).collect();
-        let mut placed = 0usize;
-        for eq in self.pending.values().take(row_cap) {
-            let mut mask = row_of(&eq.unknowns);
-            let mut acc = eq.acc.clone();
-            while let Some(c) = mask_lowest(&mask) {
-                match &pivots[c] {
-                    Some((pm, pa)) => {
-                        mask_xor(&mut mask, pm);
-                        acc.xor(pa);
-                    }
-                    None => {
-                        pivots[c] = Some((mask, acc));
-                        placed += 1;
-                        break;
-                    }
-                }
-            }
-            if placed == rank {
-                break;
-            }
-        }
-        let mut recovered: Vec<(u32, S)> = Vec::with_capacity(determined);
-        for c in (0..missing_count).rev() {
-            let Some((mut mask, mut acc)) = pivots[c].take() else {
-                continue;
-            };
-            let mut h = c;
-            while let Some(b) = mask_next_set(&mask, h + 1) {
-                if let Some((pm, pa)) = &pivots[b] {
-                    mask_xor(&mut mask, pm);
-                    acc.xor(pa);
-                }
-                h = b;
-            }
-            if mask_popcount(&mask) == 1 {
-                recovered.push((missing[c], acc.clone()));
-            }
-            pivots[c] = Some((mask, acc));
-        }
-        if recovered.is_empty() {
-            // Unreachable given pass 1, but degrade gracefully.
-            self.next_finisher_attempt = self.received_distinct + FINISHER_BACKOFF;
-            return false;
-        }
-        for (idx, value) in recovered {
-            self.resolve(idx, value);
-        }
-        true
-    }
-
-    /// Worklist propagation: record `idx = value`, then reduce every pending
-    /// equation that listed `idx`, releasing any that reach one unknown —
-    /// the streaming analogue of `PeelingDecoder::propagate`.
-    fn resolve(&mut self, idx: u32, value: S) {
-        let mut worklist = vec![(idx, value)];
-        while let Some((idx, value)) = worklist.pop() {
-            let slot = &mut self.known[idx as usize];
-            if slot.is_some() {
-                // Recovered along two paths (e.g. two equations released on
-                // the same symbol in one cascade); first value wins.
-                continue;
-            }
-            *slot = Some(value);
-            self.known_count += 1;
-            self.newly.push(idx);
-
-            for seed in std::mem::take(&mut self.by_symbol[idx as usize]) {
-                let Entry::Occupied(mut entry) = self.pending.entry(seed) else {
-                    continue; // stale reference to an already-released equation
-                };
-                let eq = entry.get_mut();
-                let Some(pos) = eq.unknowns.iter().position(|&u| u == idx) else {
-                    continue;
-                };
-                eq.unknowns.swap_remove(pos);
-                self.pending_edges -= 1;
-                // The freshly-set slot always holds a value here.
-                if let Some(known) = &self.known[idx as usize] {
-                    eq.acc.xor(known);
-                }
-                if eq.unknowns.len() == 1 {
-                    let eq = entry.remove();
-                    self.pending_edges -= 1;
-                    worklist.push((eq.unknowns[0], eq.acc));
-                }
-            }
         }
     }
 }
@@ -841,15 +509,9 @@ mod tests {
         for seed in 0..(3 * k as u64) {
             let sym = enc.encode_symbol(seed, &src).unwrap();
             dec.add_symbol(seed, sym);
-            // The edge counter must equal the sum of unknowns across pending
-            // equations at every step.
-            assert_eq!(
-                dec.pending_edges(),
-                dec.pending
-                    .values()
-                    .map(|e| e.unknowns.len())
-                    .sum::<usize>()
-            );
+            // The edge counter must equal the references to unvalued
+            // symbols summed over the held equations, at every step.
+            assert_eq!(dec.pending_edges(), dec.solver.recount_pending_edges());
             if dec.is_complete() {
                 break;
             }
@@ -881,60 +543,15 @@ mod tests {
         assert_eq!(b, AddOutcome::Accepted);
         assert_eq!(dec.known(), 0, "no degree-1 equation arrived yet");
         // No degree-1 equation ever arrives, so pure peeling would stall
-        // forever on this stream.  The third (independent) equation gives the
-        // bounded-inactivation finisher a full-rank 3x3 GF(2) system.
+        // forever on this stream.  The third (independent) equation makes
+        // it a full-rank 3x3 GF(2) system, which inactivating one symbol
+        // solves.
         let c = dec.add_symbol(s012, enc.encode_symbol(s012, &src).unwrap());
         assert_eq!(c, AddOutcome::Complete);
+        assert_eq!(dec.inactive_symbols(), 1);
         assert_eq!(dec.source().unwrap(), src);
         assert_eq!(dec.pending_equations(), 0);
         assert_eq!(dec.pending_edges(), 0);
-    }
-
-    #[test]
-    fn eager_finisher_commits_determined_unknowns_at_deficient_rank() {
-        // Raptor's regime: one symbol (here index 2) is covered by no
-        // received equation, so the system can never reach full rank — but
-        // the other unknowns are still uniquely determined and must be
-        // committed.  Equations [0,1] and [0,1,3] leave {0,1} entangled;
-        // adding [1,3] determines everything except the uncovered 2.
-        let k = 4;
-        let src = payloads(k, 8, 33);
-        let enc = LtEncoder::new(k, 0.03, 0.5, 33).unwrap();
-        let find = |want: &[u32]| {
-            (0..400_000u64)
-                .find(|&s| {
-                    let mut n = enc.equation(s).neighbors.clone();
-                    n.sort_unstable();
-                    n == want
-                })
-                .expect("seed with target equation")
-        };
-        let s01 = find(&[0, 1]);
-        let s013 = find(&[0, 1, 3]);
-        let s13 = find(&[1, 3]);
-        // A second, independent seed with the same [0,1] equation: linearly
-        // redundant, but it lifts distinct reception to the eager gate
-        // (`count`) so the finisher may run.
-        let s01b = ((s01 + 1)..400_000u64)
-            .find(|&s| {
-                let mut n = enc.equation(s).neighbors.clone();
-                n.sort_unstable();
-                n == [0, 1]
-            })
-            .expect("second seed with [0,1]");
-        let mut dec = LtDecoder::new(enc.clone());
-        dec.engage_finisher_eagerly();
-        dec.add_symbol(s01, enc.encode_symbol(s01, &src).unwrap());
-        dec.add_symbol(s013, enc.encode_symbol(s013, &src).unwrap());
-        dec.add_symbol(s13, enc.encode_symbol(s13, &src).unwrap());
-        assert_eq!(dec.known(), 0, "below the eager gate nothing eliminates");
-        dec.add_symbol(s01b, enc.encode_symbol(s01b, &src).unwrap());
-        assert_eq!(dec.known(), 3, "all covered unknowns must commit");
-        for idx in [0usize, 1, 3] {
-            assert_eq!(dec.symbol(idx), Some(&src[idx]));
-        }
-        assert_eq!(dec.symbol(2), None, "uncovered symbol stays unknown");
-        assert!(!dec.is_complete());
     }
 
     #[test]

@@ -10,10 +10,15 @@
 //! * [`RobustSoliton`] — Luby's ρ+τ degree distribution with inverse-CDF
 //!   sampling from a seeded PRNG.
 //! * [`LtEncoder`] / [`LtDecoder`] — the seed → (degree, neighbors) contract
-//!   and the streaming peeling decoder.
-//! * [`RaptorCode`] / [`RaptorDecoder`] — Tornado-precode + LT layer, which
-//!   trades a few percent of intermediate-symbol inflation for skipping LT
-//!   decoding's expensive tail.
+//!   and the streaming decoder.
+//! * [`RaptorCode`] / [`RaptorDecoder`] — a sparse XOR precode + LT layer,
+//!   which trades 5 % more symbols to range over for a constant encoding
+//!   cost per symbol.
+//!
+//! Both decoders are equation sources over one streaming sparse GF(2)
+//! solver (`solve.rs`): peeling while a ripple exists, inactivation decoding
+//! when it dries up, so either mode completes on the first symbol that makes
+//! the file determined at all.
 //!
 //! `df-proto` carries the seed in the existing 12-byte header
 //! (`packet_index:serial` = high:low 32 bits) and advertises the mode on the
@@ -22,10 +27,12 @@
 mod lt;
 mod raptor;
 mod soliton;
+mod solve;
 
-pub use lt::{LtDecoder, LtEncoder, LtEquation, INACTIVATION_CAP};
-pub use raptor::{RaptorCode, RaptorDecoder, RAPTOR_DEGREE_TABLE};
+pub use lt::{LtDecoder, LtEncoder, LtEquation};
+pub use raptor::{RaptorCode, RaptorDecoder, PRECODE_DEGREE, RAPTOR_DEGREE_TABLE};
 pub use soliton::{DegreeTable, RobustSoliton};
+pub use solve::INACTIVATION_CAP;
 
 /// Default robust-soliton `c` for plain-LT sessions (the classic
 /// literature operating point, also the ISSUE/acceptance parameters).
@@ -88,31 +95,34 @@ mod overhead_tests {
         );
     }
 
-    /// Raptor must beat plain LT's average overhead at the same k.
+    /// Neither mode pays a peeling tail any more — both complete at full
+    /// rank — so both sit near 1.00 and what separates them is only how
+    /// soon `k` sparse random equations reach full rank.  Measured with
+    /// these seeds: LT 1.0071 / Raptor 1.0034 at k = 1000, LT 1.0513 /
+    /// Raptor 1.0292 at k = 150.
     #[test]
     #[cfg_attr(
         miri,
         ignore = "large-k statistical sweep; intractable under the Miri interpreter"
     )]
-    fn raptor_beats_plain_lt_overhead_at_k1000() {
-        let trials = 40;
-        let lt_avg: f64 = (0..trials)
-            .map(|t| lt_trial(1000, 0xBEEF_0000 + t as u64))
-            .sum::<f64>()
-            / trials as f64;
-        let raptor_avg: f64 = (0..trials)
-            .map(|t| raptor_trial(1000, 0xBEEF_0000 + t as u64))
-            .sum::<f64>()
-            / trials as f64;
-        assert!(
-            raptor_avg < lt_avg,
-            "raptor {raptor_avg:.4} did not beat LT {lt_avg:.4}"
-        );
+    fn both_modes_decode_from_barely_more_than_k_symbols() {
+        for (k, trials, bound) in [(1000usize, 40u64, 1.03), (150, 200, 1.06)] {
+            let mean = |trial: fn(usize, u64) -> f64| {
+                (0..trials).map(|t| trial(k, 0xBEEF_0000 + t)).sum::<f64>() / trials as f64
+            };
+            let (lt, raptor) = (mean(lt_trial), mean(raptor_trial));
+            assert!(lt <= bound, "LT mean {lt:.4} above {bound} at k = {k}");
+            assert!(
+                raptor <= bound,
+                "Raptor mean {raptor:.4} above {bound} at k = {k}"
+            );
+        }
     }
 
     /// Overhead stays bounded across the size sweep the ISSUE names.
-    /// Small k pays proportionally more (the √k·ln k ripple term); the
-    /// bounds below are loose envelopes, not targets.
+    /// Small k pays proportionally more (an uncovered source symbol costs a
+    /// larger share of `k`); the bounds below are loose envelopes, not
+    /// targets.
     #[test]
     #[cfg_attr(
         miri,

@@ -1,52 +1,50 @@
-//! The Raptor construction: a Tornado-cascade precode under an LT layer.
+//! The Raptor construction: a sparse XOR precode under an LT layer.
 //!
-//! A plain LT code pays its worst reception overhead at the *end* of
-//! decoding — the last few source symbols are only reachable through the
-//! high-degree spike of the robust soliton, and their wait is what pushes
-//! k = 1000 decodes past `1.1·k` received symbols.  Raptor's fix (Shokrollahi
-//! 2006) is to stop demanding full LT recovery: first *precode* the `k`
-//! source packets into `L` intermediate packets with a fixed-rate erasure
-//! code, then LT-encode over the `L` intermediates.  The LT layer only has
-//! to recover *most* intermediates; the precode's redundancy repairs the
-//! stragglers, exactly the regime where LT decoding is cheap.
+//! A plain LT code has to *cover* every source symbol, which is what the
+//! robust soliton's high-degree spike is for and why its mean degree grows
+//! like `ln k`.  Raptor's fix (Shokrollahi 2006) is to stop asking that of
+//! the LT layer: first *precode* the `k` source packets into `n = k + m`
+//! intermediate packets, then LT-encode over the intermediates with a
+//! constant-mean-degree distribution ([`RAPTOR_DEGREE_TABLE`]).  Whatever
+//! the LT symbols leave undetermined, the precode's redundancy pins down.
 //!
-//! We reuse the existing machinery for both layers:
+//! The precode here is the simplest one that does that job: `m = ⌈0.05 k⌉`
+//! XOR checks over the source, from one seeded left-regular (degree
+//! [`PRECODE_DEGREE`]), right-regular [`BipartiteGraph`] — built by the same
+//! `graph.rs` the Tornado cascade uses, from the session's `code_seed`, so a
+//! receiver rebuilds it from `(k, code_seed)` and it is wire contract (pinned
+//! by `golden_precode_graphs_pin_the_wire_contract`).  Intermediate `k + j`
+//! is the XOR of check `j`'s neighbours; every symbol on the path is exactly
+//! one packet long and nothing but XOR is ever computed.
 //!
-//! * the precode is a [`Cascade`] built with the [`RAPTOR_PRECODE`] profile —
-//!   a low-stretch Tornado construction whose redundancy sits almost
-//!   entirely in the final MDS block, so *any* `≈ k` distinct intermediates
-//!   finish it (near-zero precode reception overhead);
-//! * LT recovery feeds straight into the ordinary [`PeelingDecoder`], whose
-//!   completion check *is* the Raptor completion check.
-//!
-//! The LT layer does not use the robust soliton at all: it samples
-//! [`RAPTOR_DEGREE_TABLE`], a fixed constant-mean-degree distribution from
-//! the Raptor paper designed for *partial* recovery under peeling.  With the
-//! precode absorbing the stragglers there is no need for the soliton's
-//! spike — and dropping it is where the overhead win over plain LT comes
-//! from.
+//! Decoding does not run two decoders back to back.  The receiver knows each
+//! check as the equation `check_j ⊕ Σ neighbours = 0`, so [`RaptorDecoder`]
+//! is an [`LtDecoder`] over the `n` intermediates whose solver was given
+//! those `m` zero-valued equations before the first symbol arrived: one
+//! sparse GF(2) system, complete when the `k` source unknowns are determined.
 
-use crate::cascade::{Cascade, FinalCode, PacketRole};
-use crate::codec::TornadoCode;
-use crate::decode::{AddOutcome, PeelingDecoder};
-use crate::error::Result;
-use crate::profile::{TornadoProfile, RAPTOR_PRECODE};
+use crate::decode::AddOutcome;
+use crate::degree::DegreeDistribution;
+use crate::error::{Result, TornadoError};
+use crate::graph::{BipartiteGraph, CheckSide};
 use crate::rateless::lt::{LtDecoder, LtEncoder};
 use crate::rateless::soliton::DegreeTable;
 use crate::symbol::{Mark, Symbol};
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
+
+/// How many precode checks each source packet takes part in.
+pub const PRECODE_DEGREE: usize = 3;
 
 /// The Raptor LT layer's degree distribution: Shokrollahi's output
 /// distribution for ε ≈ 0.038 ("Raptor Codes", IEEE Trans. IT 2006,
 /// Table I).
 ///
 /// Unlike the robust soliton, this table has constant mean degree (≈ 5.87)
-/// and no spike: it is *designed* to recover a `1 − O(ε)` fraction of the
-/// intermediates smoothly under peeling, rather than everything in a late
-/// avalanche, because the precode repairs the stragglers.  This is exactly
-/// why Raptor beats plain LT at moderate `k` — the robust soliton's spike
-/// and its fat transition tail are the price of demanding *full* recovery
-/// from the LT layer alone.
+/// and no spike, so a symbol costs the same few XORs at any `k`: it does
+/// not have to cover every intermediate, because the precode's checks
+/// reach the ones it misses.
 pub const RAPTOR_DEGREE_TABLE: &[(usize, f64)] = &[
     (1, 0.007969),
     (2, 0.493570),
@@ -68,61 +66,58 @@ fn raptor_degree_table() -> Result<DegreeTable> {
     DegreeTable::new(RAPTOR_DEGREE_TABLE)
 }
 
-/// A Raptor code: Tornado precode + LT layer over the intermediates.
+/// A Raptor code: XOR precode + LT layer over the intermediates.
 #[derive(Debug, Clone)]
 pub struct RaptorCode {
-    precode: TornadoCode,
+    /// Source packets on the left, the `m` checks on the right.
+    precode: Arc<BipartiteGraph>,
     lt: LtEncoder,
 }
 
 impl RaptorCode {
-    /// Build a Raptor code over `k` source packets with the default
-    /// [`RAPTOR_PRECODE`] profile and calibrated LT parameters.
+    /// Build the Raptor code over `k` source packets: the precode graph and
+    /// the LT layer's equation stream both derive from `seed`.
     ///
     /// # Errors
     ///
-    /// Propagates cascade-construction errors (e.g. `k == 0`).
+    /// Returns [`TornadoError::InvalidParameters`] if `k == 0`.
     pub fn new(k: usize, seed: u64) -> Result<Self> {
-        RaptorCode::with_profile(k, RAPTOR_PRECODE, seed)
-    }
-
-    /// Build a Raptor code with an explicit precode profile (LT layer uses
-    /// [`RAPTOR_DEGREE_TABLE`]).
-    pub fn with_profile(k: usize, profile: TornadoProfile, seed: u64) -> Result<Self> {
-        let precode = TornadoCode::with_profile(k, profile, seed)?;
-        let lt = LtEncoder::with_table(precode.n(), raptor_degree_table()?, seed)?;
-        Ok(RaptorCode { precode, lt })
-    }
-
-    /// Build a Raptor code with an explicit precode profile and a
-    /// robust-soliton LT layer instead of the fixed table — the calibration
-    /// entry point (see `examples/lt_stats.rs`) used to measure why the
-    /// fixed table wins; protocol sessions use [`RaptorCode::new`].
-    pub fn with_profile_and_soliton(
-        k: usize,
-        profile: TornadoProfile,
-        c: f64,
-        delta: f64,
-        seed: u64,
-    ) -> Result<Self> {
-        let precode = TornadoCode::with_profile(k, profile, seed)?;
-        let lt = LtEncoder::new(precode.n(), c, delta, seed)?;
-        Ok(RaptorCode { precode, lt })
+        if k == 0 {
+            return Err(TornadoError::InvalidParameters {
+                reason: "a Raptor code needs at least one source packet".to_string(),
+            });
+        }
+        let checks = k.div_ceil(20);
+        let precode = BipartiteGraph::random(
+            k,
+            checks,
+            &DegreeDistribution::Regular {
+                degree: PRECODE_DEGREE,
+            },
+            CheckSide::Regular,
+            &mut ChaCha8Rng::seed_from_u64(seed),
+        );
+        let lt = LtEncoder::with_table(k + checks, raptor_degree_table()?, seed)?;
+        Ok(RaptorCode {
+            precode: Arc::new(precode),
+            lt,
+        })
     }
 
     /// Number of source packets `k`.
     pub fn k(&self) -> usize {
-        self.precode.k()
+        self.precode.left()
     }
 
-    /// Number of intermediate symbols `L` the LT layer ranges over
-    /// (= the precode's full encoding length `n`).
+    /// Number of intermediate symbols `n = k + ⌈0.05 k⌉` the LT layer
+    /// ranges over.
     pub fn intermediate_count(&self) -> usize {
-        self.precode.n()
+        self.lt.count()
     }
 
-    /// The precode.
-    pub fn precode(&self) -> &TornadoCode {
+    /// The precode: source packets on the left, one right node per check;
+    /// intermediate `k + j` is the XOR of `check_neighbors(j)`.
+    pub fn precode_graph(&self) -> &BipartiteGraph {
         &self.precode
     }
 
@@ -131,29 +126,33 @@ impl RaptorCode {
         &self.lt
     }
 
-    /// Uniform length of every LT symbol when the source was split into
-    /// `packet_size`-byte packets: intermediate packets are padded up to the
-    /// longest precode packet (GF(2^16) final-code checks carry two extra
-    /// bytes when `packet_size` is odd, see [`FinalCode`]).
-    pub fn symbol_len(&self, packet_size: usize) -> usize {
-        let n = self.precode.n();
-        // The final RS checks are the longest packets in the encoding.
-        self.precode.expected_payload_len(n - 1, packet_size)
-    }
-
-    /// Run the precode: encode `source` into the `L` intermediate symbols,
-    /// zero-padded to one uniform length so the LT layer can XOR them.
+    /// Run the precode: the `k` source packets followed by the `m` check
+    /// packets.
     ///
     /// # Errors
     ///
-    /// Propagates precode encoding errors (wrong packet count / lengths).
+    /// Returns [`TornadoError::MalformedInput`] if `source` does not hold
+    /// exactly `k` packets of one length.
     pub fn precode_symbols(&self, source: &[Vec<u8>]) -> Result<Vec<Vec<u8>>> {
-        let mut enc = self.precode.encode(source)?;
-        let uniform = enc.iter().map(|p| p.len()).max().unwrap_or(0);
-        for p in &mut enc {
-            p.resize(uniform, 0);
+        let len = source.first().map_or(0, Vec::len);
+        if source.len() != self.k() || source.iter().any(|p| p.len() != len) {
+            return Err(TornadoError::MalformedInput {
+                reason: format!(
+                    "Raptor precode over {} packets was given {} (or unequal lengths)",
+                    self.k(),
+                    source.len()
+                ),
+            });
         }
-        Ok(enc)
+        let mut symbols = source.to_vec();
+        symbols.extend((0..self.precode.right()).map(|j| {
+            let mut check = vec![0u8; len];
+            for &i in self.precode.check_neighbors(j) {
+                check.xor(&source[i as usize]);
+            }
+            check
+        }));
+        Ok(symbols)
     }
 
     /// Encode one LT symbol over precomputed intermediates (from
@@ -162,7 +161,7 @@ impl RaptorCode {
     /// # Errors
     ///
     /// Returns [`crate::TornadoError::MalformedInput`] if `intermediates`
-    /// does not hold exactly `L` symbols.
+    /// does not hold exactly `n` symbols.
     pub fn encode_symbol(&self, seed: u64, intermediates: &[Vec<u8>]) -> Result<Vec<u8>> {
         self.lt.encode_symbol(seed, intermediates)
     }
@@ -178,49 +177,40 @@ impl RaptorCode {
     }
 }
 
-/// Streaming Raptor decoder: LT-peels intermediates, feeds each recovered
-/// intermediate into the precode's [`PeelingDecoder`], and completes when the
-/// precode does — typically well before the LT layer recovers everything.
+/// Streaming Raptor decoder: an [`LtDecoder`] over the intermediates that
+/// also knows the precode's checks as equations, and wants only the first
+/// `k` intermediates — the source — back.
 #[derive(Debug, Clone)]
 pub struct RaptorDecoder<S: Symbol> {
     lt: LtDecoder<S>,
-    inner: PeelingDecoder<S, Arc<Cascade>>,
 }
 
 impl<S: Symbol> RaptorDecoder<S> {
     fn new(code: &RaptorCode) -> Self {
-        let mut lt = LtDecoder::new(code.lt().clone());
-        // Raptor decoding is elimination-led: the fixed degree table leaves
-        // a few intermediates uncovered (the precode repairs those), so the
-        // finisher must not wait for a peeling avalanche that never comes.
-        lt.engage_finisher_eagerly();
         RaptorDecoder {
-            lt,
-            inner: PeelingDecoder::new(code.precode().shared_cascade()),
+            lt: LtDecoder::over_precode(code.lt().clone(), code.precode_graph()),
         }
     }
 
-    /// True once the precode has recovered every source packet.
+    /// True once every source packet is determined.
     pub fn is_complete(&self) -> bool {
-        self.inner.is_complete()
+        self.lt.is_complete()
     }
 
     /// Borrow the recovered source packets, in order, once complete (and
     /// until [released](Self::release)).
     pub fn source_iter(&self) -> Option<impl Iterator<Item = &S> + '_> {
-        self.inner.source_iter()
+        self.lt.source_iter()
     }
 
-    /// Let go of every intermediate and source value in both layers; see
-    /// [`PeelingDecoder::release`] and [`LtDecoder::release`].
+    /// Let go of every value and equation; see [`LtDecoder::release`].
     pub fn release(&mut self) {
         self.lt.release();
-        self.inner.release();
     }
 
     /// The recovered source packets, once complete.
     pub fn source(&self) -> Option<Vec<S>> {
-        self.inner.source()
+        self.lt.source()
     }
 
     /// LT symbols accepted, including duplicates.
@@ -234,76 +224,50 @@ impl<S: Symbol> RaptorDecoder<S> {
         self.lt.received_distinct()
     }
 
-    /// Intermediates recovered by the LT layer so far.
+    /// Intermediates whose value has been computed so far (see
+    /// [`LtDecoder::known`]); at completion, the source and every
+    /// intermediate it was computed through.
     pub fn lt_known(&self) -> usize {
         self.lt.known()
     }
 
-    /// Equations buffered by the LT layer.
+    /// Intermediates inactivated so far (see
+    /// [`LtDecoder::inactive_symbols`]).
+    pub fn inactive_symbols(&self) -> usize {
+        self.lt.inactive_symbols()
+    }
+
+    /// Equations held: the precode's checks and the buffered LT symbols.
     pub fn pending_equations(&self) -> usize {
         self.lt.pending_equations()
     }
 
-    /// Unknown-neighbor references across buffered equations (the memory
-    /// bound the protocol layer enforces).
+    /// References from held equations to intermediates without a value
+    /// (the memory bound the protocol layer enforces).
     pub fn pending_edges(&self) -> usize {
         self.lt.pending_edges()
     }
+}
 
-    /// Accept one `(seed, payload)` LT symbol and propagate recoveries into
-    /// the precode.  `fix` normalises a recovered intermediate before it is
-    /// fed (payload decoders strip the uniform padding; `Mark` is identity).
-    fn add_with<F>(&mut self, seed: u64, value: S, fix: F) -> Result<AddOutcome>
-    where
-        F: Fn(&Cascade, usize, S) -> S,
-    {
-        if self.inner.is_complete() {
-            return Ok(AddOutcome::Duplicate);
-        }
-        let lt_outcome = self.lt.add_symbol(seed, value);
-        for idx in self.lt.drain_recovered() {
-            let Some(sym) = self.lt.symbol(idx as usize) else {
-                continue;
-            };
-            let fixed = fix(self.inner.cascade(), idx as usize, sym.clone());
-            // Index is always < n (the LT layer ranges over exactly the
-            // precode's encoding); Duplicate just means the precode already
-            // peeled this intermediate itself.
-            self.inner.add_packet(idx as usize, fixed)?;
-            if self.inner.is_complete() {
-                return Ok(AddOutcome::Complete);
-            }
-        }
-        Ok(match lt_outcome {
-            AddOutcome::Duplicate => AddOutcome::Duplicate,
-            _ if self.inner.is_complete() => AddOutcome::Complete,
-            _ => AddOutcome::Accepted,
-        })
+/// The decoder underneath, for a caller that handles both rateless modes
+/// through one type.
+impl<S: Symbol> From<RaptorDecoder<S>> for LtDecoder<S> {
+    fn from(decoder: RaptorDecoder<S>) -> Self {
+        decoder.lt
     }
 }
 
 impl RaptorDecoder<Vec<u8>> {
-    /// Accept one `(seed, payload)` symbol.  All payloads must share the
-    /// code's uniform [`RaptorCode::symbol_len`]; the protocol layer
-    /// validates this before the symbol reaches the decoder.
+    /// Accept one `(seed, payload)` symbol.  All payloads must share one
+    /// length; the protocol layer validates this before the symbol reaches
+    /// the decoder.
     ///
     /// # Errors
     ///
-    /// Propagates precode decoder errors (none are expected for in-range
-    /// indices, which the LT derivation guarantees).
+    /// None today: every seed derives a valid equation.  The `Result` is
+    /// the signature callers were written against.
     pub fn add_symbol(&mut self, seed: u64, payload: Vec<u8>) -> Result<AddOutcome> {
-        self.add_with(seed, payload, |cascade, idx, mut v| {
-            // Undo the uniform-length padding: with a GF(2^16) final code and
-            // odd payloads, cascade-level packets are two bytes shorter than
-            // the RS checks the symbols were padded to match.
-            if matches!(cascade.final_code(), FinalCode::Large(_))
-                && v.len() % 2 == 1
-                && matches!(cascade.role(idx), PacketRole::Level { .. })
-            {
-                v.truncate(v.len().saturating_sub(2));
-            }
-            v
-        })
+        Ok(self.lt.add_symbol(seed, payload))
     }
 }
 
@@ -312,10 +276,9 @@ impl RaptorDecoder<Mark> {
     ///
     /// # Errors
     ///
-    /// Propagates precode decoder errors (none are expected for in-range
-    /// indices).
+    /// None today; see [`RaptorDecoder::add_symbol`].
     pub fn add_mark(&mut self, seed: u64) -> Result<AddOutcome> {
-        self.add_with(seed, Mark, |_, _, m| m)
+        Ok(self.lt.add_symbol(seed, Mark))
     }
 }
 
@@ -337,11 +300,76 @@ mod tests {
     }
 
     #[test]
-    fn precode_profile_is_mostly_mds() {
-        let code = RaptorCode::new(1000, 7).unwrap();
-        let l = code.intermediate_count();
-        assert!(l > 1000 && l < 1100, "L = {l}");
+    fn precode_is_five_percent_of_sparse_xor_checks() {
+        for (k, checks) in [(1usize, 1usize), (20, 1), (21, 2), (1000, 50), (4096, 205)] {
+            let code = RaptorCode::new(k, 7).unwrap();
+            assert_eq!(code.intermediate_count(), k + checks, "k = {k}");
+            let graph = code.precode_graph();
+            assert_eq!((graph.left(), graph.right()), (k, checks));
+            for i in 0..k {
+                let degree = graph.left_neighbors(i).len();
+                assert!((1..=PRECODE_DEGREE).contains(&degree), "source {i}");
+            }
+            // Every check has something to say, so no intermediate is the
+            // all-zero packet by construction.
+            assert!((0..checks).all(|j| !graph.check_neighbors(j).is_empty()));
+        }
+        assert!(RaptorCode::new(0, 7).is_err());
+        // Each check packet is the XOR of its neighbours.
+        let code = RaptorCode::new(100, 3).unwrap();
+        let src = payloads(100, 16, 3);
+        let inter = code.precode_symbols(&src).unwrap();
+        assert_eq!(inter[..100], src[..]);
+        for (j, check) in inter[100..].iter().enumerate() {
+            let mut expect = vec![0u8; 16];
+            for &i in code.precode_graph().check_neighbors(j) {
+                expect.xor(&src[i as usize]);
+            }
+            assert_eq!(check, &expect, "check {j}");
+        }
+        assert!(code.precode_symbols(&src[1..]).is_err());
     }
+
+    /// FNV-1a over every check's neighbour list, each preceded by its length.
+    fn precode_digest(k: usize, seed: u64) -> u64 {
+        let code = RaptorCode::new(k, seed).unwrap();
+        let graph = code.precode_graph();
+        let mut digest = 0xcbf2_9ce4_8422_2325u64;
+        let mut absorb = |word: u32| {
+            for byte in word.to_le_bytes() {
+                digest = (digest ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for j in 0..graph.right() {
+            let neighbours = graph.check_neighbors(j);
+            absorb(neighbours.len() as u32);
+            neighbours.iter().for_each(|&i| absorb(i));
+        }
+        digest
+    }
+
+    #[test]
+    fn golden_precode_graphs_pin_the_wire_contract() {
+        // A receiver rebuilds the precode from `(k, code_seed)` alone, so
+        // these graphs are wire contract exactly as the seed → equation
+        // derivation is (`golden_equations_pin_the_wire_contract`): a build
+        // that draws them differently must announce a different
+        // `RatelessMode` byte.  Pinned when mode byte 3 was introduced.
+        for (k, seed, digest) in GOLDEN_PRECODES {
+            assert_eq!(
+                precode_digest(k, seed),
+                digest,
+                "precode graph drifted at k = {k}, seed = {seed:#x}"
+            );
+        }
+    }
+
+    const GOLDEN_PRECODES: [(usize, u64, u64); 4] = [
+        (64, 0, 0x5249_044d_bd78_21bb),
+        (64, 0xD1F0, 0x5c7b_8936_0b2d_4fa6),
+        (4096, 0, 0x15a8_8e8c_a7db_15c7),
+        (4096, 0xD1F0, 0xed0d_c400_c171_98b4),
+    ];
 
     #[test]
     fn round_trips_payloads() {
@@ -357,7 +385,7 @@ mod tests {
         let mut seed = 1000u64;
         while !dec.is_complete() {
             let sym = code.encode_symbol(seed, &inter).unwrap();
-            assert_eq!(sym.len(), code.symbol_len(32));
+            assert_eq!(sym.len(), 32);
             dec.add_symbol(seed, sym).unwrap();
             seed += 1;
             assert!(seed < 1000 + 10 * k as u64, "decode did not converge");
@@ -376,21 +404,14 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_odd_payloads_through_gf16_padding() {
-        // Odd packet length + a > 256-packet final block forces the GF(2^16)
-        // padding scheme; the Raptor layer must pad and un-pad transparently.
+    fn round_trips_odd_payloads_without_padding() {
+        // XOR has no alignment to respect: at an odd packet length every
+        // intermediate and every symbol is exactly one packet long.
         let k = 400;
         let src = payloads(k, 33, 5);
         let code = RaptorCode::new(k, 5).unwrap();
-        assert!(
-            matches!(
-                code.precode().shared_cascade().final_code(),
-                FinalCode::Large(_)
-            ),
-            "test needs the GF(2^16) final-code path"
-        );
-        assert_eq!(code.symbol_len(33), 35);
         let inter = code.precode_symbols(&src).unwrap();
+        assert!(inter.iter().all(|p| p.len() == 33));
         let mut dec = code.decoder();
         let mut seed = 0u64;
         while !dec.is_complete() {
@@ -424,30 +445,35 @@ mod tests {
     }
 
     #[test]
-    fn completes_before_full_lt_recovery() {
-        // The precode's point: completion must not require the LT layer to
-        // recover every intermediate.  Make that structural: drop every
-        // symbol whose equation touches the last intermediate, so the LT
-        // layer can never recover it — not by peeling and not by
-        // elimination (no equation covers it, so its column is always
-        // rank-deficient) — and the decoder must still finish through the
-        // precode's redundancy.
+    fn completes_although_an_intermediate_no_equation_covers_stays_unknown() {
+        // Drop every symbol whose equation touches the last intermediate (a
+        // check), so no received equation covers it.  The joint system still
+        // reaches full column rank — the intermediate's own check row pins
+        // it once the source is determined — so the decoder completes, with
+        // the right bytes, and never computes the value nobody asked for.
         let k = 500;
+        let src = payloads(k, 8, 3);
         let code = RaptorCode::new(k, 3).unwrap();
-        let straggler = (code.intermediate_count() - 1) as u32;
-        let mut dec = code.symbolic_decoder();
+        let inter = code.precode_symbols(&src).unwrap();
+        let straggler = code.intermediate_count() - 1;
+        let mut dec = code.decoder();
+        let mut marks = code.symbolic_decoder();
         let mut seed = 0u64;
         while !dec.is_complete() {
-            if !code.lt().equation(seed).neighbors.contains(&straggler) {
-                dec.add_mark(seed).unwrap();
+            let eq = code.lt().equation(seed);
+            if !eq.neighbors.contains(&(straggler as u32)) {
+                let sym = code.encode_symbol(seed, &inter).unwrap();
+                assert_eq!(
+                    dec.add_symbol(seed, sym).unwrap(),
+                    marks.add_mark(seed).unwrap()
+                );
             }
             seed += 1;
             assert!(seed < 20 * k as u64, "decode did not converge");
         }
-        assert!(
-            dec.lt_known() < code.intermediate_count(),
-            "LT recovered all {} intermediates despite the straggler filter",
-            code.intermediate_count()
-        );
+        assert_eq!(dec.source().unwrap(), src);
+        assert!(dec.lt.symbol(straggler).is_none());
+        assert!(dec.lt_known() < code.intermediate_count());
+        assert_eq!(dec.lt_known(), marks.lt_known());
     }
 }

@@ -243,7 +243,8 @@ pub const MAX_SP_INTERVAL: usize = df_mcast::MAX_SP_INTERVAL;
 
 /// Largest payload a data packet can carry over UDP: the 65 507-byte UDP
 /// maximum minus the 12-byte header, minus the 2-byte pad a GF(2^16) final
-/// code adds to check packets (and rateless Raptor symbols) at odd sizes.
+/// code adds to a carousel's check packets at odd sizes (rateless symbols
+/// are never padded, and keep the same limit).
 const MAX_PACKET_SIZE: usize = 65_507 - crate::wire::HEADER_LEN - 2;
 
 /// The decode machinery behind one [`ClientSession`]: the index-addressed
@@ -1171,14 +1172,14 @@ mod tests {
 
     #[test]
     fn rateless_raptor_download_reconstructs_at_odd_packet_size() {
-        // 499-byte packets force the GF(2^16) two-byte intermediate padding
-        // through the whole wire path: symbols are 501 bytes, yet the
-        // reassembled file must be byte-exact.
+        // An odd packet size rides the whole wire path as it is — the XOR
+        // precode pads nothing, symbols are 499 bytes — and the reassembled
+        // file must be byte-exact.
         let (mut client, data) = run_rateless_download(RatelessMode::Raptor, 0.2, 49_900, 499, 0);
         assert!(client.is_complete());
         assert_eq!(client.file().unwrap(), &data[..]);
-        // Both decoder layers let go at completion; the session still
-        // answers (and ignores the content of) whatever arrives late.
+        // The decoder lets go at completion; the session still answers
+        // (and ignores the content of) whatever arrives late.
         assert_eq!(client.held_packets(), 0);
         let Backend::Rateless(receiver) = &mut client.backend else {
             panic!("a rateless session");
@@ -1195,7 +1196,7 @@ mod tests {
     fn rateless_late_joiner_pays_no_distinctness_penalty() {
         // Join 20 rounds late: a carousel client would start swallowing
         // duplicates, a rateless client sees only fresh seeds and completes
-        // from the same ≈1.1k symbols as an on-time joiner.
+        // from the same few symbols beyond k as an on-time joiner.
         let (client, data) = run_rateless_download(RatelessMode::Lt, 0.0, 25_000, 500, 20);
         assert!(client.is_complete());
         assert_eq!(client.file().unwrap(), &data[..]);

@@ -60,8 +60,8 @@ pub struct ControlInfo {
     /// intermediate count for Raptor).
     pub rateless: RatelessMode,
     /// Profile name ("tornado-a" / "tornado-b").  Ignored by rateless
-    /// sessions (LT uses no Tornado code; Raptor's precode profile is fixed
-    /// by the protocol, not negotiated).
+    /// sessions (neither LT nor Raptor uses a Tornado code; Raptor's XOR
+    /// precode is fixed by the mode byte, not negotiated).
     pub profile: String,
 }
 

@@ -14,7 +14,7 @@
 //! seeds and payloads, so it must never panic and must hold bounded memory
 //! no matter what arrives (see [`RatelessReceiver`]).
 
-use df_core::{reassemble_file, AddOutcome, LtDecoder, LtEncoder, RaptorCode, RaptorDecoder};
+use df_core::{reassemble_file, AddOutcome, LtDecoder, LtEncoder, RaptorCode};
 use df_core::{LT_DEFAULT_C, LT_DEFAULT_DELTA};
 
 /// How a session's data datagrams are encoded, as announced on the control
@@ -28,30 +28,36 @@ pub enum RatelessMode {
     /// Plain LT code over the `k` source packets: the header carries a
     /// 64-bit symbol seed and every datagram is distinct.
     Lt,
-    /// Raptor code (Tornado precode + LT layer over its `n` intermediates):
-    /// seed-carrying like [`RatelessMode::Lt`], with the control channel's
-    /// `n` advertising the intermediate count.
+    /// Raptor code (sparse XOR precode + LT layer over its `n`
+    /// intermediates): seed-carrying like [`RatelessMode::Lt`], with the
+    /// control channel's `n` advertising the intermediate count.
     Raptor,
 }
 
 impl RatelessMode {
     /// Wire encoding of the mode byte.
+    ///
+    /// Raptor is byte 3.  Byte 2 was the Raptor of the GF(2^16)-tailed
+    /// cascade precode: a receiver rebuilds the precode from
+    /// `(k, code_seed)`, so a different precode is a different wire format,
+    /// and the retired byte makes old and new builds refuse each other at
+    /// the control channel instead of reassembling garbage.
     pub fn to_wire(self) -> u8 {
         match self {
             RatelessMode::Off => 0,
             RatelessMode::Lt => 1,
-            RatelessMode::Raptor => 2,
+            RatelessMode::Raptor => 3,
         }
     }
 
-    /// Decode the mode byte; `None` for bytes no known mode uses (the
-    /// control channel is untrusted input, so unknown modes are a parse
-    /// error, not a default).
+    /// Decode the mode byte; `None` for bytes no known mode uses — the
+    /// retired 2 included (the control channel is untrusted input, so
+    /// unknown modes are a parse error, not a default).
     pub fn from_wire(byte: u8) -> Option<Self> {
         match byte {
             0 => Some(RatelessMode::Off),
             1 => Some(RatelessMode::Lt),
-            2 => Some(RatelessMode::Raptor),
+            3 => Some(RatelessMode::Raptor),
             _ => None,
         }
     }
@@ -179,22 +185,16 @@ impl RatelessSender {
 /// flood can stall one session's download; it cannot balloon the process.
 #[derive(Debug)]
 pub struct RatelessReceiver {
-    inner: Inner,
+    /// Either mode's decoder: a Raptor decoder *is* an LT decoder over the
+    /// intermediates that knows the precode's checks.
+    decoder: LtDecoder<Vec<u8>>,
     /// Most undecoded equations the decoder may buffer.
     max_equations: usize,
     /// Most unknown-symbol references across buffered equations.
     max_edges: usize,
-    /// Uniform payload length of every valid symbol.
+    /// Uniform payload length of every valid symbol: the session's packet
+    /// size in both modes (XOR never pads).
     payload_len: usize,
-    /// Payload length recovered source packets are truncated back to
-    /// (Raptor intermediates carry up to two bytes of GF(2^16) padding).
-    packet_size: usize,
-}
-
-#[derive(Debug)]
-enum Inner {
-    Lt(LtDecoder<Vec<u8>>),
-    Raptor(RaptorDecoder<Vec<u8>>),
 }
 
 impl RatelessReceiver {
@@ -206,39 +206,38 @@ impl RatelessReceiver {
     /// Propagates [`LtEncoder::new`] parameter errors (`k == 0`).
     pub fn for_lt(k: usize, packet_size: usize, stream_seed: u64) -> df_core::Result<Self> {
         let enc = LtEncoder::new(k, LT_DEFAULT_C, LT_DEFAULT_DELTA, stream_seed)?;
-        Ok(RatelessReceiver {
-            inner: Inner::Lt(LtDecoder::new(enc)),
-            max_equations: Self::equation_cap(k),
-            max_edges: Self::equation_cap(k) * Self::EDGES_PER_EQUATION,
-            payload_len: packet_size,
-            packet_size,
-        })
+        Ok(Self::over(LtDecoder::new(enc), k, packet_size))
     }
 
     /// Raptor receiver matching a [`RatelessSender::for_raptor`] stream.
     pub fn for_raptor(code: &RaptorCode, packet_size: usize) -> Self {
-        let k = code.k();
+        Self::over(code.decoder().into(), code.k(), packet_size)
+    }
+
+    fn over(decoder: LtDecoder<Vec<u8>>, k: usize, packet_size: usize) -> Self {
         RatelessReceiver {
-            payload_len: code.symbol_len(packet_size),
-            inner: Inner::Raptor(code.decoder()),
+            decoder,
             max_equations: Self::equation_cap(k),
             max_edges: Self::equation_cap(k) * Self::EDGES_PER_EQUATION,
-            packet_size,
+            payload_len: packet_size,
         }
     }
 
-    /// Equation cap for a `k`-packet session: `1.5k + 64`, comfortably above
-    /// the ≈`1.11k` (LT) / ≈`1.06k` (Raptor) symbols an honest decode needs,
-    /// and each pending equation is dropped as peeling consumes it, so an
+    /// Equation cap for a `k`-packet session: `1.5k + 64`.  An honest decode
+    /// completes from ≈ `1.00k`–`1.01k` symbols at `k` ≥ 500 (more at small
+    /// `k`: ≈ `1.05k`–`1.10k` at `k` = 64–150) and holds at most that many
+    /// equations plus, for Raptor, the precode's `0.05k` checks, so an
     /// honest session never comes near it.
     fn equation_cap(k: usize) -> usize {
         k + k / 2 + 64
     }
 
     /// Edge budget per buffered equation.  The robust soliton's *average*
-    /// degree is `O(ln k)`; 16 edges per equation of slack covers every
-    /// feasible honest workload, while a flood of maximum-degree forged
-    /// seeds hits this wall long before the equation cap.
+    /// degree is `O(ln k)` (the Raptor table's is ≈ 5.9, and its precode
+    /// adds 3 edges per source packet); 16 edges per equation of slack
+    /// covers every feasible honest workload, while a flood of
+    /// maximum-degree forged seeds hits this wall long before the equation
+    /// cap.
     const EDGES_PER_EQUATION: usize = 16;
 
     /// Uniform payload length every valid symbol must carry (XOR demands one
@@ -259,34 +258,22 @@ impl RatelessReceiver {
 
     /// Equations currently buffered (undecoded).
     pub fn pending_equations(&self) -> usize {
-        match &self.inner {
-            Inner::Lt(d) => d.pending_equations(),
-            Inner::Raptor(d) => d.pending_equations(),
-        }
+        self.decoder.pending_equations()
     }
 
     /// Unknown-symbol references across buffered equations.
     pub fn pending_edges(&self) -> usize {
-        match &self.inner {
-            Inner::Lt(d) => d.pending_edges(),
-            Inner::Raptor(d) => d.pending_edges(),
-        }
+        self.decoder.pending_edges()
     }
 
     /// Symbols accepted so far, duplicates included.
     pub fn received_total(&self) -> u64 {
-        match &self.inner {
-            Inner::Lt(d) => d.received_total(),
-            Inner::Raptor(d) => d.received_total(),
-        }
+        self.decoder.received_total()
     }
 
     /// Symbols accepted so far whose seed was new.
     pub fn received_distinct(&self) -> u64 {
-        match &self.inner {
-            Inner::Lt(d) => d.received_distinct(),
-            Inner::Raptor(d) => d.received_distinct(),
-        }
+        self.decoder.received_distinct()
     }
 
     /// True once either memory cap is reached: the next new symbol would be
@@ -297,22 +284,14 @@ impl RatelessReceiver {
 
     /// True once every source packet is recovered.
     pub fn is_complete(&self) -> bool {
-        match &self.inner {
-            Inner::Lt(d) => d.is_complete(),
-            Inner::Raptor(d) => d.is_complete(),
-        }
+        self.decoder.is_complete()
     }
 
     /// Accept one `(seed, payload)` symbol.  The caller has already
     /// length-checked `payload` against [`RatelessReceiver::payload_len`]
-    /// and checked [`RatelessReceiver::at_capacity`]; a decoder-level error
-    /// (none is reachable for length-checked input) reports as `Duplicate`
-    /// so hostile traffic can never panic the session.
+    /// and checked [`RatelessReceiver::at_capacity`].
     pub fn add(&mut self, seed: u64, payload: Vec<u8>) -> AddOutcome {
-        match &mut self.inner {
-            Inner::Lt(d) => d.add_symbol(seed, payload),
-            Inner::Raptor(d) => d.add_symbol(seed, payload).unwrap_or(AddOutcome::Duplicate),
-        }
+        self.decoder.add_symbol(seed, payload)
     }
 
     /// Let go of the decoder's symbol values once [`RatelessReceiver::file`]
@@ -320,28 +299,13 @@ impl RatelessReceiver {
     /// here on, `file` answers `None`, and completion and the reception
     /// counts stay as they are.
     pub fn release(&mut self) {
-        match &mut self.inner {
-            Inner::Lt(d) => d.release(),
-            Inner::Raptor(d) => d.release(),
-        }
+        self.decoder.release();
     }
 
     /// The reconstructed file once complete, written once from the decoder's
-    /// own packets — each cut back to the session packet size on the way
-    /// (Raptor intermediates may carry GF(2^16) padding bytes that must not
-    /// reach the file).
+    /// own packets.
     pub fn file(&self, file_len: usize) -> Option<Vec<u8>> {
-        fn write<'a>(
-            packets: impl Iterator<Item = &'a Vec<u8>>,
-            packet_size: usize,
-            file_len: usize,
-        ) -> Vec<u8> {
-            reassemble_file(packets.map(|p| p.get(..packet_size).unwrap_or(p)), file_len)
-        }
-        Some(match &self.inner {
-            Inner::Lt(d) => write(d.source_iter()?, self.packet_size, file_len),
-            Inner::Raptor(d) => write(d.source_iter()?, self.packet_size, file_len),
-        })
+        Some(reassemble_file(self.decoder.source_iter()?, file_len))
     }
 }
 
@@ -354,7 +318,10 @@ mod tests {
         for mode in [RatelessMode::Off, RatelessMode::Lt, RatelessMode::Raptor] {
             assert_eq!(RatelessMode::from_wire(mode.to_wire()), Some(mode));
         }
-        for byte in 3..=u8::MAX {
+        // Byte 2 is retired with the precode it announced; a build that
+        // still sends it, or one that receives 3, is refused here.
+        assert_eq!(RatelessMode::Raptor.to_wire(), 3);
+        for byte in (2..=u8::MAX).filter(|&b| b != 3) {
             assert_eq!(RatelessMode::from_wire(byte), None);
         }
         assert!(!RatelessMode::Off.is_rateless());
@@ -416,7 +383,8 @@ mod tests {
         let code = RaptorCode::new(80, 0x5EED).unwrap();
         let mut tx = RatelessSender::for_raptor(&code, &source).unwrap();
         let mut rx = RatelessReceiver::for_raptor(&code, 33);
-        assert_eq!(rx.payload_len(), code.symbol_len(33));
+        // An odd packet size rides as it is: no padding on the XOR path.
+        assert_eq!(rx.payload_len(), 33);
         assert_eq!(tx.symbol_len(), rx.payload_len());
         let mut rounds = 0;
         while !rx.is_complete() {
@@ -430,8 +398,6 @@ mod tests {
             rounds += 1;
             assert!(rounds < 50, "Raptor stream failed to converge");
         }
-        // Intermediates carry padding at odd sizes; the receiver must hand
-        // back exactly the original bytes regardless.
         assert_eq!(rx.file(80 * 33).unwrap(), source.concat());
     }
 

@@ -213,8 +213,8 @@ mod tests {
     fn lt_overhead_stays_modest_at_protocol_scale() {
         let outcome = rateless_overhead_experiment(100, 64, RatelessMode::Lt, 10, 5);
         assert_eq!(outcome.trials, 10);
-        // Small k pays more soliton overhead than the k = 1000 acceptance
-        // point (≈ 1.11); the protocol layer must not add to it.
+        // Small k needs proportionally more symbols than k = 1000 does
+        // (≈ 1.05 against ≈ 1.005); the protocol layer must not add to it.
         assert!(
             outcome.mean_overhead < 1.5,
             "LT mean overhead {} at k=100",
@@ -227,16 +227,24 @@ mod tests {
     }
 
     #[test]
-    fn raptor_beats_plain_lt_on_mean_overhead() {
-        let lt = rateless_overhead_experiment(150, 48, RatelessMode::Lt, 8, 9);
-        let raptor = rateless_overhead_experiment(150, 48, RatelessMode::Raptor, 8, 9);
-        assert!(
-            raptor.mean_overhead < lt.mean_overhead,
-            "raptor {} must beat LT {}",
-            raptor.mean_overhead,
-            lt.mean_overhead
-        );
-        assert_eq!(raptor.min_distinctness, 1.0);
+    fn both_modes_decode_from_barely_more_than_k_symbols() {
+        // Both modes decode by inactivation, so neither pays a peeling
+        // tail: what is left is the rank deficiency of `k` random sparse
+        // equations, which shrinks with `k`.  Measured here: LT 1.051 /
+        // Raptor 1.025 at k = 150 (LT's tail is a source packet no equation
+        // covers yet — worst 1.43 of 100 — which Raptor's precode reaches),
+        // 1.005 / 1.003 at k = 1000.
+        for (k, trials, bound) in [(150usize, 100usize, 1.06), (1000, 8, 1.03)] {
+            for mode in [RatelessMode::Lt, RatelessMode::Raptor] {
+                let outcome = rateless_overhead_experiment(k, 48, mode, trials, 9);
+                assert!(
+                    outcome.mean_overhead <= bound,
+                    "{mode:?} at k = {k}: mean overhead {} above {bound}",
+                    outcome.mean_overhead
+                );
+                assert_eq!(outcome.min_distinctness, 1.0, "{mode:?} at k = {k}");
+            }
+        }
     }
 
     #[test]

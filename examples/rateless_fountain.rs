@@ -13,8 +13,9 @@
 //!    distinctness efficiency `η_d = distinct/received` decays toward the
 //!    sampling-with-replacement floor of `1 − 1/e ≈ 0.64`;
 //! 2. an **LT fountain** client joining just as late — `η_d = 1.0` exactly;
-//! 3. a **Raptor fountain** client — still `η_d = 1.0`, with the Tornado
-//!    precode cutting the reception overhead from ≈ 1.11·k to ≈ 1.06·k.
+//! 3. a **Raptor fountain** client — still `η_d = 1.0`; both fountains
+//!    decode by inactivation, so either needs barely more than `k` symbols,
+//!    and Raptor's XOR precode buys a constant encoding cost per symbol.
 
 use digital_fountain::proto::{
     ClientEvent, ClientSession, RatelessMode, ServerSession, SessionConfig, SimMulticast, Transport,
