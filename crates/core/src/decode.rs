@@ -19,17 +19,25 @@
 //!
 //! The decoder is generic over [`Symbol`]: with `Vec<u8>` it produces real
 //! payloads, with [`crate::symbol::Mark`] it is the index-only decoder
-//! used by the reception-efficiency simulations (Figures 4–6).
+//! used by the reception-efficiency simulations (Figures 4–6).  The symbol
+//! type also chooses where the values live ([`crate::store`]): a payload
+//! decoder keeps its source rows in one buffer laid out as the file and its
+//! check rows in a second, so what it holds is one file plus the check rows
+//! the decode needed, and a finished decode hands the file over without a
+//! copy ([`PeelingDecoder::take_file`]).
 //!
 //! A decoder owns only its per-download state.  The graphs, and the checks'
 //! initial unknown-neighbour counts, belong to the [`Cascade`] — which every
 //! session of one code in a process shares (see [`crate::codec`]) — so
-//! creating a decoder is three allocations, one of them a copy, and a
-//! finished one can [`PeelingDecoder::release`] its packet values once the
-//! caller has written the file out of them.
+//! creating a decoder allocates its per-packet flags and a copy of those
+//! counts, and nothing sized by the file: a payload decoder reserves the
+//! file's bytes, without touching them, at its first packet.  A finished
+//! one can [`PeelingDecoder::release`] what it holds, or give its source
+//! rows away as the file.
 
 use crate::cascade::{Cascade, PacketRole};
 use crate::error::{Result, TornadoError};
+use crate::store::SymbolStore;
 use crate::symbol::{Mark, Symbol};
 use std::borrow::Borrow;
 use std::sync::Arc;
@@ -47,6 +55,24 @@ pub enum AddOutcome {
     Complete,
 }
 
+/// One bit per packet.
+#[derive(Debug, Clone, Default)]
+struct Bits(Vec<u64>);
+
+impl Bits {
+    fn new(n: usize) -> Self {
+        Bits(vec![0; n.div_ceil(64)])
+    }
+
+    fn get(&self, i: usize) -> bool {
+        self.0[i / 64] >> (i % 64) & 1 == 1
+    }
+
+    fn set(&mut self, i: usize) {
+        self.0[i / 64] |= 1 << (i % 64);
+    }
+}
+
 /// Incremental peeling decoder over an agreed [`Cascade`].
 ///
 /// Generic over how the cascade is held (`C`): a plain reference for
@@ -59,7 +85,9 @@ pub struct PeelingDecoder<S: Symbol, C: Borrow<Cascade> + Clone> {
     cascade: C,
     /// Value of every encoding packet (global index) the decoder holds:
     /// received, recovered, or built from its neighbours on demand.
-    values: Vec<Option<S>>,
+    store: S::Store,
+    /// Packets whose value is in `store`; empty once released.
+    holds: Bits,
     /// Packets that are held or computable.
     known: Vec<bool>,
     /// Per check node (levels 1..): left neighbours not yet known.
@@ -67,7 +95,10 @@ pub struct PeelingDecoder<S: Symbol, C: Borrow<Cascade> + Clone> {
     /// Global index of the first check node (= first packet of level 1), when
     /// the cascade has more than one level.
     check_base: usize,
-    /// Values currently stored in `values`.
+    /// Packets that just became known and have not been settled; empty
+    /// between calls, kept so that an arrival allocates nothing.
+    worklist: Vec<usize>,
+    /// Values currently stored in `store`.
     held: usize,
     /// Distinct packets received from the channel.
     received_distinct: usize,
@@ -95,17 +126,19 @@ impl<S: Symbol, C: Borrow<Cascade> + Clone> PeelingDecoder<S, C> {
         debug_assert_eq!(unknown_left.len(), c.rs_offset() - check_base);
         let n = c.n();
         PeelingDecoder {
-            cascade,
-            values: vec![None; n],
+            store: S::Store::empty(c),
+            holds: Bits::new(n),
             known: vec![false; n],
             unknown_left,
             check_base,
+            worklist: Vec::new(),
             held: 0,
             received_distinct: 0,
             received_total: 0,
             source_known: 0,
             rs_block_known: 0,
             rs_done: false,
+            cascade,
         }
     }
 
@@ -142,13 +175,14 @@ impl<S: Symbol, C: Borrow<Cascade> + Clone> PeelingDecoder<S, C> {
     /// packet is a [`AddOutcome::Duplicate`] (so a decoder released before
     /// it completed never completes).
     pub fn release(&mut self) {
-        self.values = Vec::new();
+        self.store.clear();
+        self.holds = Bits::default();
         self.held = 0;
     }
 
-    /// `values` has a slot per packet (`n ≥ 2`) until it is released.
+    /// `holds` has a bit per packet (`n ≥ 2`) until it is released.
     fn released(&self) -> bool {
-        self.values.is_empty()
+        self.holds.0.is_empty()
     }
 
     /// Reception overhead so far: `received_total / k − 1`.
@@ -165,33 +199,38 @@ impl<S: Symbol, C: Borrow<Cascade> + Clone> PeelingDecoder<S, C> {
     ///
     /// # Errors
     ///
-    /// Returns [`TornadoError::MalformedInput`] for an out-of-range index and
-    /// propagates final-code errors (mixed payload lengths in the final
-    /// block), after which the decoder may never complete: what the packet
-    /// would have released is not revisited.
+    /// Returns [`TornadoError::MalformedInput`] for an out-of-range index or
+    /// a payload the store refuses — one whose length does not fit the
+    /// packets already held, or a first one whose file the allocator cannot
+    /// reserve (see [`crate::Slab`]) — and propagates final-code errors,
+    /// after which the decoder may never complete: what the packet would
+    /// have released is not revisited.
     pub fn add_packet(&mut self, index: usize, value: S) -> Result<AddOutcome> {
         if self.register(index)? {
             return Ok(AddOutcome::Duplicate);
         }
-        self.accept_new(index, value)
+        self.store.insert_owned(index, value)?;
+        self.accept_new(index)
     }
 
-    /// Feed one encoding packet by reference, cloning the payload only if the
-    /// packet is new.
+    /// Feed one encoding packet by reference — a payload as any byte slice —
+    /// copying it only if the packet is new.
     ///
     /// This is the right entry point when the caller keeps ownership of the
-    /// encoding (a carousel buffer, a benchmark's reference copy): duplicates
-    /// — the common case late in a lossy download — cost no allocation at
-    /// all.
+    /// packet (a carousel buffer, a received datagram, a benchmark's
+    /// reference copy): a new payload is copied once, straight into its row,
+    /// and a duplicate — the common case late in a lossy download — costs
+    /// nothing at all.
     ///
     /// # Errors
     ///
     /// Same as [`PeelingDecoder::add_packet`].
-    pub fn add_packet_ref(&mut self, index: usize, value: &S) -> Result<AddOutcome> {
+    pub fn add_packet_ref(&mut self, index: usize, value: &S::Row) -> Result<AddOutcome> {
         if self.register(index)? {
             return Ok(AddOutcome::Duplicate);
         }
-        self.accept_new(index, value.clone())
+        self.store.insert(index, value)?;
+        self.accept_new(index)
     }
 
     /// Validate `index`, count the reception, and report whether the packet
@@ -209,54 +248,60 @@ impl<S: Symbol, C: Borrow<Cascade> + Clone> PeelingDecoder<S, C> {
         Ok(self.known[index] || self.released())
     }
 
-    /// Take ownership of a new packet's value and run peeling.
-    fn accept_new(&mut self, index: usize, value: S) -> Result<AddOutcome> {
+    /// Count a new packet, whose value the store now has, and run peeling.
+    fn accept_new(&mut self, index: usize) -> Result<AddOutcome> {
         self.received_distinct += 1;
         // Clone the cascade handle (a pointer copy / `Arc` bump) so the graph
         // borrow is independent of `self` while the decoder state mutates.
         let cascade = self.cascade.clone();
-        let cascade: &Cascade = cascade.borrow();
-        let mut worklist = Vec::new();
-        self.learn(index, value, &mut worklist);
-        // Stop at the source level: what else the packet would have made
-        // known no longer matters.
+        self.learn(index);
+        let outcome = self.peel(cascade.borrow());
+        self.worklist.clear();
+        outcome
+    }
+
+    /// Settle the worklist until it runs dry or the source is known: what
+    /// else the packet would have made known no longer matters.
+    fn peel(&mut self, cascade: &Cascade) -> Result<AddOutcome> {
         while !self.is_complete() {
-            let Some(g) = worklist.pop() else {
+            let Some(g) = self.worklist.pop() else {
                 return Ok(AddOutcome::Accepted);
             };
-            self.settle(cascade, g, &mut worklist)?;
+            self.settle(cascade, g)?;
         }
         Ok(AddOutcome::Complete)
     }
 
     /// Borrow the recovered source packets, in order, if decoding is
     /// complete and the values have not been [released](Self::release).
-    pub fn source_iter(&self) -> Option<impl ExactSizeIterator<Item = &S> + '_> {
-        (self.is_complete() && !self.released()).then(|| {
-            self.values[..self.cascade.borrow().k()]
-                .iter()
-                .map(|v| v.as_ref().expect("known source packets are held"))
-        })
+    pub fn source_iter(&self) -> Option<impl ExactSizeIterator<Item = &S::Row> + '_> {
+        (self.is_complete() && !self.released())
+            .then(|| (0..self.cascade.borrow().k()).map(|g| self.store.row(g)))
     }
 
-    /// The recovered source packets, if [`Self::source_iter`] has them.
+    /// A copy of the recovered source packets, if [`Self::source_iter`] has
+    /// them.
     pub fn source(&self) -> Option<Vec<S>> {
-        Some(self.source_iter()?.cloned().collect())
+        Some(self.source_iter()?.map(ToOwned::to_owned).collect())
     }
 
-    /// Store the value of a packet that was unknown and queue it for
-    /// [`Self::settle`].
-    fn learn(&mut self, g: usize, value: S, worklist: &mut Vec<usize>) {
+    /// Packet `g`, whose value the store has just been given, is known and
+    /// held: queue it for [`Self::settle`].
+    fn learn(&mut self, g: usize) {
         debug_assert!(!self.known[g]);
-        self.values[g] = Some(value);
-        self.held += 1;
+        self.hold(g);
         self.known[g] = true;
-        worklist.push(g);
+        self.worklist.push(g);
+    }
+
+    fn hold(&mut self, g: usize) {
+        self.holds.set(g);
+        self.held += 1;
     }
 
     /// Packet `g` just became known (held or computable): count it, tell the
     /// checks above it, and queue whatever that makes known.
-    fn settle(&mut self, cascade: &Cascade, g: usize, worklist: &mut Vec<usize>) -> Result<()> {
+    fn settle(&mut self, cascade: &Cascade, g: usize) -> Result<()> {
         match cascade.role(g) {
             PacketRole::Level { level, pos } => {
                 if level == 0 {
@@ -276,22 +321,17 @@ impl<S: Symbol, C: Borrow<Cascade> + Clone> PeelingDecoder<S, C> {
                             // but nothing is XORed until something needs it.
                             0 if !self.known[check] => {
                                 self.known[check] = true;
-                                worklist.push(check);
+                                self.worklist.push(check);
                             }
-                            1 if self.values[check].is_some() => {
-                                self.recover_neighbor(cascade, check, worklist);
-                            }
+                            1 if self.holds.get(check) => self.recover_neighbor(cascade, check),
                             _ => {}
                         }
                     }
                 }
                 // As a held check of the graph below: it may now resolve its
                 // one unknown neighbour.  (A computable check has none.)
-                if level >= 1
-                    && self.values[g].is_some()
-                    && self.unknown_left[g - self.check_base] == 1
-                {
-                    self.recover_neighbor(cascade, g, worklist);
+                if level >= 1 && self.holds.get(g) && self.unknown_left[g - self.check_base] == 1 {
+                    self.recover_neighbor(cascade, g);
                 }
             }
             PacketRole::RsCheck { .. } => self.rs_block_known += 1,
@@ -299,7 +339,7 @@ impl<S: Symbol, C: Borrow<Cascade> + Clone> PeelingDecoder<S, C> {
         // The final level becomes recoverable as soon as k of its block's
         // packets are known.
         if !self.rs_done && !self.is_complete() && self.rs_block_known >= cascade.final_code().k() {
-            self.try_final_level(cascade, worklist)?;
+            self.try_final_level(cascade)?;
         }
         Ok(())
     }
@@ -318,48 +358,40 @@ impl<S: Symbol, C: Borrow<Cascade> + Clone> PeelingDecoder<S, C> {
 
     /// Recover the one unknown neighbour of held check node `check`: the
     /// check's value XOR every other neighbour.
-    fn recover_neighbor(&mut self, cascade: &Cascade, check: usize, worklist: &mut Vec<usize>) {
+    fn recover_neighbor(&mut self, cascade: &Cascade, check: usize) {
         // None when the neighbour still counted as unknown is a computable
         // check waiting in the worklist.
         let Some(missing) = Self::neighbors_below(cascade, check).find(|&g| !self.known[g]) else {
             return;
         };
-        let mut recovered = self.values[check].clone().expect("check value is held");
-        for g in Self::neighbors_below(cascade, check).filter(|&g| g != missing) {
+        let others = || Self::neighbors_below(cascade, check).filter(move |&g| g != missing);
+        for g in others() {
             self.materialize(cascade, g);
-            recovered.xor(self.values[g].as_ref().expect("just materialized"));
         }
-        self.learn(missing, recovered, worklist);
+        self.store
+            .combine(missing, std::iter::once(check).chain(others()));
+        self.learn(missing);
     }
 
     /// Build and keep the value of computable check `g` from its neighbours
     /// (building those first where they are computable too); no-op when `g`
     /// is held.
     fn materialize(&mut self, cascade: &Cascade, g: usize) {
-        if self.values[g].is_some() {
+        if self.holds.get(g) {
             return;
         }
         debug_assert!(self.known[g]);
         for below in Self::neighbors_below(cascade, g) {
             self.materialize(cascade, below);
         }
-        let mut neighbors = Self::neighbors_below(cascade, g)
-            .map(|below| self.values[below].as_ref().expect("just materialized"));
-        let mut value = neighbors
-            .next()
-            .expect("a computable check has neighbours")
-            .clone();
-        for v in neighbors {
-            value.xor(v);
-        }
-        self.values[g] = Some(value);
-        self.held += 1;
+        self.store.combine(g, Self::neighbors_below(cascade, g));
+        self.hold(g);
     }
 
     /// Recover the final cascade level through the MDS code — unless every
     /// packet of it is known already, which is what a reception that started
     /// with the source looks like.
-    fn try_final_level(&mut self, cascade: &Cascade, worklist: &mut Vec<usize>) -> Result<()> {
+    fn try_final_level(&mut self, cascade: &Cascade) -> Result<()> {
         let last_level = cascade.num_levels() - 1;
         let level_offset = cascade.level_offset(last_level);
         let level = level_offset..level_offset + cascade.level_sizes()[last_level];
@@ -376,20 +408,37 @@ impl<S: Symbol, C: Borrow<Cascade> + Clone> PeelingDecoder<S, C> {
                 self.materialize(cascade, g);
             }
         }
-        // Borrow the packets straight out of the value store: the solve
-        // never clones payloads.
-        let received: Vec<(usize, &S)> = (level.clone().chain(rs_offset..cascade.n()))
-            .filter_map(|g| Some((g - level_offset, self.values[g].as_ref()?)))
+        // Borrow the rows straight out of the store: the solve never copies
+        // a payload to marshal its input.
+        let received: Vec<(usize, &S::Row)> = (level.clone().chain(rs_offset..cascade.n()))
+            .filter(|&g| self.holds.get(g))
+            .map(|g| (g - level_offset, self.store.row(g)))
             .collect();
         if let Some(solved) = S::recover_final_level(cascade.final_code(), &received)? {
             self.rs_done = true;
             for (g, v) in level.zip(solved) {
                 if !self.known[g] {
-                    self.learn(g, v, worklist);
+                    self.store.insert_owned(g, v)?;
+                    self.learn(g);
                 }
             }
         }
         Ok(())
+    }
+}
+
+impl<C: Borrow<Cascade> + Clone> PeelingDecoder<Vec<u8>, C> {
+    /// The recovered file, `file_len` bytes: the source rows taken out of the
+    /// decoder — the buffer they were written to, not a copy — after which
+    /// the decoder is [released](Self::release).  `None` unless the decode is
+    /// complete, not released, and `file_len` fits in its `k` rows.
+    pub fn take_file(&mut self, file_len: usize) -> Option<Vec<u8>> {
+        if !self.is_complete() || self.released() {
+            return None;
+        }
+        let file = self.store.take_source(file_len)?;
+        self.release();
+        Some(file)
     }
 }
 
@@ -590,7 +639,7 @@ mod tests {
             assert_eq!(dec.add_packet_ref(i, p).unwrap(), expected);
         }
         assert_eq!(dec.held(), k);
-        assert!(dec.source_iter().unwrap().eq(src.iter()));
+        assert!(dec.source_iter().unwrap().eq(src.iter().map(Vec::as_slice)));
     }
 
     #[test]
@@ -632,6 +681,71 @@ mod tests {
             assert_eq!(early.add_packet_ref(i, p).unwrap(), AddOutcome::Duplicate);
         }
         assert!(!early.is_complete() && early.held() == 0);
+    }
+
+    #[test]
+    fn the_file_is_the_source_slab_whatever_order_the_rows_came_in() {
+        let k = 120;
+        let cascade = Cascade::build(k, TORNADO_A, 14).unwrap();
+        let src = random_source(k, 9, 14);
+        let enc = encode_all(&cascade, &src);
+        let file_len = 9 * k - 4;
+        let file = crate::reassemble_file(&src, file_len);
+        // The first row to arrive is a source row out of order, and the
+        // rest come back to front: every source row is written in place.
+        for first in [5, k - 1, 0] {
+            let mut dec = PayloadDecoder::new(&cascade);
+            assert_eq!(
+                dec.add_packet_ref(first, &enc[first]),
+                Ok(AddOutcome::Accepted)
+            );
+            assert_eq!(dec.take_file(file_len), None, "not complete");
+            for (i, p) in enc.iter().enumerate().rev() {
+                if dec.add_packet_ref(i, p).unwrap() == AddOutcome::Complete {
+                    break;
+                }
+            }
+            assert!(dec.source_iter().unwrap().eq(src.iter().map(Vec::as_slice)));
+            assert_eq!(dec.take_file(file_len).as_ref(), Some(&file));
+            assert_eq!(dec.held(), 0);
+            assert!(dec.is_complete() && dec.source_iter().is_none());
+            assert_eq!(dec.take_file(file_len), None, "taken once");
+        }
+    }
+
+    #[test]
+    fn a_payload_of_another_length_is_refused_before_it_counts() {
+        let cascade = Cascade::build(80, TORNADO_A, 15).unwrap();
+        let src = random_source(80, 16, 15);
+        let mut dec = PayloadDecoder::new(&cascade);
+        dec.add_packet_ref(3, &src[3]).unwrap();
+        assert!(matches!(
+            dec.add_packet_ref(4, &src[4][..15]),
+            Err(TornadoError::MalformedInput { .. })
+        ));
+        assert_eq!((dec.held(), dec.received_distinct()), (1, 1));
+        assert_eq!(dec.add_packet_ref(4, &src[4]), Ok(AddOutcome::Accepted));
+    }
+
+    #[test]
+    fn odd_gf16_check_rows_are_kept_two_bytes_wider() {
+        // Tornado B below its cascade threshold is one block, GF(2^16) past
+        // 256 packets; at an odd packet size its checks are 9 bytes for
+        // 7-byte packets.
+        let k = 130;
+        let cascade = Cascade::build(k, TORNADO_B, 16).unwrap();
+        assert!(matches!(cascade.final_code(), crate::FinalCode::Large(_)));
+        let src = random_source(k, 7, 16);
+        let enc = encode_all(&cascade, &src);
+        assert_eq!(enc[cascade.rs_offset()].len(), 9);
+        // Checks first, so the slab learns the packet size from a wide row.
+        let mut dec = PayloadDecoder::new(&cascade);
+        for i in (k..cascade.n()).chain(0..k) {
+            if dec.add_packet_ref(i, &enc[i]).unwrap() == AddOutcome::Complete {
+                break;
+            }
+        }
+        assert_eq!(dec.source().unwrap(), src);
     }
 
     #[test]

@@ -57,6 +57,7 @@ pub mod graph;
 pub mod overhead;
 pub mod profile;
 pub mod rateless;
+pub mod store;
 pub mod symbol;
 
 pub use cascade::{Cascade, FinalCode, PacketRole};
@@ -76,4 +77,5 @@ pub use rateless::{
     DegreeTable, LtDecoder, LtEncoder, LtEquation, RaptorCode, RaptorDecoder, RobustSoliton,
     INACTIVATION_CAP, LT_DEFAULT_C, LT_DEFAULT_DELTA, PRECODE_DEGREE, RAPTOR_DEGREE_TABLE,
 };
+pub use store::{NoValues, PerValue, Slab, SymbolStore};
 pub use symbol::{Mark, Symbol};

@@ -13,10 +13,19 @@
 
 use crate::cascade::FinalCode;
 use crate::error::Result;
+use crate::store::{NoValues, Slab, SymbolStore};
 use df_gf::field::xor_slice;
 
 /// A value carried by one encoding packet during decoding.
 pub trait Symbol: Clone + Sized {
+    /// How a decoder lends out a held value: `[u8]` for a payload, whose
+    /// rows live in a [`Slab`]; the symbol itself for most others.
+    type Row: ?Sized + ToOwned<Owned = Self>;
+
+    /// Where a [`crate::PeelingDecoder`] over this symbol keeps its values
+    /// (see [`crate::store`]).
+    type Store: SymbolStore<Self>;
+
     /// XOR `other` into `self`.
     fn xor(&mut self, other: &Self);
 
@@ -24,10 +33,10 @@ pub trait Symbol: Clone + Sized {
     /// final block received so far.
     ///
     /// `received` holds `(local index, value)` pairs — values are *borrowed*
-    /// from the decoder's packet store, so payload symbols are never cloned
-    /// just to attempt recovery.  Local indices `0..k` are last-level packets
-    /// and `k..n` are the final code's check packets.  Returns `Ok(None)` when
-    /// not enough packets are present.
+    /// from the decoder's store, so payloads are never copied just to attempt
+    /// recovery.  Local indices `0..k` are last-level packets and `k..n` are
+    /// the final code's check packets.  Returns `Ok(None)` when not enough
+    /// packets are present.
     ///
     /// # Errors
     ///
@@ -35,27 +44,26 @@ pub trait Symbol: Clone + Sized {
     /// to a GF(2^16) final code).
     fn recover_final_level(
         code: &FinalCode,
-        received: &[(usize, &Self)],
+        received: &[(usize, &Self::Row)],
     ) -> Result<Option<Vec<Self>>>;
 }
 
 impl Symbol for Vec<u8> {
+    type Row = [u8];
+    type Store = Slab;
+
     fn xor(&mut self, other: &Self) {
         xor_slice(self, other);
     }
 
     fn recover_final_level(
         code: &FinalCode,
-        received: &[(usize, &Self)],
+        received: &[(usize, &[u8])],
     ) -> Result<Option<Vec<Self>>> {
         if received.len() < code.k() {
             return Ok(None);
         }
-        let refs: Vec<(usize, &[u8])> = received
-            .iter()
-            .map(|&(idx, payload)| (idx, payload.as_slice()))
-            .collect();
-        Ok(Some(code.decode_ref(&refs)?))
+        Ok(Some(code.decode_ref(received)?))
     }
 }
 
@@ -65,6 +73,9 @@ impl Symbol for Vec<u8> {
 pub struct Mark;
 
 impl Symbol for Mark {
+    type Row = Mark;
+    type Store = NoValues;
+
     fn xor(&mut self, _other: &Self) {}
 
     fn recover_final_level(
@@ -110,10 +121,10 @@ mod tests {
         let checks = code.encode_checks(&level).unwrap();
         // Receive two level packets and two checks, by reference.
         let received = vec![
-            (0usize, &level[0]),
-            (3, &level[3]),
-            (4, &checks[0]),
-            (6, &checks[2]),
+            (0usize, &level[0][..]),
+            (3, &level[3][..]),
+            (4, &checks[0][..]),
+            (6, &checks[2][..]),
         ];
         let out = Vec::<u8>::recover_final_level(&code, &received)
             .unwrap()

@@ -10,8 +10,8 @@
 //! more than the parent did.
 
 use df_core::{
-    AddOutcome, FinalCode, Mark, PeelingDecoder, Symbol, TornadoCode, TornadoProfile, TORNADO_A,
-    TORNADO_B,
+    AddOutcome, FinalCode, Mark, PeelingDecoder, PerValue, Symbol, TornadoCode, TornadoProfile,
+    TORNADO_A, TORNADO_B,
 };
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -72,6 +72,9 @@ thread_local! {
 struct Counted(Vec<u8>);
 
 impl Symbol for Counted {
+    type Row = Self;
+    type Store = PerValue<Self>;
+
     fn xor(&mut self, other: &Self) {
         XORS.with(|x| x.set(x.get() + 1));
         self.0.xor(&other.0);
@@ -81,7 +84,7 @@ impl Symbol for Counted {
         code: &FinalCode,
         received: &[(usize, &Self)],
     ) -> df_core::Result<Option<Vec<Self>>> {
-        let inner: Vec<(usize, &Vec<u8>)> = received.iter().map(|&(i, s)| (i, &s.0)).collect();
+        let inner: Vec<(usize, &[u8])> = received.iter().map(|&(i, s)| (i, &s.0[..])).collect();
         Ok(Vec::<u8>::recover_final_level(code, &inner)?
             .map(|level| level.into_iter().map(Counted).collect()))
     }

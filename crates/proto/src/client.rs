@@ -25,9 +25,12 @@
 //! `(k, profile, code_seed)` ([`df_core::codec`]): the first session of a
 //! file builds it, every later one — and the server session itself, when it
 //! lives in the same process — finds it alive, so a swarm of receivers pays
-//! for one graph.  And a finished session holds its file once: the decoder's
-//! packet values are released the moment [`ClientSession::file`] is written
-//! from them, leaving only the counters behind.
+//! for one graph.  And a session holds each payload once: a carousel
+//! receiver copies every new payload straight from the datagram into its
+//! decoder's file-shaped slab ([`df_core::Slab`]), and at completion that
+//! slab's source rows *are* [`ClientSession::file`] — taken out of the
+//! decoder, not copied from it — while the check rows are dropped, leaving
+//! only the counters behind.
 
 use crate::control::ControlInfo;
 use crate::layered::LayerController;
@@ -35,8 +38,7 @@ use crate::rateless::{seed_from_words, RatelessMode, RatelessReceiver};
 use crate::wire::DataPacket;
 use bytes::Bytes;
 use df_core::{
-    reassemble_file, OwnedPayloadDecoder, RaptorCode, ReceptionCounter, TornadoCode, TornadoError,
-    TornadoProfile,
+    OwnedPayloadDecoder, RaptorCode, ReceptionCounter, TornadoCode, TornadoError, TornadoProfile,
 };
 use df_mcast::LayeredSession;
 
@@ -230,6 +232,13 @@ pub const MAX_LAYERS: usize = 32;
 /// wire-sourced sizes).
 pub const MAX_K: usize = 1 << 24;
 
+/// Longest file a carousel session may announce.  A receiver's decoder
+/// keeps the source rows in one buffer laid out as the file and reserves
+/// all of it at the first datagram, so this bounds what one datagram of a
+/// hostile session can make a client ask the allocator for.  2³³ bytes
+/// admits every `k ≤ MAX_K` at payloads up to 512 bytes.
+pub const MAX_FILE_LEN: usize = 1 << 33;
+
 /// Most layers a *layered* (adaptive congestion-control) session may use —
 /// [`df_mcast::LayeredSession::new`] enforces it for servers and clients
 /// alike.  Flat sessions may go up to [`MAX_LAYERS`].
@@ -254,7 +263,7 @@ const MAX_PACKET_SIZE: usize = 65_507 - crate::wire::HEADER_LEN - 2;
 enum Backend {
     Carousel {
         code: TornadoCode,
-        decoder: OwnedPayloadDecoder,
+        decoder: Box<OwnedPayloadDecoder>,
     },
     Rateless(Box<RatelessReceiver>),
 }
@@ -281,9 +290,10 @@ impl ClientSession {
     /// or control parameters inconsistent with the rebuilt code, and
     /// propagates code-construction errors.  The control channel is
     /// untrusted input, so every cheap structural check — profile name,
-    /// layer count, group-range overflow, packet size, and a bound on `k` —
-    /// runs *before* the `O(k)` code construction; a hostile announcement
-    /// cannot make a client allocate an unbounded cascade.
+    /// layer count, group-range overflow, packet size, and bounds on `k`
+    /// and on the file length — runs *before* the `O(k)` code construction;
+    /// a hostile announcement cannot make a client allocate an unbounded
+    /// cascade, nor reserve an unbounded file.
     pub fn new(control: ControlInfo) -> df_core::Result<Self> {
         let malformed = |reason: String| TornadoError::MalformedInput { reason };
         if control.rateless.is_rateless() {
@@ -323,6 +333,12 @@ impl ClientSession {
                 control.k
             )));
         }
+        if control.file_len > MAX_FILE_LEN {
+            return Err(malformed(format!(
+                "control info advertises a file of {} bytes (at most {MAX_FILE_LEN})",
+                control.file_len
+            )));
+        }
         // Layered congestion-control mode: the announced cadence must pass
         // the *same* validating constructor the server transmits from, so a
         // well-formed server can never announce a session its own clients
@@ -359,7 +375,7 @@ impl ClientSession {
                 code.n()
             )));
         }
-        let decoder = code.owned_decoder();
+        let decoder = Box::new(code.owned_decoder());
         let controller = layered.map(|session| LayerController::new(session, control.base_group));
         Ok(ClientSession {
             stats: DownloadStats::new(code.n(), code.k()),
@@ -502,10 +518,10 @@ impl ClientSession {
         self.file.is_some()
     }
 
-    /// Payloads the decode machinery holds: packet values inside the peeling
-    /// decoder (carousel) or undecoded equations (rateless).  Never more than
+    /// Payloads the decode machinery holds: rows of the peeling decoder's
+    /// slab (carousel) or undecoded equations (rateless).  Never more than
     /// [`Self::buffer_cap`], and `0` once the download is complete: the
-    /// decoder's values are released as soon as [`Self::file`] is written.
+    /// decoder lets go of everything as [`Self::file`] is made.
     pub fn held_packets(&self) -> usize {
         match &self.backend {
             Backend::Carousel { decoder, .. } => decoder.held(),
@@ -597,16 +613,12 @@ impl ClientSession {
                 // decoder could already compute from what it holds, or an
                 // error — which would mean the validation above let
                 // something malformed through: channel noise like any other.
-                if let Ok(df_core::AddOutcome::Complete) =
-                    decoder.add_packet(idx, pkt.payload.to_vec())
+                // The payload is copied once, from the datagram into its row.
+                if let Ok(df_core::AddOutcome::Complete) = decoder.add_packet_ref(idx, &pkt.payload)
                 {
-                    let file = decoder
-                        .source_iter()
-                        .map(|source| reassemble_file(source, self.control.file_len));
-                    if file.is_some() {
-                        self.file = file;
-                        // The file is the one copy worth keeping.
-                        decoder.release();
+                    // The source rows are the file, in place.
+                    if let Some(file) = decoder.take_file(self.control.file_len) {
+                        self.file = Some(file);
                         return ClientEvent::Complete;
                     }
                 }
@@ -697,7 +709,7 @@ mod tests {
     #[test]
     fn a_lossless_one_group_download_takes_exactly_k_receptions() {
         // The carousel opens with the source packets, so the k-th reception
-        // completes the download — and completes it as a copy: up to then the
+        // completes the download — without copying the file: up to then the
         // decoder holds exactly the payloads it was fed and built nothing.
         let data: Vec<u8> = (0..200_000).map(|i| (i * 131 % 251) as u8).collect();
         let mut server = ServerSession::with_defaults(&data, 1, 7).unwrap();
@@ -718,14 +730,107 @@ mod tests {
         let stats = client.stats();
         assert_eq!((stats.received(), stats.distinct()), (400, 400));
         assert_eq!((stats.decode_attempts(), stats.rejected()), (0, 0));
-        // The file is held once: the decoder let its packets go, and the
-        // session goes on serving the file and answering late datagrams.
+        // The file is held once: it is the decoder's slab, and the session
+        // goes on serving the file and answering late datagrams.
         assert_eq!(client.held_packets(), 0);
         assert_eq!(client.handle_datagram(datagram), ClientEvent::Complete);
         let (_group, late) = server.poll_transmit().unwrap();
         assert_eq!(client.handle_datagram(late), ClientEvent::Complete);
         assert_eq!(client.file().unwrap(), &data[..]);
         assert_eq!(client.stats().received(), 400);
+    }
+
+    /// Download `data` through a session of `config`, joining after `skip`
+    /// datagrams and losing each later one with probability `loss`
+    /// (seeded).  At every datagram the client must hold exactly the rows
+    /// an index-only decoder fed the same packets holds, and finish with it.
+    fn slab_download(data: &[u8], config: SessionConfig, loss: f64, skip: usize) {
+        let mut server = ServerSession::new(data, config).unwrap();
+        let mut client = ClientSession::new(server.control_info().clone()).unwrap();
+        let code = server.code().unwrap().clone();
+        let mut mirror = code.symbolic_decoder();
+        let mut draws = 0x2545_f491_4f6c_dd1du64 ^ skip as u64;
+        let mut sent = 0;
+        loop {
+            let Some((_group, datagram)) = server.poll_transmit() else {
+                server.advance_round();
+                continue;
+            };
+            sent += 1;
+            draws = draws
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            if sent <= skip || ((draws >> 11) as f64) / ((1u64 << 53) as f64) < loss {
+                continue;
+            }
+            let index = crate::wire::PacketHeader::decode(&datagram)
+                .unwrap()
+                .packet_index as usize;
+            let done = mirror.add_packet(index, df_core::Mark).unwrap();
+            let event = client.handle_datagram(datagram);
+            assert_eq!(
+                event == ClientEvent::Complete,
+                done == df_core::AddOutcome::Complete
+            );
+            if event == ClientEvent::Complete {
+                break;
+            }
+            assert_eq!(client.held_packets(), mirror.held(), "after {sent} sent");
+            assert!(sent < 10 * code.n(), "ten cycles did not decode");
+        }
+        let file = client.file().unwrap();
+        assert_eq!(file.len(), data.len());
+        assert!(file == data, "wrong bytes");
+        assert_eq!(client.held_packets(), 0);
+    }
+
+    /// A file of `k` packets of `packet_size` bytes whose last one is short.
+    fn short_tailed(k: usize, packet_size: usize) -> Vec<u8> {
+        (0..k * packet_size - packet_size / 2 - 1)
+            .map(|i| (i * 131 % 251) as u8)
+            .collect()
+    }
+
+    #[test]
+    fn slab_corner_cases_download_byte_for_byte() {
+        let config = |packet_size, profile, layers| SessionConfig {
+            packet_size,
+            profile,
+            layers,
+            code_seed: 29,
+            ..SessionConfig::default()
+        };
+        // Tornado B at an odd packet size: a cascade whose GF(2^16) final
+        // block sends check rows two bytes wider than the level rows.
+        let data = short_tailed(2100, 7);
+        let b = TornadoCode::new_b(2100, 29).unwrap();
+        assert!(b.cascade().num_levels() > 1);
+        assert!(matches!(b.cascade().final_code(), FinalCode::Large(_)));
+        for (loss, skip) in [(0.0, 2500), (0.1, 0), (0.5, 901)] {
+            slab_download(&data, config(7, TORNADO_B, 1), loss, skip);
+        }
+        // Tornado A at k = 60: one MDS block, which writes source rows.
+        let data = short_tailed(60, 100);
+        assert_eq!(
+            TornadoCode::new_a(60, 29).unwrap().cascade().num_levels(),
+            1
+        );
+        for (loss, skip) in [(0.0, 61), (0.1, 7), (0.5, 0)] {
+            slab_download(&data, config(100, df_core::TORNADO_A, 1), loss, skip);
+        }
+        // One and four layers behind 0, 10 and 50 % loss, from the start
+        // and from mid-carousel.
+        let data = short_tailed(1000, 64);
+        for layers in [1, 4] {
+            for loss in [0.0, 0.1, 0.5] {
+                for skip in [0, 1357] {
+                    slab_download(&data, config(64, df_core::TORNADO_A, layers), loss, skip);
+                }
+            }
+        }
+        // The very first row to arrive is a source row out of order: the
+        // slab is zero-filled before anything is in it.
+        slab_download(&data, config(64, df_core::TORNADO_A, 1), 0.0, 3);
     }
 
     #[test]
@@ -890,6 +995,10 @@ mod tests {
             (10_000, 65_500, 1), // framed datagram would exceed the UDP maximum
             (10_000, 500, 21),   // k inconsistent with file_len
             (0, 500, 20),        // empty file, nonzero k
+            // k at its cap and the largest payload: a consistent ~1.1 TB
+            // file, which a receiver would reserve at its first datagram.
+            (MAX_K * MAX_PACKET_SIZE, MAX_PACKET_SIZE, MAX_K),
+            (MAX_FILE_LEN + 1, 1024, (MAX_FILE_LEN + 1).div_ceil(1024)),
         ] {
             let mut control = base.clone();
             control.file_len = file_len;

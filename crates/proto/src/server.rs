@@ -334,10 +334,10 @@ impl ServerSession {
                     group,
                 };
                 self.serial = self.serial.wrapping_add(1);
-                // Frame straight from the retained encoding: the carousel
-                // re-sends every packet forever, so an extra per-datagram
-                // payload copy here would be an unbounded stream of
-                // redundant allocations.
+                // Frame from the retained encoding.  This allocates and
+                // copies the payload once per datagram, forever, for packets
+                // the carousel already holds; ROADMAP.md item 5 (header plus
+                // borrowed payload as an `iovec`) removes the copy.
                 (group, DataPacket::frame(&header, &encoding[idx]))
             }
             Engine::Rateless(sender) => {

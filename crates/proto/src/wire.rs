@@ -69,11 +69,14 @@ impl DataPacket {
         Self::frame(&self.header, &self.payload)
     }
 
-    /// Frame a datagram straight from a borrowed payload, without building a
-    /// `DataPacket` first — the zero-copy path for senders that retain their
-    /// encoding (the carousel re-sends every packet forever).  This is the
-    /// single definition of the data-packet wire layout; [`DataPacket::to_bytes`]
-    /// delegates here.
+    /// Frame a datagram from a borrowed payload, without building a
+    /// `DataPacket` first.  This is not zero-copy: every call allocates a
+    /// buffer and copies the header and the whole payload into it, once per
+    /// datagram, even for a sender that retains its encoding (the carousel
+    /// re-sends every packet forever).  Sending the header and the retained
+    /// payload as two `iovec`s — ROADMAP.md item 5 — is what removes the
+    /// copy.  This is the single definition of the data-packet wire layout;
+    /// [`DataPacket::to_bytes`] delegates here.
     pub fn frame(header: &PacketHeader, payload: &[u8]) -> Bytes {
         let mut buf = BytesMut::with_capacity(HEADER_LEN + payload.len());
         buf.put_slice(&header.encode());
