@@ -549,7 +549,10 @@ fn rateless() {
     for (name, r) in [("carousel", o.carousel), ("rateless", o.rateless)] {
         println!(
             "{:>10} {:>10} {:>10} {:>8.3}",
-            name, r.received, r.distinct, r.distinctness
+            name,
+            r.received,
+            r.distinct,
+            r.distinctness_efficiency()
         );
     }
     println!("(heavy loss walks the carousel receiver across many cycles: reception becomes");

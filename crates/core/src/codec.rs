@@ -20,9 +20,8 @@
 //! *outside* the lock, so one large construction never stalls another key's
 //! lookup; two threads that miss on the same key both build, the first to
 //! come back registers its cascade and the other adopts it and drops its
-//! own (the builds are identical by construction — the same benign race
-//! `df-rs`'s `InverseCache` documents).  [`Cascade::build`] stays the
-//! uncached primitive.
+//! own (the builds are identical by construction, so the race is benign).
+//! [`Cascade::build`] stays the uncached primitive.
 //!
 //! # Example
 //!
@@ -51,6 +50,7 @@
 use crate::cascade::{Cascade, FinalCode};
 use crate::decode::{OwnedPayloadDecoder, PayloadDecoder, SymbolicDecoder};
 use crate::error::Result;
+use crate::fountain::Reception;
 use crate::profile::{TornadoProfile, TORNADO_A, TORNADO_B};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -271,10 +271,15 @@ impl TornadoCode {
         let mut order: Vec<usize> = (0..self.n()).collect();
         order.shuffle(rng);
         let mut dec = self.symbolic_decoder();
-        let needed = dec
+        let received = dec
             .run_until_complete(order)
             .expect("the complete encoding always decodes");
-        needed as f64 / self.k() as f64 - 1.0
+        let reception = Reception {
+            received,
+            distinct: received,
+            k: self.k(),
+        };
+        reception.reception_overhead()
     }
 }
 

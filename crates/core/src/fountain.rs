@@ -13,6 +13,12 @@
 //! every cycle, which is what the paper's simulations do ("the server then
 //! simply cycled through a random permutation of the source and redundant
 //! packets", Section 7.1).
+//!
+//! The receiving end is [`ReceptionCounter`]: the one tally every receiver
+//! counts through — the prototype client, the Section 6 simulated receivers,
+//! the layered model — whether it judges novelty by encoding index or takes
+//! a rateless decoder's word for it.  Its [`Reception`] counts carry the
+//! only definitions of `η`, `η_c`, `η_d` and `ε` in the workspace.
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -119,78 +125,122 @@ impl PacketStream for Carousel {
     }
 }
 
-/// Reception-side bookkeeping shared by the simulations and the prototype
-/// client: how many packets were received in total, how many were distinct,
-/// and therefore the reception, coding and distinctness efficiencies of
-/// Section 7.3.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// What one receiver took from the channel, and the efficiencies the paper
+/// judges a fountain by: reception efficiency `η = k / received`
+/// (Section 6), its Section 7.3 split into coding efficiency
+/// `η_c = k / distinct` and distinctness efficiency `η_d = distinct /
+/// received` (so `η = η_c · η_d`), and the reception overhead
+/// `ε = received / k − 1` of a receiver that needed `(1 + ε)·k` packets.
+///
+/// Receivers count through a [`ReceptionCounter`]; the prototype's
+/// `DownloadStats` and the simulated receivers' outcomes read as
+/// (dereference to) one of these.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Reception {
+    /// Packets received (after loss), duplicates included.
+    pub received: usize,
+    /// Distinct packets among them: encoding indices for a carousel, symbol
+    /// seeds for a rateless stream.
+    pub distinct: usize,
+    /// Source packets in the file.
+    pub k: usize,
+}
+
+impl Reception {
+    /// Reception efficiency `η = k / received`; `0` before anything arrived.
+    pub fn reception_efficiency(&self) -> f64 {
+        if self.received == 0 {
+            return 0.0;
+        }
+        self.k as f64 / self.received as f64
+    }
+
+    /// Coding efficiency `η_c = k / distinct`; `0` before anything arrived.
+    pub fn coding_efficiency(&self) -> f64 {
+        if self.distinct == 0 {
+            return 0.0;
+        }
+        self.k as f64 / self.distinct as f64
+    }
+
+    /// Distinctness efficiency `η_d = distinct / received`; `0` before
+    /// anything arrived.
+    pub fn distinctness_efficiency(&self) -> f64 {
+        if self.received == 0 {
+            return 0.0;
+        }
+        self.distinct as f64 / self.received as f64
+    }
+
+    /// Reception overhead `ε = received / k − 1`.
+    pub fn reception_overhead(&self) -> f64 {
+        self.received as f64 / self.k as f64 - 1.0
+    }
+}
+
+/// The one reception tally: counts what a receiver of a `k`-packet file
+/// takes from the channel, and reads as its [`Reception`] counts.
+///
+/// There are two ways to count, one per kind of stream:
+/// * [`ReceptionCounter::new`] keeps a bitmap over the `n` encoding
+///   indices, and [`ReceptionCounter::record`] judges novelty by it — the
+///   carousel clients, the simulated receivers and the layered model.
+/// * [`ReceptionCounter::streaming`] keeps no bitmap, for a stream with no
+///   index range (rateless seeds), and
+///   [`ReceptionCounter::record_verdict`] takes the caller's word for what
+///   is new — there the decoder is the authority on seed novelty.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReceptionCounter {
-    distinct: usize,
-    total: usize,
+    counts: Reception,
+    /// Which encoding indices arrived; empty on a streaming counter.
     seen: Vec<bool>,
 }
 
 impl ReceptionCounter {
-    /// Counter over an encoding of `n` packets.
-    pub fn new(n: usize) -> Self {
+    /// A counter over an encoding of `n` packets of a `k`-packet file.
+    pub fn new(n: usize, k: usize) -> Self {
         ReceptionCounter {
-            distinct: 0,
-            total: 0,
+            counts: Reception {
+                k,
+                ..Reception::default()
+            },
             seen: vec![false; n],
         }
     }
 
+    /// A counter for a `k`-packet file sent as a stream with no index range,
+    /// counted by [`ReceptionCounter::record_verdict`] alone.
+    pub fn streaming(k: usize) -> Self {
+        ReceptionCounter::new(0, k)
+    }
+
     /// Record the reception of encoding packet `index`; returns `true` if it
     /// was new.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is not below the counter's `n` — always, on a
+    /// streaming counter.
     pub fn record(&mut self, index: usize) -> bool {
-        self.total += 1;
-        if self.seen[index] {
-            false
-        } else {
-            self.seen[index] = true;
-            self.distinct += 1;
-            true
+        let new = !std::mem::replace(&mut self.seen[index], true);
+        self.record_verdict(new);
+        new
+    }
+
+    /// Record one reception that the caller judged `new` or not.
+    pub fn record_verdict(&mut self, new: bool) {
+        self.counts.received += 1;
+        if new {
+            self.counts.distinct += 1;
         }
     }
+}
 
-    /// Total packets received (including duplicates).
-    pub fn total(&self) -> usize {
-        self.total
-    }
+impl std::ops::Deref for ReceptionCounter {
+    type Target = Reception;
 
-    /// Distinct packets received.
-    pub fn distinct(&self) -> usize {
-        self.distinct
-    }
-
-    /// Duplicate receptions.
-    pub fn duplicates(&self) -> usize {
-        self.total - self.distinct
-    }
-
-    /// Reception efficiency `η = k / total` for a file of `k` source packets
-    /// (Section 6 definition).
-    pub fn reception_efficiency(&self, k: usize) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        k as f64 / self.total as f64
-    }
-
-    /// Coding efficiency `η_c = k / distinct` (Section 7.3).
-    pub fn coding_efficiency(&self, k: usize) -> f64 {
-        if self.distinct == 0 {
-            return 0.0;
-        }
-        k as f64 / self.distinct as f64
-    }
-
-    /// Distinctness efficiency `η_d = distinct / total` (Section 7.3).
-    pub fn distinctness_efficiency(&self) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        self.distinct as f64 / self.total as f64
+    fn deref(&self) -> &Reception {
+        &self.counts
     }
 }
 
@@ -239,26 +289,50 @@ mod tests {
 
     #[test]
     fn reception_counter_efficiencies() {
-        let mut r = ReceptionCounter::new(8);
-        for idx in [0usize, 1, 2, 2, 3, 3, 3] {
-            r.record(idx);
-        }
-        assert_eq!(r.total(), 7);
-        assert_eq!(r.distinct(), 4);
-        assert_eq!(r.duplicates(), 3);
+        let mut r = ReceptionCounter::new(8, 3);
+        let fresh: Vec<bool> = [0usize, 1, 2, 2, 3, 3, 3]
+            .into_iter()
+            .map(|idx| r.record(idx))
+            .collect();
+        assert_eq!(fresh, [true, true, true, false, true, false, false]);
+        assert_eq!(
+            *r,
+            Reception {
+                received: 7,
+                distinct: 4,
+                k: 3
+            }
+        );
         assert!((r.distinctness_efficiency() - 4.0 / 7.0).abs() < 1e-12);
-        assert!((r.coding_efficiency(3) - 0.75).abs() < 1e-12);
-        assert!((r.reception_efficiency(3) - 3.0 / 7.0).abs() < 1e-12);
+        assert!((r.coding_efficiency() - 0.75).abs() < 1e-12);
+        assert!((r.reception_efficiency() - 3.0 / 7.0).abs() < 1e-12);
+        assert!((r.reception_overhead() - 4.0 / 3.0).abs() < 1e-12);
         // η = η_c · η_d as stated in Section 7.3.
-        let eta = r.reception_efficiency(3);
-        assert!((eta - r.coding_efficiency(3) * r.distinctness_efficiency()).abs() < 1e-12);
+        let eta = r.reception_efficiency();
+        assert!((eta - r.coding_efficiency() * r.distinctness_efficiency()).abs() < 1e-12);
+    }
+
+    #[test]
+    fn a_streaming_counter_takes_the_callers_verdict() {
+        let mut r = ReceptionCounter::streaming(2);
+        for new in [true, false, true] {
+            r.record_verdict(new);
+        }
+        assert_eq!(
+            *r,
+            Reception {
+                received: 3,
+                distinct: 2,
+                k: 2
+            }
+        );
     }
 
     #[test]
     fn empty_counter_is_safe() {
-        let r = ReceptionCounter::new(4);
-        assert_eq!(r.reception_efficiency(4), 0.0);
-        assert_eq!(r.coding_efficiency(4), 0.0);
+        let r = ReceptionCounter::new(4, 4);
+        assert_eq!(r.reception_efficiency(), 0.0);
+        assert_eq!(r.coding_efficiency(), 0.0);
         assert_eq!(r.distinctness_efficiency(), 0.0);
     }
 }

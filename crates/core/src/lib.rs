@@ -14,7 +14,9 @@
 //!   [`PacketStream`], [`ReceptionCounter`]) — the transmission model in which
 //!   a server cycles endlessly through the encoding and each receiver listens,
 //!   at a time of its choosing and over an arbitrarily lossy channel, until it
-//!   has collected enough packets to decode.
+//!   has collected enough packets to decode; every receiver in the workspace
+//!   counts what it took through a [`ReceptionCounter`], and the paper's
+//!   efficiencies are defined once, on its [`Reception`] counts.
 //!
 //! The companion crates build on these primitives: `df-sim` reproduces the
 //! paper's simulation study (interleaved Reed–Solomon baseline, loss models,
@@ -69,7 +71,7 @@ pub use decode::{
 pub use degree::DegreeDistribution;
 pub use error::{Result, TornadoError};
 pub use file::{reassemble_file, PacketizedFile};
-pub use fountain::{Carousel, PacketStream, ReceptionCounter};
+pub use fountain::{Carousel, PacketStream, Reception, ReceptionCounter};
 pub use graph::{BipartiteGraph, CheckSide};
 pub use overhead::OverheadStats;
 pub use profile::{TornadoProfile, TORNADO_A, TORNADO_B};

@@ -49,13 +49,11 @@ pub mod gf16;
 pub mod gf8;
 pub mod kernels;
 pub mod matrix;
-pub mod poly;
 
 pub use field::Field;
 pub use gf16::GF65536;
 pub use gf8::GF256;
 pub use matrix::Matrix;
-pub use poly::Poly;
 
 /// Errors produced by matrix operations.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -16,9 +16,8 @@
 //! Section 7.3 — the quantities plotted in Figure 8 of the paper.
 
 use crate::schedule::TransmissionSchedule;
-use df_core::{AddOutcome, Mark, TornadoCode, TornadoError};
+use df_core::{AddOutcome, Mark, Reception, ReceptionCounter, TornadoCode, TornadoError};
 use rand::Rng;
-use serde::Serialize;
 
 /// Most layers a layered session may use — the reverse-binary schedule's
 /// block size is `2^(layers−1)`, so 16 layers is already a 32 768-packet
@@ -145,9 +144,7 @@ impl LayeredSession {
         let budget = (bottleneck * blocks).floor().max(0.0) as usize;
         let mut level = 0usize; // current cumulative subscription level
         let mut decoder = code.symbolic_decoder();
-        let mut seen = vec![false; code.n()];
-        let mut received = 0usize;
-        let mut distinct = 0usize;
+        let mut tally = ReceptionCounter::new(code.n(), code.k());
         let mut loss_since_sp = false;
         let mut burst_loss = false;
         let mut round = 0usize;
@@ -189,11 +186,7 @@ impl LayeredSession {
                     }
                     continue;
                 }
-                received += 1;
-                if !seen[idx] {
-                    seen[idx] = true;
-                    distinct += 1;
-                }
+                tally.record(idx);
                 if decoder.add_packet(idx, Mark).expect("index in range") == AddOutcome::Complete {
                     complete = true;
                     break;
@@ -203,65 +196,33 @@ impl LayeredSession {
         }
         ReceiverReport {
             complete,
-            received,
-            distinct,
-            k: code.k(),
+            reception: *tally,
             final_level: level,
             rounds: round,
         }
     }
 }
 
-/// Outcome of one simulated layered (or single-layer) receiver.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+/// Outcome of one simulated layered (or single-layer) receiver.  It reads as
+/// its [`Reception`]: `report.received`, `report.distinctness_efficiency()`.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReceiverReport {
     /// Whether the receiver reconstructed the file within the simulation
     /// horizon.
     pub complete: bool,
-    /// Packets received (after loss), including duplicates.
-    pub received: usize,
-    /// Distinct encoding packets received.
-    pub distinct: usize,
-    /// Source packets in the file.
-    pub k: usize,
+    /// What the receiver took from the channel until then.
+    pub reception: Reception,
     /// Subscription level at the end of the download.
     pub final_level: usize,
     /// Rounds the download took.
     pub rounds: usize,
 }
 
-impl ReceiverReport {
-    /// Reception efficiency `η = k / received`.
-    pub fn reception_efficiency(&self) -> f64 {
-        if self.received == 0 {
-            0.0
-        } else {
-            self.k as f64 / self.received as f64
-        }
-    }
+impl std::ops::Deref for ReceiverReport {
+    type Target = Reception;
 
-    /// Coding efficiency `η_c = k / distinct`.
-    pub fn coding_efficiency(&self) -> f64 {
-        if self.distinct == 0 {
-            0.0
-        } else {
-            self.k as f64 / self.distinct as f64
-        }
-    }
-
-    /// Distinctness efficiency `η_d = distinct / received`.
-    pub fn distinctness_efficiency(&self) -> f64 {
-        if self.received == 0 {
-            0.0
-        } else {
-            self.distinct as f64 / self.received as f64
-        }
-    }
-
-    /// Overall loss rate experienced relative to what was transmitted to the
-    /// receiver's subscription — not tracked directly; use the efficiencies.
-    pub fn reception_overhead(&self) -> f64 {
-        self.received as f64 / self.k as f64 - 1.0
+    fn deref(&self) -> &Reception {
+        &self.reception
     }
 }
 
@@ -276,9 +237,7 @@ pub fn simulate_single_layer_receiver<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> ReceiverReport {
     let mut decoder = code.symbolic_decoder();
-    let mut seen = vec![false; code.n()];
-    let mut received = 0usize;
-    let mut distinct = 0usize;
+    let mut tally = ReceptionCounter::new(code.n(), code.k());
     let mut complete = false;
     let mut round = 0usize;
     // A single-layer receiver subscribes to every layer's traffic on one
@@ -290,11 +249,7 @@ pub fn simulate_single_layer_receiver<R: Rng + ?Sized>(
                 if rng.gen::<f64>() < loss {
                     continue;
                 }
-                received += 1;
-                if !seen[idx] {
-                    seen[idx] = true;
-                    distinct += 1;
-                }
+                tally.record(idx);
                 if decoder.add_packet(idx, Mark).expect("index in range") == AddOutcome::Complete {
                     complete = true;
                     break;
@@ -308,17 +263,11 @@ pub fn simulate_single_layer_receiver<R: Rng + ?Sized>(
     }
     ReceiverReport {
         complete,
-        received,
-        distinct,
-        k: code.k(),
+        reception: *tally,
         final_level: 0,
         rounds: round,
     }
 }
-
-/// One simulated receiver used by the `df-proto` prototype experiments; kept
-/// here so both the prototype and the bench harness share it.
-pub type LayeredReceiver = ReceiverReport;
 
 #[cfg(test)]
 mod tests {

@@ -19,7 +19,6 @@ pub mod layers;
 pub mod schedule;
 
 pub use layers::{
-    simulate_single_layer_receiver, LayeredReceiver, LayeredSession, ReceiverReport, MAX_LAYERS,
-    MAX_SP_INTERVAL,
+    simulate_single_layer_receiver, LayeredSession, ReceiverReport, MAX_LAYERS, MAX_SP_INTERVAL,
 };
 pub use schedule::TransmissionSchedule;

@@ -38,101 +38,43 @@ use crate::rateless::{seed_from_words, RatelessMode, RatelessReceiver};
 use crate::wire::DataPacket;
 use bytes::Bytes;
 use df_core::{
-    OwnedPayloadDecoder, RaptorCode, ReceptionCounter, TornadoCode, TornadoError, TornadoProfile,
+    OwnedPayloadDecoder, RaptorCode, Reception, ReceptionCounter, TornadoCode, TornadoError,
+    TornadoProfile,
 };
 use df_mcast::LayeredSession;
 
-/// How a download's receptions are tallied.  A carousel session counts
-/// distinct *encoding indices* out of a known universe of `n`
-/// ([`df_core::ReceptionCounter`], exactly the accounting the reception
-/// simulations use); a rateless session receives an unbounded stream of
-/// 64-bit seeds with no index universe to bound a bitmap by, so it keeps
-/// plain totals — the decoder itself is the authority on seed novelty.
+/// Reception statistics for one download: the session's
+/// [`ReceptionCounter`] and the symbols it refused.  It reads as its
+/// [`Reception`] counts, so `η`, `η_c`, `η_d` and `ε` are the counts' own.
+///
+/// A carousel session counts distinct *encoding indices* out of its `n`; a
+/// rateless session receives an unbounded stream of 64-bit seeds with no
+/// index range to bound a bitmap by, so its counter takes the decoder's
+/// verdict on seed novelty.  For an honest rateless stream `η_d` is exactly
+/// `1.0` — every seed is fresh — which is the whole point of the mode; a
+/// carousel's late joiners decay toward the ≈ 0.64 distinctness of uniform
+/// sampling with replacement.
 #[derive(Debug, Clone, PartialEq)]
-enum Tally {
-    Indexed(ReceptionCounter),
-    Streaming { total: u64, distinct: u64 },
-}
-
-impl Default for Tally {
-    fn default() -> Self {
-        Tally::Streaming {
-            total: 0,
-            distinct: 0,
-        }
-    }
-}
-
-/// Reception statistics for one download.  The three Section 7.3 efficiency
-/// definitions are computed in exactly one place for both session kinds.
-#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DownloadStats {
-    tally: Tally,
-    k: usize,
+    counter: ReceptionCounter,
     rejected: u64,
 }
 
 impl DownloadStats {
-    fn new(n: usize, k: usize) -> Self {
-        DownloadStats {
-            tally: Tally::Indexed(ReceptionCounter::new(n)),
-            k,
-            rejected: 0,
-        }
-    }
-
-    fn new_streaming(k: usize) -> Self {
-        DownloadStats {
-            tally: Tally::default(),
-            k,
-            rejected: 0,
-        }
-    }
-
-    /// Record the reception of encoding packet `index`; true if it was new.
-    /// Carousel sessions only (the rateless path has no index).
-    fn record(&mut self, index: usize) -> bool {
-        match &mut self.tally {
-            Tally::Indexed(counter) => counter.record(index),
-            Tally::Streaming { .. } => false,
-        }
-    }
-
-    /// Record one rateless symbol reception, `new` per the decoder's seed
-    /// bookkeeping.
-    fn record_streaming(&mut self, new: bool) {
-        if let Tally::Streaming { total, distinct } = &mut self.tally {
-            *total += 1;
-            if new {
-                *distinct += 1;
-            }
-        }
-    }
-
-    fn note_rejected(&mut self) {
-        self.rejected += 1;
-    }
-
     /// Packets received (after network loss), including duplicates.
     pub fn received(&self) -> usize {
-        match &self.tally {
-            Tally::Indexed(counter) => counter.total(),
-            Tally::Streaming { total, .. } => *total as usize,
-        }
+        self.counter.received
     }
 
     /// Distinct packets received: distinct encoding indices for a carousel,
     /// distinct symbol seeds for a rateless session.
     pub fn distinct(&self) -> usize {
-        match &self.tally {
-            Tally::Indexed(counter) => counter.distinct(),
-            Tally::Streaming { distinct, .. } => *distinct as usize,
-        }
+        self.counter.distinct
     }
 
     /// Number of source packets in the file.
     pub fn k(&self) -> usize {
-        self.k
+        self.counter.k
     }
 
     /// Decode attempts that did not complete.  Always `0`: both session kinds
@@ -148,35 +90,13 @@ impl DownloadStats {
     pub fn rejected(&self) -> u64 {
         self.rejected
     }
+}
 
-    /// Reception efficiency `η = k / received`.
-    pub fn reception_efficiency(&self) -> f64 {
-        match &self.tally {
-            Tally::Indexed(counter) => counter.reception_efficiency(self.k),
-            Tally::Streaming { total, .. } if *total > 0 => self.k as f64 / *total as f64,
-            Tally::Streaming { .. } => 0.0,
-        }
-    }
+impl std::ops::Deref for DownloadStats {
+    type Target = Reception;
 
-    /// Coding efficiency `η_c = k / distinct`.
-    pub fn coding_efficiency(&self) -> f64 {
-        match &self.tally {
-            Tally::Indexed(counter) => counter.coding_efficiency(self.k),
-            Tally::Streaming { distinct, .. } if *distinct > 0 => self.k as f64 / *distinct as f64,
-            Tally::Streaming { .. } => 0.0,
-        }
-    }
-
-    /// Distinctness efficiency `η_d = distinct / received`.  For an honest
-    /// rateless stream this is exactly `1.0` — every seed is fresh — which
-    /// is the whole point of the mode; a carousel's late joiners decay
-    /// toward the ≈ 0.64 distinctness of uniform sampling with replacement.
-    pub fn distinctness_efficiency(&self) -> f64 {
-        match &self.tally {
-            Tally::Indexed(counter) => counter.distinctness_efficiency(),
-            Tally::Streaming { total, distinct } if *total > 0 => *distinct as f64 / *total as f64,
-            Tally::Streaming { .. } => 0.0,
-        }
+    fn deref(&self) -> &Reception {
+        &self.counter
     }
 }
 
@@ -378,7 +298,10 @@ impl ClientSession {
         let decoder = Box::new(code.owned_decoder());
         let controller = layered.map(|session| LayerController::new(session, control.base_group));
         Ok(ClientSession {
-            stats: DownloadStats::new(code.n(), code.k()),
+            stats: DownloadStats {
+                counter: ReceptionCounter::new(code.n(), code.k()),
+                rejected: 0,
+            },
             control,
             backend: Backend::Carousel { code, decoder },
             controller,
@@ -454,7 +377,10 @@ impl ClientSession {
             }
         };
         Ok(ClientSession {
-            stats: DownloadStats::new_streaming(control.k),
+            stats: DownloadStats {
+                counter: ReceptionCounter::streaming(control.k),
+                rejected: 0,
+            },
             control,
             backend: Backend::Rateless(Box::new(receiver)),
             controller: None,
@@ -606,7 +532,7 @@ impl ClientSession {
                     // about datagrams arriving, not about their novelty.
                     controller.observe(pkt.header.serial, pkt.header.group);
                 }
-                if !self.stats.record(idx) {
+                if !self.stats.counter.record(idx) {
                     return ClientEvent::Duplicate;
                 }
                 // Anything but `Complete` is a packet taken, or a check the
@@ -636,21 +562,21 @@ impl ClientSession {
                     // (absurd degrees, colliding neighbor sets) can fill the
                     // equation buffer, but it cannot grow it past the caps —
                     // new symbols are refused before the decoder sees them.
-                    self.stats.record_streaming(false);
-                    self.stats.note_rejected();
+                    self.stats.counter.record_verdict(false);
+                    self.stats.rejected += 1;
                     return ClientEvent::Rejected;
                 }
                 match receiver.add(seed, pkt.payload.to_vec()) {
                     df_core::AddOutcome::Duplicate => {
-                        self.stats.record_streaming(false);
+                        self.stats.counter.record_verdict(false);
                         ClientEvent::Duplicate
                     }
                     df_core::AddOutcome::Accepted => {
-                        self.stats.record_streaming(true);
+                        self.stats.counter.record_verdict(true);
                         ClientEvent::Buffered
                     }
                     df_core::AddOutcome::Complete => {
-                        self.stats.record_streaming(true);
+                        self.stats.counter.record_verdict(true);
                         match receiver.file(self.control.file_len) {
                             Some(file) => {
                                 self.file = Some(file);
@@ -1399,6 +1325,92 @@ mod tests {
         let stats = client.stats();
         assert_eq!((stats.received(), stats.distinct()), (2, 1));
         assert_eq!(client.held_packets(), 1);
+    }
+
+    #[test]
+    fn both_tallies_match_hand_counts() {
+        // A four-group carousel behind 25 % loss, every surviving datagram
+        // delivered twice: each copy is received, each index distinct once.
+        let data: Vec<u8> = (0..60_000).map(|i| (i * 131 % 251) as u8).collect();
+        let mut server = ServerSession::with_defaults(&data, 4, 7).unwrap();
+        let mut client = ClientSession::new(server.control_info().clone()).unwrap();
+        let (mut received, mut indices) = (0, std::collections::HashSet::new());
+        let mut loss = 0x9e37_79b9_7f4a_7c15u64;
+        'download: loop {
+            let Some((_group, datagram)) = server.poll_transmit() else {
+                server.advance_round();
+                continue;
+            };
+            loss = loss.wrapping_mul(6364136223846793005).wrapping_add(1);
+            if loss >> 62 == 0 {
+                continue;
+            }
+            let index = crate::wire::PacketHeader::decode(&datagram)
+                .unwrap()
+                .packet_index;
+            for _copy in 0..2 {
+                received += 1;
+                indices.insert(index);
+                if client.handle_datagram(datagram.clone()) == ClientEvent::Complete {
+                    break 'download;
+                }
+            }
+        }
+        let stats = client.stats();
+        assert!(indices.len() < received, "premise: duplicates arrived");
+        assert_eq!(
+            (stats.received(), stats.distinct(), stats.rejected()),
+            (received, indices.len(), 0)
+        );
+
+        // An LT stream: one seed twice, then seeds of degree ≥ 48 until the
+        // edge cap refuses one.  A repeat and a refusal are both received,
+        // neither is distinct, and only the refusal is rejected.
+        let server = ServerSession::new(
+            &[3u8; 50_000],
+            SessionConfig {
+                rateless: RatelessMode::Lt,
+                code_seed: 41,
+                ..SessionConfig::default()
+            },
+        )
+        .unwrap();
+        let info = server.control_info().clone();
+        let mut client = ClientSession::new(info.clone()).unwrap();
+        let lt = df_core::LtEncoder::new(
+            info.k,
+            df_core::LT_DEFAULT_C,
+            df_core::LT_DEFAULT_DELTA,
+            info.code_seed,
+        )
+        .unwrap();
+        let frame = |seed: u64| {
+            let (packet_index, serial) = crate::rateless::seed_to_words(seed);
+            let header = crate::wire::PacketHeader {
+                packet_index,
+                serial,
+                group: info.base_group,
+            };
+            DataPacket::frame(&header, &vec![0; info.packet_size])
+        };
+        let mut heavy = (1u64..).filter(|&seed| lt.equation(seed).neighbors.len() >= 48);
+        let first = heavy.next().unwrap();
+        assert_eq!(client.handle_datagram(frame(first)), ClientEvent::Buffered);
+        assert_eq!(client.handle_datagram(frame(first)), ClientEvent::Duplicate);
+        let (mut received, mut distinct) = (2, 1);
+        for seed in heavy {
+            received += 1;
+            match client.handle_datagram(frame(seed)) {
+                ClientEvent::Buffered => distinct += 1,
+                ClientEvent::Rejected => break,
+                other => panic!("unexpected {other:?} under a high-degree flood"),
+            }
+        }
+        let stats = client.stats();
+        assert_eq!(
+            (stats.received(), stats.distinct(), stats.rejected()),
+            (received, distinct, 1)
+        );
     }
 
     #[test]

@@ -1,14 +1,13 @@
 //! The driver's value types: what goes in ([`DriverConfig`], [`Session`]),
 //! what comes back ([`SessionHandle`], [`DriverEvent`], [`DriverReport`]).
 //!
-//! Shard count, placement policy and pacing interact, so they are grouped in
-//! a builder-style [`DriverConfig`].  A bare slot index means nothing once
+//! Shard count, pacing and stepping interact, so they are grouped in a
+//! builder-style [`DriverConfig`].  A bare slot index means nothing once
 //! sessions live on N shards, so a [`SessionHandle`] pairs it with the shard.
 //! Nothing ever runs owner code on a shard thread: every notification is a
 //! [`DriverEvent`] drained on the control thread.
 
 use crate::client::ClientSession;
-use crate::driver::placement::Placement;
 use crate::driver::shard::Driver;
 use crate::driver::{Pacing, ShardStats};
 use crate::server::{FountainServer, ServerSession};
@@ -44,7 +43,7 @@ impl SessionHandle {
 
 /// Anything a [`Driver`] can run, as handed to
 /// [`Driver::add_on`](crate::driver::Driver::add_on) (the plain `add_*`
-/// methods build one of these and let the placement policy pick the shard).
+/// methods build one of these and place it on the least-loaded shard).
 #[derive(Debug)]
 pub enum Session {
     /// A downloading client.
@@ -69,28 +68,17 @@ pub enum Session {
 }
 
 impl Session {
-    /// What the placement policy sees: the base multicast group (a
-    /// [`FountainServer`] is anchored at its first session) and the weight
-    /// (`k` for clients, total `n` for servers, at least 1).
-    pub(crate) fn placement_key(&self) -> (u32, usize) {
-        let (base_group, weight) = match self {
-            Session::Client(session) => {
-                let info = session.control_info();
-                (info.base_group, info.k)
-            }
-            Session::Server { session, .. } => {
-                let info = session.control_info();
-                (info.base_group, info.n)
-            }
+    /// The session's weight in shard placement: `k` for clients, total `n`
+    /// for servers, at least 1.
+    pub(crate) fn placement_weight(&self) -> usize {
+        let weight = match self {
+            Session::Client(session) => session.control_info().k,
+            Session::Server { session, .. } => session.control_info().n,
             Session::Fountain { server, .. } => {
-                let sessions = server.sessions();
-                (
-                    sessions.first().map_or(0, |s| s.control_info().base_group),
-                    sessions.iter().map(|s| s.control_info().n).sum(),
-                )
+                server.sessions().iter().map(|s| s.control_info().n).sum()
             }
         };
-        (base_group, weight.max(1))
+        weight.max(1)
     }
 }
 
@@ -152,13 +140,12 @@ impl DriverReport {
 /// Builder-style configuration for a [`Driver`].
 ///
 /// ```
-/// use df_proto::driver::{DriverConfig, Placement, Pacing};
+/// use df_proto::driver::{DriverConfig, Pacing};
 /// use df_proto::SimEndpoint;
 /// use std::time::Duration;
 ///
 /// let driver = DriverConfig::new()
 ///     .shards(2)
-///     .placement(Placement::LeastLoaded)
 ///     .pacing(Pacing::new(Duration::from_millis(1), 64))
 ///     .stepped(true)
 ///     .build::<SimEndpoint>();
@@ -168,7 +155,6 @@ impl DriverReport {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DriverConfig {
     pub(crate) shards: usize,
-    pub(crate) placement: Placement,
     pub(crate) pacing: Pacing,
     pub(crate) stepped: bool,
 }
@@ -177,7 +163,6 @@ impl Default for DriverConfig {
     fn default() -> Self {
         DriverConfig {
             shards: 1,
-            placement: Placement::GroupRange,
             pacing: Pacing::new(Duration::from_millis(1), 256),
             stepped: false,
         }
@@ -185,8 +170,7 @@ impl Default for DriverConfig {
 }
 
 impl DriverConfig {
-    /// The default configuration: one shard, group-range placement, paced
-    /// wall-clock workers.
+    /// The default configuration: one shard, paced wall-clock workers.
     pub fn new() -> DriverConfig {
         DriverConfig::default()
     }
@@ -198,12 +182,6 @@ impl DriverConfig {
     /// whatever the shard count.
     pub fn shards(mut self, shards: usize) -> DriverConfig {
         self.shards = shards.max(1);
-        self
-    }
-
-    /// How sessions are assigned to shards at registration time.
-    pub fn placement(mut self, placement: Placement) -> DriverConfig {
-        self.placement = placement;
         self
     }
 

@@ -57,12 +57,11 @@
 //! once: a finished receiver stops consuming multicast bandwidth.
 
 pub mod handle;
-pub mod placement;
+mod placement;
 pub mod queue;
 pub mod shard;
 
 pub use handle::{DriverConfig, DriverEvent, DriverReport, Session, SessionHandle};
-pub use placement::Placement;
 pub use shard::Driver;
 
 use crate::client::{ClientEvent, ClientSession};

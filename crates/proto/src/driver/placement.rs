@@ -4,61 +4,36 @@
 //! transport and sockets live and die on one shard (work *stealing* would
 //! mean migrating live sockets and multicast memberships between threads,
 //! which multicast joins make observable on the wire).  That makes the
-//! placement decision at add time the whole load-balancing story, so it is a
-//! first-class policy:
-//!
-//! * [`Placement::GroupRange`] — static partition by base multicast group,
-//!   `shard = base_group % shards`.  Deterministic and stateless: every
-//!   participant (and every test) can predict where a session lands, and
-//!   sessions of one group family always share a shard, so layered
-//!   join/leave activity for a group never crosses shards.
-//! * [`Placement::LeastLoaded`] — greedy weighted balancing for skewed
-//!   session sizes: each session carries a weight (its packet count `k` for
-//!   clients, `n` for servers) and lands on the currently lightest shard.
-//!   The classic greedy bound applies: shard loads stay within one maximal
-//!   session weight of each other, which the stress test pins down.
+//! placement decision at add time the whole load-balancing story, and it is
+//! greedy weighted least-loaded: each session carries a weight (its packet
+//! count `k` for clients, `n` for servers) and lands on the currently
+//! lightest shard, ties going to the lowest index.  The classic greedy
+//! bound applies: shard loads stay within one maximal session weight of
+//! each other, which the stress test pins down.
 
-/// Policy deciding which shard owns a newly registered session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Placement {
-    /// `shard = base_group % shards` — static group-range sharding.
-    #[default]
-    GroupRange,
-    /// Greedy weighted least-loaded: the session lands on the shard with the
-    /// smallest total weight (ties go to the lowest shard index).
-    LeastLoaded,
-}
-
-/// Bookkeeping half of a [`Placement`] policy: records per-shard weights and
-/// session counts as the driver registers sessions.
+/// Per-shard weights and session counts, recorded as the driver registers
+/// sessions.
 #[derive(Debug)]
 pub(crate) struct Placer {
-    policy: Placement,
     loads: Vec<usize>,
     counts: Vec<usize>,
 }
 
 impl Placer {
-    pub(crate) fn new(policy: Placement, shards: usize) -> Placer {
+    pub(crate) fn new(shards: usize) -> Placer {
         Placer {
-            policy,
             loads: vec![0; shards.max(1)],
             counts: vec![0; shards.max(1)],
         }
     }
 
-    /// Choose a shard for a session anchored at `base_group` carrying
-    /// `weight`, and record the assignment.
-    pub(crate) fn place(&mut self, base_group: u32, weight: usize) -> usize {
-        let shard = match self.policy {
-            Placement::GroupRange => (base_group as usize) % self.loads.len(),
-            Placement::LeastLoaded => {
-                // min_by_key takes the first minimum, i.e. the lowest index.
-                (0..self.loads.len())
-                    .min_by_key(|&s| self.loads[s])
-                    .unwrap_or(0)
-            }
-        };
+    /// Choose the lightest shard for a session carrying `weight`, and record
+    /// the assignment.
+    pub(crate) fn place(&mut self, weight: usize) -> usize {
+        // min_by_key takes the first minimum, i.e. the lowest index.
+        let shard = (0..self.loads.len())
+            .min_by_key(|&s| self.loads[s])
+            .unwrap_or(0);
         self.record(shard, weight);
         shard
     }
@@ -90,18 +65,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn group_range_is_a_static_modulo_partition() {
-        let mut placer = Placer::new(Placement::GroupRange, 4);
-        for group in 0..32u32 {
-            assert_eq!(placer.place(group, 1), (group as usize) % 4);
-        }
-        assert_eq!(placer.counts(), &[8, 8, 8, 8]);
-    }
-
-    #[test]
     fn least_loaded_with_equal_weights_is_round_robin() {
-        let mut placer = Placer::new(Placement::LeastLoaded, 3);
-        let shards: Vec<usize> = (0..9).map(|_| placer.place(0, 10)).collect();
+        let mut placer = Placer::new(3);
+        let shards: Vec<usize> = (0..9).map(|_| placer.place(10)).collect();
         assert_eq!(shards, [0, 1, 2, 0, 1, 2, 0, 1, 2]);
         assert_eq!(placer.loads(), &[30, 30, 30]);
     }
@@ -112,9 +78,9 @@ mod tests {
         // (heavy first).  Greedy least-loaded still bounds the spread by the
         // largest single weight.
         let weights = [500, 500, 10, 10, 10, 10, 250, 250, 10, 500, 10, 10];
-        let mut placer = Placer::new(Placement::LeastLoaded, 4);
-        for (i, &w) in weights.iter().enumerate() {
-            placer.place(i as u32, w);
+        let mut placer = Placer::new(4);
+        for &w in &weights {
+            placer.place(w);
         }
         let max = *placer.loads().iter().max().unwrap();
         let min = *placer.loads().iter().min().unwrap();
@@ -128,11 +94,11 @@ mod tests {
 
     #[test]
     fn explicit_record_feeds_back_into_placement() {
-        let mut placer = Placer::new(Placement::LeastLoaded, 2);
+        let mut placer = Placer::new(2);
         // Caller pins a heavy session on shard 0; the next placements must
         // see that load and prefer shard 1.
         placer.record(0, 1_000);
-        assert_eq!(placer.place(0, 10), 1);
-        assert_eq!(placer.place(0, 10), 1);
+        assert_eq!(placer.place(10), 1);
+        assert_eq!(placer.place(10), 1);
     }
 }

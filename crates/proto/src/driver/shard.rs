@@ -315,7 +315,7 @@ impl<T: Transport + Send + 'static> Driver<T> {
         Driver {
             shards,
             events_rx,
-            placer: Placer::new(cfg.placement, cfg.shards),
+            placer: Placer::new(cfg.shards),
             pending: Vec::new(),
             live_handles: HashSet::new(),
             registered_clients: 0,
@@ -341,7 +341,7 @@ impl<T: Transport + Send + 'static> Driver<T> {
         self.placer.counts()
     }
 
-    /// Register a client; the placement policy picks its shard.
+    /// Register a client on the least-loaded shard.
     ///
     /// # Errors
     ///
@@ -356,8 +356,8 @@ impl<T: Transport + Send + 'static> Driver<T> {
         self.register(None, Session::Client(Box::new(session)), transport)
     }
 
-    /// Register a single carousel session paced by the *configured* pacing;
-    /// the placement policy picks its shard.
+    /// Register a single carousel session paced by the *configured* pacing,
+    /// on the least-loaded shard.
     ///
     /// # Errors
     ///
@@ -375,8 +375,8 @@ impl<T: Transport + Send + 'static> Driver<T> {
     }
 
     /// Register a multi-session [`FountainServer`] (optionally with its
-    /// control socket) paced by the configured pacing; the placement policy
-    /// picks its shard by the server's first session.
+    /// control socket) paced by the configured pacing, on the least-loaded
+    /// shard.
     ///
     /// # Errors
     ///
@@ -396,7 +396,7 @@ impl<T: Transport + Send + 'static> Driver<T> {
     }
 
     /// Register any [`Session`] on an explicit shard, with the pacing it
-    /// carries (recorded against the placement accounting).  This is how one
+    /// carries (recorded against the shard loads).  This is how one
     /// logical server is replicated across shards at an invariant aggregate
     /// rate: [`Pacing::split`] the budget and add one part per shard.
     ///
@@ -420,7 +420,7 @@ impl<T: Transport + Send + 'static> Driver<T> {
         session: Session,
         transport: T,
     ) -> io::Result<SessionHandle> {
-        let (base_group, weight) = session.placement_key();
+        let weight = session.placement_weight();
         let shard = match shard {
             Some(shard) if shard < self.shards.len() => {
                 self.placer.record(shard, weight);
@@ -432,7 +432,7 @@ impl<T: Transport + Send + 'static> Driver<T> {
                     format!("no such shard {shard} (driver has {})", self.shards.len()),
                 ))
             }
-            None => self.placer.place(base_group, weight),
+            None => self.placer.place(weight),
         };
         let is_client = matches!(session, Session::Client(_));
         let handle = SessionHandle::new(shard, self.shards[shard].next_slot);
@@ -672,7 +672,6 @@ impl<T: Transport + Send + 'static> Drop for Driver<T> {
 mod tests {
     use super::*;
     use crate::driver::tests::MaybeJoin;
-    use crate::driver::Placement;
     use crate::server::SessionConfig;
     use crate::transport::SimMulticast;
     use crate::{ClientSession, ControlInfo, SimEndpoint};
@@ -804,15 +803,14 @@ mod tests {
         );
     }
 
-    /// Satellite stress: 4 shards × 256 sim sessions under least-loaded
-    /// placement — per-shard loads stay within the greedy bound and every
-    /// download is byte-identical to its source.
+    /// Stress: 4 shards × 256 sim sessions placed least-loaded — per-shard
+    /// loads stay within the greedy bound and every download is
+    /// byte-identical to its source.
     #[test]
     fn four_shard_least_loaded_stress_holds_the_placement_bound() {
         let shards = 4;
         let mut driver = DriverConfig::new()
             .shards(shards)
-            .placement(Placement::LeastLoaded)
             .stepped(true)
             .build::<SimEndpoint>();
         let net = SimMulticast::new(77);

@@ -34,7 +34,7 @@
 //! readiness-driven loop ([`Transport::try_recv`] + [`Transport::readiness`]
 //! over an `epoll(7)`/`poll(2)` wrapper) that multiplexes thousands of
 //! sessions — servers, clients, or both — with token-bucket pacing.
-//! Sessions are handed out by [`Placement`] policy, addressed as
+//! Sessions land on the least-loaded shard, are addressed as
 //! [`SessionHandle`]s, and every completion surfaces as a drainable
 //! [`DriverEvent`] carrying the finished [`ClientSession`] — all without
 //! changing a line of session code.
@@ -90,8 +90,7 @@ pub mod wire;
 pub use client::{ClientEvent, ClientSession, DownloadStats};
 pub use control::{ControlInfo, ControlRequest, ControlResponse};
 pub use driver::{
-    Driver, DriverConfig, DriverEvent, DriverReport, Pacing, Placement, Session, SessionHandle,
-    ShardStats,
+    Driver, DriverConfig, DriverEvent, DriverReport, Pacing, Session, SessionHandle, ShardStats,
 };
 pub use rateless::{
     seed_from_words, seed_to_words, RatelessMode, RatelessReceiver, RatelessSender,

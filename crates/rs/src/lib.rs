@@ -40,15 +40,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-/// Shared inverse-submatrix cache; public under `--cfg df_check` so the
-/// model-check suite (`tests/model_check.rs`) can drive it directly.
-#[cfg(df_check)]
-pub mod cache;
-#[cfg(not(df_check))]
-pub(crate) mod cache;
 pub mod cauchy;
 pub mod code;
-pub(crate) mod sync;
 pub mod vandermonde;
 
 pub use cauchy::CauchyCode;

@@ -12,126 +12,19 @@
 //! byte where `x` is the number of missing source packets — the costs the
 //! paper summarises in Table 1.
 
-use crate::cache::InverseCache;
 use crate::code::{check_received, check_source, reset_copy, reset_zeroed, ErasureCode, RsError};
 use df_gf::{Field, Matrix, GF256, GF65536};
-
-/// Shared implementation for generator-matrix-based systematic MDS codes.
-///
-/// Both [`VandermondeCode`] and [`crate::CauchyCode`] delegate to this: they
-/// differ only in how the generator matrix is constructed.
-#[derive(Debug, Clone)]
-pub(crate) struct MatrixCode<F: Field> {
-    pub(crate) k: usize,
-    pub(crate) n: usize,
-    /// Systematic `n x k` generator matrix: row `j` holds the coefficients of
-    /// encoding packet `j` as a combination of the `k` source packets.
-    generator: Matrix<F>,
-    /// Inverted decode submatrices of recently seen erasure patterns.
-    inverse_cache: InverseCache<F>,
-}
-
-impl<F: Field> MatrixCode<F> {
-    pub(crate) fn from_generator(k: usize, n: usize, generator: Matrix<F>) -> Self {
-        debug_assert_eq!(generator.rows(), n);
-        debug_assert_eq!(generator.cols(), k);
-        MatrixCode {
-            k,
-            n,
-            generator,
-            inverse_cache: InverseCache::new(),
-        }
-    }
-
-    pub(crate) fn encode_into(
-        &self,
-        source: &[Vec<u8>],
-        out: &mut Vec<Vec<u8>>,
-    ) -> Result<(), RsError> {
-        let len = check_source(source, self.k)?;
-        if F::BITS == 16 && len % 2 != 0 {
-            return Err(RsError::MalformedInput {
-                reason: "GF(2^16) codes require even packet lengths".to_string(),
-            });
-        }
-        out.resize_with(self.n, Vec::new);
-        let (systematic, redundant) = out.split_at_mut(self.k);
-        // Systematic prefix: source packets are passed through untouched.
-        for (slot, pkt) in systematic.iter_mut().zip(source) {
-            reset_copy(slot, pkt);
-        }
-        for (j, acc) in (self.k..self.n).zip(redundant.iter_mut()) {
-            let row = self.generator.row(j);
-            reset_zeroed(acc, len);
-            for (i, coeff) in row.iter().enumerate() {
-                if coeff.is_zero() {
-                    continue;
-                }
-                F::mul_acc_slice(*coeff, acc, &source[i]);
-            }
-        }
-        Ok(())
-    }
-
-    pub(crate) fn decode_into(
-        &self,
-        received: &[(usize, &[u8])],
-        out: &mut Vec<Vec<u8>>,
-    ) -> Result<(), RsError> {
-        let (picked, len) = check_received(received, self.k, self.n)?;
-        if F::BITS == 16 && len % 2 != 0 {
-            return Err(RsError::MalformedInput {
-                reason: "GF(2^16) codes require even packet lengths".to_string(),
-            });
-        }
-        // Which source packets arrived verbatim?
-        let mut have_source = vec![false; self.k];
-        out.resize_with(self.k, Vec::new);
-        for &(idx, payload) in &picked {
-            if idx < self.k {
-                have_source[idx] = true;
-                reset_copy(&mut out[idx], payload);
-            }
-        }
-        let missing: Vec<usize> = (0..self.k).filter(|&i| !have_source[i]).collect();
-        if missing.is_empty() {
-            return Ok(());
-        }
-        // Solve for the missing source packets: the received rows of the
-        // generator, restricted to the k picked packets, form an invertible
-        // k x k system A * source = received.  source = A^{-1} * received.
-        // The inverse depends only on *which* packets arrived, so it is
-        // cached per erasure pattern — a receiver that decodes repeatedly
-        // behind a stable loss pattern (the carousel case the paper's decode
-        // benchmarks model) pays the O(k³) inversion once, not per call.
-        let rows: Vec<usize> = picked.iter().map(|(idx, _)| *idx).collect();
-        let a_inv = self.inverse_cache.get_or_build(&rows, || {
-            self.generator
-                .select_rows(&rows)
-                .inverse()
-                .map_err(|_| RsError::DecodeFailure)
-        })?;
-        for &mi in &missing {
-            let acc = &mut out[mi];
-            reset_zeroed(acc, len);
-            for (col, &(_, payload)) in picked.iter().enumerate() {
-                let coeff = a_inv[(mi, col)];
-                if coeff.is_zero() {
-                    continue;
-                }
-                F::mul_acc_slice(coeff, acc, payload);
-            }
-        }
-        Ok(())
-    }
-}
 
 /// A systematic Vandermonde Reed–Solomon erasure code over GF(2^8) by default
 /// (`n ≤ 256`) or GF(2^16) via [`VandermondeCode::with_field`] for larger
 /// codes such as whole-file encodings.
 #[derive(Debug, Clone)]
 pub struct VandermondeCode<F: Field = GF256> {
-    inner: MatrixCode<F>,
+    k: usize,
+    n: usize,
+    /// Systematic `n x k` generator matrix: row `j` holds the coefficients of
+    /// encoding packet `j` as a combination of the `k` source packets.
+    generator: Matrix<F>,
 }
 
 impl VandermondeCode<GF256> {
@@ -188,23 +81,43 @@ impl<F: Field> VandermondeCode<F> {
             .map_err(|e| RsError::InvalidParameters {
                 reason: format!("failed to build systematic generator: {e}"),
             })?;
-        Ok(VandermondeCode {
-            inner: MatrixCode::from_generator(k, n, generator),
-        })
+        Ok(VandermondeCode { k, n, generator })
     }
 }
 
 impl<F: Field> ErasureCode for VandermondeCode<F> {
     fn k(&self) -> usize {
-        self.inner.k
+        self.k
     }
 
     fn n(&self) -> usize {
-        self.inner.n
+        self.n
     }
 
     fn encode_into(&self, source: &[Vec<u8>], out: &mut Vec<Vec<u8>>) -> Result<(), RsError> {
-        self.inner.encode_into(source, out)
+        let len = check_source(source, self.k)?;
+        if F::BITS == 16 && len % 2 != 0 {
+            return Err(RsError::MalformedInput {
+                reason: "GF(2^16) codes require even packet lengths".to_string(),
+            });
+        }
+        out.resize_with(self.n, Vec::new);
+        let (systematic, redundant) = out.split_at_mut(self.k);
+        // Systematic prefix: source packets are passed through untouched.
+        for (slot, pkt) in systematic.iter_mut().zip(source) {
+            reset_copy(slot, pkt);
+        }
+        for (j, acc) in (self.k..self.n).zip(redundant.iter_mut()) {
+            let row = self.generator.row(j);
+            reset_zeroed(acc, len);
+            for (i, coeff) in row.iter().enumerate() {
+                if coeff.is_zero() {
+                    continue;
+                }
+                F::mul_acc_slice(*coeff, acc, &source[i]);
+            }
+        }
+        Ok(())
     }
 
     fn decode_into(
@@ -212,7 +125,46 @@ impl<F: Field> ErasureCode for VandermondeCode<F> {
         received: &[(usize, &[u8])],
         out: &mut Vec<Vec<u8>>,
     ) -> Result<(), RsError> {
-        self.inner.decode_into(received, out)
+        let (picked, len) = check_received(received, self.k, self.n)?;
+        if F::BITS == 16 && len % 2 != 0 {
+            return Err(RsError::MalformedInput {
+                reason: "GF(2^16) codes require even packet lengths".to_string(),
+            });
+        }
+        // Which source packets arrived verbatim?
+        let mut have_source = vec![false; self.k];
+        out.resize_with(self.k, Vec::new);
+        for &(idx, payload) in &picked {
+            if idx < self.k {
+                have_source[idx] = true;
+                reset_copy(&mut out[idx], payload);
+            }
+        }
+        let missing: Vec<usize> = (0..self.k).filter(|&i| !have_source[i]).collect();
+        if missing.is_empty() {
+            return Ok(());
+        }
+        // Solve for the missing source packets: the received rows of the
+        // generator, restricted to the k picked packets, form an invertible
+        // k x k system A * source = received.  source = A^{-1} * received.
+        let rows: Vec<usize> = picked.iter().map(|(idx, _)| *idx).collect();
+        let a_inv = self
+            .generator
+            .select_rows(&rows)
+            .inverse()
+            .map_err(|_| RsError::DecodeFailure)?;
+        for &mi in &missing {
+            let acc = &mut out[mi];
+            reset_zeroed(acc, len);
+            for (col, &(_, payload)) in picked.iter().enumerate() {
+                let coeff = a_inv[(mi, col)];
+                if coeff.is_zero() {
+                    continue;
+                }
+                F::mul_acc_slice(coeff, acc, payload);
+            }
+        }
+        Ok(())
     }
 
     fn name(&self) -> &'static str {
@@ -338,10 +290,10 @@ mod tests {
     }
 
     #[test]
-    fn repeated_pattern_decodes_hit_the_inverse_cache() {
-        // Same erasure pattern, different payloads: the second decode reuses
-        // the cached inverse and must still be exact.  Clones share the
-        // cache; distinct patterns must not collide.
+    fn repeated_and_changing_patterns_decode_exactly() {
+        // Same erasure pattern, different payloads, on the code and on a
+        // clone, then a different pattern over the same encoding: every
+        // decode must be exact.
         let code = VandermondeCode::new(8, 16).unwrap();
         let clone = code.clone();
         for seed in 0..5u64 {
@@ -358,9 +310,9 @@ mod tests {
     }
 
     #[test]
-    fn many_patterns_overflow_the_cache_safely() {
-        // More distinct patterns than INVERSE_CACHE_CAP: eviction must not
-        // affect correctness.
+    fn many_distinct_patterns_decode_exactly() {
+        // Twelve sliding windows of four packets, each its own erasure
+        // pattern.
         let code = VandermondeCode::new(4, 16).unwrap();
         let src = random_source(4, 24, 40);
         let enc = code.encode(&src).unwrap();

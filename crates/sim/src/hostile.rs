@@ -14,6 +14,7 @@
 //! counters.
 
 use crate::channel::{ChannelStats, HostileChannelBuilder};
+use df_core::Reception;
 use df_proto::{ClientEvent, ClientSession, ServerSession, SessionConfig, SimMulticast, Transport};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -109,7 +110,8 @@ pub enum SubscriptionEvent {
     },
 }
 
-/// Outcome of one [`hostile_channel_experiment`] run.
+/// Outcome of one [`hostile_channel_experiment`] run.  It reads as its
+/// [`Reception`]: `outcome.received`, `outcome.reception_efficiency()`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HostileOutcome {
     /// Bad-state loss rate of the channel.
@@ -122,12 +124,9 @@ pub struct HostileOutcome {
     pub rounds: usize,
     /// Cumulative subscription level at the end of the run.
     pub final_level: usize,
-    /// Datagrams the client received (after channel loss, incl. duplicates).
-    pub received: usize,
-    /// Distinct encoding packets among them.
-    pub distinct: usize,
-    /// Source packets in the file.
-    pub k: usize,
+    /// What the client took from the channel (after channel loss,
+    /// duplicates included).
+    pub reception: Reception,
     /// Packets the client refused (0: a carousel session refuses nothing).
     pub rejected: u64,
     /// The full join/leave trace, in execution order.
@@ -154,14 +153,13 @@ impl HostileOutcome {
             .filter(|e| matches!(e, SubscriptionEvent::Join { .. }))
             .count()
     }
+}
 
-    /// Reception efficiency `η = k / received`.
-    pub fn reception_efficiency(&self) -> f64 {
-        if self.received == 0 {
-            0.0
-        } else {
-            self.k as f64 / self.received as f64
-        }
+impl std::ops::Deref for HostileOutcome {
+    type Target = Reception;
+
+    fn deref(&self) -> &Reception {
+        &self.reception
     }
 }
 
@@ -237,9 +235,7 @@ pub fn hostile_channel_experiment(cfg: &HostileConfig) -> HostileOutcome {
         complete: finished_at.is_some(),
         rounds: finished_at.unwrap_or(cfg.max_rounds),
         final_level: client.subscription_level().unwrap_or(0),
-        received: stats.received(),
-        distinct: stats.distinct(),
-        k: stats.k(),
+        reception: **stats,
         rejected: stats.rejected(),
         events,
         burst_episodes: rx.burst_episodes(),

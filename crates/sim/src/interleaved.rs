@@ -6,6 +6,7 @@
 //! it holds `k` distinct packets *from every block*, which is where the
 //! coupon-collector behaviour of Figures 4–6 comes from.
 
+use df_core::{Reception, ReceptionCounter};
 use df_gf::GF256;
 use df_rs::{CauchyCode, ErasureCode, RsError};
 
@@ -186,25 +187,26 @@ impl InterleavedCode {
         Ok(out)
     }
 
-    /// A lightweight reception tracker for simulations: records which encoding
-    /// packets have been seen and reports completion as soon as every block
-    /// holds `k` distinct packets (the MDS property makes payloads
-    /// irrelevant to the decision).
+    /// A lightweight reception tracker for simulations: counts receptions
+    /// and reports completion as soon as every block holds `k` distinct
+    /// packets (the MDS property makes payloads irrelevant to the decision).
     pub fn tracker(&self) -> InterleavedTracker<'_> {
         InterleavedTracker {
             code: self,
-            seen: vec![false; self.n],
+            tally: ReceptionCounter::new(self.n, self.total_source),
             have: vec![0; self.blocks.len()],
             complete_blocks: 0,
         }
     }
 }
 
-/// Index-level reception state for an [`InterleavedCode`] receiver.
+/// Index-level reception state for an [`InterleavedCode`] receiver.  It
+/// reads as its [`Reception`] counts: `tracker.distinct`.
 #[derive(Debug, Clone)]
 pub struct InterleavedTracker<'a> {
     code: &'a InterleavedCode,
-    seen: Vec<bool>,
+    tally: ReceptionCounter,
+    /// Distinct packets held per block.
     have: Vec<usize>,
     complete_blocks: usize,
 }
@@ -213,8 +215,7 @@ impl<'a> InterleavedTracker<'a> {
     /// Record the reception of encoding packet `index`; returns `true` once
     /// the whole file is reconstructible.
     pub fn receive(&mut self, index: usize) -> bool {
-        if !self.seen[index] {
-            self.seen[index] = true;
+        if self.tally.record(index) {
             let (b, _) = self.code.locate(index);
             self.have[b] += 1;
             if self.have[b] == self.code.blocks[b].0 {
@@ -228,10 +229,13 @@ impl<'a> InterleavedTracker<'a> {
     pub fn is_complete(&self) -> bool {
         self.complete_blocks == self.code.blocks.len()
     }
+}
 
-    /// Distinct packets received so far.
-    pub fn distinct(&self) -> usize {
-        self.have.iter().sum()
+impl std::ops::Deref for InterleavedTracker<'_> {
+    type Target = Reception;
+
+    fn deref(&self) -> &Reception {
+        &self.tally
     }
 }
 
@@ -333,10 +337,10 @@ mod tests {
             assert!(!t.receive(i));
         }
         assert!(!t.is_complete());
-        assert_eq!(t.distinct(), 20);
+        assert_eq!(t.distinct, 20);
         // Duplicates do not help.
         assert!(!t.receive(0));
-        assert_eq!(t.distinct(), 20);
+        assert_eq!((t.received, t.distinct), (21, 20));
         // Fill the second block from its redundant half.
         for i in 0..20 {
             let done = t.receive(code.n() - 1 - i);

@@ -17,13 +17,15 @@
 //! session, with the driver merely executing `Transport::join`/`leave` when
 //! the session says so.
 
+use df_core::Reception;
 use df_proto::{ClientEvent, ClientSession, ServerSession, SessionConfig, SimMulticast, Transport};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::Serialize;
 
 /// Outcome of one adaptive receiver in a [`layered_population_experiment`].
-#[derive(Debug, Clone, Serialize)]
+/// It reads as its [`Reception`]: `outcome.k`,
+/// `outcome.distinctness_efficiency()`.
+#[derive(Debug, Clone)]
 pub struct LayeredOutcome {
     /// The receiver's bottleneck bandwidth in base-layer-rate units.
     pub bottleneck: f64,
@@ -34,31 +36,16 @@ pub struct LayeredOutcome {
     /// Server rounds until the receiver completed (the horizon if it never
     /// did).
     pub rounds: usize,
-    /// Datagrams that made it through the receiver's bottleneck.
-    pub received: usize,
-    /// Distinct encoding packets among them.
-    pub distinct: usize,
-    /// Source packets in the file.
-    pub k: usize,
+    /// What the client took from the channel: the datagrams that made it
+    /// through its bottleneck.
+    pub reception: Reception,
 }
 
-impl LayeredOutcome {
-    /// Reception efficiency `η = k / received` (Section 7.3).
-    pub fn reception_efficiency(&self) -> f64 {
-        if self.received == 0 {
-            0.0
-        } else {
-            self.k as f64 / self.received as f64
-        }
-    }
+impl std::ops::Deref for LayeredOutcome {
+    type Target = Reception;
 
-    /// Distinctness efficiency `η_d = distinct / received`.
-    pub fn distinctness_efficiency(&self) -> f64 {
-        if self.received == 0 {
-            0.0
-        } else {
-            self.distinct as f64 / self.received as f64
-        }
+    fn deref(&self) -> &Reception {
+        &self.reception
     }
 }
 
@@ -168,17 +155,12 @@ pub fn layered_population_experiment(
 
     receivers
         .into_iter()
-        .map(|r| {
-            let stats = r.client.stats();
-            LayeredOutcome {
-                bottleneck: r.bottleneck,
-                complete: r.finished_at.is_some(),
-                final_level: r.client.subscription_level().unwrap_or(0),
-                rounds: r.finished_at.unwrap_or(max_rounds),
-                received: stats.received(),
-                distinct: stats.distinct(),
-                k: stats.k(),
-            }
+        .map(|r| LayeredOutcome {
+            bottleneck: r.bottleneck,
+            complete: r.finished_at.is_some(),
+            final_level: r.client.subscription_level().unwrap_or(0),
+            rounds: r.finished_at.unwrap_or(max_rounds),
+            reception: **r.client.stats(),
         })
         .collect()
 }

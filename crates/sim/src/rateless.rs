@@ -13,6 +13,7 @@
 //! own reception overhead.  These experiments measure both claims through
 //! the real `df-proto` sessions.
 
+use df_core::Reception;
 use df_proto::{
     ClientEvent, ClientSession, RatelessMode, ServerSession, SessionConfig, SimMulticast, Transport,
 };
@@ -85,7 +86,9 @@ pub fn rateless_overhead_experiment(
             assert!(rounds < 100, "rateless trial failed to converge");
         }
         assert_eq!(client.file().expect("completed"), &data[..]);
-        let overhead = client.stats().received() as f64 / k as f64;
+        // `received / k` as `1 + ε`, which is exact in floating point: a
+        // completed download received at least `k`, so `ε ≥ 0`.
+        let overhead = 1.0 + client.stats().reception_overhead();
         total += overhead;
         worst = worst.max(overhead);
         if overhead <= 1.15 {
@@ -104,17 +107,23 @@ pub fn rateless_overhead_experiment(
     }
 }
 
-/// One receiver's ledger in a [`late_join_experiment`].
+/// One receiver's ledger in a [`late_join_experiment`].  It reads as its
+/// [`Reception`]: `ledger.distinct`, `ledger.distinctness_efficiency()`.
 #[derive(Debug, Clone, Copy)]
 pub struct LateJoinReceiver {
-    /// Packets that survived the channel, duplicates included.
-    pub received: usize,
-    /// Distinct packets (indices or seeds) among them.
-    pub distinct: usize,
-    /// Distinctness efficiency `η_d = distinct / received`.
-    pub distinctness: f64,
+    /// What survived the channel, duplicates included; distinct counts
+    /// indices on the carousel and seeds on the fountain.
+    pub reception: Reception,
     /// Whether the download completed inside the round budget.
     pub completed: bool,
+}
+
+impl std::ops::Deref for LateJoinReceiver {
+    type Target = Reception;
+
+    fn deref(&self) -> &Reception {
+        &self.reception
+    }
 }
 
 /// Outcome of [`late_join_experiment`]: the same file, the same loss, the
@@ -191,9 +200,7 @@ pub fn late_join_experiment(
             assert_eq!(client.file().expect("completed"), &data[..]);
         }
         LateJoinReceiver {
-            received: client.stats().received(),
-            distinct: client.stats().distinct(),
-            distinctness: client.stats().distinctness_efficiency(),
+            reception: **client.stats(),
             completed: client.is_complete(),
         }
     };
@@ -258,11 +265,13 @@ mod tests {
         assert!(outcome.carousel.completed, "carousel: {outcome:?}");
         assert!(outcome.rateless.completed, "rateless: {outcome:?}");
         assert_eq!(
-            outcome.rateless.distinctness, 1.0,
+            outcome.rateless.distinctness_efficiency(),
+            1.0,
             "rateless η_d must be exactly 1.0: {outcome:?}"
         );
+        let carousel_eta_d = outcome.carousel.distinctness_efficiency();
         assert!(
-            outcome.carousel.distinctness < 0.70 && outcome.carousel.distinctness > 0.5,
+            carousel_eta_d < 0.70 && carousel_eta_d > 0.5,
             "carousel late joiner must decay toward the ≈ 0.64 floor: {outcome:?}"
         );
         assert!(

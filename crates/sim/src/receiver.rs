@@ -12,51 +12,24 @@
 use crate::interleaved::InterleavedCode;
 use crate::loss::LossModel;
 use crate::trace::ReceiverTrace;
-use df_core::{Carousel, PacketStream, TornadoCode};
+use df_core::{Carousel, PacketStream, Reception, ReceptionCounter, TornadoCode};
 use rand::Rng;
 
-/// What happened to one simulated receiver.
+/// What happened to one simulated receiver.  It reads as its
+/// [`Reception`]: `outcome.received`, `outcome.reception_efficiency()`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReceiverOutcome {
-    /// Packets received from the channel (surviving loss), including
-    /// duplicates, until reconstruction.
-    pub received: usize,
-    /// Distinct encoding packets among them.
-    pub distinct: usize,
+    /// What the receiver took from the channel until reconstruction.
+    pub reception: Reception,
     /// Packets the sender transmitted while this receiver was listening.
     pub transmitted: usize,
-    /// Number of source packets in the file.
-    pub k: usize,
 }
 
-impl ReceiverOutcome {
-    /// Reception efficiency `η = k / received` (Section 6).
-    pub fn reception_efficiency(&self) -> f64 {
-        if self.received == 0 {
-            return 0.0;
-        }
-        self.k as f64 / self.received as f64
-    }
+impl std::ops::Deref for ReceiverOutcome {
+    type Target = Reception;
 
-    /// Coding efficiency `η_c = k / distinct` (Section 7.3).
-    pub fn coding_efficiency(&self) -> f64 {
-        if self.distinct == 0 {
-            return 0.0;
-        }
-        self.k as f64 / self.distinct as f64
-    }
-
-    /// Distinctness efficiency `η_d = distinct / received` (Section 7.3).
-    pub fn distinctness_efficiency(&self) -> f64 {
-        if self.received == 0 {
-            return 0.0;
-        }
-        self.distinct as f64 / self.received as f64
-    }
-
-    /// Reception overhead `ε = received / k − 1`.
-    pub fn reception_overhead(&self) -> f64 {
-        self.received as f64 / self.k as f64 - 1.0
+    fn deref(&self) -> &Reception {
+        &self.reception
     }
 }
 
@@ -77,9 +50,7 @@ where
 {
     let mut carousel = Carousel::new(code.n(), rng.gen());
     let mut decoder = code.symbolic_decoder();
-    let mut seen = vec![false; code.n()];
-    let mut received = 0usize;
-    let mut distinct = 0usize;
+    let mut tally = ReceptionCounter::new(code.n(), code.k());
     let mut transmitted = 0usize;
     loop {
         let idx = carousel.next_index();
@@ -87,11 +58,7 @@ where
         if loss.is_lost(rng) {
             continue;
         }
-        received += 1;
-        if !seen[idx] {
-            seen[idx] = true;
-            distinct += 1;
-        }
+        tally.record(idx);
         if decoder
             .add_packet(idx, df_core::Mark)
             .expect("index in range")
@@ -101,10 +68,8 @@ where
         }
     }
     ReceiverOutcome {
-        received,
-        distinct,
+        reception: *tally,
         transmitted,
-        k: code.k(),
     }
 }
 
@@ -122,9 +87,6 @@ where
     // Join at a uniformly random point of the carousel cycle.
     let start = rng.gen_range(0..order.len());
     let mut tracker = code.tracker();
-    let mut seen = vec![false; code.n()];
-    let mut received = 0usize;
-    let mut distinct = 0usize;
     let mut transmitted = 0usize;
     for step in 0.. {
         let idx = order[(start + step) % order.len()];
@@ -132,20 +94,13 @@ where
         if loss.is_lost(rng) {
             continue;
         }
-        received += 1;
-        if !seen[idx] {
-            seen[idx] = true;
-            distinct += 1;
-        }
         if tracker.receive(idx) {
             break;
         }
     }
     ReceiverOutcome {
-        received,
-        distinct,
+        reception: *tracker,
         transmitted,
-        k: code.total_source(),
     }
 }
 

@@ -10,7 +10,9 @@
 //!
 //! Run with: `cargo run --release --example mirror_aggregation`
 
-use digital_fountain::core::{AddOutcome, Carousel, Mark, PacketStream, TornadoCode};
+use digital_fountain::core::{
+    AddOutcome, Carousel, Mark, PacketStream, ReceptionCounter, TornadoCode,
+};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -32,7 +34,7 @@ fn main() {
     let mut rng = ChaCha8Rng::seed_from_u64(9);
     let mut decoder = code.symbolic_decoder();
     let mut received_from = vec![0usize; mirrors.len()];
-    let mut total = 0usize;
+    let mut tally = ReceptionCounter::new(code.n(), k);
     'outer: loop {
         for (m, (_name, loss, share)) in mirrors.iter().enumerate() {
             // A mirror with a larger bandwidth share gets more transmission
@@ -42,7 +44,7 @@ fn main() {
                 if rng.gen::<f64>() < *loss {
                     continue;
                 }
-                total += 1;
+                tally.record(idx);
                 received_from[m] += 1;
                 if decoder.add_packet(idx, Mark).expect("in range") == AddOutcome::Complete {
                     break 'outer;
@@ -52,7 +54,7 @@ fn main() {
     }
     println!(
         "file of {} packets reconstructed from {} received packets",
-        k, total
+        k, tally.received
     );
     for ((name, loss, _), got) in mirrors.iter().zip(&received_from) {
         println!(
@@ -63,7 +65,7 @@ fn main() {
     }
     println!(
         "aggregate reception efficiency: {:.3}",
-        k as f64 / total as f64
+        tally.reception_efficiency()
     );
     println!("no mirror coordination was needed: any packets from any mirror fill the same glass");
 }

@@ -3,7 +3,7 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use digital_fountain::core::{reassemble_file, PacketizedFile, TornadoCode};
+use digital_fountain::core::{reassemble_file, PacketizedFile, ReceptionCounter, TornadoCode};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -32,9 +32,9 @@ fn main() {
     let mut order: Vec<usize> = (0..code.n()).collect();
     order.shuffle(&mut ChaCha8Rng::seed_from_u64(42));
     let mut decoder = code.decoder();
-    let mut used = 0;
+    let mut tally = ReceptionCounter::new(code.n(), code.k());
     for &i in &order {
-        used += 1;
+        tally.record(i);
         if decoder.add_packet_ref(i, &encoding[i]).expect("in range")
             == digital_fountain::core::AddOutcome::Complete
         {
@@ -46,7 +46,7 @@ fn main() {
     assert_eq!(recovered, data);
     println!(
         "reconstructed from {} received packets (reception overhead {:.1} %)",
-        used,
-        (used as f64 / code.k() as f64 - 1.0) * 100.0
+        tally.received,
+        tally.reception_overhead() * 100.0
     );
 }

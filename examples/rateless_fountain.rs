@@ -81,7 +81,7 @@ fn download(
          overhead {:.3} x k, eta_d = {:.3}",
         stats.received(),
         stats.distinct(),
-        stats.received() as f64 / stats.k() as f64,
+        1.0 + stats.reception_overhead(),
         stats.distinctness_efficiency()
     );
     client.file().expect("complete").to_vec()

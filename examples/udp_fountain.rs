@@ -25,7 +25,7 @@
 
 use digital_fountain::proto::{
     ClientSession, ControlRequest, ControlResponse, DriverConfig, DriverEvent, GroupAddressing,
-    Pacing, Placement, SessionConfig, Transport, UdpMulticastTransport,
+    Pacing, SessionConfig, Transport, UdpMulticastTransport,
 };
 use std::net::{Ipv4Addr, UdpSocket};
 use std::time::{Duration, Instant};
@@ -132,7 +132,6 @@ fn main() {
     // five state machines as ever, now spread across cores.
     let mut driver = DriverConfig::new()
         .shards(2)
-        .placement(Placement::LeastLoaded)
         .pacing(Pacing::new(Duration::from_millis(1), 64))
         .build::<UdpMulticastTransport>();
     let server_handle = driver

@@ -6,7 +6,7 @@
 
 use digital_fountain::proto::{
     ClientSession, ControlRequest, ControlResponse, Driver, DriverConfig, DriverEvent,
-    FountainServer, Pacing, Placement, ServerSession, SessionConfig, SessionHandle, Transport,
+    FountainServer, Pacing, ServerSession, SessionConfig, SessionHandle, Transport,
     UdpMulticastTransport,
 };
 use std::net::{Ipv4Addr, UdpSocket};
@@ -357,7 +357,6 @@ fn loopback_fleet_downloads_and_verifies(shards: usize, clients: usize, first_po
         }
         let mut driver = DriverConfig::new()
             .shards(shards)
-            .placement(Placement::LeastLoaded)
             // Two datagrams per client per millisecond: well inside
             // loopback socket buffers.
             .pacing(Pacing::new(Duration::from_millis(1), 2 * clients))
@@ -389,7 +388,7 @@ fn loopback_fleet_downloads_and_verifies(shards: usize, clients: usize, first_po
             Err(e) => panic!("could not stage the loopback fleet: {e}"),
         }
     };
-    // LeastLoaded placement must actually have spread the registrations.
+    // Least-loaded placement must actually have spread the registrations.
     assert!(
         driver.shard_counts().iter().all(|&c| c > 0),
         "placement left a shard empty: {:?}",
