@@ -5,7 +5,8 @@
 //! builder-style [`DriverConfig`].  A bare slot index means nothing once
 //! sessions live on N shards, so a [`SessionHandle`] pairs it with the shard.
 //! Nothing ever runs owner code on a shard thread: every notification is a
-//! [`DriverEvent`] drained on the control thread.
+//! [`DriverEvent`] the shard sends down its reply channel and the control
+//! thread drains.
 
 use crate::client::ClientSession;
 use crate::driver::shard::Driver;
@@ -123,8 +124,8 @@ pub enum DriverEvent {
 pub struct DriverReport {
     /// Lifetime counters per shard, indexed by shard.
     pub shard_stats: Vec<ShardStats>,
-    /// Events still undrained at shutdown (completions the caller never
-    /// polled, plus any teardown leftovers handed back by workers).
+    /// Events still undrained at shutdown: completions the caller never
+    /// polled, and whatever the workers forwarded before they stopped.
     pub events: Vec<DriverEvent>,
 }
 
@@ -189,9 +190,6 @@ impl DriverConfig {
     /// [`Driver::add_server_session`](crate::driver::Driver::add_server_session)
     /// and
     /// [`Driver::add_fountain_server`](crate::driver::Driver::add_fountain_server).
-    /// To replicate one logical carousel across shards at this aggregate
-    /// rate, [`Pacing::split`] it and register each part with
-    /// [`Driver::add_on`](crate::driver::Driver::add_on).
     pub fn pacing(mut self, pacing: Pacing) -> DriverConfig {
         self.pacing = pacing;
         self

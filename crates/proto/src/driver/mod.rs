@@ -7,9 +7,9 @@
 //! Registration returns a [`SessionHandle`]; everything a session has to
 //! report (completion, a failed join, a failed registration) comes back as
 //! a [`DriverEvent`] drained with [`Driver::poll_events`].  The control
-//! plane, queues and teardown protocol live in [`shard`]; this module holds
-//! the loop each shard runs (`ShardLoop`, crate-private) and the value
-//! types they share.
+//! plane — worker threads and the command and reply channel of each — lives
+//! in `shard.rs`; this module holds the loop each shard runs (`ShardLoop`,
+//! crate-private) and the value types they share.
 //!
 //! # Slots
 //!
@@ -42,9 +42,7 @@
 //! burst.  A *stepped* driver replaces the clock with [`Driver::step`] —
 //! exactly one tick per server plus a full drain of every client, in slot
 //! order — which is what the deterministic tests and the simulation
-//! experiments drive.  When one logical server's carousel is replicated
-//! across shards, [`Pacing::split`] divides the per-tick budget so the
-//! *aggregate* emission rate is shard-count invariant.
+//! experiments drive.
 //!
 //! # Join/Leave intents and completion
 //!
@@ -58,8 +56,7 @@
 
 pub mod handle;
 mod placement;
-pub mod queue;
-pub mod shard;
+mod shard;
 
 pub use handle::{DriverConfig, DriverEvent, DriverReport, Session, SessionHandle};
 pub use shard::Driver;
@@ -96,26 +93,6 @@ impl Pacing {
             interval,
             datagrams_per_tick,
         }
-    }
-
-    /// Divide this budget across `parts` co-owners of one logical server so
-    /// the *aggregate* rate stays exactly this pacing: the per-tick budgets
-    /// of the returned pacings sum to `datagrams_per_tick` (the remainder
-    /// goes to the lowest-indexed parts), and every part keeps the same
-    /// interval.  Token buckets are per-shard, so replicating a carousel
-    /// across N shards *without* splitting would multiply the send rate by
-    /// N.  A part may receive a zero budget when `parts` exceeds the total
-    /// (that share of the carousel sends nothing).
-    pub fn split(self, parts: usize) -> Vec<Pacing> {
-        let parts = parts.max(1);
-        let base = self.datagrams_per_tick / parts;
-        let remainder = self.datagrams_per_tick % parts;
-        (0..parts)
-            .map(|i| Pacing {
-                interval: self.interval,
-                datagrams_per_tick: base + usize::from(i < remainder),
-            })
-            .collect()
     }
 }
 
@@ -212,7 +189,7 @@ pub(crate) struct ShardLoop<T: Transport> {
     poll_keys: Vec<usize>,
     events_buf: Vec<Event>,
     /// Events observed and not yet handed to the control plane; the worker
-    /// flushes this deque through the bounded event queue.
+    /// forwards this deque into its reply channel after every step or slice.
     pub(super) events: VecDeque<DriverEvent>,
     live_clients: usize,
     stats: ShardStats,
@@ -738,23 +715,6 @@ mod tests {
         assert_eq!(handle, el.handle(slot));
         assert!(session.is_complete());
         assert!(session.stats().distinct() > 0);
-    }
-
-    #[test]
-    fn pacing_split_preserves_the_aggregate_budget() {
-        for (budget, parts) in [(96, 4), (7, 4), (1, 3), (200, 1), (5, 8)] {
-            let pacing = Pacing::new(Duration::from_millis(1), budget);
-            let split = pacing.split(parts);
-            assert_eq!(split.len(), parts);
-            let total: usize = split.iter().map(|p| p.datagrams_per_tick).sum();
-            assert_eq!(total, budget, "budget {budget} over {parts} parts");
-            assert!(split.iter().all(|p| p.interval == pacing.interval));
-            let (min, max) = (
-                split.iter().map(|p| p.datagrams_per_tick).min().unwrap(),
-                split.iter().map(|p| p.datagrams_per_tick).max().unwrap(),
-            );
-            assert!(max - min <= 1, "split must be even: {split:?}");
-        }
     }
 
     /// Pass-through transport that refuses to join the groups `allow`

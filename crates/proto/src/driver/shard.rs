@@ -1,4 +1,5 @@
-//! The [`Driver`]'s control plane: worker threads, queues and teardown.
+//! The [`Driver`]'s control plane: worker threads and the two channels each
+//! one talks over.
 //!
 //! # Ownership model
 //!
@@ -9,66 +10,58 @@
 //! session and transport (with its sockets and multicast memberships) live
 //! and die on that one thread, so no lock ever guards a socket and no
 //! membership migrates between threads.  The control plane (whichever
-//! thread owns the `Driver`) talks to workers exclusively through bounded
-//! [queues](crate::driver::queue):
+//! thread owns the `Driver`) talks to each worker over two unbounded
+//! `std::sync::mpsc` channels:
 //!
-//! * **commands** (control → worker, one queue per shard): session adds,
-//!   step batches, shutdown.  Commands to one shard are FIFO and the control
-//!   plane assigns each add its slot, so registration returns a
-//!   [`SessionHandle`] immediately — no round-trip; an add that fails on the
-//!   shard leaves its slot empty and reports [`DriverEvent::AddFailed`].
-//! * **acks** (worker → control, one queue per shard): step/shutdown
-//!   acknowledgements carrying the shard's counters.  They keep a queue of
-//!   their own because the control plane waits on *one shard's* ack while
-//!   the event queue interleaves every shard's traffic, and because the
-//!   `Stopped` ack is the second half of the teardown handoff below.
-//! * **events** (workers → control, one queue shared by all shards):
-//!   [`DriverEvent`]s — completions (carrying the finished session back),
-//!   failed joins, failed adds.
+//! * **commands** (control → worker): session adds, step batches, shutdown.
+//!   Commands to one shard are FIFO and the control plane assigns each add
+//!   its slot, so registration returns a [`SessionHandle`] immediately — no
+//!   round-trip; an add that fails on the shard leaves its slot empty and
+//!   reports [`DriverEvent::AddFailed`].
+//! * **replies** (worker → control): the [`DriverEvent`]s the shard's loop
+//!   buffered — completions (carrying the finished session back), failed
+//!   joins, failed adds — forwarded as one message after every failed add,
+//!   step and paced slice, and a `Stepped` acknowledgement with the shard's
+//!   counters after each step batch.  A batch's events precede its ack on
+//!   the channel, so a control plane that has read the ack has read every
+//!   event the batch produced.
 //!
-//! The queues are bounded and loss-free on disconnect (a worker's final
-//! flush happens-before its sender drop, so the control plane's
-//! `Disconnected` implies it has seen every event).  Workers never block on
-//! a full event queue mid-iteration — events wait in the loop's own buffer
-//! and flush opportunistically; whatever a stopping worker still cannot
-//! flush rides its `Stopped` ack as `leftover`.  That handoff is the
-//! model-checked path (`tests/model_check.rs` under `--cfg df_check`).
+//! Neither side ever blocks on a send.  The control plane blocks only on a
+//! worker's reply, which the worker either sends or makes impossible by
+//! exiting: its reply sender dies with it, and the control plane's `recv`
+//! then reports the disconnect — only after every reply sent before it, so
+//! a dead worker's forwarded events are still delivered.  Shutdown is the
+//! same path taken on purpose: the worker forwards what is left and exits,
+//! the control plane reads to the disconnect, and the join hands back the
+//! final counters.  Nothing is bounded because a bound would save nothing:
+//! a paced worker's events wait in its loop's own unbounded buffer until
+//! forwarded, and a queued add holds a session the caller had already
+//! built.
 //!
 //! # Stepped vs paced workers
 //!
-//! In **stepped** mode ([`DriverConfig::stepped`]) workers tick only on
-//! [`Driver::step`] — each shard executes the same step budget and the call
-//! returns when every shard acknowledges, giving the deterministic cadence
-//! the simulation experiments need.  The caller is parked while it waits
-//! (each `Step` carries its thread handle and the worker unparks it behind
-//! the ack), so a batch never shares a core with a polling control plane.
-//! In **paced** mode workers run their loops' wall-clock pacing
-//! continuously; the control plane just drains events
-//! ([`Driver::wait_complete`] / [`Driver::poll_events`]).
+//! A **stepped** worker ([`DriverConfig::stepped`]) blocks on its command
+//! channel and ticks only on [`Driver::step`] — each shard executes the
+//! same step budget and the call returns when every shard acknowledges,
+//! giving the deterministic cadence the simulation experiments need.  The
+//! caller blocks on each shard's reply channel meanwhile, so a batch never
+//! shares a core with a polling control plane.  A **paced** worker runs its
+//! loop's wall-clock pacing in 1 ms slices and checks for commands between
+//! them; the control plane just drains events ([`Driver::wait_complete`] /
+//! [`Driver::poll_events`]).
 
 use crate::client::ClientSession;
 use crate::driver::handle::{DriverConfig, DriverEvent, DriverReport, Session, SessionHandle};
 use crate::driver::placement::Placer;
-use crate::driver::queue::{bounded, IntentReceiver, IntentSender, PopError, PushError};
 use crate::driver::{Pacing, ShardLoop, ShardStats};
 use crate::server::{FountainServer, ServerSession};
 use crate::transport::Transport;
 use std::collections::{HashSet, VecDeque};
 use std::io;
 use std::net::UdpSocket;
+use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
 use std::thread;
 use std::time::{Duration, Instant};
-
-/// Shared by all shards; sized for a large completion burst (it only ever
-/// backs up if the owner stops draining, and workers buffer past it anyway).
-const EVENT_QUEUE_CAP: usize = 4096;
-/// Per shard; adds and step batches are control-paced, so small.
-const COMMAND_QUEUE_CAP: usize = 256;
-/// Per shard; the control plane keeps at most one ack outstanding.
-const ACK_QUEUE_CAP: usize = 4;
-/// Longest the control plane sleeps in [`Driver::step`] between looks at the
-/// ack and event queues when no worker wakes it.
-const ACK_PARK: Duration = Duration::from_millis(1);
 
 /// One control-plane instruction to a shard worker.
 enum ShardCommand<T> {
@@ -78,194 +71,110 @@ enum ShardCommand<T> {
         session: Session,
         transport: T,
     },
-    /// Execute `steps` deterministic loop steps, then acknowledge and wake
-    /// `waiter`, the control-plane thread parked in [`Driver::step`].
-    Step {
-        steps: usize,
-        waiter: thread::Thread,
-    },
-    /// Flush, acknowledge with final counters, and exit.
+    /// Execute `steps` deterministic loop steps, then reply `Stepped`.
+    Step { steps: usize },
+    /// Forward what is left and exit, returning the final counters.
     Shutdown,
 }
 
-/// A worker's acknowledgement back to the control plane.
-enum ShardAck {
-    /// A `Step` batch finished; `stats` are the shard's lifetime counters.
-    Stepped { stats: ShardStats },
-    /// The worker tore down.  `leftover` holds events that could not be
-    /// flushed through the (bounded) event queue before exit — the other
-    /// half of the loss-free teardown handoff.
-    Stopped {
-        stats: ShardStats,
-        leftover: Vec<DriverEvent>,
-    },
+/// What a worker sends back to the control plane.
+enum Reply {
+    /// What the shard's loop observed since the last forward, in order.
+    Events(VecDeque<DriverEvent>),
+    /// A `Step` batch finished; the shard's lifetime counters.
+    Stepped(ShardStats),
 }
 
-/// Outcome of one [`flush_pending`] pass.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlushState {
-    /// Every pending event was pushed.
-    Flushed,
-    /// The queue filled; the refused event is back at the *front* of
-    /// `pending` (order preserved), retry later.
-    Backlogged,
-    /// The consumer is gone; `pending` was dropped (nobody can ever read
-    /// the events).
-    Closed,
-}
-
-/// Push buffered events into a bounded sender, preserving order and losing
-/// nothing on backpressure.  This is the worker-side half of the teardown
-/// handoff protocol the loom suite model-checks, so it is `pub`: the model
-/// test drives it directly against a concurrent consumer.
-pub fn flush_pending<E>(pending: &mut VecDeque<E>, tx: &IntentSender<E>) -> FlushState {
-    while let Some(event) = pending.pop_front() {
-        match tx.push(event) {
-            Ok(()) => {}
-            Err(PushError::Full(event)) => {
-                pending.push_front(event);
-                return FlushState::Backlogged;
-            }
-            Err(PushError::Closed(_)) => {
-                pending.clear();
-                return FlushState::Closed;
-            }
-        }
+/// Send everything `el` buffered to the control plane, as one message: a
+/// send may wake the control plane, and a step that completes a whole
+/// population should wake it once, not once per client.  A send fails only
+/// once the control plane is gone, and then nobody can read the events.
+fn forward<T: Transport>(el: &mut ShardLoop<T>, replies: &Sender<Reply>) {
+    if !el.events.is_empty() {
+        let _ = replies.send(Reply::Events(std::mem::take(&mut el.events)));
     }
-    FlushState::Flushed
 }
 
-/// Worker-thread state for one shard.
-struct Worker<T: Transport> {
+/// Body of one shard worker thread; returns the shard's final counters.
+fn worker_main<T: Transport>(
+    shard: usize,
     stepped: bool,
-    el: ShardLoop<T>,
-    events: IntentSender<DriverEvent>,
-    acks: IntentSender<ShardAck>,
-}
-
-impl<T: Transport> Worker<T> {
-    fn add(&mut self, slot: usize, session: Session, transport: T) {
-        if let Err(error) = self.el.add(slot, session, transport) {
-            self.el.events.push_back(DriverEvent::AddFailed {
-                handle: self.el.handle(slot),
-                error: error.to_string(),
-            });
-        }
-    }
-
-    /// Run one `Step` batch and acknowledge it.  Events are flushed *before*
-    /// the ack, so a control plane that has seen the ack finds every event
-    /// the batch produced already in the queue.
-    fn run_steps(&mut self, steps: usize, waiter: &thread::Thread) {
-        for _ in 0..steps {
-            self.el.step();
-            if flush_pending(&mut self.el.events, &self.events) == FlushState::Closed {
-                break;
-            }
-        }
-        loop {
-            match flush_pending(&mut self.el.events, &self.events) {
-                FlushState::Flushed | FlushState::Closed => break,
-                // The control plane is awaiting our ack and drains events
-                // each time it wakes, so waking it here cannot deadlock.
-                FlushState::Backlogged => {
-                    waiter.unpark();
-                    thread::yield_now();
-                }
-            }
-        }
-        let mut ack = ShardAck::Stepped {
-            stats: self.el.stats(),
-        };
-        loop {
-            match self.acks.push(ack) {
-                Ok(()) => break,
-                Err(PushError::Full(a)) => {
-                    ack = a;
-                    thread::yield_now();
-                }
-                Err(PushError::Closed(_)) => break,
-            }
-        }
-        waiter.unpark();
-    }
-
-    /// Teardown handoff: whatever cannot be flushed rides back inside the
-    /// `Stopped` ack, so no event is ever stranded (the property the loom
-    /// suite proves for the queue half of this protocol).
-    fn teardown(mut self) {
-        let _ = flush_pending(&mut self.el.events, &self.events);
-        let mut ack = ShardAck::Stopped {
-            stats: self.el.stats(),
-            leftover: self.el.events.drain(..).collect(),
-        };
-        // The ack ring (capacity 4, at most one outstanding ack) has room in
-        // every non-pathological schedule; bounded retry, then give up — the
-        // control plane is gone anyway if this fails.
-        for _ in 0..64 {
-            match self.acks.push(ack) {
-                Ok(()) | Err(PushError::Closed(_)) => return,
-                Err(PushError::Full(a)) => {
-                    ack = a;
-                    thread::yield_now();
-                }
-            }
-        }
-    }
-}
-
-/// Body of one shard worker thread.
-fn worker_main<T: Transport>(mut worker: Worker<T>, cmds: IntentReceiver<ShardCommand<T>>) {
+    commands: Receiver<ShardCommand<T>>,
+    replies: Sender<Reply>,
+) -> ShardStats {
+    let mut el = ShardLoop::new(shard);
     loop {
-        loop {
-            match cmds.try_pop() {
-                Ok(ShardCommand::Shutdown) | Err(PopError::Disconnected) => {
-                    worker.teardown();
-                    return;
-                }
-                Ok(ShardCommand::Step { steps, waiter }) => worker.run_steps(steps, &waiter),
-                Ok(ShardCommand::Add {
-                    slot,
-                    session,
-                    transport,
-                }) => worker.add(slot, session, transport),
-                Err(PopError::Empty) => break,
-            }
-        }
-        if worker.stepped {
-            // Ticks come only from Step commands; idle briefly between them
-            // (short enough that back-to-back step batches stay dense).
-            thread::sleep(Duration::from_micros(20));
+        let command = if stepped {
+            // Ticks come only from Step commands.
+            commands.recv().ok()
         } else {
-            // Paced mode: run the loop's own wall-clock pacing for a slice,
-            // then come back for commands.  `run` cuts a slice short when
-            // the last pending client completes (and when the poller
-            // fails); never let that turn into a spin.
-            let started = Instant::now();
-            let _ = worker.el.run(Duration::from_millis(1));
-            if started.elapsed() < Duration::from_micros(100) {
-                thread::sleep(Duration::from_micros(200));
+            match commands.try_recv() {
+                Ok(command) => Some(command),
+                Err(TryRecvError::Disconnected) => None,
+                Err(TryRecvError::Empty) => {
+                    // Paced mode: run the loop's own wall-clock pacing for a
+                    // slice, then come back for commands.  `run` cuts a slice
+                    // short when the last pending client completes (and when
+                    // the poller fails); never let that turn into a spin.
+                    let started = Instant::now();
+                    let _ = el.run(Duration::from_millis(1));
+                    if started.elapsed() < Duration::from_micros(100) {
+                        thread::sleep(Duration::from_micros(200));
+                    }
+                    forward(&mut el, &replies);
+                    continue;
+                }
+            }
+        };
+        match command {
+            Some(ShardCommand::Add {
+                slot,
+                session,
+                transport,
+            }) => {
+                if let Err(error) = el.add(slot, session, transport) {
+                    el.events.push_back(DriverEvent::AddFailed {
+                        handle: el.handle(slot),
+                        error: error.to_string(),
+                    });
+                    forward(&mut el, &replies);
+                }
+            }
+            Some(ShardCommand::Step { steps }) => {
+                for _ in 0..steps {
+                    el.step();
+                    forward(&mut el, &replies);
+                }
+                let _ = replies.send(Reply::Stepped(el.stats()));
+            }
+            // A driver dropped without `shutdown` stops its workers too.
+            Some(ShardCommand::Shutdown) | None => {
+                forward(&mut el, &replies);
+                return el.stats();
             }
         }
-        let _ = flush_pending(&mut worker.el.events, &worker.events);
     }
 }
 
 /// Control-plane handle to one shard worker.
 struct ShardHandle<T> {
-    cmds: IntentSender<ShardCommand<T>>,
-    acks: IntentReceiver<ShardAck>,
-    thread: Option<thread::JoinHandle<()>>,
+    commands: Sender<ShardCommand<T>>,
+    replies: Receiver<Reply>,
+    thread: thread::JoinHandle<ShardStats>,
     /// Slot the next session registered on this shard is stored at.
     next_slot: usize,
 }
 
-/// The I/O engine: N shard workers behind handle-based registration and a
-/// drainable event channel.  Built via [`DriverConfig::build`]; see the
-/// [module docs](self) for the ownership and handoff model.
+/// The I/O engine: N shard workers behind handle-based registration and
+/// drainable events.  Built via [`DriverConfig::build`].
+///
+/// Each shard is one worker thread that owns its sessions and their sockets
+/// outright.  The driver talks to it over one command channel and one reply
+/// channel, and blocks on nothing but a worker's reply — which a dead worker
+/// turns into an error rather than a hang.  See the
+/// [module docs](crate::driver) for slots, pacing and readiness.
 pub struct Driver<T: Transport + Send + 'static> {
     shards: Vec<ShardHandle<T>>,
-    events_rx: IntentReceiver<DriverEvent>,
     placer: Placer,
     /// Drained but not yet polled events.
     pending: Vec<DriverEvent>,
@@ -281,40 +190,24 @@ pub struct Driver<T: Transport + Send + 'static> {
 
 impl<T: Transport + Send + 'static> Driver<T> {
     pub(crate) fn new(cfg: DriverConfig) -> Driver<T> {
-        let (events_tx, events_rx) = bounded(EVENT_QUEUE_CAP);
-        let mut shards = Vec::with_capacity(cfg.shards);
-        for shard in 0..cfg.shards {
-            let (cmd_tx, cmd_rx) = bounded(COMMAND_QUEUE_CAP);
-            let (ack_tx, ack_rx) = bounded(ACK_QUEUE_CAP);
-            let events = events_tx.clone();
-            let stepped = cfg.stepped;
-            let thread = thread::Builder::new()
-                .name(format!("df-shard-{shard}"))
-                .spawn(move || {
-                    worker_main(
-                        Worker {
-                            stepped,
-                            el: ShardLoop::new(shard),
-                            events,
-                            acks: ack_tx,
-                        },
-                        cmd_rx,
-                    )
-                })
-                .expect("spawning a shard worker thread");
-            shards.push(ShardHandle {
-                cmds: cmd_tx,
-                acks: ack_rx,
-                thread: Some(thread),
-                next_slot: 0,
-            });
-        }
-        // Workers hold the only event senders: `Disconnected` on the control
-        // side therefore means every worker has exited *and* flushed.
-        drop(events_tx);
+        let shards = (0..cfg.shards)
+            .map(|shard| {
+                let (commands, command_rx) = mpsc::channel();
+                let (reply_tx, replies) = mpsc::channel();
+                let thread = thread::Builder::new()
+                    .name(format!("df-shard-{shard}"))
+                    .spawn(move || worker_main(shard, cfg.stepped, command_rx, reply_tx))
+                    .expect("spawning a shard worker thread");
+                ShardHandle {
+                    commands,
+                    replies,
+                    thread,
+                    next_slot: 0,
+                }
+            })
+            .collect();
         Driver {
             shards,
-            events_rx,
             placer: Placer::new(cfg.shards),
             pending: Vec::new(),
             live_handles: HashSet::new(),
@@ -396,9 +289,9 @@ impl<T: Transport + Send + 'static> Driver<T> {
     }
 
     /// Register any [`Session`] on an explicit shard, with the pacing it
-    /// carries (recorded against the shard loads).  This is how one
-    /// logical server is replicated across shards at an invariant aggregate
-    /// rate: [`Pacing::split`] the budget and add one part per shard.
+    /// carries (recorded against the shard loads).  This is how a server
+    /// and its own receivers are kept on one shard, or one carousel is
+    /// replicated onto every shard's channel.
     ///
     /// # Errors
     ///
@@ -437,36 +330,20 @@ impl<T: Transport + Send + 'static> Driver<T> {
         let is_client = matches!(session, Session::Client(_));
         let handle = SessionHandle::new(shard, self.shards[shard].next_slot);
         self.shards[shard].next_slot += 1;
-        self.send_cmd(
-            shard,
-            ShardCommand::Add {
-                slot: handle.token(),
-                session,
-                transport,
-            },
-        )?;
+        let add = ShardCommand::Add {
+            slot: handle.token(),
+            session,
+            transport,
+        };
+        self.shards[shard]
+            .commands
+            .send(add)
+            .map_err(|_| worker_gone(shard))?;
         if is_client {
             self.live_handles.insert(handle);
             self.registered_clients += 1;
         }
         Ok(handle)
-    }
-
-    fn send_cmd(&mut self, shard: usize, cmd: ShardCommand<T>) -> io::Result<()> {
-        let mut cmd = cmd;
-        loop {
-            match self.shards[shard].cmds.push(cmd) {
-                Ok(()) => return Ok(()),
-                Err(PushError::Full(c)) => {
-                    cmd = c;
-                    // Keep our side moving while the worker catches up so it
-                    // is never blocked flushing events toward us.
-                    self.drain_events();
-                    thread::yield_now();
-                }
-                Err(PushError::Closed(_)) => return Err(worker_gone(shard)),
-            }
-        }
     }
 
     /// Drive every shard through `steps` deterministic loop steps
@@ -478,14 +355,15 @@ impl<T: Transport + Send + 'static> Driver<T> {
     ///
     /// # Errors
     ///
-    /// Fails if a worker exited (its events, including teardown leftovers,
-    /// are still delivered through [`Driver::poll_events`]).
+    /// Fails if a worker exited.  The live shards still run the batch, and
+    /// every event the dead one forwarded before it exited is still
+    /// delivered through [`Driver::poll_events`].
     pub fn step(&mut self, steps: usize) -> io::Result<()> {
         // Send every command before awaiting any ack: the shards tick
-        // concurrently.
-        for shard in 0..self.shards.len() {
-            let waiter = thread::current();
-            self.send_cmd(shard, ShardCommand::Step { steps, waiter })?;
+        // concurrently.  A send to a dead worker fails, and so does the wait
+        // for its ack.
+        for shard in &self.shards {
+            let _ = shard.commands.send(ShardCommand::Step { steps });
         }
         let mut result = Ok(());
         for shard in 0..self.shards.len() {
@@ -493,47 +371,21 @@ impl<T: Transport + Send + 'static> Driver<T> {
                 result = Err(e);
             }
         }
-        // Workers flush a batch's events before its ack; every ack is in.
-        self.drain_events();
         result
     }
 
-    /// Record an ack's counters and, from a stopping worker, the events it
-    /// could not flush.  True if the worker stopped.
-    fn absorb_ack(&mut self, shard: usize, ack: ShardAck) -> bool {
-        match ack {
-            ShardAck::Stepped { stats } => {
-                self.shard_stats[shard] = stats;
-                false
-            }
-            ShardAck::Stopped { stats, leftover } => {
-                self.shard_stats[shard] = stats;
-                leftover.into_iter().for_each(|event| self.buffer(event));
-                true
-            }
-        }
-    }
-
+    /// Read `shard`'s replies, buffering its events, until it acknowledges a
+    /// step batch (`Ok`) or has exited (`Err`).
     fn await_ack(&mut self, shard: usize) -> io::Result<()> {
         loop {
-            self.drain_events();
-            match self.shards[shard].acks.try_pop() {
-                Ok(ack) => {
-                    let stopped = self.absorb_ack(shard, ack);
-                    return if stopped {
-                        Err(worker_gone(shard))
-                    } else {
-                        Ok(())
-                    };
+            let reply = self.shards[shard].replies.recv();
+            match reply {
+                Ok(Reply::Events(events)) => events.into_iter().for_each(|e| self.buffer(e)),
+                Ok(Reply::Stepped(stats)) => {
+                    self.shard_stats[shard] = stats;
+                    return Ok(());
                 }
-                // Park rather than spin: a batch runs for milliseconds, and
-                // a control plane that polls through it takes the worker's
-                // core whenever the box has none to spare.  The worker
-                // unparks us behind its ack (and when its events back up);
-                // the timeout only bounds a wake-up lost to a worker that
-                // died mid-batch.
-                Err(PopError::Empty) => thread::park_timeout(ACK_PARK),
-                Err(PopError::Disconnected) => return Err(worker_gone(shard)),
+                Err(mpsc::RecvError) => return Err(worker_gone(shard)),
             }
         }
     }
@@ -556,7 +408,9 @@ impl<T: Transport + Send + 'static> Driver<T> {
         }
     }
 
-    /// Drain every buffered [`DriverEvent`] in arrival order.
+    /// Drain every buffered [`DriverEvent`].  Each shard's events come in
+    /// the order that shard produced them; events of different shards are
+    /// in no particular order relative to each other.
     pub fn poll_events(&mut self) -> Vec<DriverEvent> {
         self.drain_events();
         std::mem::take(&mut self.pending)
@@ -569,8 +423,8 @@ impl<T: Transport + Send + 'static> Driver<T> {
 
     /// True once no registered client is pending: each has completed or
     /// failed to register.  The control plane only learns of either through
-    /// the event queue, so call [`Driver::poll_events`] / [`Driver::step`] /
-    /// [`Driver::wait_complete`] to make progress first.
+    /// the reply channels, so call [`Driver::poll_events`] /
+    /// [`Driver::step`] / [`Driver::wait_complete`] to make progress first.
     pub fn all_clients_complete(&self) -> bool {
         self.live_handles.is_empty()
     }
@@ -602,20 +456,26 @@ impl<T: Transport + Send + 'static> Driver<T> {
         self.pending.push(event);
     }
 
+    /// Take in every reply already waiting, shard by shard.
     fn drain_events(&mut self) {
-        while let Ok(event) = self.events_rx.try_pop() {
-            self.buffer(event);
+        for shard in 0..self.shards.len() {
+            while let Ok(reply) = self.shards[shard].replies.try_recv() {
+                match reply {
+                    Reply::Events(events) => events.into_iter().for_each(|e| self.buffer(e)),
+                    Reply::Stepped(stats) => self.shard_stats[shard] = stats,
+                }
+            }
         }
     }
 
     /// Stop every worker, join the threads, and return the final report —
-    /// per-shard counters plus every event the caller never drained
-    /// (including teardown leftovers; the handoff loses nothing).
+    /// per-shard counters plus every event the caller never drained,
+    /// including those a worker forwarded before it died.
     ///
     /// # Errors
     ///
     /// Currently infallible in practice; the signature reserves the right to
-    /// report join panics as errors.
+    /// report worker panics as errors.
     pub fn shutdown(mut self) -> io::Result<DriverReport> {
         self.shutdown_inner();
         Ok(DriverReport {
@@ -625,31 +485,20 @@ impl<T: Transport + Send + 'static> Driver<T> {
     }
 
     fn shutdown_inner(&mut self) {
-        for shard in 0..self.shards.len() {
-            let _ = self.send_cmd(shard, ShardCommand::Shutdown);
+        for shard in &self.shards {
+            let _ = shard.commands.send(ShardCommand::Shutdown);
         }
+        // Read each shard up to the disconnect of its exited worker, then
+        // take its final counters.  A worker that died keeps the counters
+        // it last acknowledged.
         for shard in 0..self.shards.len() {
-            loop {
-                self.drain_events();
-                match self.shards[shard].acks.try_pop() {
-                    Ok(ack) => {
-                        if self.absorb_ack(shard, ack) {
-                            break;
-                        }
-                    }
-                    Err(PopError::Empty) => thread::sleep(Duration::from_micros(50)),
-                    Err(PopError::Disconnected) => break,
-                }
-            }
-            if let Some(thread) = self.shards[shard].thread.take() {
-                let _ = thread.join();
+            while self.await_ack(shard).is_ok() {}
+        }
+        for (shard, handle) in self.shards.drain(..).enumerate() {
+            if let Ok(stats) = handle.thread.join() {
+                self.shard_stats[shard] = stats;
             }
         }
-        // Every worker has exited and flushed; drain the tail.  The queue's
-        // disconnect protocol guarantees `Disconnected` only after the last
-        // pushed event has been popped.
-        self.drain_events();
-        self.shards.clear();
     }
 }
 
@@ -673,8 +522,9 @@ mod tests {
     use super::*;
     use crate::driver::tests::MaybeJoin;
     use crate::server::SessionConfig;
-    use crate::transport::SimMulticast;
+    use crate::transport::{Readiness, SimMulticast};
     use crate::{ClientSession, ControlInfo, SimEndpoint};
+    use bytes::Bytes;
 
     fn patterned(len: usize, salt: usize) -> Vec<u8> {
         (0..len).map(|i| ((i * 131 + salt) % 251) as u8).collect()
@@ -722,9 +572,9 @@ mod tests {
         Session::Client(Box::new(ClientSession::new(info).unwrap()))
     }
 
-    /// Tentpole shape: two shards, each owning a server replica and its
-    /// clients on an isolated channel, byte-identical downloads extracted
-    /// from Completed events.
+    /// Tentpole shape: two shards, each owning a full-rate server replica
+    /// and its clients on an isolated channel, byte-identical downloads
+    /// extracted from Completed events.
     #[test]
     fn two_shards_complete_with_byte_identical_downloads() {
         let data = patterned(50_000, 1);
@@ -733,18 +583,15 @@ mod tests {
             .shards(shards)
             .stepped(true)
             .build::<SimEndpoint>();
-        let pacing = Pacing::new(Duration::from_millis(1), 512).split(shards);
         let mut handles = Vec::new();
-        for (shard, &pacing) in pacing.iter().enumerate() {
+        for shard in 0..shards {
             // Each shard gets its own sim channel and a server replica with
             // the same code seed — the same fountain, sharded.
             let net = SimMulticast::new(40 + shard as u64);
             let (session, info) = carousel(&data, 7, 0);
-            let session = Session::Server {
-                session: Box::new(session),
-                pacing,
-            };
-            driver.add_on(shard, session, net.endpoint(0.0)).unwrap();
+            driver
+                .add_on(shard, server_at(session, 512), net.endpoint(0.0))
+                .unwrap();
             for i in 0..4 {
                 let loss = if i % 2 == 0 { 0.0 } else { 0.2 };
                 let handle = driver
@@ -767,40 +614,6 @@ mod tests {
         done.sort();
         handles.sort();
         assert_eq!(done, handles);
-    }
-
-    /// Satellite regression: splitting one logical server across 1/2/4
-    /// shards must not change the aggregate emission rate.
-    #[test]
-    fn aggregate_emission_rate_is_shard_count_invariant() {
-        let data = patterned(20_000, 2);
-        let steps = 200;
-        let budget = 96;
-        let mut totals = Vec::new();
-        for shards in [1usize, 2, 4] {
-            let mut driver = DriverConfig::new()
-                .shards(shards)
-                .stepped(true)
-                .build::<SimEndpoint>();
-            let pacing = Pacing::new(Duration::from_millis(1), budget).split(shards);
-            for (shard, &pacing) in pacing.iter().enumerate() {
-                let net = SimMulticast::new(50 + shard as u64);
-                let session = Session::Server {
-                    session: Box::new(carousel(&data, 3, 0).0),
-                    pacing,
-                };
-                driver.add_on(shard, session, net.endpoint(0.0)).unwrap();
-            }
-            driver.step(steps).unwrap();
-            let sent = driver.stats().datagrams_sent;
-            totals.push(sent);
-            driver.shutdown().unwrap();
-        }
-        assert_eq!(
-            totals,
-            vec![(steps * budget) as u64; 3],
-            "aggregate emission must be shard-count invariant"
-        );
     }
 
     /// Stress: 4 shards × 256 sim sessions placed least-loaded — per-shard
@@ -992,22 +805,119 @@ mod tests {
         driver.shutdown().unwrap();
     }
 
+    /// A sim endpoint whose `try_recv` panics once `left` reaches zero,
+    /// killing the shard worker that owns it.
+    struct PanicsAt {
+        inner: SimEndpoint,
+        left: usize,
+    }
+
+    impl PanicsAt {
+        fn healthy(net: &SimMulticast) -> PanicsAt {
+            PanicsAt::after(net, usize::MAX)
+        }
+
+        fn after(net: &SimMulticast, receives: usize) -> PanicsAt {
+            PanicsAt {
+                inner: net.endpoint(0.0),
+                left: receives,
+            }
+        }
+    }
+
+    impl Transport for PanicsAt {
+        fn send(&mut self, group: u32, datagram: Bytes) {
+            self.inner.send(group, datagram);
+        }
+        fn recv(&mut self) -> Option<(u32, Bytes)> {
+            self.inner.recv()
+        }
+        fn try_recv(&mut self) -> Option<(u32, Bytes)> {
+            self.left -= 1;
+            if self.left == 0 {
+                panic!("transport fault injected by the test");
+            }
+            self.inner.try_recv()
+        }
+        fn join(&mut self, group: u32) -> io::Result<()> {
+            self.inner.join(group)
+        }
+        fn leave(&mut self, group: u32) {
+            self.inner.leave(group);
+        }
+        fn readiness(&self) -> Readiness {
+            self.inner.readiness()
+        }
+    }
+
+    /// A worker that dies is an error, not a hang: `step` fails at once,
+    /// what the worker forwarded before it died still arrives, `shutdown`
+    /// returns, and the other shard's clients still complete.
     #[test]
-    fn flush_pending_preserves_order_under_backpressure() {
-        let (tx, rx) = bounded::<u32>(2);
-        let mut pending: VecDeque<u32> = (0..5).collect();
-        assert_eq!(flush_pending(&mut pending, &tx), FlushState::Backlogged);
-        assert_eq!(pending.front(), Some(&2), "refused event back at front");
-        let mut got = vec![rx.try_pop().unwrap(), rx.try_pop().unwrap()];
-        assert_eq!(flush_pending(&mut pending, &tx), FlushState::Backlogged);
-        got.push(rx.try_pop().unwrap());
-        got.push(rx.try_pop().unwrap());
-        assert_eq!(flush_pending(&mut pending, &tx), FlushState::Flushed);
-        got.push(rx.try_pop().unwrap());
-        assert_eq!(got, vec![0, 1, 2, 3, 4]);
-        drop(rx);
-        pending.push_back(9);
-        assert_eq!(flush_pending(&mut pending, &tx), FlushState::Closed);
-        assert!(pending.is_empty());
+    fn a_dead_worker_is_an_error_not_a_hang() {
+        let mut driver = DriverConfig::new()
+            .shards(2)
+            .stepped(true)
+            .build::<PanicsAt>();
+        // Shard 0: a carousel, a client that finishes on it in a step or
+        // two, and a client that listens to a group no server feeds, so its
+        // transport is read exactly once per step and panics in step 5.
+        let small = patterned(15_000, 7);
+        let net = SimMulticast::new(64);
+        let (session, info) = carousel(&small, 1, 0);
+        let (_, silent) = carousel(&small, 1, 8);
+        driver
+            .add_on(0, server_at(session, 256), PanicsAt::healthy(&net))
+            .unwrap();
+        let finisher = driver
+            .add_on(0, client(info), PanicsAt::healthy(&net))
+            .unwrap();
+        driver
+            .add_on(0, client(silent), PanicsAt::after(&net, 5))
+            .unwrap();
+        // Shard 1: a slow carousel and two clients on a channel of their own.
+        let large = patterned(60_000, 8);
+        let net = SimMulticast::new(65);
+        let (session, info) = carousel(&large, 2, 0);
+        driver
+            .add_on(1, server_at(session, 8), PanicsAt::healthy(&net))
+            .unwrap();
+        let others: Vec<SessionHandle> = (0..2)
+            .map(|_| {
+                let transport = PanicsAt::healthy(&net);
+                driver.add_on(1, client(info.clone()), transport).unwrap()
+            })
+            .collect();
+
+        let started = Instant::now();
+        assert!(driver.step(10).is_err(), "shard 0 died in this batch");
+        assert!(started.elapsed() < Duration::from_secs(10), "step hung");
+        assert!(
+            completed(driver.poll_events())
+                .iter()
+                .any(|(handle, _)| *handle == finisher),
+            "the completion shard 0 forwarded before it died was lost"
+        );
+        assert_eq!(
+            driver.completed_clients(),
+            1,
+            "premise: shard 1 is still downloading"
+        );
+        for _ in 0..10_000 {
+            if driver.completed_clients() == 3 {
+                break;
+            }
+            assert!(driver.step(1).is_err(), "shard 0 stays dead");
+        }
+        assert_eq!(driver.completed_clients(), 3, "shard 1 stalled");
+        let mut events = driver.poll_events();
+        let report = driver.shutdown().unwrap();
+        assert!(report.shard_stats[1].datagrams_sent > 0);
+        events.extend(report.events);
+        let done = completed(events);
+        for handle in &others {
+            let (_, session) = done.iter().find(|(h, _)| h == handle).unwrap();
+            assert_eq!(session.file().unwrap(), &large[..]);
+        }
     }
 }
