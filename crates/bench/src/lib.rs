@@ -30,13 +30,13 @@ pub struct CodingTimes {
     pub decode_s: f64,
 }
 
-fn half_and_half(n: usize, k: usize, encoding: &[Vec<u8>]) -> Vec<(usize, Vec<u8>)> {
+fn half_and_half(n: usize, k: usize, encoding: &[Vec<u8>]) -> Vec<(usize, &[u8])> {
     // Receive k/2 source packets and enough redundant packets to reach k, the
     // reception mix the paper assumes for its decode benchmarks.
-    let mut rx: Vec<(usize, Vec<u8>)> = (0..k / 2).map(|i| (i, encoding[i].clone())).collect();
+    let mut rx: Vec<(usize, &[u8])> = (0..k / 2).map(|i| (i, encoding[i].as_slice())).collect();
     let mut idx = k;
     while rx.len() < k && idx < n {
-        rx.push((idx, encoding[idx].clone()));
+        rx.push((idx, encoding[idx].as_slice()));
         idx += 1;
     }
     rx
@@ -79,7 +79,7 @@ pub fn measure_cauchy(k: usize, packet_size: usize) -> CodingTimes {
     let encode_s = t0.elapsed().as_secs_f64();
     let rx = half_and_half(2 * k, k, &encoding);
     let t0 = Instant::now();
-    let out = code.decode(&rx).expect("decode");
+    let out = code.decode_ref(&rx).expect("decode");
     let decode_s = t0.elapsed().as_secs_f64();
     assert_eq!(out, source);
     CodingTimes { encode_s, decode_s }
@@ -97,7 +97,7 @@ pub fn measure_vandermonde(k: usize, packet_size: usize) -> CodingTimes {
     let encode_s = t0.elapsed().as_secs_f64();
     let rx = half_and_half(2 * k, k, &encoding);
     let t0 = Instant::now();
-    let out = code.decode(&rx).expect("decode");
+    let out = code.decode_ref(&rx).expect("decode");
     let decode_s = t0.elapsed().as_secs_f64();
     assert_eq!(out, source);
     CodingTimes { encode_s, decode_s }
@@ -112,7 +112,7 @@ pub fn measure_cauchy_block_decode(block_k: usize, packet_size: usize) -> f64 {
     let encoding = code.encode(&source).expect("encode");
     let rx = half_and_half(2 * block_k, block_k, &encoding);
     let t0 = Instant::now();
-    let out = code.decode(&rx).expect("decode");
+    let out = code.decode_ref(&rx).expect("decode");
     let elapsed = t0.elapsed().as_secs_f64();
     assert_eq!(out, source);
     elapsed

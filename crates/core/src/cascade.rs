@@ -133,20 +133,11 @@ impl FinalCode {
         Ok(full.split_off(self.k()))
     }
 
-    /// Recover the full last level from any `k` of its `n` packets.
+    /// Recover the full last level from any `k` of its `n` packets, borrowed:
+    /// payloads are copied at most once, into their decoded positions.
     ///
     /// `received` uses indices local to the final block: `0..k` are last-level
     /// packets, `k..n` are its check packets.
-    pub fn decode(&self, received: &[(usize, Vec<u8>)]) -> Result<Vec<Vec<u8>>> {
-        let refs: Vec<(usize, &[u8])> = received
-            .iter()
-            .map(|(idx, payload)| (*idx, payload.as_slice()))
-            .collect();
-        self.decode_ref(&refs)
-    }
-
-    /// Borrowing variant of [`FinalCode::decode`]: payloads are copied at most
-    /// once, into their decoded positions.
     ///
     /// Handles the odd-length padding scheme of [`FinalCode::encode_checks`]
     /// transparently: level packets are re-padded, check packets have their

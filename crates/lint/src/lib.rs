@@ -97,27 +97,11 @@ pub struct FfiEntry {
 ///
 /// Adding an FFI call means adding a row here *in the same PR* — the diff to
 /// this table is the review surface for new foreign-function exposure.
-pub const FFI_ALLOWLIST: &[FfiEntry] = &[
-    FfiEntry {
-        file: "shims/polling/src/lib.rs",
-        signature:
-            "fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout: std::ffi::c_int) -> i32",
-    },
-    FfiEntry {
-        file: "shims/polling/src/lib.rs",
-        signature: "fn epoll_create1(flags: std::ffi::c_int) -> std::ffi::c_int",
-    },
-    FfiEntry {
-        file: "shims/polling/src/lib.rs",
-        signature: "fn epoll_ctl(epfd: std::ffi::c_int, op: std::ffi::c_int, \
-                     fd: std::ffi::c_int, event: *mut EpollEvent,) -> std::ffi::c_int",
-    },
-    FfiEntry {
-        file: "shims/polling/src/lib.rs",
-        signature: "fn epoll_wait(epfd: std::ffi::c_int, events: *mut EpollEvent, \
-                     maxevents: std::ffi::c_int, timeout: std::ffi::c_int,) -> std::ffi::c_int",
-    },
-];
+pub const FFI_ALLOWLIST: &[FfiEntry] = &[FfiEntry {
+    file: "shims/polling/src/lib.rs",
+    signature:
+        "fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout: std::ffi::c_int) -> i32",
+}];
 
 /// A single lint finding, printed as `file:line: [rule] message`.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -25,13 +25,14 @@
 //! # Readiness vs. polled transports
 //!
 //! Each transport reports its [`Readiness`]: socket-backed transports hand
-//! over raw fds and the shard sleeps in the `polling` shim (epoll on Linux,
-//! `poll(2)` elsewhere — see `DF_POLL_BACKEND`) until one turns readable;
-//! in-memory transports ([`crate::SimMulticast`] endpoints) report
-//! [`Readiness::Polled`] and are drained on every iteration instead.  The
-//! fd set is rebuilt lazily whenever memberships change (joins and leaves
-//! open and close sockets), each fd under a dense key that means nothing
-//! outside one registration epoch.
+//! over raw fds and the shard sleeps in the `polling` shim's `poll(2)` until
+//! one turns readable; in-memory transports ([`crate::SimMulticast`]
+//! endpoints) report [`Readiness::Polled`] and are drained on every
+//! iteration instead.  The fd set is rebuilt lazily whenever memberships
+//! change (joins, leaves and completions open and close sockets) by
+//! clearing the poller and re-adding every fd, each under a dense key that
+//! means nothing outside one registration epoch.  The poller's table lives
+//! in user space, so a rebuild makes no syscalls.
 //!
 //! # Pacing
 //!
@@ -168,7 +169,7 @@ enum Slot<T> {
 
 /// The readiness-driven loop one shard worker runs: any number of server
 /// carousels and downloading clients multiplexed over their transports on
-/// one thread — the epoll-style server shape of Section 7.1.  See the
+/// one thread — the readiness-driven server shape of Section 7.1.  See the
 /// [module docs](self) for the slot, pacing and readiness semantics.
 ///
 /// The transport type is homogeneous per driver; server and client slots

@@ -30,7 +30,8 @@
 //! worker's reply, which the worker either sends or makes impossible by
 //! exiting: its reply sender dies with it, and the control plane's `recv`
 //! then reports the disconnect — only after every reply sent before it, so
-//! a dead worker's forwarded events are still delivered.  Shutdown is the
+//! a dead worker's forwarded events are still delivered, and its clients
+//! still pending at the disconnect stop counting as pending.  Shutdown is the
 //! same path taken on purpose: the worker forwards what is left and exits,
 //! the control plane reads to the disconnect, and the join hands back the
 //! final counters.  Nothing is bounded because a bound would save nothing:
@@ -178,8 +179,9 @@ pub struct Driver<T: Transport + Send + 'static> {
     placer: Placer,
     /// Drained but not yet polled events.
     pending: Vec<DriverEvent>,
-    /// Handles of client sessions still downloading (used to classify
-    /// `AddFailed` events, which can also come from server adds).
+    /// Handles of client sessions still downloading on a live shard (used
+    /// to classify `AddFailed` events, which can also come from server
+    /// adds).
     live_handles: HashSet<SessionHandle>,
     registered_clients: usize,
     completed_clients: usize,
@@ -385,15 +387,26 @@ impl<T: Transport + Send + 'static> Driver<T> {
                     self.shard_stats[shard] = stats;
                     return Ok(());
                 }
-                Err(mpsc::RecvError) => return Err(worker_gone(shard)),
+                Err(mpsc::RecvError) => {
+                    self.worker_exited(shard);
+                    return Err(worker_gone(shard));
+                }
             }
         }
     }
 
-    /// Block until no registered client is pending — each has completed or
-    /// failed to register — or `deadline` elapses (paced-mode drivers).
-    /// Returns whether every one of them completed.  A driver with no
-    /// clients at all (a pure server) runs to the deadline.
+    /// `shard`'s reply channel has disconnected, so every reply it sent has
+    /// been read: a client still pending there will never complete.  It
+    /// stops counting as pending — and never counts as completed.
+    fn worker_exited(&mut self, shard: usize) {
+        self.live_handles.retain(|handle| handle.shard() != shard);
+    }
+
+    /// Block until no registered client is pending — each has completed,
+    /// failed to register, or died with its shard's worker — or `deadline`
+    /// elapses (paced-mode drivers).  Returns whether every one of them
+    /// completed.  A driver with no clients at all (a pure server) runs to
+    /// the deadline.
     pub fn wait_complete(&mut self, deadline: Duration) -> bool {
         let end = Instant::now() + deadline;
         loop {
@@ -421,9 +434,10 @@ impl<T: Transport + Send + 'static> Driver<T> {
         self.completed_clients
     }
 
-    /// True once no registered client is pending: each has completed or
-    /// failed to register.  The control plane only learns of either through
-    /// the reply channels, so call [`Driver::poll_events`] /
+    /// True once no registered client is pending: each has completed,
+    /// failed to register, or died with its shard's worker.  The control
+    /// plane only learns of any of these through the reply channels, so
+    /// call [`Driver::poll_events`] /
     /// [`Driver::step`] / [`Driver::wait_complete`] to make progress first.
     pub fn all_clients_complete(&self) -> bool {
         self.live_handles.is_empty()
@@ -459,10 +473,15 @@ impl<T: Transport + Send + 'static> Driver<T> {
     /// Take in every reply already waiting, shard by shard.
     fn drain_events(&mut self) {
         for shard in 0..self.shards.len() {
-            while let Ok(reply) = self.shards[shard].replies.try_recv() {
-                match reply {
-                    Reply::Events(events) => events.into_iter().for_each(|e| self.buffer(e)),
-                    Reply::Stepped(stats) => self.shard_stats[shard] = stats,
+            loop {
+                match self.shards[shard].replies.try_recv() {
+                    Ok(Reply::Events(events)) => events.into_iter().for_each(|e| self.buffer(e)),
+                    Ok(Reply::Stepped(stats)) => self.shard_stats[shard] = stats,
+                    Err(TryRecvError::Empty) => break,
+                    Err(TryRecvError::Disconnected) => {
+                        self.worker_exited(shard);
+                        break;
+                    }
                 }
             }
         }
@@ -852,7 +871,9 @@ mod tests {
 
     /// A worker that dies is an error, not a hang: `step` fails at once,
     /// what the worker forwarded before it died still arrives, `shutdown`
-    /// returns, and the other shard's clients still complete.
+    /// returns, and the other shard's clients still complete.  Its own
+    /// pending clients stop counting as pending, so neither a stepped
+    /// `all_clients_complete` loop nor a paced `wait_complete` waits on them.
     #[test]
     fn a_dead_worker_is_an_error_not_a_hang() {
         let mut driver = DriverConfig::new()
@@ -910,6 +931,10 @@ mod tests {
             assert!(driver.step(1).is_err(), "shard 0 stays dead");
         }
         assert_eq!(driver.completed_clients(), 3, "shard 1 stalled");
+        assert!(
+            driver.all_clients_complete(),
+            "the client that died with shard 0 still counts as pending"
+        );
         let mut events = driver.poll_events();
         let report = driver.shutdown().unwrap();
         assert!(report.shard_stats[1].datagrams_sent > 0);
@@ -919,5 +944,35 @@ mod tests {
             let (_, session) = done.iter().find(|(h, _)| h == handle).unwrap();
             assert_eq!(session.file().unwrap(), &large[..]);
         }
+
+        // Paced: shard 0's lone client panics its worker within a few 1 ms
+        // slices.  Once shard 1's clients finish nothing is pending, so the
+        // wait returns `false` (one client never completed) in milliseconds
+        // instead of sleeping out its 10 s deadline.
+        let mut driver = DriverConfig::new().shards(2).build::<PanicsAt>();
+        let net = SimMulticast::new(66);
+        let (_, silent) = carousel(&small, 1, 8);
+        driver
+            .add_on(0, client(silent), PanicsAt::after(&net, 5))
+            .unwrap();
+        let net = SimMulticast::new(67);
+        let (session, info) = carousel(&large, 2, 0);
+        driver
+            .add_on(1, server_at(session, 256), PanicsAt::healthy(&net))
+            .unwrap();
+        for _ in 0..2 {
+            let transport = PanicsAt::healthy(&net);
+            driver.add_on(1, client(info.clone()), transport).unwrap();
+        }
+        let started = Instant::now();
+        assert!(!driver.wait_complete(Duration::from_secs(10)));
+        let waited = started.elapsed();
+        assert!(
+            waited < Duration::from_secs(1),
+            "wait_complete slept toward its deadline: {waited:?}"
+        );
+        assert_eq!(driver.completed_clients(), 2, "shard 1 stalled");
+        assert!(driver.all_clients_complete());
+        driver.shutdown().unwrap();
     }
 }

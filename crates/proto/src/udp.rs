@@ -279,7 +279,7 @@ mod tests {
 
     #[test]
     fn loopback_unicast_roundtrip_and_group_separation() {
-        let base = 47610;
+        let base = 30210;
         let mut rx = UdpMulticastTransport::loopback(base).unwrap();
         rx.join(0).unwrap();
         rx.join(2).unwrap();
@@ -306,7 +306,7 @@ mod tests {
 
     #[test]
     fn leave_releases_the_port_for_rebinding() {
-        let base = 47620;
+        let base = 30220;
         let mut a = UdpMulticastTransport::loopback(base).unwrap();
         a.join(0).unwrap();
         a.leave(0);
@@ -325,7 +325,7 @@ mod tests {
 
     #[test]
     fn joining_twice_is_idempotent() {
-        let mut t = UdpMulticastTransport::loopback(47630).unwrap();
+        let mut t = UdpMulticastTransport::loopback(30230).unwrap();
         t.join(1).unwrap();
         t.join(1).unwrap();
         assert_eq!(t.joined_groups(), vec![1]);
@@ -363,7 +363,7 @@ mod tests {
         // is an environment property, not a code defect.  The loopback mode
         // above covers the transport logic unconditionally.
         let base_addr = Ipv4Addr::new(239, 255, 71, 91);
-        let base = 47640;
+        let base = 30240;
         let mut rx = match UdpMulticastTransport::multicast(base_addr, base) {
             Ok(t) => t,
             Err(e) => {

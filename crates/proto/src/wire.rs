@@ -74,8 +74,9 @@ impl DataPacket {
     /// buffer and copies the header and the whole payload into it, once per
     /// datagram, even for a sender that retains its encoding (the carousel
     /// re-sends every packet forever).  Sending the header and the retained
-    /// payload as two `iovec`s — ROADMAP.md item 5 — is what removes the
-    /// copy.  This is the single definition of the data-packet wire layout;
+    /// payload as two `iovec`s — the socket-path item of ROADMAP.md — is
+    /// what removes the copy.  This is the single definition of the
+    /// data-packet wire layout;
     /// [`DataPacket::to_bytes`] delegates here.
     pub fn frame(header: &PacketHeader, payload: &[u8]) -> Bytes {
         let mut buf = BytesMut::with_capacity(HEADER_LEN + payload.len());

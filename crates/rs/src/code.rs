@@ -130,20 +130,6 @@ pub trait ErasureCode: Send + Sync {
         Ok(out)
     }
 
-    /// Owned-payload wrapper over [`ErasureCode::decode_into`], kept for
-    /// callers that naturally hold `(index, Vec<u8>)` pairs.
-    ///
-    /// # Errors
-    ///
-    /// See [`ErasureCode::decode_into`].
-    fn decode(&self, received: &[(usize, Vec<u8>)]) -> Result<Vec<Vec<u8>>, RsError> {
-        let refs: Vec<(usize, &[u8])> = received
-            .iter()
-            .map(|(idx, payload)| (*idx, payload.as_slice()))
-            .collect();
-        self.decode_ref(&refs)
-    }
-
     /// A short human-readable name used in benchmark tables
     /// ("vandermonde", "cauchy", ...).
     fn name(&self) -> &'static str;

@@ -29,11 +29,11 @@
 //! let encoding = code.encode(&source).unwrap();
 //!
 //! // Lose half the packets — any 4 survivors are enough.
-//! let received: Vec<(usize, Vec<u8>)> = [6, 1, 7, 2]
+//! let received: Vec<(usize, &[u8])> = [6, 1, 7, 2]
 //!     .iter()
-//!     .map(|&i| (i, encoding[i].clone()))
+//!     .map(|&i| (i, encoding[i].as_slice()))
 //!     .collect();
-//! let decoded = code.decode(&received).unwrap();
+//! let decoded = code.decode_ref(&received).unwrap();
 //! assert_eq!(decoded, source);
 //! ```
 

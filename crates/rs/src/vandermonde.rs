@@ -208,8 +208,8 @@ mod tests {
         let code = VandermondeCode::new(6, 12).unwrap();
         let src = random_source(6, 100, 2);
         let enc = code.encode(&src).unwrap();
-        let rx: Vec<(usize, Vec<u8>)> = (6..12).map(|i| (i, enc[i].clone())).collect();
-        assert_eq!(code.decode(&rx).unwrap(), src);
+        let rx: Vec<(usize, &[u8])> = (6..12).map(|i| (i, enc[i].as_slice())).collect();
+        assert_eq!(code.decode_ref(&rx).unwrap(), src);
     }
 
     #[test]
@@ -218,8 +218,8 @@ mod tests {
         let src = random_source(8, 64, 3);
         let enc = code.encode(&src).unwrap();
         let pick = [15usize, 0, 7, 9, 3, 12, 5, 11];
-        let rx: Vec<(usize, Vec<u8>)> = pick.iter().map(|&i| (i, enc[i].clone())).collect();
-        assert_eq!(code.decode(&rx).unwrap(), src);
+        let rx: Vec<(usize, &[u8])> = pick.iter().map(|&i| (i, enc[i].as_slice())).collect();
+        assert_eq!(code.decode_ref(&rx).unwrap(), src);
     }
 
     #[test]
@@ -227,8 +227,8 @@ mod tests {
         let code = VandermondeCode::new(4, 8).unwrap();
         let src = random_source(4, 16, 4);
         let enc = code.encode(&src).unwrap();
-        let rx: Vec<(usize, Vec<u8>)> = (0..4).map(|i| (i, enc[i].clone())).collect();
-        assert_eq!(code.decode(&rx).unwrap(), src);
+        let rx: Vec<(usize, &[u8])> = (0..4).map(|i| (i, enc[i].as_slice())).collect();
+        assert_eq!(code.decode_ref(&rx).unwrap(), src);
     }
 
     #[test]
@@ -236,9 +236,9 @@ mod tests {
         let code = VandermondeCode::new(4, 8).unwrap();
         let src = random_source(4, 16, 5);
         let enc = code.encode(&src).unwrap();
-        let rx: Vec<(usize, Vec<u8>)> = (0..3).map(|i| (i, enc[i].clone())).collect();
+        let rx: Vec<(usize, &[u8])> = (0..3).map(|i| (i, enc[i].as_slice())).collect();
         assert_eq!(
-            code.decode(&rx),
+            code.decode_ref(&rx),
             Err(RsError::NotEnoughPackets { have: 3, need: 4 })
         );
     }
@@ -248,8 +248,8 @@ mod tests {
         let code = VandermondeCode::new(3, 9).unwrap();
         let src = random_source(3, 24, 6);
         let enc = code.encode(&src).unwrap();
-        let rx: Vec<(usize, Vec<u8>)> = (0..9).rev().map(|i| (i, enc[i].clone())).collect();
-        assert_eq!(code.decode(&rx).unwrap(), src);
+        let rx: Vec<(usize, &[u8])> = (0..9).rev().map(|i| (i, enc[i].as_slice())).collect();
+        assert_eq!(code.decode_ref(&rx).unwrap(), src);
     }
 
     #[test]
@@ -260,8 +260,8 @@ mod tests {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(8);
         let mut idx: Vec<usize> = (0..600).collect();
         idx.shuffle(&mut rng);
-        let rx: Vec<(usize, Vec<u8>)> = idx[..300].iter().map(|&i| (i, enc[i].clone())).collect();
-        assert_eq!(code.decode(&rx).unwrap(), src);
+        let rx: Vec<(usize, &[u8])> = idx[..300].iter().map(|&i| (i, enc[i].as_slice())).collect();
+        assert_eq!(code.decode_ref(&rx).unwrap(), src);
     }
 
     #[test]
@@ -273,20 +273,20 @@ mod tests {
         let src = random_source(3, 16, 20);
         let enc = code.encode(&src).unwrap();
         assert_eq!(enc.len(), 256);
-        let rx: Vec<(usize, Vec<u8>)> = [255usize, 128, 0]
+        let rx: Vec<(usize, &[u8])> = [255usize, 128, 0]
             .iter()
-            .map(|&i| (i, enc[i].clone()))
+            .map(|&i| (i, enc[i].as_slice()))
             .collect();
-        assert_eq!(code.decode(&rx).unwrap(), src);
+        assert_eq!(code.decode_ref(&rx).unwrap(), src);
 
         let large = VandermondeCode::<GF65536>::with_field(2, 65_536).unwrap();
         let src = random_source(2, 8, 21);
         let enc = large.encode(&src).unwrap();
-        let rx: Vec<(usize, Vec<u8>)> = [65_535usize, 40_000]
+        let rx: Vec<(usize, &[u8])> = [65_535usize, 40_000]
             .iter()
-            .map(|&i| (i, enc[i].clone()))
+            .map(|&i| (i, enc[i].as_slice()))
             .collect();
-        assert_eq!(large.decode(&rx).unwrap(), src);
+        assert_eq!(large.decode_ref(&rx).unwrap(), src);
     }
 
     #[test]
@@ -300,12 +300,16 @@ mod tests {
             let src = random_source(8, 64, 30 + seed);
             let enc = code.encode(&src).unwrap();
             let pattern = [15usize, 0, 7, 9, 3, 12, 5, 11];
-            let rx: Vec<(usize, Vec<u8>)> = pattern.iter().map(|&i| (i, enc[i].clone())).collect();
-            assert_eq!(code.decode(&rx).unwrap(), src, "seed {seed}");
-            assert_eq!(clone.decode(&rx).unwrap(), src, "clone, seed {seed}");
+            let rx: Vec<(usize, &[u8])> = pattern.iter().map(|&i| (i, enc[i].as_slice())).collect();
+            assert_eq!(code.decode_ref(&rx).unwrap(), src, "seed {seed}");
+            assert_eq!(clone.decode_ref(&rx).unwrap(), src, "clone, seed {seed}");
             // A different pattern over the same encoding.
-            let rx2: Vec<(usize, Vec<u8>)> = (8..16).map(|i| (i, enc[i].clone())).collect();
-            assert_eq!(code.decode(&rx2).unwrap(), src, "alt pattern, seed {seed}");
+            let rx2: Vec<(usize, &[u8])> = (8..16).map(|i| (i, enc[i].as_slice())).collect();
+            assert_eq!(
+                code.decode_ref(&rx2).unwrap(),
+                src,
+                "alt pattern, seed {seed}"
+            );
         }
     }
 
@@ -317,9 +321,9 @@ mod tests {
         let src = random_source(4, 24, 40);
         let enc = code.encode(&src).unwrap();
         for start in 0..12usize {
-            let rx: Vec<(usize, Vec<u8>)> =
-                (start..start + 4).map(|i| (i, enc[i].clone())).collect();
-            assert_eq!(code.decode(&rx).unwrap(), src, "pattern at {start}");
+            let rx: Vec<(usize, &[u8])> =
+                (start..start + 4).map(|i| (i, enc[i].as_slice())).collect();
+            assert_eq!(code.decode_ref(&rx).unwrap(), src, "pattern at {start}");
         }
     }
 
@@ -351,8 +355,8 @@ mod tests {
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed ^ 0xdead);
             let mut idx: Vec<usize> = (0..n).collect();
             idx.shuffle(&mut rng);
-            let rx: Vec<(usize, Vec<u8>)> = idx[..k].iter().map(|&i| (i, enc[i].clone())).collect();
-            prop_assert_eq!(code.decode(&rx).unwrap(), src);
+            let rx: Vec<(usize, &[u8])> = idx[..k].iter().map(|&i| (i, enc[i].as_slice())).collect();
+            prop_assert_eq!(code.decode_ref(&rx).unwrap(), src);
         }
     }
 }

@@ -1,37 +1,29 @@
 //! Offline shim of the `polling` crate (see `shims/README.md`): a minimal
-//! portable readiness API over the POSIX `poll(2)` system call, with an
-//! `epoll(7)` backend on Linux.
+//! portable readiness API over the POSIX `poll(2)` system call.
 //!
-//! The real crate multiplexes over epoll/kqueue/IOCP; this shim keeps the
-//! same shape — register sources with keys, wait for [`Event`]s — and picks
-//! a backend at [`Poller::new`] time:
+//! The real crate wraps each platform's native readiness queue; this shim
+//! keeps the same shape — register sources with keys, wait for [`Event`]s —
+//! over the one call every Unix has.  `poll(2)` is stateless: the
+//! registration table lives in the [`Poller`] and is handed to the kernel
+//! whole on every [`Poller::wait`].  Registering and clearing sources
+//! therefore cost no system calls, and a wait costs O(registered) — the
+//! right trade for this workspace's one heavy caller, a driver shard that
+//! rebuilds its whole fd set on every membership change and holds tens of
+//! sockets, not tens of thousands.
 //!
-//! * **epoll** (Linux): registrations live in the kernel, so `wait` is
-//!   O(ready) instead of O(registered) — the property the sharded driver
-//!   needs once per-loop fd counts grow.
-//! * **poll** (every Unix): stateless fallback; the fd set is rebuilt on
-//!   each `wait` from the registration table.
+//! Differences from upstream: readable interest only, no edge-triggered or
+//! oneshot modes, no per-source `modify`/`delete` (callers
+//! [`Poller::clear`] and re-add), and registration takes raw fds (the
+//! [`Source`] trait is implemented for `RawFd` and for any `AsRawFd`
+//! reference, as in upstream's Unix build).  On non-Unix platforms
+//! [`Poller::new`] returns [`std::io::ErrorKind::Unsupported`].
 //!
-//! Selection: the `DF_POLL_BACKEND` environment variable forces `"poll"` or
-//! `"epoll"`; when unset, Linux uses epoll (falling back to poll if the
-//! epoll fd cannot be created) and other Unixes use poll.  Both backends
-//! share the same registration bookkeeping and `wait` semantics, so they
-//! are interchangeable under the driver test suite (CI runs the driver
-//! tests under both values of `DF_POLL_BACKEND`).
-//!
-//! Differences from upstream: readable interest only (`Event::writable` is
-//! accepted but ignored by `wait`), no edge-triggered or oneshot modes, and
-//! registration takes raw fds (the [`Source`] trait is implemented for
-//! `RawFd` and for any `AsRawFd` reference, as in upstream's Unix build).
-//! On non-Unix platforms [`Poller::new`] returns
-//! [`std::io::ErrorKind::Unsupported`].
-//!
-//! The `poll(2)`/`epoll(7)` bindings are declared locally (`extern "C"`):
-//! this workspace has no `libc` crate, and both are part of every libc the
-//! Rust standard library already links against.  Every declaration is
-//! allowlisted in df-lint's `FFI_ALLOWLIST`.
+//! The `poll(2)` binding is declared locally (`extern "C"`): this workspace
+//! has no `libc` crate, and `poll` is part of every libc the Rust standard
+//! library already links against.  The declaration is allowlisted in
+//! df-lint's `FFI_ALLOWLIST`.
 
-// Unsafe is confined to the `sys` modules (the poll/epoll FFI call sites,
+// Unsafe is confined to the `sys` module (the poll FFI call site,
 // allowlisted by df-lint); any unsafe operation inside an `unsafe fn` must
 // still be an explicit block with its own SAFETY comment.
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -47,56 +39,20 @@ use std::os::unix::io::{AsRawFd, RawFd};
 #[cfg(not(unix))]
 pub type RawFd = i32;
 
-/// Interest in (and report of) readiness events for one registered source,
-/// identified by the caller-chosen `key`.
+/// Readable interest in one registered source, and the report that it is
+/// readable, identified by the caller-chosen `key`.  Readability is the only
+/// interest this shim supports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Event {
     /// Caller-chosen identifier carried back by [`Poller::wait`].
     pub key: usize,
-    /// Readable interest / readiness.
-    pub readable: bool,
-    /// Writable interest (accepted for API compatibility; this shim's
-    /// `wait` only reports readability).
-    pub writable: bool,
 }
 
 impl Event {
-    /// Readable-only interest.
+    /// Readable interest under `key`.
     pub fn readable(key: usize) -> Event {
-        Event {
-            key,
-            readable: true,
-            writable: false,
-        }
+        Event { key }
     }
-
-    /// Interest in both directions.
-    pub fn all(key: usize) -> Event {
-        Event {
-            key,
-            readable: true,
-            writable: true,
-        }
-    }
-
-    /// No interest (keeps the source registered without polling it).
-    pub fn none(key: usize) -> Event {
-        Event {
-            key,
-            readable: false,
-            writable: false,
-        }
-    }
-}
-
-/// Which kernel readiness primitive backs a [`Poller`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackendKind {
-    /// Stateless `poll(2)`: the fd set is rebuilt on every `wait`.
-    Poll,
-    /// Linux `epoll(7)`: registrations live in the kernel.  Constructing a
-    /// poller with this backend fails on other platforms.
-    Epoll,
 }
 
 /// Something that can be registered with a [`Poller`]: a raw fd, or a
@@ -147,30 +103,25 @@ mod sys {
         fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout: std::ffi::c_int) -> i32;
     }
 
-    /// Converts an optional timeout to the millisecond convention shared by
-    /// `poll(2)` and `epoll_wait(2)`: `None` ⇒ -1 (block forever), rounding
-    /// *up* so a 100 µs timeout does not busy-spin at 0 ms.
-    pub fn timeout_ms(timeout: Option<Duration>) -> std::ffi::c_int {
-        match timeout {
+    /// Safe wrapper: polls the given fd set, filling each entry's `revents`.
+    /// A `timeout` of `None` blocks indefinitely; a nonzero timeout is
+    /// rounded *up* to whole milliseconds so a 100 µs wait does not
+    /// busy-spin at 0 ms.
+    pub fn poll_fds(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<()> {
+        let timeout_ms: std::ffi::c_int = match timeout {
             Some(t) => t
                 .as_millis()
                 .max(u128::from(!t.is_zero()))
                 .try_into()
                 .unwrap_or(std::ffi::c_int::MAX),
             None => -1,
-        }
-    }
-
-    /// Safe wrapper: polls the given fd set, returning the number of entries
-    /// with nonzero `revents`.  A `timeout` of `None` blocks indefinitely.
-    pub fn poll_fds(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> {
-        let timeout_ms = timeout_ms(timeout);
+        };
         loop {
             // SAFETY: `fds` is a valid, exclusively borrowed slice of
             // `#[repr(C)]` pollfd-layout structs; `len()` bounds `nfds`.
             let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as std::ffi::c_ulong, timeout_ms) };
             if rc >= 0 {
-                return Ok(rc as usize);
+                return Ok(());
             }
             let err = io::Error::last_os_error();
             if err.kind() != io::ErrorKind::Interrupted {
@@ -181,138 +132,6 @@ mod sys {
             // callers simpler.)
         }
     }
-}
-
-#[cfg(target_os = "linux")]
-mod sys_epoll {
-    //! The `epoll(7)` FFI surface.  The epoll fd is wrapped in
-    //! [`std::os::fd::OwnedFd`] so closing it needs no `close(2)` binding.
-    #![allow(unsafe_code)]
-
-    use std::io;
-    use std::os::fd::{AsRawFd, FromRawFd, OwnedFd};
-    use std::os::unix::io::RawFd;
-    use std::time::Duration;
-
-    pub const EPOLLIN: u32 = 0x001;
-    pub const EPOLLERR: u32 = 0x008;
-    pub const EPOLLHUP: u32 = 0x010;
-
-    pub const EPOLL_CTL_ADD: std::ffi::c_int = 1;
-    pub const EPOLL_CTL_DEL: std::ffi::c_int = 2;
-    pub const EPOLL_CTL_MOD: std::ffi::c_int = 3;
-
-    const EPOLL_CLOEXEC: std::ffi::c_int = 0x80000;
-
-    /// Kernel `struct epoll_event`.  The x86-64 ABI packs it (no padding
-    /// between the 32-bit mask and the 64-bit payload); other architectures
-    /// use natural `repr(C)` layout.
-    #[cfg_attr(target_arch = "x86_64", repr(C, packed))]
-    #[cfg_attr(not(target_arch = "x86_64"), repr(C))]
-    #[derive(Debug, Clone, Copy)]
-    pub struct EpollEvent {
-        pub events: u32,
-        pub data: u64,
-    }
-
-    extern "C" {
-        fn epoll_create1(flags: std::ffi::c_int) -> std::ffi::c_int;
-        fn epoll_ctl(
-            epfd: std::ffi::c_int,
-            op: std::ffi::c_int,
-            fd: std::ffi::c_int,
-            event: *mut EpollEvent,
-        ) -> std::ffi::c_int;
-        fn epoll_wait(
-            epfd: std::ffi::c_int,
-            events: *mut EpollEvent,
-            maxevents: std::ffi::c_int,
-            timeout: std::ffi::c_int,
-        ) -> std::ffi::c_int;
-    }
-
-    /// An owned epoll instance; the kernel object is released on drop.
-    #[derive(Debug)]
-    pub struct EpollFd(OwnedFd);
-
-    impl EpollFd {
-        /// Creates a close-on-exec epoll instance.
-        pub fn new() -> io::Result<EpollFd> {
-            // SAFETY: the lone FFI call takes no pointers; a non-negative
-            // return is a freshly created fd the kernel handed to us and
-            // nothing else owns, so wrapping it in `OwnedFd` is sound.
-            let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-            if fd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            // SAFETY: `fd` was just returned by `epoll_create1`, is valid,
-            // and ownership transfers exclusively to this `OwnedFd`.
-            Ok(EpollFd(unsafe { OwnedFd::from_raw_fd(fd) }))
-        }
-
-        /// `epoll_ctl` wrapper; `op` is one of the `EPOLL_CTL_*` constants.
-        pub fn ctl(
-            &self,
-            op: std::ffi::c_int,
-            fd: RawFd,
-            events: u32,
-            key: usize,
-        ) -> io::Result<()> {
-            let mut ev = EpollEvent {
-                events,
-                data: key as u64,
-            };
-            // SAFETY: `ev` is a live, exclusively borrowed `#[repr(C)]`
-            // epoll_event; the epoll fd is owned by `self` and open.  For
-            // `EPOLL_CTL_DEL` the kernel ignores the event pointer (passing
-            // a valid one also satisfies pre-2.6.9 kernels).
-            let rc = unsafe { epoll_ctl(self.0.as_raw_fd(), op, fd, &mut ev) };
-            if rc < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(())
-        }
-
-        /// `epoll_wait` wrapper: fills `events` (up to its capacity) and
-        /// returns how many fired.  `EINTR` is retried as in `poll_fds`.
-        pub fn wait(
-            &self,
-            events: &mut Vec<EpollEvent>,
-            timeout: Option<Duration>,
-        ) -> io::Result<usize> {
-            let timeout_ms = super::sys::timeout_ms(timeout);
-            let cap = events.capacity().max(1) as std::ffi::c_int;
-            events.clear();
-            events.reserve(cap as usize);
-            loop {
-                // SAFETY: `events` has capacity for at least `cap` entries of
-                // `#[repr(C)]` epoll_event layout, and the kernel writes at
-                // most `maxevents` of them; the epoll fd is owned and open.
-                let rc =
-                    unsafe { epoll_wait(self.0.as_raw_fd(), events.as_mut_ptr(), cap, timeout_ms) };
-                if rc >= 0 {
-                    // SAFETY: the kernel initialized exactly `rc` entries
-                    // (`0 <= rc <= cap <= capacity`).
-                    unsafe { events.set_len(rc as usize) };
-                    return Ok(rc as usize);
-                }
-                let err = io::Error::last_os_error();
-                if err.kind() != io::ErrorKind::Interrupted {
-                    return Err(err);
-                }
-            }
-        }
-    }
-}
-
-/// The per-poller backend state behind the shared registration table.
-#[derive(Debug)]
-enum Backend {
-    /// Stateless `poll(2)`.
-    Poll,
-    /// Kernel-resident `epoll(7)` registrations.
-    #[cfg(target_os = "linux")]
-    Epoll(sys_epoll::EpollFd),
 }
 
 /// A registry of readable-interest sources that can be waited on together.
@@ -342,82 +161,22 @@ enum Backend {
 /// ```
 #[derive(Debug)]
 pub struct Poller {
-    sources: std::sync::Mutex<Vec<(RawFd, Event)>>,
-    backend: Backend,
+    /// `(fd, key)` per registered source, in registration order.
+    sources: std::sync::Mutex<Vec<(RawFd, usize)>>,
 }
 
 impl Poller {
-    /// Create an empty poller with the backend chosen by `DF_POLL_BACKEND`
-    /// (`"poll"` or `"epoll"`), defaulting to epoll on Linux (with a poll
-    /// fallback if epoll creation fails) and poll elsewhere.
+    /// Create an empty poller.
     ///
     /// # Errors
     ///
-    /// Returns [`io::ErrorKind::Unsupported`] on non-Unix platforms, and
-    /// [`io::ErrorKind::InvalidInput`] for an unrecognized `DF_POLL_BACKEND`
-    /// value (a typo silently falling back would defeat the CI matrix).
+    /// Returns [`io::ErrorKind::Unsupported`] on non-Unix platforms.
     pub fn new() -> io::Result<Poller> {
-        #[cfg(unix)]
-        {
-            match std::env::var("DF_POLL_BACKEND").as_deref() {
-                Ok("poll") => Poller::with_backend(BackendKind::Poll),
-                Ok("epoll") => Poller::with_backend(BackendKind::Epoll),
-                Ok(other) => Err(io::Error::new(
-                    io::ErrorKind::InvalidInput,
-                    format!("DF_POLL_BACKEND={other:?}: expected \"poll\" or \"epoll\""),
-                )),
-                Err(_) => {
-                    #[cfg(target_os = "linux")]
-                    {
-                        Poller::with_backend(BackendKind::Epoll)
-                            .or_else(|_| Poller::with_backend(BackendKind::Poll))
-                    }
-                    #[cfg(not(target_os = "linux"))]
-                    {
-                        Poller::with_backend(BackendKind::Poll)
-                    }
-                }
-            }
-        }
-        #[cfg(not(unix))]
-        {
-            Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "polling shim: poll(2) is only wrapped on Unix",
-            ))
-        }
-    }
-
-    /// Create an empty poller on an explicitly chosen backend (bypassing the
-    /// `DF_POLL_BACKEND` selection in [`Poller::new`]).
-    ///
-    /// # Errors
-    ///
-    /// [`BackendKind::Epoll`] fails with [`io::ErrorKind::Unsupported`] off
-    /// Linux; both kinds fail with it on non-Unix platforms.
-    pub fn with_backend(kind: BackendKind) -> io::Result<Poller> {
-        #[cfg(unix)]
-        {
-            let backend = match kind {
-                BackendKind::Poll => Backend::Poll,
-                #[cfg(target_os = "linux")]
-                BackendKind::Epoll => Backend::Epoll(sys_epoll::EpollFd::new()?),
-                #[cfg(not(target_os = "linux"))]
-                BackendKind::Epoll => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::Unsupported,
-                        "polling shim: epoll is Linux-only",
-                    ))
-                }
-            };
+        if cfg!(unix) {
             Ok(Poller {
                 sources: std::sync::Mutex::new(Vec::new()),
-                backend,
             })
-        }
-        #[cfg(not(unix))]
-        {
-            let _ = kind;
+        } else {
             Err(io::Error::new(
                 io::ErrorKind::Unsupported,
                 "polling shim: poll(2) is only wrapped on Unix",
@@ -425,33 +184,13 @@ impl Poller {
         }
     }
 
-    /// Which backend this poller runs on.
-    pub fn backend(&self) -> BackendKind {
-        match self.backend {
-            Backend::Poll => BackendKind::Poll,
-            #[cfg(target_os = "linux")]
-            Backend::Epoll(_) => BackendKind::Epoll,
-        }
-    }
-
-    /// Translates an [`Event`] interest into an epoll mask: readable interest
-    /// maps to `EPOLLIN`, none-interest to an empty mask (the fd stays
-    /// registered but never fires on data).
-    #[cfg(target_os = "linux")]
-    fn epoll_mask(interest: Event) -> u32 {
-        if interest.readable {
-            sys_epoll::EPOLLIN
-        } else {
-            0
-        }
-    }
-
-    /// Register a source with the given interest.
+    /// Register a source with readable interest under `interest.key`.  No
+    /// system call: the fd joins the table the next [`Poller::wait`] polls.
     ///
     /// # Errors
     ///
     /// Fails with [`io::ErrorKind::AlreadyExists`] if the fd is already
-    /// registered (use [`Poller::modify`] to change interest).
+    /// registered.
     pub fn add(&self, source: impl Source, interest: Event) -> io::Result<()> {
         let fd = source.raw();
         let mut sources = self.sources.lock().expect("poller lock");
@@ -461,85 +200,14 @@ impl Poller {
                 format!("fd {fd} is already registered"),
             ));
         }
-        #[cfg(target_os = "linux")]
-        if let Backend::Epoll(ep) = &self.backend {
-            ep.ctl(
-                sys_epoll::EPOLL_CTL_ADD,
-                fd,
-                Self::epoll_mask(interest),
-                interest.key,
-            )?;
-        }
-        sources.push((fd, interest));
+        sources.push((fd, interest.key));
         Ok(())
     }
 
-    /// Change a registered source's interest (and key).
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`io::ErrorKind::NotFound`] if the fd is not registered.
-    pub fn modify(&self, source: impl Source, interest: Event) -> io::Result<()> {
-        let fd = source.raw();
-        let mut sources = self.sources.lock().expect("poller lock");
-        match sources.iter_mut().find(|(f, _)| *f == fd) {
-            Some((_, ev)) => {
-                #[cfg(target_os = "linux")]
-                if let Backend::Epoll(ep) = &self.backend {
-                    ep.ctl(
-                        sys_epoll::EPOLL_CTL_MOD,
-                        fd,
-                        Self::epoll_mask(interest),
-                        interest.key,
-                    )?;
-                }
-                *ev = interest;
-                Ok(())
-            }
-            None => Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("fd {fd} is not registered"),
-            )),
-        }
-    }
-
-    /// Deregister a source.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`io::ErrorKind::NotFound`] if the fd is not registered.
-    pub fn delete(&self, source: impl Source) -> io::Result<()> {
-        let fd = source.raw();
-        let mut sources = self.sources.lock().expect("poller lock");
-        match sources.iter().position(|(f, _)| *f == fd) {
-            Some(at) => {
-                #[cfg(target_os = "linux")]
-                if let Backend::Epoll(ep) = &self.backend {
-                    ep.ctl(sys_epoll::EPOLL_CTL_DEL, fd, 0, 0)?;
-                }
-                sources.remove(at);
-                Ok(())
-            }
-            None => Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("fd {fd} is not registered"),
-            )),
-        }
-    }
-
-    /// Drop every registration at once (cheaper than per-fd `delete` when a
-    /// driver rebuilds its whole fd set after membership changes).
+    /// Drop every registration at once, as a driver does before re-adding
+    /// its whole fd set after a membership change.
     pub fn clear(&self) {
-        let mut sources = self.sources.lock().expect("poller lock");
-        #[cfg(target_os = "linux")]
-        if let Backend::Epoll(ep) = &self.backend {
-            for (fd, _) in sources.iter() {
-                // A racing close of the fd elsewhere makes DEL fail with
-                // EBADF/ENOENT; the registration is gone either way.
-                let _ = ep.ctl(sys_epoll::EPOLL_CTL_DEL, *fd, 0, 0);
-            }
-        }
-        sources.clear();
+        self.sources.lock().expect("poller lock").clear();
     }
 
     /// Number of registered sources.
@@ -552,55 +220,54 @@ impl Poller {
         self.len() == 0
     }
 
-    /// Block until at least one source with readable interest is readable,
-    /// or `timeout` elapses (`None` = wait forever).  Readiness events are
-    /// appended to `events` (which is cleared first, as in upstream `wait`
-    /// with a fresh `Events`); returns how many fired.
+    /// Block until at least one registered source is readable, or `timeout`
+    /// elapses (`None` = wait forever).  Readiness events are appended to
+    /// `events` (which is cleared first, as in upstream `wait` with a fresh
+    /// `Events`); returns how many fired.
     ///
-    /// Error conditions on a source (`POLLERR`/`POLLHUP`/`POLLNVAL`, or the
-    /// epoll equivalents) are reported as readable so the owner's next read
-    /// surfaces the error instead of the loop spinning on an invisible
-    /// condition.
+    /// Error conditions on a source (`POLLERR`/`POLLHUP`/`POLLNVAL`) are
+    /// reported as readable so the owner's next read surfaces the error
+    /// instead of the loop spinning on an invisible condition.
     ///
     /// # Errors
     ///
-    /// Propagates `poll(2)`/`epoll_wait(2)` failures (other than `EINTR`,
-    /// which is retried).
+    /// Propagates `poll(2)` failures (other than `EINTR`, which is
+    /// retried).  Waiting forever on an empty poller is refused with
+    /// [`io::ErrorKind::InvalidInput`]; with a timeout it is a plain sleep,
+    /// so callers can use `wait` as their loop's pacing primitive
+    /// regardless.
     #[cfg(unix)]
     pub fn wait(&self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize> {
         events.clear();
-        let watched = {
-            let sources = self.sources.lock().expect("poller lock");
-            sources.iter().filter(|(_, ev)| ev.readable).count()
-        };
-        if watched == 0 {
-            // Nothing to poll: honour the timeout as a plain sleep so callers
-            // can use `wait` as their loop's pacing primitive regardless.
-            if let Some(t) = timeout {
-                std::thread::sleep(t);
-                return Ok(0);
-            }
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "waiting forever on an empty poller would never return",
-            ));
-        }
-        match &self.backend {
-            Backend::Poll => self.wait_poll(events, timeout),
-            #[cfg(target_os = "linux")]
-            Backend::Epoll(ep) => {
-                let mut buf: Vec<sys_epoll::EpollEvent> = Vec::with_capacity(watched);
-                let fired = ep.wait(&mut buf, timeout)?;
-                for ev in &buf {
-                    let mask = ev.events;
-                    if mask & (sys_epoll::EPOLLIN | sys_epoll::EPOLLERR | sys_epoll::EPOLLHUP) != 0
-                    {
-                        events.push(Event::readable(ev.data as usize));
-                    }
+        let registered = self.sources.lock().expect("poller lock").clone();
+        if registered.is_empty() {
+            return match timeout {
+                Some(t) => {
+                    std::thread::sleep(t);
+                    Ok(0)
                 }
-                Ok(fired)
+                None => Err(io::Error::new(
+                    io::ErrorKind::InvalidInput,
+                    "waiting forever on an empty poller would never return",
+                )),
+            };
+        }
+        let mut fds: Vec<sys::PollFd> = registered
+            .iter()
+            .map(|&(fd, _)| sys::PollFd {
+                fd,
+                events: sys::POLLIN,
+                revents: 0,
+            })
+            .collect();
+        sys::poll_fds(&mut fds, timeout)?;
+        let fired = sys::POLLIN | sys::POLLERR | sys::POLLHUP | sys::POLLNVAL;
+        for (pfd, &(_, key)) in fds.iter().zip(&registered) {
+            if pfd.revents & fired != 0 {
+                events.push(Event::readable(key));
             }
         }
+        Ok(events.len())
     }
 
     /// Non-Unix stub: a [`Poller`] cannot be constructed here ([`Poller::new`]
@@ -612,33 +279,6 @@ impl Poller {
             io::ErrorKind::Unsupported,
             "polling shim: poll(2) is only wrapped on Unix",
         ))
-    }
-
-    #[cfg(unix)]
-    fn wait_poll(&self, events: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<usize> {
-        let mut fds: Vec<sys::PollFd> = Vec::new();
-        let keys: Vec<usize> = {
-            let sources = self.sources.lock().expect("poller lock");
-            sources
-                .iter()
-                .filter(|(_, ev)| ev.readable)
-                .map(|(fd, ev)| {
-                    fds.push(sys::PollFd {
-                        fd: *fd,
-                        events: sys::POLLIN,
-                        revents: 0,
-                    });
-                    ev.key
-                })
-                .collect()
-        };
-        let fired = sys::poll_fds(&mut fds, timeout)?;
-        for (pfd, key) in fds.iter().zip(keys) {
-            if pfd.revents & (sys::POLLIN | sys::POLLERR | sys::POLLHUP | sys::POLLNVAL) != 0 {
-                events.push(Event::readable(key));
-            }
-        }
-        Ok(fired)
     }
 }
 
@@ -654,214 +294,136 @@ mod tests {
         (rx, tx)
     }
 
-    /// Every backend constructible on this platform, so each scenario runs
-    /// against all of them.
-    fn backends() -> Vec<Poller> {
-        let mut pollers = vec![Poller::with_backend(BackendKind::Poll).unwrap()];
-        if cfg!(target_os = "linux") {
-            pollers.push(Poller::with_backend(BackendKind::Epoll).unwrap());
-        }
-        pollers
-    }
-
     #[test]
     fn readable_socket_fires_its_key() {
-        for poller in backends() {
-            let (rx, tx) = socket_pair();
-            poller.add(&rx, Event::readable(42)).unwrap();
-            tx.send_to(b"x", rx.local_addr().unwrap()).unwrap();
-            let mut events = Vec::new();
-            let n = poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .unwrap();
-            assert_eq!(n, 1, "{:?}", poller.backend());
-            assert_eq!(events, vec![Event::readable(42)]);
-        }
+        let poller = Poller::new().unwrap();
+        let (rx, tx) = socket_pair();
+        poller.add(&rx, Event::readable(42)).unwrap();
+        tx.send_to(b"x", rx.local_addr().unwrap()).unwrap();
+        let mut events = Vec::new();
+        let n = poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert_eq!(n, 1);
+        assert_eq!(events, vec![Event::readable(42)]);
     }
 
     #[test]
     fn timeout_expires_without_events() {
-        for poller in backends() {
-            let (rx, _tx) = socket_pair();
-            poller.add(&rx, Event::readable(0)).unwrap();
-            let mut events = Vec::new();
-            let t0 = Instant::now();
-            let n = poller
-                .wait(&mut events, Some(Duration::from_millis(30)))
-                .unwrap();
-            assert_eq!(n, 0);
-            assert!(events.is_empty());
-            let waited = t0.elapsed();
-            assert!(
-                waited >= Duration::from_millis(25),
-                "{:?} returned after only {waited:?}",
-                poller.backend()
-            );
-        }
+        let poller = Poller::new().unwrap();
+        let (rx, _tx) = socket_pair();
+        poller.add(&rx, Event::readable(0)).unwrap();
+        let mut events = Vec::new();
+        let t0 = Instant::now();
+        let n = poller
+            .wait(&mut events, Some(Duration::from_millis(30)))
+            .unwrap();
+        assert_eq!(n, 0);
+        assert!(events.is_empty());
+        let waited = t0.elapsed();
+        assert!(
+            waited >= Duration::from_millis(25),
+            "returned after only {waited:?}"
+        );
     }
 
     #[test]
     fn only_the_ready_source_is_reported() {
-        for poller in backends() {
-            let (rx_a, tx) = socket_pair();
-            let rx_b = UdpSocket::bind("127.0.0.1:0").unwrap();
-            poller.add(&rx_a, Event::readable(1)).unwrap();
-            poller.add(&rx_b, Event::readable(2)).unwrap();
-            tx.send_to(b"only a", rx_a.local_addr().unwrap()).unwrap();
-            let mut events = Vec::new();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .unwrap();
-            assert_eq!(events, vec![Event::readable(1)]);
-        }
+        let poller = Poller::new().unwrap();
+        let (rx_a, tx) = socket_pair();
+        let rx_b = UdpSocket::bind("127.0.0.1:0").unwrap();
+        poller.add(&rx_a, Event::readable(1)).unwrap();
+        poller.add(&rx_b, Event::readable(2)).unwrap();
+        tx.send_to(b"only a", rx_a.local_addr().unwrap()).unwrap();
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert_eq!(events, vec![Event::readable(1)]);
     }
 
     #[test]
     fn multiple_ready_sources_all_fire() {
-        for poller in backends() {
-            let (rx_a, tx) = socket_pair();
-            let rx_b = UdpSocket::bind("127.0.0.1:0").unwrap();
-            poller.add(&rx_a, Event::readable(1)).unwrap();
-            poller.add(&rx_b, Event::readable(2)).unwrap();
-            tx.send_to(b"a", rx_a.local_addr().unwrap()).unwrap();
-            tx.send_to(b"b", rx_b.local_addr().unwrap()).unwrap();
-            // Give the loopback deliveries a moment to both land.
-            std::thread::sleep(Duration::from_millis(10));
-            let mut events = Vec::new();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .unwrap();
-            let mut keys: Vec<usize> = events.iter().map(|e| e.key).collect();
-            keys.sort_unstable();
-            assert_eq!(keys, vec![1, 2], "{:?}", poller.backend());
-        }
-    }
-
-    #[test]
-    fn none_interest_is_not_polled() {
-        for poller in backends() {
-            let (rx, tx) = socket_pair();
-            poller.add(&rx, Event::none(9)).unwrap();
-            tx.send_to(b"x", rx.local_addr().unwrap()).unwrap();
-            std::thread::sleep(Duration::from_millis(10));
-            let mut events = Vec::new();
-            poller
-                .wait(&mut events, Some(Duration::from_millis(10)))
-                .unwrap();
-            assert!(events.is_empty());
-            // Flip interest on: the datagram is still queued and fires now.
-            poller.modify(&rx, Event::readable(9)).unwrap();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .unwrap();
-            assert_eq!(events, vec![Event::readable(9)]);
-        }
+        let poller = Poller::new().unwrap();
+        let (rx_a, tx) = socket_pair();
+        let rx_b = UdpSocket::bind("127.0.0.1:0").unwrap();
+        poller.add(&rx_a, Event::readable(1)).unwrap();
+        poller.add(&rx_b, Event::readable(2)).unwrap();
+        tx.send_to(b"a", rx_a.local_addr().unwrap()).unwrap();
+        tx.send_to(b"b", rx_b.local_addr().unwrap()).unwrap();
+        // Give the loopback deliveries a moment to both land.
+        std::thread::sleep(Duration::from_millis(10));
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut keys: Vec<usize> = events.iter().map(|e| e.key).collect();
+        keys.sort_unstable();
+        assert_eq!(keys, vec![1, 2]);
     }
 
     #[test]
     fn registration_bookkeeping() {
-        for poller in backends() {
-            let (rx, _tx) = socket_pair();
-            assert!(poller.is_empty());
-            poller.add(&rx, Event::readable(0)).unwrap();
-            assert_eq!(poller.len(), 1);
-            assert_eq!(
-                poller.add(&rx, Event::readable(1)).unwrap_err().kind(),
-                io::ErrorKind::AlreadyExists
-            );
-            poller.delete(&rx).unwrap();
-            assert!(poller.is_empty());
-            assert_eq!(
-                poller.delete(&rx).unwrap_err().kind(),
-                io::ErrorKind::NotFound
-            );
-            assert_eq!(
-                poller.modify(&rx, Event::readable(0)).unwrap_err().kind(),
-                io::ErrorKind::NotFound
-            );
-        }
+        let poller = Poller::new().unwrap();
+        let (rx, _tx) = socket_pair();
+        assert!(poller.is_empty());
+        poller.add(&rx, Event::readable(0)).unwrap();
+        assert_eq!(poller.len(), 1);
+        assert_eq!(
+            poller.add(&rx, Event::readable(1)).unwrap_err().kind(),
+            io::ErrorKind::AlreadyExists
+        );
+        assert_eq!(poller.len(), 1, "a refused add registers nothing");
     }
 
     #[test]
     fn empty_poller_with_timeout_sleeps() {
-        for poller in backends() {
-            let mut events = Vec::new();
-            let t0 = Instant::now();
-            let n = poller
-                .wait(&mut events, Some(Duration::from_millis(20)))
-                .unwrap();
-            assert_eq!(n, 0);
-            assert!(t0.elapsed() >= Duration::from_millis(15));
-            // Waiting forever on nothing is refused rather than deadlocking.
-            assert_eq!(
-                poller.wait(&mut events, None).unwrap_err().kind(),
-                io::ErrorKind::InvalidInput
-            );
-        }
+        let poller = Poller::new().unwrap();
+        let mut events = Vec::new();
+        let t0 = Instant::now();
+        let n = poller
+            .wait(&mut events, Some(Duration::from_millis(20)))
+            .unwrap();
+        assert_eq!(n, 0);
+        assert!(t0.elapsed() >= Duration::from_millis(15));
+        // Waiting forever on nothing is refused rather than deadlocking.
+        assert_eq!(
+            poller.wait(&mut events, None).unwrap_err().kind(),
+            io::ErrorKind::InvalidInput
+        );
     }
 
     #[test]
     fn clear_drops_all_registrations() {
-        for poller in backends() {
-            let (rx_a, tx) = socket_pair();
-            let rx_b = UdpSocket::bind("127.0.0.1:0").unwrap();
-            poller.add(&rx_a, Event::readable(1)).unwrap();
-            poller.add(&rx_b, Event::readable(2)).unwrap();
-            poller.clear();
-            assert!(poller.is_empty());
-            // After a clear the same fds can be re-registered and still fire
-            // (exercises the kernel-side DEL on the epoll backend).
-            poller.add(&rx_a, Event::readable(3)).unwrap();
-            tx.send_to(b"x", rx_a.local_addr().unwrap()).unwrap();
-            let mut events = Vec::new();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .unwrap();
-            assert_eq!(events, vec![Event::readable(3)]);
-        }
+        let poller = Poller::new().unwrap();
+        let (rx_a, tx) = socket_pair();
+        let rx_b = UdpSocket::bind("127.0.0.1:0").unwrap();
+        poller.add(&rx_a, Event::readable(1)).unwrap();
+        poller.add(&rx_b, Event::readable(2)).unwrap();
+        poller.clear();
+        assert!(poller.is_empty());
+        // After a clear the same fds can be re-registered, under new keys,
+        // and still fire: the rebuild the driver does on membership changes.
+        poller.add(&rx_a, Event::readable(3)).unwrap();
+        tx.send_to(b"x", rx_a.local_addr().unwrap()).unwrap();
+        let mut events = Vec::new();
+        poller
+            .wait(&mut events, Some(Duration::from_secs(5)))
+            .unwrap();
+        assert_eq!(events, vec![Event::readable(3)]);
     }
 
     #[test]
     fn raw_fd_registration_works() {
-        use std::os::unix::io::AsRawFd;
-        for poller in backends() {
-            let (rx, tx) = socket_pair();
-            let fd: RawFd = rx.as_raw_fd();
-            poller.add(fd, Event::readable(3)).unwrap();
-            tx.send_to(b"x", rx.local_addr().unwrap()).unwrap();
-            let mut events = Vec::new();
-            poller
-                .wait(&mut events, Some(Duration::from_secs(5)))
-                .unwrap();
-            assert_eq!(events, vec![Event::readable(3)]);
-        }
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn epoll_backend_is_selected_by_default_on_linux() {
-        // `Poller::new` honours DF_POLL_BACKEND; without an override Linux
-        // prefers epoll.  (CI sets the env var to pin each backend; this
-        // test only runs meaningfully when the variable is absent.)
-        match std::env::var("DF_POLL_BACKEND").as_deref() {
-            Ok("poll") => assert_eq!(Poller::new().unwrap().backend(), BackendKind::Poll),
-            Ok("epoll") => assert_eq!(Poller::new().unwrap().backend(), BackendKind::Epoll),
-            _ => assert_eq!(Poller::new().unwrap().backend(), BackendKind::Epoll),
-        }
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn epoll_key_follows_modify() {
-        let poller = Poller::with_backend(BackendKind::Epoll).unwrap();
+        let poller = Poller::new().unwrap();
         let (rx, tx) = socket_pair();
-        poller.add(&rx, Event::readable(1)).unwrap();
-        poller.modify(&rx, Event::readable(77)).unwrap();
+        let fd: RawFd = rx.as_raw_fd();
+        poller.add(fd, Event::readable(3)).unwrap();
         tx.send_to(b"x", rx.local_addr().unwrap()).unwrap();
         let mut events = Vec::new();
         poller
             .wait(&mut events, Some(Duration::from_secs(5)))
             .unwrap();
-        assert_eq!(events, vec![Event::readable(77)]);
+        assert_eq!(events, vec![Event::readable(3)]);
     }
 }

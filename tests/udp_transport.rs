@@ -3,6 +3,11 @@
 //! loopback — no simulation-only branches anywhere.  The server runs in a
 //! background thread (the I/O driver the sans-I/O design asks for); the
 //! client pumps its transport on the test thread.
+//!
+//! Every fixed port here (and in `df-proto`'s `udp.rs` tests) lies in
+//! 30200–32767: below the kernel's ephemeral range, from which every
+//! transport's port-0 send socket is bound, so a concurrently running test
+//! can never be handed a port a fixed-port test is about to bind.
 
 use digital_fountain::proto::{
     ClientSession, ControlRequest, ControlResponse, Driver, DriverConfig, DriverEvent,
@@ -110,8 +115,8 @@ fn describe_over_udp(control_addr: (Ipv4Addr, u16), session_id: u32) -> ClientSe
 
 #[test]
 fn udp_loopback_lossless_download_via_control_channel() {
-    let control_port = 48109;
-    let data_port = 48110;
+    let control_port = 30309;
+    let data_port = 30310;
     let file = patterned_file(80_000, 1);
 
     let mut server = FountainServer::new();
@@ -158,7 +163,7 @@ fn udp_loopback_lossless_download_via_control_channel() {
 
 #[test]
 fn udp_loopback_download_survives_artificially_dropped_datagrams() {
-    let data_port = 48210;
+    let data_port = 30320;
     let file = patterned_file(60_000, 2);
 
     let mut session = ServerSession::new(
@@ -227,8 +232,8 @@ fn udp_loopback_layered_download_with_receiver_driven_joins() {
     // by joining further group ports as its session emits Join intents at
     // clean sync points, and completes the download — the same
     // ClientSession code path the SimMulticast layered tests drive.
-    let control_port = 48409;
-    let data_port = 48410;
+    let control_port = 30339;
+    let data_port = 30340;
     let file = patterned_file(60_000, 4);
 
     let mut server = FountainServer::new();
@@ -316,7 +321,7 @@ fn recv_timeout_expires_when_the_sender_dies() {
     // The CI-hang bugfix in miniature: a receiver whose sender is gone gets
     // control back after the timeout instead of blocking (or spinning)
     // forever, so test deadlines are always reached.
-    let mut rx = UdpMulticastTransport::loopback(48650).unwrap();
+    let mut rx = UdpMulticastTransport::loopback(30350).unwrap();
     rx.join(0).unwrap();
     let t0 = Instant::now();
     assert_eq!(rx.recv_timeout(Duration::from_millis(80)), None);
@@ -330,7 +335,7 @@ fn recv_timeout_expires_when_the_sender_dies() {
         "timeout did not bound the wait: {waited:?}"
     );
     // A transport with nothing joined also times out rather than hanging.
-    let mut empty = UdpMulticastTransport::loopback(48655).unwrap();
+    let mut empty = UdpMulticastTransport::loopback(30355).unwrap();
     assert_eq!(empty.recv_timeout(Duration::from_millis(20)), None);
 }
 
@@ -376,10 +381,10 @@ fn loopback_fleet_downloads_and_verifies(shards: usize, clients: usize, first_po
         Ok((driver, handles))
     };
 
-    // The consecutive data ports sit inside the kernel's ephemeral range, so
-    // an unrelated socket (another test's sender, another process) can
-    // legitimately hold one of them; move to a fresh range instead of
-    // flaking.
+    // The data ports sit below the kernel's ephemeral range (32768–60999 on
+    // a stock Linux), so no transport's port-0 send socket can be handed
+    // one; another process can still hold one, so move to a fresh range
+    // instead of flaking.
     let mut attempt = 0u16;
     let (mut driver, handles) = loop {
         match try_setup(first_port + attempt * 200) {
@@ -430,12 +435,12 @@ fn loopback_fleet_downloads_and_verifies(shards: usize, clients: usize, first_po
 fn event_loop_drives_64_concurrent_real_socket_clients_on_one_thread() {
     // 65 session state machines and 64 receive sockets in one poller set,
     // all on the one shard thread.
-    loopback_fleet_downloads_and_verifies(1, 64, 48700);
+    loopback_fleet_downloads_and_verifies(1, 64, 30400);
 }
 
 #[test]
 fn sharded_driver_downloads_over_real_sockets_on_two_shards() {
-    loopback_fleet_downloads_and_verifies(2, 8, 49500);
+    loopback_fleet_downloads_and_verifies(2, 8, 31400);
 }
 
 #[test]
@@ -460,7 +465,7 @@ fn udp_loopback_and_sim_emit_identical_datagrams() {
         from_sim.push((g, d.to_vec()));
     }
 
-    let base_port = 48310;
+    let base_port = 30330;
     let mut udp_rx = UdpMulticastTransport::loopback(base_port).unwrap();
     udp_rx.join(0).unwrap();
     udp_rx.join(1).unwrap();
