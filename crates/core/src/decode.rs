@@ -17,6 +17,15 @@
 //! that already contains the source therefore performs no XOR at all, and no
 //! check costs anything unless a recovery goes through it.
 //!
+//! Until a packet other than a source packet arrives, arrival does not even
+//! count.  Source packets alone recover nothing, so while the reception is
+//! source-only each one is kept in its row and tallied, and no check hears of
+//! it.  The first check or final-block packet pays for the prefix once: the
+//! held sources are settled in index order before that packet is judged, so
+//! a check they already make computable is still a duplicate.  A lossless
+//! one-layer carousel receiver, which has the whole source before any check,
+//! therefore does nothing per packet but copy it.
+//!
 //! The decoder is generic over [`Symbol`]: with `Vec<u8>` it produces real
 //! payloads, with [`crate::symbol::Mark`] it is the index-only decoder
 //! used by the reception-efficiency simulations (Figures 4–6).  The symbol
@@ -111,6 +120,14 @@ pub struct PeelingDecoder<S: Symbol, C: Borrow<Cascade> + Clone> {
     /// Whether the final level is fully known, through the MDS code or
     /// without it.
     rs_done: bool,
+    /// Every packet so far is a source packet, and none of them has been
+    /// settled: nothing can be recovered yet, so the checks' counts wait
+    /// for the first packet that could use them ([`Self::catch_up`]).
+    /// Never set for a single-level cascade.
+    source_only: bool,
+    /// Packets settled so far, to pin the deferral in tests.
+    #[cfg(test)]
+    settled: usize,
 }
 
 impl<S: Symbol, C: Borrow<Cascade> + Clone> PeelingDecoder<S, C> {
@@ -138,6 +155,9 @@ impl<S: Symbol, C: Borrow<Cascade> + Clone> PeelingDecoder<S, C> {
             source_known: 0,
             rs_block_known: 0,
             rs_done: false,
+            source_only: c.num_levels() > 1,
+            #[cfg(test)]
+            settled: 0,
             cascade,
         }
     }
@@ -245,12 +265,29 @@ impl<S: Symbol, C: Borrow<Cascade> + Clone> PeelingDecoder<S, C> {
             });
         }
         self.received_total += 1;
-        Ok(self.known[index] || self.released())
+        if self.released() {
+            return Ok(true);
+        }
+        if self.source_only && index >= self.cascade.borrow().k() {
+            self.catch_up()?;
+        }
+        Ok(self.known[index])
     }
 
-    /// Count a new packet, whose value the store now has, and run peeling.
+    /// Count a new packet, whose value the store now has, and run peeling —
+    /// or, while only source packets have arrived, just keep it.
     fn accept_new(&mut self, index: usize) -> Result<AddOutcome> {
         self.received_distinct += 1;
+        if self.source_only {
+            self.hold(index);
+            self.known[index] = true;
+            self.source_known += 1;
+            return Ok(if self.is_complete() {
+                AddOutcome::Complete
+            } else {
+                AddOutcome::Accepted
+            });
+        }
         // Clone the cascade handle (a pointer copy / `Arc` bump) so the graph
         // borrow is independent of `self` while the decoder state mutates.
         let cascade = self.cascade.clone();
@@ -258,6 +295,27 @@ impl<S: Symbol, C: Borrow<Cascade> + Clone> PeelingDecoder<S, C> {
         let outcome = self.peel(cascade.borrow());
         self.worklist.clear();
         outcome
+    }
+
+    /// Leave the source-only state: settle every held source packet, in
+    /// index order, as if each had been peeled on arrival.  Held sources
+    /// alone recover nothing, so this only counts — each check learns its
+    /// known neighbours, and whatever that makes computable is known — and
+    /// the packet that ended the state then meets the same decoder it would
+    /// have met had nothing been deferred.
+    fn catch_up(&mut self) -> Result<()> {
+        self.source_only = false;
+        let cascade = self.cascade.clone();
+        // `settle` counts each source again.
+        self.source_known = 0;
+        for g in 0..cascade.borrow().k() {
+            if self.known[g] {
+                self.worklist.push(g);
+                self.peel(cascade.borrow())?;
+            }
+        }
+        self.worklist.clear();
+        Ok(())
     }
 
     /// Settle the worklist until it runs dry or the source is known: what
@@ -302,6 +360,10 @@ impl<S: Symbol, C: Borrow<Cascade> + Clone> PeelingDecoder<S, C> {
     /// Packet `g` just became known (held or computable): count it, tell the
     /// checks above it, and queue whatever that makes known.
     fn settle(&mut self, cascade: &Cascade, g: usize) -> Result<()> {
+        #[cfg(test)]
+        {
+            self.settled += 1;
+        }
         match cascade.role(g) {
             PacketRole::Level { level, pos } => {
                 if level == 0 {
@@ -640,6 +702,36 @@ mod tests {
         }
         assert_eq!(dec.held(), k);
         assert!(dec.source_iter().unwrap().eq(src.iter().map(Vec::as_slice)));
+    }
+
+    #[test]
+    fn a_source_first_reception_settles_nothing_until_a_check_arrives() {
+        let k = 500;
+        let cascade = Cascade::build(k, TORNADO_A, 17).unwrap();
+        let src = random_source(k, 8, 17);
+        let enc = encode_all(&cascade, &src);
+        let mut whole = PayloadDecoder::new(&cascade);
+        for (i, p) in src.iter().enumerate() {
+            whole.add_packet_ref(i, p).unwrap();
+        }
+        assert!(whole.is_complete());
+        assert_eq!(whole.settled, 0, "a source-only reception is a copy");
+
+        // One source lost: the check that covers it settles the k − 1 held
+        // sources once, and then recovers the missing one.
+        let mut dec = PayloadDecoder::new(&cascade);
+        for (i, p) in src[..k - 1].iter().enumerate().rev() {
+            assert_eq!(dec.add_packet_ref(i, p), Ok(AddOutcome::Accepted));
+        }
+        assert_eq!(dec.settled, 0);
+        let graph = &cascade.graphs()[0];
+        let covering = cascade.global_index(1, graph.left_neighbors(k - 1)[0] as usize);
+        assert_eq!(
+            dec.add_packet_ref(covering, &enc[covering]),
+            Ok(AddOutcome::Complete)
+        );
+        assert!(dec.settled >= k, "settled {}", dec.settled);
+        assert_eq!(dec.source().unwrap(), src);
     }
 
     #[test]

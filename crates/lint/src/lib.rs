@@ -100,7 +100,7 @@ pub struct FfiEntry {
 pub const FFI_ALLOWLIST: &[FfiEntry] = &[FfiEntry {
     file: "shims/polling/src/lib.rs",
     signature:
-        "fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout: std::ffi::c_int) -> i32",
+        "fn ppoll(fds: *mut PollFd, nfds: c_ulong, tmo: *const Timespec, mask: *const c_void) -> i32",
 }];
 
 /// A single lint finding, printed as `file:line: [rule] message`.

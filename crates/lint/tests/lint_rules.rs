@@ -65,7 +65,7 @@ fn ffi_rule_fires_on_forged_signature_and_out_of_shims_block() {
     assert_eq!(forged.len(), 1, "{diags:?}");
     assert_eq!(forged[0].line, 5);
     assert!(forged[0].message.contains("fn connect"));
-    // Stale allowlist row also reported: the real poll(2) entry went unmatched.
+    // Stale allowlist row also reported: the real ppoll(2) entry went unmatched.
     assert!(diags
         .iter()
         .any(|d| d.message.contains("stale FFI allowlist entry")));

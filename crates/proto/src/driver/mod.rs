@@ -25,7 +25,7 @@
 //! # Readiness vs. polled transports
 //!
 //! Each transport reports its [`Readiness`]: socket-backed transports hand
-//! over raw fds and the shard sleeps in the `polling` shim's `poll(2)` until
+//! over raw fds and the shard sleeps in the `polling` shim's `ppoll(2)` until
 //! one turns readable; in-memory transports ([`crate::SimMulticast`]
 //! endpoints) report [`Readiness::Polled`] and are drained on every
 //! iteration instead.  The fd set is rebuilt lazily whenever memberships
@@ -40,10 +40,14 @@
 //! the slot may emit up to `datagrams_per_tick` datagrams.  Missed ticks are
 //! dropped rather than accumulated, so a shard that stalls (or a laptop that
 //! sleeps) resumes at the configured rate instead of blasting a catch-up
-//! burst.  A *stepped* driver replaces the clock with [`Driver::step`] —
-//! exactly one tick per server plus a full drain of every client, in slot
-//! order — which is what the deterministic tests and the simulation
-//! experiments drive.
+//! burst; [`ShardStats::ticks_dropped`] counts them, so a shard that cannot
+//! keep its pacing says so.  The shard waits for its next tick in `ppoll(2)`,
+//! whose timeout has nanosecond resolution, so a sub-millisecond interval is
+//! kept rather than stretched to the millisecond `poll(2)` would wait.
+//!
+//! A *stepped* driver replaces the clock with [`Driver::step`] — exactly one
+//! tick per server plus a full drain of every client, in slot order — which
+//! is what the deterministic tests and the simulation experiments drive.
 //!
 //! # Join/Leave intents and completion
 //!
@@ -106,6 +110,10 @@ pub struct ShardStats {
     pub datagrams_received: u64,
     /// Server transmit ticks executed.
     pub ticks: u64,
+    /// Server transmit ticks skipped because the shard fell more than one
+    /// pacing interval behind (see the module docs on pacing): `ticks`
+    /// plus this is what the configured pacing asked for.
+    pub ticks_dropped: u64,
     /// Join intents whose `Transport::join` failed (treated as loss).
     pub join_failures: u64,
     /// Control datagrams answered.
@@ -119,6 +127,7 @@ impl ShardStats {
             datagrams_sent: self.datagrams_sent + other.datagrams_sent,
             datagrams_received: self.datagrams_received + other.datagrams_received,
             ticks: self.ticks + other.ticks,
+            ticks_dropped: self.ticks_dropped + other.ticks_dropped,
             join_failures: self.join_failures + other.join_failures,
             control_answered: self.control_answered + other.control_answered,
         }
@@ -202,7 +211,7 @@ impl<T: Transport> ShardLoop<T> {
         ShardLoop {
             shard,
             slots: Vec::new(),
-            // On platforms without poll(2) the loop degrades to pure
+            // On platforms without ppoll(2) the loop degrades to pure
             // tick-paced polling, which every code path below supports.
             poller: Poller::new().ok(),
             registrations_dirty: true,
@@ -421,7 +430,7 @@ impl<T: Transport> ShardLoop<T> {
     /// # Errors
     ///
     /// Propagates poller failures (which on a healthy system do not occur;
-    /// the sleep degrades gracefully on platforms without `poll(2)`).
+    /// the sleep degrades gracefully on platforms without `ppoll(2)`).
     fn poll_io(&mut self, timeout: Duration) -> io::Result<usize> {
         if self.registrations_dirty {
             self.rebuild_registrations();
@@ -478,11 +487,12 @@ impl<T: Transport> ShardLoop<T> {
     }
 
     /// Run the wall-clock loop for one `slice`: rate-paced server ticks and
-    /// readiness-driven client drains.  Comes back early when the last
-    /// pending client has just completed, so the worker can hand that news
-    /// over without waiting out the slice; a loop with nothing pending and
-    /// nothing to report (a pure server — the deployment shape, where the
-    /// carousel never ends) runs the whole slice.
+    /// readiness-driven client drains.  The slice runs on to a server tick
+    /// due less than one more slice after its end.  Comes back early when
+    /// the last pending client has just completed, so the worker can hand
+    /// that news over without waiting out the slice; a loop with nothing
+    /// pending and nothing to report (a pure server — the deployment shape,
+    /// where the carousel never ends) runs the whole slice.
     ///
     /// # Errors
     ///
@@ -519,21 +529,27 @@ impl<T: Transport> ShardLoop<T> {
                         s.next_tick += s.pacing.interval;
                         if s.next_tick < now {
                             // Ticks missed while we were busy are dropped,
-                            // not burst out (see the module docs on pacing).
+                            // not burst out (see the module docs on pacing):
+                            // the one due at `next_tick` runs late, at `now`,
+                            // and every later one already due is skipped.
+                            let behind = (now - s.next_tick).as_nanos();
+                            let skipped = behind.checked_div(s.pacing.interval.as_nanos());
+                            self.stats.ticks_dropped +=
+                                skipped.map_or(0, |n| n.try_into().unwrap_or(u64::MAX));
                             s.next_tick = now;
                         }
                     }
                 }
             }
-            let now = Instant::now();
-            let until_tick = nearest_tick
-                .map(|t| t.saturating_duration_since(now))
-                .unwrap_or(IDLE_CAP);
-            self.poll_io(
-                until_tick
-                    .min(IDLE_CAP)
-                    .min(end.saturating_duration_since(now)),
-            )?;
+            // Wait for the nearest tick or the end of the slice.  A tick due
+            // within a slice after the end is waited for instead: waking at
+            // the end only to sleep again until that tick would wake a shard
+            // whose interval is near the slice length twice per tick.
+            let wake = match nearest_tick {
+                Some(tick) if tick < end + slice => tick,
+                _ => end,
+            };
+            self.poll_io(wake.saturating_duration_since(Instant::now()).min(IDLE_CAP))?;
         }
     }
 }

@@ -32,7 +32,7 @@
 //! tests.  The production driver is [`driver::Driver`]: N shards (one
 //! worker thread each, built from a [`DriverConfig`]), each running a
 //! readiness-driven loop ([`Transport::try_recv`] + [`Transport::readiness`]
-//! over a `poll(2)` wrapper) that multiplexes thousands of
+//! over a `ppoll(2)` wrapper) that multiplexes thousands of
 //! sessions — servers, clients, or both — with token-bucket pacing.
 //! Sessions land on the least-loaded shard, are addressed as
 //! [`SessionHandle`]s, and every completion surfaces as a drainable

@@ -334,11 +334,11 @@ impl ServerSession {
                     group,
                 };
                 self.serial = self.serial.wrapping_add(1);
-                // Frame from the retained encoding.  This allocates and
-                // copies the payload once per datagram, forever, for packets
-                // the carousel already holds; the socket-path item of
-                // ROADMAP.md (header plus borrowed payload as an `iovec`)
-                // removes the copy.
+                // Frame from the retained encoding.  This allocates one
+                // buffer and copies the payload into it once per datagram,
+                // forever, for packets the carousel already holds; the
+                // socket-path item of ROADMAP.md (header plus borrowed
+                // payload as an `iovec`) removes the copy.
                 (group, DataPacket::frame(&header, &encoding[idx]))
             }
             Engine::Rateless(sender) => {

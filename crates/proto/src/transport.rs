@@ -93,6 +93,11 @@ pub trait Transport {
 pub struct SimEndpoint {
     inner: Arc<Mutex<SimInner>>,
     receiver: usize,
+    /// Datagrams taken off the shared queue in one swap and not yet read:
+    /// `recv` locks the channel once per batch, not once per datagram.
+    /// Everything here was delivered before anything still in the shared
+    /// queue, so popping this first keeps the order.
+    local: VecDeque<(u32, Bytes)>,
 }
 
 #[derive(Debug)]
@@ -154,6 +159,7 @@ impl SimMulticast {
         SimEndpoint {
             inner: self.inner.clone(),
             receiver: inner.receivers.len() - 1,
+            local: VecDeque::new(),
         }
     }
 
@@ -169,36 +175,38 @@ impl SimMulticast {
 }
 
 impl SimEndpoint {
-    /// Number of datagrams waiting in this endpoint's queue.
+    /// Number of datagrams delivered to this endpoint and not yet read.
     pub fn pending(&self) -> usize {
-        self.inner.lock().receivers[self.receiver].queue.len()
+        self.local.len() + self.inner.lock().receivers[self.receiver].queue.len()
     }
 }
 
 impl Transport for SimEndpoint {
     fn send(&mut self, group: u32, datagram: Bytes) {
-        let mut inner = self.inner.lock();
-        inner.sent += 1;
-        let mut deliveries = Vec::new();
-        for (i, r) in inner.receivers.iter().enumerate() {
-            if !r.groups.contains(&group) {
+        let mut guard = self.inner.lock();
+        let SimInner {
+            receivers,
+            rng,
+            sent,
+            delivered,
+        } = &mut *guard;
+        *sent += 1;
+        // One loss draw per subscribed receiver, in registration order.
+        for r in receivers.iter_mut() {
+            if !r.groups.contains(&group) || rng.gen::<f64>() < r.loss {
                 continue;
             }
-            deliveries.push((i, r.loss));
-        }
-        for (i, loss) in deliveries {
-            if inner.rng.gen::<f64>() < loss {
-                continue;
-            }
-            inner.receivers[i]
-                .queue
-                .push_back((group, datagram.clone()));
-            inner.delivered += 1;
+            r.queue.push_back((group, datagram.clone()));
+            *delivered += 1;
         }
     }
 
     fn recv(&mut self) -> Option<(u32, Bytes)> {
-        self.inner.lock().receivers[self.receiver].queue.pop_front()
+        if self.local.is_empty() {
+            let mut inner = self.inner.lock();
+            std::mem::swap(&mut self.local, &mut inner.receivers[self.receiver].queue);
+        }
+        self.local.pop_front()
     }
 
     fn join(&mut self, group: u32) -> std::io::Result<()> {

@@ -165,7 +165,7 @@ impl UdpMulticastTransport {
         Ok(())
     }
 
-    /// Receive with a deadline: block (in the kernel, via `poll(2)`) until a
+    /// Receive with a deadline: block (in the kernel, via `ppoll(2)`) until a
     /// datagram arrives on any joined group or `timeout` elapses, whichever
     /// comes first, and return `None` on timeout.
     ///
@@ -273,7 +273,7 @@ mod tests {
 
     fn recv_within(t: &mut UdpMulticastTransport, timeout: Duration) -> Option<(u32, Bytes)> {
         // The kernel-blocking timeout path is itself under test here: every
-        // sleep this helper used to do now happens inside poll(2).
+        // sleep this helper used to do now happens inside ppoll(2).
         t.recv_timeout(timeout)
     }
 

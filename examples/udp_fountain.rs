@@ -3,7 +3,7 @@
 //! files caroused to disjoint multicast group sets, binary control channel
 //! included) *and* both downloading clients — five session state machines
 //! spread across two `df-shard-*` worker threads, each running its own
-//! readiness-driven event loop that sleeps in `poll(2)` on its sockets.
+//! readiness-driven event loop that sleeps in `ppoll(2)` on its sockets.
 //!
 //! Run with: `cargo run --release --example udp_fountain`
 //!

@@ -2,9 +2,11 @@
 //!
 //! Provides [`Bytes`] (cheaply cloneable, sliceable, immutable byte buffer),
 //! [`BytesMut`] (growable builder), and the [`Buf`] / [`BufMut`] trait subset
-//! the prototype's wire format uses.  `Bytes` is an `Arc<[u8]>` plus a range,
-//! so `clone` and `advance` are O(1) and datagram payload views never copy —
-//! the same properties the real crate guarantees.
+//! the prototype's wire format uses.  `Bytes` is an `Arc<Vec<u8>>` plus a
+//! range, so `clone` and `advance` are O(1), datagram payload views never
+//! copy, and a `Vec<u8>` (or a frozen [`BytesMut`]) becomes a `Bytes` by
+//! moving its buffer, not copying it — the same properties the real crate
+//! guarantees.
 
 #![forbid(unsafe_code)]
 
@@ -34,7 +36,7 @@ pub trait BufMut {
 }
 
 enum Inner {
-    Shared(Arc<[u8]>),
+    Shared(Arc<Vec<u8>>),
     Static(&'static [u8]),
 }
 
@@ -131,7 +133,7 @@ impl From<Vec<u8>> for Bytes {
         Bytes {
             start: 0,
             end: v.len(),
-            inner: Inner::Shared(v.into()),
+            inner: Inner::Shared(Arc::new(v)),
         }
     }
 }
@@ -270,6 +272,18 @@ mod tests {
     fn advance_past_end_panics() {
         let mut b = Bytes::from_static(b"xy");
         b.advance(3);
+    }
+
+    #[test]
+    fn freeze_keeps_the_buffer_it_wrote() {
+        let mut b = BytesMut::with_capacity(16);
+        b.put_slice(b"payload");
+        let written = b.as_ptr();
+        let frozen = b.freeze();
+        assert_eq!(frozen.as_ptr(), written, "freeze copied the bytes");
+        let v = vec![7u8; 32];
+        let moved = v.as_ptr();
+        assert_eq!(Bytes::from(v).as_ptr(), moved, "From<Vec<u8>> copied");
     }
 
     #[test]

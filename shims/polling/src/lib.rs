@@ -1,9 +1,10 @@
 //! Offline shim of the `polling` crate (see `shims/README.md`): a minimal
-//! portable readiness API over the POSIX `poll(2)` system call.
+//! portable readiness API over the `ppoll(2)` system call, `poll(2)` with a
+//! nanosecond timeout.
 //!
 //! The real crate wraps each platform's native readiness queue; this shim
 //! keeps the same shape — register sources with keys, wait for [`Event`]s —
-//! over the one call every Unix has.  `poll(2)` is stateless: the
+//! over the one call every target Unix has.  `ppoll(2)` is stateless: the
 //! registration table lives in the [`Poller`] and is handed to the kernel
 //! whole on every [`Poller::wait`].  Registering and clearing sources
 //! therefore cost no system calls, and a wait costs O(registered) — the
@@ -18,12 +19,18 @@
 //! reference, as in upstream's Unix build).  On non-Unix platforms
 //! [`Poller::new`] returns [`std::io::ErrorKind::Unsupported`].
 //!
-//! The `poll(2)` binding is declared locally (`extern "C"`): this workspace
-//! has no `libc` crate, and `poll` is part of every libc the Rust standard
+//! `ppoll` rather than `poll` because a driver paces its sends by the wait:
+//! `poll` takes whole milliseconds, so every sub-millisecond pacing interval
+//! would stretch to at least one.  A timeout here is honoured to the
+//! nanosecond the kernel's timer slack allows.
+//!
+//! The `ppoll(2)` binding is declared locally (`extern "C"`): this workspace
+//! has no `libc` crate, and `ppoll` is part of the libc of every platform
+//! the workspace targets (Linux and the BSDs), which the Rust standard
 //! library already links against.  The declaration is allowlisted in
 //! df-lint's `FFI_ALLOWLIST`.
 
-// Unsafe is confined to the `sys` module (the poll FFI call site,
+// Unsafe is confined to the `sys` module (the ppoll FFI call site,
 // allowlisted by df-lint); any unsafe operation inside an `unsafe fn` must
 // still be an explicit block with its own SAFETY comment.
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -78,10 +85,12 @@ impl<T: AsRawFd> Source for &T {
 
 #[cfg(unix)]
 mod sys {
-    //! The `poll(2)` FFI surface.  `nfds_t` is `c_ulong` on every platform
-    //! the workspace targets (Linux and the BSDs' ABI-compatible layouts).
+    //! The `ppoll(2)` FFI surface.  `nfds_t` is `c_ulong`, and both fields
+    //! of `struct timespec` are `long`, on every platform the workspace
+    //! targets (Linux and the BSDs' ABI-compatible layouts).
     #![allow(unsafe_code)]
 
+    use std::ffi::{c_long, c_ulong, c_void};
     use std::io;
     use std::os::unix::io::RawFd;
     use std::time::Duration;
@@ -99,27 +108,43 @@ mod sys {
         pub revents: i16,
     }
 
+    #[repr(C)]
+    #[derive(Debug, Clone, Copy)]
+    pub struct Timespec {
+        pub tv_sec: c_long,
+        pub tv_nsec: c_long,
+    }
+
     extern "C" {
-        fn poll(fds: *mut PollFd, nfds: std::ffi::c_ulong, timeout: std::ffi::c_int) -> i32;
+        fn ppoll(fds: *mut PollFd, nfds: c_ulong, tmo: *const Timespec, mask: *const c_void)
+            -> i32;
     }
 
     /// Safe wrapper: polls the given fd set, filling each entry's `revents`.
-    /// A `timeout` of `None` blocks indefinitely; a nonzero timeout is
-    /// rounded *up* to whole milliseconds so a 100 µs wait does not
-    /// busy-spin at 0 ms.
+    /// A `timeout` of `None` blocks indefinitely; any other is passed to the
+    /// kernel as it is, so a 200 µs wait is a 200 µs wait.
     pub fn poll_fds(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<()> {
-        let timeout_ms: std::ffi::c_int = match timeout {
-            Some(t) => t
-                .as_millis()
-                .max(u128::from(!t.is_zero()))
-                .try_into()
-                .unwrap_or(std::ffi::c_int::MAX),
-            None => -1,
-        };
+        let timeout = timeout.map(|t| Timespec {
+            tv_sec: t.as_secs().try_into().unwrap_or(c_long::MAX),
+            tv_nsec: t.subsec_nanos().into(),
+        });
+        let timeout_ptr = timeout
+            .as_ref()
+            .map_or(std::ptr::null(), |t| t as *const Timespec);
         loop {
             // SAFETY: `fds` is a valid, exclusively borrowed slice of
-            // `#[repr(C)]` pollfd-layout structs; `len()` bounds `nfds`.
-            let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as std::ffi::c_ulong, timeout_ms) };
+            // `#[repr(C)]` pollfd-layout structs, and `len()` bounds `nfds`.
+            // `timeout_ptr` is null or points at a live `#[repr(C)]`
+            // timespec, which the kernel only reads.  A null sigmask leaves
+            // the signal mask alone, as `poll` does.
+            let rc = unsafe {
+                ppoll(
+                    fds.as_mut_ptr(),
+                    fds.len() as c_ulong,
+                    timeout_ptr,
+                    std::ptr::null(),
+                )
+            };
             if rc >= 0 {
                 return Ok(());
             }
@@ -179,7 +204,7 @@ impl Poller {
         } else {
             Err(io::Error::new(
                 io::ErrorKind::Unsupported,
-                "polling shim: poll(2) is only wrapped on Unix",
+                "polling shim: ppoll(2) is only wrapped on Unix",
             ))
         }
     }
@@ -231,7 +256,7 @@ impl Poller {
     ///
     /// # Errors
     ///
-    /// Propagates `poll(2)` failures (other than `EINTR`, which is
+    /// Propagates `ppoll(2)` failures (other than `EINTR`, which is
     /// retried).  Waiting forever on an empty poller is refused with
     /// [`io::ErrorKind::InvalidInput`]; with a timeout it is a plain sleep,
     /// so callers can use `wait` as their loop's pacing primitive
@@ -277,7 +302,7 @@ impl Poller {
         events.clear();
         Err(io::Error::new(
             io::ErrorKind::Unsupported,
-            "polling shim: poll(2) is only wrapped on Unix",
+            "polling shim: ppoll(2) is only wrapped on Unix",
         ))
     }
 }
@@ -324,6 +349,28 @@ mod tests {
         assert!(
             waited >= Duration::from_millis(25),
             "returned after only {waited:?}"
+        );
+    }
+
+    #[test]
+    fn a_sub_millisecond_timeout_is_not_rounded_up() {
+        let poller = Poller::new().unwrap();
+        let (rx, _tx) = socket_pair();
+        poller.add(&rx, Event::readable(0)).unwrap();
+        let mut events = Vec::new();
+        let waits = 50;
+        let t0 = Instant::now();
+        for _ in 0..waits {
+            poller
+                .wait(&mut events, Some(Duration::from_micros(100)))
+                .unwrap();
+        }
+        // Rounded up to whole milliseconds they could not take less than
+        // 50 ms; as asked they take about 5, plus timer slack and scheduling.
+        let took = t0.elapsed();
+        assert!(
+            took < Duration::from_millis(waits),
+            "{waits} waits of 100 µs took {took:?}"
         );
     }
 

@@ -27,7 +27,7 @@ fn patterned_file(len: usize, salt: usize) -> Vec<u8> {
 /// every received datagram through `filter` first (identity for lossless
 /// runs, a deterministic dropper for the artificial-loss run).
 ///
-/// The receive loop blocks in `recv_timeout` (kernel `poll(2)`, no
+/// The receive loop blocks in `recv_timeout` (kernel `ppoll(2)`, no
 /// spin-and-sleep): if the sender dies mid-download the loop still wakes up
 /// every interval, reaches the deadline check, and fails loudly instead of
 /// hanging CI.
