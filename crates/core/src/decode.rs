@@ -46,7 +46,7 @@
 
 use crate::cascade::{Cascade, PacketRole};
 use crate::error::{Result, TornadoError};
-use crate::store::SymbolStore;
+use crate::store::{StoreShape, SymbolStore};
 use crate::symbol::{Mark, Symbol};
 use std::borrow::Borrow;
 use std::sync::Arc;
@@ -143,7 +143,7 @@ impl<S: Symbol, C: Borrow<Cascade> + Clone> PeelingDecoder<S, C> {
         debug_assert_eq!(unknown_left.len(), c.rs_offset() - check_base);
         let n = c.n();
         PeelingDecoder {
-            store: S::Store::empty(c),
+            store: S::Store::empty(StoreShape::of(c)),
             holds: Bits::new(n),
             known: vec![false; n],
             unknown_left,

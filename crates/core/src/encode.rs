@@ -9,7 +9,7 @@
 
 use crate::cascade::Cascade;
 use crate::error::{Result, TornadoError};
-use df_gf::field::xor_slice;
+use crate::symbol::xor_rows;
 
 /// Produce the full encoding of `source`: `n` packets whose first `k` are the
 /// source packets themselves (the code is systematic).
@@ -59,17 +59,18 @@ pub fn encode_owned(cascade: &Cascade, source: Vec<Vec<u8>>) -> Result<Vec<Vec<u
     let mut encoding = source;
     encoding.reserve_exact(cascade.n() - cascade.k());
 
-    // Cascade levels: level i+1 packets are XORs over level i.
+    // Cascade levels: level i+1 packets are XORs over level i, each one
+    // kernel call over all of its neighbours.
     for (level, graph) in cascade.graphs().iter().enumerate() {
-        let left_offset = cascade.level_offset(level);
-        let mut next_level: Vec<Vec<u8>> = Vec::with_capacity(graph.right());
-        for c in 0..graph.right() {
-            let mut acc = vec![0u8; len];
-            for &l in graph.check_neighbors(c) {
-                xor_slice(&mut acc, &encoding[left_offset + l as usize]);
-            }
-            next_level.push(acc);
-        }
+        let left = &encoding[cascade.level_offset(level)..];
+        let next_level: Vec<Vec<u8>> = (0..graph.right())
+            .map(|c| {
+                let mut check = vec![0u8; len];
+                let neighbors = graph.check_neighbors(c).iter();
+                xor_rows(&mut check, neighbors.map(|&l| &left[l as usize][..]), false);
+                check
+            })
+            .collect();
         encoding.extend(next_level);
     }
 

@@ -77,7 +77,8 @@ pub use overhead::OverheadStats;
 pub use profile::{TornadoProfile, TORNADO_A, TORNADO_B};
 pub use rateless::{
     DegreeTable, LtDecoder, LtEncoder, LtEquation, RaptorCode, RaptorDecoder, RobustSoliton,
-    INACTIVATION_CAP, LT_DEFAULT_C, LT_DEFAULT_DELTA, PRECODE_DEGREE, RAPTOR_DEGREE_TABLE,
+    SolveTrace, SymbolSlab, INACTIVATION_CAP, LT_DEFAULT_C, LT_DEFAULT_DELTA, PRECODE_DEGREE,
+    RAPTOR_DEGREE_TABLE,
 };
-pub use store::{NoValues, PerValue, Slab, SymbolStore};
+pub use store::{NoValues, PerValue, Slab, StoreShape, SymbolStore};
 pub use symbol::{Mark, Symbol};

@@ -13,9 +13,12 @@
 //! The decoder is a thin equation *source*: it turns each arriving seed back
 //! into its equation and hands `(neighbours, payload)` to the one streaming
 //! GF(2) solver of the rateless path (`solve.rs` — degree-one release while
-//! a ripple exists, inactivation when it dries up, payloads touched once the
-//! system is determined).  [`crate::RaptorDecoder`] is the same source over
-//! the same solver, with the precode's checks fed in up front.
+//! a ripple exists, inactivation when it dries up, the remaining values
+//! computed once the system is determined).  [`crate::RaptorDecoder`] is the
+//! same source over the same solver, with the precode's checks fed in up
+//! front.  A payload is copied into the decoder only if its equation is
+//! kept, and a payload decoder computes the source into one buffer laid out
+//! as the file ([`LtDecoder::take_source`]).
 //!
 //! Hostile-input posture: a forged seed cannot construct an invalid
 //! equation — the degree is sampled from the shared distribution and clamped
@@ -29,8 +32,8 @@ use crate::decode::AddOutcome;
 use crate::error::{Result, TornadoError};
 use crate::graph::BipartiteGraph;
 use crate::rateless::soliton::{DegreeTable, RobustSoliton};
-use crate::rateless::solve::Solver;
-use crate::symbol::Symbol;
+use crate::rateless::solve::{SolveTrace, Solver, Value};
+use crate::symbol::{xor_rows, Symbol};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
@@ -160,33 +163,41 @@ impl LtEncoder {
     /// substantial fraction of `count`, chosen deterministically from the
     /// degree alone).
     pub fn equation(&self, seed: u64) -> LtEquation {
-        let mut rng =
-            ChaCha8Rng::seed_from_u64(seed ^ self.stream_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        let degree = self.dist.sample(&mut rng).clamp(1, self.count);
-        let neighbors = if degree * 8 >= self.count {
-            // Dense equation: partial Fisher–Yates shuffle, O(count).
-            let mut pool: Vec<u32> = (0..self.count as u32).collect();
-            for i in 0..degree {
-                let j = rng.gen_range(i..self.count);
-                pool.swap(i, j);
-            }
-            pool.truncate(degree);
-            pool
-        } else {
-            // Sparse equation: rejection-sample distinct indices.
-            let mut picked: Vec<u32> = Vec::with_capacity(degree);
-            while picked.len() < degree {
-                let idx = rng.gen_range(0..self.count) as u32;
-                if !picked.contains(&idx) {
-                    picked.push(idx);
-                }
-            }
-            picked
-        };
+        let mut neighbors = Vec::new();
+        self.neighbors_into(seed, &mut neighbors);
         LtEquation { neighbors }
     }
 
+    /// [`Self::equation`]'s neighbours, written over `neighbors` — a buffer
+    /// the caller reuses, so deriving an equation allocates nothing once it
+    /// has grown.
+    pub(crate) fn neighbors_into(&self, seed: u64, neighbors: &mut Vec<u32>) {
+        let mut rng =
+            ChaCha8Rng::seed_from_u64(seed ^ self.stream_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let degree = self.dist.sample(&mut rng).clamp(1, self.count);
+        neighbors.clear();
+        if degree * 8 >= self.count {
+            // Dense equation: partial Fisher–Yates shuffle, O(count).
+            neighbors.extend(0..self.count as u32);
+            for i in 0..degree {
+                let j = rng.gen_range(i..self.count);
+                neighbors.swap(i, j);
+            }
+            neighbors.truncate(degree);
+        } else {
+            // Sparse equation: rejection-sample distinct indices.
+            while neighbors.len() < degree {
+                let idx = rng.gen_range(0..self.count) as u32;
+                if !neighbors.contains(&idx) {
+                    neighbors.push(idx);
+                }
+            }
+        }
+    }
+
     /// Encode one symbol: XOR together the neighbors of `seed`'s equation.
+    /// A sender that encodes many symbols keeps its symbols in a
+    /// [`SymbolSlab`] instead, which writes each one into a caller's buffer.
     ///
     /// # Errors
     ///
@@ -210,10 +221,98 @@ impl LtEncoder {
             reason: "LT equation with no neighbors".to_string(),
         })?;
         let mut acc = first.clone();
-        for s in iter {
-            acc.xor(s);
-        }
+        acc.xor_all(iter);
         Ok(acc)
+    }
+}
+
+/// The symbols an LT layer XORs over — the `k` source packets of plain LT,
+/// or the `n` intermediates of Raptor ([`crate::RaptorCode::precode_slab`])
+/// — as one buffer of equal-length rows, with the scratch an encode needs:
+/// [`Self::encode_into`] writes a symbol straight into the caller's buffer
+/// (a datagram, behind its header) and allocates nothing.
+#[derive(Debug, Clone)]
+pub struct SymbolSlab {
+    rows: Vec<u8>,
+    symbol_len: usize,
+    /// The current equation's neighbours, reused from symbol to symbol.
+    neighbors: Vec<u32>,
+}
+
+impl SymbolSlab {
+    /// The rows of `packets`, in order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TornadoError::MalformedInput`] unless `packets` holds at
+    /// least one packet and every packet has the same, non-zero length.
+    pub fn from_packets(packets: &[Vec<u8>]) -> Result<Self> {
+        let symbol_len = packets.first().map_or(0, Vec::len);
+        if symbol_len == 0 || packets.iter().any(|p| p.len() != symbol_len) {
+            return Err(TornadoError::MalformedInput {
+                reason: "LT symbols must be one or more packets of one non-zero length".to_string(),
+            });
+        }
+        let mut slab = SymbolSlab::with_rows(packets.len(), symbol_len);
+        for packet in packets {
+            slab.rows.extend_from_slice(packet);
+        }
+        Ok(slab)
+    }
+
+    /// An empty slab with room for `count` rows of `symbol_len` bytes.
+    pub(crate) fn with_rows(count: usize, symbol_len: usize) -> Self {
+        SymbolSlab {
+            rows: Vec::with_capacity(count * symbol_len),
+            symbol_len,
+            neighbors: Vec::new(),
+        }
+    }
+
+    /// Append a zeroed row and lend it with every row before it.
+    pub(crate) fn push_row(&mut self) -> (&[u8], &mut [u8]) {
+        let start = self.rows.len();
+        self.rows.resize(start + self.symbol_len, 0);
+        let (before, row) = self.rows.split_at_mut(start);
+        (before, row)
+    }
+
+    /// Bytes in every row.
+    pub fn symbol_len(&self) -> usize {
+        self.symbol_len
+    }
+
+    /// Rows held.
+    pub fn count(&self) -> usize {
+        self.rows.len() / self.symbol_len
+    }
+
+    /// Write symbol `seed` of `lt` — the XOR of its equation's rows — over
+    /// `out`, in one pass of the many-source kernel.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TornadoError::MalformedInput`] if `lt` ranges over another
+    /// number of symbols than the slab holds, or `out` is not one row long.
+    pub fn encode_into(&mut self, lt: &LtEncoder, seed: u64, out: &mut [u8]) -> Result<()> {
+        if lt.count() != self.count() || out.len() != self.symbol_len {
+            return Err(TornadoError::MalformedInput {
+                reason: format!(
+                    "an LT layer over {} symbols cannot encode from {} rows into {} bytes",
+                    lt.count(),
+                    self.count(),
+                    out.len()
+                ),
+            });
+        }
+        lt.neighbors_into(seed, &mut self.neighbors);
+        let (rows, len) = (&self.rows, self.symbol_len);
+        let sources = self.neighbors.iter().map(|&i| {
+            let at = i as usize * len;
+            &rows[at..at + len]
+        });
+        xor_rows(out, sources, false);
+        Ok(())
     }
 }
 
@@ -232,6 +331,8 @@ impl LtEncoder {
 pub struct LtDecoder<S: Symbol> {
     encoder: LtEncoder,
     solver: Solver<S>,
+    /// The arriving symbol's neighbours, reused from symbol to symbol.
+    neighbors: Vec<u32>,
     received_total: u64,
     received_distinct: u64,
 }
@@ -243,6 +344,7 @@ impl<S: Symbol> LtDecoder<S> {
         LtDecoder {
             solver: Solver::new(count, count),
             encoder,
+            neighbors: Vec::new(),
             received_total: 0,
             received_distinct: 0,
         }
@@ -255,14 +357,18 @@ impl<S: Symbol> LtDecoder<S> {
     pub(crate) fn over_precode(encoder: LtEncoder, precode: &BipartiteGraph) -> Self {
         let k = precode.left();
         let mut solver = Solver::new(encoder.count(), k);
+        let mut cols = Vec::new();
         for j in 0..precode.right() {
-            let mut cols = vec![(k + j) as u32];
+            cols.clear();
+            cols.push((k + j) as u32);
             cols.extend_from_slice(precode.check_neighbors(j));
-            solver.add(None, cols, None);
+            // A zero value is never handed to the store, so never refused.
+            let _ = solver.add(None, &cols, Value::Zero);
         }
         LtDecoder {
             solver,
             encoder,
+            neighbors: cols,
             received_total: 0,
             received_distinct: 0,
         }
@@ -306,6 +412,12 @@ impl<S: Symbol> LtDecoder<S> {
         self.solver.release();
     }
 
+    /// The payload XORs the decode has cost so far, by phase, and how its
+    /// symbols were released.
+    pub fn solve_trace(&self) -> SolveTrace {
+        self.solver.trace()
+    }
+
     /// Symbols accepted, including duplicates.
     pub fn received_total(&self) -> u64 {
         self.received_total
@@ -331,19 +443,19 @@ impl<S: Symbol> LtDecoder<S> {
     }
 
     /// The recovered symbol at `index`, if known.
-    pub fn symbol(&self, index: usize) -> Option<&S> {
+    pub fn symbol(&self, index: usize) -> Option<&S::Row> {
         self.solver.value(index)
     }
 
     /// Borrow all source symbols, in order, once complete (and until
     /// [released](Self::release)).
-    pub fn source_iter(&self) -> Option<impl Iterator<Item = &S> + '_> {
+    pub fn source_iter(&self) -> Option<impl Iterator<Item = &S::Row> + '_> {
         self.solver.wanted_iter()
     }
 
     /// All source symbols, once complete.
     pub fn source(&self) -> Option<Vec<S>> {
-        Some(self.source_iter()?.cloned().collect())
+        Some(self.source_iter()?.map(ToOwned::to_owned).collect())
     }
 
     /// Accept one `(seed, payload)` symbol.
@@ -353,23 +465,54 @@ impl<S: Symbol> LtDecoder<S> {
     /// this symbol finishes decoding, [`AddOutcome::Accepted`] otherwise.
     ///
     /// All payloads must share one length; the protocol layer enforces this
-    /// before the symbol reaches the decoder (mixed lengths would make the
-    /// XOR reduction meaningless).
+    /// before the symbol reaches the decoder.  A payload the decoder cannot
+    /// keep — of another length than the first, or a first one whose
+    /// file-sized reservation the allocator refuses — changes nothing and is
+    /// answered [`AddOutcome::Duplicate`]; [`Self::add_symbol_ref`] reports
+    /// why instead.
     pub fn add_symbol(&mut self, seed: u64, value: S) -> AddOutcome {
+        self.add(seed, Value::Owned(value))
+            .unwrap_or(AddOutcome::Duplicate)
+    }
+
+    /// [`Self::add_symbol`] for a borrowed payload — a datagram's — which
+    /// is copied into the decoder only if its equation is kept.
+    ///
+    /// # Errors
+    ///
+    /// [`TornadoError::MalformedInput`] for a payload the decoder cannot
+    /// keep (see [`Self::add_symbol`]); nothing changes then.
+    pub fn add_symbol_ref(&mut self, seed: u64, value: &S::Row) -> Result<AddOutcome> {
+        self.add(seed, Value::Row(value))
+    }
+
+    pub(crate) fn add(&mut self, seed: u64, value: Value<'_, S>) -> Result<AddOutcome> {
+        let outcome =
+            if self.solver.is_complete() || self.solver.released() || self.solver.holds(seed) {
+                AddOutcome::Duplicate
+            } else {
+                self.encoder.neighbors_into(seed, &mut self.neighbors);
+                self.solver.add(Some(seed), &self.neighbors, value)?;
+                if self.is_complete() {
+                    AddOutcome::Complete
+                } else {
+                    AddOutcome::Accepted
+                }
+            };
         self.received_total += 1;
-        if self.solver.is_complete() || self.solver.released() {
-            return AddOutcome::Duplicate;
-        }
-        let equation = self.encoder.equation(seed);
-        if !self.solver.add(Some(seed), equation.neighbors, Some(value)) {
-            return AddOutcome::Duplicate;
-        }
-        self.received_distinct += 1;
-        if self.is_complete() {
-            AddOutcome::Complete
-        } else {
-            AddOutcome::Accepted
-        }
+        self.received_distinct += u64::from(outcome != AddOutcome::Duplicate);
+        Ok(outcome)
+    }
+}
+
+impl LtDecoder<Vec<u8>> {
+    /// Once complete, the source as one buffer of `file_len` bytes — the
+    /// buffer the decoder computed the source packets into, laid out as the
+    /// file, handed over without a copy — and let go of everything else, as
+    /// [`Self::release`] does.  `None` before completion, once released, or
+    /// if `file_len` is longer than the `count` packets.
+    pub fn take_source(&mut self, file_len: usize) -> Option<Vec<u8>> {
+        self.solver.take_wanted(file_len)
     }
 }
 
@@ -414,35 +557,6 @@ mod tests {
             .filter(|&s| a.equation(s) == b.equation(s))
             .count();
         assert!(same < 8, "{same} of 64 equations collided across streams");
-    }
-
-    // Pinned by running the derivation once at PR 8 time; see the test below.
-    const GOLDEN_0: &[u32] = &[3, 4, 0, 7];
-    const GOLDEN_1: &[u32] = &[8, 1, 14, 0, 5, 15, 3, 11, 10, 7, 13, 12];
-    const GOLDEN_2: &[u32] = &[15, 10];
-    const GOLDEN_3: &[u32] = &[10, 0];
-
-    #[test]
-    fn golden_equations_pin_the_wire_contract() {
-        // These exact neighbor sets are what PR 8 shipped; any drift here is
-        // a wire-format break (receivers derive equations from serials
-        // alone).  The derivation is pure ChaCha8 + CDF lookup, so it must
-        // also be identical under every `DF_GF_FORCE_TIER` kernel tier.
-        let enc = LtEncoder::new(16, 0.03, 0.5, 0).unwrap();
-        let got: Vec<Vec<u32>> = (0..4u64).map(|s| enc.equation(s).neighbors).collect();
-        let expect: Vec<Vec<u32>> = vec![
-            GOLDEN_0.to_vec(),
-            GOLDEN_1.to_vec(),
-            GOLDEN_2.to_vec(),
-            GOLDEN_3.to_vec(),
-        ];
-        assert_eq!(got, expect);
-        // And re-deriving through a *fresh* encoder built from the same
-        // parameters gives the same equations (decoder-side reconstruction).
-        let dec_side = LtEncoder::new(16, 0.03, 0.5, 0).unwrap();
-        for s in 0..32u64 {
-            assert_eq!(enc.equation(s), dec_side.equation(s));
-        }
     }
 
     #[test]

@@ -29,10 +29,10 @@ mod raptor;
 mod soliton;
 mod solve;
 
-pub use lt::{LtDecoder, LtEncoder, LtEquation};
+pub use lt::{LtDecoder, LtEncoder, LtEquation, SymbolSlab};
 pub use raptor::{RaptorCode, RaptorDecoder, PRECODE_DEGREE, RAPTOR_DEGREE_TABLE};
 pub use soliton::{DegreeTable, RobustSoliton};
-pub use solve::INACTIVATION_CAP;
+pub use solve::{SolveTrace, INACTIVATION_CAP};
 
 /// Default robust-soliton `c` for plain-LT sessions (the classic
 /// literature operating point, also the ISSUE/acceptance parameters).

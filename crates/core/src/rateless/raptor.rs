@@ -13,7 +13,7 @@
 //! [`PRECODE_DEGREE`]), right-regular [`BipartiteGraph`] — built by the same
 //! `graph.rs` the Tornado cascade uses, from the session's `code_seed`, so a
 //! receiver rebuilds it from `(k, code_seed)` and it is wire contract (pinned
-//! by `golden_precode_graphs_pin_the_wire_contract`).  Intermediate `k + j`
+//! by `tests/fixtures/wire/rateless_v1.txt`).  Intermediate `k + j`
 //! is the XOR of check `j`'s neighbours; every symbol on the path is exactly
 //! one packet long and nothing but XOR is ever computed.
 //!
@@ -27,9 +27,10 @@ use crate::decode::AddOutcome;
 use crate::degree::DegreeDistribution;
 use crate::error::{Result, TornadoError};
 use crate::graph::{BipartiteGraph, CheckSide};
-use crate::rateless::lt::{LtDecoder, LtEncoder};
+use crate::rateless::lt::{LtDecoder, LtEncoder, SymbolSlab};
 use crate::rateless::soliton::DegreeTable;
-use crate::symbol::{Mark, Symbol};
+use crate::rateless::solve::{SolveTrace, Value};
+use crate::symbol::{xor_rows, Mark, Symbol};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
@@ -134,6 +135,38 @@ impl RaptorCode {
     /// Returns [`TornadoError::MalformedInput`] if `source` does not hold
     /// exactly `k` packets of one length.
     pub fn precode_symbols(&self, source: &[Vec<u8>]) -> Result<Vec<Vec<u8>>> {
+        let len = self.check_source(source)?;
+        let mut symbols = source.to_vec();
+        symbols.extend((0..self.precode.right()).map(|j| {
+            let mut check = vec![0u8; len];
+            self.precode_check(j, |i| &source[i], &mut check);
+            check
+        }));
+        Ok(symbols)
+    }
+
+    /// [`Self::precode_symbols`] into one [`SymbolSlab`], the layout a
+    /// sender encodes from: the source rows, then each check row computed
+    /// from the rows before it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::precode_symbols`].
+    pub fn precode_slab(&self, source: &[Vec<u8>]) -> Result<SymbolSlab> {
+        let len = self.check_source(source)?;
+        let mut slab = SymbolSlab::with_rows(self.intermediate_count(), len);
+        for packet in source {
+            slab.push_row().1.copy_from_slice(packet);
+        }
+        for j in 0..self.precode.right() {
+            let (rows, check) = slab.push_row();
+            self.precode_check(j, |i| &rows[i * len..(i + 1) * len], check);
+        }
+        Ok(slab)
+    }
+
+    /// The length of `source`'s packets, if it is `k` packets of one length.
+    fn check_source(&self, source: &[Vec<u8>]) -> Result<usize> {
         let len = source.first().map_or(0, Vec::len);
         if source.len() != self.k() || source.iter().any(|p| p.len() != len) {
             return Err(TornadoError::MalformedInput {
@@ -144,15 +177,14 @@ impl RaptorCode {
                 ),
             });
         }
-        let mut symbols = source.to_vec();
-        symbols.extend((0..self.precode.right()).map(|j| {
-            let mut check = vec![0u8; len];
-            for &i in self.precode.check_neighbors(j) {
-                check.xor(&source[i as usize]);
-            }
-            check
-        }));
-        Ok(symbols)
+        Ok(len)
+    }
+
+    /// Write check `j` — the XOR of its neighbours among the source rows
+    /// `row(i)` — over `check`, in one pass of the many-source kernel.
+    fn precode_check<'a>(&self, j: usize, row: impl Fn(usize) -> &'a [u8], check: &mut [u8]) {
+        let neighbors = self.precode.check_neighbors(j).iter();
+        xor_rows(check, neighbors.map(|&i| row(i as usize)), false);
     }
 
     /// Encode one LT symbol over precomputed intermediates (from
@@ -186,7 +218,10 @@ pub struct RaptorDecoder<S: Symbol> {
 }
 
 impl<S: Symbol> RaptorDecoder<S> {
-    fn new(code: &RaptorCode) -> Self {
+    /// A decoder of `code`'s symbols over any symbol type
+    /// ([`RaptorCode::decoder`] and [`RaptorCode::symbolic_decoder`] are the
+    /// payload and index-only ones).
+    pub fn new(code: &RaptorCode) -> Self {
         RaptorDecoder {
             lt: LtDecoder::over_precode(code.lt().clone(), code.precode_graph()),
         }
@@ -199,7 +234,7 @@ impl<S: Symbol> RaptorDecoder<S> {
 
     /// Borrow the recovered source packets, in order, once complete (and
     /// until [released](Self::release)).
-    pub fn source_iter(&self) -> Option<impl Iterator<Item = &S> + '_> {
+    pub fn source_iter(&self) -> Option<impl Iterator<Item = &S::Row> + '_> {
         self.lt.source_iter()
     }
 
@@ -229,6 +264,11 @@ impl<S: Symbol> RaptorDecoder<S> {
     /// intermediate it was computed through.
     pub fn lt_known(&self) -> usize {
         self.lt.known()
+    }
+
+    /// What the decode has cost so far (see [`LtDecoder::solve_trace`]).
+    pub fn solve_trace(&self) -> SolveTrace {
+        self.lt.solve_trace()
     }
 
     /// Intermediates inactivated so far (see
@@ -264,10 +304,10 @@ impl RaptorDecoder<Vec<u8>> {
     ///
     /// # Errors
     ///
-    /// None today: every seed derives a valid equation.  The `Result` is
-    /// the signature callers were written against.
+    /// [`TornadoError::MalformedInput`] for a payload the decoder cannot
+    /// keep, as [`LtDecoder::add_symbol_ref`] says; nothing changes then.
     pub fn add_symbol(&mut self, seed: u64, payload: Vec<u8>) -> Result<AddOutcome> {
-        Ok(self.lt.add_symbol(seed, payload))
+        self.lt.add(seed, Value::Owned(payload))
     }
 }
 
@@ -330,46 +370,27 @@ mod tests {
         assert!(code.precode_symbols(&src[1..]).is_err());
     }
 
-    /// FNV-1a over every check's neighbour list, each preceded by its length.
-    fn precode_digest(k: usize, seed: u64) -> u64 {
-        let code = RaptorCode::new(k, seed).unwrap();
-        let graph = code.precode_graph();
-        let mut digest = 0xcbf2_9ce4_8422_2325u64;
-        let mut absorb = |word: u32| {
-            for byte in word.to_le_bytes() {
-                digest = (digest ^ byte as u64).wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        for j in 0..graph.right() {
-            let neighbours = graph.check_neighbors(j);
-            absorb(neighbours.len() as u32);
-            neighbours.iter().for_each(|&i| absorb(i));
-        }
-        digest
-    }
-
     #[test]
-    fn golden_precode_graphs_pin_the_wire_contract() {
-        // A receiver rebuilds the precode from `(k, code_seed)` alone, so
-        // these graphs are wire contract exactly as the seed → equation
-        // derivation is (`golden_equations_pin_the_wire_contract`): a build
-        // that draws them differently must announce a different
-        // `RatelessMode` byte.  Pinned when mode byte 3 was introduced.
-        for (k, seed, digest) in GOLDEN_PRECODES {
+    fn the_slab_encodes_what_the_packet_vectors_do() {
+        let (k, len) = (300, 33);
+        let src = payloads(k, len, 4);
+        let code = RaptorCode::new(k, 4).unwrap();
+        let inter = code.precode_symbols(&src).unwrap();
+        let mut slab = code.precode_slab(&src).unwrap();
+        assert_eq!((slab.count(), slab.symbol_len()), (inter.len(), len));
+        // Written over whatever the buffer held.
+        let mut out = vec![0xaa; len];
+        for seed in 0..500 {
+            slab.encode_into(code.lt(), seed, &mut out).unwrap();
             assert_eq!(
-                precode_digest(k, seed),
-                digest,
-                "precode graph drifted at k = {k}, seed = {seed:#x}"
+                out,
+                code.encode_symbol(seed, &inter).unwrap(),
+                "seed {seed}"
             );
         }
+        assert!(slab.encode_into(code.lt(), 0, &mut [0; 32]).is_err());
+        assert!(code.precode_slab(&src[1..]).is_err());
     }
-
-    const GOLDEN_PRECODES: [(usize, u64, u64); 4] = [
-        (64, 0, 0x5249_044d_bd78_21bb),
-        (64, 0xD1F0, 0x5c7b_8936_0b2d_4fa6),
-        (4096, 0, 0x15a8_8e8c_a7db_15c7),
-        (4096, 0xD1F0, 0xed0d_c400_c171_98b4),
-    ];
 
     #[test]
     fn round_trips_payloads() {

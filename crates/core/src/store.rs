@@ -1,36 +1,82 @@
-//! Where a [`PeelingDecoder`](crate::PeelingDecoder) keeps the values of the
-//! packets it holds.
+//! Where a decoder keeps the values it holds: the
+//! [`PeelingDecoder`](crate::PeelingDecoder) of a carousel, and the rateless
+//! solver behind [`LtDecoder`](crate::LtDecoder) and
+//! [`RaptorDecoder`](crate::RaptorDecoder).
 //!
-//! The decoder decides *which* packets are held — one bit per packet, the
-//! same for every symbol type — and a store keeps their values, addressed by
-//! global encoding index.  The symbol type chooses the store
-//! ([`Symbol::Store`]):
+//! The decoder decides *which* values are held — one bit per packet, or one
+//! state per unknown and per equation, the same for every symbol type — and
+//! a store keeps them, addressed by index: a carousel's packets by global
+//! encoding index; the solver's unknowns at `0..n` and its equations' values
+//! at `n + slot`.  The symbol type chooses the store ([`Symbol::Store`]):
 //!
 //! * payloads (`Vec<u8>`) live in a [`Slab`]: the source rows in one buffer
-//!   laid out as the file, the check rows in a second one.  A receiver
-//!   therefore holds one file plus the check rows its decode needed, and the
+//!   laid out as the file, every other row in a second one.  A receiver
+//!   therefore holds one file plus the rows its decode needed, and the
 //!   finished file *is* the source buffer
-//!   ([`PeelingDecoder::take_file`](crate::PeelingDecoder::take_file));
+//!   ([`PeelingDecoder::take_file`](crate::PeelingDecoder::take_file),
+//!   [`LtDecoder::take_source`](crate::LtDecoder::take_source));
 //! * the index-only [`Mark`](crate::Mark) keeps nothing ([`NoValues`]);
 //! * any other symbol keeps one value per packet ([`PerValue`]).
 //!
-//! A store knows packets and rows, not the peeling schedule: it is told to
-//! keep a value, to lend one, and to build one as the XOR of others.  Any
-//! decoder over a cascade's packets can keep its values in one.
+//! A store knows rows, not the decoding schedule: it is told to keep a
+//! value, to lend one, and to build one as the XOR of others — all of the
+//! others in one pass of the many-source kernel
+//! ([`df_gf::kernels::xor_sum`]).
 
 use crate::cascade::{Cascade, FinalCode};
 use crate::error::{Result, TornadoError};
-use crate::symbol::Symbol;
-use df_gf::field::xor_slice;
+use crate::symbol::{xor_rows, Symbol};
 use std::borrow::Borrow;
 use std::fmt::Debug;
 use std::ops::Range;
 
-/// The values of the packets a decoder holds.
+/// What a store is told about the rows it will hold.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StoreShape {
+    /// Rows `0..k` are the source, kept laid out as the file.
+    pub k: usize,
+    /// How many rows the decoder expects to address (a carousel's `n`
+    /// packets; the solver's unknowns and about as many equations).  The
+    /// second buffer and the slot index are sized for the rows past `k` at
+    /// the first of them; rows past `n` may still be kept, and grow them.
+    pub n: usize,
+    /// First row that may be two bytes wider than the packet size at an odd
+    /// packet size (a GF(2^16) final block's check rows, see
+    /// [`FinalCode`]); `usize::MAX` when no row is.
+    pub wide_from: usize,
+}
+
+impl StoreShape {
+    /// The shape of `cascade`'s packets.
+    pub fn of(cascade: &Cascade) -> Self {
+        let gf16_final = matches!(cascade.final_code(), FinalCode::Large(_));
+        StoreShape {
+            k: cascade.k(),
+            n: cascade.n(),
+            wide_from: if gf16_final {
+                cascade.rs_offset()
+            } else {
+                usize::MAX
+            },
+        }
+    }
+
+    /// Rows of one width, the first `k` of them the source, about `n` of
+    /// them expected.
+    pub fn uniform(k: usize, n: usize) -> Self {
+        StoreShape {
+            k,
+            n,
+            wide_from: usize::MAX,
+        }
+    }
+}
+
+/// The values a decoder holds.
 pub trait SymbolStore<S: Symbol>: Clone + Debug {
-    /// A store for `cascade`'s packets that holds nothing and has allocated
+    /// A store for rows of `shape` that holds nothing and has allocated
     /// nothing.
-    fn empty(cascade: &Cascade) -> Self;
+    fn empty(shape: StoreShape) -> Self;
 
     /// Keep a copy of `value` as the value of packet `g`, which is not held.
     ///
@@ -53,9 +99,14 @@ pub trait SymbolStore<S: Symbol>: Clone + Debug {
     /// The value of held packet `g`.
     fn row(&self, g: usize) -> &S::Row;
 
-    /// Make the value of packet `dst`, which is not held, the XOR of the
-    /// values of held packets `srcs` — at least one, and none of them `dst`.
+    /// Make the value of `dst` the XOR of the values of held rows `srcs` —
+    /// at least one, and none of them `dst`.  Whatever `dst` held before is
+    /// overwritten.
     fn combine(&mut self, dst: usize, srcs: impl Iterator<Item = usize>);
+
+    /// XOR the values of held rows `srcs` — none of them `dst` — into the
+    /// value of held row `dst`.
+    fn accumulate(&mut self, dst: usize, srcs: impl Iterator<Item = usize>);
 
     /// Let go of every value.
     fn clear(&mut self);
@@ -71,7 +122,7 @@ fn as_row<R: ?Sized + ToOwned>(value: &R::Owned) -> &R {
 pub struct NoValues;
 
 impl SymbolStore<crate::Mark> for NoValues {
-    fn empty(_cascade: &Cascade) -> Self {
+    fn empty(_shape: StoreShape) -> Self {
         NoValues
     }
 
@@ -84,6 +135,8 @@ impl SymbolStore<crate::Mark> for NoValues {
     }
 
     fn combine(&mut self, _dst: usize, _srcs: impl Iterator<Item = usize>) {}
+
+    fn accumulate(&mut self, _dst: usize, _srcs: impl Iterator<Item = usize>) {}
 
     fn clear(&mut self) {}
 }
@@ -102,7 +155,7 @@ impl<S> Debug for PerValue<S> {
 }
 
 impl<S: Symbol> SymbolStore<S> for PerValue<S> {
-    fn empty(_cascade: &Cascade) -> Self {
+    fn empty(_shape: StoreShape) -> Self {
         PerValue { values: Vec::new() }
     }
 
@@ -122,10 +175,14 @@ impl<S: Symbol> SymbolStore<S> for PerValue<S> {
     fn combine(&mut self, dst: usize, mut srcs: impl Iterator<Item = usize>) {
         let value = |g: usize| self.values[g].as_ref().expect("held packets have values");
         let mut combined = value(srcs.next().expect("at least one source")).clone();
-        for g in srcs {
-            combined.xor(value(g));
-        }
+        combined.xor_all(srcs.map(value));
         self.put(dst, combined);
+    }
+
+    fn accumulate(&mut self, dst: usize, srcs: impl Iterator<Item = usize>) {
+        let mut acc = self.values[dst].take().expect("held packets have values");
+        acc.xor_all(srcs.map(|g| self.values[g].as_ref().expect("held packets have values")));
+        self.values[dst] = Some(acc);
     }
 
     fn clear(&mut self) {
@@ -143,80 +200,121 @@ impl<S: Clone> PerValue<S> {
 }
 
 /// The two buffers of a [`Slab`].
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Buffer {
     Source,
-    Checks,
+    Others,
 }
 
-/// Marks a check packet that has no row in a [`Slab`]'s check buffer.
+/// Marks a row past the source that has no slot in a [`Slab`]'s second
+/// buffer.
 const NO_SLOT: u32 = u32::MAX;
 
-/// Payload rows in two buffers instead of one allocation per packet.
+/// Payload rows in two buffers instead of one allocation per value.
 ///
-/// * **Source rows** (packets `0..k`) live in one buffer of `k × P` bytes
-///   laid out as the file: row `i` at `i·P`.  It is reserved — not written —
-///   at the first row kept, filled by appending while source rows arrive in
+/// * **Source rows** (rows `0..k`) live in one buffer of `k × P` bytes laid
+///   out as the file: row `i` at `i·P`.  It is reserved — not written — at
+///   the first row kept, filled by appending while source rows arrive in
 ///   order, and zero-filled to its full length only at the first source row
 ///   that arrives out of order.  A complete decode leaves the file's packets
 ///   in it, in order, and hands the buffer over as the file
-///   ([`PeelingDecoder::take_file`](crate::PeelingDecoder::take_file)).
-/// * **Check rows** (packets `k..n`) are appended, in the order they are
-///   received or built, to a second buffer of slots as wide as the widest
-///   check row (`P`, or `P + 2` for a GF(2^16) final block at an odd `P`),
-///   found through a slot index over the `n − k` check packets.  Both are
-///   allocated at the first check row: a reception that never needs one
-///   never allocates them.
+///   ([`PeelingDecoder::take_file`](crate::PeelingDecoder::take_file),
+///   [`LtDecoder::take_source`](crate::LtDecoder::take_source)).
+/// * **Every other row** — a carousel's check packets, the solver's other
+///   unknowns and its held equations — takes a slot, in the order rows are
+///   first kept, in a second buffer of slots as wide as the widest row
+///   (`P`, or `P + 2` for a GF(2^16) final block at an odd `P`), found
+///   through a slot index.  A row keeps its slot for as long as the store
+///   lives, so a decoder that reuses a row index (the solver reuses the
+///   slots of the equations it lets go) reuses the bytes too, and the
+///   buffer never holds more slots than the decoder ever held rows at once.
+///   Both are allocated at the first such row: a reception that never needs
+///   one never allocates them.
 ///
 /// `P` is the packet size, taken from the first row kept; every later row
-/// must have the length that implies for its packet.  `k` and `P` come off
+/// must have the length that implies for its index.  `k` and `P` come off
 /// the wire, so the `k × P` reservation may be more than the allocator can
 /// give: then the first row is refused ([`TornadoError::MalformedInput`]),
 /// and nothing is kept, rather than the process aborting.
 #[derive(Debug, Clone)]
 pub struct Slab {
-    k: usize,
-    n: usize,
-    /// First final-block check packet: from here on rows may be wider.
-    rs_offset: usize,
-    /// Whether the final block is a GF(2^16) code, whose check rows carry two
-    /// extra bytes at odd packet sizes (see [`FinalCode`]).
-    gf16_final: bool,
+    shape: StoreShape,
     packet_size: Option<usize>,
     source: Vec<u8>,
-    checks: Vec<u8>,
-    /// Slot of check packet `g` in `checks`, at `g − k`.
+    others: Vec<u8>,
+    /// Slot of row `g` in `others`, at `g − k`.
     slots: Vec<u32>,
 }
 
+/// Where a [`Slab`]'s rows are, once the packet size is known.
+#[derive(Debug, Clone, Copy)]
+struct Layout {
+    k: usize,
+    p: usize,
+    wide_from: usize,
+}
+
+impl Layout {
+    /// The length of row `g`.
+    fn width(self, g: usize) -> usize {
+        if g >= self.wide_from && self.p % 2 == 1 {
+            self.p + 2
+        } else {
+            self.p
+        }
+    }
+
+    /// Width of a slot in the second buffer: the widest row.
+    fn stride(self) -> usize {
+        if self.wide_from == usize::MAX {
+            self.p
+        } else {
+            self.width(self.wide_from)
+        }
+    }
+
+    /// Where the row of kept row `g` is.
+    fn locate(self, slots: &[u32], g: usize) -> (Buffer, Range<usize>) {
+        if g < self.k {
+            return (Buffer::Source, g * self.p..(g + 1) * self.p);
+        }
+        let slot = slots[g - self.k];
+        debug_assert_ne!(slot, NO_SLOT, "row {g} has no slot");
+        let start = slot as usize * self.stride();
+        (Buffer::Others, start..start + self.width(g))
+    }
+}
+
 impl SymbolStore<Vec<u8>> for Slab {
-    fn empty(cascade: &Cascade) -> Self {
+    fn empty(shape: StoreShape) -> Self {
         Slab {
-            k: cascade.k(),
-            n: cascade.n(),
-            rs_offset: cascade.rs_offset(),
-            gf16_final: matches!(cascade.final_code(), FinalCode::Large(_)),
+            shape,
             packet_size: None,
             source: Vec::new(),
-            checks: Vec::new(),
+            others: Vec::new(),
             slots: Vec::new(),
         }
     }
 
     fn insert(&mut self, g: usize, value: &[u8]) -> Result<()> {
         let p = self.packet_size_from(g, value.len())?;
-        if value.len() != self.width(p, g) {
+        let layout = self.layout();
+        if value.len() != layout.width(g) {
             return Err(TornadoError::MalformedInput {
                 reason: format!(
                     "packet {g} has {} bytes, expected {} at packet size {p}",
                     value.len(),
-                    self.width(p, g)
+                    layout.width(g)
                 ),
             });
         }
-        if g < self.k && g * p == self.source.len() {
+        if g < self.shape.k && g * p == self.source.len() {
             // The next source row in order: the buffer grows by exactly it.
             self.source.extend_from_slice(value);
+        } else if g >= self.shape.k && !self.has_slot(g) && value.len() == layout.stride() {
+            // A new full-width slot at the end: appended, not zeroed first.
+            self.new_slot(g);
+            self.others.extend_from_slice(value);
         } else {
             let (buffer, range) = self.place(g);
             self.buffer_mut(buffer)[range].copy_from_slice(value);
@@ -225,33 +323,34 @@ impl SymbolStore<Vec<u8>> for Slab {
     }
 
     fn row(&self, g: usize) -> &[u8] {
-        let (buffer, range) = self.locate(g);
+        let (buffer, range) = self.layout().locate(&self.slots, g);
         &self.buffer(buffer)[range]
     }
 
-    fn combine(&mut self, dst: usize, mut srcs: impl Iterator<Item = usize>) {
+    fn combine(&mut self, dst: usize, srcs: impl Iterator<Item = usize>) {
         let dst = self.place(dst);
-        let first = srcs.next().expect("at least one source");
-        self.apply(&dst, first, <[u8]>::copy_from_slice);
-        for g in srcs {
-            self.apply(&dst, g, xor_slice);
-        }
+        self.xor_into(dst, srcs, false);
+    }
+
+    fn accumulate(&mut self, dst: usize, srcs: impl Iterator<Item = usize>) {
+        let dst = self.layout().locate(&self.slots, dst);
+        self.xor_into(dst, srcs, true);
     }
 
     fn clear(&mut self) {
         self.source = Vec::new();
-        self.checks = Vec::new();
+        self.others = Vec::new();
         self.slots = Vec::new();
     }
 }
 
 impl Slab {
     /// Take the source buffer out of the slab, truncated to `file_len`
-    /// bytes, and let go of the check rows.  Once the decoder that fills the
-    /// slab is complete this is the file's packets, in order; `None` while
-    /// the buffer is shorter than `k` rows or `file_len` longer.
+    /// bytes, and let go of every other row.  Once the decoder that fills
+    /// the slab is complete this is the file's packets, in order; `None`
+    /// while the buffer is shorter than `k` rows or `file_len` longer.
     pub(crate) fn take_source(&mut self, file_len: usize) -> Option<Vec<u8>> {
-        let whole = self.k * self.packet_size?;
+        let whole = self.shape.k * self.packet_size?;
         if self.source.len() != whole || file_len > whole {
             return None;
         }
@@ -267,10 +366,11 @@ impl Slab {
         let refused = |why: String| TornadoError::MalformedInput {
             reason: format!(
                 "{} source rows of {packet_size} bytes cannot be reserved: {why}",
-                self.k
+                self.shape.k
             ),
         };
         let whole = self
+            .shape
             .k
             .checked_mul(packet_size)
             .ok_or_else(|| refused("the size overflows".into()))?;
@@ -281,13 +381,13 @@ impl Slab {
         Ok(())
     }
 
-    /// The packet size, taken from packet `g`'s `len` bytes if the slab does
+    /// The packet size, taken from row `g`'s `len` bytes if the slab does
     /// not know it yet (see [`Self::set_packet_size`]).
     fn packet_size_from(&mut self, g: usize, len: usize) -> Result<usize> {
         if let Some(p) = self.packet_size {
             return Ok(p);
         }
-        let p = if self.padded_check(g) && len % 2 == 1 {
+        let p = if g >= self.shape.wide_from && len % 2 == 1 {
             len.checked_sub(2)
                 .ok_or_else(|| TornadoError::MalformedInput {
                     reason: format!("final-block check packet {g} has {len} bytes"),
@@ -299,106 +399,105 @@ impl Slab {
         Ok(p)
     }
 
-    /// Whether packet `g` is a GF(2^16) final-block check, the one row that
-    /// may be wider than `P`.
-    fn padded_check(&self, g: usize) -> bool {
-        self.gf16_final && g >= self.rs_offset
-    }
-
-    /// The length of packet `g`'s row at packet size `p`.
-    fn width(&self, p: usize, g: usize) -> usize {
-        if self.padded_check(g) && p % 2 == 1 {
-            p + 2
-        } else {
-            p
+    /// Where rows are; the packet size is known once any row has been kept.
+    fn layout(&self) -> Layout {
+        Layout {
+            k: self.shape.k,
+            p: self.packet_size.expect("a row was kept before any is read"),
+            wide_from: self.shape.wide_from,
         }
-    }
-
-    /// The packet size, which is known once any row has been kept.
-    fn p(&self) -> usize {
-        self.packet_size.expect("a row was kept before any is read")
-    }
-
-    /// Width of a slot in `checks`: the widest check row.
-    fn stride(&self) -> usize {
-        self.width(self.p(), self.rs_offset)
     }
 
     fn buffer(&self, buffer: Buffer) -> &Vec<u8> {
         match buffer {
             Buffer::Source => &self.source,
-            Buffer::Checks => &self.checks,
+            Buffer::Others => &self.others,
         }
     }
 
     fn buffer_mut(&mut self, buffer: Buffer) -> &mut Vec<u8> {
         match buffer {
             Buffer::Source => &mut self.source,
-            Buffer::Checks => &mut self.checks,
+            Buffer::Others => &mut self.others,
         }
     }
 
-    /// Where the row of kept packet `g` is.
-    fn locate(&self, g: usize) -> (Buffer, Range<usize>) {
-        let p = self.p();
-        if g < self.k {
-            return (Buffer::Source, g * p..(g + 1) * p);
-        }
-        let slot = self.slots[g - self.k];
-        debug_assert_ne!(slot, NO_SLOT, "packet {g} has no row");
-        let start = slot as usize * self.stride();
-        (Buffer::Checks, start..start + self.width(p, g))
+    /// Whether row `g`, past the source, has a slot.
+    fn has_slot(&self, g: usize) -> bool {
+        self.slots
+            .get(g - self.shape.k)
+            .is_some_and(|&s| s != NO_SLOT)
     }
 
-    /// Make room for the row of packet `g`, which has none, and say where it
-    /// is.  The first source row out of order zero-fills the source buffer
-    /// to its full length; a check row takes the next slot.
+    /// Give row `g`, past the source and without a slot, the next slot.
+    /// The first one sizes the slot index and reserves the second buffer for
+    /// the shape's `n − k` rows, so the buffer does not move while it fills;
+    /// both grow past that a row at a time.
+    fn new_slot(&mut self, g: usize) {
+        let at = g - self.shape.k;
+        let expected = self.shape.n.saturating_sub(self.shape.k);
+        if self.slots.is_empty() {
+            // Best effort: a refused reservation only means the buffer
+            // grows (and moves) as rows arrive.
+            let bytes = expected.saturating_mul(self.layout().stride());
+            let _ = self.others.try_reserve_exact(bytes);
+        }
+        if self.slots.len() <= at {
+            self.slots.resize((at + 1).max(expected), NO_SLOT);
+        }
+        let slot = self.others.len() / self.layout().stride().max(1);
+        self.slots[at] = u32::try_from(slot).expect("fewer than 2^32 rows past the source");
+    }
+
+    /// Make room for the row of `g` if it has none, and say where it is.
+    /// The first source row out of order zero-fills the source buffer to
+    /// its full length; a row past the source without a slot takes the
+    /// next one.
     fn place(&mut self, g: usize) -> (Buffer, Range<usize>) {
-        let p = self.p();
-        if g < self.k {
+        let layout = self.layout();
+        let (k, p) = (layout.k, layout.p);
+        if g < k {
             if g * p == self.source.len() {
                 self.source.resize((g + 1) * p, 0);
-            } else if self.source.len() < self.k * p {
-                self.source.resize(self.k * p, 0);
+            } else if self.source.len() < k * p {
+                self.source.resize(k * p, 0);
             }
-            return (Buffer::Source, g * p..(g + 1) * p);
+        } else if !self.has_slot(g) {
+            self.new_slot(g);
+            self.others.resize(self.others.len() + layout.stride(), 0);
         }
-        if self.slots.is_empty() {
-            self.slots = vec![NO_SLOT; self.n - self.k];
-        }
-        let stride = self.stride();
-        let slot = self.checks.len() / stride.max(1);
-        self.checks.resize(self.checks.len() + stride, 0);
-        self.slots[g - self.k] = u32::try_from(slot).expect("at most n − k < 2^32 check rows");
-        self.locate(g)
+        layout.locate(&self.slots, g)
     }
 
-    /// `row(dst) = op(row(dst), row(src))` for two distinct rows.
-    fn apply(&mut self, dst: &(Buffer, Range<usize>), src: usize, op: fn(&mut [u8], &[u8])) {
-        let (src_buffer, src) = self.locate(src);
-        let (to, from): (&mut [u8], &[u8]) = match (dst.0, src_buffer) {
-            (Buffer::Source, Buffer::Checks) => {
-                (&mut self.source[dst.1.clone()], &self.checks[src])
-            }
-            (Buffer::Checks, Buffer::Source) => {
-                (&mut self.checks[dst.1.clone()], &self.source[src])
-            }
-            (buffer, _) => two_rows(self.buffer_mut(buffer), dst.1.clone(), src),
+    /// `row(dst) = (keep ? row(dst) : 0) ⊕ row(srcs)…`, in one call of the
+    /// many-source kernel over rows lent from both buffers.
+    fn xor_into(
+        &mut self,
+        (buffer, dst): (Buffer, Range<usize>),
+        srcs: impl Iterator<Item = usize>,
+        keep: bool,
+    ) {
+        let layout = self.layout();
+        let slots = &self.slots;
+        let (rows, other): (&mut [u8], &[u8]) = match buffer {
+            Buffer::Source => (&mut self.source, &self.others),
+            Buffer::Others => (&mut self.others, &self.source),
         };
-        op(to, from);
-    }
-}
-
-/// Row `dst` to write and row `src` to read, two disjoint ranges of one
-/// buffer.
-fn two_rows(buffer: &mut [u8], dst: Range<usize>, src: Range<usize>) -> (&mut [u8], &[u8]) {
-    debug_assert!(dst.end <= src.start || src.end <= dst.start, "rows overlap");
-    if dst.start < src.start {
-        let (low, high) = buffer.split_at_mut(src.start);
-        (&mut low[dst], &high[..src.len()])
-    } else {
-        let (low, high) = buffer.split_at_mut(dst.start);
-        (&mut high[..dst.len()], &low[src])
+        let (below, rest) = rows.split_at_mut(dst.start);
+        let (row, above) = rest.split_at_mut(dst.len());
+        let (below, above) = (&*below, &*above);
+        let srcs = srcs.map(|g| {
+            let (in_buffer, range) = layout.locate(slots, g);
+            if in_buffer != buffer {
+                &other[range]
+            } else if range.end <= dst.start {
+                &below[range]
+            } else {
+                debug_assert!(range.start >= dst.end, "rows overlap");
+                &above[range.start - dst.end..range.end - dst.end]
+            }
+        });
+        xor_rows(row, srcs, keep);
     }
 }
 
@@ -408,7 +507,7 @@ mod tests {
     use crate::profile::{TORNADO_A, TORNADO_B};
 
     fn empty(cascade: &Cascade) -> Slab {
-        <Slab as SymbolStore<Vec<u8>>>::empty(cascade)
+        <Slab as SymbolStore<Vec<u8>>>::empty(StoreShape::of(cascade))
     }
 
     #[test]
@@ -423,7 +522,7 @@ mod tests {
             slab.insert(g, &[g as u8; 3]).unwrap();
             assert_eq!(slab.source.len(), 3 * (g + 1), "no zero-fill in order");
         }
-        assert!(slab.checks.is_empty() && slab.slots.is_empty());
+        assert!(slab.others.is_empty() && slab.slots.is_empty());
         let file = slab.take_source(118).unwrap();
         assert_eq!(file.as_ptr(), reserved, "the file is the reserved buffer");
         assert_eq!(file.len(), 118);
@@ -507,7 +606,7 @@ mod tests {
         // then a product that overflows.
         for k in [1 << 50, usize::MAX / 512] {
             let mut slab = empty(&cascade);
-            slab.k = k;
+            slab.shape.k = k;
             assert!(matches!(
                 slab.insert(0, &[0; 1024]),
                 Err(TornadoError::MalformedInput { .. })
@@ -526,7 +625,7 @@ mod tests {
         assert_eq!(
             (
                 slab.source.capacity(),
-                slab.checks.capacity(),
+                slab.others.capacity(),
                 slab.slots.capacity()
             ),
             (0, 0, 0)

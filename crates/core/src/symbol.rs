@@ -14,7 +14,7 @@
 use crate::cascade::FinalCode;
 use crate::error::Result;
 use crate::store::{NoValues, Slab, SymbolStore};
-use df_gf::field::xor_slice;
+use df_gf::kernels::{xor_acc, xor_sum};
 
 /// A value carried by one encoding packet during decoding.
 pub trait Symbol: Clone + Sized {
@@ -28,6 +28,17 @@ pub trait Symbol: Clone + Sized {
 
     /// XOR `other` into `self`.
     fn xor(&mut self, other: &Self);
+
+    /// XOR every one of `others` into `self`: one [`Self::xor`] each, or —
+    /// for a payload — one pass of the many-source kernel over all of them.
+    fn xor_all<'a>(&mut self, others: impl IntoIterator<Item = &'a Self>)
+    where
+        Self: 'a,
+    {
+        for other in others {
+            self.xor(other);
+        }
+    }
 
     /// Attempt to recover the full final cascade level from the packets of the
     /// final block received so far.
@@ -53,7 +64,11 @@ impl Symbol for Vec<u8> {
     type Store = Slab;
 
     fn xor(&mut self, other: &Self) {
-        xor_slice(self, other);
+        xor_acc(self, &[other]);
+    }
+
+    fn xor_all<'a>(&mut self, others: impl IntoIterator<Item = &'a Self>) {
+        xor_rows(self, others.into_iter().map(Vec::as_slice), true);
     }
 
     fn recover_final_level(
@@ -64,6 +79,42 @@ impl Symbol for Vec<u8> {
             return Ok(None);
         }
         Ok(Some(code.decode_ref(received)?))
+    }
+}
+
+/// Rows gathered per call of the many-source kernel.  A value with more
+/// sources than this (a dense LT equation) takes one call per batch.
+const XOR_BATCH: usize = 32;
+
+/// `dst = (keep ? dst : 0) ⊕ rows…` through [`xor_sum`]/[`xor_acc`], the
+/// rows gathered on the stack in batches of [`XOR_BATCH`], so a value costs
+/// one kernel call per batch and no allocation.
+///
+/// # Panics
+///
+/// Panics if a row's length differs from `dst`'s.
+pub(crate) fn xor_rows<'a>(dst: &mut [u8], rows: impl IntoIterator<Item = &'a [u8]>, keep: bool) {
+    let mut batch: [&[u8]; XOR_BATCH] = [&[]; XOR_BATCH];
+    let mut filled = 0;
+    let mut keep = keep;
+    for row in rows {
+        batch[filled] = row;
+        filled += 1;
+        if filled == XOR_BATCH {
+            xor_batch(dst, &batch, keep);
+            (filled, keep) = (0, true);
+        }
+    }
+    if filled > 0 || !keep {
+        xor_batch(dst, &batch[..filled], keep);
+    }
+}
+
+fn xor_batch(dst: &mut [u8], rows: &[&[u8]], keep: bool) {
+    if keep {
+        xor_acc(dst, rows);
+    } else {
+        xor_sum(dst, rows);
     }
 }
 
@@ -100,6 +151,33 @@ mod tests {
         let mut a = vec![0xf0u8, 0x0f];
         a.xor(&vec![0xffu8, 0xff]);
         assert_eq!(a, vec![0x0f, 0xf0]);
+    }
+
+    #[test]
+    fn batched_rows_match_one_xor_at_a_time() {
+        // Across the batch boundary, overwriting and accumulating.
+        for count in [0usize, 1, 31, 32, 33, 64, 65, 100] {
+            let rows: Vec<Vec<u8>> = (0..count)
+                .map(|i| (0..37).map(|j| (i * 41 + j * 7) as u8).collect())
+                .collect();
+            for keep in [false, true] {
+                let mut expect: Vec<u8> = (0..37u8).collect();
+                if !keep {
+                    expect.fill(0);
+                }
+                for row in &rows {
+                    expect.xor(row);
+                }
+                let mut got: Vec<u8> = (0..37u8).collect();
+                xor_rows(&mut got, rows.iter().map(Vec::as_slice), keep);
+                assert_eq!(got, expect, "{count} rows, keep {keep}");
+                let mut all: Vec<u8> = (0..37u8).collect();
+                if keep {
+                    all.xor_all(&rows);
+                    assert_eq!(all, expect, "xor_all over {count} rows");
+                }
+            }
+        }
     }
 
     #[test]

@@ -105,30 +105,16 @@ pub trait Field:
     fn mul_slice(coeff: Self, data: &mut [u8]);
 }
 
-/// XOR `src` into `dst`.  The byte-level addition for every GF(2^w).
+/// XOR `src` into `dst`.  The byte-level addition for every GF(2^w): the
+/// one-source case of [`crate::kernels::xor_acc`], so it runs at the
+/// machine's widest XOR tier (AVX-512 or AVX2 where detected, the portable
+/// word loop elsewhere).
 ///
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
 pub fn xor_slice(dst: &mut [u8], src: &[u8]) {
-    assert_eq!(
-        dst.len(),
-        src.len(),
-        "xor_slice requires equal-length slices"
-    );
-    // `chunks_exact` + `zip` lets the compiler prove every access in bounds
-    // once per loop, so the u64 body autovectorizes (AVX2 on x86) instead of
-    // re-checking slice indices per chunk; the sub-word tail is scalar.
-    let mut d_words = dst.chunks_exact_mut(8);
-    let mut s_words = src.chunks_exact(8);
-    for (d, s) in (&mut d_words).zip(&mut s_words) {
-        let a = u64::from_ne_bytes((&*d).try_into().expect("chunk is 8 bytes"));
-        let b = u64::from_ne_bytes(s.try_into().expect("chunk is 8 bytes"));
-        d.copy_from_slice(&(a ^ b).to_ne_bytes());
-    }
-    for (d, s) in d_words.into_remainder().iter_mut().zip(s_words.remainder()) {
-        *d ^= *s;
-    }
+    crate::kernels::xor_acc(dst, &[src]);
 }
 
 #[cfg(test)]

@@ -11,7 +11,13 @@
 //!   `x^8 + x^4 + x^3 + x^2 + 1` (0x11d).  Scalar multiplication uses full
 //!   256×256 log/exp tables; the slice operations that dominate erasure-code
 //!   runtime go through the vectorized split-nibble kernels in [`kernels`]
-//!   (SSSE3/AVX2 `pshufb` with runtime feature detection, SWAR fallback).
+//!   (AVX-512/AVX2/SSSE3 `pshufb` with runtime feature detection, SWAR
+//!   tails, scalar fallback).
+//!
+//! Every payload XOR — GF addition, and the whole of a Tornado, LT or
+//! Raptor coder — goes through [`kernels::xor_sum`] / [`kernels::xor_acc`],
+//! which fold any number of source rows into a destination at the widest
+//! detected vector width; [`field::xor_slice`] is their one-source case.
 //! * [`GF65536`] — GF(2^16), generated by `x^16 + x^12 + x^3 + x + 1`
 //!   (0x1100b).  Needed when a single Reed–Solomon block must span more than
 //!   255 packets (the paper's interleaved baseline keeps blocks small exactly

@@ -85,8 +85,9 @@ impl DownloadStats {
 
     /// Valid-looking symbols a rateless session refused because its receiver
     /// was at capacity ([`RatelessReceiver::at_capacity`]) — the
-    /// bounded-memory contract's visible counter.  Always `0` for a
-    /// carousel, which refuses nothing.
+    /// bounded-memory contract's visible counter — or could not reserve the
+    /// file the session announced ([`RatelessReceiver::offer`]).  Always `0`
+    /// for a carousel, which refuses nothing.
     pub fn rejected(&self) -> u64 {
         self.rejected
     }
@@ -111,8 +112,10 @@ pub enum ClientEvent {
     /// A new, well-formed rateless symbol was refused because the session
     /// already buffers [`ClientSession::buffer_cap`] undecoded equations —
     /// the bounded-memory backstop against a flood of forged-but-valid-looking
-    /// seeds.  Counted in [`DownloadStats::rejected`].  A carousel session
-    /// never answers this: its packets are bounded by `n` already.
+    /// seeds — or because the allocator refused the `k × packet_size` bytes
+    /// the first symbol reserves for the file.  Counted in
+    /// [`DownloadStats::rejected`].  A carousel session never answers this:
+    /// its packets are bounded by `n` already.
     Rejected,
     /// A new packet went to the decoder, which cannot reconstruct the file
     /// yet.
@@ -566,26 +569,35 @@ impl ClientSession {
                     self.stats.rejected += 1;
                     return ClientEvent::Rejected;
                 }
-                match receiver.add(seed, pkt.payload.to_vec()) {
-                    df_core::AddOutcome::Duplicate => {
+                // The payload is copied once, from the datagram into the
+                // decoder, and only if its equation is kept.
+                match receiver.offer(seed, &pkt.payload) {
+                    // The decoder cannot keep it: the first symbol of a
+                    // session whose file the allocator refuses to reserve.
+                    Err(_) => {
+                        self.stats.counter.record_verdict(false);
+                        self.stats.rejected += 1;
+                        ClientEvent::Rejected
+                    }
+                    Ok(df_core::AddOutcome::Duplicate) => {
                         self.stats.counter.record_verdict(false);
                         ClientEvent::Duplicate
                     }
-                    df_core::AddOutcome::Accepted => {
+                    Ok(df_core::AddOutcome::Accepted) => {
                         self.stats.counter.record_verdict(true);
                         ClientEvent::Buffered
                     }
-                    df_core::AddOutcome::Complete => {
+                    Ok(df_core::AddOutcome::Complete) => {
                         self.stats.counter.record_verdict(true);
-                        match receiver.file(self.control.file_len) {
+                        // The decoder's source rows are the file, in place.
+                        match receiver.take_file(self.control.file_len) {
                             Some(file) => {
                                 self.file = Some(file);
-                                receiver.release();
                                 ClientEvent::Complete
                             }
-                            // Completion without source() would be a decoder
-                            // invariant break; degrade instead of panicking
-                            // on untrusted traffic.
+                            // Completion without the source would be a
+                            // decoder invariant break; degrade instead of
+                            // panicking on untrusted traffic.
                             None => ClientEvent::Buffered,
                         }
                     }
@@ -1223,7 +1235,7 @@ mod tests {
             receiver.add(u64::MAX, vec![0; receiver.payload_len()]),
             df_core::AddOutcome::Duplicate
         );
-        assert!(receiver.is_complete() && receiver.file(49_900).is_none());
+        assert!(receiver.is_complete() && receiver.take_file(49_900).is_none());
         assert_eq!(client.stats().distinctness_efficiency(), 1.0);
     }
 

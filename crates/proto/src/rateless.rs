@@ -14,7 +14,7 @@
 //! seeds and payloads, so it must never panic and must hold bounded memory
 //! no matter what arrives (see [`RatelessReceiver`]).
 
-use df_core::{reassemble_file, AddOutcome, LtDecoder, LtEncoder, RaptorCode};
+use df_core::{AddOutcome, LtDecoder, LtEncoder, RaptorCode, SymbolSlab};
 use df_core::{LT_DEFAULT_C, LT_DEFAULT_DELTA};
 
 /// How a session's data datagrams are encoded, as announced on the control
@@ -86,6 +86,11 @@ pub fn seed_from_words(packet_index: u32, serial: u32) -> u64 {
 /// The transmit side of a rateless session: an endless, never-repeating
 /// stream of `(seed, payload)` symbols, metered into rounds of `k` symbols
 /// so the driver's round-based pacing keeps working unchanged.
+///
+/// The symbols the LT layer XORs over live in one [`SymbolSlab`], and each
+/// symbol is XORed from it straight into the buffer it is sent from
+/// ([`RatelessSender::poll_into`]): nothing is allocated or copied per
+/// symbol.
 #[derive(Debug)]
 pub struct RatelessSender {
     /// Seed → (degree, neighbors) derivation layer.  For plain LT this
@@ -94,7 +99,7 @@ pub struct RatelessSender {
     lt: LtEncoder,
     /// The symbols the LT layer XORs over (source packets or intermediates),
     /// all of one uniform length.
-    symbols: Vec<Vec<u8>>,
+    symbols: SymbolSlab,
     /// Next seed to issue; monotonic, never wraps in any feasible session.
     next_seed: u64,
     /// Symbols per round (= `k`, matching one carousel round's bandwidth).
@@ -107,15 +112,15 @@ impl RatelessSender {
     ///
     /// # Errors
     ///
-    /// Propagates [`LtEncoder::new`] parameter errors (`source` empty).
-    pub fn for_lt(source: Vec<Vec<u8>>, stream_seed: u64) -> df_core::Result<Self> {
-        let quota = source.len();
+    /// Propagates [`LtEncoder::new`] parameter errors (`source` empty) and
+    /// [`SymbolSlab::from_packets`]'s (packets of unequal lengths).
+    pub fn for_lt(source: &[Vec<u8>], stream_seed: u64) -> df_core::Result<Self> {
         let lt = LtEncoder::new(source.len(), LT_DEFAULT_C, LT_DEFAULT_DELTA, stream_seed)?;
         Ok(RatelessSender {
             lt,
-            symbols: source,
+            symbols: SymbolSlab::from_packets(source)?,
             next_seed: 0,
-            quota,
+            quota: source.len(),
             issued_this_round: 0,
         })
     }
@@ -127,10 +132,9 @@ impl RatelessSender {
     ///
     /// Propagates precode encoding errors (wrong packet count / lengths).
     pub fn for_raptor(code: &RaptorCode, source: &[Vec<u8>]) -> df_core::Result<Self> {
-        let symbols = code.precode_symbols(source)?;
         Ok(RatelessSender {
             lt: code.lt().clone(),
-            symbols,
+            symbols: code.precode_slab(source)?,
             next_seed: 0,
             quota: code.k(),
             issued_this_round: 0,
@@ -139,7 +143,7 @@ impl RatelessSender {
 
     /// Payload bytes of every emitted symbol.
     pub fn symbol_len(&self) -> usize {
-        self.symbols.first().map(|s| s.len()).unwrap_or(0)
+        self.symbols.symbol_len()
     }
 
     /// Seeds issued so far (= symbols ever emitted).
@@ -157,20 +161,20 @@ impl RatelessSender {
         self.issued_this_round = 0;
     }
 
-    /// Emit the next `(seed, payload)` symbol, or `None` once the round's
-    /// quota is exhausted.
-    pub fn poll(&mut self) -> Option<(u64, Vec<u8>)> {
+    /// Write the next symbol over `out` ([`Self::symbol_len`] bytes) and
+    /// return its seed, or `None` once the round's quota is exhausted.
+    pub fn poll_into(&mut self, out: &mut [u8]) -> Option<u64> {
         if self.round_complete() {
             return None;
         }
         let seed = self.next_seed;
-        // The encoder only errors on a symbol-count mismatch, which this
-        // sender's construction rules out; treat it as quota exhaustion
-        // rather than panicking in transmit-path code.
-        let payload = self.lt.encode_symbol(seed, &self.symbols).ok()?;
+        // The slab only errors on a row-count or length mismatch, which this
+        // sender's construction and the caller's framing rule out; treat it
+        // as quota exhaustion rather than panicking in transmit-path code.
+        self.symbols.encode_into(&self.lt, seed, out).ok()?;
         self.next_seed += 1;
         self.issued_this_round += 1;
-        Some((seed, payload))
+        Some(seed)
     }
 }
 
@@ -183,6 +187,11 @@ impl RatelessSender {
 /// (more buffered equations or equation edges than any honest decode needs),
 /// new symbols are refused before they can grow decoder state.  A forged
 /// flood can stall one session's download; it cannot balloon the process.
+///
+/// A payload is copied once, from the datagram into the decoder, and only
+/// if its equation is kept; the decoder computes the source packets into
+/// one buffer laid out as the file, reserved (fallibly) at the first
+/// symbol, and [`RatelessReceiver::take_file`] hands that buffer over.
 #[derive(Debug)]
 pub struct RatelessReceiver {
     /// Either mode's decoder: a Raptor decoder *is* an LT decoder over the
@@ -289,23 +298,38 @@ impl RatelessReceiver {
 
     /// Accept one `(seed, payload)` symbol.  The caller has already
     /// length-checked `payload` against [`RatelessReceiver::payload_len`]
-    /// and checked [`RatelessReceiver::at_capacity`].
-    pub fn add(&mut self, seed: u64, payload: Vec<u8>) -> AddOutcome {
-        self.decoder.add_symbol(seed, payload)
+    /// and checked [`RatelessReceiver::at_capacity`].  A payload the decoder
+    /// cannot keep (see [`RatelessReceiver::offer`]) changes nothing and is
+    /// answered [`AddOutcome::Duplicate`].
+    pub fn add(&mut self, seed: u64, payload: impl AsRef<[u8]>) -> AddOutcome {
+        self.offer(seed, payload.as_ref())
+            .unwrap_or(AddOutcome::Duplicate)
     }
 
-    /// Let go of the decoder's symbol values once [`RatelessReceiver::file`]
-    /// has been taken: [`RatelessReceiver::pending_equations`] is `0` from
-    /// here on, `file` answers `None`, and completion and the reception
-    /// counts stay as they are.
+    /// [`RatelessReceiver::add`], saying why a payload was not kept.
+    ///
+    /// # Errors
+    ///
+    /// [`df_core::TornadoError::MalformedInput`] when the decoder cannot
+    /// keep `payload`: another length than the session's, or the first
+    /// symbol of a session whose `k × packet_size` bytes the allocator
+    /// refuses.  Nothing changes then.
+    pub fn offer(&mut self, seed: u64, payload: &[u8]) -> df_core::Result<AddOutcome> {
+        self.decoder.add_symbol_ref(seed, payload)
+    }
+
+    /// Let go of the decoder's symbol values: [`Self::pending_equations`]
+    /// is `0` from here on, [`Self::take_file`] answers `None`, and
+    /// completion and the reception counts stay as they are.
     pub fn release(&mut self) {
         self.decoder.release();
     }
 
-    /// The reconstructed file once complete, written once from the decoder's
-    /// own packets.
-    pub fn file(&self, file_len: usize) -> Option<Vec<u8>> {
-        Some(reassemble_file(self.decoder.source_iter()?, file_len))
+    /// The reconstructed file once complete — the buffer the decoder
+    /// computed the source packets into, not a copy — and the decoder lets
+    /// go of everything else, as [`Self::release`] does.
+    pub fn take_file(&mut self, file_len: usize) -> Option<Vec<u8>> {
+        self.decoder.take_source(file_len)
     }
 }
 
@@ -355,15 +379,22 @@ mod tests {
             .collect()
     }
 
+    /// The next symbol of `tx`'s round, as `(seed, payload)`.
+    fn poll(tx: &mut RatelessSender) -> Option<(u64, Vec<u8>)> {
+        let mut payload = vec![0u8; tx.symbol_len()];
+        let seed = tx.poll_into(&mut payload)?;
+        Some((seed, payload))
+    }
+
     #[test]
     fn lt_sender_stream_decodes_at_the_receiver() {
         let source = packets(60, 32);
-        let mut tx = RatelessSender::for_lt(source.clone(), 0xFEED).unwrap();
+        let mut tx = RatelessSender::for_lt(&source, 0xFEED).unwrap();
         let mut rx = RatelessReceiver::for_lt(60, 32, 0xFEED).unwrap();
         assert_eq!(rx.payload_len(), 32);
         let mut rounds = 0;
         while !rx.is_complete() {
-            while let Some((seed, payload)) = tx.poll() {
+            while let Some((seed, payload)) = poll(&mut tx) {
                 assert_eq!(payload.len(), rx.payload_len());
                 if rx.is_complete() {
                     break;
@@ -374,7 +405,7 @@ mod tests {
             rounds += 1;
             assert!(rounds < 50, "LT stream failed to converge");
         }
-        assert_eq!(rx.file(60 * 32).unwrap(), source.concat());
+        assert_eq!(rx.take_file(60 * 32).unwrap(), source.concat());
     }
 
     #[test]
@@ -388,7 +419,7 @@ mod tests {
         assert_eq!(tx.symbol_len(), rx.payload_len());
         let mut rounds = 0;
         while !rx.is_complete() {
-            while let Some((seed, payload)) = tx.poll() {
+            while let Some((seed, payload)) = poll(&mut tx) {
                 if rx.is_complete() {
                     break;
                 }
@@ -398,21 +429,21 @@ mod tests {
             rounds += 1;
             assert!(rounds < 50, "Raptor stream failed to converge");
         }
-        assert_eq!(rx.file(80 * 33).unwrap(), source.concat());
+        assert_eq!(rx.take_file(80 * 33).unwrap(), source.concat());
     }
 
     #[test]
     fn sender_rounds_meter_exactly_k_fresh_symbols() {
-        let mut tx = RatelessSender::for_lt(packets(25, 8), 1).unwrap();
+        let mut tx = RatelessSender::for_lt(&packets(25, 8), 1).unwrap();
         for round in 0..3u64 {
             let mut seeds = Vec::new();
-            while let Some((seed, _)) = tx.poll() {
+            while let Some((seed, _)) = poll(&mut tx) {
                 seeds.push(seed);
             }
             assert_eq!(seeds.len(), 25, "round quota is k");
             assert_eq!(seeds.first().copied(), Some(round * 25));
             assert!(tx.round_complete());
-            assert!(tx.poll().is_none(), "quota is enforced");
+            assert!(poll(&mut tx).is_none(), "quota is enforced");
             tx.advance_round();
         }
         assert_eq!(tx.seeds_issued(), 75);

@@ -197,10 +197,7 @@ impl ServerSession {
                 // The LT layer ranges over the k uniform source packets
                 // themselves (PacketizedFile pads the last one), so the
                 // advertised symbol count n is k.
-                (
-                    RatelessSender::for_lt(file.packets().to_vec(), config.code_seed)?,
-                    k,
-                )
+                (RatelessSender::for_lt(file.packets(), config.code_seed)?, k)
             }
             RatelessMode::Raptor => {
                 let code = RaptorCode::new(k, config.code_seed)?;
@@ -342,15 +339,21 @@ impl ServerSession {
                 (group, DataPacket::frame(&header, &encoding[idx]))
             }
             Engine::Rateless(sender) => {
-                let (seed, payload) = sender.poll()?;
-                let (packet_index, serial) = seed_to_words(seed);
+                if sender.round_complete() {
+                    return None;
+                }
                 let group = self.control.base_group;
-                let header = PacketHeader {
-                    packet_index,
-                    serial,
-                    group,
-                };
-                (group, DataPacket::frame(&header, &payload))
+                // The symbol is XORed straight into the datagram, behind
+                // the header its seed becomes.
+                let datagram = DataPacket::frame_in_place(sender.symbol_len(), |payload| {
+                    let (packet_index, serial) = seed_to_words(sender.poll_into(payload)?);
+                    Some(PacketHeader {
+                        packet_index,
+                        serial,
+                        group,
+                    })
+                })?;
+                (group, datagram)
             }
         };
         self.sent += 1;

@@ -5,7 +5,7 @@
 //! packet size of 512 bytes."  We use the same three `u32` fields in network
 //! byte order ahead of the payload.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes};
 
 /// Length of the packet header in bytes.
 pub const HEADER_LEN: usize = 12;
@@ -71,18 +71,34 @@ impl DataPacket {
 
     /// Frame a datagram from a borrowed payload, without building a
     /// `DataPacket` first.  This is not zero-copy: every call allocates one
-    /// buffer and copies the header and the whole payload into it once
-    /// (freezing it moves that buffer), even for a sender that retains its
-    /// encoding (the carousel re-sends every packet forever).  Sending the
-    /// header and the retained payload as two `iovec`s — the socket-path
-    /// item of ROADMAP.md — is what removes the copy.  This is the single
-    /// definition of the data-packet wire layout; [`DataPacket::to_bytes`]
-    /// delegates here.
+    /// buffer and copies the whole payload into it once, even for a sender
+    /// that retains its encoding (the carousel re-sends every packet
+    /// forever).  Sending the header and the retained payload as two
+    /// `iovec`s — the socket-path item of ROADMAP.md — is what removes the
+    /// copy.  [`DataPacket::to_bytes`] delegates here.
     pub fn frame(header: &PacketHeader, payload: &[u8]) -> Bytes {
-        let mut buf = BytesMut::with_capacity(HEADER_LEN + payload.len());
-        buf.put_slice(&header.encode());
-        buf.put_slice(payload);
-        buf.freeze()
+        let framed = Self::frame_in_place(payload.len(), |room| {
+            room.copy_from_slice(payload);
+            Some(*header)
+        });
+        framed.unwrap_or_else(Bytes::new)
+    }
+
+    /// Frame a datagram whose `payload_len`-byte payload is written in
+    /// place: `write` fills the bytes behind the header and returns the
+    /// header to put in front of them, or `None` for no datagram.  A sender
+    /// that computes its payloads (a rateless symbol is an XOR of rows)
+    /// writes each one once, straight into the datagram.  This is the single
+    /// definition of the data-packet wire layout.
+    pub fn frame_in_place(
+        payload_len: usize,
+        write: impl FnOnce(&mut [u8]) -> Option<PacketHeader>,
+    ) -> Option<Bytes> {
+        let mut buf = vec![0u8; HEADER_LEN + payload_len];
+        let (head, payload) = buf.split_at_mut(HEADER_LEN);
+        let header = write(payload)?;
+        head.copy_from_slice(&header.encode());
+        Some(Bytes::from(buf))
     }
 
     /// Parse a datagram back into a packet.
