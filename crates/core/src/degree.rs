@@ -25,10 +25,9 @@
 
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A named left-degree distribution for one bipartite graph level.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DegreeDistribution {
     /// The truncated heavy-tail distribution of Luby et al.
     ///

@@ -18,10 +18,9 @@
 use crate::degree::{right_regular_degrees, DegreeDistribution};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// How check-node degrees are assigned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckSide {
     /// Every message node picks its check neighbours uniformly at random, so
     /// check degrees follow a binomial/Poisson profile — the model used in the

@@ -3,10 +3,8 @@
 //! numbers quoted in Section 5.2 (average / maximum / standard deviation of
 //! the overhead for Tornado A and Tornado B).
 
-use serde::{Deserialize, Serialize};
-
 /// Summary statistics over a set of reception-overhead samples.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OverheadStats {
     /// Individual overhead samples, sorted ascending.
     samples: Vec<f64>,

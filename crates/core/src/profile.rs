@@ -18,10 +18,9 @@
 
 use crate::degree::DegreeDistribution;
 use crate::graph::CheckSide;
-use serde::Serialize;
 
 /// Parameters describing one Tornado code construction.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TornadoProfile {
     /// Human-readable profile name ("tornado-a", "tornado-b", ...).
     pub name: &'static str,

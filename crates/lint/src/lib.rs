@@ -30,17 +30,15 @@
 //!    `// ordering:` justification within the preceding
 //!    [`ORDERING_LOOKBACK`] lines.  `SeqCst` is the self-justifying default;
 //!    anything weaker is an optimization that needs its pairing argument
-//!    written down (and model-checked — see `shims/loom`).
-//! 7. **send-sync-audit** — every `unsafe impl Send`/`unsafe impl Sync` must
-//!    match a row of [`SEND_SYNC_ALLOWLIST`] verbatim (modulo whitespace),
-//!    like the FFI rule: the diff to the table is the review surface for new
-//!    thread-safety assertions.  Stale rows are errors too.
+//!    written down.
+//! 7. **send-sync-audit** — no `unsafe impl Send`/`unsafe impl Sync`
+//!    anywhere in the workspace: a thread-safety assertion the compiler
+//!    cannot check is an error, whatever its SAFETY comment says.
 //! 8. **lock-discipline** — a `let`-bound lock guard acquired while another
 //!    guard is still live in scope needs a `// lock-order:` note within the
 //!    preceding [`LOCK_ORDER_LOOKBACK`] lines naming the global acquisition
-//!    order — the discipline that makes the loom deadlock check
-//!    (`detects_lock_order_inversion_deadlock`) stay vacuous in production
-//!    code.
+//!    order, so two code paths cannot take the same pair of locks in
+//!    opposite orders without the conflict showing in review.
 //! 9. **global-state** — a `static` under `crates/*/src` (outside
 //!    `#[cfg(test)]`) that can change after initialisation — `static mut`, or
 //!    a type that mentions `Mutex`, `RwLock` or an `Atomic*` — must match a
@@ -993,52 +991,8 @@ pub fn check_atomic_ordering(file: &str, lines: &[SourceLine]) -> Vec<Diagnostic
 }
 
 // ---------------------------------------------------------------------------
-// Rule 7: unsafe Send/Sync impl allowlist.
+// Rule 7: no unsafe Send/Sync impls.
 // ---------------------------------------------------------------------------
-
-/// One allowlisted `unsafe impl Send`/`Sync` declaration.
-#[derive(Debug, Clone, Copy)]
-pub struct SendSyncEntry {
-    /// Repo-relative path (with `/` separators) the impl may live in.
-    pub file: &'static str,
-    /// The declaration up to (not including) its body, compared
-    /// whitespace-insensitively.
-    pub signature: &'static str,
-}
-
-/// Every `unsafe impl Send`/`unsafe impl Sync` the workspace may contain.
-///
-/// A hand-written thread-safety assertion is a proof obligation the compiler
-/// cannot check; adding one means adding a row here *in the same PR*, so the
-/// diff to this table is the review surface.  Today only the loom shim's own
-/// primitives qualify: each wraps its data in a way the model checker
-/// serializes, and each carries a SAFETY comment with the argument.
-pub const SEND_SYNC_ALLOWLIST: &[SendSyncEntry] = &[
-    SendSyncEntry {
-        file: "shims/loom/src/cell.rs",
-        signature: "unsafe impl<T: ?Sized + Send> Send for UnsafeCell<T>",
-    },
-    SendSyncEntry {
-        file: "shims/loom/src/cell.rs",
-        signature: "unsafe impl<T: ?Sized + Send> Sync for UnsafeCell<T>",
-    },
-    SendSyncEntry {
-        file: "shims/loom/src/sync.rs",
-        signature: "unsafe impl<T: ?Sized + Send> Send for Mutex<T>",
-    },
-    SendSyncEntry {
-        file: "shims/loom/src/sync.rs",
-        signature: "unsafe impl<T: ?Sized + Send> Sync for Mutex<T>",
-    },
-    SendSyncEntry {
-        file: "shims/loom/src/sync.rs",
-        signature: "unsafe impl<T: ?Sized + Send> Send for RwLock<T>",
-    },
-    SendSyncEntry {
-        file: "shims/loom/src/sync.rs",
-        signature: "unsafe impl<T: ?Sized + Send> Sync for RwLock<T>",
-    },
-];
 
 /// Extract `unsafe impl … Send/Sync for …` declarations (up to the body),
 /// with 1-based line numbers.
@@ -1076,45 +1030,25 @@ pub fn collect_send_sync_impls(lines: &[SourceLine]) -> Vec<(usize, String)> {
     out
 }
 
-/// Rule `send-sync-audit`: every `unsafe impl Send`/`Sync` must be in
-/// [`SEND_SYNC_ALLOWLIST`]; stale allowlist rows are flagged too.
-pub fn check_send_sync_audit(files: &[(String, Vec<SourceLine>)]) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    let mut matched = vec![false; SEND_SYNC_ALLOWLIST.len()];
-    for (file, lines) in files {
-        for (line, decl) in collect_send_sync_impls(lines) {
-            let norm = normalize_signature(&decl);
-            let hit = SEND_SYNC_ALLOWLIST
-                .iter()
-                .position(|e| e.file == file && normalize_signature(e.signature) == norm);
-            match hit {
-                Some(idx) => matched[idx] = true,
-                None => out.push(diag(
-                    file,
-                    line,
-                    "send-sync-audit",
-                    format!(
-                        "`{decl}` is not in the df-lint Send/Sync allowlist \
-                         (crates/lint/src/lib.rs SEND_SYNC_ALLOWLIST)"
-                    ),
-                )),
-            }
-        }
-    }
-    for (entry, hit) in SEND_SYNC_ALLOWLIST.iter().zip(&matched) {
-        if !hit {
-            out.push(diag(
-                "crates/lint/src/lib.rs",
-                1,
+/// Rule `send-sync-audit`: no `unsafe impl Send`/`Sync` anywhere in the
+/// workspace.
+///
+/// A hand-written thread-safety assertion is a proof obligation the compiler
+/// cannot check, and no code here needs one.  If one ever does, it gets an
+/// allowlist table in the same change, shaped like [`FFI_ALLOWLIST`], so the
+/// diff to the table is where the argument is reviewed.
+pub fn check_send_sync_audit(file: &str, lines: &[SourceLine]) -> Vec<Diagnostic> {
+    collect_send_sync_impls(lines)
+        .into_iter()
+        .map(|(line, decl)| {
+            diag(
+                file,
+                line,
                 "send-sync-audit",
-                format!(
-                    "stale Send/Sync allowlist entry: `{}` not found in {}",
-                    entry.signature, entry.file
-                ),
-            ));
-        }
-    }
-    out
+                format!("`{decl}`: no `unsafe impl Send`/`Sync` is allowed in this workspace"),
+            )
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -1158,10 +1092,9 @@ fn guard_binding(code: &str) -> Option<String> {
 ///
 /// Lexical scope model: a guard bound at brace depth `d` dies when the depth
 /// drops below `d` or when `drop(name)` appears; acquiring a new guard while
-/// any tracked guard is live without a nearby note is the violation.  This
-/// is the static face of the dynamic check in `shims/loom`'s deadlock
-/// detector — the note is where the global order that makes nesting safe
-/// gets written down.
+/// any tracked guard is live without a nearby note is the violation.  The
+/// note is where the global order that makes nesting deadlock-free gets
+/// written down.
 pub fn check_lock_discipline(file: &str, lines: &[SourceLine]) -> Vec<Diagnostic> {
     struct Guard {
         name: String,
@@ -1386,6 +1319,7 @@ pub fn run(root: &Path) -> Vec<Diagnostic> {
     for (rel, lines) in &files {
         out.extend(check_safety_comments(rel, lines));
         out.extend(check_atomic_ordering(rel, lines));
+        out.extend(check_send_sync_audit(rel, lines));
         out.extend(check_lock_discipline(rel, lines));
         if WIRE_FACING.contains(&rel.as_str()) {
             out.extend(check_wire_discipline(rel, lines));
@@ -1399,7 +1333,6 @@ pub fn run(root: &Path) -> Vec<Diagnostic> {
         }
     }
     out.extend(check_ffi_allowlist(&files));
-    out.extend(check_send_sync_audit(&files));
     out.extend(check_global_state(&files));
     out.extend(check_doc_drift(root));
     for doc in CITING_DOCS {

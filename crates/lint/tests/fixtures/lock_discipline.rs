@@ -2,7 +2,7 @@
 //! `// lock-order:` note (the violation), one with, and two patterns that
 //! never hold two guards at once.  Never compiled; only scanned.
 
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 fn violating(a: &Mutex<u32>, b: &Mutex<u32>) {
     let ga = a.lock();

@@ -1,7 +1,7 @@
-//! Fixture for the `send-sync-audit` rule: a thread-safety assertion that is
-//! not in `SEND_SYNC_ALLOWLIST`.  The SAFETY comment is present (so the
-//! safety-comment rule would pass) precisely to show the audit is gated by
-//! the allowlist table, not by prose.  Never compiled; only scanned.
+//! Fixture for the `send-sync-audit` rule: a hand-written thread-safety
+//! assertion.  The SAFETY comment is present (so the safety-comment rule
+//! would pass) precisely to show the audit is not satisfied by prose.  Never
+//! compiled; only scanned.
 
 struct RawHandle(*mut u8);
 

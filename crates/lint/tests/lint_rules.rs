@@ -141,22 +141,27 @@ fn atomic_ordering_rule_fires_only_on_the_unjustified_line() {
 }
 
 #[test]
-fn send_sync_rule_fires_on_unlisted_impl_and_stale_rows() {
+fn send_sync_rule_fires_on_a_forged_impl() {
     let (_, lines) = fixture("send_sync.rs");
-    let files = vec![("crates/evil/src/lib.rs".to_string(), lines)];
-    let diags = check_send_sync_audit(&files);
-    let forged: Vec<_> = diags
-        .iter()
-        .filter(|d| d.file == "crates/evil/src/lib.rs")
-        .collect();
-    assert_eq!(forged.len(), 1, "{diags:?}");
-    assert_eq!(forged[0].line, 9);
-    assert_eq!(forged[0].rule, "send-sync-audit");
-    assert!(forged[0].message.contains("RawHandle"));
-    // With none of the loom shim files present, every allowlist row is stale.
-    assert!(diags
-        .iter()
-        .any(|d| d.message.contains("stale Send/Sync allowlist entry")));
+    let diags = check_send_sync_audit("crates/evil/src/lib.rs", &lines);
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    assert_eq!(diags[0].file, "crates/evil/src/lib.rs");
+    assert_eq!(diags[0].line, 9);
+    assert_eq!(diags[0].rule, "send-sync-audit");
+    assert!(diags[0].message.contains("RawHandle"));
+}
+
+#[test]
+fn send_sync_rule_has_no_allowlist() {
+    // No path and no signature is exempt, not even a shim's own lock with
+    // its SAFETY argument.
+    let file = "shims/loom/src/sync.rs";
+    let src = "// SAFETY: access is serialized by the lock.\n\
+               unsafe impl<T: ?Sized + Send> Sync for Mutex<T> {}\n";
+    let diags = check_send_sync_audit(file, &split_comments(src));
+    assert_eq!(diags.len(), 1, "{diags:?}");
+    assert_eq!((diags[0].file.as_str(), diags[0].line), (file, 2));
+    assert_eq!(diags[0].rule, "send-sync-audit");
 }
 
 #[test]
@@ -190,7 +195,7 @@ fn global_state_rule_fires_on_unlisted_mutable_statics_and_stale_rows() {
     // The rule's scope is crates/*/src: a shim, an example or a test may
     // keep what state it likes (and the row is still stale).
     for outside in [
-        "shims/loom/src/rt.rs",
+        "shims/polling/src/lib.rs",
         "examples/quickstart.rs",
         "crates/proto/tests/liveness.rs",
     ] {

@@ -82,7 +82,6 @@ pub mod driver;
 mod layered;
 pub mod rateless;
 pub mod server;
-pub(crate) mod sync;
 pub mod transport;
 pub mod udp;
 pub mod wire;

@@ -17,11 +17,11 @@
 //! is the loss the fountain code exists to absorb) and `recv` never blocks:
 //! the I/O driver owns the socket/channel and decides when to poll.
 
-use crate::sync::{Arc, Mutex};
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// How an I/O driver can learn that a transport has datagrams waiting,
 /// without spinning on [`Transport::try_recv`].
@@ -118,6 +118,12 @@ struct SimInner {
     delivered: u64,
 }
 
+/// Lock the shared channel state, recovering it from poison: one endpoint's
+/// thread panicking must not fail every other endpoint's send and recv.
+fn lock(inner: &Mutex<SimInner>) -> MutexGuard<'_, SimInner> {
+    inner.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// A deterministic in-memory lossy multicast channel.
 ///
 /// Every datagram sent to a group is independently delivered to each
@@ -150,7 +156,7 @@ impl SimMulticast {
     /// Panics if `loss` is not in `[0, 1)`.
     pub fn endpoint(&self, loss: f64) -> SimEndpoint {
         assert!((0.0..1.0).contains(&loss), "loss must be in [0, 1)");
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         inner.receivers.push(ReceiverState {
             loss,
             groups: Vec::new(),
@@ -165,25 +171,25 @@ impl SimMulticast {
 
     /// Total datagrams sent on the channel.
     pub fn sent(&self) -> u64 {
-        self.inner.lock().sent
+        lock(&self.inner).sent
     }
 
     /// Total datagram deliveries across all endpoints.
     pub fn delivered(&self) -> u64 {
-        self.inner.lock().delivered
+        lock(&self.inner).delivered
     }
 }
 
 impl SimEndpoint {
     /// Number of datagrams delivered to this endpoint and not yet read.
     pub fn pending(&self) -> usize {
-        self.local.len() + self.inner.lock().receivers[self.receiver].queue.len()
+        self.local.len() + lock(&self.inner).receivers[self.receiver].queue.len()
     }
 }
 
 impl Transport for SimEndpoint {
     fn send(&mut self, group: u32, datagram: Bytes) {
-        let mut guard = self.inner.lock();
+        let mut guard = lock(&self.inner);
         let SimInner {
             receivers,
             rng,
@@ -203,14 +209,14 @@ impl Transport for SimEndpoint {
 
     fn recv(&mut self) -> Option<(u32, Bytes)> {
         if self.local.is_empty() {
-            let mut inner = self.inner.lock();
+            let mut inner = lock(&self.inner);
             std::mem::swap(&mut self.local, &mut inner.receivers[self.receiver].queue);
         }
         self.local.pop_front()
     }
 
     fn join(&mut self, group: u32) -> std::io::Result<()> {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         let groups = &mut inner.receivers[self.receiver].groups;
         if !groups.contains(&group) {
             groups.push(group);
@@ -219,7 +225,7 @@ impl Transport for SimEndpoint {
     }
 
     fn leave(&mut self, group: u32) {
-        let mut inner = self.inner.lock();
+        let mut inner = lock(&self.inner);
         inner.receivers[self.receiver]
             .groups
             .retain(|&g| g != group);

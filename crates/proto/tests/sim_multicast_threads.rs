@@ -1,7 +1,7 @@
-//! [`SimMulticast`] shared between real threads: the properties the
-//! model-check suite (`model_check.rs`) explores exhaustively on a few
-//! operations, here stressed on many with `std::thread`.  CI runs this file
-//! under ThreadSanitizer, which sees every lock the channel takes.
+//! [`SimMulticast`] shared between real threads.  The channel is the one
+//! lock-protected structure the simulations share across threads, and this
+//! file owns its three concurrency properties, each tested on `std::thread`s
+//! released together from a barrier:
 //!
 //! * per-endpoint FIFO: each sender's datagrams reach a receiver in send
 //!   order, exactly once, while it reads concurrently;
@@ -9,7 +9,9 @@
 //!   missed, the channel's delivery count matches what was drained, and
 //!   nothing sent after the last leave arrives;
 //! * concurrent endpoint registration: every endpoint gets its own slot.
-#![cfg(not(df_check))]
+//!
+//! CI also runs this file under ThreadSanitizer, which sees every lock the
+//! channel takes and reports any access that escapes it.
 
 use bytes::Bytes;
 use df_proto::transport::{SimMulticast, Transport};

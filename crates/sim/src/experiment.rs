@@ -16,7 +16,6 @@ use crate::trace::TraceSet;
 use df_core::{TornadoCode, TornadoProfile, TORNADO_A};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use serde::Serialize;
 
 /// Which transmission scheme a simulated receiver population uses.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,7 +40,7 @@ impl Scheme {
 }
 
 /// One point of an efficiency curve.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct EfficiencyPoint {
     /// Scheme label.
     pub scheme: String,
@@ -216,7 +215,7 @@ pub fn trace_experiment(
 
 /// One row of Table 4: the decoding-time speedup of Tornado A over an
 /// interleaved code whose reception overhead guarantee matches Tornado A's.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SpeedupRow {
     /// File size in KB.
     pub file_kb: usize,

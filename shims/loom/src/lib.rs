@@ -1,50 +1,2 @@
-//! Offline shim of the [`loom`](https://docs.rs/loom) concurrency model
-//! checker (see `shims/README.md`): an API-compatible subset whose
-//! cooperative scheduler **exhaustively enumerates thread interleavings**
-//! of the closure passed to [`model()`].
-//!
-//! What is explored and detected:
-//!
-//! - every conflict-distinct interleaving of operations on loom types
-//!   ([`sync::Mutex`], [`sync::RwLock`], [`sync::atomic`], [`cell::UnsafeCell`],
-//!   [`thread::spawn`]/join), pruned DPOR-style (schedules differing only in
-//!   the order of non-conflicting steps are visited once) and optionally
-//!   preemption-bounded ([`Builder::preemption_bound`]);
-//! - happens-before **data races** on [`cell::UnsafeCell`] data, via vector
-//!   clocks threaded through lock release/acquire and atomic Release/Acquire
-//!   edges — a store that drops `Release` (or a load that drops `Acquire`)
-//!   loses the edge and the racing cell access is reported;
-//! - **deadlocks** (all live threads blocked) and **livelocks** (per-schedule
-//!   step budget), with a deterministic failing-schedule printout;
-//! - runaway state spaces: exceeding [`Builder::max_branches`] schedules
-//!   fails loudly ("exploration truncated") instead of passing on a partial
-//!   search, keeping CI time bounded and flake-free.
-//!
-//! Documented divergences from upstream loom: `SeqCst` is modeled as
-//! `AcqRel` per location (atomic values are sequentially consistent anyway —
-//! there is one current value per atomic — but no *global* SC order edge is
-//! added); [`sync::Arc`] is `std::sync::Arc` (reference counting itself is
-//! not modeled); `Mutex::lock`/`RwLock::read`/`write` return guards directly
-//! (parking_lot style, matching this repo's `cfg(df_check)` call sites);
-//! `compare_exchange_weak` never fails spuriously.
-
-#![deny(unsafe_op_in_unsafe_fn)]
-
-pub mod cell;
-pub mod model;
-pub(crate) mod rt;
-pub mod sync;
-pub mod thread;
-
-pub use model::Builder;
-
-/// Run `f` under the model checker with default limits, exploring every
-/// conflict-distinct interleaving of its threads.  Panics (with a replayable
-/// schedule trace on stderr) if any interleaving panics, data-races,
-/// deadlocks, or exceeds the exploration limits.
-pub fn model<F>(f: F)
-where
-    F: Fn() + Send + Sync + 'static,
-{
-    Builder::new().check(f)
-}
+//! Placeholder: nothing uses this crate; it exists only so `benchmark/Cargo.lock` stays valid, and the dependency-cleanup item of ROADMAP.md deletes it together with the manifest lines that name it.
+#![forbid(unsafe_code)]

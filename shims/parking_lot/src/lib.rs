@@ -1,182 +1,2 @@
-//! Offline shim of `parking_lot` (see `shims/README.md`): the non-poisoning
-//! [`Mutex`] and [`RwLock`] APIs implemented over their `std::sync`
-//! counterparts.  A poisoned std lock (panic while held) is recovered
-//! transparently, matching parking_lot's semantics of not propagating poison.
-
+//! Placeholder: nothing uses this crate; it exists only so `benchmark/Cargo.lock` stays valid, and the dependency-cleanup item of ROADMAP.md deletes it together with the manifest lines that name it.
 #![forbid(unsafe_code)]
-
-/// A mutual-exclusion lock whose `lock` never returns a poison error.
-#[derive(Debug, Default)]
-pub struct Mutex<T: ?Sized> {
-    inner: std::sync::Mutex<T>,
-}
-
-/// Guard returned by [`Mutex::lock`]; unlocks on drop.
-pub type MutexGuard<'a, T> = std::sync::MutexGuard<'a, T>;
-
-impl<T> Mutex<T> {
-    /// Create a new mutex.
-    pub fn new(value: T) -> Self {
-        Mutex {
-            inner: std::sync::Mutex::new(value),
-        }
-    }
-
-    /// Consume the mutex, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-}
-
-impl<T: ?Sized> Mutex<T> {
-    /// Acquire the lock, blocking until available.
-    pub fn lock(&self) -> MutexGuard<'_, T> {
-        self.inner
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    /// Acquire the lock if it is free right now.
-    pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
-        match self.inner.try_lock() {
-            Ok(guard) => Some(guard),
-            Err(std::sync::TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner
-            .get_mut()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-}
-
-/// A reader-writer lock whose `read`/`write` never return a poison error.
-#[derive(Debug, Default)]
-pub struct RwLock<T: ?Sized> {
-    inner: std::sync::RwLock<T>,
-}
-
-/// Shared guard returned by [`RwLock::read`]; unlocks on drop.
-pub type RwLockReadGuard<'a, T> = std::sync::RwLockReadGuard<'a, T>;
-
-/// Exclusive guard returned by [`RwLock::write`]; unlocks on drop.
-pub type RwLockWriteGuard<'a, T> = std::sync::RwLockWriteGuard<'a, T>;
-
-impl<T> RwLock<T> {
-    /// Create a new reader-writer lock.
-    pub fn new(value: T) -> Self {
-        RwLock {
-            inner: std::sync::RwLock::new(value),
-        }
-    }
-
-    /// Consume the lock, returning the inner value.
-    pub fn into_inner(self) -> T {
-        self.inner
-            .into_inner()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-}
-
-impl<T: ?Sized> RwLock<T> {
-    /// Acquire a shared read lock, blocking until available.
-    pub fn read(&self) -> RwLockReadGuard<'_, T> {
-        self.inner
-            .read()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    /// Acquire the exclusive write lock, blocking until available.
-    pub fn write(&self) -> RwLockWriteGuard<'_, T> {
-        self.inner
-            .write()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    /// Acquire the exclusive write lock if it is free right now.
-    pub fn try_write(&self) -> Option<RwLockWriteGuard<'_, T>> {
-        match self.inner.try_write() {
-            Ok(guard) => Some(guard),
-            Err(std::sync::TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
-            Err(std::sync::TryLockError::WouldBlock) => None,
-        }
-    }
-
-    /// Mutable access without locking (requires exclusive ownership).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.inner
-            .get_mut()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::Arc;
-
-    #[test]
-    fn basic_locking() {
-        let m = Mutex::new(5);
-        *m.lock() += 1;
-        assert_eq!(*m.lock(), 6);
-        assert_eq!(m.into_inner(), 6);
-    }
-
-    #[test]
-    fn lock_survives_poisoning_panic() {
-        let m = Arc::new(Mutex::new(0));
-        let m2 = m.clone();
-        let _ = std::thread::spawn(move || {
-            let _guard = m2.lock();
-            panic!("poison the std mutex");
-        })
-        .join();
-        // parking_lot semantics: the lock is still usable.
-        *m.lock() += 1;
-        assert_eq!(*m.lock(), 1);
-    }
-
-    #[test]
-    fn try_lock_reports_contention() {
-        let m = Mutex::new(());
-        let g = m.lock();
-        assert!(m.try_lock().is_none());
-        drop(g);
-        assert!(m.try_lock().is_some());
-    }
-
-    #[test]
-    fn rwlock_shared_and_exclusive() {
-        let l = RwLock::new(7);
-        {
-            let a = l.read();
-            // lock-order: two shared guards on the same RwLock — readers
-            // never exclude each other, so no ordering is needed.
-            let b = l.read();
-            assert_eq!((*a, *b), (7, 7));
-            assert!(l.try_write().is_none());
-        }
-        *l.write() += 1;
-        assert_eq!(*l.read(), 8);
-        assert_eq!(l.into_inner(), 8);
-    }
-
-    #[test]
-    fn rwlock_survives_poisoning_panic() {
-        let l = Arc::new(RwLock::new(0));
-        let l2 = l.clone();
-        let _ = std::thread::spawn(move || {
-            let _guard = l2.write();
-            panic!("poison the std rwlock");
-        })
-        .join();
-        *l.write() += 1;
-        assert_eq!(*l.read(), 1);
-    }
-}
