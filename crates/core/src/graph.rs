@@ -345,6 +345,52 @@ mod tests {
         }
     }
 
+    /// 64-bit FNV-1a over both adjacency sides: every check's degree and
+    /// neighbours, then every left node's.  The lists are delimited by their
+    /// degrees, so moving an edge between nodes changes the digest.
+    fn digest(g: &BipartiteGraph) -> u64 {
+        let checks = (0..g.right()).map(|c| g.check_neighbors(c));
+        let lefts = (0..g.left()).map(|l| g.left_neighbors(l));
+        let words = checks
+            .chain(lefts)
+            .flat_map(|list| std::iter::once(list.len() as u32).chain(list.iter().copied()));
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for byte in words.flat_map(u32::to_le_bytes) {
+            hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        hash
+    }
+
+    /// The branches no wire fixture reaches: `tests/fixtures/wire/code_v1.txt`
+    /// pins Tornado A and B (both `CheckSide::Regular`) and `rateless_v1.txt`
+    /// the Raptor precode, but nothing builds a `CheckSide::Poisson` graph (the
+    /// profile `examples/calibrate.rs` compares against) or one of fewer than
+    /// three checks.  A change to either must show here.
+    #[test]
+    fn poisson_and_tiny_graphs_match_their_golden_digests() {
+        let tornado = crate::profile::TORNADO_A.distribution;
+        // Fewer than three checks caps every degree at two, so every node
+        // takes the degenerate low-degree branch whatever the check side.
+        let cases = [
+            (64, 32, CheckSide::Poisson, 1, 0x9f20_54a4_ac5f_3e79u64),
+            (64, 32, CheckSide::Poisson, 0x0123_4567_89AB_CDEF, 0x1ce9_bef6_4b20_d7bb),
+            (4096, 2048, CheckSide::Poisson, 1, 0x0696_25ab_9a44_aff8),
+            (4096, 2048, CheckSide::Poisson, 0x0123_4567_89AB_CDEF, 0x0c9b_e1b4_8df0_81cd),
+            (20, 1, CheckSide::Regular, 1, 0x35e0_59e8_c10a_dd61),
+            (20, 2, CheckSide::Regular, 1, 0x0822_c80e_fd26_7c05),
+        ];
+        let mut wrong = Vec::new();
+        for (left, right, side, seed, want) in cases {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let g = BipartiteGraph::random(left, right, &tornado, side, &mut rng);
+            let got = digest(&g);
+            if got != want {
+                wrong.push(format!("({left}, {right}, {side:?}, {seed:#x}): {got:#018x}"));
+            }
+        }
+        assert!(wrong.is_empty(), "digests changed:\n{}", wrong.join("\n"));
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
