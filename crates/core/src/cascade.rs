@@ -17,10 +17,11 @@
 use crate::error::{Result, TornadoError};
 use crate::graph::BipartiteGraph;
 use crate::profile::TornadoProfile;
-use df_gf::GF65536;
+use df_gf::{Field, GF65536};
 use df_rs::{CauchyCode, ErasureCode};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::ops::Range;
 
 /// Identifies where a global encoding-packet index lives in the cascade.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,36 +102,24 @@ impl FinalCode {
         }
     }
 
-    /// Encode the last cascade level, returning only the check packets.
+    /// Append the check packets of the last cascade level — `level`, a
+    /// range of `bytes` holding its packets back to back, `packet_size`
+    /// bytes each — to `bytes`, one row each, every row written once.
     ///
-    /// The systematic prefix is split off (buffers moved, not copied).  For a
-    /// GF(2^16) final code and odd packet lengths, level packets are padded
-    /// with one zero byte before encoding and each check packet is returned
-    /// with an additional trailing zero marker byte (total length `len + 2`,
+    /// For a GF(2^16) final code and odd packet lengths, level packets are
+    /// padded with one zero byte before encoding and each check packet gets
+    /// an additional trailing zero marker byte (total length `len + 2`,
     /// odd); see the type-level docs for why.
-    pub fn encode_checks(&self, level: &[Vec<u8>]) -> Result<Vec<Vec<u8>>> {
-        let len = level.first().map(|p| p.len()).unwrap_or(0);
-        let mut full = match self {
-            FinalCode::Small(c) => c.encode(level)?,
-            FinalCode::Large(c) if len.is_multiple_of(2) => c.encode(level)?,
-            FinalCode::Large(c) => {
-                let padded: Vec<Vec<u8>> = level
-                    .iter()
-                    .map(|p| {
-                        let mut q = Vec::with_capacity(p.len() + 2);
-                        q.extend_from_slice(p);
-                        q.push(0);
-                        q
-                    })
-                    .collect();
-                let mut enc = c.encode(&padded)?;
-                for check in &mut enc[self.k()..] {
-                    check.push(0);
-                }
-                enc
-            }
-        };
-        Ok(full.split_off(self.k()))
+    pub(crate) fn append_checks(
+        &self,
+        bytes: &mut Vec<u8>,
+        level: Range<usize>,
+        packet_size: usize,
+    ) {
+        match self {
+            FinalCode::Small(c) => append_checks(c, bytes, level, packet_size),
+            FinalCode::Large(c) => append_checks(c, bytes, level, packet_size),
+        }
     }
 
     /// Recover the full last level from any `k` of its `n` packets, borrowed:
@@ -139,7 +128,7 @@ impl FinalCode {
     /// `received` uses indices local to the final block: `0..k` are last-level
     /// packets, `k..n` are its check packets.
     ///
-    /// Handles the odd-length padding scheme of [`FinalCode::encode_checks`]
+    /// Handles the odd-length padding scheme of [`FinalCode::append_checks`]
     /// transparently: level packets are re-padded, check packets have their
     /// marker byte stripped, and the decoded level is truncated back to the
     /// original packet length.
@@ -221,6 +210,38 @@ impl FinalCode {
             p.truncate(len);
         }
         Ok(out)
+    }
+}
+
+/// [`FinalCode::append_checks`] over the field of `code`.
+///
+/// Walks the level packet by packet and accumulates each one into every
+/// check row, so that at an odd packet size under GF(2^16) each packet is
+/// padded to a whole number of field elements once, in one scratch row.
+fn append_checks<F: Field>(
+    code: &CauchyCode<F>,
+    bytes: &mut Vec<u8>,
+    level: Range<usize>,
+    packet_size: usize,
+) {
+    let p = packet_size;
+    let padded = F::BITS == 16 && p % 2 == 1;
+    // Field elements per row, in bytes; a wide row's last byte is the marker.
+    let (body, width) = if padded { (p + 1, p + 2) } else { (p, p) };
+    let start = bytes.len();
+    bytes.resize(start + code.redundancy() * width, 0);
+    let (done, checks) = bytes.split_at_mut(start);
+    let mut scratch = vec![0u8; if padded { body } else { 0 }];
+    for (col, packet) in done[level].chunks_exact(p).enumerate() {
+        let packet = if padded {
+            scratch[..p].copy_from_slice(packet);
+            &scratch[..]
+        } else {
+            packet
+        };
+        for (row, check) in checks.chunks_exact_mut(width).enumerate() {
+            F::mul_acc_slice(code.coefficient(row, col), &mut check[..body], packet);
+        }
     }
 }
 

@@ -47,11 +47,13 @@
 //! assert_eq!(decoder.source().unwrap(), source);
 //! ```
 
-use crate::cascade::{Cascade, FinalCode};
+use crate::cascade::Cascade;
 use crate::decode::{OwnedPayloadDecoder, PayloadDecoder, SymbolicDecoder};
+use crate::encode::Encoding;
 use crate::error::Result;
 use crate::fountain::Reception;
 use crate::profile::{TornadoProfile, TORNADO_A, TORNADO_B};
+use crate::store::StoreShape;
 use rand::seq::SliceRandom;
 use rand::Rng;
 use std::collections::BTreeMap;
@@ -175,9 +177,10 @@ impl TornadoCode {
     /// This is `packet_size` for every packet except one corner: a GF(2^16)
     /// final code with an *odd* `packet_size` pads its check packets by two
     /// bytes (one padding byte to reach 16-bit alignment plus one odd-length
-    /// marker byte — see [`FinalCode`]).  Protocol layers should validate
-    /// received payload lengths against this instead of re-deriving the
-    /// codec's padding rules.
+    /// marker byte — see [`FinalCode`](crate::FinalCode)).  Protocol layers
+    /// should validate received payload lengths against this instead of
+    /// re-deriving the codec's padding rules; [`StoreShape::row_len`] is the
+    /// rule itself, shared with the decoder's store and the [`Encoding`].
     ///
     /// # Panics
     ///
@@ -188,14 +191,7 @@ impl TornadoCode {
             "packet index {index} out of range for n = {}",
             self.n()
         );
-        if packet_size % 2 == 1
-            && index >= self.cascade.rs_offset()
-            && matches!(self.cascade.final_code(), FinalCode::Large(_))
-        {
-            packet_size + 2
-        } else {
-            packet_size
-        }
+        StoreShape::of(&self.cascade).row_len(index, packet_size)
     }
 
     /// The profile this code was built from.
@@ -212,14 +208,14 @@ impl TornadoCode {
         crate::encode::encode(&self.cascade, source)
     }
 
-    /// [`Self::encode`] taking the source packets by value: they become the
-    /// first `k` encoding packets without being copied.
+    /// Encode a file cut into `packet_size`-byte packets into one
+    /// [`Encoding`]: the file copied once, then every check row.
     ///
     /// # Errors
     ///
-    /// See [`crate::encode::encode_owned`].
-    pub fn encode_owned(&self, source: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>> {
-        crate::encode::encode_owned(&self.cascade, source)
+    /// See [`crate::encode::encode_file`].
+    pub fn encode_file(&self, data: &[u8], packet_size: usize) -> Result<Encoding> {
+        crate::encode::encode_file(&self.cascade, data, packet_size)
     }
 
     /// Create an incremental payload decoder borrowing this code's cascade.

@@ -34,16 +34,151 @@ pub enum CheckSide {
 }
 
 /// A bipartite graph between `left` message nodes and `right` check nodes.
+///
+/// Both adjacency sides are kept flat ("compressed sparse rows"): node `i`'s
+/// neighbours are `adj[start[i]..start[i + 1]]`, sorted, so a graph is four
+/// `u32` arrays — two offsets per node and two neighbour entries per edge —
+/// however many nodes it has, and a decoder walks each list contiguously.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BipartiteGraph {
     left: usize,
     right: usize,
-    /// For each check node, the sorted list of left neighbours.
-    check_neighbors: Vec<Vec<u32>>,
-    /// For each left node, the list of check nodes it participates in.
-    left_neighbors: Vec<Vec<u32>>,
-    /// Total number of edges after de-duplication.
-    edges: usize,
+    /// Offsets into `check_adj`, one per check node plus the end.
+    check_start: Vec<u32>,
+    /// Every check node's left neighbours, check by check, each list sorted.
+    check_adj: Vec<u32>,
+    /// Offsets into `left_adj`, one per left node plus the end.
+    left_start: Vec<u32>,
+    /// Every left node's check nodes, node by node, each list sorted.
+    left_adj: Vec<u32>,
+}
+
+/// The edges of a graph under construction, as drawn: every left node's
+/// checks in a bucket of its own, sized from its degree before the first
+/// draw, and a tally of the draws each check received.
+struct Draws {
+    /// Left node `l`'s bucket is `checks[start[l]..start[l + 1]]`.
+    start: Vec<u32>,
+    /// Where left node `l`'s next draw goes.
+    fill: Vec<u32>,
+    checks: Vec<u32>,
+    /// Draws so far per check node.
+    check_count: Vec<u32>,
+}
+
+impl Draws {
+    fn new(degrees: &[usize], right: usize) -> Self {
+        let start = offsets(degrees.iter().map(|&d| d as u32));
+        let edges = *start.last().expect("offsets end with the total") as usize;
+        Draws {
+            fill: start[..degrees.len()].to_vec(),
+            start,
+            checks: vec![0; edges],
+            check_count: vec![0; right],
+        }
+    }
+
+    /// Record an edge between check `c` and left node `l`.
+    fn link(&mut self, c: usize, l: usize) {
+        let at = self.fill[l] as usize;
+        debug_assert!(
+            at < self.start[l + 1] as usize,
+            "left node {l} over its degree"
+        );
+        self.checks[at] = c as u32;
+        self.fill[l] += 1;
+        self.check_count[c] += 1;
+    }
+
+    /// The graph of the drawn edges, each distinct edge once.
+    ///
+    /// Two counting passes, no comparison sort.  Walking the left nodes in
+    /// order and dealing each draw to its check gives every check's list
+    /// sorted, with a repeated draw next to its twin, where it is dropped
+    /// (a repeated neighbour cancels out of the XOR and would silently
+    /// weaken the constraint).  Walking the checks in order and dealing
+    /// each kept edge back to its left node gives the other side, sorted.
+    fn into_graph(self) -> BipartiteGraph {
+        let (left, right) = (self.fill.len(), self.check_count.len());
+        debug_assert!((0..left).all(|l| self.fill[l] == self.start[l + 1]));
+        let mut check_start = offsets(self.check_count.iter().copied());
+        let mut next = self.check_count;
+        next.copy_from_slice(&check_start[..right]);
+        let mut check_adj = vec![0u32; self.checks.len()];
+        for l in 0..left {
+            let bucket = self.start[l] as usize..self.start[l + 1] as usize;
+            for &c in &self.checks[bucket] {
+                check_adj[next[c as usize] as usize] = l as u32;
+                next[c as usize] += 1;
+            }
+        }
+
+        let mut left_degree = self.fill;
+        left_degree.fill(0);
+        let mut kept = 0u32;
+        for c in 0..right {
+            let drawn = check_start[c] as usize..check_start[c + 1] as usize;
+            check_start[c] = kept;
+            let mut last = None;
+            for i in drawn {
+                let l = check_adj[i];
+                if last != Some(l) {
+                    check_adj[kept as usize] = l;
+                    kept += 1;
+                    left_degree[l as usize] += 1;
+                    last = Some(l);
+                }
+            }
+        }
+        check_start[right] = kept;
+        check_adj.truncate(kept as usize);
+
+        // The draws' buffers, done with, take the left side.
+        let mut left_start = self.start;
+        let mut total = 0;
+        for (l, degree) in left_degree.iter().enumerate() {
+            left_start[l] = total;
+            total += degree;
+        }
+        left_start[left] = total;
+        let mut next = left_degree;
+        next.copy_from_slice(&left_start[..left]);
+        let mut left_adj = self.checks;
+        left_adj.truncate(check_adj.len());
+        for c in 0..right {
+            for &l in &check_adj[check_start[c] as usize..check_start[c + 1] as usize] {
+                left_adj[next[l as usize] as usize] = c as u32;
+                next[l as usize] += 1;
+            }
+        }
+        BipartiteGraph {
+            left,
+            right,
+            check_start,
+            check_adj,
+            left_start,
+            left_adj,
+        }
+    }
+}
+
+/// Running sums of `counts`, from 0 to the total: the start of every list
+/// and the end of the last.
+///
+/// # Panics
+///
+/// Panics if the total does not fit in a `u32`.
+fn offsets(counts: impl ExactSizeIterator<Item = u32>) -> Vec<u32> {
+    let mut out = Vec::with_capacity(counts.len() + 1);
+    let mut total = 0u32;
+    out.push(0);
+    for count in counts {
+        total = total
+            .checked_add(count)
+            .expect("a graph has fewer than 2^32 edges");
+        out.push(total);
+    }
+    out
 }
 
 impl BipartiteGraph {
@@ -64,11 +199,12 @@ impl BipartiteGraph {
         assert!(left > 0 && right > 0, "graph levels must be non-empty");
         // Degrees from the distribution, capped at the number of check nodes
         // (a node cannot have more distinct neighbours than there are check
-        // nodes).
+        // nodes).  No distribution draws a degree below 1; the floor makes
+        // that the invariant the buckets of `Draws` are sized by.
         let mut left_degrees: Vec<usize> = distribution
             .degree_sequence(left, rng)
             .into_iter()
-            .map(|d| d.min(right))
+            .map(|d| d.clamp(1, right))
             .collect();
 
         // --- Stopping-set conditioning -------------------------------------
@@ -84,7 +220,8 @@ impl BipartiteGraph {
         // ring, so the subgraph they induce is a single long path instead of
         // many short random cycles — the same accumulator-style conditioning
         // used by irregular-repeat-accumulate LDPC designs.
-        let mut low: Vec<usize> = (0..left).filter(|&l| left_degrees[l] <= 2).collect();
+        let mut low: Vec<usize> = Vec::with_capacity(left);
+        low.extend((0..left).filter(|&l| left_degrees[l] <= 2));
         let low_cap = (right * 9) / 10;
         if low.len() > low_cap && right >= 3 {
             low.shuffle(rng);
@@ -94,8 +231,7 @@ impl BipartiteGraph {
             low.truncate(low_cap);
         }
 
-        let mut check_sets: Vec<Vec<u32>> = vec![Vec::new(); right];
-        let mut ring_used = vec![0usize; right];
+        let mut draws = Draws::new(&left_degrees, right);
         if right >= 3 {
             // Spread the low-degree nodes over distinct ring positions.
             let mut positions: Vec<usize> =
@@ -103,31 +239,29 @@ impl BipartiteGraph {
             positions.sort_unstable();
             for (slot, &l) in low.iter().enumerate() {
                 let p = positions[slot % positions.len()];
-                check_sets[p].push(l as u32);
-                ring_used[p] += 1;
+                draws.link(p, l);
                 if left_degrees[l] == 2 {
-                    let q = (p + 1) % right;
-                    check_sets[q].push(l as u32);
-                    ring_used[q] += 1;
+                    draws.link((p + 1) % right, l);
                 }
             }
         } else {
             // Degenerate tiny level: connect low-degree nodes directly.
             for &l in &low {
-                for set in check_sets.iter_mut().take(left_degrees[l].min(right)) {
-                    set.push(l as u32);
+                for c in 0..left_degrees[l] {
+                    draws.link(c, l);
                 }
             }
         }
 
         // Remaining (degree ≥ 3) nodes follow the requested check-side model.
-        let rest: Vec<usize> = (0..left).filter(|&l| left_degrees[l] >= 3).collect();
+        let left_degrees = &left_degrees;
+        let rest = || (0..left).filter(move |&l| left_degrees[l] >= 3);
         match check_side {
             CheckSide::Poisson => {
-                for &l in &rest {
+                for l in rest() {
                     // `deg` distinct check nodes chosen uniformly at random.
                     for c in rand::seq::index::sample(rng, right, left_degrees[l]) {
-                        check_sets[c].push(l as u32);
+                        draws.link(c, l);
                     }
                 }
             }
@@ -135,13 +269,16 @@ impl BipartiteGraph {
                 // Configuration model over the remaining sockets: spread them
                 // as evenly as possible given what the ring already consumed,
                 // shuffle the left sockets, and match them up.
-                let rest_edges: usize = rest.iter().map(|&l| left_degrees[l]).sum();
-                let ring_edges: usize = ring_used.iter().sum();
+                let rest_edges: usize = rest().map(|l| left_degrees[l]).sum();
+                let ring_used = &draws.check_count;
+                let ring_edges: usize = ring_used.iter().map(|&u| u as usize).sum();
                 let targets = right_regular_degrees(rest_edges + ring_edges, right);
+                // Only the first `rest_edges` sockets are ever matched.
                 let mut right_sockets = Vec::with_capacity(rest_edges);
                 for (node, &t) in targets.iter().enumerate() {
-                    let want = t.saturating_sub(ring_used[node]);
-                    right_sockets.extend(std::iter::repeat_n(node as u32, want));
+                    let want = t.saturating_sub(ring_used[node] as usize);
+                    let room = rest_edges - right_sockets.len();
+                    right_sockets.extend(std::iter::repeat_n(node as u32, want.min(room)));
                 }
                 // Rounding against the ring usage can leave us short; top up
                 // round-robin so every remaining socket has a home.
@@ -151,37 +288,16 @@ impl BipartiteGraph {
                     next += 1;
                 }
                 let mut left_sockets = Vec::with_capacity(rest_edges);
-                for &l in &rest {
+                for l in rest() {
                     left_sockets.extend(std::iter::repeat_n(l as u32, left_degrees[l]));
                 }
                 left_sockets.shuffle(rng);
-                for (i, &l) in left_sockets.iter().enumerate() {
-                    check_sets[right_sockets[i] as usize].push(l);
+                for (&l, &c) in left_sockets.iter().zip(&right_sockets) {
+                    draws.link(c as usize, l as usize);
                 }
             }
         }
-        // Sort and de-duplicate neighbours within each check node (a repeated
-        // neighbour cancels out of the XOR and would silently weaken the
-        // constraint).
-        let mut edges = 0;
-        for set in &mut check_sets {
-            set.sort_unstable();
-            set.dedup();
-            edges += set.len();
-        }
-        let mut left_neighbors: Vec<Vec<u32>> = vec![Vec::new(); left];
-        for (c, set) in check_sets.iter().enumerate() {
-            for &l in set {
-                left_neighbors[l as usize].push(c as u32);
-            }
-        }
-        BipartiteGraph {
-            left,
-            right,
-            check_neighbors: check_sets,
-            left_neighbors,
-            edges,
-        }
+        draws.into_graph()
     }
 
     /// Number of left (message) nodes.
@@ -196,27 +312,27 @@ impl BipartiteGraph {
 
     /// Total number of edges.
     pub fn edges(&self) -> usize {
-        self.edges
+        self.check_adj.len()
     }
 
-    /// Left neighbours of check node `c`.
+    /// Left neighbours of check node `c`, in increasing order.
     pub fn check_neighbors(&self, c: usize) -> &[u32] {
-        &self.check_neighbors[c]
+        &self.check_adj[self.check_start[c] as usize..self.check_start[c + 1] as usize]
     }
 
-    /// Check nodes adjacent to left node `l`.
+    /// Check nodes adjacent to left node `l`, in increasing order.
     pub fn left_neighbors(&self, l: usize) -> &[u32] {
-        &self.left_neighbors[l]
+        &self.left_adj[self.left_start[l] as usize..self.left_start[l + 1] as usize]
     }
 
     /// Average degree of the left nodes (XORs per message packet).
     pub fn average_left_degree(&self) -> f64 {
-        self.edges as f64 / self.left as f64
+        self.edges() as f64 / self.left as f64
     }
 
     /// Average degree of the check nodes (XORs per check packet).
     pub fn average_check_degree(&self) -> f64 {
-        self.edges as f64 / self.right as f64
+        self.edges() as f64 / self.right as f64
     }
 }
 
@@ -373,9 +489,21 @@ mod tests {
         // takes the degenerate low-degree branch whatever the check side.
         let cases = [
             (64, 32, CheckSide::Poisson, 1, 0x9f20_54a4_ac5f_3e79u64),
-            (64, 32, CheckSide::Poisson, 0x0123_4567_89AB_CDEF, 0x1ce9_bef6_4b20_d7bb),
+            (
+                64,
+                32,
+                CheckSide::Poisson,
+                0x0123_4567_89AB_CDEF,
+                0x1ce9_bef6_4b20_d7bb,
+            ),
             (4096, 2048, CheckSide::Poisson, 1, 0x0696_25ab_9a44_aff8),
-            (4096, 2048, CheckSide::Poisson, 0x0123_4567_89AB_CDEF, 0x0c9b_e1b4_8df0_81cd),
+            (
+                4096,
+                2048,
+                CheckSide::Poisson,
+                0x0123_4567_89AB_CDEF,
+                0x0c9b_e1b4_8df0_81cd,
+            ),
             (20, 1, CheckSide::Regular, 1, 0x35e0_59e8_c10a_dd61),
             (20, 2, CheckSide::Regular, 1, 0x0822_c80e_fd26_7c05),
         ];
@@ -385,7 +513,9 @@ mod tests {
             let g = BipartiteGraph::random(left, right, &tornado, side, &mut rng);
             let got = digest(&g);
             if got != want {
-                wrong.push(format!("({left}, {right}, {side:?}, {seed:#x}): {got:#018x}"));
+                wrong.push(format!(
+                    "({left}, {right}, {side:?}, {seed:#x}): {got:#018x}"
+                ));
             }
         }
         assert!(wrong.is_empty(), "digests changed:\n{}", wrong.join("\n"));

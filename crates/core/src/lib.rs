@@ -69,6 +69,7 @@ pub use decode::{
     SymbolicDecoder,
 };
 pub use degree::DegreeDistribution;
+pub use encode::Encoding;
 pub use error::{Result, TornadoError};
 pub use file::{reassemble_file, PacketizedFile};
 pub use fountain::{Carousel, PacketStream, Reception, ReceptionCounter};

@@ -227,7 +227,7 @@ impl LtEncoder {
 }
 
 /// The symbols an LT layer XORs over — the `k` source packets of plain LT,
-/// or the `n` intermediates of Raptor ([`crate::RaptorCode::precode_slab`])
+/// or the `n` intermediates of Raptor ([`crate::RaptorCode::precode_file`])
 /// — as one buffer of equal-length rows, with the scratch an encode needs:
 /// [`Self::encode_into`] writes a symbol straight into the caller's buffer
 /// (a datagram, behind its header) and allocates nothing.
@@ -240,33 +240,37 @@ pub struct SymbolSlab {
 }
 
 impl SymbolSlab {
-    /// The rows of `packets`, in order.
+    /// `data` cut into rows of `symbol_len` bytes, the last one zero-padded:
+    /// a file copied once, straight into the buffer it is encoded from.
     ///
     /// # Errors
     ///
-    /// Returns [`TornadoError::MalformedInput`] unless `packets` holds at
-    /// least one packet and every packet has the same, non-zero length.
-    pub fn from_packets(packets: &[Vec<u8>]) -> Result<Self> {
-        let symbol_len = packets.first().map_or(0, Vec::len);
-        if symbol_len == 0 || packets.iter().any(|p| p.len() != symbol_len) {
+    /// Returns [`TornadoError::MalformedInput`] if `data` is empty or
+    /// `symbol_len` is 0.
+    pub fn from_file(data: &[u8], symbol_len: usize) -> Result<Self> {
+        Self::from_file_with_room(data, symbol_len, 0)
+    }
+
+    /// [`Self::from_file`] with room for `extra` more rows.
+    pub(crate) fn from_file_with_room(
+        data: &[u8],
+        symbol_len: usize,
+        extra: usize,
+    ) -> Result<Self> {
+        if symbol_len == 0 || data.is_empty() {
             return Err(TornadoError::MalformedInput {
                 reason: "LT symbols must be one or more packets of one non-zero length".to_string(),
             });
         }
-        let mut slab = SymbolSlab::with_rows(packets.len(), symbol_len);
-        for packet in packets {
-            slab.rows.extend_from_slice(packet);
-        }
-        Ok(slab)
-    }
-
-    /// An empty slab with room for `count` rows of `symbol_len` bytes.
-    pub(crate) fn with_rows(count: usize, symbol_len: usize) -> Self {
-        SymbolSlab {
-            rows: Vec::with_capacity(count * symbol_len),
+        let count = data.len().div_ceil(symbol_len);
+        let mut slab = SymbolSlab {
+            rows: Vec::with_capacity((count + extra) * symbol_len),
             symbol_len,
             neighbors: Vec::new(),
-        }
+        };
+        slab.rows.extend_from_slice(data);
+        slab.rows.resize(count * symbol_len, 0);
+        Ok(slab)
     }
 
     /// Append a zeroed row and lend it with every row before it.

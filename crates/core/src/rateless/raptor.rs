@@ -145,19 +145,27 @@ impl RaptorCode {
         Ok(symbols)
     }
 
-    /// [`Self::precode_symbols`] into one [`SymbolSlab`], the layout a
-    /// sender encodes from: the source rows, then each check row computed
+    /// The precode of `data`, cut into `packet_size`-byte packets with the
+    /// last one zero-padded, in one [`SymbolSlab`], the layout a sender
+    /// encodes from: the file copied in once, then each check row computed
     /// from the rows before it.
     ///
     /// # Errors
     ///
-    /// As [`Self::precode_symbols`].
-    pub fn precode_slab(&self, source: &[Vec<u8>]) -> Result<SymbolSlab> {
-        let len = self.check_source(source)?;
-        let mut slab = SymbolSlab::with_rows(self.intermediate_count(), len);
-        for packet in source {
-            slab.push_row().1.copy_from_slice(packet);
+    /// Returns [`TornadoError::MalformedInput`] unless `data` makes exactly
+    /// `k` packets of `packet_size > 0` bytes.
+    pub fn precode_file(&self, data: &[u8], packet_size: usize) -> Result<SymbolSlab> {
+        if packet_size == 0 || data.len().div_ceil(packet_size) != self.k() {
+            return Err(TornadoError::MalformedInput {
+                reason: format!(
+                    "Raptor precode over {} packets was given {} bytes in packets of {packet_size}",
+                    self.k(),
+                    data.len()
+                ),
+            });
         }
+        let len = packet_size;
+        let mut slab = SymbolSlab::from_file_with_room(data, len, self.precode.right())?;
         for j in 0..self.precode.right() {
             let (rows, check) = slab.push_row();
             self.precode_check(j, |i| &rows[i * len..(i + 1) * len], check);
@@ -376,7 +384,7 @@ mod tests {
         let src = payloads(k, len, 4);
         let code = RaptorCode::new(k, 4).unwrap();
         let inter = code.precode_symbols(&src).unwrap();
-        let mut slab = code.precode_slab(&src).unwrap();
+        let mut slab = code.precode_file(&src.concat(), len).unwrap();
         assert_eq!((slab.count(), slab.symbol_len()), (inter.len(), len));
         // Written over whatever the buffer held.
         let mut out = vec![0xaa; len];
@@ -389,7 +397,8 @@ mod tests {
             );
         }
         assert!(slab.encode_into(code.lt(), 0, &mut [0; 32]).is_err());
-        assert!(code.precode_slab(&src[1..]).is_err());
+        assert!(code.precode_file(&src[1..].concat(), len).is_err());
+        assert!(code.precode_file(&src.concat(), 0).is_err());
     }
 
     #[test]

@@ -70,6 +70,24 @@ impl StoreShape {
             wide_from: usize::MAX,
         }
     }
+
+    /// The length of row `g` at packet size `packet_size`: the packet size,
+    /// or two bytes more for a row from `wide_from` on at an odd packet
+    /// size.
+    pub fn row_len(&self, g: usize, packet_size: usize) -> usize {
+        if g >= self.wide_from && packet_size % 2 == 1 {
+            packet_size + 2
+        } else {
+            packet_size
+        }
+    }
+
+    /// Where row `g` starts when rows `0..g` lie back to back, each
+    /// [`Self::row_len`] long; `row_start(n, P)` is the length of all `n`.
+    pub fn row_start(&self, g: usize, packet_size: usize) -> usize {
+        let wide = g.saturating_sub(self.wide_from);
+        g * packet_size + wide * (self.row_len(g, packet_size) - packet_size)
+    }
 }
 
 /// The values a decoder holds.
@@ -249,36 +267,31 @@ pub struct Slab {
 /// Where a [`Slab`]'s rows are, once the packet size is known.
 #[derive(Debug, Clone, Copy)]
 struct Layout {
-    k: usize,
+    shape: StoreShape,
     p: usize,
-    wide_from: usize,
 }
 
 impl Layout {
     /// The length of row `g`.
     fn width(self, g: usize) -> usize {
-        if g >= self.wide_from && self.p % 2 == 1 {
-            self.p + 2
-        } else {
-            self.p
-        }
+        self.shape.row_len(g, self.p)
     }
 
     /// Width of a slot in the second buffer: the widest row.
     fn stride(self) -> usize {
-        if self.wide_from == usize::MAX {
+        if self.shape.wide_from == usize::MAX {
             self.p
         } else {
-            self.width(self.wide_from)
+            self.width(self.shape.wide_from)
         }
     }
 
     /// Where the row of kept row `g` is.
     fn locate(self, slots: &[u32], g: usize) -> (Buffer, Range<usize>) {
-        if g < self.k {
+        if g < self.shape.k {
             return (Buffer::Source, g * self.p..(g + 1) * self.p);
         }
-        let slot = slots[g - self.k];
+        let slot = slots[g - self.shape.k];
         debug_assert_ne!(slot, NO_SLOT, "row {g} has no slot");
         let start = slot as usize * self.stride();
         (Buffer::Others, start..start + self.width(g))
@@ -402,9 +415,8 @@ impl Slab {
     /// Where rows are; the packet size is known once any row has been kept.
     fn layout(&self) -> Layout {
         Layout {
-            k: self.shape.k,
+            shape: self.shape,
             p: self.packet_size.expect("a row was kept before any is read"),
-            wide_from: self.shape.wide_from,
         }
     }
 
@@ -455,7 +467,7 @@ impl Slab {
     /// next one.
     fn place(&mut self, g: usize) -> (Buffer, Range<usize>) {
         let layout = self.layout();
-        let (k, p) = (layout.k, layout.p);
+        let (k, p) = (layout.shape.k, layout.p);
         if g < k {
             if g * p == self.source.len() {
                 self.source.resize((g + 1) * p, 0);

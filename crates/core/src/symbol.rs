@@ -196,13 +196,15 @@ mod tests {
     fn payload_final_level_decodes_real_data() {
         let code = FinalCode::build(4, 8).unwrap();
         let level: Vec<Vec<u8>> = (0..4u8).map(|i| vec![i; 6]).collect();
-        let checks = code.encode_checks(&level).unwrap();
+        let mut bytes = level.concat();
+        code.append_checks(&mut bytes, 0..24, 6);
+        let checks: Vec<&[u8]> = bytes[24..].chunks(6).collect();
         // Receive two level packets and two checks, by reference.
         let received = vec![
             (0usize, &level[0][..]),
             (3, &level[3][..]),
-            (4, &checks[0][..]),
-            (6, &checks[2][..]),
+            (4, checks[0]),
+            (6, checks[2]),
         ];
         let out = Vec::<u8>::recover_final_level(&code, &received)
             .unwrap()

@@ -1,5 +1,7 @@
 //! Where a many-session process's resident memory goes, phase by phase —
-//! and a check that the order datagrams arrive in does not change the peak.
+//! and two checks on its shape: that the order datagrams arrive in does not
+//! change the peak, and that an encoded session holds little beyond its
+//! encoding.
 //!
 //! Rebuilds the memory shape of the benchmark's `udp_loopback` workload — 32
 //! files of 1 MiB, one carousel session and one receiver each, 1 KiB
@@ -15,10 +17,17 @@
 //! once, into the file-shaped slab it reserved at its first datagram, and its
 //! finished file is that slab; so the two orders must reach the same peak.
 //! Without an argument the example runs both, each in a child process of its
-//! own, prints both tables, and exits non-zero when the `interleaved` peak
-//! after the last download exceeds the `sequential` one by more than
-//! [`TOLERANCE_MB`] — what it did by 34.6 MB while receivers kept one heap
-//! block per payload.  EXPERIMENTS.md §3.2 records the tables.
+//! own, prints both tables, and exits non-zero when either check fails:
+//!
+//! * the `interleaved` peak after the last download exceeds the
+//!   `sequential` one by more than [`TOLERANCE_MB`] — what it did by
+//!   34.6 MB while receivers kept one heap block per payload;
+//! * encoding the sessions ("sessions encoded" less "inputs generated", in
+//!   `VmRSS`) costs more than twice the input bytes — Tornado A's `n = 2k`
+//!   rows — plus [`ENCODED_SLACK_MB`] — what it did by 4.8 MB while every
+//!   row and every graph node was a heap block of its own.
+//!
+//! EXPERIMENTS.md §3.2 records the tables.
 //!
 //! The benchmark pins glibc's allocator (no trimming, no `mmap` for large
 //! blocks); to measure under the same allocator run with
@@ -35,6 +44,14 @@ const TOLERANCE_MB: f64 = 2.0;
 
 /// The phase whose peak the check compares.
 const LAST_DOWNLOAD: &str = "last download complete";
+
+/// How far encoding the sessions may grow `VmRSS` beyond their encodings'
+/// bytes (twice the inputs'), in MB: the graphs and the bookkeeping.
+const ENCODED_SLACK_MB: f64 = 5.0;
+
+/// The phases the encoded-memory check compares.
+const INPUTS: &str = "inputs generated";
+const ENCODED: &str = "sessions encoded";
 
 const SESSIONS: usize = 32;
 const FILE_LEN: usize = 1 << 20;
@@ -80,31 +97,65 @@ fn main() {
     }
 }
 
-/// Run both orders in child processes and compare their peaks.
+/// The `(VmRSS, VmHWM)` row of `phase` in a printed table.
+fn row(table: &str, phase: &str) -> (f64, f64) {
+    let columns = table
+        .lines()
+        .find_map(|line| line.strip_prefix(phase))
+        .map(|rest| {
+            rest.split_whitespace()
+                .filter_map(|column| column.parse::<f64>().ok())
+                .collect::<Vec<_>>()
+        });
+    match columns.as_deref() {
+        Some(&[rss, hwm]) => (rss, hwm),
+        _ => panic!("the table has no {phase:?} row"),
+    }
+}
+
+/// Run both orders in child processes and check the two tables.
 fn check() {
     let exe = std::env::current_exe().expect("the running example has a path");
-    let peak = |order: &str| {
+    let table = |order: &str| {
         let out = std::process::Command::new(&exe)
             .arg(order)
             .output()
             .expect("the example can run itself");
-        let table = String::from_utf8_lossy(&out.stdout);
+        let table = String::from_utf8_lossy(&out.stdout).into_owned();
         println!("{order}:\n{table}");
         assert!(out.status.success(), "the {order} run failed");
         table
-            .lines()
-            .find_map(|line| line.strip_prefix(LAST_DOWNLOAD))
-            .and_then(|rest| rest.split_whitespace().last()?.parse::<f64>().ok())
-            .expect("the table has the row")
     };
-    let (interleaved, sequential) = (peak("interleaved"), peak("sequential"));
-    let excess = interleaved - sequential;
+    let (interleaved, sequential) = (table("interleaved"), table("sequential"));
+    let mut failed = false;
+
+    let (_, interleaved_peak) = row(&interleaved, LAST_DOWNLOAD);
+    let (_, sequential_peak) = row(&sequential, LAST_DOWNLOAD);
+    let excess = interleaved_peak - sequential_peak;
     println!(
-        "{LAST_DOWNLOAD}: VmHWM {interleaved:.1} MB interleaved, {sequential:.1} MB \
+        "{LAST_DOWNLOAD}: VmHWM {interleaved_peak:.1} MB interleaved, {sequential_peak:.1} MB \
          sequential ({excess:+.1} MB; at most {TOLERANCE_MB} allowed)"
     );
     if excess > TOLERANCE_MB {
         eprintln!("the arrival order costs {excess:.1} MB of peak: receivers fragment the heap");
+        failed = true;
+    }
+
+    let encoded = row(&interleaved, ENCODED).0 - row(&interleaved, INPUTS).0;
+    let rows_mb = 2.0 * (SESSIONS * FILE_LEN) as f64 / 1e6;
+    println!(
+        "{ENCODED}: VmRSS +{encoded:.1} MB over {INPUTS} ({rows_mb:.1} MB of rows; at most \
+         {:.1} allowed)",
+        rows_mb + ENCODED_SLACK_MB
+    );
+    if encoded > rows_mb + ENCODED_SLACK_MB {
+        eprintln!(
+            "the sessions hold {:.1} MB beyond their rows: encodings or graphs are scattered",
+            encoded - rows_mb
+        );
+        failed = true;
+    }
+    if failed {
         std::process::exit(1);
     }
 }
@@ -120,7 +171,7 @@ fn run(interleaved: bool) {
                 .collect()
         })
         .collect();
-    report("inputs generated");
+    report(INPUTS);
 
     let mut servers: Vec<ServerSession> = files
         .iter()
@@ -136,7 +187,7 @@ fn run(interleaved: bool) {
             ServerSession::new(file, config).expect("session encodes")
         })
         .collect();
-    report("sessions encoded");
+    report(ENCODED);
 
     let mut clients: Vec<ClientSession> = servers
         .iter()

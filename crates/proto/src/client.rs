@@ -177,7 +177,39 @@ pub const MAX_SP_INTERVAL: usize = df_mcast::MAX_SP_INTERVAL;
 /// maximum minus the 12-byte header, minus the 2-byte pad a GF(2^16) final
 /// code adds to a carousel's check packets at odd sizes (rateless symbols
 /// are never padded, and keep the same limit).
-const MAX_PACKET_SIZE: usize = 65_507 - crate::wire::HEADER_LEN - 2;
+pub const MAX_PACKET_SIZE: usize = 65_507 - crate::wire::HEADER_LEN - 2;
+
+/// Whether a session of a `file_len`-byte file in `k` packets of
+/// `packet_size` bytes is within what a receiver accepts: a packet size a
+/// UDP datagram can frame ([`MAX_PACKET_SIZE`]), `k` up to [`MAX_K`] and a
+/// file up to [`MAX_FILE_LEN`].  On `Err`, why not.
+///
+/// The one check both ends run: [`ClientSession::new`] refuses control info
+/// that fails it, and [`crate::ServerSession::new`] refuses to encode such a
+/// session, so a server never announces a session its own clients refuse.
+pub(crate) fn check_session_size(
+    file_len: usize,
+    packet_size: usize,
+    k: usize,
+) -> Result<(), String> {
+    if packet_size == 0 || packet_size > MAX_PACKET_SIZE {
+        return Err(format!(
+            "packet size {packet_size} cannot be framed into a UDP datagram \
+             (expected 1..={MAX_PACKET_SIZE})"
+        ));
+    }
+    if k == 0 || k > MAX_K {
+        return Err(format!(
+            "a session of k = {k} packets (expected 1..={MAX_K})"
+        ));
+    }
+    if file_len > MAX_FILE_LEN {
+        return Err(format!(
+            "a file of {file_len} bytes (at most {MAX_FILE_LEN})"
+        ));
+    }
+    Ok(())
+}
 
 /// The decode machinery behind one [`ClientSession`]: the index-addressed
 /// Tornado peeling decoder of a carousel or the seed-addressed streaming
@@ -243,25 +275,8 @@ impl ClientSession {
                 control.base_group, control.layers
             )));
         }
-        if control.packet_size == 0 || control.packet_size > MAX_PACKET_SIZE {
-            return Err(malformed(format!(
-                "packet size {} cannot be framed into a UDP datagram \
-                 (expected 1..={MAX_PACKET_SIZE})",
-                control.packet_size
-            )));
-        }
-        if control.k == 0 || control.k > MAX_K {
-            return Err(malformed(format!(
-                "control info advertises k = {} (expected 1..={MAX_K})",
-                control.k
-            )));
-        }
-        if control.file_len > MAX_FILE_LEN {
-            return Err(malformed(format!(
-                "control info advertises a file of {} bytes (at most {MAX_FILE_LEN})",
-                control.file_len
-            )));
-        }
+        check_session_size(control.file_len, control.packet_size, control.k)
+            .map_err(|why| malformed(format!("control info advertises {why}")))?;
         // Layered congestion-control mode: the announced cadence must pass
         // the *same* validating constructor the server transmits from, so a
         // well-formed server can never announce a session its own clients
@@ -327,19 +342,8 @@ impl ClientSession {
                 control.layers, control.sp_interval, control.burst_rounds
             )));
         }
-        if control.packet_size == 0 || control.packet_size > MAX_PACKET_SIZE {
-            return Err(malformed(format!(
-                "packet size {} cannot be framed into a UDP datagram \
-                 (expected 1..={MAX_PACKET_SIZE})",
-                control.packet_size
-            )));
-        }
-        if control.k == 0 || control.k > MAX_K {
-            return Err(malformed(format!(
-                "control info advertises k = {} (expected 1..={MAX_K})",
-                control.k
-            )));
-        }
+        check_session_size(control.file_len, control.packet_size, control.k)
+            .map_err(|why| malformed(format!("control info advertises {why}")))?;
         if control.file_len.div_ceil(control.packet_size) != control.k {
             return Err(malformed(format!(
                 "file length {} at packet size {} yields {} packets, not k = {}",

@@ -108,33 +108,36 @@ pub struct RatelessSender {
 }
 
 impl RatelessSender {
-    /// Plain-LT sender over `k` uniform source packets.
+    /// Plain-LT sender over `file`, cut into `packet_size`-byte source
+    /// packets (the last one zero-padded) straight into its slab.
     ///
     /// # Errors
     ///
-    /// Propagates [`LtEncoder::new`] parameter errors (`source` empty) and
-    /// [`SymbolSlab::from_packets`]'s (packets of unequal lengths).
-    pub fn for_lt(source: &[Vec<u8>], stream_seed: u64) -> df_core::Result<Self> {
-        let lt = LtEncoder::new(source.len(), LT_DEFAULT_C, LT_DEFAULT_DELTA, stream_seed)?;
+    /// Propagates [`LtEncoder::new`] parameter errors and
+    /// [`SymbolSlab::from_file`]'s (`file` empty, `packet_size` 0).
+    pub fn for_lt(file: &[u8], packet_size: usize, stream_seed: u64) -> df_core::Result<Self> {
+        let symbols = SymbolSlab::from_file(file, packet_size)?;
+        let k = symbols.count();
         Ok(RatelessSender {
-            lt,
-            symbols: SymbolSlab::from_packets(source)?,
+            lt: LtEncoder::new(k, LT_DEFAULT_C, LT_DEFAULT_DELTA, stream_seed)?,
+            symbols,
             next_seed: 0,
-            quota: source.len(),
+            quota: k,
             issued_this_round: 0,
         })
     }
 
-    /// Raptor sender: precodes `source` into the intermediates and streams
-    /// LT symbols over them.
+    /// Raptor sender: precodes `file`, cut into `packet_size`-byte source
+    /// packets, into the intermediates and streams LT symbols over them.
     ///
     /// # Errors
     ///
-    /// Propagates precode encoding errors (wrong packet count / lengths).
-    pub fn for_raptor(code: &RaptorCode, source: &[Vec<u8>]) -> df_core::Result<Self> {
+    /// Propagates [`RaptorCode::precode_file`]'s errors (`file` not `k`
+    /// packets of `packet_size > 0` bytes).
+    pub fn for_raptor(code: &RaptorCode, file: &[u8], packet_size: usize) -> df_core::Result<Self> {
         Ok(RatelessSender {
             lt: code.lt().clone(),
-            symbols: code.precode_slab(source)?,
+            symbols: code.precode_file(file, packet_size)?,
             next_seed: 0,
             quota: code.k(),
             issued_this_round: 0,
@@ -373,9 +376,10 @@ mod tests {
         assert_eq!(seed_to_words((1 << 32) + 7), (1, 7));
     }
 
-    fn packets(k: usize, len: usize) -> Vec<Vec<u8>> {
-        (0..k)
-            .map(|i| (0..len).map(|j| ((i * 251 + j * 31) % 255) as u8).collect())
+    /// A file of `k` packets of `len` bytes.
+    fn file(k: usize, len: usize) -> Vec<u8> {
+        (0..k * len)
+            .map(|b| (((b / len) * 251 + (b % len) * 31) % 255) as u8)
             .collect()
     }
 
@@ -388,8 +392,8 @@ mod tests {
 
     #[test]
     fn lt_sender_stream_decodes_at_the_receiver() {
-        let source = packets(60, 32);
-        let mut tx = RatelessSender::for_lt(&source, 0xFEED).unwrap();
+        let source = file(60, 32);
+        let mut tx = RatelessSender::for_lt(&source, 32, 0xFEED).unwrap();
         let mut rx = RatelessReceiver::for_lt(60, 32, 0xFEED).unwrap();
         assert_eq!(rx.payload_len(), 32);
         let mut rounds = 0;
@@ -405,14 +409,14 @@ mod tests {
             rounds += 1;
             assert!(rounds < 50, "LT stream failed to converge");
         }
-        assert_eq!(rx.take_file(60 * 32).unwrap(), source.concat());
+        assert_eq!(rx.take_file(60 * 32).unwrap(), source);
     }
 
     #[test]
     fn raptor_sender_stream_decodes_at_the_receiver() {
-        let source = packets(80, 33);
+        let source = file(80, 33);
         let code = RaptorCode::new(80, 0x5EED).unwrap();
-        let mut tx = RatelessSender::for_raptor(&code, &source).unwrap();
+        let mut tx = RatelessSender::for_raptor(&code, &source, 33).unwrap();
         let mut rx = RatelessReceiver::for_raptor(&code, 33);
         // An odd packet size rides as it is: no padding on the XOR path.
         assert_eq!(rx.payload_len(), 33);
@@ -429,12 +433,12 @@ mod tests {
             rounds += 1;
             assert!(rounds < 50, "Raptor stream failed to converge");
         }
-        assert_eq!(rx.take_file(80 * 33).unwrap(), source.concat());
+        assert_eq!(rx.take_file(80 * 33).unwrap(), source);
     }
 
     #[test]
     fn sender_rounds_meter_exactly_k_fresh_symbols() {
-        let mut tx = RatelessSender::for_lt(&packets(25, 8), 1).unwrap();
+        let mut tx = RatelessSender::for_lt(&file(25, 8), 8, 1).unwrap();
         for round in 0..3u64 {
             let mut seeds = Vec::new();
             while let Some((seed, _)) = poll(&mut tx) {

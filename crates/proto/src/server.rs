@@ -13,12 +13,13 @@
 //! session that run in the same process — a test, a simulation, the
 //! benchmark — decode over the very graph it encoded with.
 
+use crate::client::check_session_size;
 use crate::control::{ControlInfo, ControlRequest, ControlResponse};
 use crate::rateless::{seed_to_words, RatelessMode, RatelessSender};
 use crate::transport::Transport;
 use crate::wire::{DataPacket, PacketHeader};
 use bytes::Bytes;
-use df_core::{PacketizedFile, RaptorCode, TornadoCode, TornadoProfile, TORNADO_A};
+use df_core::{Encoding, RaptorCode, TornadoCode, TornadoError, TornadoProfile, TORNADO_A};
 use df_mcast::{LayeredSession, TransmissionSchedule};
 use std::collections::VecDeque;
 
@@ -105,7 +106,8 @@ pub struct ServerSession {
 enum Engine {
     Carousel {
         code: TornadoCode,
-        encoding: Vec<Vec<u8>>,
+        /// All `n` rows in one buffer; a datagram's payload is a row of it.
+        encoding: Encoding,
         schedule: TransmissionSchedule,
         /// SP/burst cadence of the layered congestion-control mode; `None`
         /// for a flat carousel.
@@ -122,20 +124,27 @@ impl ServerSession {
     ///
     /// # Errors
     ///
-    /// Propagates packetisation and encoding errors from `df-core`, and
-    /// returns [`df_core::TornadoError::InvalidParameters`] for a degenerate
-    /// layered configuration (see [`df_mcast::LayeredSession::new`]) or a
-    /// rateless configuration that is not single-layer and flat.
+    /// Returns [`TornadoError::InvalidParameters`] for a session its own
+    /// clients would refuse (an empty file, a packet size no UDP datagram
+    /// frames, more than [`crate::client::MAX_K`] packets or a file longer
+    /// than [`crate::client::MAX_FILE_LEN`]) — checked before anything is
+    /// encoded — for a degenerate layered configuration (see
+    /// [`df_mcast::LayeredSession::new`]) or a rateless configuration that is
+    /// not single-layer and flat, and propagates code-construction errors
+    /// from `df-core`.
     pub fn new(data: &[u8], config: SessionConfig) -> df_core::Result<Self> {
-        let file = PacketizedFile::split(data, config.packet_size)?;
+        let k = data.len().div_ceil(config.packet_size.max(1));
+        check_session_size(data.len(), config.packet_size, k).map_err(|why| {
+            TornadoError::InvalidParameters {
+                reason: format!("clients refuse {why}"),
+            }
+        })?;
         if config.rateless.is_rateless() {
-            return Self::new_rateless(&file, config);
+            return Self::new_rateless(data, k, config);
         }
-        let code = TornadoCode::with_profile(file.num_packets(), config.profile, config.code_seed)?;
-        let file_len = file.file_len();
-        // The packets move into the encoding as its systematic prefix: the
-        // session never holds the file a second time.
-        let encoding = code.encode_owned(file.into_packets())?;
+        let code = TornadoCode::with_profile(k, config.profile, config.code_seed)?;
+        // The file is copied once, into the slab it is carouselled from.
+        let encoding = code.encode_file(data, config.packet_size)?;
         let layered = if config.sp_interval > 0 {
             Some(LayeredSession::new(
                 config.layers,
@@ -146,10 +155,11 @@ impl ServerSession {
         } else {
             None
         };
-        let schedule = TransmissionSchedule::new(config.layers, code.n());
+        let n = code.n();
+        let schedule = TransmissionSchedule::new(config.layers, n);
         let control = ControlInfo {
             session_id: config.session_id,
-            file_len,
+            file_len: data.len(),
             packet_size: config.packet_size,
             k: code.k(),
             n: code.n(),
@@ -167,7 +177,8 @@ impl ServerSession {
                 encoding,
                 schedule,
                 layered,
-                pending: VecDeque::new(),
+                // A plain round sends each of the `n` rows once.
+                pending: VecDeque::with_capacity(n),
             },
             control,
             serial: 0,
@@ -178,11 +189,12 @@ impl ServerSession {
         Ok(session)
     }
 
-    /// Build the rateless variant: no retained encoding, no schedule — just
-    /// the seed-carrying symbol stream over one multicast group.
-    fn new_rateless(file: &PacketizedFile, config: SessionConfig) -> df_core::Result<Self> {
+    /// Build the rateless variant over `data`'s `k` packets: no retained
+    /// encoding, no schedule — just the seed-carrying symbol stream over one
+    /// multicast group.
+    fn new_rateless(data: &[u8], k: usize, config: SessionConfig) -> df_core::Result<Self> {
         if config.layers != 1 || config.sp_interval != 0 {
-            return Err(df_core::TornadoError::InvalidParameters {
+            return Err(TornadoError::InvalidParameters {
                 reason: format!(
                     "rateless sessions are single-layer and flat; got layers = {}, \
                      sp_interval = {} (every symbol is already distinct, so the \
@@ -191,31 +203,32 @@ impl ServerSession {
                 ),
             });
         }
-        let k = file.num_packets();
+        let packet_size = config.packet_size;
         let (sender, n) = match config.rateless {
             RatelessMode::Lt => {
-                // The LT layer ranges over the k uniform source packets
-                // themselves (PacketizedFile pads the last one), so the
-                // advertised symbol count n is k.
-                (RatelessSender::for_lt(file.packets(), config.code_seed)?, k)
+                // The LT layer ranges over the k source packets themselves
+                // (the last one zero-padded), so the advertised symbol count
+                // n is k.
+                let sender = RatelessSender::for_lt(data, packet_size, config.code_seed)?;
+                (sender, k)
             }
             RatelessMode::Raptor => {
                 let code = RaptorCode::new(k, config.code_seed)?;
                 let n = code.intermediate_count();
-                (RatelessSender::for_raptor(&code, file.packets())?, n)
+                (RatelessSender::for_raptor(&code, data, packet_size)?, n)
             }
             // Unreachable (the caller dispatched on is_rateless()), but an
             // error beats a panic in session-construction code.
             RatelessMode::Off => {
-                return Err(df_core::TornadoError::InvalidParameters {
+                return Err(TornadoError::InvalidParameters {
                     reason: "rateless constructor called with mode Off".to_string(),
                 })
             }
         };
         let control = ControlInfo {
             session_id: config.session_id,
-            file_len: file.file_len(),
-            packet_size: config.packet_size,
+            file_len: data.len(),
+            packet_size,
             k,
             n,
             code_seed: config.code_seed,
@@ -331,12 +344,13 @@ impl ServerSession {
                     group,
                 };
                 self.serial = self.serial.wrapping_add(1);
-                // Frame from the retained encoding.  This allocates one
+                // Frame from the retained encoding.  The payload is a row
+                // of the session's one slab, but framing still allocates one
                 // buffer and copies the payload into it once per datagram,
                 // forever, for packets the carousel already holds; the
-                // socket-path item of ROADMAP.md (header plus borrowed
-                // payload as an `iovec`) removes the copy.
-                (group, DataPacket::frame(&header, &encoding[idx]))
+                // socket-path half of ROADMAP.md item 11 (header plus
+                // borrowed payload as an `iovec`) removes the copy.
+                (group, DataPacket::frame(&header, encoding.row(idx)))
             }
             Engine::Rateless(sender) => {
                 if sender.round_complete() {
@@ -550,6 +564,7 @@ impl FountainServer {
 mod tests {
     use super::*;
     use crate::transport::{SimMulticast, Transport};
+    use crate::ClientSession;
 
     #[test]
     fn control_info_describes_the_session() {
@@ -666,7 +681,7 @@ mod tests {
                 },
             );
             assert!(
-                matches!(result, Err(df_core::TornadoError::InvalidParameters { .. })),
+                matches!(result, Err(TornadoError::InvalidParameters { .. })),
                 "sp = {sp}, burst = {burst} must be rejected"
             );
         }
@@ -824,10 +839,93 @@ mod tests {
                 },
             );
             assert!(
-                matches!(result, Err(df_core::TornadoError::InvalidParameters { .. })),
+                matches!(result, Err(TornadoError::InvalidParameters { .. })),
                 "rateless with layers = {layers}, sp = {sp} must be rejected"
             );
         }
+    }
+
+    #[test]
+    fn the_shared_size_check_admits_each_limit_and_refuses_the_next_value() {
+        use crate::client::{check_session_size, MAX_FILE_LEN, MAX_K, MAX_PACKET_SIZE};
+        assert!(check_session_size(1, 1, 1).is_ok());
+        assert!(check_session_size(1, 0, 1).is_err());
+        assert!(check_session_size(1, MAX_PACKET_SIZE, 1).is_ok());
+        assert!(check_session_size(1, MAX_PACKET_SIZE + 1, 1).is_err());
+        assert!(check_session_size(1, 1, 0).is_err());
+        assert!(check_session_size(MAX_K, 1, MAX_K).is_ok());
+        assert!(check_session_size(MAX_K + 1, 1, MAX_K + 1).is_err());
+        assert!(check_session_size(MAX_FILE_LEN, 1024, MAX_FILE_LEN / 1024).is_ok());
+        assert!(check_session_size(MAX_FILE_LEN + 1, 1024, MAX_FILE_LEN / 1024 + 1).is_err());
+    }
+
+    #[test]
+    fn a_session_its_clients_would_refuse_is_refused_before_encoding() {
+        use crate::client::{MAX_K, MAX_PACKET_SIZE};
+        let config = |packet_size, rateless| SessionConfig {
+            packet_size,
+            rateless,
+            ..SessionConfig::default()
+        };
+        let refused = |result: df_core::Result<ServerSession>| {
+            matches!(result, Err(TornadoError::InvalidParameters { .. }))
+        };
+        for mode in [RatelessMode::Off, RatelessMode::Lt, RatelessMode::Raptor] {
+            let widest = ServerSession::new(&[7u8; 3], config(MAX_PACKET_SIZE, mode)).unwrap();
+            assert!(ClientSession::new(widest.control_info().clone()).is_ok());
+            for packet_size in [0, MAX_PACKET_SIZE + 1, 70_000] {
+                let result = ServerSession::new(&[7u8; 3], config(packet_size, mode));
+                assert!(refused(result), "{mode:?} at packet size {packet_size}");
+            }
+            assert!(refused(ServerSession::new(&[], config(500, mode))));
+        }
+        // One packet past the cap: refused before anything is encoded.
+        let too_many = vec![0u8; MAX_K + 1];
+        let t0 = std::time::Instant::now();
+        assert!(refused(ServerSession::new(
+            &too_many,
+            config(1, RatelessMode::Off)
+        )));
+        assert!(t0.elapsed() < std::time::Duration::from_millis(100));
+    }
+
+    #[test]
+    fn every_session_the_server_accepts_is_one_its_clients_accept() {
+        use crate::client::MAX_PACKET_SIZE;
+        let modes = [RatelessMode::Off, RatelessMode::Lt, RatelessMode::Raptor];
+        let mut accepted = 0;
+        for file_len in [1, 500, 10_000] {
+            for packet_size in [0, 1, 499, 500, MAX_PACKET_SIZE, MAX_PACKET_SIZE + 1] {
+                for (mode, (layers, sp_interval)) in modes
+                    .iter()
+                    .flat_map(|&m| [(1, 0), (4, 0), (4, 4)].map(|shape| (m, shape)))
+                {
+                    let config = SessionConfig {
+                        packet_size,
+                        layers,
+                        sp_interval,
+                        burst_rounds: sp_interval / 4,
+                        rateless: mode,
+                        ..SessionConfig::default()
+                    };
+                    let Ok(server) = ServerSession::new(&vec![3u8; file_len], config) else {
+                        continue;
+                    };
+                    accepted += 1;
+                    let client = ClientSession::new(server.control_info().clone());
+                    assert!(
+                        client.is_ok(),
+                        "{config:?} over {file_len} bytes: {client:?}"
+                    );
+                }
+            }
+        }
+        // Rateless sessions are single-layer and flat: one shape each.
+        assert_eq!(
+            accepted,
+            3 * 4 * (3 + 1 + 1),
+            "each refusal is a size or a shape"
+        );
     }
 
     #[test]

@@ -3,11 +3,20 @@
 //! That holds for a carousel receiver and for a rateless one, and a session
 //! whose file the allocator cannot reserve is refused, not aborted.
 //!
+//! A sender keeps its session in a few flat buffers: the code's graphs as
+//! offset and neighbour arrays, and the encoding (a carousel's `n` rows, a
+//! rateless session's source and precode rows) in one slab the file is
+//! copied into once.  So `ServerSession::new` makes a bounded number of
+//! allocations however many packets the file has: at most
+//! [`SETUP_ALLOCATIONS`] for a 4 MiB file in 1 KiB packets, carousel or
+//! Raptor, where one per packet or graph node would be thousands.
+//!
 //! A counting global allocator tallies what the *current thread* allocates
 //! while a test has counting switched on (the harness runs tests on parallel
 //! threads, so the counters are thread-local), and can be told to refuse
 //! large blocks.  Every datagram is framed before counting starts, so what
-//! is counted is `handle_datagram` alone.
+//! a receiver test counts is `handle_datagram` alone; a sender test counts
+//! `ServerSession::new` alone, its file generated before.
 
 use bytes::Bytes;
 use df_proto::{ClientEvent, ClientSession, RatelessMode, ServerSession, SessionConfig};
@@ -331,4 +340,73 @@ fn a_rateless_session_whose_file_cannot_be_reserved_is_refused_at_the_first_symb
         }
     }
     assert_eq!(client.file(), Some(&data[..]));
+}
+
+/// Most allocations `ServerSession::new` may make for one session.
+const SETUP_ALLOCATIONS: usize = 128;
+
+/// What `ServerSession::new` allocates for a `len`-byte file under
+/// `config`.  Each caller passes a code seed no other test uses, so the
+/// count includes building the code rather than finding it live.
+fn setup_allocations(len: usize, config: SessionConfig) -> usize {
+    let data: Vec<u8> = (0..len)
+        .map(|i| (i.wrapping_mul(2_654_435_761) >> 9) as u8)
+        .collect();
+    let (server, made) = counting(|| ServerSession::new(&data, config).expect("session encodes"));
+    assert_eq!(server.control_info().file_len, len);
+    made
+}
+
+/// A four-group Tornado A carousel and a Raptor stream of 1 KiB packets,
+/// code seed `seed`.
+fn senders(seed: u64) -> [SessionConfig; 2] {
+    let carousel = SessionConfig {
+        packet_size: 1024,
+        layers: 4,
+        code_seed: seed,
+        ..SessionConfig::default()
+    };
+    let raptor = SessionConfig {
+        layers: 1,
+        rateless: RatelessMode::Raptor,
+        ..carousel
+    };
+    [carousel, raptor]
+}
+
+#[test]
+#[cfg_attr(
+    miri,
+    ignore = "encodes two 4 MiB files; intractable under the Miri interpreter"
+)]
+fn a_four_mib_session_is_set_up_in_a_bounded_number_of_allocations() {
+    for config in senders(0x5e7_0004) {
+        let made = setup_allocations(4 << 20, config);
+        assert!(
+            made <= SETUP_ALLOCATIONS,
+            "{made} allocations to set up a 4 MiB {:?} session",
+            config.rateless
+        );
+    }
+}
+
+#[test]
+fn a_small_session_is_set_up_in_as_few_allocations() {
+    for config in senders(0x5e7_0064) {
+        let config = if cfg!(miri) {
+            SessionConfig {
+                packet_size: 64,
+                ..config
+            }
+        } else {
+            config
+        };
+        let len = if cfg!(miri) { 4 << 10 } else { 64 << 10 };
+        let made = setup_allocations(len, config);
+        assert!(
+            made <= SETUP_ALLOCATIONS,
+            "{made} allocations to set up a {len}-byte {:?} session",
+            config.rateless
+        );
+    }
 }

@@ -94,9 +94,11 @@ impl<F: Field> CauchyCode<F> {
     }
 
     /// Coefficient of source packet `col` in redundant packet `row`
-    /// (`row < ℓ`, `col < k`).
+    /// (`row < ℓ`, `col < k`): redundant packet `k + row` is the sum over
+    /// `col` of this times source packet `col`.  For a caller that keeps its
+    /// packets somewhere [`ErasureCode::encode_into`] cannot write.
     #[inline]
-    fn coeff(&self, row: usize, col: usize) -> F {
+    pub fn coefficient(&self, row: usize, col: usize) -> F {
         (self.x[row] + self.y[col])
             .inverse()
             .expect("x and y point sets are disjoint by construction")
@@ -199,7 +201,7 @@ impl<F: Field> ErasureCode for CauchyCode<F> {
         for (r, acc) in redundant.iter_mut().enumerate() {
             reset_zeroed(acc, len);
             for (c, pkt) in source.iter().enumerate() {
-                F::mul_acc_slice(self.coeff(r, c), acc, pkt);
+                F::mul_acc_slice(self.coefficient(r, c), acc, pkt);
             }
         }
         Ok(())
@@ -243,7 +245,7 @@ impl<F: Field> ErasureCode for CauchyCode<F> {
             let mut acc = payload.to_vec();
             for c in 0..self.k {
                 if have_source[c] {
-                    F::mul_acc_slice(self.coeff(r, c), &mut acc, &out[c]);
+                    F::mul_acc_slice(self.coefficient(r, c), &mut acc, &out[c]);
                 }
             }
             b.push(acc);
