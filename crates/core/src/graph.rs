@@ -68,7 +68,8 @@ struct Draws {
 
 impl Draws {
     fn new(degrees: &[usize], right: usize) -> Self {
-        let start = offsets(degrees.iter().map(|&d| d as u32));
+        let mut start = Vec::with_capacity(degrees.len() + 1);
+        offsets(&mut start, degrees.iter().map(|&d| d as u32));
         let edges = *start.last().expect("offsets end with the total") as usize;
         Draws {
             fill: start[..degrees.len()].to_vec(),
@@ -101,7 +102,8 @@ impl Draws {
     fn into_graph(self) -> BipartiteGraph {
         let (left, right) = (self.fill.len(), self.check_count.len());
         debug_assert!((0..left).all(|l| self.fill[l] == self.start[l + 1]));
-        let mut check_start = offsets(self.check_count.iter().copied());
+        let mut check_start = Vec::with_capacity(right + 1);
+        offsets(&mut check_start, self.check_count.iter().copied());
         let mut next = self.check_count;
         next.copy_from_slice(&check_start[..right]);
         let mut check_adj = vec![0u32; self.checks.len()];
@@ -135,12 +137,7 @@ impl Draws {
 
         // The draws' buffers, done with, take the left side.
         let mut left_start = self.start;
-        let mut total = 0;
-        for (l, degree) in left_degree.iter().enumerate() {
-            left_start[l] = total;
-            total += degree;
-        }
-        left_start[left] = total;
+        offsets(&mut left_start, left_degree.iter().copied());
         let mut next = left_degree;
         next.copy_from_slice(&left_start[..left]);
         let mut left_adj = self.checks;
@@ -162,23 +159,22 @@ impl Draws {
     }
 }
 
-/// Running sums of `counts`, from 0 to the total: the start of every list
-/// and the end of the last.
+/// Fill `out` with the running sums of `counts`, from 0 to the total: the
+/// start of every list and the end of the last.
 ///
 /// # Panics
 ///
 /// Panics if the total does not fit in a `u32`.
-fn offsets(counts: impl ExactSizeIterator<Item = u32>) -> Vec<u32> {
-    let mut out = Vec::with_capacity(counts.len() + 1);
-    let mut total = 0u32;
+fn offsets(out: &mut Vec<u32>, counts: impl Iterator<Item = u32>) {
+    out.clear();
     out.push(0);
+    let mut total = 0u32;
     for count in counts {
         total = total
             .checked_add(count)
             .expect("a graph has fewer than 2^32 edges");
         out.push(total);
     }
-    out
 }
 
 impl BipartiteGraph {
