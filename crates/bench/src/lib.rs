@@ -44,13 +44,15 @@ fn half_and_half(n: usize, k: usize, encoding: &[Vec<u8>]) -> Vec<(usize, &[u8])
 
 /// Measure a Tornado profile at `k` source packets.
 ///
-/// Decoding feeds random-order packets until completion, so the measured time
-/// includes the (1+ε) reception overhead's worth of work.
+/// Encoding is a carousel server's: the file copied into one buffer and
+/// every check row computed there.  Decoding feeds random-order packets
+/// until completion, so the measured time includes the (1+ε) reception
+/// overhead's worth of work.
 pub fn measure_tornado(profile: TornadoProfile, k: usize, packet_size: usize) -> CodingTimes {
-    let source = random_packets(k, packet_size, 0xbe11);
+    let file = random_packets(k, packet_size, 0xbe11).concat();
     let code = TornadoCode::with_profile(k, profile, 0x5eed).expect("profile builds");
     let t0 = Instant::now();
-    let encoding = code.encode(&source).expect("encode");
+    let encoding = code.encode_file(&file, packet_size).expect("encode");
     let encode_s = t0.elapsed().as_secs_f64();
 
     let mut order: Vec<usize> = (0..code.n()).collect();
@@ -59,7 +61,9 @@ pub fn measure_tornado(profile: TornadoProfile, k: usize, packet_size: usize) ->
     let t0 = Instant::now();
     let mut decoder = code.decoder();
     for &i in &order {
-        if decoder.add_packet_ref(i, &encoding[i]).expect("in range")
+        if decoder
+            .add_packet_ref(i, encoding.row(i))
+            .expect("in range")
             == df_core::AddOutcome::Complete
         {
             break;

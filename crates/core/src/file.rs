@@ -105,11 +105,6 @@ impl PacketizedFile {
         &self.packets
     }
 
-    /// Consume and return the source packets.
-    pub fn into_packets(self) -> Vec<Vec<u8>> {
-        self.packets
-    }
-
     /// Reassemble the original byte stream, stripping the final packet's
     /// padding.
     pub fn reassemble(&self) -> Vec<u8> {

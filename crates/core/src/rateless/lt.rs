@@ -259,7 +259,8 @@ impl SymbolSlab {
     ) -> Result<Self> {
         if symbol_len == 0 || data.is_empty() {
             return Err(TornadoError::MalformedInput {
-                reason: "LT symbols must be one or more packets of one non-zero length".to_string(),
+                reason: "LT symbols must be a non-empty file in packets of non-zero length"
+                    .to_string(),
             });
         }
         let count = data.len().div_ceil(symbol_len);

@@ -177,7 +177,7 @@ pub const MAX_SP_INTERVAL: usize = df_mcast::MAX_SP_INTERVAL;
 /// maximum minus the 12-byte header, minus the 2-byte pad a GF(2^16) final
 /// code adds to a carousel's check packets at odd sizes (rateless symbols
 /// are never padded, and keep the same limit).
-pub const MAX_PACKET_SIZE: usize = 65_507 - crate::wire::HEADER_LEN - 2;
+pub(crate) const MAX_PACKET_SIZE: usize = 65_507 - crate::wire::HEADER_LEN - 2;
 
 /// Whether a session of a `file_len`-byte file in `k` packets of
 /// `packet_size` bytes is within what a receiver accepts: a packet size a
@@ -194,14 +194,11 @@ pub(crate) fn check_session_size(
 ) -> Result<(), String> {
     if packet_size == 0 || packet_size > MAX_PACKET_SIZE {
         return Err(format!(
-            "packet size {packet_size} cannot be framed into a UDP datagram \
-             (expected 1..={MAX_PACKET_SIZE})"
+            "packet size {packet_size} (a UDP datagram frames 1..={MAX_PACKET_SIZE})"
         ));
     }
     if k == 0 || k > MAX_K {
-        return Err(format!(
-            "a session of k = {k} packets (expected 1..={MAX_K})"
-        ));
+        return Err(format!("k = {k} (expected 1..={MAX_K})"));
     }
     if file_len > MAX_FILE_LEN {
         return Err(format!(

@@ -136,7 +136,7 @@ impl ServerSession {
         let k = data.len().div_ceil(config.packet_size.max(1));
         check_session_size(data.len(), config.packet_size, k).map_err(|why| {
             TornadoError::InvalidParameters {
-                reason: format!("clients refuse {why}"),
+                reason: format!("its clients would refuse {why}"),
             }
         })?;
         if config.rateless.is_rateless() {
@@ -161,8 +161,8 @@ impl ServerSession {
             session_id: config.session_id,
             file_len: data.len(),
             packet_size: config.packet_size,
-            k: code.k(),
-            n: code.n(),
+            k,
+            n,
             code_seed: config.code_seed,
             layers: config.layers,
             base_group: config.base_group,

@@ -391,21 +391,12 @@ fn a_four_mib_session_is_set_up_in_a_bounded_number_of_allocations() {
 }
 
 #[test]
-fn a_small_session_is_set_up_in_as_few_allocations() {
+fn a_64_kib_session_is_set_up_in_as_few_allocations() {
     for config in senders(0x5e7_0064) {
-        let config = if cfg!(miri) {
-            SessionConfig {
-                packet_size: 64,
-                ..config
-            }
-        } else {
-            config
-        };
-        let len = if cfg!(miri) { 4 << 10 } else { 64 << 10 };
-        let made = setup_allocations(len, config);
+        let made = setup_allocations(64 << 10, config);
         assert!(
             made <= SETUP_ALLOCATIONS,
-            "{made} allocations to set up a {len}-byte {:?} session",
+            "{made} allocations to set up a 64 KiB {:?} session",
             config.rateless
         );
     }
