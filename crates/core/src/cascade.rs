@@ -117,8 +117,8 @@ impl FinalCode {
         packet_size: usize,
     ) {
         match self {
-            FinalCode::Small(c) => append_checks(c, bytes, level, packet_size),
-            FinalCode::Large(c) => append_checks(c, bytes, level, packet_size),
+            FinalCode::Small(c) => append_cauchy_checks(c, bytes, level, packet_size),
+            FinalCode::Large(c) => append_cauchy_checks(c, bytes, level, packet_size),
         }
     }
 
@@ -218,7 +218,7 @@ impl FinalCode {
 /// Walks the level packet by packet and accumulates each one into every
 /// check row, so that at an odd packet size under GF(2^16) each packet is
 /// padded to a whole number of field elements once, in one scratch row.
-fn append_checks<F: Field>(
+fn append_cauchy_checks<F: Field>(
     code: &CauchyCode<F>,
     bytes: &mut Vec<u8>,
     level: Range<usize>,
