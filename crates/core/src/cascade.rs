@@ -128,7 +128,7 @@ impl FinalCode {
     /// `received` uses indices local to the final block: `0..k` are last-level
     /// packets, `k..n` are its check packets.
     ///
-    /// Handles the odd-length padding scheme of [`FinalCode::append_checks`]
+    /// Handles the odd-length padding scheme described on [`FinalCode`]
     /// transparently: level packets are re-padded, check packets have their
     /// marker byte stripped, and the decoded level is truncated back to the
     /// original packet length.
