@@ -12,7 +12,8 @@
 //! exits 2 with the list on stderr).  The `layered` experiment runs the
 //! Figure 7-style heterogeneous-bottleneck population through the real
 //! `df-proto` layered sessions (receiver-driven join/leave over
-//! `SimMulticast`); `hostile` sweeps Gilbert–Elliott bursty-loss parameters
+//! `SimMulticast`), and `figure8` runs both of its halves through the same
+//! driver; `hostile` sweeps Gilbert–Elliott bursty-loss parameters
 //! (plus reordering and duplication) through the adaptive receiver and
 //! reports completion, join/leave stability and reception efficiency.
 //! By default the harness runs *scaled-down* parameter sets (smaller maximum
@@ -26,7 +27,7 @@ use df_bench::{
     fmt_seconds, measure_cauchy, measure_cauchy_block_decode, measure_tornado, measure_vandermonde,
 };
 use df_core::{OverheadStats, TornadoCode, TORNADO_A, TORNADO_B};
-use df_mcast::{simulate_single_layer_receiver, LayeredSession, TransmissionSchedule};
+use df_mcast::TransmissionSchedule;
 use df_sim::experiment::{default_schemes, Scheme};
 use df_sim::{
     file_size_experiment, receiver_scaling_experiment, speedup_table, trace_experiment, TraceSet,
@@ -391,18 +392,30 @@ fn figure6(cfg: &Config) {
 }
 
 fn figure8(cfg: &Config) {
-    println!("== Figure 8: prototype reception efficiencies vs packet loss (2 MB file, 500 B packets) ==");
-    // 2 MB file with 500-byte packets gives k = 4132 ≈ the paper's 8264/2
-    // (the paper's clip is "slightly over two megabytes"); we use k = 4132.
-    let k = 2 * 1024 * 1024 / 500 / PACKET_KB;
-    let code = TornadoCode::new_a(k, 0xf8).unwrap();
-    let schedule = TransmissionSchedule::new(4, code.n());
-    println!("-- single layer --");
+    println!("== Figure 8: prototype reception efficiencies vs packet loss (2 MiB file, 500 B packets) ==");
+    println!("(real ClientSessions over SimMulticast; loss is applied before the bottleneck)");
+    // 2 MiB at the default 500-byte packets is k = 4195, about the paper's
+    // "slightly over two megabytes" clip.
+    const FILE_LEN: usize = 2 << 20;
+    const SEED: u64 = 0xf8;
+    const ROUNDS: usize = 2_000;
+    let points = cfg.figure8_points();
+    println!("-- single layer: flat 4-group carousel --");
     println!("{:>8} {:>8} {:>8} {:>8}", "loss %", "eta_d", "eta_c", "eta");
-    let mut rng = ChaCha8Rng::seed_from_u64(0x51);
-    for i in 0..cfg.figure8_points() {
-        let loss = i as f64 * 0.70 / (cfg.figure8_points() - 1) as f64;
-        let r = simulate_single_layer_receiver(&code, &schedule, loss, &mut rng);
+    for i in 0..points {
+        let loss = i as f64 * 0.70 / (points - 1) as f64;
+        let r = df_sim::layered_population_experiment(
+            FILE_LEN,
+            4,
+            0,
+            0,
+            &[f64::INFINITY],
+            loss,
+            SEED,
+            ROUNDS,
+        )
+        .remove(0);
+        assert!(r.complete, "single layer at {loss} loss ran out of rounds");
         println!(
             "{:>8.0} {:>8.3} {:>8.3} {:>8.3}",
             loss * 100.0,
@@ -411,22 +424,20 @@ fn figure8(cfg: &Config) {
             r.reception_efficiency()
         );
     }
-    println!("-- 4 layers with SP/burst congestion control --");
+    println!("-- 6 layers, SP every 2 rounds, 1-round burst, 3x bottleneck --");
     println!(
         "{:>14} {:>8} {:>8} {:>8} {:>8}",
         "extra loss %", "eta_d", "eta_c", "eta", "level"
     );
-    // Frequent SPs relative to the download length so the receiver actually
-    // changes subscription levels during the transfer (the effect Figure 8's
-    // multilayer panel is about).
-    let session = LayeredSession::new(6, code.n(), 2, 1).expect("valid layered parameters");
-    let mut rng = ChaCha8Rng::seed_from_u64(0x52);
-    for i in 0..cfg.figure8_points() {
-        let loss = i as f64 * 0.40 / (cfg.figure8_points() - 1) as f64;
-        // Bottleneck sits between levels so subscription changes occur, which
-        // is what degrades distinctness efficiency in the paper's multilayer
-        // runs.
-        let r = session.simulate_receiver(&code, 3.0, loss, &mut rng);
+    // The bottleneck sits between levels 1 and 2 and SPs come often relative
+    // to the download, so the receiver changes subscription levels during
+    // the transfer: the effect Figure 8's multilayer panel is about.
+    for i in 0..points {
+        let loss = i as f64 * 0.40 / (points - 1) as f64;
+        let r =
+            df_sim::layered_population_experiment(FILE_LEN, 6, 2, 1, &[3.0], loss, SEED, ROUNDS)
+                .remove(0);
+        assert!(r.complete, "6 layers at {loss} loss ran out of rounds");
         println!(
             "{:>14.0} {:>8.3} {:>8.3} {:>8.3} {:>8}",
             loss * 100.0,
@@ -451,7 +462,7 @@ fn layered() {
     );
     // Bottlenecks of 1×, 3× and 7× the base-layer rate: the Figure 7 scenario.
     let population =
-        df_sim::layered_population_experiment(500_000, 6, 2, 1, &[1.0, 3.0, 7.0], 42, 400);
+        df_sim::layered_population_experiment(500_000, 6, 2, 1, &[1.0, 3.0, 7.0], 0.0, 42, 400);
     for r in population {
         println!(
             "{:>12.1} {:>10} {:>8} {:>8} {:>10.0} {:>8.3} {:>8.3}",

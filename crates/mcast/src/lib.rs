@@ -6,11 +6,11 @@
 //!   the encoding across multicast layers so that a receiver at a fixed
 //!   subscription level sees no duplicate packet before it could have decoded
 //!   (the *One Level Property*, Table 5 / Figure 7 of the paper).
-//! * [`layers`] — geometric layer rates, sender-driven synchronisation points
-//!   and burst periods, and a simulated receiver whose subscription level
-//!   adapts to its bottleneck bandwidth without any feedback to the source
-//!   (the congestion-control scheme of Vicisano/Rizzo/Crowcroft adopted by the
-//!   paper).
+//! * [`layers`] — the validated session cadence: sender-driven
+//!   synchronisation points and burst periods, the signals of the
+//!   congestion-control scheme of Vicisano/Rizzo/Crowcroft adopted by the
+//!   paper.  The receiver that reacts to them is `df_proto`'s
+//!   `LayerController`, run inside every layered `ClientSession`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -18,7 +18,5 @@
 pub mod layers;
 pub mod schedule;
 
-pub use layers::{
-    simulate_single_layer_receiver, LayeredSession, ReceiverReport, MAX_LAYERS, MAX_SP_INTERVAL,
-};
+pub use layers::{LayeredSession, MAX_LAYERS, MAX_SP_INTERVAL};
 pub use schedule::TransmissionSchedule;

@@ -18,6 +18,8 @@
 //! source without a single wasted reception.  Table 5 of the paper lists the
 //! schedule for `g = 4`; the unit tests reproduce that table verbatim.
 
+use crate::layers::MAX_LAYERS;
+
 /// The layered transmission schedule for an encoding of `n` packets over `g`
 /// multicast layers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,10 +33,13 @@ impl TransmissionSchedule {
     ///
     /// # Panics
     ///
-    /// Panics if `layers == 0`, `layers > 16` (the block size `2^{g-1}` would
-    /// be absurd), or `n == 0`.
+    /// Panics unless `1 ≤ layers ≤` [`MAX_LAYERS`] (beyond it the block size
+    /// `2^{g-1}` would be absurd), or if `n == 0`.
     pub fn new(layers: usize, n: usize) -> Self {
-        assert!(layers > 0 && layers <= 16, "need between 1 and 16 layers");
+        assert!(
+            (1..=MAX_LAYERS).contains(&layers),
+            "need between 1 and {MAX_LAYERS} layers"
+        );
         assert!(n > 0, "schedule needs a non-empty encoding");
         TransmissionSchedule { layers, n }
     }
@@ -140,16 +145,6 @@ impl TransmissionSchedule {
         let last_start = (self.num_blocks() - 1) * self.block_size();
         offsets.len() * (self.num_blocks() - 1)
             + offsets.iter().filter(|&&o| last_start + o < self.n).count()
-    }
-
-    /// Global indices received in `round` by a receiver subscribed to
-    /// cumulative level `level` (layers `0..=level`).
-    pub fn received_at_level(&self, level: usize, round: usize) -> Vec<usize> {
-        let mut out = Vec::new();
-        for layer in 0..=level.min(self.layers - 1) {
-            out.extend(self.transmission(layer, round));
-        }
-        out
     }
 }
 
@@ -287,11 +282,10 @@ mod tests {
         }
         // Offsets {0,1} at round 0 for layer 2 (g=3): blocks at 0,4,8.
         assert_eq!(tx, vec![0, 1, 4, 5, 8, 9]);
-        let rx = s.received_at_level(2, 0);
-        assert_eq!(
-            rx.len(),
-            tx.len() + s.transmission(1, 0).len() + s.transmission(0, 0).len()
-        );
+        // The top level (layers 0..=2) sends one whole block's worth per
+        // round, so a round at that level covers every one of the 10 packets.
+        let top: usize = (0..3).map(|layer| s.transmission(layer, 0).len()).sum();
+        assert_eq!(top, 10);
     }
 
     #[test]

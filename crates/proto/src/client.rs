@@ -162,9 +162,10 @@ pub const MAX_K: usize = 1 << 24;
 /// admits every `k ≤ MAX_K` at payloads up to 512 bytes.
 pub const MAX_FILE_LEN: usize = 1 << 33;
 
-/// Most layers a *layered* (adaptive congestion-control) session may use —
-/// [`df_mcast::LayeredSession::new`] enforces it for servers and clients
-/// alike.  Flat sessions may go up to [`MAX_LAYERS`].
+/// Most layers a server transmits, flat or layered: the reverse-binary
+/// schedule's cap.  [`df_mcast::LayeredSession::new`] enforces it for
+/// layered sessions on both sides; a client accepts a flat announcement of
+/// up to [`MAX_LAYERS`].
 pub const MAX_SCHEDULED_LAYERS: usize = df_mcast::MAX_LAYERS;
 
 /// Longest SP interval a layered session may announce, also enforced by

@@ -13,7 +13,7 @@
 //! session that run in the same process — a test, a simulation, the
 //! benchmark — decode over the very graph it encoded with.
 
-use crate::client::check_session_size;
+use crate::client::{check_session_size, MAX_SCHEDULED_LAYERS};
 use crate::control::{ControlInfo, ControlRequest, ControlResponse};
 use crate::rateless::{seed_to_words, RatelessMode, RatelessSender};
 use crate::transport::Transport;
@@ -127,8 +127,9 @@ impl ServerSession {
     /// Returns [`TornadoError::InvalidParameters`] for a session its own
     /// clients would refuse (an empty file, a packet size no UDP datagram
     /// frames, more than [`crate::client::MAX_K`] packets or a file longer
-    /// than [`crate::client::MAX_FILE_LEN`]) — checked before anything is
-    /// encoded — for a degenerate layered configuration (see
+    /// than [`crate::client::MAX_FILE_LEN`]) or a layer count outside
+    /// `1..=`[`MAX_SCHEDULED_LAYERS`], flat or layered — all checked before
+    /// anything is encoded — for a degenerate layered configuration (see
     /// [`df_mcast::LayeredSession::new`]) or a rateless configuration that is
     /// not single-layer and flat, and propagates code-construction errors
     /// from `df-core`.
@@ -139,6 +140,14 @@ impl ServerSession {
                 reason: format!("its clients would refuse {why}"),
             }
         })?;
+        if !(1..=MAX_SCHEDULED_LAYERS).contains(&config.layers) {
+            return Err(TornadoError::InvalidParameters {
+                reason: format!(
+                    "need between 1 and {MAX_SCHEDULED_LAYERS} layers, got {}",
+                    config.layers
+                ),
+            });
+        }
         if config.rateless.is_rateless() {
             return Self::new_rateless(data, k, config);
         }
@@ -896,10 +905,19 @@ mod tests {
         let mut accepted = 0;
         for file_len in [1, 500, 10_000] {
             for packet_size in [0, 1, 499, 500, MAX_PACKET_SIZE, MAX_PACKET_SIZE + 1] {
-                for (mode, (layers, sp_interval)) in modes
-                    .iter()
-                    .flat_map(|&m| [(1, 0), (4, 0), (4, 4)].map(|shape| (m, shape)))
-                {
+                for (mode, (layers, sp_interval)) in modes.iter().flat_map(|&m| {
+                    [
+                        (1, 0),
+                        (4, 0),
+                        (4, 4),
+                        (0, 0),
+                        (16, 0),
+                        (17, 0),
+                        (32, 0),
+                        (33, 0),
+                    ]
+                    .map(|shape| (m, shape))
+                }) {
                     let config = SessionConfig {
                         packet_size,
                         layers,
@@ -908,7 +926,14 @@ mod tests {
                         rateless: mode,
                         ..SessionConfig::default()
                     };
-                    let Ok(server) = ServerSession::new(&vec![3u8; file_len], config) else {
+                    let result = ServerSession::new(&vec![3u8; file_len], config);
+                    if !(1..=MAX_SCHEDULED_LAYERS).contains(&layers) {
+                        assert!(
+                            matches!(result, Err(TornadoError::InvalidParameters { .. })),
+                            "{config:?} must be refused: {result:?}"
+                        );
+                    }
+                    let Ok(server) = result else {
                         continue;
                     };
                     accepted += 1;
@@ -920,10 +945,11 @@ mod tests {
                 }
             }
         }
-        // Rateless sessions are single-layer and flat: one shape each.
+        // Rateless sessions are single-layer and flat: one shape each.  A
+        // carousel takes 1, 4 or 16 layers, never 0 or more than 16.
         assert_eq!(
             accepted,
-            3 * 4 * (3 + 1 + 1),
+            3 * 4 * (4 + 1 + 1),
             "each refusal is a size or a shape"
         );
     }

@@ -1,21 +1,24 @@
-//! The Figure 7-style layered congestion-control experiment: a heterogeneous
-//! receiver population downloading one layered carousel, each receiver
-//! behind its own bottleneck bandwidth, all running the *real* protocol
-//! stack — `df_proto::ServerSession` transmitting the SP/burst schedule over
-//! `SimMulticast` and one `df_proto::ClientSession` per receiver making its
-//! own join/leave decisions.  This is the same client code path the UDP
-//! loopback tests drive; only the driver (this module) differs, which is the
-//! point of the sans-I/O design.
+//! The layered congestion-control experiments: Figure 7's heterogeneous
+//! receiver population and both halves of Figure 8 (`repro layered` and
+//! `repro figure8` share this one driver).  Receivers download one carousel,
+//! each behind its own bottleneck bandwidth and the channel's independent
+//! loss, all running the *real* protocol stack — `df_proto::ServerSession`
+//! transmitting the SP/burst schedule over `SimMulticast` and one
+//! `df_proto::ClientSession` per receiver making its own join/leave
+//! decisions.  This is the same client code path the UDP loopback tests
+//! drive; only the driver (this module) differs, which is the point of the
+//! sans-I/O design.
 //!
 //! The driver models each receiver's access link as a per-round tail-drop
 //! queue: of the datagrams multicast to the receiver's subscribed groups in
-//! one round, only the first `bottleneck × blocks` survive (the base layer
-//! sends one packet per block per round, so a bottleneck of `b` base-rate
-//! units is a budget of `b · blocks` packets — normalised per block, making
-//! results file-size independent).  Everything else — loss detection, burst
-//! probing, the decision to join or leave — happens inside the client
-//! session, with the driver merely executing `Transport::join`/`leave` when
-//! the session says so.
+//! one round that escape the channel's loss, only the first
+//! `bottleneck × blocks` get through (the base layer sends one packet per
+//! block per round, so a bottleneck of `b` base-rate units is a budget of
+//! `b · blocks` packets — normalised per block, making results file-size
+//! independent).  Everything else — loss detection, burst probing, the
+//! decision to join or leave — happens inside the client session, with the
+//! driver merely executing `Transport::join`/`leave` when the session says
+//! so.
 
 use df_core::Reception;
 use df_proto::{ClientEvent, ClientSession, ServerSession, SessionConfig, SimMulticast, Transport};
@@ -65,19 +68,28 @@ struct Receiver {
 /// `bottlenecks` are per-receiver bandwidths in base-layer-rate units; a
 /// receiver behind bottleneck `b` can absorb cumulative level `l` iff the
 /// level's relative bandwidth `≤ b`, and the burst probe keeps it from
-/// overshooting.  `max_rounds` bounds the simulation (receivers that have
-/// not completed by then are reported with `complete: false`).
+/// overshooting.  `f64::INFINITY` is an access link that drops nothing.
+/// `loss` is every receiver's independent loss probability on the
+/// multicast channel, applied before the bottleneck budget.  `max_rounds`
+/// bounds the simulation (receivers that have not completed by then are
+/// reported with `complete: false`).
+///
+/// A flat session (`sp_interval == 0`) is the single-layer control of
+/// Figure 8: its clients subscribe to every group and never move.
 ///
 /// # Panics
 ///
 /// Panics on a degenerate configuration (empty file, invalid layered
-/// cadence) — this is an experiment driver, not a validation surface.
+/// cadence, `loss` outside `[0, 1)`) — this is an experiment driver, not a
+/// validation surface.
+#[allow(clippy::too_many_arguments)]
 pub fn layered_population_experiment(
     file_len: usize,
     layers: usize,
     sp_interval: usize,
     burst_rounds: usize,
     bottlenecks: &[f64],
+    loss: f64,
     seed: u64,
     max_rounds: usize,
 ) -> Vec<LayeredOutcome> {
@@ -103,7 +115,7 @@ pub fn layered_population_experiment(
     let mut receivers: Vec<Receiver> = bottlenecks
         .iter()
         .map(|&bottleneck| {
-            let mut endpoint = net.endpoint(0.0);
+            let mut endpoint = net.endpoint(loss);
             let client = ClientSession::new(server.control_info().clone())
                 .expect("server-produced control info is valid");
             for group in client.subscribed_groups() {
@@ -175,7 +187,7 @@ mod tests {
         // (cumulative level bandwidths at g = 6 are 1, 2, 4, 8, 16, 32) must
         // converge to levels 0, 1 and 2 — each the highest level whose
         // steady rate fits, with the burst probe blocking the overshoot.
-        let rows = layered_population_experiment(500_000, 6, 2, 1, &[1.0, 3.0, 7.0], 42, 400);
+        let rows = layered_population_experiment(500_000, 6, 2, 1, &[1.0, 3.0, 7.0], 0.0, 42, 400);
         assert_eq!(rows.len(), 3);
         for row in &rows {
             assert!(
@@ -197,7 +209,7 @@ mod tests {
     #[test]
     fn wide_open_receiver_outruns_a_narrow_one_at_any_file_size() {
         for file_len in [100_000usize, 400_000] {
-            let rows = layered_population_experiment(file_len, 6, 2, 1, &[1.0, 64.0], 7, 400);
+            let rows = layered_population_experiment(file_len, 6, 2, 1, &[1.0, 64.0], 0.0, 7, 400);
             assert!(rows.iter().all(|r| r.complete));
             assert!(rows[1].final_level > rows[0].final_level);
             assert!(rows[1].rounds < rows[0].rounds);
@@ -205,6 +217,75 @@ mod tests {
             // round) scales with the subscribed rate.
             let throughput = |r: &LayeredOutcome| r.received as f64 / r.rounds.max(1) as f64;
             assert!(throughput(&rows[1]) > 2.0 * throughput(&rows[0]));
+        }
+    }
+
+    #[test]
+    fn the_shipped_receiver_keeps_figure_8s_properties() {
+        // The single-layer control is a flat 4-group carousel with no
+        // bottleneck; the layered rows use Figure 8's cadence.  Every row
+        // must complete, then pass its own check.
+        const FLAT: (usize, usize, usize) = (4, 0, 0);
+        const LAYERED: (usize, usize, usize) = (6, 2, 1);
+        const OPEN: f64 = f64::INFINITY;
+        // (what, file length, (layers, SP interval, burst), bottleneck,
+        // loss, check)
+        type Case = (&'static str, usize, (usize, usize, usize), f64, f64, Check);
+        type Check = fn(&LayeredOutcome) -> bool;
+        let cases: [Case; 9] = [
+            // The One Level Property: no duplicate before reconstruction.
+            ("flat, no loss", 500_000, FLAT, OPEN, 0.0, |r| {
+                r.distinct == r.received && r.coding_efficiency() > 0.7
+            }),
+            ("flat, 30 % loss", 500_000, FLAT, OPEN, 0.3, |r| {
+                r.distinctness_efficiency() > 0.95
+            }),
+            ("flat, 70 % loss", 500_000, FLAT, OPEN, 0.7, |r| {
+                r.distinctness_efficiency() < 1.0 && r.reception_efficiency() > 0.4
+            }),
+            // Level 1 (rate 2) fits exactly and its burst (4) does not: the
+            // burst loss blocks the join without ever forcing a leave.
+            ("2x bottleneck", 500_000, LAYERED, 2.0, 0.0, |r| {
+                r.final_level == 1
+            }),
+            ("4x bottleneck", 500_000, LAYERED, 4.0, 0.0, |r| {
+                r.final_level == 2
+            }),
+            // The budget is normalised per block, so the level a bottleneck
+            // sustains does not depend on the file size.
+            ("3x bottleneck, 125 kB", 125_000, LAYERED, 3.0, 0.0, |r| {
+                r.final_level == 1
+            }),
+            ("3x bottleneck, 500 kB", 500_000, LAYERED, 3.0, 0.0, |r| {
+                r.final_level == 1
+            }),
+            ("3x bottleneck, 2 MB", 2_000_000, LAYERED, 3.0, 0.0, |r| {
+                r.final_level == 1
+            }),
+            (
+                "3x bottleneck, 10 % loss",
+                500_000,
+                LAYERED,
+                3.0,
+                0.1,
+                |r| r.reception_efficiency() > 0.3,
+            ),
+        ];
+        for seed in 1..=3 {
+            for (what, file_len, (layers, sp, burst), bottleneck, loss, check) in cases {
+                let r = layered_population_experiment(
+                    file_len,
+                    layers,
+                    sp,
+                    burst,
+                    &[bottleneck],
+                    loss,
+                    seed,
+                    2_000,
+                )
+                .remove(0);
+                assert!(r.complete && check(&r), "{what}, seed {seed}: {r:?}");
+            }
         }
     }
 }

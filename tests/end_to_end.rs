@@ -164,6 +164,7 @@ fn heterogeneous_bottlenecks_find_distinct_layers_and_all_complete() {
         2,
         1,
         &[1.0, 3.0, 7.0],
+        0.0,
         9,
         400,
     );
