@@ -28,23 +28,23 @@
 //! ```
 //! use df_core::{TornadoCode, PayloadDecoder, AddOutcome};
 //!
-//! // 1 000 source packets of 64 bytes, Tornado A profile.
+//! // A file of 1 000 source packets of 64 bytes, Tornado A profile.
 //! let code = TornadoCode::new_a(1_000, 42).unwrap();
-//! let source: Vec<Vec<u8>> = (0..1_000u32).map(|i| i.to_le_bytes().repeat(16)).collect();
-//! let encoding = code.encode(&source).unwrap();
+//! let file: Vec<u8> = (0..1_000u32).flat_map(|i| i.to_le_bytes().repeat(16)).collect();
+//! let encoding = code.encode_file(&file, 64).unwrap();
 //!
 //! // Feed packets in an arbitrary order; decoding completes after roughly
 //! // (1 + ε)·k distinct packets with ε ≈ 0.05.
 //! let mut decoder = code.decoder();
 //! let mut done = false;
-//! for (i, pkt) in encoding.iter().enumerate().rev() {
-//!     if decoder.add_packet(i, pkt.clone()).unwrap() == AddOutcome::Complete {
+//! for i in (0..code.n()).rev() {
+//!     if decoder.add_packet_ref(i, encoding.row(i)).unwrap() == AddOutcome::Complete {
 //!         done = true;
 //!         break;
 //!     }
 //! }
 //! assert!(done);
-//! assert_eq!(decoder.source().unwrap(), source);
+//! assert_eq!(decoder.take_file(file.len()).unwrap(), file);
 //! ```
 
 use crate::cascade::Cascade;
@@ -199,13 +199,19 @@ impl TornadoCode {
         self.cascade.profile()
     }
 
-    /// Encode `k` source packets into `n` encoding packets (systematic).
+    /// Encode `k` source packets into `n` encoding packets (systematic): a
+    /// thin wrapper over [`Self::encode_file`] for callers that hold
+    /// packets, which are copied into one file and the rows copied out.
+    /// ROADMAP item 1(d) retires it with its last caller.
     ///
     /// # Errors
     ///
-    /// See [`crate::encode::encode`].
+    /// Returns [`crate::TornadoError::MalformedInput`] unless `source` is
+    /// `k` non-empty packets of one length.
     pub fn encode(&self, source: &[Vec<u8>]) -> Result<Vec<Vec<u8>>> {
-        crate::encode::encode(&self.cascade, source)
+        let (file, packet_size) = crate::encode::concat_packets(source)?;
+        let encoding = self.encode_file(&file, packet_size)?;
+        Ok(encoding.rows().map(<[u8]>::to_vec).collect())
     }
 
     /// Encode a file cut into `packet_size`-byte packets into one
@@ -310,6 +316,18 @@ mod tests {
         // The whole encoding always decodes.
         let all: Vec<(usize, Vec<u8>)> = enc.iter().cloned().enumerate().collect();
         assert_eq!(code.decode(&all).unwrap(), src);
+    }
+
+    #[test]
+    fn the_packet_form_takes_k_packets_of_one_length_only() {
+        let code = TornadoCode::new_a(3, 4).unwrap();
+        let packets = |lens: &[usize]| -> Vec<Vec<u8>> {
+            lens.iter().map(|&len| vec![len as u8; len]).collect()
+        };
+        assert!(code.encode(&packets(&[8, 8, 8])).is_ok());
+        assert!(code.encode(&packets(&[8, 8])).is_err());
+        assert!(code.encode(&packets(&[8, 8, 7])).is_err());
+        assert!(code.encode(&packets(&[0, 0, 0])).is_err());
     }
 
     #[test]

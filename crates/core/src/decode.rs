@@ -559,7 +559,8 @@ mod tests {
     use rand_chacha::ChaCha8Rng;
 
     fn encode_all(cascade: &Cascade, source: &[Vec<u8>]) -> Vec<Vec<u8>> {
-        crate::encode::encode(cascade, source).unwrap()
+        let encoding = crate::encode::encode_file(cascade, &source.concat(), source[0].len());
+        encoding.unwrap().rows().map(<[u8]>::to_vec).collect()
     }
 
     fn random_source(k: usize, len: usize, seed: u64) -> Vec<Vec<u8>> {
@@ -782,7 +783,7 @@ mod tests {
         let src = random_source(k, 9, 14);
         let enc = encode_all(&cascade, &src);
         let file_len = 9 * k - 4;
-        let file = crate::reassemble_file(&src, file_len);
+        let file = src.concat()[..file_len].to_vec();
         // The first row to arrive is a source row out of order, and the
         // rest come back to front: every source row is written in place.
         for first in [5, k - 1, 0] {

@@ -27,21 +27,22 @@
 //! ## Quick start
 //!
 //! ```
-//! use df_core::{PacketizedFile, TornadoCode};
+//! use df_core::{AddOutcome, TornadoCode};
 //!
-//! // A 100 kB "file" split into 1 kB packets, as in the paper's benchmarks.
+//! // A 100 kB "file" cut into 1 kB packets, as in the paper's benchmarks.
 //! let data = vec![0xabu8; 100 * 1024];
-//! let file = PacketizedFile::split(&data, 1024).unwrap();
-//! let code = TornadoCode::new_a(file.num_packets(), 0x5eed).unwrap();
-//! let encoding = code.encode(file.packets()).unwrap();
+//! let code = TornadoCode::new_a(data.len().div_ceil(1024), 0x5eed).unwrap();
+//! let encoding = code.encode_file(&data, 1024).unwrap();
 //!
 //! // A receiver that only sees the second half of the encoding still
 //! // recovers the file: any sufficiently large subset will do.
-//! let received: Vec<(usize, Vec<u8>)> = (code.n() / 2..code.n())
-//!     .map(|i| (i, encoding[i].clone()))
-//!     .collect();
-//! let decoded = code.decode(&received).unwrap();
-//! assert_eq!(df_core::reassemble_file(&decoded, data.len()), data);
+//! let mut decoder = code.decoder();
+//! for i in code.n() / 2..code.n() {
+//!     if decoder.add_packet_ref(i, encoding.row(i)).unwrap() == AddOutcome::Complete {
+//!         break;
+//!     }
+//! }
+//! assert_eq!(decoder.take_file(data.len()).unwrap(), data);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -53,7 +54,6 @@ pub mod decode;
 pub mod degree;
 pub mod encode;
 pub mod error;
-pub mod file;
 pub mod fountain;
 pub mod graph;
 pub mod overhead;
@@ -71,14 +71,13 @@ pub use decode::{
 pub use degree::DegreeDistribution;
 pub use encode::Encoding;
 pub use error::{Result, TornadoError};
-pub use file::{reassemble_file, PacketizedFile};
 pub use fountain::{Carousel, PacketStream, Reception, ReceptionCounter};
 pub use graph::{BipartiteGraph, CheckSide};
 pub use overhead::OverheadStats;
 pub use profile::{TornadoProfile, TORNADO_A, TORNADO_B};
 pub use rateless::{
     DegreeTable, LtDecoder, LtEncoder, LtEquation, RaptorCode, RaptorDecoder, RobustSoliton,
-    SolveTrace, SymbolSlab, INACTIVATION_CAP, LT_DEFAULT_C, LT_DEFAULT_DELTA, PRECODE_DEGREE,
+    SolveTrace, INACTIVATION_CAP, LT_DEFAULT_C, LT_DEFAULT_DELTA, PRECODE_DEGREE,
     RAPTOR_DEGREE_TABLE,
 };
 pub use store::{NoValues, PerValue, Slab, StoreShape, SymbolStore};

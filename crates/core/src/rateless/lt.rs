@@ -10,6 +10,12 @@
 //! uses only integer PRNG output and CDF table lookups, it is bit-identical
 //! across the GF kernel tiers (`DF_GF_FORCE_TIER` does not touch it).
 //!
+//! A sender keeps what its symbols are XORs of as an [`Encoding`], the
+//! type a carousel keeps its file in: plain LT's is the file alone
+//! ([`Encoding::from_file`]), Raptor's the file and its precode checks
+//! ([`crate::RaptorCode::precode_file`]).  [`LtEncoder::encode_into`]
+//! writes a symbol from those rows straight into the caller's buffer.
+//!
 //! The decoder is a thin equation *source*: it turns each arriving seed back
 //! into its equation and hands `(neighbours, payload)` to the one streaming
 //! GF(2) solver of the rateless path (`solve.rs` — degree-one release while
@@ -29,6 +35,7 @@
 //! `df-proto`'s rateless receive path).
 
 use crate::decode::AddOutcome;
+use crate::encode::Encoding;
 use crate::error::{Result, TornadoError};
 use crate::graph::BipartiteGraph;
 use crate::rateless::soliton::{DegreeTable, RobustSoliton};
@@ -196,8 +203,8 @@ impl LtEncoder {
     }
 
     /// Encode one symbol: XOR together the neighbors of `seed`'s equation.
-    /// A sender that encodes many symbols keeps its symbols in a
-    /// [`SymbolSlab`] instead, which writes each one into a caller's buffer.
+    /// A sender that encodes many symbols keeps them in an [`Encoding`]
+    /// instead, and [`Self::encode_into`] writes each one into its buffer.
     ///
     /// # Errors
     ///
@@ -224,99 +231,42 @@ impl LtEncoder {
         acc.xor_all(iter);
         Ok(acc)
     }
-}
 
-/// The symbols an LT layer XORs over — the `k` source packets of plain LT,
-/// or the `n` intermediates of Raptor ([`crate::RaptorCode::precode_file`])
-/// — as one buffer of equal-length rows, with the scratch an encode needs:
-/// [`Self::encode_into`] writes a symbol straight into the caller's buffer
-/// (a datagram, behind its header) and allocates nothing.
-#[derive(Debug, Clone)]
-pub struct SymbolSlab {
-    rows: Vec<u8>,
-    symbol_len: usize,
-    /// The current equation's neighbours, reused from symbol to symbol.
-    neighbors: Vec<u32>,
-}
-
-impl SymbolSlab {
-    /// `data` cut into rows of `symbol_len` bytes, the last one zero-padded:
-    /// a file copied once, straight into the buffer it is encoded from.
+    /// Write symbol `seed` — the XOR of its equation's rows of `symbols` —
+    /// over `out`, in one pass of the many-source kernel.  `neighbors` is
+    /// the caller's scratch for the equation, reused from symbol to symbol,
+    /// so a sender that keeps one allocates nothing per symbol once it has
+    /// grown to the widest equation.
     ///
     /// # Errors
     ///
-    /// Returns [`TornadoError::MalformedInput`] if `data` is empty or
-    /// `symbol_len` is 0.
-    pub fn from_file(data: &[u8], symbol_len: usize) -> Result<Self> {
-        Self::from_file_with_room(data, symbol_len, 0)
-    }
-
-    /// [`Self::from_file`] with room for `extra` more rows.
-    pub(crate) fn from_file_with_room(
-        data: &[u8],
-        symbol_len: usize,
-        extra: usize,
-    ) -> Result<Self> {
-        if symbol_len == 0 || data.is_empty() {
-            return Err(TornadoError::MalformedInput {
-                reason: "LT symbols must be a non-empty file in packets of non-zero length"
-                    .to_string(),
-            });
-        }
-        let count = data.len().div_ceil(symbol_len);
-        let mut slab = SymbolSlab {
-            rows: Vec::with_capacity((count + extra) * symbol_len),
-            symbol_len,
-            neighbors: Vec::new(),
-        };
-        slab.rows.extend_from_slice(data);
-        slab.rows.resize(count * symbol_len, 0);
-        Ok(slab)
-    }
-
-    /// Append a zeroed row and lend it with every row before it.
-    pub(crate) fn push_row(&mut self) -> (&[u8], &mut [u8]) {
-        let start = self.rows.len();
-        self.rows.resize(start + self.symbol_len, 0);
-        let (before, row) = self.rows.split_at_mut(start);
-        (before, row)
-    }
-
-    /// Bytes in every row.
-    pub fn symbol_len(&self) -> usize {
-        self.symbol_len
-    }
-
-    /// Rows held.
-    pub fn count(&self) -> usize {
-        self.rows.len() / self.symbol_len
-    }
-
-    /// Write symbol `seed` of `lt` — the XOR of its equation's rows — over
-    /// `out`, in one pass of the many-source kernel.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TornadoError::MalformedInput`] if `lt` ranges over another
-    /// number of symbols than the slab holds, or `out` is not one row long.
-    pub fn encode_into(&mut self, lt: &LtEncoder, seed: u64, out: &mut [u8]) -> Result<()> {
-        if lt.count() != self.count() || out.len() != self.symbol_len {
+    /// Returns [`TornadoError::MalformedInput`] unless `symbols` is `count`
+    /// rows of `out.len()` bytes each.
+    pub fn encode_into(
+        &self,
+        seed: u64,
+        symbols: &Encoding,
+        neighbors: &mut Vec<u32>,
+        out: &mut [u8],
+    ) -> Result<()> {
+        if symbols.len() != self.count
+            || !symbols.is_uniform()
+            || out.len() != symbols.packet_size()
+        {
             return Err(TornadoError::MalformedInput {
                 reason: format!(
-                    "an LT layer over {} symbols cannot encode from {} rows into {} bytes",
-                    lt.count(),
-                    self.count(),
+                    "an LT layer over {} symbols cannot encode from {} rows of {} bytes \
+                     into {} bytes",
+                    self.count,
+                    symbols.len(),
+                    symbols.packet_size(),
                     out.len()
                 ),
             });
         }
-        lt.neighbors_into(seed, &mut self.neighbors);
-        let (rows, len) = (&self.rows, self.symbol_len);
-        let sources = self.neighbors.iter().map(|&i| {
-            let at = i as usize * len;
-            &rows[at..at + len]
-        });
-        xor_rows(out, sources, false);
+        self.neighbors_into(seed, neighbors);
+        let rows = neighbors.iter().map(|&i| symbols.row(i as usize));
+        xor_rows(out, rows, false);
         Ok(())
     }
 }

@@ -29,7 +29,7 @@ mod raptor;
 mod soliton;
 mod solve;
 
-pub use lt::{LtDecoder, LtEncoder, LtEquation, SymbolSlab};
+pub use lt::{LtDecoder, LtEncoder, LtEquation};
 pub use raptor::{RaptorCode, RaptorDecoder, PRECODE_DEGREE, RAPTOR_DEGREE_TABLE};
 pub use soliton::{DegreeTable, RobustSoliton};
 pub use solve::{SolveTrace, INACTIVATION_CAP};

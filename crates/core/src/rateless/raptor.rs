@@ -25,12 +25,14 @@
 
 use crate::decode::AddOutcome;
 use crate::degree::DegreeDistribution;
+use crate::encode::{append_checks, concat_packets, Encoding};
 use crate::error::{Result, TornadoError};
 use crate::graph::{BipartiteGraph, CheckSide};
-use crate::rateless::lt::{LtDecoder, LtEncoder, SymbolSlab};
+use crate::rateless::lt::{LtDecoder, LtEncoder};
 use crate::rateless::soliton::DegreeTable;
 use crate::rateless::solve::{SolveTrace, Value};
-use crate::symbol::{xor_rows, Mark, Symbol};
+use crate::store::StoreShape;
+use crate::symbol::{Mark, Symbol};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
@@ -127,76 +129,41 @@ impl RaptorCode {
         &self.lt
     }
 
-    /// Run the precode: the `k` source packets followed by the `m` check
-    /// packets.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TornadoError::MalformedInput`] if `source` does not hold
-    /// exactly `k` packets of one length.
-    pub fn precode_symbols(&self, source: &[Vec<u8>]) -> Result<Vec<Vec<u8>>> {
-        let len = self.check_source(source)?;
-        let mut symbols = source.to_vec();
-        symbols.extend((0..self.precode.right()).map(|j| {
-            let mut check = vec![0u8; len];
-            self.precode_check(j, |i| &source[i], &mut check);
-            check
-        }));
-        Ok(symbols)
-    }
-
     /// The precode of `data`, cut into `packet_size`-byte packets with the
-    /// last one zero-padded, in one [`SymbolSlab`], the layout a sender
-    /// encodes from: the file copied in once, then each check row computed
-    /// from the rows before it.
+    /// last one zero-padded, as one [`Encoding`] — the rows a sender encodes
+    /// from: the `k` source rows, then the `m` check rows, each the XOR of
+    /// its neighbours among the source rows.
     ///
     /// # Errors
     ///
     /// Returns [`TornadoError::MalformedInput`] unless `data` makes exactly
     /// `k` packets of `packet_size > 0` bytes.
-    pub fn precode_file(&self, data: &[u8], packet_size: usize) -> Result<SymbolSlab> {
-        if packet_size == 0 || data.len().div_ceil(packet_size) != self.k() {
-            return Err(TornadoError::MalformedInput {
-                reason: format!(
-                    "Raptor precode over {} packets was given {} bytes in packets of {packet_size}",
-                    self.k(),
-                    data.len()
-                ),
-            });
-        }
-        let len = packet_size;
-        let mut slab = SymbolSlab::from_file_with_room(data, len, self.precode.right())?;
-        for j in 0..self.precode.right() {
-            let (rows, check) = slab.push_row();
-            self.precode_check(j, |i| &rows[i * len..(i + 1) * len], check);
-        }
-        Ok(slab)
+    pub fn precode_file(&self, data: &[u8], packet_size: usize) -> Result<Encoding> {
+        let shape = StoreShape::uniform(self.k(), self.intermediate_count());
+        Encoding::build(data, packet_size, shape, |bytes| {
+            append_checks(bytes, &self.precode, 0, packet_size);
+        })
     }
 
-    /// The length of `source`'s packets, if it is `k` packets of one length.
-    fn check_source(&self, source: &[Vec<u8>]) -> Result<usize> {
-        let len = source.first().map_or(0, Vec::len);
-        if source.len() != self.k() || source.iter().any(|p| p.len() != len) {
-            return Err(TornadoError::MalformedInput {
-                reason: format!(
-                    "Raptor precode over {} packets was given {} (or unequal lengths)",
-                    self.k(),
-                    source.len()
-                ),
-            });
-        }
-        Ok(len)
+    /// Run the precode: the `k` source packets followed by the `m` check
+    /// packets.  A thin wrapper over [`Self::precode_file`] for callers that
+    /// hold packets; ROADMAP item 1(d) retires it with its last caller.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TornadoError::MalformedInput`] unless `source` is `k`
+    /// non-empty packets of one length.
+    pub fn precode_symbols(&self, source: &[Vec<u8>]) -> Result<Vec<Vec<u8>>> {
+        let (file, packet_size) = concat_packets(source)?;
+        let intermediates = self.precode_file(&file, packet_size)?;
+        Ok(intermediates.rows().map(<[u8]>::to_vec).collect())
     }
 
-    /// Write check `j` — the XOR of its neighbours among the source rows
-    /// `row(i)` — over `check`, in one pass of the many-source kernel.
-    fn precode_check<'a>(&self, j: usize, row: impl Fn(usize) -> &'a [u8], check: &mut [u8]) {
-        let neighbors = self.precode.check_neighbors(j).iter();
-        xor_rows(check, neighbors.map(|&i| row(i as usize)), false);
-    }
-
-    /// Encode one LT symbol over precomputed intermediates (from
-    /// [`RaptorCode::precode_symbols`]).
+    /// Encode one LT symbol over the intermediates of
+    /// [`RaptorCode::precode_symbols`]; a sender writes each symbol from
+    /// [`Self::precode_file`]'s rows with [`LtEncoder::encode_into`]
+    /// instead.  ROADMAP item 1(d) retires this packet-vector form with its
+    /// last caller.
     ///
     /// # Errors
     ///
@@ -379,24 +346,36 @@ mod tests {
     }
 
     #[test]
-    fn the_slab_encodes_what_the_packet_vectors_do() {
+    fn the_encoding_encodes_what_the_packet_vectors_do() {
         let (k, len) = (300, 33);
         let src = payloads(k, len, 4);
         let code = RaptorCode::new(k, 4).unwrap();
         let inter = code.precode_symbols(&src).unwrap();
-        let mut slab = code.precode_file(&src.concat(), len).unwrap();
-        assert_eq!((slab.count(), slab.symbol_len()), (inter.len(), len));
+        let encoding = code.precode_file(&src.concat(), len).unwrap();
+        assert_eq!((encoding.len(), encoding.packet_size()), (inter.len(), len));
+        assert!(encoding.rows().eq(inter.iter().map(Vec::as_slice)));
         // Written over whatever the buffer held.
-        let mut out = vec![0xaa; len];
+        let (mut neighbors, mut out) = (Vec::new(), vec![0xaa; len]);
         for seed in 0..500 {
-            slab.encode_into(code.lt(), seed, &mut out).unwrap();
+            code.lt()
+                .encode_into(seed, &encoding, &mut neighbors, &mut out)
+                .unwrap();
             assert_eq!(
                 out,
                 code.encode_symbol(seed, &inter).unwrap(),
                 "seed {seed}"
             );
         }
-        assert!(slab.encode_into(code.lt(), 0, &mut [0; 32]).is_err());
+        let mut short = [0; 32];
+        assert!(code
+            .lt()
+            .encode_into(0, &encoding, &mut neighbors, &mut short)
+            .is_err());
+        let source_only = Encoding::from_file(&src.concat(), len).unwrap();
+        assert!(code
+            .lt()
+            .encode_into(0, &source_only, &mut neighbors, &mut out)
+            .is_err());
         assert!(code.precode_file(&src[1..].concat(), len).is_err());
         assert!(code.precode_file(&src.concat(), 0).is_err());
     }

@@ -181,17 +181,23 @@ pub const MAX_SP_INTERVAL: usize = df_mcast::MAX_SP_INTERVAL;
 pub(crate) const MAX_PACKET_SIZE: usize = 65_507 - crate::wire::HEADER_LEN - 2;
 
 /// Whether a session of a `file_len`-byte file in `k` packets of
-/// `packet_size` bytes is within what a receiver accepts: a packet size a
-/// UDP datagram can frame ([`MAX_PACKET_SIZE`]), `k` up to [`MAX_K`] and a
-/// file up to [`MAX_FILE_LEN`].  On `Err`, why not.
+/// `packet_size` bytes, sent on `layers` groups from `base_group` on, is
+/// within what a receiver accepts: a packet size a UDP datagram can frame
+/// ([`MAX_PACKET_SIZE`]), `k` up to [`MAX_K`], a file up to
+/// [`MAX_FILE_LEN`] that makes exactly `k` packets, and a group range that
+/// ends at or before `u32::MAX`.  On `Err`, why not.
 ///
 /// The one check both ends run: [`ClientSession::new`] refuses control info
 /// that fails it, and [`crate::ServerSession::new`] refuses to encode such a
 /// session, so a server never announces a session its own clients refuse.
+/// The layer count itself is each end's to bound; a count of 0 spans no
+/// group here.
 pub(crate) fn check_session_size(
     file_len: usize,
     packet_size: usize,
     k: usize,
+    base_group: u32,
+    layers: usize,
 ) -> Result<(), String> {
     if packet_size == 0 || packet_size > MAX_PACKET_SIZE {
         return Err(format!(
@@ -204,6 +210,21 @@ pub(crate) fn check_session_size(
     if file_len > MAX_FILE_LEN {
         return Err(format!(
             "a file of {file_len} bytes (at most {MAX_FILE_LEN})"
+        ));
+    }
+    let packets = file_len.div_ceil(packet_size);
+    if packets != k {
+        return Err(format!(
+            "a file of {file_len} bytes at packet size {packet_size}, which yields {packets} \
+             packets, not k = {k}"
+        ));
+    }
+    let last_group = u32::try_from(layers.saturating_sub(1))
+        .ok()
+        .and_then(|span| base_group.checked_add(span));
+    if last_group.is_none() {
+        return Err(format!(
+            "group range {base_group} + {layers} layers, which overflows the group space"
         ));
     }
     Ok(())
@@ -263,18 +284,14 @@ impl ClientSession {
                 control.layers
             )));
         }
-        if control
-            .base_group
-            .checked_add(control.layers as u32 - 1)
-            .is_none()
-        {
-            return Err(malformed(format!(
-                "group range {} + {} layers overflows the group space",
-                control.base_group, control.layers
-            )));
-        }
-        check_session_size(control.file_len, control.packet_size, control.k)
-            .map_err(|why| malformed(format!("control info advertises {why}")))?;
+        check_session_size(
+            control.file_len,
+            control.packet_size,
+            control.k,
+            control.base_group,
+            control.layers,
+        )
+        .map_err(|why| malformed(format!("control info advertises {why}")))?;
         // Layered congestion-control mode: the announced cadence must pass
         // the *same* validating constructor the server transmits from, so a
         // well-formed server can never announce a session its own clients
@@ -292,15 +309,6 @@ impl ClientSession {
         } else {
             None
         };
-        if control.file_len.div_ceil(control.packet_size) != control.k {
-            return Err(malformed(format!(
-                "file length {} at packet size {} yields {} packets, not k = {}",
-                control.file_len,
-                control.packet_size,
-                control.file_len.div_ceil(control.packet_size),
-                control.k
-            )));
-        }
         let code = TornadoCode::with_profile(control.k, profile, control.code_seed)?;
         if code.n() != control.n {
             return Err(malformed(format!(
@@ -340,17 +348,14 @@ impl ClientSession {
                 control.layers, control.sp_interval, control.burst_rounds
             )));
         }
-        check_session_size(control.file_len, control.packet_size, control.k)
-            .map_err(|why| malformed(format!("control info advertises {why}")))?;
-        if control.file_len.div_ceil(control.packet_size) != control.k {
-            return Err(malformed(format!(
-                "file length {} at packet size {} yields {} packets, not k = {}",
-                control.file_len,
-                control.packet_size,
-                control.file_len.div_ceil(control.packet_size),
-                control.k
-            )));
-        }
+        check_session_size(
+            control.file_len,
+            control.packet_size,
+            control.k,
+            control.base_group,
+            control.layers,
+        )
+        .map_err(|why| malformed(format!("control info advertises {why}")))?;
         let receiver = match control.rateless {
             RatelessMode::Lt => {
                 // The LT symbol range is the k source packets themselves.

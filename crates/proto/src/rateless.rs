@@ -14,7 +14,7 @@
 //! seeds and payloads, so it must never panic and must hold bounded memory
 //! no matter what arrives (see [`RatelessReceiver`]).
 
-use df_core::{AddOutcome, LtDecoder, LtEncoder, RaptorCode, SymbolSlab};
+use df_core::{AddOutcome, Encoding, LtDecoder, LtEncoder, RaptorCode};
 use df_core::{LT_DEFAULT_C, LT_DEFAULT_DELTA};
 
 /// How a session's data datagrams are encoded, as announced on the control
@@ -87,19 +87,21 @@ pub fn seed_from_words(packet_index: u32, serial: u32) -> u64 {
 /// stream of `(seed, payload)` symbols, metered into rounds of `k` symbols
 /// so the driver's round-based pacing keeps working unchanged.
 ///
-/// The symbols the LT layer XORs over live in one [`SymbolSlab`], and each
-/// symbol is XORed from it straight into the buffer it is sent from
-/// ([`RatelessSender::poll_into`]): nothing is allocated or copied per
-/// symbol.
+/// The symbols the LT layer XORs over live in one [`Encoding`], the type a
+/// carousel keeps its file in, and each symbol is XORed from its rows
+/// straight into the buffer it is sent from ([`RatelessSender::poll_into`]):
+/// nothing is allocated or copied per symbol.
 #[derive(Debug)]
 pub struct RatelessSender {
     /// Seed → (degree, neighbors) derivation layer.  For plain LT this
     /// ranges over the `k` source packets; for Raptor it is the code's LT
     /// layer over the `n` precode intermediates.
     lt: LtEncoder,
-    /// The symbols the LT layer XORs over (source packets or intermediates),
-    /// all of one uniform length.
-    symbols: SymbolSlab,
+    /// The rows the LT layer XORs over: the source packets, or the source
+    /// packets and the precode's checks, all of one length.
+    symbols: Encoding,
+    /// The current equation's neighbours, reused from symbol to symbol.
+    neighbors: Vec<u32>,
     /// Next seed to issue; monotonic, never wraps in any feasible session.
     next_seed: u64,
     /// Symbols per round (= `k`, matching one carousel round's bandwidth).
@@ -109,22 +111,17 @@ pub struct RatelessSender {
 
 impl RatelessSender {
     /// Plain-LT sender over `file`, cut into `packet_size`-byte source
-    /// packets (the last one zero-padded) straight into its slab.
+    /// packets (the last one zero-padded) straight into its encoding.
     ///
     /// # Errors
     ///
     /// Propagates [`LtEncoder::new`] parameter errors and
-    /// [`SymbolSlab::from_file`]'s (`file` empty, `packet_size` 0).
+    /// [`Encoding::from_file`]'s (`file` empty, `packet_size` 0).
     pub fn for_lt(file: &[u8], packet_size: usize, stream_seed: u64) -> df_core::Result<Self> {
-        let symbols = SymbolSlab::from_file(file, packet_size)?;
-        let k = symbols.count();
-        Ok(RatelessSender {
-            lt: LtEncoder::new(k, LT_DEFAULT_C, LT_DEFAULT_DELTA, stream_seed)?,
-            symbols,
-            next_seed: 0,
-            quota: k,
-            issued_this_round: 0,
-        })
+        let symbols = Encoding::from_file(file, packet_size)?;
+        let lt = LtEncoder::new(symbols.len(), LT_DEFAULT_C, LT_DEFAULT_DELTA, stream_seed)?;
+        let k = symbols.len();
+        Ok(Self::over(lt, symbols, k))
     }
 
     /// Raptor sender: precodes `file`, cut into `packet_size`-byte source
@@ -135,18 +132,25 @@ impl RatelessSender {
     /// Propagates [`RaptorCode::precode_file`]'s errors (`file` not `k`
     /// packets of `packet_size > 0` bytes).
     pub fn for_raptor(code: &RaptorCode, file: &[u8], packet_size: usize) -> df_core::Result<Self> {
-        Ok(RatelessSender {
-            lt: code.lt().clone(),
-            symbols: code.precode_file(file, packet_size)?,
+        let symbols = code.precode_file(file, packet_size)?;
+        Ok(Self::over(code.lt().clone(), symbols, code.k()))
+    }
+
+    /// A sender of `lt`'s symbols over `symbols`, `k` of them a round.
+    fn over(lt: LtEncoder, symbols: Encoding, k: usize) -> Self {
+        RatelessSender {
+            lt,
+            symbols,
+            neighbors: Vec::new(),
             next_seed: 0,
-            quota: code.k(),
+            quota: k,
             issued_this_round: 0,
-        })
+        }
     }
 
     /// Payload bytes of every emitted symbol.
     pub fn symbol_len(&self) -> usize {
-        self.symbols.symbol_len()
+        self.symbols.packet_size()
     }
 
     /// Seeds issued so far (= symbols ever emitted).
@@ -171,10 +175,13 @@ impl RatelessSender {
             return None;
         }
         let seed = self.next_seed;
-        // The slab only errors on a row-count or length mismatch, which this
-        // sender's construction and the caller's framing rule out; treat it
-        // as quota exhaustion rather than panicking in transmit-path code.
-        self.symbols.encode_into(&self.lt, seed, out).ok()?;
+        // The encoder only errors on a row-count or length mismatch, which
+        // this sender's construction and the caller's framing rule out;
+        // treat it as quota exhaustion rather than panicking in
+        // transmit-path code.
+        self.lt
+            .encode_into(seed, &self.symbols, &mut self.neighbors, out)
+            .ok()?;
         self.next_seed += 1;
         self.issued_this_round += 1;
         Some(seed)

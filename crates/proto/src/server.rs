@@ -126,8 +126,9 @@ impl ServerSession {
     ///
     /// Returns [`TornadoError::InvalidParameters`] for a session its own
     /// clients would refuse (an empty file, a packet size no UDP datagram
-    /// frames, more than [`crate::client::MAX_K`] packets or a file longer
-    /// than [`crate::client::MAX_FILE_LEN`]) or a layer count outside
+    /// frames, more than [`crate::client::MAX_K`] packets, a file longer
+    /// than [`crate::client::MAX_FILE_LEN`] or groups past `u32::MAX`) or a
+    /// layer count outside
     /// `1..=`[`MAX_SCHEDULED_LAYERS`], flat or layered — all checked before
     /// anything is encoded — for a degenerate layered configuration (see
     /// [`df_mcast::LayeredSession::new`]) or a rateless configuration that is
@@ -135,10 +136,15 @@ impl ServerSession {
     /// from `df-core`.
     pub fn new(data: &[u8], config: SessionConfig) -> df_core::Result<Self> {
         let k = data.len().div_ceil(config.packet_size.max(1));
-        check_session_size(data.len(), config.packet_size, k).map_err(|why| {
-            TornadoError::InvalidParameters {
-                reason: format!("its clients would refuse {why}"),
-            }
+        check_session_size(
+            data.len(),
+            config.packet_size,
+            k,
+            config.base_group,
+            config.layers,
+        )
+        .map_err(|why| TornadoError::InvalidParameters {
+            reason: format!("its clients would refuse {why}"),
         })?;
         if !(1..=MAX_SCHEDULED_LAYERS).contains(&config.layers) {
             return Err(TornadoError::InvalidParameters {
@@ -476,7 +482,9 @@ impl ServerSession {
 #[derive(Debug, Default)]
 pub struct FountainServer {
     sessions: Vec<ServerSession>,
-    next_group: u32,
+    /// The first group no session uses: up to `2^32` once a range has
+    /// ended at `u32::MAX`, after which no session fits.
+    next_group: u64,
     next_id: u32,
     cursor: usize,
 }
@@ -495,15 +503,22 @@ impl FountainServer {
     ///
     /// # Errors
     ///
-    /// See [`ServerSession::new`].
+    /// See [`ServerSession::new`]; a session whose groups would run past
+    /// `u32::MAX` is refused with [`TornadoError::InvalidParameters`].
     pub fn add_session(&mut self, data: &[u8], config: SessionConfig) -> df_core::Result<u32> {
+        let base_group =
+            u32::try_from(self.next_group).map_err(|_| TornadoError::InvalidParameters {
+                reason: "every multicast group up to u32::MAX is in use".to_string(),
+            })?;
         let config = SessionConfig {
             session_id: self.next_id,
-            base_group: self.next_group,
+            base_group,
             ..config
         };
+        // `ServerSession::new` refuses groups past `u32::MAX`, so the next
+        // free group is at most `2^32`.
         let session = ServerSession::new(data, config)?;
-        self.next_group += config.layers as u32;
+        self.next_group += config.layers as u64;
         self.next_id += 1;
         let id = session.session_id();
         self.sessions.push(session);
@@ -856,16 +871,27 @@ mod tests {
 
     #[test]
     fn the_shared_size_check_admits_each_limit_and_refuses_the_next_value() {
-        use crate::client::{check_session_size, MAX_FILE_LEN, MAX_K, MAX_PACKET_SIZE};
-        assert!(check_session_size(1, 1, 1).is_ok());
-        assert!(check_session_size(1, 0, 1).is_err());
-        assert!(check_session_size(1, MAX_PACKET_SIZE, 1).is_ok());
-        assert!(check_session_size(1, MAX_PACKET_SIZE + 1, 1).is_err());
-        assert!(check_session_size(1, 1, 0).is_err());
-        assert!(check_session_size(MAX_K, 1, MAX_K).is_ok());
-        assert!(check_session_size(MAX_K + 1, 1, MAX_K + 1).is_err());
-        assert!(check_session_size(MAX_FILE_LEN, 1024, MAX_FILE_LEN / 1024).is_ok());
-        assert!(check_session_size(MAX_FILE_LEN + 1, 1024, MAX_FILE_LEN / 1024 + 1).is_err());
+        use crate::client::{MAX_FILE_LEN, MAX_K, MAX_PACKET_SIZE};
+        let check = |file_len, packet_size, k| check_session_size(file_len, packet_size, k, 0, 1);
+        assert!(check(1, 1, 1).is_ok());
+        assert!(check(1, 0, 1).is_err());
+        assert!(check(1, MAX_PACKET_SIZE, 1).is_ok());
+        assert!(check(1, MAX_PACKET_SIZE + 1, 1).is_err());
+        assert!(check(1, 1, 0).is_err());
+        assert!(check(MAX_K, 1, MAX_K).is_ok());
+        assert!(check(MAX_K + 1, 1, MAX_K + 1).is_err());
+        assert!(check(MAX_FILE_LEN, 1024, MAX_FILE_LEN / 1024).is_ok());
+        assert!(check(MAX_FILE_LEN + 1, 1024, MAX_FILE_LEN / 1024 + 1).is_err());
+        // `k` is the number of packets the file makes, no other.
+        assert!(check(1025, 1024, 2).is_ok());
+        assert!(check(1025, 1024, 1).is_err());
+        assert!(check(1025, 1024, 3).is_err());
+        // The last group is `u32::MAX` at most.
+        assert!(check_session_size(1, 1, 1, u32::MAX - 15, 16).is_ok());
+        assert!(check_session_size(1, 1, 1, u32::MAX - 15, 17).is_err());
+        assert!(check_session_size(1, 1, 1, u32::MAX, 1).is_ok());
+        assert!(check_session_size(1, 1, 1, u32::MAX, 2).is_err());
+        assert!(check_session_size(1, 1, 1, u32::MAX, 0).is_ok());
     }
 
     #[test]
@@ -903,7 +929,10 @@ mod tests {
         use crate::client::MAX_PACKET_SIZE;
         let modes = [RatelessMode::Off, RatelessMode::Lt, RatelessMode::Raptor];
         let mut accepted = 0;
-        for file_len in [1, 500, 10_000] {
+        for (file_len, base_group) in [1, 500, 10_000]
+            .into_iter()
+            .flat_map(|len| [0, u32::MAX - 15, u32::MAX].map(|base| (len, base)))
+        {
             for packet_size in [0, 1, 499, 500, MAX_PACKET_SIZE, MAX_PACKET_SIZE + 1] {
                 for (mode, (layers, sp_interval)) in modes.iter().flat_map(|&m| {
                     [
@@ -924,6 +953,7 @@ mod tests {
                         sp_interval,
                         burst_rounds: sp_interval / 4,
                         rateless: mode,
+                        base_group,
                         ..SessionConfig::default()
                     };
                     let result = ServerSession::new(&vec![3u8; file_len], config);
@@ -946,12 +976,46 @@ mod tests {
             }
         }
         // Rateless sessions are single-layer and flat: one shape each.  A
-        // carousel takes 1, 4 or 16 layers, never 0 or more than 16.
+        // carousel takes 1, 4 or 16 layers, never 0 or more than 16.  From
+        // base group `u32::MAX - 15` all 16 fit; from `u32::MAX` only one
+        // layer does, so only the 1-layer carousel and the rateless shapes.
         assert_eq!(
             accepted,
-            3 * 4 * (4 + 1 + 1),
-            "each refusal is a size or a shape"
+            3 * 4 * ((4 + 1 + 1) + (4 + 1 + 1) + (1 + 1 + 1)),
+            "each refusal is a size, a shape or a group range"
         );
+    }
+
+    #[test]
+    fn a_group_range_may_end_at_u32_max_and_the_next_session_is_refused() {
+        // A range that would overflow `u32` is refused at construction
+        // (`every_session_the_server_accepts_is_one_its_clients_accept`);
+        // one that ends at `u32::MAX` transmits on it.
+        let config = |base_group, layers| SessionConfig {
+            base_group,
+            layers,
+            ..SessionConfig::default()
+        };
+        let mut last = ServerSession::new(&[1; 1000], config(u32::MAX - 1, 2)).unwrap();
+        let groups: Vec<u32> = std::iter::from_fn(|| last.poll_transmit())
+            .map(|(group, _)| group)
+            .collect();
+        assert_eq!(groups.iter().max(), Some(&u32::MAX));
+
+        let mut server = FountainServer::new();
+        server.next_group = u64::from(u32::MAX) - 3;
+        assert!(server.add_session(&[1; 1000], config(0, 8)).is_err());
+        let id = server.add_session(&[1; 1000], config(0, 4)).unwrap();
+        assert_eq!(
+            server.session(id).unwrap().control_info().base_group,
+            u32::MAX - 3
+        );
+        let refused_next = server.add_session(&[1; 1000], config(0, 1));
+        assert!(matches!(
+            refused_next,
+            Err(TornadoError::InvalidParameters { .. })
+        ));
+        assert_eq!(server.sessions().len(), 1);
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //! CI fuzz smoke: deterministic, a few seconds, no corpus to manage.
 
 use bytes::Bytes;
-use df_core::{LtEncoder, PacketizedFile, LT_DEFAULT_C, LT_DEFAULT_DELTA};
+use df_core::{Encoding, LtEncoder, LT_DEFAULT_C, LT_DEFAULT_DELTA};
 use df_proto::{
     seed_to_words, ClientEvent, ClientSession, ControlRequest, ControlResponse, DataPacket,
     FountainServer, PacketHeader, RatelessMode, RatelessReceiver, ServerSession, SessionConfig,
@@ -422,7 +422,7 @@ fn rateless_colliding_neighbor_sets_reduce_cleanly() {
     let (mut server, mut client) = rateless_pair(&data, RatelessMode::Lt, 43);
     let info = server.control_info().clone();
     let enc = LtEncoder::new(info.k, LT_DEFAULT_C, LT_DEFAULT_DELTA, info.code_seed).unwrap();
-    let file = PacketizedFile::split(&data, info.packet_size).unwrap();
+    let file = Encoding::from_file(&data, info.packet_size).unwrap();
     let mut buckets: BTreeMap<Vec<u32>, Vec<u64>> = BTreeMap::new();
     // Grind outside the server's own monotonic seed range so the honest
     // stream later delivers fresh seeds, not replays of the flood.
@@ -440,9 +440,12 @@ fn rateless_colliding_neighbor_sets_reduce_cleanly() {
         !colliding.is_empty(),
         "no neighbor-set collisions found in 30k seeds"
     );
+    let mut neighbors = Vec::new();
     for group in &colliding {
         for &seed in group {
-            let payload = enc.encode_symbol(seed, file.packets()).unwrap();
+            let mut payload = vec![0; info.packet_size];
+            enc.encode_into(seed, &file, &mut neighbors, &mut payload)
+                .unwrap();
             let event = client.handle_datagram(seed_frame(seed, info.base_group, &payload));
             assert!(
                 matches!(event, ClientEvent::Buffered | ClientEvent::Duplicate),

@@ -9,14 +9,17 @@
 //! copied into once.  So `ServerSession::new` makes a bounded number of
 //! allocations however many packets the file has: at most
 //! [`SETUP_ALLOCATIONS`] for a 4 MiB file in 1 KiB packets, carousel or
-//! Raptor, where one per packet or graph node would be thousands.
+//! Raptor, where one per packet or graph node would be thousands.  A
+//! rateless sender then XORs each symbol straight into its datagram: a
+//! round of `poll_transmit` allocates the datagrams it frames and nothing
+//! per symbol.
 //!
 //! A counting global allocator tallies what the *current thread* allocates
 //! while a test has counting switched on (the harness runs tests on parallel
 //! threads, so the counters are thread-local), and can be told to refuse
 //! large blocks.  Every datagram is framed before counting starts, so what
 //! a receiver test counts is `handle_datagram` alone; a sender test counts
-//! `ServerSession::new` alone, its file generated before.
+//! `ServerSession::new` or `poll_transmit` alone, its file generated before.
 
 use bytes::Bytes;
 use df_proto::{ClientEvent, ClientSession, RatelessMode, ServerSession, SessionConfig};
@@ -387,6 +390,44 @@ fn a_four_mib_session_is_set_up_in_a_bounded_number_of_allocations() {
             "{made} allocations to set up a 4 MiB {:?} session",
             config.rateless
         );
+    }
+}
+
+#[test]
+#[cfg_attr(
+    miri,
+    ignore = "two rounds of a 1024-symbol session; intractable under the Miri interpreter"
+)]
+fn a_rateless_sender_allocates_only_the_datagrams_it_sends() {
+    // Each symbol is XORed straight into the datagram it is sent in, so a
+    // round of `k` symbols allocates what framing `k` datagrams does — each
+    // datagram's buffer and the `Bytes` that shares it — and nothing per
+    // symbol besides.  The first round also grows the equation scratch, a
+    // few times, to the widest equation it meets; the second reuses it.
+    const K: usize = 1024;
+    for (rateless, growth) in [(RatelessMode::Lt, 7), (RatelessMode::Raptor, 6)] {
+        let config = SessionConfig {
+            packet_size: 256,
+            code_seed: 0x5eed,
+            rateless,
+            ..SessionConfig::default()
+        };
+        let (_, mut server, _) = session(K, config, 0.0, 0);
+        for expected in [2 * K + growth, 2 * K] {
+            let (sent, made) = counting(|| {
+                let mut sent = 0;
+                while server.poll_transmit().is_some() {
+                    sent += 1;
+                }
+                sent
+            });
+            server.advance_round();
+            assert_eq!(sent, K, "a round is k symbols");
+            assert_eq!(
+                made, expected,
+                "{rateless:?}: {made} allocations over {sent} datagrams"
+            );
+        }
     }
 }
 

@@ -3,24 +3,20 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use digital_fountain::core::{reassemble_file, PacketizedFile, ReceptionCounter, TornadoCode};
+use digital_fountain::core::{AddOutcome, ReceptionCounter, TornadoCode};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
 fn main() {
-    // A 1 MB "software release" split into 1 KB packets.
+    // A 1 MB "software release" cut into 1 KB packets.
     let data: Vec<u8> = (0..1024 * 1024).map(|i| (i % 251) as u8).collect();
-    let file = PacketizedFile::split(&data, 1024).expect("non-empty file");
-    println!(
-        "file: {} bytes -> {} source packets",
-        data.len(),
-        file.num_packets()
-    );
+    let k = data.len().div_ceil(1024);
+    println!("file: {} bytes -> {k} source packets", data.len());
 
     // Build a Tornado A code with stretch factor 2 and encode.
-    let code = TornadoCode::new_a(file.num_packets(), 0x5eed).expect("valid parameters");
-    let encoding = code.encode(file.packets()).expect("encode");
+    let code = TornadoCode::new_a(k, 0x5eed).expect("valid parameters");
+    let encoding = code.encode_file(&data, 1024).expect("encode");
     println!(
         "encoding: {} packets (stretch factor {:.1})",
         code.n(),
@@ -35,14 +31,15 @@ fn main() {
     let mut tally = ReceptionCounter::new(code.n(), code.k());
     for &i in &order {
         tally.record(i);
-        if decoder.add_packet_ref(i, &encoding[i]).expect("in range")
-            == digital_fountain::core::AddOutcome::Complete
+        if decoder
+            .add_packet_ref(i, encoding.row(i))
+            .expect("in range")
+            == AddOutcome::Complete
         {
             break;
         }
     }
-    let source = decoder.source().expect("decoding completed");
-    let recovered = reassemble_file(&source, data.len());
+    let recovered = decoder.take_file(data.len()).expect("decoding completed");
     assert_eq!(recovered, data);
     println!(
         "reconstructed from {} received packets (reception overhead {:.1} %)",

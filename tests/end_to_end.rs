@@ -3,7 +3,7 @@
 //! makes (digital-fountain property, Tornado vs interleaved ordering, layered
 //! receivers adapting to their bottleneck).
 
-use digital_fountain::core::{reassemble_file, PacketizedFile, TornadoCode, TORNADO_B};
+use digital_fountain::core::{AddOutcome, TornadoCode, TORNADO_B};
 use digital_fountain::proto::{
     ClientEvent, ClientSession, DriverConfig, DriverEvent, FountainServer, Pacing, ServerSession,
     SessionConfig, SimMulticast, Transport,
@@ -287,17 +287,16 @@ fn event_loop_multiplexes_flat_and_layered_sessions_concurrently() {
 #[test]
 fn tornado_b_code_roundtrips_through_packetized_files() {
     let data = random_file(123_457, 2);
-    let file = PacketizedFile::split(&data, 512).unwrap();
-    let code = TornadoCode::with_profile(file.num_packets(), TORNADO_B, 5).unwrap();
-    let encoding = code.encode(file.packets()).unwrap();
+    let code = TornadoCode::with_profile(data.len().div_ceil(512), TORNADO_B, 5).unwrap();
+    let encoding = code.encode_file(&data, 512).unwrap();
     // Receive only the redundant half plus a few source packets, in reverse.
-    let received: Vec<(usize, Vec<u8>)> = (0..code.n())
-        .rev()
-        .take(code.n() - code.k() / 2)
-        .map(|i| (i, encoding[i].clone()))
-        .collect();
-    let decoded = code.decode(&received).unwrap();
-    assert_eq!(reassemble_file(&decoded, data.len()), data);
+    let mut decoder = code.decoder();
+    for i in (0..code.n()).rev().take(code.n() - code.k() / 2) {
+        if decoder.add_packet_ref(i, encoding.row(i)).unwrap() == AddOutcome::Complete {
+            break;
+        }
+    }
+    assert_eq!(decoder.take_file(data.len()).unwrap(), data);
 }
 
 #[test]

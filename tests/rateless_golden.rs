@@ -25,7 +25,7 @@
 //! one (and announces a new `RatelessMode` byte) and points `FIXTURE` at it.
 
 use digital_fountain::core::{
-    LtEncoder, PacketizedFile, RaptorCode, TornadoCode, LT_DEFAULT_C, LT_DEFAULT_DELTA, TORNADO_A,
+    LtEncoder, RaptorCode, TornadoCode, LT_DEFAULT_C, LT_DEFAULT_DELTA, TORNADO_A,
 };
 use digital_fountain::proto::{RatelessMode, ServerSession, SessionConfig};
 use std::fmt::Write as _;
@@ -134,10 +134,10 @@ fn datagrams(out: &mut String) {
 fn tornado(out: &mut String) {
     let data = file();
     for payload in [1024, 333] {
-        let file = PacketizedFile::split(&data, payload).unwrap();
-        let code = TornadoCode::with_profile(file.num_packets(), TORNADO_A, 0x5eed).unwrap();
-        let encoding = code.encode(file.packets()).unwrap();
-        let digest = fnv1a(encoding.iter().flat_map(|p| p.iter().copied()));
+        let k = data.len().div_ceil(payload);
+        let code = TornadoCode::with_profile(k, TORNADO_A, 0x5eed).unwrap();
+        let encoding = code.encode_file(&data, payload).unwrap();
+        let digest = fnv1a(encoding.rows().flat_map(|p| p.iter().copied()));
         writeln!(
             out,
             "tornado-a payload={payload} k={} n={} {digest:016x}",
