@@ -34,12 +34,12 @@
 
 use crate::control::ControlInfo;
 use crate::layered::LayerController;
-use crate::rateless::{seed_from_words, RatelessMode, RatelessReceiver};
+use crate::rateless::{seed_from_words, RatelessMode};
 use crate::wire::DataPacket;
 use bytes::Bytes;
 use df_core::{
-    OwnedPayloadDecoder, RaptorCode, Reception, ReceptionCounter, TornadoCode, TornadoError,
-    TornadoProfile,
+    LtDecoder, LtEncoder, OwnedPayloadDecoder, RaptorCode, Reception, ReceptionCounter,
+    TornadoCode, TornadoError, TornadoProfile, LT_DEFAULT_C, LT_DEFAULT_DELTA,
 };
 use df_mcast::LayeredSession;
 
@@ -83,11 +83,11 @@ impl DownloadStats {
         0
     }
 
-    /// Valid-looking symbols a rateless session refused because its receiver
-    /// was at capacity ([`RatelessReceiver::at_capacity`]) — the
-    /// bounded-memory contract's visible counter — or could not reserve the
-    /// file the session announced ([`RatelessReceiver::offer`]).  Always `0`
-    /// for a carousel, which refuses nothing.
+    /// Valid-looking symbols a rateless session refused because its decoder
+    /// was at capacity ([`ClientSession::buffer_cap`]) — the bounded-memory
+    /// contract's visible counter — or could not reserve the file the
+    /// session announced ([`ClientEvent::Rejected`]).  Always `0` for a
+    /// carousel, which refuses nothing.
     pub fn rejected(&self) -> u64 {
         self.rejected
     }
@@ -230,16 +230,67 @@ pub(crate) fn check_session_size(
     Ok(())
 }
 
+/// Whether a session's cadence fits its mode: a double-rate burst only
+/// precedes a sync point, so burst rounds need an SP cadence; and a
+/// rateless session is single-layer and flat (`layers == 1`,
+/// `sp_interval == 0`), since every symbol is already distinct and the
+/// layered schedule has nothing to add.  On `Err`, why not.
+///
+/// Both ends run it beside [`check_session_size`], so a server never
+/// announces a cadence its clients would ignore or refuse.  The cadence's
+/// own bounds are [`df_mcast::LayeredSession::new`]'s, which both ends run
+/// too.
+pub(crate) fn check_session_shape(
+    mode: RatelessMode,
+    layers: usize,
+    sp_interval: usize,
+    burst_rounds: usize,
+) -> Result<(), String> {
+    if sp_interval == 0 && burst_rounds > 0 {
+        return Err(format!(
+            "{burst_rounds} burst rounds without an SP cadence for them to precede"
+        ));
+    }
+    if mode.is_rateless() && (layers != 1 || sp_interval != 0) {
+        return Err(format!(
+            "a rateless session of {layers} layers at sp_interval = {sp_interval} (rateless \
+             sessions are single-layer and flat: every symbol is already distinct, so the \
+             layered schedule has nothing to add)"
+        ));
+    }
+    Ok(())
+}
+
+/// The memory caps of a rateless session over `k` source packets, as
+/// `(equations, edges)`: the most undecoded equations its decoder may hold,
+/// and the most unknown-symbol references across them.  At either one, new
+/// symbols are refused before the decoder sees them.
+///
+/// The equation cap is `1.5k + 64`.  An honest decode completes from
+/// ≈ `1.00k`–`1.01k` symbols at `k` ≥ 500 (more at small `k`:
+/// ≈ `1.05k`–`1.10k` at `k` = 64–150) and holds at most that many equations
+/// plus, for Raptor, the precode's `0.05k` checks, so an honest session
+/// never comes near it.  The edge cap is 16 per equation: the robust
+/// soliton's *average* degree is `O(ln k)` (the Raptor table's is ≈ 5.9,
+/// and its precode adds 3 edges per source packet), so 16 covers every
+/// feasible honest workload, while a flood of maximum-degree forged seeds
+/// hits this wall long before the equation cap.
+fn rateless_caps(k: usize) -> (usize, usize) {
+    let equations = k + k / 2 + 64;
+    (equations, 16 * equations)
+}
+
 /// The decode machinery behind one [`ClientSession`]: the index-addressed
-/// Tornado peeling decoder of a carousel or the seed-addressed streaming
-/// [`RatelessReceiver`].
+/// Tornado peeling decoder of a carousel, or the seed-addressed streaming
+/// decoder of a rateless session — either mode's, as a Raptor decoder *is*
+/// an LT decoder over the intermediates that knows the precode's checks.
 #[derive(Debug)]
 enum Backend {
     Carousel {
         code: TornadoCode,
         decoder: Box<OwnedPayloadDecoder>,
     },
-    Rateless(Box<RatelessReceiver>),
+    Rateless(Box<LtDecoder<Vec<u8>>>),
 }
 
 /// A downloading client session for one announced session.
@@ -264,20 +315,12 @@ impl ClientSession {
     /// or control parameters inconsistent with the rebuilt code, and
     /// propagates code-construction errors.  The control channel is
     /// untrusted input, so every cheap structural check — profile name,
-    /// layer count, group-range overflow, packet size, and bounds on `k`
-    /// and on the file length — runs *before* the `O(k)` code construction;
-    /// a hostile announcement cannot make a client allocate an unbounded
-    /// cascade, nor reserve an unbounded file.
+    /// layer count, cadence, group-range overflow, packet size, and bounds
+    /// on `k` and on the file length — runs *before* the `O(k)` code
+    /// construction; a hostile announcement cannot make a client allocate
+    /// an unbounded cascade, nor reserve an unbounded file.
     pub fn new(control: ControlInfo) -> df_core::Result<Self> {
         let malformed = |reason: String| TornadoError::MalformedInput { reason };
-        if control.rateless.is_rateless() {
-            // The profile name is not consulted in rateless mode (there is
-            // no negotiated Tornado code to rebuild), so it is deliberately
-            // not validated either.
-            return Self::new_rateless(control);
-        }
-        let profile = TornadoProfile::by_name(&control.profile)
-            .ok_or_else(|| malformed(format!("unknown Tornado profile {:?}", control.profile)))?;
         if control.layers == 0 || control.layers > MAX_LAYERS {
             return Err(malformed(format!(
                 "control info advertises {} layers (expected 1..={MAX_LAYERS})",
@@ -291,72 +334,55 @@ impl ClientSession {
             control.base_group,
             control.layers,
         )
-        .map_err(|why| malformed(format!("control info advertises {why}")))?;
-        // Layered congestion-control mode: the announced cadence must pass
-        // the *same* validating constructor the server transmits from, so a
-        // well-formed server can never announce a session its own clients
-        // reject.  This is cheap and runs before the O(k) code build.
-        let layered = if control.sp_interval > 0 {
-            Some(
-                LayeredSession::new(
-                    control.layers,
-                    control.n,
-                    control.sp_interval,
-                    control.burst_rounds,
-                )
-                .map_err(|e| malformed(format!("layered cadence rejected: {e}")))?,
+        .and_then(|()| {
+            check_session_shape(
+                control.rateless,
+                control.layers,
+                control.sp_interval,
+                control.burst_rounds,
             )
-        } else {
-            None
-        };
-        let code = TornadoCode::with_profile(control.k, profile, control.code_seed)?;
-        if code.n() != control.n {
-            return Err(malformed(format!(
-                "control info advertises n = {} but profile {:?} at k = {} yields n = {}",
-                control.n,
-                control.profile,
-                control.k,
-                code.n()
-            )));
-        }
-        let decoder = Box::new(code.owned_decoder());
-        let controller = layered.map(|session| LayerController::new(session, control.base_group));
-        Ok(ClientSession {
-            stats: DownloadStats {
-                counter: ReceptionCounter::new(code.n(), code.k()),
-                rejected: 0,
-            },
-            control,
-            backend: Backend::Carousel { code, decoder },
-            controller,
-            file: None,
         })
-    }
-
-    /// Join a seed-carrying rateless session.  Same untrusted-input posture
-    /// as the carousel path: every cheap structural check runs before the
-    /// `O(k)` decoder construction.
-    fn new_rateless(control: ControlInfo) -> df_core::Result<Self> {
-        let malformed = |reason: String| TornadoError::MalformedInput { reason };
-        // Rateless sessions are single-layer and flat by protocol (the
-        // server enforces the same); a hostile announcement mixing the modes
-        // is rejected rather than guessed about.
-        if control.layers != 1 || control.sp_interval != 0 || control.burst_rounds != 0 {
-            return Err(malformed(format!(
-                "rateless sessions are single-layer and flat; control claims layers = {}, \
-                 sp_interval = {}, burst_rounds = {}",
-                control.layers, control.sp_interval, control.burst_rounds
-            )));
-        }
-        check_session_size(
-            control.file_len,
-            control.packet_size,
-            control.k,
-            control.base_group,
-            control.layers,
-        )
         .map_err(|why| malformed(format!("control info advertises {why}")))?;
-        let receiver = match control.rateless {
+        let (backend, layered) = match control.rateless {
+            RatelessMode::Off => {
+                let profile = TornadoProfile::by_name(&control.profile).ok_or_else(|| {
+                    malformed(format!("unknown Tornado profile {:?}", control.profile))
+                })?;
+                // Layered congestion-control mode: the announced cadence
+                // must pass the *same* validating constructor the server
+                // transmits from, so a well-formed server can never announce
+                // a session its own clients reject.  This is cheap and runs
+                // before the O(k) code build.
+                let layered = if control.sp_interval > 0 {
+                    Some(
+                        LayeredSession::new(
+                            control.layers,
+                            control.n,
+                            control.sp_interval,
+                            control.burst_rounds,
+                        )
+                        .map_err(|e| malformed(format!("layered cadence rejected: {e}")))?,
+                    )
+                } else {
+                    None
+                };
+                let code = TornadoCode::with_profile(control.k, profile, control.code_seed)?;
+                if code.n() != control.n {
+                    return Err(malformed(format!(
+                        "control info advertises n = {} but profile {:?} at k = {} yields \
+                         n = {}",
+                        control.n,
+                        control.profile,
+                        control.k,
+                        code.n()
+                    )));
+                }
+                let decoder = Box::new(code.owned_decoder());
+                (Backend::Carousel { code, decoder }, layered)
+            }
+            // The profile name is not consulted in rateless mode (there is
+            // no negotiated Tornado code to rebuild), so it is deliberately
+            // not validated either.
             RatelessMode::Lt => {
                 // The LT symbol range is the k source packets themselves.
                 if control.n != control.k {
@@ -365,7 +391,9 @@ impl ClientSession {
                         control.n, control.k
                     )));
                 }
-                RatelessReceiver::for_lt(control.k, control.packet_size, control.code_seed)?
+                let lt =
+                    LtEncoder::new(control.k, LT_DEFAULT_C, LT_DEFAULT_DELTA, control.code_seed)?;
+                (Backend::Rateless(Box::new(LtDecoder::new(lt))), None)
             }
             RatelessMode::Raptor => {
                 let code = RaptorCode::new(control.k, control.code_seed)?;
@@ -378,22 +406,22 @@ impl ClientSession {
                         code.intermediate_count()
                     )));
                 }
-                RatelessReceiver::for_raptor(&code, control.packet_size)
-            }
-            RatelessMode::Off => {
-                return Err(malformed(
-                    "rateless constructor called with mode Off".to_string(),
-                ))
+                (Backend::Rateless(Box::new(code.decoder().into())), None)
             }
         };
+        let counter = match &backend {
+            Backend::Carousel { code, .. } => ReceptionCounter::new(code.n(), code.k()),
+            Backend::Rateless(_) => ReceptionCounter::streaming(control.k),
+        };
+        let controller = layered.map(|session| LayerController::new(session, control.base_group));
         Ok(ClientSession {
             stats: DownloadStats {
-                counter: ReceptionCounter::streaming(control.k),
+                counter,
                 rejected: 0,
             },
             control,
-            backend: Backend::Rateless(Box::new(receiver)),
-            controller: None,
+            backend,
+            controller,
             file: None,
         })
     }
@@ -461,20 +489,21 @@ impl ClientSession {
     pub fn held_packets(&self) -> usize {
         match &self.backend {
             Backend::Carousel { decoder, .. } => decoder.held(),
-            Backend::Rateless(receiver) => receiver.pending_equations(),
+            Backend::Rateless(decoder) => decoder.pending_equations(),
         }
     }
 
     /// Most payloads this session will ever hold.  For a carousel that is
     /// `n`, by construction: only in-range indices get past the header checks
     /// and each is taken once.  A rateless stream has no such universe, so
-    /// its receiver refuses new symbols ([`ClientEvent::Rejected`], counted
-    /// in [`DownloadStats::rejected`]) at this many undecoded equations (or
-    /// at an edge budget, see [`RatelessReceiver::max_edges`]).
+    /// it refuses new symbols ([`ClientEvent::Rejected`], counted in
+    /// [`DownloadStats::rejected`]) at `1.5k + 64` undecoded equations, or
+    /// at 16 times that many unknown-symbol references across them,
+    /// whichever comes first.
     pub fn buffer_cap(&self) -> usize {
         match &self.backend {
             Backend::Carousel { code, .. } => code.n(),
-            Backend::Rateless(receiver) => receiver.max_equations(),
+            Backend::Rateless(_) => rateless_caps(self.control.k).0,
         }
     }
 
@@ -560,14 +589,18 @@ impl ClientSession {
                 }
                 ClientEvent::Buffered
             }
-            Backend::Rateless(receiver) => {
-                // Rateless symbols share one uniform length; anything else
-                // is noise (and would poison the XOR reduction if let in).
-                if pkt.payload.len() != receiver.payload_len() {
+            Backend::Rateless(decoder) => {
+                // Rateless symbols share one uniform length, the packet
+                // size (XOR never pads); anything else is noise (and would
+                // poison the XOR reduction if let in).
+                if pkt.payload.len() != self.control.packet_size {
                     return ClientEvent::Ignored;
                 }
                 let seed = seed_from_words(pkt.header.packet_index, pkt.header.serial);
-                if receiver.at_capacity() {
+                let (max_equations, max_edges) = rateless_caps(self.control.k);
+                if decoder.pending_equations() >= max_equations
+                    || decoder.pending_edges() >= max_edges
+                {
                     // The bounded-memory backstop: a flood of forged seeds
                     // (absurd degrees, colliding neighbor sets) can fill the
                     // equation buffer, but it cannot grow it past the caps —
@@ -578,7 +611,7 @@ impl ClientSession {
                 }
                 // The payload is copied once, from the datagram into the
                 // decoder, and only if its equation is kept.
-                match receiver.offer(seed, &pkt.payload) {
+                match decoder.add_symbol_ref(seed, &pkt.payload) {
                     // The decoder cannot keep it: the first symbol of a
                     // session whose file the allocator refuses to reserve.
                     Err(_) => {
@@ -597,7 +630,7 @@ impl ClientSession {
                     Ok(df_core::AddOutcome::Complete) => {
                         self.stats.counter.record_verdict(true);
                         // The decoder's source rows are the file, in place.
-                        match receiver.take_file(self.control.file_len) {
+                        match decoder.take_source(self.control.file_len) {
                             Some(file) => {
                                 self.file = Some(file);
                                 ClientEvent::Complete
@@ -1023,6 +1056,8 @@ mod tests {
             (1, 8, 9),                        // burst longer than the interval
             (1, MAX_SP_INTERVAL + 1, 0),      // unbounded accounting
             (MAX_SCHEDULED_LAYERS + 1, 8, 1), // block size 2^16: schedule cap
+            (2, 0, 3),                        // a burst with no SP to precede
+            (1, 0, 1),                        // the same on one layer
         ] {
             let mut control = base.clone();
             control.layers = layers;
@@ -1235,15 +1270,90 @@ mod tests {
         // The decoder lets go at completion; the session still answers
         // (and ignores the content of) whatever arrives late.
         assert_eq!(client.held_packets(), 0);
-        let Backend::Rateless(receiver) = &mut client.backend else {
+        let Backend::Rateless(decoder) = &mut client.backend else {
             panic!("a rateless session");
         };
         assert_eq!(
-            receiver.add(u64::MAX, vec![0; receiver.payload_len()]),
+            decoder.add_symbol(u64::MAX, vec![0; 499]),
             df_core::AddOutcome::Duplicate
         );
-        assert!(receiver.is_complete() && receiver.take_file(49_900).is_none());
+        assert!(decoder.is_complete() && decoder.take_source(49_900).is_none());
         assert_eq!(client.stats().distinctness_efficiency(), 1.0);
+    }
+
+    #[test]
+    fn rateless_caps_scale_with_k_and_start_unsaturated() {
+        let server = ServerSession::new(
+            &[9u8; 16_000],
+            SessionConfig {
+                packet_size: 16,
+                rateless: RatelessMode::Lt,
+                code_seed: 9,
+                ..SessionConfig::default()
+            },
+        )
+        .unwrap();
+        let client = ClientSession::new(server.control_info().clone()).unwrap();
+        assert_eq!(client.stats().k(), 1000);
+        assert_eq!(rateless_caps(1000), (1564, 1564 * 16));
+        assert_eq!(client.buffer_cap(), 1564);
+        assert_eq!(client.held_packets(), 0);
+        let Backend::Rateless(decoder) = &client.backend else {
+            panic!("a rateless session");
+        };
+        assert_eq!(
+            (decoder.pending_equations(), decoder.pending_edges()),
+            (0, 0)
+        );
+    }
+
+    #[test]
+    fn an_absurd_degree_flood_fills_the_rateless_decoder_only_to_its_caps() {
+        // The flood of adversarial.rs's
+        // `rateless_absurd_degree_floods_hit_the_edge_cap_not_the_heap` —
+        // seeds of degree ≥ 48, ground from the announced stream seed —
+        // fed straight to the session's decoder, to watch the edge ledger
+        // itself: once a cap trips, additions stop, so pending edges can
+        // overshoot the edge cap by at most one equation's degree (≤ k).
+        let server = ServerSession::new(
+            &[0u8; 50_000],
+            SessionConfig {
+                rateless: RatelessMode::Lt,
+                code_seed: 41,
+                ..SessionConfig::default()
+            },
+        )
+        .unwrap();
+        let info = server.control_info().clone();
+        assert_eq!(info.k, 100);
+        let lt = LtEncoder::new(info.k, LT_DEFAULT_C, LT_DEFAULT_DELTA, info.code_seed).unwrap();
+        let (max_equations, max_edges) = rateless_caps(info.k);
+        let mut flood = Vec::new();
+        let mut edges = 0usize;
+        let mut seed = 0u64;
+        while edges <= max_edges + 256 {
+            seed += 1;
+            let degree = lt.equation(seed).neighbors.len();
+            if degree >= 48 {
+                edges += degree;
+                flood.push(seed);
+            }
+        }
+        let mut client = ClientSession::new(info.clone()).unwrap();
+        let Backend::Rateless(decoder) = &mut client.backend else {
+            panic!("a rateless session");
+        };
+        let at_capacity = |decoder: &LtDecoder<Vec<u8>>| {
+            decoder.pending_equations() >= max_equations || decoder.pending_edges() >= max_edges
+        };
+        for &seed in &flood {
+            if !at_capacity(decoder) {
+                decoder.add_symbol(seed, vec![0u8; info.packet_size]);
+            }
+            assert!(decoder.pending_equations() <= max_equations);
+            assert!(decoder.pending_edges() < max_edges + info.k);
+        }
+        assert!(at_capacity(decoder), "the decoder never saturated");
     }
 
     #[test]

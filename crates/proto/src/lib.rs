@@ -69,8 +69,11 @@
 //! received symbol is new no matter when a receiver tunes in — the
 //! distinctness-efficiency loss late joiners pay under the carousel
 //! (→ ≈ 0.64 as duplicates accumulate) disappears entirely.  The mode is
-//! announced on the control channel (`CONTROL_VERSION` 3) and the client
-//! routes datagrams into a streaming decoder behind hard memory caps; see
+//! announced on the control channel (`CONTROL_VERSION` 3).  It is the same
+//! two session types: a [`ServerSession`] XORs each symbol from the one
+//! encoding it keeps in either mode, and a [`ClientSession`] feeds its
+//! streaming decoder behind hard memory caps ([`ClientSession::buffer_cap`]);
+//! [`rateless`] holds only the wire's mode byte and seed packing.  See
 //! DESIGN.md "Rateless mode".
 
 #![forbid(unsafe_code)]
@@ -91,9 +94,7 @@ pub use control::{ControlInfo, ControlRequest, ControlResponse};
 pub use driver::{
     Driver, DriverConfig, DriverEvent, DriverReport, Pacing, Session, SessionHandle, ShardStats,
 };
-pub use rateless::{
-    seed_from_words, seed_to_words, RatelessMode, RatelessReceiver, RatelessSender,
-};
+pub use rateless::{seed_from_words, seed_to_words, RatelessMode};
 pub use server::{FountainServer, ServerSession, SessionConfig};
 pub use transport::{Readiness, SimEndpoint, SimMulticast, Transport};
 pub use udp::{GroupAddressing, UdpMulticastTransport};

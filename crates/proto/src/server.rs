@@ -13,13 +13,14 @@
 //! session that run in the same process — a test, a simulation, the
 //! benchmark — decode over the very graph it encoded with.
 
-use crate::client::{check_session_size, MAX_SCHEDULED_LAYERS};
+use crate::client::{check_session_shape, check_session_size, MAX_SCHEDULED_LAYERS};
 use crate::control::{ControlInfo, ControlRequest, ControlResponse};
-use crate::rateless::{seed_to_words, RatelessMode, RatelessSender};
+use crate::rateless::{seed_to_words, RatelessMode};
 use crate::transport::Transport;
 use crate::wire::{DataPacket, PacketHeader};
 use bytes::Bytes;
-use df_core::{Encoding, RaptorCode, TornadoCode, TornadoError, TornadoProfile, TORNADO_A};
+use df_core::{Encoding, LtEncoder, RaptorCode, TornadoCode, TornadoError, TornadoProfile};
+use df_core::{LT_DEFAULT_C, LT_DEFAULT_DELTA, TORNADO_A};
 use df_mcast::{LayeredSession, TransmissionSchedule};
 use std::collections::VecDeque;
 
@@ -48,8 +49,8 @@ pub struct SessionConfig {
     /// rounds before each SP are sent at double rate so receivers can probe
     /// the next subscription level without feedback to the source.
     pub sp_interval: usize,
-    /// Rounds of double-rate burst preceding each SP (only meaningful when
-    /// `sp_interval > 0`; must then be `< sp_interval`).
+    /// Rounds of double-rate burst preceding each SP: `< sp_interval`, and
+    /// `0` for a flat session, which has no SP for a burst to precede.
     pub burst_rounds: usize,
     /// Data-path encoding: [`RatelessMode::Off`] (default) transmits the
     /// fixed-encoding carousel; the seed-carrying modes stream fresh LT /
@@ -91,6 +92,10 @@ impl Default for SessionConfig {
 /// ```
 #[derive(Debug)]
 pub struct ServerSession {
+    /// The session's encoded file, in one buffer: a carousel's `n` rows,
+    /// each sent as it is, or the rows a stream's LT layer XORs its symbols
+    /// from — the `k` source packets, or the `n` Raptor intermediates.
+    encoding: Encoding,
     engine: Engine,
     control: ControlInfo,
     serial: u32,
@@ -100,14 +105,13 @@ pub struct ServerSession {
     sent: u64,
 }
 
-/// The transmit machinery behind a [`ServerSession`]: either the classic
-/// fixed-encoding carousel or a never-repeating rateless symbol stream.
+/// What a [`ServerSession`]'s mode sends its encoding by: the classic
+/// fixed-encoding carousel's schedule, or a never-repeating rateless symbol
+/// stream.
 #[derive(Debug)]
 enum Engine {
     Carousel {
         code: TornadoCode,
-        /// All `n` rows in one buffer; a datagram's payload is a row of it.
-        encoding: Encoding,
         schedule: TransmissionSchedule,
         /// SP/burst cadence of the layered congestion-control mode; `None`
         /// for a flat carousel.
@@ -115,7 +119,21 @@ enum Engine {
         /// `(layer, encoding index)` pairs still to transmit this round.
         pending: VecDeque<(usize, usize)>,
     },
-    Rateless(RatelessSender),
+    Stream {
+        /// Seed → (degree, neighbours) derivation over the encoding's rows:
+        /// the source packets for plain LT, the code's LT layer over the
+        /// intermediates for Raptor.
+        lt: LtEncoder,
+        /// The current equation's neighbours, reused from symbol to symbol,
+        /// so nothing is allocated per symbol once it has grown.
+        neighbors: Vec<u32>,
+        /// Next seed to issue; monotonic, never wraps in any feasible
+        /// session.
+        next_seed: u64,
+        /// Fresh symbols still to send this round, of `k` a round (one
+        /// carousel round's bandwidth, so round-based pacing is unchanged).
+        left: usize,
+    },
 }
 
 impl ServerSession {
@@ -127,13 +145,13 @@ impl ServerSession {
     /// Returns [`TornadoError::InvalidParameters`] for a session its own
     /// clients would refuse (an empty file, a packet size no UDP datagram
     /// frames, more than [`crate::client::MAX_K`] packets, a file longer
-    /// than [`crate::client::MAX_FILE_LEN`] or groups past `u32::MAX`) or a
-    /// layer count outside
+    /// than [`crate::client::MAX_FILE_LEN`], groups past `u32::MAX`, burst
+    /// rounds without an SP cadence, or a rateless session that is not
+    /// single-layer and flat) or a layer count outside
     /// `1..=`[`MAX_SCHEDULED_LAYERS`], flat or layered — all checked before
-    /// anything is encoded — for a degenerate layered configuration (see
-    /// [`df_mcast::LayeredSession::new`]) or a rateless configuration that is
-    /// not single-layer and flat, and propagates code-construction errors
-    /// from `df-core`.
+    /// anything is encoded — or a degenerate layered configuration (see
+    /// [`df_mcast::LayeredSession::new`]), and propagates code-construction
+    /// errors from `df-core`.
     pub fn new(data: &[u8], config: SessionConfig) -> df_core::Result<Self> {
         let k = data.len().div_ceil(config.packet_size.max(1));
         check_session_size(
@@ -143,6 +161,14 @@ impl ServerSession {
             config.base_group,
             config.layers,
         )
+        .and_then(|()| {
+            check_session_shape(
+                config.rateless,
+                config.layers,
+                config.sp_interval,
+                config.burst_rounds,
+            )
+        })
         .map_err(|why| TornadoError::InvalidParameters {
             reason: format!("its clients would refuse {why}"),
         })?;
@@ -154,24 +180,51 @@ impl ServerSession {
                 ),
             });
         }
-        if config.rateless.is_rateless() {
-            return Self::new_rateless(data, k, config);
-        }
-        let code = TornadoCode::with_profile(k, config.profile, config.code_seed)?;
-        // The file is copied once, into the slab it is carouselled from.
-        let encoding = code.encode_file(data, config.packet_size)?;
-        let layered = if config.sp_interval > 0 {
-            Some(LayeredSession::new(
-                config.layers,
-                code.n(),
-                config.sp_interval,
-                config.burst_rounds,
-            )?)
-        } else {
-            None
+        let stream = |lt| Engine::Stream {
+            lt,
+            neighbors: Vec::new(),
+            next_seed: 0,
+            left: 0,
         };
-        let n = code.n();
-        let schedule = TransmissionSchedule::new(config.layers, n);
+        // The file is copied once, into the encoding it is sent from.
+        let (encoding, engine, n) = match config.rateless {
+            RatelessMode::Off => {
+                let code = TornadoCode::with_profile(k, config.profile, config.code_seed)?;
+                let encoding = code.encode_file(data, config.packet_size)?;
+                let n = code.n();
+                let layered = if config.sp_interval > 0 {
+                    Some(LayeredSession::new(
+                        config.layers,
+                        n,
+                        config.sp_interval,
+                        config.burst_rounds,
+                    )?)
+                } else {
+                    None
+                };
+                let engine = Engine::Carousel {
+                    code,
+                    schedule: TransmissionSchedule::new(config.layers, n),
+                    layered,
+                    // A plain round sends each of the `n` rows once.
+                    pending: VecDeque::with_capacity(n),
+                };
+                (encoding, engine, n)
+            }
+            // The LT layer ranges over the k source packets themselves (the
+            // last one zero-padded), so the advertised symbol count n is k.
+            RatelessMode::Lt => {
+                let encoding = Encoding::from_file(data, config.packet_size)?;
+                let lt = LtEncoder::new(k, LT_DEFAULT_C, LT_DEFAULT_DELTA, config.code_seed)?;
+                (encoding, stream(lt), k)
+            }
+            RatelessMode::Raptor => {
+                let code = RaptorCode::new(k, config.code_seed)?;
+                let encoding = code.precode_file(data, config.packet_size)?;
+                let n = code.intermediate_count();
+                (encoding, stream(code.lt().clone()), n)
+            }
+        };
         let control = ControlInfo {
             session_id: config.session_id,
             file_len: data.len(),
@@ -183,18 +236,12 @@ impl ServerSession {
             base_group: config.base_group,
             sp_interval: config.sp_interval,
             burst_rounds: config.burst_rounds,
-            rateless: RatelessMode::Off,
+            rateless: config.rateless,
             profile: config.profile.name.to_string(),
         };
         let mut session = ServerSession {
-            engine: Engine::Carousel {
-                code,
-                encoding,
-                schedule,
-                layered,
-                // A plain round sends each of the `n` rows once.
-                pending: VecDeque::with_capacity(n),
-            },
+            encoding,
+            engine,
             control,
             serial: 0,
             round: 0,
@@ -202,65 +249,6 @@ impl ServerSession {
         };
         session.refill_round();
         Ok(session)
-    }
-
-    /// Build the rateless variant over `data`'s `k` packets: no retained
-    /// encoding, no schedule — just the seed-carrying symbol stream over one
-    /// multicast group.
-    fn new_rateless(data: &[u8], k: usize, config: SessionConfig) -> df_core::Result<Self> {
-        if config.layers != 1 || config.sp_interval != 0 {
-            return Err(TornadoError::InvalidParameters {
-                reason: format!(
-                    "rateless sessions are single-layer and flat; got layers = {}, \
-                     sp_interval = {} (every symbol is already distinct, so the \
-                     layered schedule has nothing to add)",
-                    config.layers, config.sp_interval
-                ),
-            });
-        }
-        let packet_size = config.packet_size;
-        let (sender, n) = match config.rateless {
-            RatelessMode::Lt => {
-                // The LT layer ranges over the k source packets themselves
-                // (the last one zero-padded), so the advertised symbol count
-                // n is k.
-                let sender = RatelessSender::for_lt(data, packet_size, config.code_seed)?;
-                (sender, k)
-            }
-            RatelessMode::Raptor => {
-                let code = RaptorCode::new(k, config.code_seed)?;
-                let n = code.intermediate_count();
-                (RatelessSender::for_raptor(&code, data, packet_size)?, n)
-            }
-            // Unreachable (the caller dispatched on is_rateless()), but an
-            // error beats a panic in session-construction code.
-            RatelessMode::Off => {
-                return Err(TornadoError::InvalidParameters {
-                    reason: "rateless constructor called with mode Off".to_string(),
-                })
-            }
-        };
-        let control = ControlInfo {
-            session_id: config.session_id,
-            file_len: data.len(),
-            packet_size,
-            k,
-            n,
-            code_seed: config.code_seed,
-            layers: 1,
-            base_group: config.base_group,
-            sp_interval: 0,
-            burst_rounds: 0,
-            rateless: config.rateless,
-            profile: config.profile.name.to_string(),
-        };
-        Ok(ServerSession {
-            engine: Engine::Rateless(sender),
-            control,
-            serial: 0,
-            round: 0,
-            sent: 0,
-        })
     }
 
     /// Convenience constructor using the paper's defaults: Tornado A and
@@ -291,12 +279,12 @@ impl ServerSession {
     }
 
     /// The Tornado code in use, for carousel sessions (exposed for tests and
-    /// benchmarks); `None` for rateless sessions, which retain no fixed
-    /// encoding at all.
+    /// benchmarks); `None` for rateless sessions, whose symbols no fixed
+    /// code numbers.
     pub fn code(&self) -> Option<&TornadoCode> {
         match &self.engine {
             Engine::Carousel { code, .. } => Some(code),
-            Engine::Rateless(_) => None,
+            Engine::Stream { .. } => None,
         }
     }
 
@@ -306,7 +294,7 @@ impl ServerSession {
     pub fn schedule(&self) -> Option<&TransmissionSchedule> {
         match &self.engine {
             Engine::Carousel { schedule, .. } => Some(schedule),
-            Engine::Rateless(_) => None,
+            Engine::Stream { .. } => None,
         }
     }
 
@@ -335,7 +323,7 @@ impl ServerSession {
             Engine::Carousel { layered, .. } => {
                 layered.as_ref().is_some_and(|l| l.is_burst(self.round))
             }
-            Engine::Rateless(_) => false,
+            Engine::Stream { .. } => false,
         }
     }
 
@@ -347,10 +335,9 @@ impl ServerSession {
     /// encoding; a rateless round emits `k` *fresh* symbols, the header's
     /// `packet_index:serial` words carrying each symbol's 64-bit seed.
     pub fn poll_transmit(&mut self) -> Option<(u32, Bytes)> {
+        let encoding = &self.encoding;
         let out = match &mut self.engine {
-            Engine::Carousel {
-                encoding, pending, ..
-            } => {
+            Engine::Carousel { pending, .. } => {
                 let (layer, idx) = pending.pop_front()?;
                 let group = self.control.base_group + layer as u32;
                 let header = PacketHeader {
@@ -367,21 +354,33 @@ impl ServerSession {
                 // borrowed payload as an `iovec`) removes the copy.
                 (group, DataPacket::frame(&header, encoding.row(idx)))
             }
-            Engine::Rateless(sender) => {
-                if sender.round_complete() {
+            Engine::Stream {
+                lt,
+                neighbors,
+                next_seed,
+                left,
+            } => {
+                if *left == 0 {
                     return None;
                 }
                 let group = self.control.base_group;
-                // The symbol is XORed straight into the datagram, behind
-                // the header its seed becomes.
-                let datagram = DataPacket::frame_in_place(sender.symbol_len(), |payload| {
-                    let (packet_index, serial) = seed_to_words(sender.poll_into(payload)?);
+                // The symbol is XORed from the encoding's rows straight into
+                // the datagram, behind the header its seed becomes.  The
+                // encoder only errors on a row-count or length mismatch,
+                // which construction rules out; that would end the round
+                // rather than panic in transmit-path code.
+                let datagram = DataPacket::frame_in_place(encoding.packet_size(), |payload| {
+                    lt.encode_into(*next_seed, encoding, neighbors, payload)
+                        .ok()?;
+                    let (packet_index, serial) = seed_to_words(*next_seed);
                     Some(PacketHeader {
                         packet_index,
                         serial,
                         group,
                     })
                 })?;
+                *next_seed += 1;
+                *left -= 1;
                 (group, datagram)
             }
         };
@@ -394,7 +393,7 @@ impl ServerSession {
     pub fn round_complete(&self) -> bool {
         match &self.engine {
             Engine::Carousel { pending, .. } => pending.is_empty(),
-            Engine::Rateless(sender) => sender.round_complete(),
+            Engine::Stream { left, .. } => *left == 0,
         }
     }
 
@@ -408,6 +407,7 @@ impl ServerSession {
 
     fn refill_round(&mut self) {
         let round = self.round;
+        let k = self.control.k;
         match &mut self.engine {
             Engine::Carousel {
                 schedule,
@@ -435,7 +435,7 @@ impl ServerSession {
                     }
                 }
             }
-            Engine::Rateless(sender) => sender.advance_round(),
+            Engine::Stream { left, .. } => *left = k,
         }
     }
 
@@ -694,7 +694,8 @@ mod tests {
 
     #[test]
     fn degenerate_layered_config_is_a_constructor_error() {
-        for (sp, burst) in [(1usize, 0usize), (4, 4), (4, 5)] {
+        // Bursts precede SPs: without an SP cadence there is none to send.
+        for (sp, burst) in [(1usize, 0usize), (4, 4), (4, 5), (0, 3), (0, 1)] {
             let result = ServerSession::new(
                 &[1u8; 10_000],
                 SessionConfig {
@@ -813,7 +814,7 @@ mod tests {
                 },
             )
             .unwrap();
-            assert!(server.code().is_none(), "no retained encoding");
+            assert!(server.code().is_none(), "no fixed code");
             assert!(server.schedule().is_none(), "no carousel schedule");
             assert!(!server.is_layered() && !server.in_burst());
             assert_eq!(server.rateless_mode(), mode);
@@ -851,20 +852,20 @@ mod tests {
 
     #[test]
     fn rateless_rejects_layered_configs() {
-        for (layers, sp) in [(2usize, 0usize), (1, 4), (4, 4)] {
+        for (layers, sp, burst) in [(2usize, 0usize, 0usize), (1, 4, 1), (4, 4, 1), (1, 0, 2)] {
             let result = ServerSession::new(
                 &[1u8; 10_000],
                 SessionConfig {
                     rateless: RatelessMode::Lt,
                     layers,
                     sp_interval: sp,
-                    burst_rounds: sp.saturating_sub(3),
+                    burst_rounds: burst,
                     ..SessionConfig::default()
                 },
             );
             assert!(
                 matches!(result, Err(TornadoError::InvalidParameters { .. })),
-                "rateless with layers = {layers}, sp = {sp} must be rejected"
+                "rateless with layers = {layers}, sp = {sp}, burst = {burst} must be rejected"
             );
         }
     }
