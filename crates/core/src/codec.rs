@@ -26,7 +26,7 @@
 //! # Example
 //!
 //! ```
-//! use df_core::{TornadoCode, PayloadDecoder, AddOutcome};
+//! use df_core::{TornadoCode, AddOutcome};
 //!
 //! // A file of 1 000 source packets of 64 bytes, Tornado A profile.
 //! let code = TornadoCode::new_a(1_000, 42).unwrap();
@@ -48,7 +48,7 @@
 //! ```
 
 use crate::cascade::Cascade;
-use crate::decode::{OwnedPayloadDecoder, PayloadDecoder, SymbolicDecoder};
+use crate::decode::{AddOutcome, PayloadDecoder, SymbolicDecoder};
 use crate::encode::Encoding;
 use crate::error::Result;
 use crate::fountain::Reception;
@@ -104,8 +104,9 @@ fn shared_cascade(k: usize, profile: TornadoProfile, seed: u64) -> Result<Arc<Ca
 /// A Tornado erasure code with fixed `k`, stretch factor and graph structure.
 ///
 /// The cascade is held behind an [`Arc`], so cloning a `TornadoCode` — or
-/// creating an [`OwnedPayloadDecoder`] with [`TornadoCode::owned_decoder`] —
-/// shares the graph structure instead of copying it, and so does building
+/// creating a decoder with [`TornadoCode::decoder`] or
+/// [`TornadoCode::symbolic_decoder`] — shares the graph structure instead of
+/// copying it, and so does building
 /// the same `(k, profile, seed)` again while this one is alive (see the
 /// [module docs](self)).
 #[derive(Debug, Clone)]
@@ -224,20 +225,15 @@ impl TornadoCode {
         crate::encode::encode_file(&self.cascade, data, packet_size)
     }
 
-    /// Create an incremental payload decoder borrowing this code's cascade.
-    pub fn decoder(&self) -> PayloadDecoder<'_> {
-        PayloadDecoder::new(self.cascade())
-    }
-
-    /// Create an incremental payload decoder that shares ownership of the
+    /// Create an incremental payload decoder.  It shares this code's
     /// cascade, so it is not tied to this `TornadoCode`'s lifetime.
-    pub fn owned_decoder(&self) -> OwnedPayloadDecoder {
-        OwnedPayloadDecoder::new(self.shared_cascade())
+    pub fn decoder(&self) -> PayloadDecoder {
+        PayloadDecoder::new(self.shared_cascade())
     }
 
     /// Create an index-only decoder for reception simulations.
-    pub fn symbolic_decoder(&self) -> SymbolicDecoder<'_> {
-        SymbolicDecoder::new(self.cascade())
+    pub fn symbolic_decoder(&self) -> SymbolicDecoder {
+        SymbolicDecoder::new(self.shared_cascade())
     }
 
     /// Batch decode: reconstruct the source from `(index, payload)` pairs.
@@ -249,14 +245,17 @@ impl TornadoCode {
     /// other errors for malformed input.
     pub fn decode(&self, received: &[(usize, Vec<u8>)]) -> Result<Vec<Vec<u8>>> {
         let mut decoder = self.decoder();
+        let mut accepted = 0;
         for (idx, payload) in received {
             // By reference: only packets that advance decoding are cloned.
-            decoder.add_packet_ref(*idx, payload)?;
+            if decoder.add_packet_ref(*idx, payload)? != AddOutcome::Duplicate {
+                accepted += 1;
+            }
         }
         match decoder.source() {
             Some(src) => Ok(src),
             None => Err(crate::TornadoError::NeedMorePackets {
-                received: decoder.received_distinct(),
+                received: accepted,
                 k: self.k(),
             }),
         }
@@ -307,11 +306,16 @@ mod tests {
         let code = TornadoCode::new_a(200, 2).unwrap();
         let src: Vec<Vec<u8>> = (0..200u8).map(|i| vec![i; 10]).collect();
         let enc = code.encode(&src).unwrap();
-        // Far too few packets.
-        let few: Vec<(usize, Vec<u8>)> = (0..100).map(|i| (i, enc[i].clone())).collect();
+        // Far too few packets, a fifth of them twice: the error counts the
+        // distinct ones.
+        let few: Vec<(usize, Vec<u8>)> =
+            (0..100).chain(0..20).map(|i| (i, enc[i].clone())).collect();
         assert!(matches!(
             code.decode(&few),
-            Err(crate::TornadoError::NeedMorePackets { .. })
+            Err(crate::TornadoError::NeedMorePackets {
+                received: 100,
+                k: 200
+            })
         ));
         // The whole encoding always decodes.
         let all: Vec<(usize, Vec<u8>)> = enc.iter().cloned().enumerate().collect();
@@ -346,25 +350,19 @@ mod tests {
     }
 
     #[test]
-    fn owned_decoder_outlives_the_code_and_matches_borrowed() {
+    fn a_decoder_outlives_its_code() {
         let code = TornadoCode::new_a(300, 4).unwrap();
         let src: Vec<Vec<u8>> = (0..300u16).map(|i| i.to_le_bytes().repeat(8)).collect();
         let enc = code.encode(&src).unwrap();
-        let mut owned = code.owned_decoder();
-        let mut borrowed = code.decoder();
+        let mut decoder = code.decoder();
+        // The decoder keeps working after the code itself is gone.
+        drop(code);
         for (i, p) in enc.iter().enumerate().rev() {
-            let a = owned.add_packet_ref(i, p).unwrap();
-            let b = borrowed.add_packet_ref(i, p).unwrap();
-            assert_eq!(a, b, "packet {i}");
-            if a == crate::AddOutcome::Complete {
+            if decoder.add_packet_ref(i, p).unwrap() == AddOutcome::Complete {
                 break;
             }
         }
-        // The owned decoder keeps working after the code itself is gone.
-        drop(borrowed);
-        drop(code);
-        assert!(owned.is_complete());
-        assert_eq!(owned.source().unwrap(), src);
+        assert_eq!(decoder.source().unwrap(), src);
     }
 
     #[test]
@@ -405,7 +403,7 @@ mod tests {
         let code = TornadoCode::new_a(611, 0xC0DE).unwrap();
         let again = TornadoCode::with_profile(611, TORNADO_A, 0xC0DE).unwrap();
         assert!(Arc::ptr_eq(&code.cascade, &again.cascade));
-        assert!(std::ptr::eq(code.cascade(), code.owned_decoder().cascade()));
+        assert!(std::ptr::eq(code.cascade(), code.decoder().cascade()));
         assert_eq!(live_codes((611, 0xC0DE, TORNADO_A.name)), 1);
 
         let distinct = |other: TornadoCode| {
@@ -457,7 +455,7 @@ mod tests {
         let key = (733, 0xDEAD, TORNADO_A.name);
         assert_eq!(live_codes(key), 0);
         let code = TornadoCode::new_a(733, 0xDEAD).unwrap();
-        let decoder = code.owned_decoder();
+        let decoder = code.decoder();
         let clone = code.clone();
         assert_eq!(live_codes(key), 1);
         drop(code);

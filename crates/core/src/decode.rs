@@ -36,19 +36,20 @@
 //! copy ([`PeelingDecoder::take_file`]).
 //!
 //! A decoder owns only its per-download state.  The graphs, and the checks'
-//! initial unknown-neighbour counts, belong to the [`Cascade`] — which every
-//! session of one code in a process shares (see [`crate::codec`]) — so
-//! creating a decoder allocates its per-packet flags and a copy of those
-//! counts, and nothing sized by the file: a payload decoder reserves the
-//! file's bytes, without touching them, at its first packet.  A finished
-//! one can [`PeelingDecoder::release`] what it holds, or give its source
-//! rows away as the file.
+//! initial unknown-neighbour counts, belong to the [`Cascade`] — which the
+//! decoder holds by a shared handle, as every session of one code in a
+//! process does (see [`crate::codec`]) — so creating a decoder allocates its
+//! per-packet flags and a copy of those counts, and nothing sized by the
+//! file: a payload decoder reserves the file's bytes, without touching them,
+//! at its first packet.  A finished one can [`PeelingDecoder::release`] what
+//! it holds, or give its source rows away as the file.  It keeps no
+//! reception tally: a receiver counts what it took through a
+//! [`crate::ReceptionCounter`], and [`AddOutcome`] is the decoder's verdict.
 
 use crate::cascade::{Cascade, PacketRole};
 use crate::error::{Result, TornadoError};
 use crate::store::{StoreShape, SymbolStore};
 use crate::symbol::{Mark, Symbol};
-use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// Outcome of feeding one packet to the decoder.
@@ -84,14 +85,21 @@ impl Bits {
 
 /// Incremental peeling decoder over an agreed [`Cascade`].
 ///
-/// Generic over how the cascade is held (`C`): a plain reference for
-/// short-lived decoders ([`PayloadDecoder`], [`SymbolicDecoder`]) or an
-/// [`Arc`] for decoders that must live independently of the code that created
-/// them ([`OwnedPayloadDecoder`]) — e.g. a protocol session that feeds one
-/// decoder for the length of a download.
+/// The decoder holds the cascade by a shared [`Arc`] handle, so it lives
+/// independently of the [`crate::TornadoCode`] that created it — a protocol
+/// session feeds one for the length of a download — and every decoder and
+/// session of one code shares the one cascade.
 #[derive(Debug, Clone)]
-pub struct PeelingDecoder<S: Symbol, C: Borrow<Cascade> + Clone> {
-    cascade: C,
+pub struct PeelingDecoder<S: Symbol> {
+    cascade: Arc<Cascade>,
+    /// Everything else, a field apart so that peeling reads the graphs and
+    /// writes the state without touching the handle.
+    state: State<S>,
+}
+
+/// The per-download state of a [`PeelingDecoder`].
+#[derive(Debug, Clone)]
+struct State<S: Symbol> {
     /// Value of every encoding packet (global index) the decoder holds:
     /// received, recovered, or built from its neighbours on demand.
     store: S::Store,
@@ -109,10 +117,6 @@ pub struct PeelingDecoder<S: Symbol, C: Borrow<Cascade> + Clone> {
     worklist: Vec<usize>,
     /// Values currently stored in `store`.
     held: usize,
-    /// Distinct packets received from the channel.
-    received_distinct: usize,
-    /// Packets offered including duplicates.
-    received_total: usize,
     /// Known packets among the source level.
     source_known: usize,
     /// Known packets among the final block (last level + RS checks).
@@ -122,97 +126,74 @@ pub struct PeelingDecoder<S: Symbol, C: Borrow<Cascade> + Clone> {
     rs_done: bool,
     /// Every packet so far is a source packet, and none of them has been
     /// settled: nothing can be recovered yet, so the checks' counts wait
-    /// for the first packet that could use them ([`Self::catch_up`]).
-    /// Never set for a single-level cascade.
+    /// for the first packet that could use them (`catch_up`).  Never set for
+    /// a single-level cascade.
     source_only: bool,
     /// Packets settled so far, to pin the deferral in tests.
     #[cfg(test)]
     settled: usize,
 }
 
-impl<S: Symbol, C: Borrow<Cascade> + Clone> PeelingDecoder<S, C> {
+impl<S: Symbol> PeelingDecoder<S> {
     /// Create a decoder for the given cascade with no packets received yet.
-    pub fn new(cascade: C) -> Self {
-        let c: &Cascade = cascade.borrow();
-        let check_base = if c.num_levels() > 1 {
-            c.level_offset(1)
+    pub fn new(cascade: Arc<Cascade>) -> Self {
+        let check_base = if cascade.num_levels() > 1 {
+            cascade.level_offset(1)
         } else {
-            c.rs_offset()
+            cascade.rs_offset()
         };
-        let unknown_left = c.check_degrees().to_vec();
-        debug_assert_eq!(unknown_left.len(), c.rs_offset() - check_base);
-        let n = c.n();
-        PeelingDecoder {
-            store: S::Store::empty(StoreShape::of(c)),
+        let unknown_left = cascade.check_degrees().to_vec();
+        debug_assert_eq!(unknown_left.len(), cascade.rs_offset() - check_base);
+        let n = cascade.n();
+        let state = State {
+            store: S::Store::empty(StoreShape::of(&cascade)),
             holds: Bits::new(n),
             known: vec![false; n],
             unknown_left,
             check_base,
             worklist: Vec::new(),
             held: 0,
-            received_distinct: 0,
-            received_total: 0,
             source_known: 0,
             rs_block_known: 0,
             rs_done: false,
-            source_only: c.num_levels() > 1,
+            source_only: cascade.num_levels() > 1,
             #[cfg(test)]
             settled: 0,
-            cascade,
-        }
+        };
+        PeelingDecoder { cascade, state }
     }
 
     /// The cascade this decoder operates on.
     pub fn cascade(&self) -> &Cascade {
-        self.cascade.borrow()
+        &self.cascade
     }
 
     /// True once every source packet is known.
     pub fn is_complete(&self) -> bool {
-        self.source_known == self.cascade.borrow().k()
-    }
-
-    /// Distinct packets received from the channel so far.
-    pub fn received_distinct(&self) -> usize {
-        self.received_distinct
-    }
-
-    /// Total packets offered, including duplicates.
-    pub fn received_total(&self) -> usize {
-        self.received_total
+        self.state.is_complete(&self.cascade)
     }
 
     /// Packet values the decoder stores — its memory footprint in packets,
     /// at most `n` whatever is fed, and `0` after [`Self::release`].
     pub fn held(&self) -> usize {
-        self.held
+        self.state.held
     }
 
     /// Let go of every packet value, for a caller that has copied what it
-    /// needs out of [`Self::source_iter`] and keeps the decoder only for its
-    /// counters.  Completion and the reception counts stay as they are;
+    /// needs out of [`Self::source_iter`] and keeps the decoder only to ask
+    /// whether it completed.  Completion stays as it is;
     /// [`Self::source_iter`] answers `None` from here on and every further
     /// packet is a [`AddOutcome::Duplicate`] (so a decoder released before
     /// it completed never completes).
     pub fn release(&mut self) {
-        self.store.clear();
-        self.holds = Bits::default();
-        self.held = 0;
+        self.state.store.clear();
+        self.state.holds = Bits::default();
+        self.state.held = 0;
     }
 
     /// `holds` has a bit per packet (`n ≥ 2`) until it is released.
     fn released(&self) -> bool {
-        self.holds.0.is_empty()
-    }
-
-    /// Reception overhead so far: `received_total / k − 1`.
-    ///
-    /// Matches the paper's definition: overhead ε means `(1 + ε)·k` encoding
-    /// packets had to be pulled from the channel to reconstruct the source
-    /// data.  Every received packet counts, including ones whose content the
-    /// decoder had already recovered or already received.
-    pub fn reception_overhead(&self) -> f64 {
-        self.received_total as f64 / self.cascade.borrow().k() as f64 - 1.0
+        self.state.holds.0.is_empty()
     }
 
     /// Feed one encoding packet to the decoder.
@@ -229,7 +210,7 @@ impl<S: Symbol, C: Borrow<Cascade> + Clone> PeelingDecoder<S, C> {
         if self.register(index)? {
             return Ok(AddOutcome::Duplicate);
         }
-        self.store.insert_owned(index, value)?;
+        self.state.store.insert_owned(index, value)?;
         self.accept_new(index)
     }
 
@@ -249,51 +230,47 @@ impl<S: Symbol, C: Borrow<Cascade> + Clone> PeelingDecoder<S, C> {
         if self.register(index)? {
             return Ok(AddOutcome::Duplicate);
         }
-        self.store.insert(index, value)?;
+        self.state.store.insert(index, value)?;
         self.accept_new(index)
     }
 
-    /// Validate `index`, count the reception, and report whether the packet
-    /// is a duplicate — as every packet is to a released decoder.
+    /// Validate `index` and report whether the packet is a duplicate — as
+    /// every packet is to a released decoder.
     fn register(&mut self, index: usize) -> Result<bool> {
-        if index >= self.cascade.borrow().n() {
+        if index >= self.cascade.n() {
             return Err(TornadoError::MalformedInput {
                 reason: format!(
                     "packet index {index} out of range for n = {}",
-                    self.cascade.borrow().n()
+                    self.cascade.n()
                 ),
             });
         }
-        self.received_total += 1;
         if self.released() {
             return Ok(true);
         }
-        if self.source_only && index >= self.cascade.borrow().k() {
+        if self.state.source_only && index >= self.cascade.k() {
             self.catch_up()?;
         }
-        Ok(self.known[index])
+        Ok(self.state.known[index])
     }
 
-    /// Count a new packet, whose value the store now has, and run peeling —
-    /// or, while only source packets have arrived, just keep it.
+    /// Run peeling on a new packet, whose value the store now has — or,
+    /// while only source packets have arrived, just keep it.
     fn accept_new(&mut self, index: usize) -> Result<AddOutcome> {
-        self.received_distinct += 1;
-        if self.source_only {
-            self.hold(index);
-            self.known[index] = true;
-            self.source_known += 1;
-            return Ok(if self.is_complete() {
+        let (cascade, state) = (&*self.cascade, &mut self.state);
+        if state.source_only {
+            state.hold(index);
+            state.known[index] = true;
+            state.source_known += 1;
+            return Ok(if state.is_complete(cascade) {
                 AddOutcome::Complete
             } else {
                 AddOutcome::Accepted
             });
         }
-        // Clone the cascade handle (a pointer copy / `Arc` bump) so the graph
-        // borrow is independent of `self` while the decoder state mutates.
-        let cascade = self.cascade.clone();
-        self.learn(index);
-        let outcome = self.peel(cascade.borrow());
-        self.worklist.clear();
+        state.learn(index);
+        let outcome = state.peel(cascade);
+        state.worklist.clear();
         outcome
     }
 
@@ -304,43 +281,49 @@ impl<S: Symbol, C: Borrow<Cascade> + Clone> PeelingDecoder<S, C> {
     /// the packet that ended the state then meets the same decoder it would
     /// have met had nothing been deferred.
     fn catch_up(&mut self) -> Result<()> {
-        self.source_only = false;
-        let cascade = self.cascade.clone();
+        let (cascade, state) = (&*self.cascade, &mut self.state);
+        state.source_only = false;
         // `settle` counts each source again.
-        self.source_known = 0;
-        for g in 0..cascade.borrow().k() {
-            if self.known[g] {
-                self.worklist.push(g);
-                self.peel(cascade.borrow())?;
+        state.source_known = 0;
+        for g in 0..cascade.k() {
+            if state.known[g] {
+                state.worklist.push(g);
+                state.peel(cascade)?;
             }
         }
-        self.worklist.clear();
+        state.worklist.clear();
         Ok(())
-    }
-
-    /// Settle the worklist until it runs dry or the source is known: what
-    /// else the packet would have made known no longer matters.
-    fn peel(&mut self, cascade: &Cascade) -> Result<AddOutcome> {
-        while !self.is_complete() {
-            let Some(g) = self.worklist.pop() else {
-                return Ok(AddOutcome::Accepted);
-            };
-            self.settle(cascade, g)?;
-        }
-        Ok(AddOutcome::Complete)
     }
 
     /// Borrow the recovered source packets, in order, if decoding is
     /// complete and the values have not been [released](Self::release).
     pub fn source_iter(&self) -> Option<impl ExactSizeIterator<Item = &S::Row> + '_> {
         (self.is_complete() && !self.released())
-            .then(|| (0..self.cascade.borrow().k()).map(|g| self.store.row(g)))
+            .then(|| (0..self.cascade.k()).map(|g| self.state.store.row(g)))
     }
 
     /// A copy of the recovered source packets, if [`Self::source_iter`] has
     /// them.
     pub fn source(&self) -> Option<Vec<S>> {
         Some(self.source_iter()?.map(ToOwned::to_owned).collect())
+    }
+}
+
+impl<S: Symbol> State<S> {
+    fn is_complete(&self, cascade: &Cascade) -> bool {
+        self.source_known == cascade.k()
+    }
+
+    /// Settle the worklist until it runs dry or the source is known: what
+    /// else the packet would have made known no longer matters.
+    fn peel(&mut self, cascade: &Cascade) -> Result<AddOutcome> {
+        while !self.is_complete(cascade) {
+            let Some(g) = self.worklist.pop() else {
+                return Ok(AddOutcome::Accepted);
+            };
+            self.settle(cascade, g)?;
+        }
+        Ok(AddOutcome::Complete)
     }
 
     /// Packet `g`, whose value the store has just been given, is known and
@@ -400,7 +383,10 @@ impl<S: Symbol, C: Borrow<Cascade> + Clone> PeelingDecoder<S, C> {
         }
         // The final level becomes recoverable as soon as k of its block's
         // packets are known.
-        if !self.rs_done && !self.is_complete() && self.rs_block_known >= cascade.final_code().k() {
+        if !self.rs_done
+            && !self.is_complete(cascade)
+            && self.rs_block_known >= cascade.final_code().k()
+        {
             self.try_final_level(cascade)?;
         }
         Ok(())
@@ -489,7 +475,7 @@ impl<S: Symbol, C: Borrow<Cascade> + Clone> PeelingDecoder<S, C> {
     }
 }
 
-impl<C: Borrow<Cascade> + Clone> PeelingDecoder<Vec<u8>, C> {
+impl PeelingDecoder<Vec<u8>> {
     /// The recovered file, `file_len` bytes: the source rows taken out of the
     /// decoder — the buffer they were written to, not a copy — after which
     /// the decoder is [released](Self::release).  `None` unless the decode is
@@ -498,34 +484,24 @@ impl<C: Borrow<Cascade> + Clone> PeelingDecoder<Vec<u8>, C> {
         if !self.is_complete() || self.released() {
             return None;
         }
-        let file = self.store.take_source(file_len)?;
+        let file = self.state.store.take_source(file_len)?;
         self.release();
         Some(file)
     }
 }
 
-/// Decoder that carries real packet payloads, borrowing its cascade.
-pub type PayloadDecoder<'a> = PeelingDecoder<Vec<u8>, &'a Cascade>;
+/// Decoder that carries real packet payloads.
+pub type PayloadDecoder = PeelingDecoder<Vec<u8>>;
 
 /// Index-only decoder used by the large-scale reception simulations.
-pub type SymbolicDecoder<'a> = PeelingDecoder<Mark, &'a Cascade>;
+pub type SymbolicDecoder = PeelingDecoder<Mark>;
 
-/// Payload decoder that *owns* (a share of) its cascade, so it can outlive
-/// the [`crate::TornadoCode`] borrow that created it.  This is the decoder a
-/// protocol session holds for the length of a download, feeding each distinct
-/// packet as it arrives.
-pub type OwnedPayloadDecoder = PeelingDecoder<Vec<u8>, Arc<Cascade>>;
-
-/// Index-only decoder that owns a share of its cascade (see
-/// [`OwnedPayloadDecoder`]).
-pub type OwnedSymbolicDecoder = PeelingDecoder<Mark, Arc<Cascade>>;
-
-impl<C: Borrow<Cascade> + Clone> PeelingDecoder<Mark, C> {
+impl PeelingDecoder<Mark> {
     /// Feed packet indices (no payloads) until the source is recoverable or
-    /// the iterator is exhausted; returns the total number of packets consumed
-    /// from the iterator (the paper's reception count — every packet pulled
-    /// from the channel counts, whether or not it turned out to be useful) if
-    /// decoding completed.
+    /// the iterator is exhausted; returns the number of packets this call
+    /// consumed from the iterator (the paper's reception count — every packet
+    /// pulled from the channel counts, whether or not it turned out to be
+    /// useful) if decoding completed.
     ///
     /// This is the primitive behind the overhead-distribution experiment
     /// (Figure 2) and the receiver simulations (Figures 4–6).
@@ -533,18 +509,16 @@ impl<C: Borrow<Cascade> + Clone> PeelingDecoder<Mark, C> {
     where
         I: IntoIterator<Item = usize>,
     {
+        let mut consumed = 0;
         for idx in indices {
+            consumed += 1;
             match self.add_packet(idx, Mark) {
-                Ok(AddOutcome::Complete) => return Some(self.received_total()),
+                Ok(AddOutcome::Complete) => return Some(consumed),
                 Ok(_) => {}
                 Err(_) => return None,
             }
         }
-        if self.is_complete() {
-            Some(self.received_total())
-        } else {
-            None
-        }
+        self.is_complete().then_some(consumed)
     }
 }
 
@@ -572,10 +546,10 @@ mod tests {
 
     #[test]
     fn decodes_with_all_packets_received() {
-        let cascade = Cascade::build(120, TORNADO_A, 1).unwrap();
+        let cascade = Arc::new(Cascade::build(120, TORNADO_A, 1).unwrap());
         let src = random_source(120, 32, 1);
         let enc = encode_all(&cascade, &src);
-        let mut dec = PayloadDecoder::new(&cascade);
+        let mut dec = PayloadDecoder::new(cascade.clone());
         for (i, p) in enc.iter().enumerate() {
             dec.add_packet(i, p.clone()).unwrap();
         }
@@ -590,7 +564,7 @@ mod tests {
     )]
     fn decodes_from_random_subset_with_overhead() {
         let k = 1000;
-        let cascade = Cascade::build(k, TORNADO_A, 2).unwrap();
+        let cascade = Arc::new(Cascade::build(k, TORNADO_A, 2).unwrap());
         let src = random_source(k, 64, 2);
         let enc = encode_all(&cascade, &src);
         let trials = 8;
@@ -599,7 +573,7 @@ mod tests {
             let mut order: Vec<usize> = (0..cascade.n()).collect();
             let mut rng = ChaCha8Rng::seed_from_u64(3 + t);
             order.shuffle(&mut rng);
-            let mut dec = PayloadDecoder::new(&cascade);
+            let mut dec = PayloadDecoder::new(cascade.clone());
             let mut used = None;
             for (count, &i) in order.iter().enumerate() {
                 if dec.add_packet(i, enc[i].clone()).unwrap() == AddOutcome::Complete {
@@ -625,10 +599,10 @@ mod tests {
 
     #[test]
     fn duplicates_are_reported_and_ignored() {
-        let cascade = Cascade::build(80, TORNADO_A, 4).unwrap();
+        let cascade = Arc::new(Cascade::build(80, TORNADO_A, 4).unwrap());
         let src = random_source(80, 16, 4);
         let enc = encode_all(&cascade, &src);
-        let mut dec = PayloadDecoder::new(&cascade);
+        let mut dec = PayloadDecoder::new(cascade.clone());
         assert_eq!(
             dec.add_packet(5, enc[5].clone()).unwrap(),
             AddOutcome::Accepted
@@ -637,17 +611,15 @@ mod tests {
             dec.add_packet(5, enc[5].clone()).unwrap(),
             AddOutcome::Duplicate
         );
-        assert_eq!(dec.received_distinct(), 1);
-        assert_eq!(dec.received_total(), 2);
     }
 
     #[test]
     fn add_packet_ref_matches_add_packet() {
-        let cascade = Cascade::build(300, TORNADO_A, 12).unwrap();
+        let cascade = Arc::new(Cascade::build(300, TORNADO_A, 12).unwrap());
         let src = random_source(300, 24, 12);
         let enc = encode_all(&cascade, &src);
-        let mut by_value = PayloadDecoder::new(&cascade);
-        let mut by_ref = PayloadDecoder::new(&cascade);
+        let mut by_value = PayloadDecoder::new(cascade.clone());
+        let mut by_ref = PayloadDecoder::new(cascade.clone());
         for (i, p) in enc.iter().enumerate().rev() {
             let a = by_value.add_packet(i, p.clone()).unwrap();
             let b = by_ref.add_packet_ref(i, p).unwrap();
@@ -663,22 +635,21 @@ mod tests {
         }
         assert_eq!(by_value.is_complete(), by_ref.is_complete());
         assert_eq!(by_value.source(), by_ref.source());
-        assert_eq!(by_value.received_total(), by_ref.received_total());
     }
 
     #[test]
     fn out_of_range_index_is_an_error() {
-        let cascade = Cascade::build(10, TORNADO_A, 5).unwrap();
-        let mut dec = PayloadDecoder::new(&cascade);
+        let cascade = Arc::new(Cascade::build(10, TORNADO_A, 5).unwrap());
+        let mut dec = PayloadDecoder::new(cascade.clone());
         assert!(dec.add_packet(999, vec![0u8; 4]).is_err());
     }
 
     #[test]
     fn source_is_none_until_complete() {
-        let cascade = Cascade::build(50, TORNADO_A, 6).unwrap();
+        let cascade = Arc::new(Cascade::build(50, TORNADO_A, 6).unwrap());
         let src = random_source(50, 8, 6);
         let enc = encode_all(&cascade, &src);
-        let mut dec = PayloadDecoder::new(&cascade);
+        let mut dec = PayloadDecoder::new(cascade.clone());
         dec.add_packet(0, enc[0].clone()).unwrap();
         assert!(dec.source().is_none());
         assert!(!dec.is_complete());
@@ -689,10 +660,10 @@ mod tests {
         // Every check becomes computable on the way, the final level with
         // them, and none of it is built: the decode is the k packets fed.
         let k = 500;
-        let cascade = Cascade::build(k, TORNADO_A, 7).unwrap();
+        let cascade = Arc::new(Cascade::build(k, TORNADO_A, 7).unwrap());
         assert!(cascade.num_levels() > 1, "premise: a real cascade");
         let src = random_source(k, 48, 7);
-        let mut dec = PayloadDecoder::new(&cascade);
+        let mut dec = PayloadDecoder::new(cascade.clone());
         for (i, p) in src.iter().enumerate() {
             let expected = if i + 1 < k {
                 AddOutcome::Accepted
@@ -708,47 +679,46 @@ mod tests {
     #[test]
     fn a_source_first_reception_settles_nothing_until_a_check_arrives() {
         let k = 500;
-        let cascade = Cascade::build(k, TORNADO_A, 17).unwrap();
+        let cascade = Arc::new(Cascade::build(k, TORNADO_A, 17).unwrap());
         let src = random_source(k, 8, 17);
         let enc = encode_all(&cascade, &src);
-        let mut whole = PayloadDecoder::new(&cascade);
+        let mut whole = PayloadDecoder::new(cascade.clone());
         for (i, p) in src.iter().enumerate() {
             whole.add_packet_ref(i, p).unwrap();
         }
         assert!(whole.is_complete());
-        assert_eq!(whole.settled, 0, "a source-only reception is a copy");
+        assert_eq!(whole.state.settled, 0, "a source-only reception is a copy");
 
         // One source lost: the check that covers it settles the k − 1 held
         // sources once, and then recovers the missing one.
-        let mut dec = PayloadDecoder::new(&cascade);
+        let mut dec = PayloadDecoder::new(cascade.clone());
         for (i, p) in src[..k - 1].iter().enumerate().rev() {
             assert_eq!(dec.add_packet_ref(i, p), Ok(AddOutcome::Accepted));
         }
-        assert_eq!(dec.settled, 0);
+        assert_eq!(dec.state.settled, 0);
         let graph = &cascade.graphs()[0];
         let covering = cascade.global_index(1, graph.left_neighbors(k - 1)[0] as usize);
         assert_eq!(
             dec.add_packet_ref(covering, &enc[covering]),
             Ok(AddOutcome::Complete)
         );
-        assert!(dec.settled >= k, "settled {}", dec.settled);
+        assert!(dec.state.settled >= k, "settled {}", dec.state.settled);
         assert_eq!(dec.source().unwrap(), src);
     }
 
     #[test]
-    fn a_released_decoder_keeps_its_counters_and_nothing_else() {
+    fn a_released_decoder_holds_nothing_and_takes_nothing() {
         let k = 300;
-        let cascade = Cascade::build(k, TORNADO_A, 13).unwrap();
+        let cascade = Arc::new(Cascade::build(k, TORNADO_A, 13).unwrap());
         let src = random_source(k, 16, 13);
         let enc = encode_all(&cascade, &src);
-        let mut dec = PayloadDecoder::new(&cascade);
+        let mut dec = PayloadDecoder::new(cascade.clone());
         for (i, p) in enc.iter().enumerate().rev() {
             if dec.add_packet_ref(i, p).unwrap() == AddOutcome::Complete {
                 break;
             }
         }
         assert_eq!(dec.source().unwrap(), src);
-        let (distinct, total) = (dec.received_distinct(), dec.received_total());
         dec.release();
         assert_eq!(dec.held(), 0);
         assert!(dec.is_complete() && dec.source_iter().is_none());
@@ -761,13 +731,10 @@ mod tests {
             );
         }
         assert!(dec.add_packet_ref(cascade.n(), &enc[0]).is_err());
-        assert_eq!(
-            (dec.received_distinct(), dec.received_total(), dec.held()),
-            (distinct, total + 3, 0)
-        );
+        assert_eq!(dec.held(), 0);
 
         // Released early, a decoder takes nothing more and never completes.
-        let mut early = PayloadDecoder::new(&cascade);
+        let mut early = PayloadDecoder::new(cascade.clone());
         early.add_packet_ref(0, &enc[0]).unwrap();
         early.release();
         for (i, p) in enc.iter().enumerate() {
@@ -779,7 +746,7 @@ mod tests {
     #[test]
     fn the_file_is_the_source_slab_whatever_order_the_rows_came_in() {
         let k = 120;
-        let cascade = Cascade::build(k, TORNADO_A, 14).unwrap();
+        let cascade = Arc::new(Cascade::build(k, TORNADO_A, 14).unwrap());
         let src = random_source(k, 9, 14);
         let enc = encode_all(&cascade, &src);
         let file_len = 9 * k - 4;
@@ -787,7 +754,7 @@ mod tests {
         // The first row to arrive is a source row out of order, and the
         // rest come back to front: every source row is written in place.
         for first in [5, k - 1, 0] {
-            let mut dec = PayloadDecoder::new(&cascade);
+            let mut dec = PayloadDecoder::new(cascade.clone());
             assert_eq!(
                 dec.add_packet_ref(first, &enc[first]),
                 Ok(AddOutcome::Accepted)
@@ -808,15 +775,15 @@ mod tests {
 
     #[test]
     fn a_payload_of_another_length_is_refused_before_it_counts() {
-        let cascade = Cascade::build(80, TORNADO_A, 15).unwrap();
+        let cascade = Arc::new(Cascade::build(80, TORNADO_A, 15).unwrap());
         let src = random_source(80, 16, 15);
-        let mut dec = PayloadDecoder::new(&cascade);
+        let mut dec = PayloadDecoder::new(cascade.clone());
         dec.add_packet_ref(3, &src[3]).unwrap();
         assert!(matches!(
             dec.add_packet_ref(4, &src[4][..15]),
             Err(TornadoError::MalformedInput { .. })
         ));
-        assert_eq!((dec.held(), dec.received_distinct()), (1, 1));
+        assert_eq!(dec.held(), 1);
         assert_eq!(dec.add_packet_ref(4, &src[4]), Ok(AddOutcome::Accepted));
     }
 
@@ -826,13 +793,13 @@ mod tests {
         // 256 packets; at an odd packet size its checks are 9 bytes for
         // 7-byte packets.
         let k = 130;
-        let cascade = Cascade::build(k, TORNADO_B, 16).unwrap();
+        let cascade = Arc::new(Cascade::build(k, TORNADO_B, 16).unwrap());
         assert!(matches!(cascade.final_code(), crate::FinalCode::Large(_)));
         let src = random_source(k, 7, 16);
         let enc = encode_all(&cascade, &src);
         assert_eq!(enc[cascade.rs_offset()].len(), 9);
         // Checks first, so the slab learns the packet size from a wide row.
-        let mut dec = PayloadDecoder::new(&cascade);
+        let mut dec = PayloadDecoder::new(cascade.clone());
         for i in (k..cascade.n()).chain(0..k) {
             if dec.add_packet_ref(i, &enc[i]).unwrap() == AddOutcome::Complete {
                 break;
@@ -844,7 +811,7 @@ mod tests {
     #[test]
     fn a_computable_check_arriving_late_is_a_duplicate() {
         let k = 500;
-        let cascade = Cascade::build(k, TORNADO_A, 8).unwrap();
+        let cascade = Arc::new(Cascade::build(k, TORNADO_A, 8).unwrap());
         let src = random_source(k, 16, 8);
         let enc = encode_all(&cascade, &src);
         // All but the last source packet: some level-1 check has every
@@ -854,7 +821,7 @@ mod tests {
             .find(|&c| !graph.check_neighbors(c).contains(&(k as u32 - 1)))
             .unwrap();
         let g = cascade.global_index(1, check);
-        let mut dec = PayloadDecoder::new(&cascade);
+        let mut dec = PayloadDecoder::new(cascade.clone());
         for (i, p) in src[..k - 1].iter().enumerate() {
             dec.add_packet_ref(i, p).unwrap();
         }
@@ -881,15 +848,15 @@ mod tests {
     )]
     fn symbolic_and_payload_decoders_agree() {
         let k = 800;
-        let cascade = Cascade::build(k, TORNADO_A, 9).unwrap();
+        let cascade = Arc::new(Cascade::build(k, TORNADO_A, 9).unwrap());
         let src = random_source(k, 24, 9);
         let enc = encode_all(&cascade, &src);
         for trial in 0..5u64 {
             let mut order: Vec<usize> = (0..cascade.n()).collect();
             let mut rng = ChaCha8Rng::seed_from_u64(100 + trial);
             order.shuffle(&mut rng);
-            let mut sym = SymbolicDecoder::new(&cascade);
-            let mut pay = PayloadDecoder::new(&cascade);
+            let mut sym = SymbolicDecoder::new(cascade.clone());
+            let mut pay = PayloadDecoder::new(cascade.clone());
             for &i in &order {
                 let s = sym.add_packet(i, Mark).unwrap();
                 let p = pay.add_packet(i, enc[i].clone()).unwrap();
@@ -899,7 +866,6 @@ mod tests {
                 }
             }
             assert_eq!(sym.is_complete(), pay.is_complete());
-            assert_eq!(sym.received_distinct(), pay.received_distinct());
             assert_eq!(pay.source().unwrap(), src);
         }
     }
@@ -917,14 +883,14 @@ mod tests {
         let k = 8264;
         let trials = 10u64;
         for profile in [TORNADO_A, TORNADO_B] {
-            let cascade = Cascade::build(k, profile, 10).unwrap();
+            let cascade = Arc::new(Cascade::build(k, profile, 10).unwrap());
             let mut total = 0.0f64;
             let mut worst = 0.0f64;
             for t in 0..trials {
                 let mut order: Vec<usize> = (0..cascade.n()).collect();
                 let mut rng = ChaCha8Rng::seed_from_u64(1000 + t);
                 order.shuffle(&mut rng);
-                let mut dec = SymbolicDecoder::new(&cascade);
+                let mut dec = SymbolicDecoder::new(cascade.clone());
                 let used = dec
                     .run_until_complete(order)
                     .expect("full encoding decodes");
@@ -943,18 +909,38 @@ mod tests {
         // Below the cascade threshold the code is a single MDS block, so any
         // k packets decode with zero overhead.
         let k = 60;
-        let cascade = Cascade::build(k, TORNADO_A, 11).unwrap();
+        let cascade = Arc::new(Cascade::build(k, TORNADO_A, 11).unwrap());
         assert_eq!(cascade.num_levels(), 1);
         let src = random_source(k, 20, 11);
         let enc = encode_all(&cascade, &src);
-        let rx: Vec<usize> = (k..2 * k).collect();
-        let mut dec = PayloadDecoder::new(&cascade);
-        for i in rx {
-            dec.add_packet(i, enc[i].clone()).unwrap();
-        }
-        assert!(dec.is_complete());
+        let mut dec = PayloadDecoder::new(cascade.clone());
+        let outcomes: Vec<AddOutcome> = (k..2 * k)
+            .map(|i| dec.add_packet(i, enc[i].clone()).unwrap())
+            .collect();
+        assert!(outcomes[..k - 1].iter().all(|&o| o == AddOutcome::Accepted));
+        assert_eq!(outcomes[k - 1], AddOutcome::Complete);
         assert_eq!(dec.source().unwrap(), src);
-        assert_eq!(dec.received_distinct(), k);
+    }
+
+    #[test]
+    fn run_until_complete_counts_only_what_it_consumes() {
+        let k = 500;
+        let cascade = Arc::new(Cascade::build(k, TORNADO_A, 18).unwrap());
+        let mut order: Vec<usize> = (0..cascade.n()).collect();
+        order.shuffle(&mut ChaCha8Rng::seed_from_u64(18));
+        let needed = SymbolicDecoder::new(cascade.clone())
+            .run_until_complete(order.iter().copied())
+            .expect("the whole encoding decodes");
+        // A decoder that already holds part of the reception counts only the
+        // rest: the packets this call pulled from the iterator.
+        let fed = 100;
+        let mut dec = SymbolicDecoder::new(cascade);
+        for &i in &order[..fed] {
+            dec.add_packet(i, Mark).unwrap();
+        }
+        let rest = dec.run_until_complete(order[fed..].iter().copied());
+        assert_eq!(rest, Some(needed - fed));
+        assert_eq!(dec.run_until_complete(std::iter::empty()), Some(0));
     }
 
     proptest! {
@@ -969,13 +955,13 @@ mod tests {
             seed in any::<u64>(),
         ) {
             let profile = TornadoProfile::tornado_a();
-            let cascade = Cascade::build(k, profile, seed).unwrap();
+            let cascade = Arc::new(Cascade::build(k, profile, seed).unwrap());
             let src = random_source(k, len * 2, seed ^ 1); // even length for GF(2^16) safety
             let enc = encode_all(&cascade, &src);
             let mut order: Vec<usize> = (0..cascade.n()).collect();
             let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 2);
             order.shuffle(&mut rng);
-            let mut dec = PayloadDecoder::new(&cascade);
+            let mut dec = PayloadDecoder::new(cascade.clone());
             for &i in &order {
                 if dec.add_packet(i, enc[i].clone()).unwrap() == AddOutcome::Complete {
                     break;

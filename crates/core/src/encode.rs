@@ -295,7 +295,7 @@ mod tests {
         use crate::decode::{AddOutcome, PayloadDecoder};
         use rand::seq::SliceRandom;
 
-        let cascade = Cascade::build(2000, TORNADO_B, 5).unwrap();
+        let cascade = std::sync::Arc::new(Cascade::build(2000, TORNADO_B, 5).unwrap());
         assert!(cascade.final_code().n() > 256, "premise: GF(2^16) final");
         let data = random_file(2000 * 7, 5);
         let enc = encode_file(&cascade, &data, 7).expect("odd lengths must encode");
@@ -308,7 +308,7 @@ mod tests {
 
         let mut order: Vec<usize> = (0..cascade.n()).collect();
         order.shuffle(&mut ChaCha8Rng::seed_from_u64(55));
-        let mut dec = PayloadDecoder::new(&cascade);
+        let mut dec = PayloadDecoder::new(cascade.clone());
         for &i in &order {
             if dec.add_packet_ref(i, enc.row(i)).unwrap() == AddOutcome::Complete {
                 break;

@@ -7,12 +7,13 @@
 //! carousel): a receiver that joins at an arbitrary time and suffers
 //! arbitrary loss keeps listening until its decoder completes.
 //!
-//! [`PacketStream`] is the common interface; [`Carousel`] is the concrete
-//! approximation used by the simulations and the prototype server.  The
-//! carousel transmits a fresh pseudo-random permutation of the encoding on
-//! every cycle, which is what the paper's simulations do ("the server then
-//! simply cycled through a random permutation of the source and redundant
-//! packets", Section 7.1).
+//! [`Carousel`] is that approximation as the simulations draw it: a fresh
+//! pseudo-random permutation of the encoding on every cycle, which is what
+//! the paper's simulations do ("the server then simply cycled through a
+//! random permutation of the source and redundant packets", Section 7.1).
+//! The prototype server does not draw from it: a `df_proto::ServerSession`
+//! sends the raw block order of its `df_mcast::TransmissionSchedule`, the
+//! same every cycle.
 //!
 //! The receiving end is [`ReceptionCounter`]: the one tally every receiver
 //! counts through — the prototype client, the Section 6 simulated receivers,
@@ -24,36 +25,18 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// An unbounded source of encoding-packet indices, in transmission order.
-///
-/// Implementations decide how the index sequence is generated; consumers pull
-/// one index per packet-transmission opportunity.  The ideal digital fountain
-/// would never repeat an index; practical approximations repeat after a full
-/// cycle of the finite encoding.
-pub trait PacketStream {
-    /// The index of the next encoding packet to transmit.
-    fn next_index(&mut self) -> usize;
-
-    /// Total number of distinct encoding packets this stream draws from.
-    fn universe(&self) -> usize;
-
-    /// Number of packet transmissions produced so far.
-    fn transmitted(&self) -> u64;
-}
-
-/// Carousel transmission order over a finite encoding of `n` packets.
+/// Carousel transmission order over a finite encoding of `n` packets: an
+/// unbounded stream of indices that repeats the encoding once per cycle,
+/// where the ideal digital fountain would never repeat one.
 ///
 /// Each cycle is an independent pseudo-random permutation of `0..n`, seeded
 /// deterministically so that a sender can be reproduced exactly in tests and
 /// simulations.
 #[derive(Debug, Clone)]
 pub struct Carousel {
-    n: usize,
     rng: ChaCha8Rng,
     current: Vec<usize>,
     pos: usize,
-    transmitted: u64,
-    shuffle: bool,
 }
 
 impl Carousel {
@@ -65,63 +48,25 @@ impl Carousel {
     /// Panics if `n == 0`.
     pub fn new(n: usize, seed: u64) -> Self {
         assert!(n > 0, "carousel needs at least one packet");
-        let mut c = Carousel {
-            n,
-            rng: ChaCha8Rng::seed_from_u64(seed),
-            current: (0..n).collect(),
-            pos: 0,
-            transmitted: 0,
-            shuffle: true,
-        };
-        c.reshuffle();
-        c
-    }
-
-    /// A carousel that cycles through the packets in index order without
-    /// shuffling (the plain data-carousel / broadcast-disk behaviour the paper
-    /// contrasts with in Section 1).
-    pub fn sequential(n: usize) -> Self {
-        assert!(n > 0, "carousel needs at least one packet");
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let mut current: Vec<usize> = (0..n).collect();
+        current.shuffle(&mut rng);
         Carousel {
-            n,
-            rng: ChaCha8Rng::seed_from_u64(0),
-            current: (0..n).collect(),
+            rng,
+            current,
             pos: 0,
-            transmitted: 0,
-            shuffle: false,
         }
     }
 
-    fn reshuffle(&mut self) {
-        if self.shuffle {
+    /// The index of the next encoding packet to transmit.
+    pub fn next_index(&mut self) -> usize {
+        if self.pos == self.current.len() {
             self.current.shuffle(&mut self.rng);
-        }
-        self.pos = 0;
-    }
-
-    /// Number of completed full cycles.
-    pub fn cycles_completed(&self) -> u64 {
-        self.transmitted / self.n as u64
-    }
-}
-
-impl PacketStream for Carousel {
-    fn next_index(&mut self) -> usize {
-        if self.pos == self.n {
-            self.reshuffle();
+            self.pos = 0;
         }
         let idx = self.current[self.pos];
         self.pos += 1;
-        self.transmitted += 1;
         idx
-    }
-
-    fn universe(&self) -> usize {
-        self.n
-    }
-
-    fn transmitted(&self) -> u64 {
-        self.transmitted
     }
 }
 
@@ -256,8 +201,6 @@ mod tests {
             let batch: HashSet<usize> = (0..100).map(|_| c.next_index()).collect();
             assert_eq!(batch.len(), 100, "cycle {cycle} repeated a packet");
         }
-        assert_eq!(c.cycles_completed(), 3);
-        assert_eq!(c.transmitted(), 300);
     }
 
     #[test]
@@ -269,13 +212,6 @@ mod tests {
             first, second,
             "consecutive cycles should be shuffled differently"
         );
-    }
-
-    #[test]
-    fn sequential_carousel_preserves_order() {
-        let mut c = Carousel::sequential(5);
-        let got: Vec<usize> = (0..12).map(|_| c.next_index()).collect();
-        assert_eq!(got, vec![0, 1, 2, 3, 4, 0, 1, 2, 3, 4, 0, 1]);
     }
 
     #[test]

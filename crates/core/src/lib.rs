@@ -11,12 +11,14 @@
 //!   encoding/decoding times that are orders of magnitude faster than
 //!   Reed–Solomon codes at bulk-data scale (Tables 2 and 3 of the paper).
 //! * **The digital fountain / carousel abstraction** ([`Carousel`],
-//!   [`PacketStream`], [`ReceptionCounter`]) — the transmission model in which
-//!   a server cycles endlessly through the encoding and each receiver listens,
-//!   at a time of its choosing and over an arbitrarily lossy channel, until it
-//!   has collected enough packets to decode; every receiver in the workspace
-//!   counts what it took through a [`ReceptionCounter`], and the paper's
-//!   efficiencies are defined once, on its [`Reception`] counts.
+//!   [`ReceptionCounter`]) — the transmission model in which a server cycles
+//!   endlessly through the encoding and each receiver listens, at a time of
+//!   its choosing and over an arbitrarily lossy channel, until it has
+//!   collected enough packets to decode.  [`Carousel`] is the simulations'
+//!   sender, a fresh random permutation each cycle (the prototype server
+//!   sends its layered schedule's order instead); every receiver in the
+//!   workspace counts what it took through a [`ReceptionCounter`], and the
+//!   paper's efficiencies are defined once, on its [`Reception`] counts.
 //!
 //! The companion crates build on these primitives: `df-sim` reproduces the
 //! paper's simulation study (interleaved Reed–Solomon baseline, loss models,
@@ -64,14 +66,11 @@ pub mod symbol;
 
 pub use cascade::{Cascade, FinalCode, PacketRole};
 pub use codec::TornadoCode;
-pub use decode::{
-    AddOutcome, OwnedPayloadDecoder, OwnedSymbolicDecoder, PayloadDecoder, PeelingDecoder,
-    SymbolicDecoder,
-};
+pub use decode::{AddOutcome, PayloadDecoder, PeelingDecoder, SymbolicDecoder};
 pub use degree::DegreeDistribution;
 pub use encode::Encoding;
 pub use error::{Result, TornadoError};
-pub use fountain::{Carousel, PacketStream, Reception, ReceptionCounter};
+pub use fountain::{Carousel, Reception, ReceptionCounter};
 pub use graph::{BipartiteGraph, CheckSide};
 pub use overhead::OverheadStats;
 pub use profile::{TornadoProfile, TORNADO_A, TORNADO_B};

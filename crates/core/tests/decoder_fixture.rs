@@ -143,7 +143,7 @@ fn fnv1a(packets: &[Vec<u8>]) -> u64 {
 fn decode(code: &TornadoCode, encoding: &[Vec<u8>], order: &[usize]) -> (usize, u64, u64) {
     let mut payload = code.decoder();
     let mut marks = code.symbolic_decoder();
-    let mut counted: PeelingDecoder<Counted, _> = PeelingDecoder::new(code.cascade());
+    let mut counted: PeelingDecoder<Counted> = PeelingDecoder::new(code.shared_cascade());
     XORS.with(|x| x.set(0));
     for (fed, &i) in order.iter().enumerate() {
         let outcome = payload.add_packet_ref(i, &encoding[i]).unwrap();

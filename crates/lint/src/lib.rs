@@ -47,10 +47,16 @@
 //!    that share nothing else; the diff to the table is where each instance
 //!    gets argued for.  Write-once tables (`OnceLock`/`LazyLock` around plain
 //!    data) are constants and exempt by construction.  Stale rows are errors.
+//! 10. **pub-surface** — the `pub` items of each crate under `crates/`
+//!     (its `src/`, outside `#[cfg(test)]`) are counted and compared with
+//!     the committed table [`PUB_SURFACE_TABLE`], so every change to the
+//!     public surface shows as a diff to one file, and the count is a
+//!     number to spend down.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
 
@@ -346,7 +352,9 @@ pub fn check_safety_comments(file: &str, lines: &[SourceLine]) -> Vec<Diagnostic
 // Rule 2: wire-facing discipline (no panic paths, annotated indexing).
 // ---------------------------------------------------------------------------
 
-/// Mark every line covered by a `#[cfg(test)]`-gated item (brace matching).
+/// Mark every line covered by a `#[cfg(test)]`-gated item: brace matching
+/// for an item with a body, and up to its own `;` or `,` for one without —
+/// `mod tests;`, a struct field, a field of a struct literal.
 pub fn test_region_mask(lines: &[SourceLine]) -> Vec<bool> {
     let mut mask = vec![false; lines.len()];
     let mut i = 0;
@@ -354,23 +362,34 @@ pub fn test_region_mask(lines: &[SourceLine]) -> Vec<bool> {
         let code = &lines[i].code;
         if code.contains("#[cfg(test)]") || code.contains("#[cfg(all(test") {
             let mut depth: i64 = 0;
+            // Parentheses, brackets and generics open before any body: a
+            // `,` inside them does not end the item.
+            let mut nest: i64 = 0;
             let mut started = false;
             let mut j = i;
             'scan: while j < lines.len() {
+                let mut prev = ' ';
                 for ch in lines[j].code.chars() {
                     match ch {
                         '{' => {
                             depth += 1;
                             started = true;
                         }
+                        // The body closed, or (before any body) the
+                        // enclosing item did.
                         '}' => {
                             depth -= 1;
-                            if started && depth <= 0 {
+                            if depth <= 0 {
                                 break 'scan;
                             }
                         }
+                        '(' | '[' | '<' if !started => nest += 1,
+                        ')' | ']' if !started => nest -= 1,
+                        '>' if !started && prev != '-' && prev != '=' => nest -= 1,
+                        ';' | ',' if !started && nest == 0 => break 'scan,
                         _ => {}
                     }
+                    prev = ch;
                 }
                 j += 1;
             }
@@ -1258,6 +1277,115 @@ pub fn check_global_state(files: &[(String, Vec<SourceLine>)]) -> Vec<Diagnostic
     out
 }
 
+// ---------------------------------------------------------------------------
+// Rule 10: the pub surface per crate, against a committed table.
+// ---------------------------------------------------------------------------
+
+/// The committed pub-surface table, relative to the repository root.
+pub const PUB_SURFACE_TABLE: &str = "crates/lint/pub-surface.txt";
+
+/// `pub` items on `lines` outside `#[cfg(test)]`: every bare `pub` keyword —
+/// an item, a method, a field, a re-export line.  `pub(crate)` and
+/// `pub(super)` are not surface and do not count.
+pub fn count_pub_items(lines: &[SourceLine]) -> usize {
+    let in_test = test_region_mask(lines);
+    lines
+        .iter()
+        .zip(in_test)
+        .filter(|(_, in_test)| !in_test)
+        .map(|(line, _)| {
+            keyword_positions(&line.code, "pub")
+                .filter(|&p| !line.code[p + "pub".len()..].trim_start().starts_with('('))
+                .count()
+        })
+        .sum()
+}
+
+/// `pub` items per crate under `crates/` (the files under its `src/`),
+/// keyed by the crate's directory.
+pub fn pub_surface(files: &[(String, Vec<SourceLine>)]) -> BTreeMap<String, usize> {
+    let mut out = BTreeMap::new();
+    for (file, lines) in files {
+        let mut parts = file.split('/');
+        if let (Some("crates"), Some(name), Some("src")) =
+            (parts.next(), parts.next(), parts.next())
+        {
+            *out.entry(format!("crates/{name}")).or_default() += count_pub_items(lines);
+        }
+    }
+    out
+}
+
+/// The table [`PUB_SURFACE_TABLE`] holds for `surface`: one `crate count`
+/// row per crate and a `total` row.
+pub fn render_pub_surface(surface: &BTreeMap<String, usize>) -> String {
+    let mut out = String::from(
+        "# `pub` items per crate outside #[cfg(test)], as df-lint's pub-surface rule\n\
+         # counts them.  Regenerate after changing the surface and commit the diff:\n\
+         #   cargo test -p df-lint -- --ignored regenerate_the_pub_surface\n",
+    );
+    for (krate, count) in surface {
+        out.push_str(&format!("{krate} {count}\n"));
+    }
+    out.push_str(&format!("total {}\n", surface.values().sum::<usize>()));
+    out
+}
+
+/// Rule `pub-surface`: every row of the committed `table` (its text, `None`
+/// when the file is missing) must match the count of `surface`, and every
+/// crate must have a row.
+pub fn check_pub_surface(
+    table: Option<&str>,
+    surface: &BTreeMap<String, usize>,
+) -> Vec<Diagnostic> {
+    let regenerate = "regenerate it with `cargo test -p df-lint -- --ignored \
+                      regenerate_the_pub_surface` and commit the diff";
+    let Some(table) = table else {
+        return vec![diag(
+            PUB_SURFACE_TABLE,
+            1,
+            "pub-surface",
+            format!("the pub-surface table is missing: {regenerate}"),
+        )];
+    };
+    let mut expected = surface.clone();
+    expected.insert("total".into(), surface.values().sum());
+    let mut out = Vec::new();
+    let mut seen = Vec::new();
+    for (i, row) in table.lines().enumerate() {
+        if row.starts_with('#') || row.trim().is_empty() {
+            continue;
+        }
+        let mut fields = row.split_whitespace();
+        let (name, listed) = (fields.next().unwrap_or(""), fields.next());
+        seen.push(name);
+        let message = match (
+            expected.get(name),
+            listed.and_then(|n| n.parse::<usize>().ok()),
+        ) {
+            (Some(&now), Some(listed)) if now == listed => continue,
+            (Some(&now), _) => format!(
+                "{name} has {now} pub items outside #[cfg(test)], the table says {}: \
+                 {regenerate}",
+                listed.unwrap_or("nothing")
+            ),
+            (None, _) => format!("stale row: no crate {name} under crates/: {regenerate}"),
+        };
+        out.push(diag(PUB_SURFACE_TABLE, i + 1, "pub-surface", message));
+    }
+    for (name, now) in &expected {
+        if !seen.contains(&name.as_str()) {
+            out.push(diag(
+                PUB_SURFACE_TABLE,
+                1,
+                "pub-surface",
+                format!("{name} has {now} pub items and no row: {regenerate}"),
+            ));
+        }
+    }
+    out
+}
+
 fn is_crate_root(rel: &str) -> bool {
     rel == "src/lib.rs"
         || ((rel.starts_with("crates/") || rel.starts_with("shims/"))
@@ -1305,16 +1433,28 @@ pub fn collect_rs_files(root: &Path) -> Vec<String> {
     out
 }
 
-/// Run every rule over the workspace rooted at `root`.
-pub fn run(root: &Path) -> Vec<Diagnostic> {
+/// Every `.rs` file under `root` ([`collect_rs_files`]) through the
+/// scanner, and a diagnostic for each one that cannot be read.
+fn read_sources(root: &Path) -> (Vec<(String, Vec<SourceLine>)>, Vec<Diagnostic>) {
     let mut files = Vec::new();
-    let mut out = Vec::new();
+    let mut unread = Vec::new();
     for rel in collect_rs_files(root) {
         match std::fs::read_to_string(root.join(&rel)) {
             Ok(src) => files.push((rel, split_comments(&src))),
-            Err(e) => out.push(diag(&rel, 1, "io", format!("cannot read source: {e}"))),
+            Err(e) => unread.push(diag(&rel, 1, "io", format!("cannot read source: {e}"))),
         }
     }
+    (files, unread)
+}
+
+/// The pub surface of the workspace rooted at `root` ([`pub_surface`]).
+pub fn workspace_pub_surface(root: &Path) -> BTreeMap<String, usize> {
+    pub_surface(&read_sources(root).0)
+}
+
+/// Run every rule over the workspace rooted at `root`.
+pub fn run(root: &Path) -> Vec<Diagnostic> {
+    let (files, mut out) = read_sources(root);
 
     for (rel, lines) in &files {
         out.extend(check_safety_comments(rel, lines));
@@ -1334,6 +1474,8 @@ pub fn run(root: &Path) -> Vec<Diagnostic> {
     }
     out.extend(check_ffi_allowlist(&files));
     out.extend(check_global_state(&files));
+    let table = std::fs::read_to_string(root.join(PUB_SURFACE_TABLE)).ok();
+    out.extend(check_pub_surface(table.as_deref(), &pub_surface(&files)));
     out.extend(check_doc_drift(root));
     for doc in CITING_DOCS {
         // A missing DESIGN.md is check_doc_drift's finding; the other two
@@ -1413,6 +1555,61 @@ mod tests {
         let src = "fn a() {}\n#[cfg(test)]\nmod tests {\n fn b() { x.unwrap(); }\n}\nfn c() {}";
         let mask = test_region_mask(&split_comments(src));
         assert_eq!(mask, [false, true, true, true, true, false]);
+    }
+
+    #[test]
+    fn test_region_mask_ends_a_bodiless_item_at_its_terminator() {
+        let src = "struct S {\n #[cfg(test)]\n n: Vec<(u8, u8)>,\n}\nimpl S {\n \
+                   pub fn a() {}\n}\n#[cfg(test)]\nmod tests;\nfn b() {}";
+        let mask = test_region_mask(&split_comments(src));
+        let covered: Vec<usize> = (0..mask.len()).filter(|&i| mask[i]).collect();
+        assert_eq!(covered, [1, 2, 7, 8]);
+        // A gated last field with no trailing comma ends with its struct.
+        let src = "struct S {\n #[cfg(test)]\n n: u8\n}\nfn b() {}";
+        let mask = test_region_mask(&split_comments(src));
+        assert_eq!(mask, [false, true, true, true, false]);
+    }
+
+    #[test]
+    fn pub_items_count_bare_pub_outside_tests() {
+        let src = "pub struct S {\n pub a: u8,\n b: u8,\n}\npub(crate) fn f() {}\n\
+                   pub(super) struct T;\npub use x::{y, z};\n/// pub fn in_a_doc()\n\
+                   #[cfg(test)]\nmod tests {\n pub fn helper() {}\n}";
+        assert_eq!(count_pub_items(&split_comments(src)), 3);
+    }
+
+    #[test]
+    fn pub_surface_rule_fires_on_drift_stale_and_missing_rows() {
+        let surface: BTreeMap<String, usize> =
+            [("crates/a".to_string(), 3), ("crates/b".to_string(), 4)].into();
+        let table = render_pub_surface(&surface);
+        assert!(check_pub_surface(Some(&table), &surface).is_empty());
+        assert!(table.ends_with("crates/a 3\ncrates/b 4\ntotal 7\n"));
+
+        let drifted = table.replace("crates/b 4", "crates/b 5");
+        let d = check_pub_surface(Some(&drifted), &surface);
+        let messages: Vec<&str> = d.iter().map(|d| d.message.as_str()).collect();
+        assert_eq!(d.len(), 1, "{messages:?}");
+        assert!(messages[0].starts_with("crates/b has 4 pub items"));
+        assert_eq!(
+            d[0].line,
+            table.lines().position(|l| l == "crates/b 4").unwrap() + 1
+        );
+
+        let stale = format!("{table}crates/gone 1\n");
+        let d = check_pub_surface(Some(&stale), &surface);
+        assert_eq!(d.len(), 1);
+        assert!(d[0].message.starts_with("stale row: no crate crates/gone"));
+
+        let missing = table.replace("crates/a 3\n", "");
+        let d = check_pub_surface(Some(&missing), &surface);
+        assert_eq!(d.len(), 1);
+        assert!(d[0]
+            .message
+            .starts_with("crates/a has 3 pub items and no row"));
+
+        let d = check_pub_surface(None, &surface);
+        assert_eq!((d.len(), d[0].file.as_str()), (1, PUB_SURFACE_TABLE));
     }
 
     #[test]

@@ -14,8 +14,12 @@ fn main() -> ExitCode {
     let diagnostics = df_lint::run(&root);
     if diagnostics.is_empty() {
         println!(
-            "df-lint: clean ({} .rs files checked)",
-            df_lint::collect_rs_files(&root).len()
+            "df-lint: clean ({} .rs files checked, {} pub items as {} lists them)",
+            df_lint::collect_rs_files(&root).len(),
+            df_lint::workspace_pub_surface(&root)
+                .values()
+                .sum::<usize>(),
+            df_lint::PUB_SURFACE_TABLE
         );
         return ExitCode::SUCCESS;
     }

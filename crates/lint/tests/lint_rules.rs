@@ -245,3 +245,13 @@ fn whole_tree_is_clean() {
             .join("\n")
     );
 }
+
+/// Rewrites the pub-surface table from the tree as it stands.  Run after a
+/// change to the surface, and commit the diff with that change.
+#[test]
+#[ignore = "writes crates/lint/pub-surface.txt"]
+fn regenerate_the_pub_surface() {
+    let root = repo_root();
+    let table = df_lint::render_pub_surface(&df_lint::workspace_pub_surface(&root));
+    std::fs::write(root.join(df_lint::PUB_SURFACE_TABLE), table).unwrap();
+}

@@ -9,7 +9,7 @@
 //! datagrams, and feeds them in.
 //!
 //! Decoding is *on arrival*: every distinct, valid packet goes straight into
-//! a [`df_core::OwnedPayloadDecoder`], and the download completes on the
+//! a [`df_core::PayloadDecoder`], and the download completes on the
 //! packet that makes the source decodable — exactly `k` receptions for a
 //! receiver that loses nothing, the first decodable prefix for every other.
 //! (Section 7.2's prototype counted to `(1 + ε)k` before trying because its
@@ -38,8 +38,8 @@ use crate::rateless::{seed_from_words, RatelessMode};
 use crate::wire::DataPacket;
 use bytes::Bytes;
 use df_core::{
-    LtDecoder, LtEncoder, OwnedPayloadDecoder, RaptorCode, Reception, ReceptionCounter,
-    TornadoCode, TornadoError, TornadoProfile, LT_DEFAULT_C, LT_DEFAULT_DELTA,
+    LtDecoder, LtEncoder, PayloadDecoder, RaptorCode, Reception, ReceptionCounter, TornadoCode,
+    TornadoError, TornadoProfile, LT_DEFAULT_C, LT_DEFAULT_DELTA,
 };
 use df_mcast::LayeredSession;
 
@@ -288,7 +288,7 @@ fn rateless_caps(k: usize) -> (usize, usize) {
 enum Backend {
     Carousel {
         code: TornadoCode,
-        decoder: Box<OwnedPayloadDecoder>,
+        decoder: Box<PayloadDecoder>,
     },
     Rateless(Box<LtDecoder<Vec<u8>>>),
 }
@@ -377,7 +377,7 @@ impl ClientSession {
                         code.n()
                     )));
                 }
-                let decoder = Box::new(code.owned_decoder());
+                let decoder = Box::new(code.decoder());
                 (Backend::Carousel { code, decoder }, layered)
             }
             // The profile name is not consulted in rateless mode (there is

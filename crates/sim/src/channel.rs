@@ -299,16 +299,6 @@ impl<T: Transport> HostileChannel<T> {
         self.pending.len()
     }
 
-    /// The wrapped transport.
-    pub fn inner(&self) -> &T {
-        &self.inner
-    }
-
-    /// Unwrap, discarding any copies still held for later release.
-    pub fn into_inner(self) -> T {
-        self.inner
-    }
-
     /// Advance the packet clock past every held copy so subsequent
     /// [`recv`](Transport::recv) calls release the whole backlog.  Finite
     /// feeds call this once the sender is done; the endless carousel never

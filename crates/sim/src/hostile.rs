@@ -14,12 +14,9 @@
 //! counters.
 
 use crate::channel::{ChannelStats, HostileChannelBuilder};
-use df_core::Reception;
-use df_proto::{ClientEvent, ClientSession, ServerSession, SessionConfig, SimMulticast, Transport};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
-
+use crate::layered::Sender;
 use crate::loss::GilbertElliottLoss;
+use df_core::Reception;
 
 /// Parameters of one [`hostile_channel_experiment`] run.
 #[derive(Debug, Clone)]
@@ -176,70 +173,38 @@ impl std::ops::Deref for HostileOutcome {
 /// Panics on a degenerate configuration (empty file, invalid layered
 /// cadence) — this is an experiment driver, not a validation surface.
 pub fn hostile_channel_experiment(cfg: &HostileConfig) -> HostileOutcome {
-    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-    let data: Vec<u8> = (0..cfg.file_len).map(|_| rng.gen()).collect();
-    let mut server = ServerSession::new(
-        &data,
-        SessionConfig {
-            layers: cfg.layers,
-            code_seed: cfg.seed,
-            sp_interval: cfg.sp_interval,
-            burst_rounds: cfg.burst_rounds,
-            ..SessionConfig::default()
-        },
-    )
-    .expect("valid layered session configuration");
-    let net = SimMulticast::new(cfg.seed);
-    let mut tx = net.endpoint(0.0);
-    let mut rx = HostileChannelBuilder::new(cfg.seed ^ 0x686f_7374)
+    let mut sender = Sender::new(
+        cfg.file_len,
+        cfg.layers,
+        cfg.sp_interval,
+        cfg.burst_rounds,
+        cfg.seed,
+    );
+    let rx = HostileChannelBuilder::new(cfg.seed ^ 0x686f_7374)
         .stage(Box::new(crate::channel::GilbertElliottChannel::new(
             cfg.gilbert_elliott(),
         )))
         .reorder(cfg.reorder_p, cfg.reorder_displacement)
         .duplicate(cfg.duplicate_p)
         .jitter(cfg.jitter)
-        .wrap(net.endpoint(0.0));
-    let mut client =
-        ClientSession::new(server.control_info().clone()).expect("server-produced control info");
-    for group in client.subscribed_groups() {
-        rx.join(group).expect("sim join");
-    }
+        .wrap(sender.net.endpoint(0.0));
+    // No access-link budget: the channel is the whole hostile path.
+    let mut listeners = [sender.listener(rx, usize::MAX)];
+    sender.pump(&mut listeners, cfg.max_rounds);
 
-    let mut events = Vec::new();
-    let mut finished_at = None;
-    'run: for round in 0..cfg.max_rounds {
-        server.send_round(&mut tx);
-        while let Some((_group, datagram)) = rx.recv() {
-            match client.handle_datagram(datagram) {
-                ClientEvent::Join { group } => {
-                    rx.join(group).expect("sim join");
-                    events.push(SubscriptionEvent::Join { round, group });
-                }
-                ClientEvent::Leave { group } => {
-                    rx.leave(group);
-                    events.push(SubscriptionEvent::Leave { round, group });
-                }
-                ClientEvent::Complete => {
-                    finished_at = Some(round + 1);
-                    break 'run;
-                }
-                _ => {}
-            }
-        }
-    }
-
-    let stats = client.stats();
+    let [listener] = listeners;
+    let stats = listener.client.stats();
     HostileOutcome {
         loss_bad: cfg.loss_bad,
         burst_len: cfg.burst_len,
-        complete: finished_at.is_some(),
-        rounds: finished_at.unwrap_or(cfg.max_rounds),
-        final_level: client.subscription_level().unwrap_or(0),
+        complete: listener.finished_at.is_some(),
+        rounds: listener.finished_at.unwrap_or(cfg.max_rounds),
+        final_level: listener.client.subscription_level().unwrap_or(0),
         reception: **stats,
         rejected: stats.rejected(),
-        events,
-        burst_episodes: rx.burst_episodes(),
-        channel: rx.stats(),
+        events: listener.events,
+        burst_episodes: listener.transport.burst_episodes(),
+        channel: listener.transport.stats(),
     }
 }
 

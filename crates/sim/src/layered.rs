@@ -1,11 +1,12 @@
 //! The layered congestion-control experiments: Figure 7's heterogeneous
 //! receiver population and both halves of Figure 8 (`repro layered` and
-//! `repro figure8` share this one driver).  Receivers download one carousel,
-//! each behind its own bottleneck bandwidth and the channel's independent
-//! loss, all running the *real* protocol stack — `df_proto::ServerSession`
-//! transmitting the SP/burst schedule over `SimMulticast` and one
-//! `df_proto::ClientSession` per receiver making its own join/leave
-//! decisions.  This is the same client code path the UDP loopback tests
+//! `repro figure8` share this one driver, and the hostile-channel
+//! experiment pumps its receiver through it too).  Receivers download one
+//! carousel, each behind its own bottleneck bandwidth and the channel's
+//! independent loss, all running the *real* protocol stack —
+//! `df_proto::ServerSession` transmitting the SP/burst schedule over
+//! `SimMulticast` and one `df_proto::ClientSession` per receiver making its
+//! own join/leave decisions.  This is the same client code path the UDP loopback tests
 //! drive; only the driver (this module) differs, which is the point of the
 //! sans-I/O design.
 //!
@@ -20,8 +21,11 @@
 //! driver merely executing `Transport::join`/`leave` when the session says
 //! so.
 
+use crate::hostile::SubscriptionEvent;
 use df_core::Reception;
-use df_proto::{ClientEvent, ClientSession, ServerSession, SessionConfig, SimMulticast, Transport};
+use df_proto::{
+    ClientEvent, ClientSession, ServerSession, SessionConfig, SimEndpoint, SimMulticast, Transport,
+};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -52,13 +56,129 @@ impl std::ops::Deref for LayeredOutcome {
     }
 }
 
-struct Receiver {
-    endpoint: df_proto::SimEndpoint,
-    client: ClientSession,
-    /// Datagrams per round the access link lets through.
+/// The sending side of every layered experiment: a layered carousel of
+/// `file_len` seeded random bytes, and the multicast channel it sends on.
+pub(crate) struct Sender {
+    server: ServerSession,
+    /// The channel, for the receivers' endpoints; the sender's own is the
+    /// first registered.
+    pub(crate) net: SimMulticast,
+    tx: SimEndpoint,
+}
+
+/// One receiver a [`Sender`] pumps: a client session on its own transport,
+/// behind an access link that passes `budget` datagrams a round.
+pub(crate) struct Listener<T> {
+    pub(crate) transport: T,
+    pub(crate) client: ClientSession,
     budget: usize,
-    bottleneck: f64,
-    finished_at: Option<usize>,
+    /// Server rounds until the client completed.
+    pub(crate) finished_at: Option<usize>,
+    /// Every join and leave the client asked for, as the pump executed it.
+    pub(crate) events: Vec<SubscriptionEvent>,
+}
+
+impl Sender {
+    /// The session over `file_len` random bytes drawn from `seed`, which
+    /// also seeds the code and the channel.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a degenerate configuration (empty file, invalid layered
+    /// cadence).
+    pub(crate) fn new(
+        file_len: usize,
+        layers: usize,
+        sp_interval: usize,
+        burst_rounds: usize,
+        seed: u64,
+    ) -> Self {
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let data: Vec<u8> = (0..file_len).map(|_| rng.gen()).collect();
+        let server = ServerSession::new(
+            &data,
+            SessionConfig {
+                layers,
+                code_seed: seed,
+                sp_interval,
+                burst_rounds,
+                ..SessionConfig::default()
+            },
+        )
+        .expect("valid layered session configuration");
+        let net = SimMulticast::new(seed);
+        let tx = net.endpoint(0.0);
+        Sender { server, net, tx }
+    }
+
+    /// A fresh client of this session on `transport`, subscribed to its
+    /// first groups.
+    pub(crate) fn listener<T: Transport>(&self, mut transport: T, budget: usize) -> Listener<T> {
+        let client = ClientSession::new(self.server.control_info().clone())
+            .expect("server-produced control info is valid");
+        for group in client.subscribed_groups() {
+            transport.join(group).expect("sim join");
+        }
+        Listener {
+            transport,
+            client,
+            budget,
+            finished_at: None,
+            events: Vec::new(),
+        }
+    }
+
+    /// Send rounds until every listener has completed or `max_rounds` have
+    /// gone by.  After each round every listener still downloading drains
+    /// its transport, and the transport executes the client's joins and
+    /// leaves; a listener that completes leaves its groups and is not read
+    /// again.
+    pub(crate) fn pump<T: Transport>(&mut self, listeners: &mut [Listener<T>], max_rounds: usize) {
+        for round in 0..max_rounds {
+            self.server.send_round(&mut self.tx);
+            for l in listeners.iter_mut().filter(|l| l.finished_at.is_none()) {
+                l.listen(round);
+            }
+            if listeners.iter().all(|l| l.finished_at.is_some()) {
+                break;
+            }
+        }
+    }
+}
+
+impl<T: Transport> Listener<T> {
+    /// Drain what round `round` delivered.  The access link: of the round's
+    /// arrivals, everything beyond the budget is tail-dropped before the
+    /// client sees it.
+    fn listen(&mut self, round: usize) {
+        let mut arrived = 0usize;
+        while let Some((_group, datagram)) = self.transport.recv() {
+            arrived += 1;
+            if arrived > self.budget {
+                continue;
+            }
+            match self.client.handle_datagram(datagram) {
+                ClientEvent::Join { group } => {
+                    self.transport.join(group).expect("sim join");
+                    self.events.push(SubscriptionEvent::Join { round, group });
+                }
+                ClientEvent::Leave { group } => {
+                    self.transport.leave(group);
+                    self.events.push(SubscriptionEvent::Leave { round, group });
+                }
+                ClientEvent::Complete => {
+                    self.finished_at = Some(round + 1);
+                    // Stop listening: a finished receiver leaves the
+                    // session's groups, as a real driver would.
+                    for group in self.client.subscribed_groups() {
+                        self.transport.leave(group);
+                    }
+                    return;
+                }
+                _ => {}
+            }
+        }
+    }
 }
 
 /// Run a heterogeneous population of adaptive receivers against one layered
@@ -93,82 +213,26 @@ pub fn layered_population_experiment(
     seed: u64,
     max_rounds: usize,
 ) -> Vec<LayeredOutcome> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let data: Vec<u8> = (0..file_len).map(|_| rng.gen()).collect();
-    let mut server = ServerSession::new(
-        &data,
-        SessionConfig {
-            layers,
-            code_seed: seed,
-            sp_interval,
-            burst_rounds,
-            ..SessionConfig::default()
-        },
-    )
-    .expect("valid layered session configuration");
-    let blocks = server
+    let mut sender = Sender::new(file_len, layers, sp_interval, burst_rounds, seed);
+    let blocks = sender
+        .server
         .schedule()
         .expect("carousel sessions have a schedule")
         .num_blocks();
-    let net = SimMulticast::new(seed);
-    let mut tx = net.endpoint(0.0);
-    let mut receivers: Vec<Receiver> = bottlenecks
+    let mut receivers: Vec<_> = bottlenecks
         .iter()
         .map(|&bottleneck| {
-            let mut endpoint = net.endpoint(loss);
-            let client = ClientSession::new(server.control_info().clone())
-                .expect("server-produced control info is valid");
-            for group in client.subscribed_groups() {
-                endpoint.join(group).expect("sim join");
-            }
-            Receiver {
-                endpoint,
-                client,
-                budget: (bottleneck * blocks as f64).floor() as usize,
-                bottleneck,
-                finished_at: None,
-            }
+            let budget = (bottleneck * blocks as f64).floor() as usize;
+            sender.listener(sender.net.endpoint(loss), budget)
         })
         .collect();
+    sender.pump(&mut receivers, max_rounds);
 
-    for round in 0..max_rounds {
-        server.send_round(&mut tx);
-        for r in &mut receivers {
-            // The access link: of this round's arrivals, everything beyond
-            // the bottleneck budget is tail-dropped before the client sees
-            // it.
-            let mut arrived = 0usize;
-            while let Some((_group, datagram)) = r.endpoint.recv() {
-                arrived += 1;
-                if arrived > r.budget || r.finished_at.is_some() {
-                    continue;
-                }
-                match r.client.handle_datagram(datagram) {
-                    ClientEvent::Join { group } => {
-                        r.endpoint.join(group).expect("sim join");
-                    }
-                    ClientEvent::Leave { group } => r.endpoint.leave(group),
-                    ClientEvent::Complete => {
-                        r.finished_at = Some(round + 1);
-                        // Stop listening: a finished receiver leaves the
-                        // session's groups, as a real driver would.
-                        for group in r.client.subscribed_groups() {
-                            r.endpoint.leave(group);
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-        if receivers.iter().all(|r| r.finished_at.is_some()) {
-            break;
-        }
-    }
-
-    receivers
-        .into_iter()
-        .map(|r| LayeredOutcome {
-            bottleneck: r.bottleneck,
+    bottlenecks
+        .iter()
+        .zip(receivers)
+        .map(|(&bottleneck, r)| LayeredOutcome {
+            bottleneck,
             complete: r.finished_at.is_some(),
             final_level: r.client.subscription_level().unwrap_or(0),
             rounds: r.finished_at.unwrap_or(max_rounds),

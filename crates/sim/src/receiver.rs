@@ -12,7 +12,7 @@
 use crate::interleaved::InterleavedCode;
 use crate::loss::LossModel;
 use crate::trace::ReceiverTrace;
-use df_core::{Carousel, PacketStream, Reception, ReceptionCounter, TornadoCode};
+use df_core::{Carousel, Reception, ReceptionCounter, TornadoCode};
 use rand::Rng;
 
 /// What happened to one simulated receiver.  It reads as its

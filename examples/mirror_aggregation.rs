@@ -10,9 +10,7 @@
 //!
 //! Run with: `cargo run --release --example mirror_aggregation`
 
-use digital_fountain::core::{
-    AddOutcome, Carousel, Mark, PacketStream, ReceptionCounter, TornadoCode,
-};
+use digital_fountain::core::{AddOutcome, Carousel, Mark, ReceptionCounter, TornadoCode};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
