@@ -86,23 +86,17 @@ pub trait Field:
     /// Multiply-accumulate a byte slice: `dst[i] ^= coeff * src[i]` interpreted
     /// element-wise over the field's byte representation.
     ///
-    /// This is the hot loop of every Reed–Solomon encode/decode: each output
-    /// packet is a field-linear combination of input packets.  Implementations
-    /// specialise it (table-driven for GF(2^8)) because the naive
-    /// element-by-element path dominates runtime otherwise.
+    /// This is the hot loop of every Reed–Solomon encode/decode, and the one
+    /// slice operation of the trait: each output packet is a field-linear
+    /// combination of input packets, accumulated one source at a time.  Both
+    /// fields send it to the vectorized kernels of [`crate::kernels`] because
+    /// the naive element-by-element path dominates runtime otherwise.
     ///
     /// # Panics
     ///
     /// Panics if `dst` and `src` have different lengths or if the length is not
     /// a multiple of the element width in bytes.
     fn mul_acc_slice(coeff: Self, dst: &mut [u8], src: &[u8]);
-
-    /// Multiply a byte slice in place by a scalar: `data[i] *= coeff`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length is not a multiple of the element width in bytes.
-    fn mul_slice(coeff: Self, data: &mut [u8]);
 }
 
 /// XOR `src` into `dst`.  The byte-level addition for every GF(2^w): the

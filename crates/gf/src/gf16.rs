@@ -6,8 +6,8 @@
 //! scalar multiplication goes through 64 K-entry log/exp tables.  The *slice*
 //! operations — the erasure-code hot loop — are delegated to
 //! [`crate::kernels::gf16`], which dispatches at runtime between 4-nibble
-//! `pshufb` SIMD tiers (AVX2 / SSSE3), a SWAR tail tier, the split-byte
-//! product-table fallback, and a direct log/exp loop for short slices.  See
+//! `pshufb` SIMD tiers (AVX-512 / AVX2 / SSSE3), the split-byte product-table
+//! fallback, and a direct log/exp loop for short slices and SIMD tails.  See
 //! that module's documentation for the tier details; all tiers are verified
 //! bit-identical against the element-wise log/exp definition here.
 
@@ -166,12 +166,7 @@ impl Field for GF65536 {
     }
 
     fn mul_acc_slice(coeff: Self, dst: &mut [u8], src: &[u8]) {
-        assert_eq!(dst.len(), src.len(), "mul_acc_slice requires equal lengths");
-        assert_eq!(
-            dst.len() % 2,
-            0,
-            "GF(2^16) slices must contain whole 16-bit elements"
-        );
+        crate::kernels::gf16::assert_elements(dst, src);
         if coeff.0 == 0 {
             return;
         }
@@ -180,22 +175,6 @@ impl Field for GF65536 {
             return;
         }
         crate::kernels::gf16::mul_acc_slice(coeff.0, dst, src);
-    }
-
-    fn mul_slice(coeff: Self, data: &mut [u8]) {
-        assert_eq!(
-            data.len() % 2,
-            0,
-            "GF(2^16) slices must contain whole 16-bit elements"
-        );
-        if coeff.0 == 1 {
-            return;
-        }
-        if coeff.0 == 0 {
-            data.fill(0);
-            return;
-        }
-        crate::kernels::gf16::mul_slice(coeff.0, data);
     }
 }
 
@@ -251,21 +230,10 @@ mod tests {
     }
 
     #[test]
-    fn mul_slice_and_acc_consistent() {
-        let src: Vec<u8> = (0..128u16).flat_map(|v| (v * 513).to_le_bytes()).collect();
-        let coeff = GF65536(0xabc);
-        let mut scaled = src.clone();
-        GF65536::mul_slice(coeff, &mut scaled);
-        let mut acc = vec![0u8; src.len()];
-        GF65536::mul_acc_slice(coeff, &mut acc, &src);
-        assert_eq!(scaled, acc);
-    }
-
-    #[test]
     #[should_panic(expected = "whole 16-bit elements")]
     fn odd_length_slices_rejected() {
-        let mut data = vec![0u8; 3];
-        GF65536::mul_slice(GF65536(2), &mut data);
+        let mut dst = vec![0u8; 3];
+        GF65536::mul_acc_slice(GF65536(2), &mut dst, &[0u8; 3]);
     }
 
     /// Element-by-element reference for the slice kernels.
@@ -297,7 +265,8 @@ mod tests {
     fn slice_kernels_agree_across_the_cutoff() {
         // Lengths straddling the kernel module's small-slice cutoff must
         // agree: both the log/exp small-slice path and the dispatched long
-        // path are compared to the element-wise reference.
+        // path are compared to the element-wise reference, accumulating
+        // into a filled destination and into a zeroed one.
         for len_elems in [1usize, 8, 31, 32, 33, 64, 100, 512] {
             let src: Vec<u8> = (0..len_elems)
                 .flat_map(|i| ((i as u16).wrapping_mul(2654) ^ 0x700d).to_le_bytes())
@@ -309,11 +278,11 @@ mod tests {
                 GF65536::mul_acc_slice(GF65536(coeff), &mut dst, &src);
                 assert_eq!(dst, expect, "mul_acc coeff {coeff:#06x} len {len_elems}");
 
-                let mut data = src.clone();
-                GF65536::mul_slice(GF65536(coeff), &mut data);
+                let mut data = vec![0u8; src.len()];
+                GF65536::mul_acc_slice(GF65536(coeff), &mut data, &src);
                 let mut expect = vec![0u8; src.len()];
                 reference_mul_acc(coeff, &mut expect, &src);
-                assert_eq!(data, expect, "mul coeff {coeff:#06x} len {len_elems}");
+                assert_eq!(data, expect, "zeroed coeff {coeff:#06x} len {len_elems}");
             }
         }
     }

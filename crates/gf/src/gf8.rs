@@ -190,17 +190,6 @@ impl Field for GF256 {
         }
         crate::kernels::mul_acc_slice(coeff.0, dst, src);
     }
-
-    fn mul_slice(coeff: Self, data: &mut [u8]) {
-        if coeff.0 == 1 {
-            return;
-        }
-        if coeff.0 == 0 {
-            data.fill(0);
-            return;
-        }
-        crate::kernels::mul_slice(coeff.0, data);
-    }
 }
 
 impl std::fmt::Display for GF256 {
@@ -283,15 +272,6 @@ mod tests {
     fn pow_zero_of_zero_is_one() {
         assert_eq!(GF256::ZERO.pow(0), GF256::ONE);
         assert_eq!(GF256::ZERO.pow(5), GF256::ZERO);
-    }
-
-    #[test]
-    fn mul_slice_scales_every_byte() {
-        let mut data: Vec<u8> = (0..=255u8).collect();
-        let coeff = GF256(0x1d);
-        let expect: Vec<u8> = data.iter().map(|&b| (GF256(b) * coeff).0).collect();
-        GF256::mul_slice(coeff, &mut data);
-        assert_eq!(data, expect);
     }
 
     #[test]

@@ -29,20 +29,15 @@
 //!
 //! 1. **`pshufb` SIMD** — 32 elements per step with AVX-512BW, 16 with AVX2,
 //!    8 with SSSE3, selected at runtime by the parent module's dispatcher and
-//!    memoized.
-//! 2. **SWAR** ([`swar`]) — four 16-bit lanes per `u64`, carry-less
-//!    Russian-peasant ladder with the lane-wise xtime reduction by the low 16
-//!    bits of the field polynomial.  Used for the sub-vector tails of the SIMD
-//!    paths; like its GF(2^8) sibling it loses to the table tiers on long
-//!    slices (the ladder is up to 16 serial steps), so it is not the no-SIMD
-//!    fallback.
-//! 3. **Split-byte tables** ([`split_byte`]) — the per-coefficient 256-entry
+//!    memoized.  Each hands its sub-vector tail to the log/exp loop (the
+//!    AVX-512 kernel first to AVX2 when the tail holds a whole AVX2 step).
+//! 2. **Split-byte tables** ([`split_byte`]) — the per-coefficient 256-entry
 //!    `TLO`/`THI` product tables (`c·x = TLO[x & 0xff] ⊕ THI[x >> 8]`),
 //!    retained from the pre-SIMD implementation as the no-SIMD dispatch target
 //!    and as a second reference the vector tiers are tested against.
-//! 4. **Scalar log/exp** ([`scalar`]) — the element-wise definition via the
+//! 3. **Scalar log/exp** ([`scalar`]) — the element-wise definition via the
 //!    field's log/exp tables; the semantic reference, and the path taken for
-//!    slices too short to amortize any table build.
+//!    slices too short to amortize any table build and for SIMD tails.
 //!
 //! All tiers are verified bit-identical on every length 0..300 and on
 //! coefficients covering each nibble table (see the tests at the bottom).
@@ -130,9 +125,9 @@ impl NibbleTables16 {
 }
 
 /// Name of the kernel tier runtime dispatch selects for long GF(2^16) slices
-/// on this machine (`"avx512"`, `"avx2"`, `"ssse3"`, `"swar"` under the
-/// [`super::FORCE_TIER_ENV`] override, or `"split-byte"`); surfaced in
-/// benchmark output so recorded numbers identify the code path.
+/// on this machine (`"avx512"`, `"avx2"`, `"ssse3"` or `"split-byte"`, by
+/// detection or as [`super::FORCE_TIER_ENV`] pins it); surfaced in benchmark
+/// output so recorded numbers identify the code path.
 pub fn active_kernel() -> &'static str {
     match super::isa() {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
@@ -141,7 +136,6 @@ pub fn active_kernel() -> &'static str {
         super::Isa::Avx2 => "avx2",
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         super::Isa::Ssse3 => "ssse3",
-        super::Isa::Swar => "swar",
         super::Isa::Scalar => "split-byte",
     }
 }
@@ -156,57 +150,39 @@ pub fn active_kernel() -> &'static str {
 ///
 /// Panics if the slices have different lengths or the length is odd.
 pub fn mul_acc_slice(coeff: u16, dst: &mut [u8], src: &[u8]) {
+    if dst.len() < SMALL_SLICE_CUTOFF_BYTES {
+        scalar::mul_acc_slice(coeff, dst, src);
+    } else {
+        mul_acc_tier(super::isa(), coeff, dst, src);
+    }
+}
+
+/// The multiply-accumulate kernel of tier `isa`, at any slice length.
+fn mul_acc_tier(isa: super::Isa, coeff: u16, dst: &mut [u8], src: &[u8]) {
+    assert_elements(dst, src);
+    match isa {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        // SAFETY: `isa()` returned Avx512/Avx2/Ssse3 only after
+        // `is_x86_feature_detected!` confirmed the feature at runtime (the
+        // tests pass a tier only after the same check).
+        super::Isa::Avx512 => unsafe { x86::mul_acc_avx512(coeff, dst, src) },
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        super::Isa::Avx2 => unsafe { x86::mul_acc_avx2(coeff, dst, src) },
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        super::Isa::Ssse3 => unsafe { x86::mul_acc_ssse3(coeff, dst, src) },
+        super::Isa::Scalar => split_byte::mul_acc_slice(coeff, dst, src),
+    }
+}
+
+/// The precondition of every GF(2^16) slice kernel: equal lengths, whole
+/// 16-bit elements.
+pub(crate) fn assert_elements(dst: &[u8], src: &[u8]) {
     assert_eq!(dst.len(), src.len(), "mul_acc_slice requires equal lengths");
     assert_eq!(
         dst.len() % 2,
         0,
         "GF(2^16) slices must contain whole 16-bit elements"
     );
-    if dst.len() < SMALL_SLICE_CUTOFF_BYTES {
-        scalar::mul_acc_slice(coeff, dst, src);
-        return;
-    }
-    match super::isa() {
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        // SAFETY: `isa()` returned Avx512/Avx2/Ssse3 only after
-        // `is_x86_feature_detected!` confirmed the feature at runtime.
-        super::Isa::Avx512 => unsafe { x86::mul_acc_avx512(coeff, dst, src) },
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        super::Isa::Avx2 => unsafe { x86::mul_acc_avx2(coeff, dst, src) },
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        super::Isa::Ssse3 => unsafe { x86::mul_acc_ssse3(coeff, dst, src) },
-        super::Isa::Swar => swar::mul_acc_slice(coeff, dst, src),
-        super::Isa::Scalar => split_byte::mul_acc_slice(coeff, dst, src),
-    }
-}
-
-/// `data[i] = coeff · data[i]` over GF(2^16) (little-endian elements), fastest
-/// available kernel.
-///
-/// # Panics
-///
-/// Panics if the length is odd.
-pub fn mul_slice(coeff: u16, data: &mut [u8]) {
-    assert_eq!(
-        data.len() % 2,
-        0,
-        "GF(2^16) slices must contain whole 16-bit elements"
-    );
-    if data.len() < SMALL_SLICE_CUTOFF_BYTES {
-        scalar::mul_slice(coeff, data);
-        return;
-    }
-    match super::isa() {
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        // SAFETY: as in `mul_acc_slice`.
-        super::Isa::Avx512 => unsafe { x86::mul_avx512(coeff, data) },
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        super::Isa::Avx2 => unsafe { x86::mul_avx2(coeff, data) },
-        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        super::Isa::Ssse3 => unsafe { x86::mul_ssse3(coeff, data) },
-        super::Isa::Swar => swar::mul_slice(coeff, data),
-        super::Isa::Scalar => split_byte::mul_slice(coeff, data),
-    }
 }
 
 /// Scalar log/exp reference kernels: one element at a time through the field
@@ -220,12 +196,7 @@ pub mod scalar {
     ///
     /// Panics if the slices have different lengths or the length is odd.
     pub fn mul_acc_slice(coeff: u16, dst: &mut [u8], src: &[u8]) {
-        assert_eq!(dst.len(), src.len(), "mul_acc_slice requires equal lengths");
-        assert_eq!(
-            dst.len() % 2,
-            0,
-            "GF(2^16) slices must contain whole 16-bit elements"
-        );
+        super::assert_elements(dst, src);
         if coeff == 0 {
             return;
         }
@@ -239,34 +210,6 @@ pub mod scalar {
             let prod = t.exp[(log_c + t.log[sv as usize]) as usize];
             let dv = u16::from_le_bytes([d[0], d[1]]) ^ prod;
             d.copy_from_slice(&dv.to_le_bytes());
-        }
-    }
-
-    /// Reference `data[i] = coeff · data[i]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length is odd.
-    pub fn mul_slice(coeff: u16, data: &mut [u8]) {
-        assert_eq!(
-            data.len() % 2,
-            0,
-            "GF(2^16) slices must contain whole 16-bit elements"
-        );
-        if coeff == 0 {
-            data.fill(0);
-            return;
-        }
-        let t = tables();
-        let log_c = t.log[coeff as usize];
-        for d in data.chunks_exact_mut(2) {
-            let dv = u16::from_le_bytes([d[0], d[1]]);
-            let prod = if dv == 0 {
-                0
-            } else {
-                t.exp[(log_c + t.log[dv as usize]) as usize]
-            };
-            d.copy_from_slice(&prod.to_le_bytes());
         }
     }
 }
@@ -315,112 +258,13 @@ pub mod split_byte {
     ///
     /// Panics if the slices have different lengths or the length is odd.
     pub fn mul_acc_slice(coeff: u16, dst: &mut [u8], src: &[u8]) {
-        assert_eq!(dst.len(), src.len(), "mul_acc_slice requires equal lengths");
-        assert_eq!(
-            dst.len() % 2,
-            0,
-            "GF(2^16) slices must contain whole 16-bit elements"
-        );
+        super::assert_elements(dst, src);
         let t = ProductTables::build(coeff);
         for (d, s) in dst.chunks_exact_mut(2).zip(src.chunks_exact(2)) {
             let sv = u16::from_le_bytes([s[0], s[1]]);
             let dv = u16::from_le_bytes([d[0], d[1]]) ^ t.mul(sv);
             d.copy_from_slice(&dv.to_le_bytes());
         }
-    }
-
-    /// Split-byte `data[i] = coeff · data[i]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length is odd.
-    pub fn mul_slice(coeff: u16, data: &mut [u8]) {
-        assert_eq!(
-            data.len() % 2,
-            0,
-            "GF(2^16) slices must contain whole 16-bit elements"
-        );
-        let t = ProductTables::build(coeff);
-        for d in data.chunks_exact_mut(2) {
-            let dv = u16::from_le_bytes([d[0], d[1]]);
-            d.copy_from_slice(&t.mul(dv).to_le_bytes());
-        }
-    }
-}
-
-/// Portable SWAR kernels: four 16-bit lanes per `u64` step.
-pub mod swar {
-    use crate::gf16::PRIM_POLY;
-
-    const LANE_HI: u64 = 0x8000_8000_8000_8000;
-    const LANE_LOW15: u64 = 0x7fff_7fff_7fff_7fff;
-    /// The low 16 bits of the field polynomial, broadcast into carrying lanes
-    /// by the multiply in the xtime step.
-    const POLY_LOW: u64 = (PRIM_POLY & 0xffff) as u64;
-
-    /// Multiply all four 16-bit lanes of `word` by `coeff` via the carry-less
-    /// Russian-peasant ladder.  Lanes are little-endian field elements (use
-    /// `from_le_bytes` when loading).
-    #[inline]
-    pub(super) fn mul_word(mut word: u64, coeff: u16) -> u64 {
-        let mut acc = 0u64;
-        let mut bits = coeff;
-        loop {
-            if bits & 1 != 0 {
-                acc ^= word;
-            }
-            bits >>= 1;
-            if bits == 0 {
-                return acc;
-            }
-            // Lane-wise xtime: shift each 16-bit lane left and reduce lanes
-            // whose high bit was set by the polynomial's low 16 bits.  Each
-            // carry is 0 or 1 at the lane's lowest bit position and POLY_LOW
-            // fits in 13 bits, so products cannot spill into neighbour lanes.
-            let carries = (word & LANE_HI) >> 15;
-            word = ((word & LANE_LOW15) << 1) ^ carries.wrapping_mul(POLY_LOW);
-        }
-    }
-
-    /// SWAR `dst[i] ^= coeff · src[i]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices have different lengths or the length is odd.
-    pub fn mul_acc_slice(coeff: u16, dst: &mut [u8], src: &[u8]) {
-        assert_eq!(dst.len(), src.len(), "mul_acc_slice requires equal lengths");
-        assert_eq!(
-            dst.len() % 2,
-            0,
-            "GF(2^16) slices must contain whole 16-bit elements"
-        );
-        let mut d_words = dst.chunks_exact_mut(8);
-        let mut s_words = src.chunks_exact(8);
-        for (d, s) in (&mut d_words).zip(&mut s_words) {
-            let sv = u64::from_le_bytes(s.try_into().expect("chunk is 8 bytes"));
-            let dv = u64::from_le_bytes((&*d).try_into().expect("chunk is 8 bytes"));
-            d.copy_from_slice(&(dv ^ mul_word(sv, coeff)).to_le_bytes());
-        }
-        super::scalar::mul_acc_slice(coeff, d_words.into_remainder(), s_words.remainder());
-    }
-
-    /// SWAR `data[i] = coeff · data[i]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the length is odd.
-    pub fn mul_slice(coeff: u16, data: &mut [u8]) {
-        assert_eq!(
-            data.len() % 2,
-            0,
-            "GF(2^16) slices must contain whole 16-bit elements"
-        );
-        let mut words = data.chunks_exact_mut(8);
-        for d in &mut words {
-            let dv = u64::from_le_bytes((&*d).try_into().expect("chunk is 8 bytes"));
-            d.copy_from_slice(&mul_word(dv, coeff).to_le_bytes());
-        }
-        super::scalar::mul_slice(coeff, words.into_remainder());
     }
 }
 
@@ -584,36 +428,11 @@ mod x86 {
             }
             let (d_rem, s_rem) = (d_chunks.into_remainder(), s_chunks.remainder());
             // Tails shorter than one AVX2 step would pay that kernel's full
-            // shuffle-table build just to fall through to SWAR anyway.
+            // shuffle-table build just to fall through to log/exp anyway.
             if d_rem.len() >= 32 {
                 mul_acc_avx2(coeff, d_rem, s_rem);
             } else {
-                super::swar::mul_acc_slice(coeff, d_rem, s_rem);
-            }
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Requires AVX-512BW (checked by the dispatcher at runtime).
-    #[target_feature(enable = "avx512f,avx512bw,avx2")]
-    pub(super) unsafe fn mul_avx512(coeff: u16, data: &mut [u8]) {
-        // SAFETY: as in `mul_acc_avx512`.
-        unsafe {
-            let t = broadcast_tables_512(coeff);
-            let mask = _mm512_set1_epi16(0x000f);
-            let mut chunks = data.chunks_exact_mut(64);
-            for d in &mut chunks {
-                let dv = _mm512_loadu_si512(d.as_ptr() as *const __m512i);
-                let out = product32x16(dv, &t, mask);
-                _mm512_storeu_si512(d.as_mut_ptr() as *mut __m512i, out);
-            }
-            let rem = chunks.into_remainder();
-            // As in `mul_acc_avx512`: skip the AVX2 table build for short tails.
-            if rem.len() >= 32 {
-                mul_avx2(coeff, rem);
-            } else {
-                super::swar::mul_slice(coeff, rem);
+                super::scalar::mul_acc_slice(coeff, d_rem, s_rem);
             }
         }
     }
@@ -690,26 +509,7 @@ mod x86 {
                 let out = _mm256_xor_si256(dv, product16x16(sv, &t, mask));
                 _mm256_storeu_si256(d.as_mut_ptr() as *mut __m256i, out);
             }
-            super::swar::mul_acc_slice(coeff, d_chunks.into_remainder(), s_chunks.remainder());
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Requires AVX2 (checked by the dispatcher at runtime).
-    #[target_feature(enable = "avx2")]
-    pub(super) unsafe fn mul_avx2(coeff: u16, data: &mut [u8]) {
-        // SAFETY: as in `mul_acc_avx2`.
-        unsafe {
-            let t = broadcast_tables(coeff);
-            let mask = _mm256_set1_epi16(0x000f);
-            let mut chunks = data.chunks_exact_mut(32);
-            for d in &mut chunks {
-                let dv = _mm256_loadu_si256(d.as_ptr() as *const __m256i);
-                let out = product16x16(dv, &t, mask);
-                _mm256_storeu_si256(d.as_mut_ptr() as *mut __m256i, out);
-            }
-            super::swar::mul_slice(coeff, chunks.into_remainder());
+            super::scalar::mul_acc_slice(coeff, d_chunks.into_remainder(), s_chunks.remainder());
         }
     }
 
@@ -766,29 +566,7 @@ mod x86 {
                 let out = _mm_xor_si128(dv, product8x16(sv, &lo, &hi, mask));
                 _mm_storeu_si128(d.as_mut_ptr() as *mut __m128i, out);
             }
-            super::swar::mul_acc_slice(coeff, d_chunks.into_remainder(), s_chunks.remainder());
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Requires SSSE3 (checked by the dispatcher at runtime).
-    #[target_feature(enable = "ssse3")]
-    pub(super) unsafe fn mul_ssse3(coeff: u16, data: &mut [u8]) {
-        let t = NibbleTables16::build(coeff);
-        // SAFETY: as in `mul_acc_ssse3`.
-        unsafe {
-            let ld = |row: &[u8; 16]| _mm_loadu_si128(row.as_ptr() as *const __m128i);
-            let lo = [ld(&t.lo[0]), ld(&t.lo[1]), ld(&t.lo[2]), ld(&t.lo[3])];
-            let hi = [ld(&t.hi[0]), ld(&t.hi[1]), ld(&t.hi[2]), ld(&t.hi[3])];
-            let mask = _mm_set1_epi16(0x000f);
-            let mut chunks = data.chunks_exact_mut(16);
-            for d in &mut chunks {
-                let dv = _mm_loadu_si128(d.as_ptr() as *const __m128i);
-                let out = product8x16(dv, &lo, &hi, mask);
-                _mm_storeu_si128(d.as_mut_ptr() as *mut __m128i, out);
-            }
-            super::swar::mul_slice(coeff, chunks.into_remainder());
+            super::scalar::mul_acc_slice(coeff, d_chunks.into_remainder(), s_chunks.remainder());
         }
     }
 }
@@ -828,63 +606,55 @@ mod tests {
         0, 1, 2, 3, 0x000f, 0x0010, 0x0100, 0x1000, 0x1234, 0x8000, 0xfffe, 0xffff,
     ];
 
+    /// One GF(2^16) multiply-accumulate kernel under test.
+    #[derive(Debug, Clone, Copy)]
+    enum Kernel {
+        /// The log/exp reference loop.
+        LogExp,
+        /// One tier's kernel, at any slice length.
+        Tier(crate::kernels::Isa),
+        /// The public entry point, small-slice cutoff included.
+        Dispatch,
+    }
+
+    /// The log/exp loop, every tier this machine runs, and the dispatcher.
+    fn kernels() -> Vec<Kernel> {
+        let mut all = vec![Kernel::LogExp, Kernel::Dispatch];
+        all.extend(crate::kernels::tiers().into_iter().map(Kernel::Tier));
+        all
+    }
+
+    fn run(kernel: Kernel, coeff: u16, dst: &mut [u8], src: &[u8]) {
+        match kernel {
+            Kernel::LogExp => scalar::mul_acc_slice(coeff, dst, src),
+            Kernel::Tier(isa) => mul_acc_tier(isa, coeff, dst, src),
+            Kernel::Dispatch => mul_acc_slice(coeff, dst, src),
+        }
+    }
+
     fn check_all_tiers(coeff: u16, elems: usize) {
         let src = payload(elems, coeff);
         let dst0 = payload(elems, coeff.wrapping_add(0x5a5a));
 
-        let mut expect_acc = dst0.clone();
-        reference_mul_acc(coeff, &mut expect_acc, &src);
-        let mut expect_mul = vec![0u8; src.len()];
-        reference_mul_acc(coeff, &mut expect_mul, &src);
+        let mut expect = dst0.clone();
+        reference_mul_acc(coeff, &mut expect, &src);
 
-        let label = |tier: &str| format!("{tier} coeff {coeff:#06x} elems {elems}");
-
-        let mut got = dst0.clone();
-        scalar::mul_acc_slice(coeff, &mut got, &src);
-        assert_eq!(got, expect_acc, "{}", label("scalar mul_acc"));
-
-        let mut got = dst0.clone();
-        split_byte::mul_acc_slice(coeff, &mut got, &src);
-        assert_eq!(got, expect_acc, "{}", label("split_byte mul_acc"));
-
-        let mut got = dst0.clone();
-        swar::mul_acc_slice(coeff, &mut got, &src);
-        assert_eq!(got, expect_acc, "{}", label("swar mul_acc"));
-
-        let mut got = dst0.clone();
-        mul_acc_slice(coeff, &mut got, &src);
-        assert_eq!(got, expect_acc, "{}", label(active_kernel()));
+        for kernel in kernels() {
+            let mut got = dst0.clone();
+            run(kernel, coeff, &mut got, &src);
+            assert_eq!(got, expect, "{kernel:?} coeff {coeff:#06x} elems {elems}");
+        }
 
         let mut got = dst0.clone();
         GF65536::mul_acc_slice(GF65536(coeff), &mut got, &src);
-        assert_eq!(got, expect_acc, "{}", label("field entry mul_acc"));
-
-        let mut got = src.clone();
-        scalar::mul_slice(coeff, &mut got);
-        assert_eq!(got, expect_mul, "{}", label("scalar mul"));
-
-        let mut got = src.clone();
-        split_byte::mul_slice(coeff, &mut got);
-        assert_eq!(got, expect_mul, "{}", label("split_byte mul"));
-
-        let mut got = src.clone();
-        swar::mul_slice(coeff, &mut got);
-        assert_eq!(got, expect_mul, "{}", label("swar mul"));
-
-        let mut got = src.clone();
-        mul_slice(coeff, &mut got);
-        assert_eq!(got, expect_mul, "{}", label(active_kernel()));
-
-        let mut got = src.clone();
-        GF65536::mul_slice(GF65536(coeff), &mut got);
-        assert_eq!(got, expect_mul, "{}", label("field entry mul"));
+        assert_eq!(got, expect, "field entry coeff {coeff:#06x} elems {elems}");
     }
 
     #[test]
     fn all_lengths_zero_to_300_bytes_match_reference() {
         // Every even byte length in 0..=300 (element counts 0..=150) for a
         // rolling coefficient plus the field edges: hits every unaligned
-        // head/tail combination of the 32/16/8-byte kernels and straddles the
+        // head/tail combination of the 64/32/16-byte kernels and straddles the
         // small-slice cutoff.  Subsampled under Miri, where the exhaustive
         // sweep is intractable; the full sweep still runs natively.
         let step = if cfg!(miri) { 19 } else { 1 };
@@ -932,25 +702,8 @@ mod tests {
     }
 
     #[test]
-    fn swar_word_agrees_with_field_multiplication() {
-        for coeff in [0u16, 1, 2, 0x1234, 0x8000, 0xffff] {
-            let word = u64::from_le_bytes([0x00, 0x00, 0x01, 0x00, 0xff, 0xff, 0x34, 0x12]);
-            let product = swar::mul_word(word, coeff);
-            for lane in 0..4 {
-                let x = (word >> (16 * lane)) as u16;
-                let expect = (GF65536(coeff) * GF65536(x)).0;
-                assert_eq!(
-                    (product >> (16 * lane)) as u16,
-                    expect,
-                    "coeff {coeff:#06x} lane {lane}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn dispatcher_reports_a_known_kernel() {
-        assert!(["avx512", "avx2", "ssse3", "swar", "split-byte"].contains(&active_kernel()));
+        assert!(["avx512", "avx2", "ssse3", "split-byte"].contains(&active_kernel()));
     }
 
     #[test]
@@ -963,14 +716,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "whole 16-bit elements")]
     fn odd_length_panics() {
-        let mut data = vec![0u8; 65];
-        mul_slice(3, &mut data);
+        let mut dst = vec![0u8; 65];
+        mul_acc_slice(3, &mut dst, &[0u8; 65]);
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// All tiers match the reference on random payloads at random byte
+        /// All kernels match the reference on random payloads at random byte
         /// offsets into a shared buffer, so misaligned loads and stores are
         /// exercised for every head/tail combination.
         #[test]
@@ -989,24 +742,16 @@ mod tests {
             let mut expect = dst0.clone();
             reference_mul_acc(coeff, &mut expect, &src);
 
-            // Re-run each tier inside a fresh copy of the big buffer at the
+            // Re-run each kernel inside a fresh copy of the big buffer at the
             // original offset, so the kernel sees the same (mis)alignment.
-            for tier in ["dispatch", "swar", "split_byte", "scalar"] {
+            for kernel in kernels() {
                 let mut work = buf.clone();
                 work[dst_off..dst_off + len].copy_from_slice(&dst0);
-                {
-                    let (dst_s, src_s) = (&mut work[dst_off..dst_off + len], &src[..]);
-                    match tier {
-                        "dispatch" => mul_acc_slice(coeff, dst_s, src_s),
-                        "swar" => swar::mul_acc_slice(coeff, dst_s, src_s),
-                        "split_byte" => split_byte::mul_acc_slice(coeff, dst_s, src_s),
-                        _ => scalar::mul_acc_slice(coeff, dst_s, src_s),
-                    }
-                }
+                run(kernel, coeff, &mut work[dst_off..dst_off + len], &src);
                 prop_assert_eq!(
                     &work[dst_off..dst_off + len], &expect[..],
-                    "tier {} coeff {:#06x} elems {} offsets ({}, {})",
-                    tier, coeff, elems, src_off, dst_off
+                    "{:?} coeff {:#06x} elems {} offsets ({}, {})",
+                    kernel, coeff, elems, src_off, dst_off
                 );
                 // Bytes outside the slice must be untouched.
                 prop_assert_eq!(&work[..dst_off], &buf[..dst_off]);
@@ -1014,17 +759,5 @@ mod tests {
             }
         }
 
-        #[test]
-        fn prop_mul_slice_matches_mul_acc_into_zeroes(
-            coeff: u16,
-            elems in proptest::collection::vec(any::<u16>(), 0..200),
-        ) {
-            let src: Vec<u8> = elems.iter().flat_map(|v| v.to_le_bytes()).collect();
-            let mut acc = vec![0u8; src.len()];
-            mul_acc_slice(coeff, &mut acc, &src);
-            let mut scaled = src.clone();
-            mul_slice(coeff, &mut scaled);
-            prop_assert_eq!(acc, scaled);
-        }
     }
 }

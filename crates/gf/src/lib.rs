@@ -11,8 +11,8 @@
 //!   `x^8 + x^4 + x^3 + x^2 + 1` (0x11d).  Scalar multiplication uses full
 //!   256×256 log/exp tables; the slice operations that dominate erasure-code
 //!   runtime go through the vectorized split-nibble kernels in [`kernels`]
-//!   (AVX-512/AVX2/SSSE3 `pshufb` with runtime feature detection, SWAR
-//!   tails, scalar fallback).
+//!   (AVX-512/AVX2/SSSE3 `pshufb` with runtime feature detection, the
+//!   scalar table row for tails and as the fallback).
 //!
 //! Every payload XOR — GF addition, and the whole of a Tornado, LT or
 //! Raptor coder — goes through [`kernels::xor_sum`] / [`kernels::xor_acc`],
@@ -23,8 +23,9 @@
 //!   255 packets (the paper's interleaved baseline keeps blocks small exactly
 //!   to avoid this, but the Vandermonde baseline over whole files needs it).
 //!   Its slice operations go through the vectorized 4-nibble kernels in
-//!   [`kernels::gf16`] (SSSE3/AVX2 `pshufb` with runtime feature detection,
-//!   SWAR tails, split-byte product tables as the no-SIMD fallback).
+//!   [`kernels::gf16`] (AVX-512/AVX2/SSSE3 `pshufb` with runtime feature
+//!   detection, log/exp tails, split-byte product tables as the no-SIMD
+//!   fallback).
 //!
 //! Both implement the [`Field`] trait so matrix code and the Reed–Solomon
 //! codecs are generic over the field.

@@ -108,11 +108,6 @@ impl<F: Field> Matrix<F> {
         &self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// Borrow a row mutably.
-    pub fn row_mut(&mut self, r: usize) -> &mut [F] {
-        &mut self.data[r * self.cols..(r + 1) * self.cols]
-    }
-
     /// Extract a new matrix consisting of the given rows, in order.
     pub fn select_rows(&self, rows: &[usize]) -> Self {
         let mut data = Vec::with_capacity(rows.len() * self.cols);

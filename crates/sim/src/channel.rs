@@ -221,7 +221,8 @@ pub struct ChannelStats {
 
 /// A [`Transport`] decorator that runs every received datagram through a
 /// pipeline of [`ChannelModel`] stages — the hostile-channel counterpart of
-/// the `ThrottledLink` bottleneck decorator.
+/// a bottleneck decorator such as the private `ThrottledLink` of the
+/// `layered_fountain` example.
 ///
 /// Sends, joins, leaves and readiness pass through untouched: the decorator
 /// models the receiver's downstream path.  Copies a stage displaces are held

@@ -112,11 +112,6 @@ impl TraceSet {
         TraceSet { traces }
     }
 
-    /// Build a set from explicit traces.
-    pub fn from_traces(traces: Vec<ReceiverTrace>) -> Self {
-        TraceSet { traces }
-    }
-
     /// Number of receivers.
     pub fn len(&self) -> usize {
         self.traces.len()
