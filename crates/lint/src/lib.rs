@@ -18,7 +18,7 @@
 //!    `shims/`, and every declaration must match [`FFI_ALLOWLIST`] verbatim
 //!    (modulo whitespace).  Stale allowlist entries are also errors.
 //! 4. **doc-drift** — the wire-format constants quoted in DESIGN.md (magic,
-//!    version, header size, layer caps) are cross-checked against the code,
+//!    version, header size, layer cap) are cross-checked against the code,
 //!    `MAX_SCHEDULED_LAYERS` must stay single-sourced from `df_mcast`, and a
 //!    root-level `*.md`/`*.json` file cited by bare name from a comment under
 //!    [`CITING_DIRS`] or from one of [`CITING_DOCS`] must exist.
@@ -628,8 +628,6 @@ pub struct WireConstants {
     pub version: u64,
     /// `df_proto::wire::HEADER_LEN`.
     pub header_len: u64,
-    /// `df_proto::client::MAX_LAYERS`.
-    pub max_layers: u64,
     /// `df_proto::client::MAX_SCHEDULED_LAYERS` (= `df_mcast::MAX_LAYERS`).
     pub max_scheduled_layers: u64,
 }
@@ -723,12 +721,6 @@ pub fn extract_wire_constants(root: &Path) -> Result<WireConstants, Vec<Diagnost
         &mut errs,
     );
     let header_len = lit(&wire, "crates/proto/src/wire.rs", "HEADER_LEN", &mut errs);
-    let max_layers = lit(
-        &client,
-        "crates/proto/src/client.rs",
-        "MAX_LAYERS",
-        &mut errs,
-    );
     let mcast_layers = lit(
         &mcast,
         "crates/mcast/src/layers.rs",
@@ -760,7 +752,6 @@ pub fn extract_wire_constants(root: &Path) -> Result<WireConstants, Vec<Diagnost
             magic,
             version,
             header_len,
-            max_layers,
             max_scheduled_layers: mcast_layers,
         })
     } else {
@@ -773,13 +764,12 @@ pub fn extract_wire_constants(root: &Path) -> Result<WireConstants, Vec<Diagnost
 pub fn check_design_text(design: &str, c: &WireConstants) -> Vec<(usize, String)> {
     let mut out = Vec::new();
     // Which constants DESIGN.md actually states (by any accepted phrasing).
-    let mut stated = [false; 5]; // magic, version, header, max_layers, max_sched
-    let named: [(&str, u64, usize); 5] = [
+    let mut stated = [false; 4]; // magic, version, header, max_sched
+    let named: [(&str, u64, usize); 4] = [
         ("CONTROL_MAGIC", c.magic, 0),
         ("CONTROL_VERSION", c.version, 1),
         ("HEADER_LEN", c.header_len, 2),
-        ("MAX_LAYERS", c.max_layers, 3),
-        ("MAX_SCHEDULED_LAYERS", c.max_scheduled_layers, 4),
+        ("MAX_SCHEDULED_LAYERS", c.max_scheduled_layers, 3),
     ];
 
     for (lineno, line) in design.lines().enumerate() {
@@ -1683,19 +1673,18 @@ mod tests {
             magic: 0xDF,
             version: 2,
             header_len: 12,
-            max_layers: 32,
             max_scheduled_layers: 16,
         };
         let good = "magic `0xDF` wire version 2 the 12-byte header\n\
                     `CONTROL_MAGIC` = 0xDF `CONTROL_VERSION` = 2 `HEADER_LEN` = 12 \
-                    `MAX_LAYERS` = 32 `MAX_SCHEDULED_LAYERS` = 16\n";
+                    `MAX_SCHEDULED_LAYERS` = 16\n";
         assert!(check_design_text(good, &c).is_empty());
         let drifted = good.replace("wire version 2", "wire version 9");
         let d = check_design_text(&drifted, &c);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].0, 1);
         let missing = "nothing quoted at all";
-        assert_eq!(check_design_text(missing, &c).len(), 5);
+        assert_eq!(check_design_text(missing, &c).len(), 4);
     }
 
     #[test]

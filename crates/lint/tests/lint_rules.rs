@@ -96,7 +96,6 @@ fn doc_drift_fires_on_seeded_control_version_drift() {
         magic: 0xDF,
         version: 3,
         header_len: 12,
-        max_layers: 32,
         max_scheduled_layers: 16,
     };
     let design = std::fs::read_to_string(repo_root().join("DESIGN.md")).unwrap();

@@ -78,7 +78,8 @@ impl TransmissionSchedule {
 
     /// Total relative bandwidth of cumulative subscription level `level`
     /// (layers `0..=level`).
-    pub fn cumulative_bandwidth(&self, level: usize) -> usize {
+    #[cfg(test)]
+    fn cumulative_bandwidth(&self, level: usize) -> usize {
         (0..=level).map(|l| self.layer_bandwidth(l)).sum()
     }
 

@@ -142,12 +142,6 @@ pub enum ClientEvent {
     Complete,
 }
 
-/// Most layers any announced session may use.  The reverse-binary schedule's
-/// block size is `2^(layers−1)`, so real deployments use a handful; the cap
-/// exists to bound what a malicious control channel can make a driver do
-/// (each advertised group costs the driver a `join`, i.e. a socket).
-pub const MAX_LAYERS: usize = 32;
-
 /// Most source packets any announced session may claim.  2²⁴ packets is an
 /// ~8 GB file at the paper's 500-byte payloads — far beyond the benchmarks —
 /// while keeping the cost of rebuilding a hostile session's cascade bounded
@@ -162,16 +156,16 @@ pub const MAX_K: usize = 1 << 24;
 /// admits every `k ≤ MAX_K` at payloads up to 512 bytes.
 pub const MAX_FILE_LEN: usize = 1 << 33;
 
-/// Most layers a server transmits, flat or layered: the reverse-binary
-/// schedule's cap.  [`df_mcast::LayeredSession::new`] enforces it for
-/// layered sessions on both sides; a client accepts a flat announcement of
-/// up to [`MAX_LAYERS`].
+/// Most layers any session may use, flat or layered: the reverse-binary
+/// schedule's cap.  It also bounds what a hostile control channel can make
+/// a driver do: each announced group costs the driver a `join`, i.e. a
+/// socket.
 pub const MAX_SCHEDULED_LAYERS: usize = df_mcast::MAX_LAYERS;
 
-/// Longest SP interval a layered session may announce, also enforced by
-/// [`df_mcast::LayeredSession::new`] on both sides.  Bounds the per-round
-/// accounting a hostile control channel can make a client keep (the loss
-/// tracker holds O(`sp_interval`) round counters).
+/// Longest SP interval a layered session may announce, enforced through
+/// [`df_mcast::LayeredSession::new`].  Bounds the per-round accounting a
+/// hostile control channel can make a client keep (the loss tracker holds
+/// O(`sp_interval`) round counters).
 pub const MAX_SP_INTERVAL: usize = df_mcast::MAX_SP_INTERVAL;
 
 /// Largest payload a data packet can carry over UDP: the 65 507-byte UDP
@@ -180,25 +174,41 @@ pub const MAX_SP_INTERVAL: usize = df_mcast::MAX_SP_INTERVAL;
 /// are never padded, and keep the same limit).
 pub(crate) const MAX_PACKET_SIZE: usize = 65_507 - crate::wire::HEADER_LEN - 2;
 
-/// Whether a session of a `file_len`-byte file in `k` packets of
-/// `packet_size` bytes, sent on `layers` groups from `base_group` on, is
-/// within what a receiver accepts: a packet size a UDP datagram can frame
-/// ([`MAX_PACKET_SIZE`]), `k` up to [`MAX_K`], a file up to
-/// [`MAX_FILE_LEN`] that makes exactly `k` packets, and a group range that
-/// ends at or before `u32::MAX`.  On `Err`, why not.
+/// The code a session runs, as [`admit_session`] builds it for the
+/// announced mode: a carousel's Tornado code, or the LT layer a rateless
+/// stream draws its symbols from — over the `k` source packets, or over
+/// the intermediates of a Raptor precode.
+#[derive(Debug)]
+pub(crate) enum SessionCode {
+    Tornado(TornadoCode),
+    Lt(LtEncoder),
+    Raptor(RaptorCode),
+}
+
+/// Whether the session `info` announces is one that exists, and if so the
+/// pieces both ends run it with: its code, the code's `n`, and its layered
+/// cadence (`None` for a flat session).  On `Err`, why not.
 ///
-/// The one check both ends run: [`ClientSession::new`] refuses control info
-/// that fails it, and [`crate::ServerSession::new`] refuses to encode such a
-/// session, so a server never announces a session its own clients refuse.
-/// The layer count itself is each end's to bound; a count of 0 spans no
-/// group here.
-pub(crate) fn check_session_size(
-    file_len: usize,
-    packet_size: usize,
-    k: usize,
-    base_group: u32,
-    layers: usize,
-) -> Result<(), String> {
+/// The one admission both ends run.  [`crate::ServerSession::new`] fills in
+/// the announcement from its config and refuses what this refuses;
+/// [`ClientSession::new`] refuses an announcement this refuses, or whose
+/// `n` is not the code's.  So a server never announces a session its
+/// clients refuse.
+///
+/// `info` may come off the wire, so every rule runs before the `O(k)` code
+/// construction: a packet size a UDP datagram frames ([`MAX_PACKET_SIZE`]),
+/// `k` up to [`MAX_K`], a file up to [`MAX_FILE_LEN`] that makes exactly `k`
+/// packets, `1..=`[`MAX_SCHEDULED_LAYERS`] layers on groups that end at or
+/// before `u32::MAX`, burst rounds only before an SP, a rateless session
+/// single-layer and flat (every symbol is already distinct, so the layered
+/// schedule has nothing to add), [`LayeredSession::new`]'s cadence bounds,
+/// and, for a carousel, a profile name [`TornadoProfile::by_name`] resolves.
+/// The announced `n` is not read.  A rateless session's profile name is not
+/// read either: it negotiates no Tornado code.
+pub(crate) fn admit_session(
+    info: &ControlInfo,
+) -> Result<(SessionCode, usize, Option<LayeredSession>), String> {
+    let (file_len, packet_size, k, layers) = (info.file_len, info.packet_size, info.k, info.layers);
     if packet_size == 0 || packet_size > MAX_PACKET_SIZE {
         return Err(format!(
             "packet size {packet_size} (a UDP datagram frames 1..={MAX_PACKET_SIZE})"
@@ -219,46 +229,63 @@ pub(crate) fn check_session_size(
              packets, not k = {k}"
         ));
     }
-    let last_group = u32::try_from(layers.saturating_sub(1))
+    if !(1..=MAX_SCHEDULED_LAYERS).contains(&layers) {
+        return Err(format!(
+            "{layers} layers (expected 1..={MAX_SCHEDULED_LAYERS})"
+        ));
+    }
+    let last_group = u32::try_from(layers - 1)
         .ok()
-        .and_then(|span| base_group.checked_add(span));
+        .and_then(|span| info.base_group.checked_add(span));
     if last_group.is_none() {
         return Err(format!(
-            "group range {base_group} + {layers} layers, which overflows the group space"
+            "group range {} + {layers} layers, which overflows the group space",
+            info.base_group
         ));
     }
-    Ok(())
-}
-
-/// Whether a session's cadence fits its mode: a double-rate burst only
-/// precedes a sync point, so burst rounds need an SP cadence; and a
-/// rateless session is single-layer and flat (`layers == 1`,
-/// `sp_interval == 0`), since every symbol is already distinct and the
-/// layered schedule has nothing to add.  On `Err`, why not.
-///
-/// Both ends run it beside [`check_session_size`], so a server never
-/// announces a cadence its clients would ignore or refuse.  The cadence's
-/// own bounds are [`df_mcast::LayeredSession::new`]'s, which both ends run
-/// too.
-pub(crate) fn check_session_shape(
-    mode: RatelessMode,
-    layers: usize,
-    sp_interval: usize,
-    burst_rounds: usize,
-) -> Result<(), String> {
-    if sp_interval == 0 && burst_rounds > 0 {
+    if info.sp_interval == 0 && info.burst_rounds > 0 {
         return Err(format!(
-            "{burst_rounds} burst rounds without an SP cadence for them to precede"
+            "{} burst rounds without an SP cadence for them to precede",
+            info.burst_rounds
         ));
     }
-    if mode.is_rateless() && (layers != 1 || sp_interval != 0) {
+    if info.rateless.is_rateless() && (layers != 1 || info.sp_interval != 0) {
         return Err(format!(
-            "a rateless session of {layers} layers at sp_interval = {sp_interval} (rateless \
-             sessions are single-layer and flat: every symbol is already distinct, so the \
-             layered schedule has nothing to add)"
+            "a rateless session of {layers} layers at sp_interval = {} (rateless sessions are \
+             single-layer and flat)",
+            info.sp_interval
         ));
     }
-    Ok(())
+    // The cadence is checked here, before the build, and its session is
+    // made again over the code's `n` after it.
+    let cadence = |n| {
+        (info.sp_interval > 0)
+            .then(|| LayeredSession::new(layers, n, info.sp_interval, info.burst_rounds))
+            .transpose()
+            .map_err(|e| format!("a layered cadence it cannot run ({e})"))
+    };
+    cadence(1)?;
+    let unbuilt = |e: TornadoError| format!("a code that does not build ({e})");
+    let (code, n) = match info.rateless {
+        RatelessMode::Off => {
+            let profile = TornadoProfile::by_name(&info.profile)
+                .ok_or_else(|| format!("unknown Tornado profile {:?}", info.profile))?;
+            let code = TornadoCode::with_profile(k, profile, info.code_seed).map_err(unbuilt)?;
+            let n = code.n();
+            (SessionCode::Tornado(code), n)
+        }
+        // The LT symbol range is the k source packets themselves.
+        RatelessMode::Lt => {
+            let lt = LtEncoder::new(k, LT_DEFAULT_C, LT_DEFAULT_DELTA, info.code_seed);
+            (SessionCode::Lt(lt.map_err(unbuilt)?), k)
+        }
+        RatelessMode::Raptor => {
+            let code = RaptorCode::new(k, info.code_seed).map_err(unbuilt)?;
+            let n = code.intermediate_count();
+            (SessionCode::Raptor(code), n)
+        }
+    };
+    Ok((code, n, cadence(n)?))
 }
 
 /// The memory caps of a rateless session over `k` source packets, as
@@ -311,103 +338,31 @@ impl ClientSession {
     ///
     /// # Errors
     ///
-    /// Returns [`TornadoError::MalformedInput`] for an unknown profile name
-    /// or control parameters inconsistent with the rebuilt code, and
-    /// propagates code-construction errors.  The control channel is
-    /// untrusted input, so every cheap structural check — profile name,
-    /// layer count, cadence, group-range overflow, packet size, and bounds
-    /// on `k` and on the file length — runs *before* the `O(k)` code
-    /// construction; a hostile announcement cannot make a client allocate
-    /// an unbounded cascade, nor reserve an unbounded file.
+    /// Returns [`TornadoError::MalformedInput`] for control info that
+    /// describes no session a server admits — an unknown profile name, a
+    /// layer count, cadence, group range, packet size, `k` or file length
+    /// out of bounds, a code that does not build — or whose `n` is not the
+    /// rebuilt code's.  The control channel is untrusted input, so every
+    /// check but `n`'s runs *before* the `O(k)` code construction; a
+    /// hostile announcement cannot make a client allocate an unbounded
+    /// cascade, nor reserve an unbounded file.
     pub fn new(control: ControlInfo) -> df_core::Result<Self> {
         let malformed = |reason: String| TornadoError::MalformedInput { reason };
-        if control.layers == 0 || control.layers > MAX_LAYERS {
+        let (code, n, layered) = admit_session(&control)
+            .map_err(|why| malformed(format!("control info advertises {why}")))?;
+        if n != control.n {
             return Err(malformed(format!(
-                "control info advertises {} layers (expected 1..={MAX_LAYERS})",
-                control.layers
+                "control info advertises n = {} but the code it describes has n = {n}",
+                control.n
             )));
         }
-        check_session_size(
-            control.file_len,
-            control.packet_size,
-            control.k,
-            control.base_group,
-            control.layers,
-        )
-        .and_then(|()| {
-            check_session_shape(
-                control.rateless,
-                control.layers,
-                control.sp_interval,
-                control.burst_rounds,
-            )
-        })
-        .map_err(|why| malformed(format!("control info advertises {why}")))?;
-        let (backend, layered) = match control.rateless {
-            RatelessMode::Off => {
-                let profile = TornadoProfile::by_name(&control.profile).ok_or_else(|| {
-                    malformed(format!("unknown Tornado profile {:?}", control.profile))
-                })?;
-                // Layered congestion-control mode: the announced cadence
-                // must pass the *same* validating constructor the server
-                // transmits from, so a well-formed server can never announce
-                // a session its own clients reject.  This is cheap and runs
-                // before the O(k) code build.
-                let layered = if control.sp_interval > 0 {
-                    Some(
-                        LayeredSession::new(
-                            control.layers,
-                            control.n,
-                            control.sp_interval,
-                            control.burst_rounds,
-                        )
-                        .map_err(|e| malformed(format!("layered cadence rejected: {e}")))?,
-                    )
-                } else {
-                    None
-                };
-                let code = TornadoCode::with_profile(control.k, profile, control.code_seed)?;
-                if code.n() != control.n {
-                    return Err(malformed(format!(
-                        "control info advertises n = {} but profile {:?} at k = {} yields \
-                         n = {}",
-                        control.n,
-                        control.profile,
-                        control.k,
-                        code.n()
-                    )));
-                }
+        let backend = match code {
+            SessionCode::Tornado(code) => {
                 let decoder = Box::new(code.decoder());
-                (Backend::Carousel { code, decoder }, layered)
+                Backend::Carousel { code, decoder }
             }
-            // The profile name is not consulted in rateless mode (there is
-            // no negotiated Tornado code to rebuild), so it is deliberately
-            // not validated either.
-            RatelessMode::Lt => {
-                // The LT symbol range is the k source packets themselves.
-                if control.n != control.k {
-                    return Err(malformed(format!(
-                        "LT rateless control must advertise n = k, got n = {} for k = {}",
-                        control.n, control.k
-                    )));
-                }
-                let lt =
-                    LtEncoder::new(control.k, LT_DEFAULT_C, LT_DEFAULT_DELTA, control.code_seed)?;
-                (Backend::Rateless(Box::new(LtDecoder::new(lt))), None)
-            }
-            RatelessMode::Raptor => {
-                let code = RaptorCode::new(control.k, control.code_seed)?;
-                if code.intermediate_count() != control.n {
-                    return Err(malformed(format!(
-                        "control info advertises n = {} but the Raptor precode at k = {} \
-                         yields {} intermediates",
-                        control.n,
-                        control.k,
-                        code.intermediate_count()
-                    )));
-                }
-                (Backend::Rateless(Box::new(code.decoder().into())), None)
-            }
+            SessionCode::Lt(lt) => Backend::Rateless(Box::new(LtDecoder::new(lt))),
+            SessionCode::Raptor(code) => Backend::Rateless(Box::new(code.decoder().into())),
         };
         let counter = match &backend {
             Backend::Carousel { code, .. } => ReceptionCounter::new(code.n(), code.k()),
@@ -935,10 +890,10 @@ mod tests {
         let base = server.control_info().clone();
         for (layers, base_group) in [
             (0usize, 0u32),
-            (MAX_LAYERS + 1, 0),
+            (MAX_SCHEDULED_LAYERS + 1, 0),
             (4_000_000_000, 0),
             (2, u32::MAX),
-            (MAX_LAYERS, u32::MAX - 3),
+            (MAX_SCHEDULED_LAYERS, u32::MAX - 3),
         ] {
             let mut control = base.clone();
             control.layers = layers;
@@ -951,11 +906,86 @@ mod tests {
                 "layers = {layers}, base_group = {base_group} must be rejected"
             );
         }
-        // The boundary itself is fine.
-        let mut control = base.clone();
-        control.base_group = u32::MAX;
-        control.layers = 1;
-        assert!(ClientSession::new(control).is_ok());
+        // The boundaries themselves are fine.
+        for (layers, base_group) in [(1, u32::MAX), (MAX_SCHEDULED_LAYERS, u32::MAX - 15)] {
+            let mut control = base.clone();
+            control.layers = layers;
+            control.base_group = base_group;
+            assert!(ClientSession::new(control).is_ok());
+        }
+    }
+
+    #[test]
+    fn the_admission_admits_each_limit_and_refuses_the_next_value() {
+        // A one-packet, one-layer carousel under a profile name nothing
+        // resolves, edited: the profile is the last rule before the O(k)
+        // build, so refusing it says every other rule passed.
+        let refusal = |edit: &dyn Fn(&mut ControlInfo)| {
+            let mut info = ControlInfo {
+                session_id: 0,
+                file_len: 1,
+                packet_size: 1,
+                k: 1,
+                n: 0,
+                code_seed: 0,
+                layers: 1,
+                base_group: 0,
+                sp_interval: 0,
+                burst_rounds: 0,
+                rateless: RatelessMode::Off,
+                profile: "unresolvable".to_string(),
+            };
+            edit(&mut info);
+            match admit_session(&info) {
+                Err(why) if why.contains("\"unresolvable\"") => None,
+                Err(why) => Some(why),
+                Ok(_) => panic!("an unresolvable profile was admitted"),
+            }
+        };
+        let sized = |file_len, packet_size, k| {
+            refusal(&move |info| {
+                (info.file_len, info.packet_size, info.k) = (file_len, packet_size, k);
+            })
+            .is_none()
+        };
+        assert!(sized(1, 1, 1));
+        assert!(!sized(1, 0, 1));
+        assert!(sized(1, MAX_PACKET_SIZE, 1));
+        assert!(!sized(1, MAX_PACKET_SIZE + 1, 1));
+        assert!(!sized(1, 1, 0));
+        assert!(sized(MAX_K, 1, MAX_K));
+        assert!(!sized(MAX_K + 1, 1, MAX_K + 1));
+        assert!(sized(MAX_FILE_LEN, 1024, MAX_FILE_LEN / 1024));
+        assert!(!sized(MAX_FILE_LEN + 1, 1024, MAX_FILE_LEN / 1024 + 1));
+        // `k` is the number of packets the file makes, no other.
+        assert!(sized(1025, 1024, 2));
+        assert!(!sized(1025, 1024, 1));
+        assert!(!sized(1025, 1024, 3));
+        // One to `MAX_SCHEDULED_LAYERS` layers, the last group `u32::MAX` at
+        // most.
+        let spread = |base_group, layers| {
+            refusal(&move |info| (info.base_group, info.layers) = (base_group, layers)).is_none()
+        };
+        assert!(spread(0, MAX_SCHEDULED_LAYERS));
+        assert!(!spread(0, MAX_SCHEDULED_LAYERS + 1));
+        assert!(!spread(0, 0));
+        assert!(spread(u32::MAX - 15, 16));
+        assert!(!spread(u32::MAX - 14, 16));
+        assert!(spread(u32::MAX, 1));
+        assert!(!spread(u32::MAX, 2));
+        // An SP every 2..=MAX_SP_INTERVAL rounds, bursts shorter than it.
+        let cadence = |sp_interval, burst_rounds| {
+            refusal(&move |info| {
+                (info.sp_interval, info.burst_rounds) = (sp_interval, burst_rounds);
+            })
+            .is_none()
+        };
+        assert!(cadence(2, 1));
+        assert!(!cadence(1, 0));
+        assert!(!cadence(2, 2));
+        assert!(!cadence(0, 1));
+        assert!(cadence(MAX_SP_INTERVAL, 0));
+        assert!(!cadence(MAX_SP_INTERVAL + 1, 0));
     }
 
     #[test]
@@ -1056,6 +1086,7 @@ mod tests {
             (1, 8, 9),                        // burst longer than the interval
             (1, MAX_SP_INTERVAL + 1, 0),      // unbounded accounting
             (MAX_SCHEDULED_LAYERS + 1, 8, 1), // block size 2^16: schedule cap
+            (MAX_SCHEDULED_LAYERS + 1, 0, 0), // the same cap, flat
             (2, 0, 3),                        // a burst with no SP to precede
             (1, 0, 1),                        // the same on one layer
         ] {
@@ -1071,11 +1102,7 @@ mod tests {
                 "layers = {layers}, sp = {sp}, burst = {burst} must be rejected"
             );
         }
-        // The same layer count is fine for a flat session…
-        let mut control = base.clone();
-        control.layers = MAX_SCHEDULED_LAYERS + 1;
-        assert!(ClientSession::new(control).is_ok());
-        // …and the minimal layered cadence is fine too.
+        // The minimal layered cadence is fine.
         let mut control = base.clone();
         control.sp_interval = 2;
         control.burst_rounds = 1;

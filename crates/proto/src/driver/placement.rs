@@ -49,7 +49,9 @@ impl Placer {
         }
     }
 
-    /// Total registered weight per shard.
+    /// Total registered weight per shard (clients weigh their `k`, servers
+    /// their `n`).
+    #[cfg(test)]
     pub(crate) fn loads(&self) -> &[usize] {
         &self.loads
     }

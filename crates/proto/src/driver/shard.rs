@@ -225,12 +225,6 @@ impl<T: Transport + Send + 'static> Driver<T> {
         self.shards.len()
     }
 
-    /// Total registered session weight per shard (clients weigh their `k`,
-    /// servers their `n`).
-    pub fn shard_loads(&self) -> &[usize] {
-        self.placer.loads()
-    }
-
     /// Registered session count per shard.
     pub fn shard_counts(&self) -> &[usize] {
         self.placer.counts()
@@ -672,7 +666,7 @@ mod tests {
         }
         // Greedy least-loaded bound: spread ≤ the largest single weight.
         let max_weight = infos.iter().map(|i| i.n.max(i.k)).max().unwrap();
-        let loads = driver.shard_loads();
+        let loads = driver.placer.loads();
         let (min, max) = (*loads.iter().min().unwrap(), *loads.iter().max().unwrap());
         assert!(
             max - min <= max_weight,

@@ -136,35 +136,6 @@ impl UdpMulticastTransport {
         self.joined.iter().map(|(g, _)| *g).collect()
     }
 
-    /// Fallible join — [`Transport::join`] delegates here.
-    ///
-    /// # Errors
-    ///
-    /// Fails if the group's port cannot be bound or the multicast membership
-    /// cannot be added.
-    pub fn try_join(&mut self, group: u32) -> io::Result<()> {
-        if self.joined.iter().any(|(g, _)| *g == group) {
-            return Ok(());
-        }
-        let addr = self.addressing.group_addr(group).ok_or_else(|| {
-            io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!("group {group} does not fit this transport's port space"),
-            )
-        })?;
-        let socket = match self.addressing {
-            GroupAddressing::Multicast { .. } => {
-                let s = UdpSocket::bind((Ipv4Addr::UNSPECIFIED, addr.port()))?;
-                s.join_multicast_v4(addr.ip(), &Ipv4Addr::UNSPECIFIED)?;
-                s
-            }
-            GroupAddressing::LoopbackUnicast { .. } => UdpSocket::bind(addr)?,
-        };
-        socket.set_nonblocking(true)?;
-        self.joined.push((group, socket));
-        Ok(())
-    }
-
     /// Receive with a deadline: block (in the kernel, via `ppoll(2)`) until a
     /// datagram arrives on any joined group or `timeout` elapses, whichever
     /// comes first, and return `None` on timeout.
@@ -244,7 +215,26 @@ impl Transport for UdpMulticastTransport {
     }
 
     fn join(&mut self, group: u32) -> io::Result<()> {
-        self.try_join(group)
+        if self.joined.iter().any(|(g, _)| *g == group) {
+            return Ok(());
+        }
+        let addr = self.addressing.group_addr(group).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!("group {group} does not fit this transport's port space"),
+            )
+        })?;
+        let socket = match self.addressing {
+            GroupAddressing::Multicast { .. } => {
+                let s = UdpSocket::bind((Ipv4Addr::UNSPECIFIED, addr.port()))?;
+                s.join_multicast_v4(addr.ip(), &Ipv4Addr::UNSPECIFIED)?;
+                s
+            }
+            GroupAddressing::LoopbackUnicast { .. } => UdpSocket::bind(addr)?,
+        };
+        socket.set_nonblocking(true)?;
+        self.joined.push((group, socket));
+        Ok(())
     }
 
     #[cfg(unix)]
