@@ -213,11 +213,10 @@ impl FinalCode {
     }
 }
 
-/// [`FinalCode::append_checks`] over the field of `code`.
-///
-/// Walks the level packet by packet and accumulates each one into every
-/// check row, so that at an odd packet size under GF(2^16) each packet is
-/// padded to a whole number of field elements once, in one scratch row.
+/// [`FinalCode::append_checks`] over the field of `code`: one matrix
+/// multiply-accumulate of the level into the check rows.  At an odd packet
+/// size under GF(2^16) the level is first copied into rows padded to a
+/// whole number of field elements.
 fn append_cauchy_checks<F: Field>(
     code: &CauchyCode<F>,
     bytes: &mut Vec<u8>,
@@ -231,18 +230,22 @@ fn append_cauchy_checks<F: Field>(
     let start = bytes.len();
     bytes.resize(start + code.redundancy() * width, 0);
     let (done, checks) = bytes.split_at_mut(start);
-    let mut scratch = vec![0u8; if padded { body } else { 0 }];
-    for (col, packet) in done[level].chunks_exact(p).enumerate() {
-        let packet = if padded {
-            scratch[..p].copy_from_slice(packet);
-            &scratch[..]
-        } else {
-            packet
-        };
-        for (row, check) in checks.chunks_exact_mut(width).enumerate() {
-            F::mul_acc_slice(code.coefficient(row, col), &mut check[..body], packet);
-        }
-    }
+    let mut checks: Vec<&mut [u8]> = checks
+        .chunks_exact_mut(width)
+        .map(|check| &mut check[..body])
+        .collect();
+    let level = &done[level];
+    let padded_level: Vec<u8> = if padded {
+        level
+            .chunks_exact(p)
+            .flat_map(|packet| packet.iter().copied().chain([0]))
+            .collect()
+    } else {
+        Vec::new()
+    };
+    let rows = if padded { &padded_level[..] } else { level };
+    let source: Vec<&[u8]> = rows.chunks_exact(body).collect();
+    code.mul_acc_checks(&source, &mut checks);
 }
 
 /// The full cascade: level sizes, bipartite graphs and the final code.

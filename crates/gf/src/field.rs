@@ -86,17 +86,48 @@ pub trait Field:
     /// Multiply-accumulate a byte slice: `dst[i] ^= coeff * src[i]` interpreted
     /// element-wise over the field's byte representation.
     ///
-    /// This is the hot loop of every Reed–Solomon encode/decode, and the one
-    /// slice operation of the trait: each output packet is a field-linear
-    /// combination of input packets, accumulated one source at a time.  Both
+    /// Each output packet of a Reed–Solomon code is a field-linear
+    /// combination of input packets; this accumulates one term of it.  Both
     /// fields send it to the vectorized kernels of [`crate::kernels`] because
-    /// the naive element-by-element path dominates runtime otherwise.
+    /// the naive element-by-element path dominates runtime otherwise.  The
+    /// codecs call [`Field::mul_acc_matrix`], which takes all the terms of
+    /// all the outputs at once.
     ///
     /// # Panics
     ///
     /// Panics if `dst` and `src` have different lengths or if the length is not
     /// a multiple of the element width in bytes.
     fn mul_acc_slice(coeff: Self, dst: &mut [u8], src: &[u8]);
+
+    /// Multiply-accumulate a coefficient matrix:
+    /// `dsts[i] ^= Σ_j coeffs[i · srcs.len() + j] · srcs[j]`, row-major
+    /// coefficients, one row per destination.
+    ///
+    /// Every Reed–Solomon encode, decode reduction and solve in this
+    /// workspace is one such call.  GF(2^8) sends it to
+    /// [`crate::kernels::mul_acc_matrix`], whose GFNI tier multiplies a
+    /// group of destinations per pass over the sources; this default, which
+    /// GF(2^16) keeps, is one [`Field::mul_acc_slice`] per pair.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `coeffs.len() == dsts.len() * srcs.len()`, or if the
+    /// slices break [`Field::mul_acc_slice`]'s length rules.
+    fn mul_acc_matrix(coeffs: &[Self], dsts: &mut [&mut [u8]], srcs: &[&[u8]]) {
+        assert_eq!(
+            coeffs.len(),
+            dsts.len() * srcs.len(),
+            "mul_acc_matrix needs one coefficient per (destination, source) pair"
+        );
+        if srcs.is_empty() {
+            return;
+        }
+        for (row, dst) in coeffs.chunks_exact(srcs.len()).zip(dsts.iter_mut()) {
+            for (&coeff, src) in row.iter().zip(srcs) {
+                Self::mul_acc_slice(coeff, dst, src);
+            }
+        }
+    }
 }
 
 /// XOR `src` into `dst`.  The byte-level addition for every GF(2^w): the

@@ -190,6 +190,11 @@ impl Field for GF256 {
         }
         crate::kernels::mul_acc_slice(coeff.0, dst, src);
     }
+
+    fn mul_acc_matrix(coeffs: &[Self], dsts: &mut [&mut [u8]], srcs: &[&[u8]]) {
+        let bytes: Vec<u8> = coeffs.iter().map(|c| c.0).collect();
+        crate::kernels::mul_acc_matrix(&bytes, dsts, srcs);
+    }
 }
 
 impl std::fmt::Display for GF256 {

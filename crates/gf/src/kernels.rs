@@ -1,5 +1,5 @@
-//! Vectorized slice kernels: split-nibble multiply-accumulate and
-//! many-source XOR.
+//! Vectorized slice kernels: GF(2^8) multiply-accumulate, one source at a
+//! time or a whole coefficient matrix at once, and many-source XOR.
 //!
 //! This module holds the GF(2^8) tiers and the XOR kernel every payload XOR
 //! of the workspace goes through; the GF(2^16) tiers, which extend the same
@@ -29,6 +29,19 @@
 //! lookups per cycle.  Both tables for all 256 coefficients total 8 KiB and
 //! live comfortably in L1.
 //!
+//! # Bit matrices (GFNI)
+//!
+//! The same linearity makes multiplication by `c` an 8×8 matrix over GF(2):
+//! bit `j` of `x` contributes `c · 2^j`.  `vgf2p8affineqb` applies such a
+//! matrix to every byte of a vector in one instruction, with no nibble
+//! split; its own multiply (`vgf2p8mulb`) is fixed to the AES polynomial
+//! 0x11B, so the kernel goes through the affine form with one precomputed
+//! matrix per coefficient of 0x11D.  A Reed–Solomon row is a whole matrix
+//! of such products, `dsts[i] ^= Σ_j coeffs[i][j] · srcs[j]`, and
+//! [`mul_acc_matrix`] takes it in one call: the GFNI kernel keeps eight
+//! destinations in registers and loads each 64-byte block of each source
+//! once per group of eight.
+//!
 //! # Many-source XOR
 //!
 //! A Tornado check packet, an LT symbol and every value a peeling decoder
@@ -42,28 +55,35 @@
 //!
 //! # Kernel tiers and feature detection
 //!
-//! Four tiers, verified against each other by exhaustive and property
-//! tests:
+//! Five tiers, each with one multiply, verified against each other by
+//! exhaustive and property tests:
 //!
-//! 1. **AVX-512BW** — 64-byte `pshufb` multiply steps; XOR in 256-byte
+//! 1. **GFNI** (AVX-512BW + GFNI) — `vgf2p8affineqb` over 64-byte blocks,
+//!    the whole coefficient matrix in one pass per eight destinations; the
+//!    last partial block through byte-masked loads and stores.  A single
+//!    multiply is the same pass over one destination and one source.  XOR
+//!    and GF(2^16) run the AVX-512 kernels.
+//! 2. **AVX-512BW** — 64-byte `pshufb` multiply steps; XOR in 256-byte
 //!    blocks of four `zmm` accumulators.
-//! 2. **AVX2** — 32-byte `pshufb` multiply steps; XOR in 128-byte blocks of
+//! 3. **AVX2** — 32-byte `pshufb` multiply steps; XOR in 128-byte blocks of
 //!    four `ymm` accumulators.
-//! 3. **SSSE3** — 16-byte `pshufb` multiply steps; XOR through the portable
+//! 4. **SSSE3** — 16-byte `pshufb` multiply steps; XOR through the portable
 //!    word loop, which the baseline x86-64 target compiles to SSE2.
 //!
-//!    These three are selected **at runtime** via `is_x86_feature_detected!`,
+//!    These four are selected **at runtime** via `is_x86_feature_detected!`,
 //!    memoized in a `OnceLock`, so one binary runs optimally on any machine;
 //!    `unsafe` is confined to this module and each `target_feature` function
-//!    is only reachable after its feature check.  Each multiply kernel hands
-//!    its sub-vector tail to the next narrower tier, and the narrowest to
-//!    the scalar row.
-//! 4. **Scalar reference** ([`scalar`]) — the original 256-entry-row loop,
+//!    is only reachable after its feature check.  Each `pshufb` multiply
+//!    kernel hands its sub-vector tail to the next narrower tier, and the
+//!    narrowest to the scalar row.
+//! 5. **Scalar reference** ([`scalar`]) — the original 256-entry-row loop,
 //!    retained as the semantic definition the other tiers must match, as
 //!    the no-SIMD dispatch target and as the SIMD tiers' tail.  XOR uses the
 //!    word loop.
 //!
-//! Dispatch happens **once per slice call**, not per byte.
+//! On every tier but GFNI, [`mul_acc_matrix`] is a loop of that tier's
+//! [`mul_acc_slice`] over the nonzero coefficients.  Dispatch happens
+//! **once per slice (or matrix) call**, not per byte.
 
 // `unsafe` is needed for the `core::arch` intrinsics only; the crate root
 // denies unsafe code everywhere else.
@@ -102,6 +122,9 @@ fn nibble_tables() -> &'static NibbleTables {
 /// the [`FORCE_TIER_ENV`] environment override can pin a different one).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Isa {
+    /// AVX-512BW + GFNI: `vgf2p8affineqb` bit-matrix multiplies.
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    Gfni,
     /// AVX-512BW: 64-byte `pshufb` steps.
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
     Avx512,
@@ -113,10 +136,11 @@ enum Isa {
 }
 
 /// Environment override for the kernel tier: set `DF_GF_FORCE_TIER` to
-/// `scalar`, `ssse3`, `avx2` or `avx512` to pin dispatch to that tier for
-/// the whole process (the GF(2^8) and GF(2^16) kernels and the XOR kernel —
-/// they share this dispatcher; `scalar` and `ssse3` both XOR through the
-/// portable word loop).  CI runs the codec test suites under `scalar` and
+/// `scalar`, `ssse3`, `avx2`, `avx512` or `gfni` to pin dispatch to that
+/// tier for the whole process (the GF(2^8) and GF(2^16) kernels and the XOR
+/// kernel — they share this dispatcher; `scalar` and `ssse3` both XOR
+/// through the portable word loop, `gfni` runs the AVX-512 XOR and
+/// GF(2^16) kernels).  CI runs the codec test suites under `scalar` and
 /// `avx2` so they go through tiers that detection would not pick on its
 /// runners.  An empty value is not "unset": it is an unknown tier.  An
 /// unknown or locally unsupported value panics at the first kernel call: a
@@ -127,13 +151,14 @@ pub const FORCE_TIER_ENV: &str = "DF_GF_FORCE_TIER";
 fn forced_isa(name: &str) -> Result<Isa, String> {
     match name {
         "scalar" => Ok(Isa::Scalar),
-        "ssse3" | "avx2" | "avx512" => {
+        "ssse3" | "avx2" | "avx512" | "gfni" => {
             #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
             {
                 let (isa, supported) = match name {
                     "ssse3" => (Isa::Ssse3, std::arch::is_x86_feature_detected!("ssse3")),
                     "avx2" => (Isa::Avx2, std::arch::is_x86_feature_detected!("avx2")),
-                    _ => (Isa::Avx512, std::arch::is_x86_feature_detected!("avx512bw")),
+                    "avx512" => (Isa::Avx512, std::arch::is_x86_feature_detected!("avx512bw")),
+                    _ => (Isa::Gfni, has_gfni()),
                 };
                 if supported {
                     Ok(isa)
@@ -150,14 +175,24 @@ fn forced_isa(name: &str) -> Result<Isa, String> {
         }
         other => Err(format!(
             "{FORCE_TIER_ENV}={other:?} is not a kernel tier \
-             (expected scalar, ssse3, avx2 or avx512)"
+             (expected scalar, ssse3, avx2, avx512 or gfni)"
         )),
     }
+}
+
+/// The GFNI tier's features: the affine instruction on 512-bit vectors and
+/// the byte-masked loads and stores of its tail.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+fn has_gfni() -> bool {
+    std::arch::is_x86_feature_detected!("avx512bw") && std::arch::is_x86_feature_detected!("gfni")
 }
 
 fn detect_isa() -> Isa {
     #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
     {
+        if has_gfni() {
+            return Isa::Gfni;
+        }
         if std::arch::is_x86_feature_detected!("avx512bw") {
             return Isa::Avx512;
         }
@@ -179,12 +214,14 @@ fn isa() -> Isa {
     })
 }
 
-/// Name of the kernel tier dispatch selected on this machine: `"avx512"`,
-/// `"avx2"`, `"ssse3"` or `"scalar"`, by detection or as [`FORCE_TIER_ENV`]
-/// pins it.  Surfaced in benchmark output so recorded numbers identify the
+/// Name of the kernel tier dispatch selected on this machine: `"gfni"`,
+/// `"avx512"`, `"avx2"`, `"ssse3"` or `"scalar"`, by detection or as
+/// [`FORCE_TIER_ENV`] pins it.  Surfaced in benchmark output so recorded numbers identify the
 /// code path that produced them.
 pub fn active_kernel() -> &'static str {
     match isa() {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        Isa::Gfni => "gfni",
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         Isa::Avx512 => "avx512",
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
@@ -212,9 +249,12 @@ fn mul_acc_tier(isa: Isa, coeff: u8, dst: &mut [u8], src: &[u8]) {
     assert_eq!(dst.len(), src.len(), "mul_acc_slice requires equal lengths");
     match isa {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        // SAFETY: `isa()` returned Avx512/Avx2/Ssse3 only after
+        // SAFETY: `isa()` returned Gfni/Avx512/Avx2/Ssse3 only after
         // `is_x86_feature_detected!` confirmed the feature at runtime (the
-        // tests pass a tier only after the same check).
+        // tests pass a tier only after the same check); the lengths are
+        // equal, as asserted above.
+        Isa::Gfni => unsafe { x86::mul_acc_gfni(coeff, dst, src) },
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         Isa::Avx512 => unsafe { x86::mul_acc_avx512(coeff, dst, src) },
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         Isa::Avx2 => unsafe { x86::mul_acc_avx2(coeff, dst, src) },
@@ -222,6 +262,77 @@ fn mul_acc_tier(isa: Isa, coeff: u8, dst: &mut [u8], src: &[u8]) {
         Isa::Ssse3 => unsafe { x86::mul_acc_ssse3(coeff, dst, src) },
         Isa::Scalar => scalar::mul_acc_slice(coeff, dst, src),
     }
+}
+
+/// `dsts[i] ^= Σ_j coeffs[i · srcs.len() + j] · srcs[j]` over GF(2^8):
+/// every destination accumulates its row of the row-major coefficient
+/// matrix applied to the sources, fastest available kernel.
+///
+/// This is a whole Reed–Solomon encode or decode step in one call.  On the
+/// GFNI tier each 64-byte block of each source is loaded once per group of
+/// eight destinations; on every other tier it is that tier's
+/// [`mul_acc_slice`] once per nonzero coefficient (a coefficient of 1 is a
+/// plain XOR).
+///
+/// # Panics
+///
+/// Panics unless `coeffs.len() == dsts.len() * srcs.len()` and every slice
+/// has the same length.
+pub fn mul_acc_matrix(coeffs: &[u8], dsts: &mut [&mut [u8]], srcs: &[&[u8]]) {
+    mul_acc_matrix_tier(isa(), coeffs, dsts, srcs);
+}
+
+/// The matrix multiply-accumulate of tier `isa`.
+fn mul_acc_matrix_tier(isa: Isa, coeffs: &[u8], dsts: &mut [&mut [u8]], srcs: &[&[u8]]) {
+    assert_eq!(
+        coeffs.len(),
+        dsts.len() * srcs.len(),
+        "mul_acc_matrix needs one coefficient per (destination, source) pair"
+    );
+    // With no sources there is nothing to add, whatever the destinations.
+    let Some(len) = srcs.first().map(|s| s.len()) else {
+        return;
+    };
+    assert!(
+        dsts.iter().all(|d| d.len() == len) && srcs.iter().all(|s| s.len() == len),
+        "mul_acc_matrix requires equal lengths"
+    );
+    match isa {
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        // SAFETY: `isa()` returned Gfni only after `has_gfni()` confirmed
+        // AVX-512BW and GFNI at runtime (the tests pass the tier only after
+        // the same check), and every slice is `len` bytes long, as asserted
+        // above.
+        Isa::Gfni => unsafe { x86::mul_acc_matrix_gfni(coeffs, dsts, srcs) },
+        _ => {
+            for (row, dst) in coeffs.chunks_exact(srcs.len()).zip(dsts.iter_mut()) {
+                for (&coeff, src) in row.iter().zip(srcs) {
+                    match coeff {
+                        0 => {}
+                        1 => xor_tier(isa, dst, &[src], true),
+                        _ => mul_acc_tier(isa, coeff, dst, src),
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Multiplication by each coefficient as an 8×8 bit matrix over GF(2), in
+/// `vgf2p8affineqb`'s operand layout: byte `7 − i` of the word is the row
+/// for output bit `i`, whose bit `j` is bit `i` of `c · 2^j`.
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+fn affine_matrices() -> &'static [u64; 256] {
+    static MATRICES: OnceLock<[u64; 256]> = OnceLock::new();
+    MATRICES.get_or_init(|| {
+        std::array::from_fn(|c| {
+            let row = crate::gf8::mul_row(c as u8);
+            (0..8).fold(0u64, |word, i| {
+                let bits = (0..8).fold(0u8, |b, j| b | ((row[1 << j] >> i) & 1) << j);
+                word | u64::from(bits) << (8 * (7 - i))
+            })
+        })
+    })
 }
 
 /// `dst = srcs[0] ⊕ srcs[1] ⊕ …`, fastest available kernel; no sources
@@ -253,11 +364,11 @@ fn xor_tier(isa: Isa, dst: &mut [u8], srcs: &[&[u8]], keep: bool) {
     );
     match isa {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        // SAFETY: `isa()` returned Avx512/Avx2 only after
-        // `is_x86_feature_detected!` confirmed the feature at runtime (the
-        // tests pass a tier only after the same check), and every source is
-        // `dst.len()` bytes long, as asserted above.
-        Isa::Avx512 => unsafe { x86::xor_avx512(dst, srcs, keep) },
+        // SAFETY: `isa()` returned Gfni/Avx512/Avx2 only after
+        // `is_x86_feature_detected!` confirmed AVX-512BW or AVX2 at runtime
+        // (the tests pass a tier only after the same check), and every
+        // source is `dst.len()` bytes long, as asserted above.
+        Isa::Gfni | Isa::Avx512 => unsafe { x86::xor_avx512(dst, srcs, keep) },
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         // SAFETY: as for Avx512.
         Isa::Avx2 => unsafe { x86::xor_avx2(dst, srcs, 0, keep) },
@@ -334,9 +445,9 @@ pub mod scalar {
 
 #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
 mod x86 {
-    //! `pshufb` kernels.  Each function is compiled for its target feature
-    //! and must only be called after runtime detection confirms it.
-    use super::nibble_tables;
+    //! `pshufb` and GFNI kernels.  Each function is compiled for its target
+    //! feature and must only be called after runtime detection confirms it.
+    use super::{affine_matrices, nibble_tables};
 
     #[cfg(target_arch = "x86")]
     use core::arch::x86 as arch;
@@ -347,10 +458,11 @@ mod x86 {
         __m128i, __m256i, __m512i, _mm256_and_si256, _mm256_broadcastsi128_si256,
         _mm256_loadu_si256, _mm256_set1_epi8, _mm256_setzero_si256, _mm256_shuffle_epi8,
         _mm256_srli_epi64, _mm256_storeu_si256, _mm256_xor_si256, _mm512_and_si512,
-        _mm512_broadcast_i32x4, _mm512_loadu_si512, _mm512_set1_epi8, _mm512_setzero_si512,
-        _mm512_shuffle_epi8, _mm512_srli_epi64, _mm512_storeu_si512, _mm512_xor_si512,
-        _mm_and_si128, _mm_loadu_si128, _mm_set1_epi8, _mm_shuffle_epi8, _mm_srli_epi64,
-        _mm_storeu_si128, _mm_xor_si128,
+        _mm512_broadcast_i32x4, _mm512_gf2p8affine_epi64_epi8, _mm512_loadu_si512,
+        _mm512_mask_storeu_epi8, _mm512_maskz_loadu_epi8, _mm512_set1_epi64, _mm512_set1_epi8,
+        _mm512_setzero_si512, _mm512_shuffle_epi8, _mm512_srli_epi64, _mm512_storeu_si512,
+        _mm512_xor_si512, _mm_and_si128, _mm_loadu_si128, _mm_set1_epi8, _mm_shuffle_epi8,
+        _mm_srli_epi64, _mm_storeu_si128, _mm_xor_si128,
     };
 
     /// AVX-512 XOR: 256-byte blocks of four accumulators, then 64-byte
@@ -477,6 +589,134 @@ mod x86 {
         }
     }
 
+    /// Destinations the GFNI kernel keeps in registers per pass over the
+    /// sources.
+    const GFNI_OUTPUTS: usize = 8;
+
+    /// Sources whose matrices the GFNI kernel stages per pass: for eight
+    /// destinations they fill a 2 KiB stack buffer.
+    const GFNI_SOURCES: usize = 32;
+
+    /// GFNI matrix multiply-accumulate: destinations in groups of
+    /// [`GFNI_OUTPUTS`], sources in batches of [`GFNI_SOURCES`], each
+    /// (group, batch) one pass of [`gfni_pass`] over the bytes.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512BW and GFNI (checked by the dispatcher at runtime);
+    /// `coeffs` must hold `dsts.len() * srcs.len()` entries and every slice
+    /// must be as long as `srcs[0]`.
+    #[target_feature(enable = "avx512f,avx512bw,gfni")]
+    pub(super) unsafe fn mul_acc_matrix_gfni(
+        coeffs: &[u8],
+        dsts: &mut [&mut [u8]],
+        srcs: &[&[u8]],
+    ) {
+        let matrices = affine_matrices();
+        let k = srcs.len();
+        let mut staged = [0u64; GFNI_OUTPUTS * GFNI_SOURCES];
+        for (g, group) in dsts.chunks_mut(GFNI_OUTPUTS).enumerate() {
+            let rows = &coeffs[g * GFNI_OUTPUTS * k..][..group.len() * k];
+            for first in (0..k).step_by(GFNI_SOURCES) {
+                let batch = &srcs[first..k.min(first + GFNI_SOURCES)];
+                // Source-major, so one source's matrices are adjacent.
+                let outputs = group.len();
+                for (r, row) in rows.chunks_exact(k).enumerate() {
+                    for (j, &coeff) in row[first..first + batch.len()].iter().enumerate() {
+                        staged[j * outputs + r] = matrices[usize::from(coeff)];
+                    }
+                }
+                let staged = &staged[..batch.len() * outputs];
+                // SAFETY: this function's features and slice lengths are
+                // `gfni_pass`'s requirements; `staged` holds one matrix
+                // per (source, destination) of the pass.
+                unsafe {
+                    match outputs {
+                        1 => gfni_pass::<1>(staged, group, batch),
+                        2 => gfni_pass::<2>(staged, group, batch),
+                        3 => gfni_pass::<3>(staged, group, batch),
+                        4 => gfni_pass::<4>(staged, group, batch),
+                        5 => gfni_pass::<5>(staged, group, batch),
+                        6 => gfni_pass::<6>(staged, group, batch),
+                        7 => gfni_pass::<7>(staged, group, batch),
+                        _ => gfni_pass::<8>(staged, group, batch),
+                    }
+                }
+            }
+        }
+    }
+
+    /// The GFNI tier's `dst[i] ^= coeff · src[i]`: the matrix kernel's pass
+    /// over one destination and one source, with no staging.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512BW and GFNI (checked by the dispatcher at runtime),
+    /// and `dst` and `src` must be equally long.
+    #[target_feature(enable = "avx512f,avx512bw,gfni")]
+    pub(super) unsafe fn mul_acc_gfni(coeff: u8, dst: &mut [u8], src: &[u8]) {
+        let matrix = [affine_matrices()[usize::from(coeff)]];
+        // SAFETY: this function's features and equal lengths are
+        // `gfni_pass`'s requirements, with one matrix for its one pair.
+        unsafe { gfni_pass::<1>(&matrix, &mut [dst], &[src]) }
+    }
+
+    /// `dsts[r] ^= Σ_j M[j·R + r] · srcs[j]` for `R` destinations: a
+    /// 64-byte block of every destination stays in a register while each
+    /// source's block is loaded once and multiplied by `R` broadcast
+    /// matrices; the last, partial block goes through byte-masked loads and
+    /// stores.
+    ///
+    /// # Safety
+    ///
+    /// Requires AVX-512BW and GFNI, and every slice must be as long as
+    /// `dsts[0]`.  `dsts` holds `R` slices (asserted) and `matrices`
+    /// `R * srcs.len()` words (a shorter `matrices` leaves sources out).
+    #[target_feature(enable = "avx512f,avx512bw,gfni")]
+    unsafe fn gfni_pass<const R: usize>(matrices: &[u64], dsts: &mut [&mut [u8]], srcs: &[&[u8]]) {
+        // Every pointer below must come from a destination.
+        assert_eq!(dsts.len(), R, "one destination per register");
+        let len = dsts[0].len();
+        let mut d = [core::ptr::null_mut::<u8>(); R];
+        for (p, dst) in d.iter_mut().zip(dsts.iter_mut()) {
+            *p = dst.as_mut_ptr();
+        }
+        // One 64-byte block of every destination, from `at`: the bytes
+        // `mask` selects (all of them but in the last, partial block, where
+        // the compiler keeps the masked loads and stores).
+        let block = |at: usize, mask: u64| {
+            // SAFETY: every access starts at `at < len` inside a slice of
+            // `len` bytes and covers only the bytes `mask` selects, which
+            // end at or before `len`; masked-off bytes are neither read nor
+            // written, and each of the `R` pointers is a destination's.
+            // `dsts` are `&mut` borrows, so no source overlaps them.
+            unsafe {
+                let mut acc = [_mm512_setzero_si512(); R];
+                for r in 0..R {
+                    acc[r] = _mm512_maskz_loadu_epi8(mask, d[r].add(at) as *const i8);
+                }
+                for (src, row) in srcs.iter().zip(matrices.chunks_exact(R)) {
+                    let s = _mm512_maskz_loadu_epi8(mask, src.as_ptr().add(at) as *const i8);
+                    for r in 0..R {
+                        let m = _mm512_set1_epi64(row[r] as i64);
+                        acc[r] = _mm512_xor_si512(acc[r], _mm512_gf2p8affine_epi64_epi8::<0>(s, m));
+                    }
+                }
+                for r in 0..R {
+                    _mm512_mask_storeu_epi8(d[r].add(at) as *mut i8, mask, acc[r]);
+                }
+            }
+        };
+        let mut at = 0;
+        while at + 64 <= len {
+            block(at, u64::MAX);
+            at += 64;
+        }
+        if at < len {
+            block(at, (1u64 << (len - at)) - 1);
+        }
+    }
+
     /// # Safety
     ///
     /// Requires AVX-512BW (checked by the dispatcher at runtime).
@@ -586,6 +826,7 @@ fn tiers() -> Vec<Isa> {
             (Isa::Ssse3, std::arch::is_x86_feature_detected!("ssse3")),
             (Isa::Avx2, std::arch::is_x86_feature_detected!("avx2")),
             (Isa::Avx512, std::arch::is_x86_feature_detected!("avx512bw")),
+            (Isa::Gfni, has_gfni()),
         ] {
             if detected {
                 tiers.push(isa);
@@ -662,7 +903,7 @@ mod tests {
 
     #[test]
     fn dispatcher_reports_a_known_kernel() {
-        assert!(["avx512", "avx2", "ssse3", "scalar"].contains(&active_kernel()));
+        assert!(["gfni", "avx512", "avx2", "ssse3", "scalar"].contains(&active_kernel()));
     }
 
     #[test]
@@ -676,7 +917,7 @@ mod tests {
         // …unknown names never are (including near-misses, and tiers that
         // no longer exist: the matrix must fail loudly on a typo or a stale
         // row, not silently run the default tier)…
-        for bogus in ["", "swar", "Scalar", "sse2", "gfni", "avx1024"] {
+        for bogus in ["", "swar", "Scalar", "sse2", "GFNI", "avx1024"] {
             let err = forced_isa(bogus).expect_err(bogus);
             assert!(err.contains("DF_GF_FORCE_TIER"), "unhelpful error: {err}");
         }
@@ -698,6 +939,7 @@ mod tests {
                 Isa::Avx512,
                 std::arch::is_x86_feature_detected!("avx512bw"),
             ),
+            ("gfni", Isa::Gfni, has_gfni()),
         ] {
             match forced_isa(name) {
                 Ok(got) => {
@@ -731,6 +973,149 @@ mod tests {
     fn length_mismatch_panics() {
         let mut dst = vec![0u8; 4];
         mul_acc_slice(3, &mut dst, &[0u8; 5]);
+    }
+
+    /// The per-pair scalar definition every matrix kernel must match.
+    fn matrix_reference(coeffs: &[u8], dsts: &mut [Vec<u8>], srcs: &[&[u8]]) {
+        for (i, dst) in dsts.iter_mut().enumerate() {
+            for (j, src) in srcs.iter().enumerate() {
+                scalar::mul_acc_slice(coeffs[i * srcs.len() + j], dst, src);
+            }
+        }
+    }
+
+    /// `m` destinations and `k` sources of `len` bytes, each at its own
+    /// offset into a larger buffer, under `coeffs`: every tier and the
+    /// dispatcher against the per-pair scalar reference.
+    fn check_matrix(coeffs: &[u8], m: usize, k: usize, len: usize) {
+        let bufs: Vec<Vec<u8>> = (0..k)
+            .map(|j| payload(len + 8, (j as u8).wrapping_mul(13) ^ len as u8))
+            .collect();
+        let srcs: Vec<&[u8]> = bufs
+            .iter()
+            .enumerate()
+            .map(|(j, b)| &b[j % 8..][..len])
+            .collect();
+        let dsts0: Vec<Vec<u8>> = (0..m)
+            .map(|i| payload(len, 0x77 ^ (i as u8).wrapping_mul(29)))
+            .collect();
+        let mut expect = dsts0.clone();
+        matrix_reference(coeffs, &mut expect, &srcs);
+        let run = |tier: Option<Isa>| {
+            // Destinations at unaligned offsets too.
+            let mut bufs: Vec<Vec<u8>> = dsts0
+                .iter()
+                .enumerate()
+                .map(|(i, d)| {
+                    let mut b = vec![0u8; i % 8];
+                    b.extend_from_slice(d);
+                    b
+                })
+                .collect();
+            let mut dsts: Vec<&mut [u8]> = bufs
+                .iter_mut()
+                .enumerate()
+                .map(|(i, b)| &mut b[i % 8..])
+                .collect();
+            match tier {
+                Some(isa) => mul_acc_matrix_tier(isa, coeffs, &mut dsts, &srcs),
+                None => mul_acc_matrix(coeffs, &mut dsts, &srcs),
+            }
+            dsts.iter().map(|d| d.to_vec()).collect::<Vec<_>>()
+        };
+        for tier in tiers() {
+            assert_eq!(run(Some(tier)), expect, "{tier:?} m {m} k {k} len {len}");
+        }
+        assert_eq!(run(None), expect, "dispatched m {m} k {k} len {len}");
+    }
+
+    /// A deterministic coefficient matrix in which 0 and 1 recur.
+    fn matrix_coeffs(m: usize, k: usize) -> Vec<u8> {
+        (0..m * k)
+            .map(|e| match (e * 7 + e / k) % 11 {
+                0 => 0,
+                1 => 1,
+                _ => (e as u8).wrapping_mul(53).wrapping_add(2),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn matrix_tiers_match_the_per_pair_reference() {
+        // Destination counts on both sides of the GFNI kernel's group of
+        // eight, source counts across its batches of 32, and lengths
+        // on both sides of its 64-byte block; subsampled under Miri.
+        let (ms, lens): (Vec<usize>, &[usize]) = if cfg!(miri) {
+            (vec![1, 5], &[0, 65])
+        } else {
+            (
+                (1..=9).collect(),
+                &[0, 1, 63, 64, 65, 128, 255, 256, 1024, 1036],
+            )
+        };
+        for &m in &ms {
+            for k in [1usize, 2, 127, 128, 130] {
+                let coeffs = matrix_coeffs(m, k);
+                for &len in lens {
+                    check_matrix(&coeffs, m, k, len);
+                }
+            }
+        }
+        // All-zero and all-one matrices.
+        for fill in [0u8, 1] {
+            check_matrix(&[fill; 5 * 3], 5, 3, 200);
+        }
+    }
+
+    #[test]
+    fn matrix_with_no_sources_or_destinations_is_a_no_op() {
+        let mut dst = payload(100, 3);
+        let before = dst.clone();
+        mul_acc_matrix(&[], &mut [&mut dst], &[]);
+        assert_eq!(dst, before);
+        mul_acc_matrix(&[], &mut [], &[&before]);
+    }
+
+    #[test]
+    #[should_panic(expected = "one coefficient per")]
+    fn matrix_shape_mismatch_panics() {
+        let mut dst = vec![0u8; 8];
+        mul_acc_matrix(&[1, 2], &mut [&mut dst], &[&[0u8; 8]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "equal lengths")]
+    fn matrix_length_mismatch_panics() {
+        let mut dst = vec![0u8; 8];
+        mul_acc_matrix(&[1, 2], &mut [&mut dst], &[&[0u8; 8], &[0u8; 9]]);
+    }
+
+    #[test]
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    fn affine_matrices_are_the_product_table() {
+        // `vgf2p8affineqb`'s definition: bit `i` of the result is the parity
+        // of byte `7 − i` of the matrix ANDed with the source byte.  Every
+        // coefficient's matrix against every byte, without the instruction
+        // (the tiers run it on every coefficient above); subsampled under
+        // Miri.
+        let affine = |m: u64, x: u8| {
+            (0..8).fold(0u8, |y, i| {
+                let row = (m >> (8 * (7 - i))) as u8;
+                y | (((row & x).count_ones() & 1) as u8) << i
+            })
+        };
+        let step = if cfg!(miri) { 17 } else { 1 };
+        for coeff in (0..=255u8).step_by(step) {
+            let product = crate::gf8::mul_row(coeff);
+            for x in 0..=255u8 {
+                let m = affine_matrices()[usize::from(coeff)];
+                assert_eq!(
+                    affine(m, x),
+                    product[usize::from(x)],
+                    "{coeff:#04x}·{x:#04x}"
+                );
+            }
+        }
     }
 
     /// The byte-at-a-time definition every XOR tier must match.
@@ -849,6 +1234,23 @@ mod tests {
             let mut got = dst0.to_vec();
             mul_acc_slice(coeff, &mut got, src);
             prop_assert_eq!(&got, &expect);
+        }
+
+        #[test]
+        fn prop_matrix_tiers_match_the_per_pair_reference(
+            m in 1usize..10,
+            k in 1usize..20,
+            len in 0usize..300,
+            entries in proptest::collection::vec(any::<u8>(), 9 * 19..9 * 19 + 1),
+            zeros: u8,
+        ) {
+            // Entries below `zeros % 64` become 0 or 1, so sparse and
+            // XOR-only rows turn up.
+            let coeffs: Vec<u8> = entries[..m * k]
+                .iter()
+                .map(|&c| if c < zeros % 64 { c & 1 } else { c })
+                .collect();
+            check_matrix(&coeffs, m, k, len);
         }
 
         #[test]

@@ -130,8 +130,9 @@ impl NibbleTables16 {
 /// output so recorded numbers identify the code path.
 pub fn active_kernel() -> &'static str {
     match super::isa() {
+        // The GFNI tier runs the AVX-512 kernel for GF(2^16).
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        super::Isa::Avx512 => "avx512",
+        super::Isa::Gfni | super::Isa::Avx512 => "avx512",
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         super::Isa::Avx2 => "avx2",
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
@@ -162,10 +163,11 @@ fn mul_acc_tier(isa: super::Isa, coeff: u16, dst: &mut [u8], src: &[u8]) {
     assert_elements(dst, src);
     match isa {
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
-        // SAFETY: `isa()` returned Avx512/Avx2/Ssse3 only after
-        // `is_x86_feature_detected!` confirmed the feature at runtime (the
-        // tests pass a tier only after the same check).
-        super::Isa::Avx512 => unsafe { x86::mul_acc_avx512(coeff, dst, src) },
+        // SAFETY: `isa()` returned Gfni/Avx512/Avx2/Ssse3 only after
+        // `is_x86_feature_detected!` confirmed the feature at runtime (Gfni
+        // includes AVX-512BW; the tests pass a tier only after the same
+        // check).
+        super::Isa::Gfni | super::Isa::Avx512 => unsafe { x86::mul_acc_avx512(coeff, dst, src) },
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
         super::Isa::Avx2 => unsafe { x86::mul_acc_avx2(coeff, dst, src) },
         #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]

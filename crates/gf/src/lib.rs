@@ -10,9 +10,11 @@
 //! * [`GF256`] — GF(2^8), generated by the primitive polynomial
 //!   `x^8 + x^4 + x^3 + x^2 + 1` (0x11d).  Scalar multiplication uses full
 //!   256×256 log/exp tables; the slice operations that dominate erasure-code
-//!   runtime go through the vectorized split-nibble kernels in [`kernels`]
-//!   (AVX-512/AVX2/SSSE3 `pshufb` with runtime feature detection, the
-//!   scalar table row for tails and as the fallback).
+//!   runtime go through the vectorized kernels in [`kernels`], selected by
+//!   runtime feature detection: GFNI bit-matrix multiplies over a whole
+//!   coefficient matrix per call ([`kernels::mul_acc_matrix`], which every
+//!   Reed–Solomon row goes through), else AVX-512/AVX2/SSSE3 split-nibble
+//!   `pshufb`, with the scalar table row for tails and as the fallback.
 //!
 //! Every payload XOR — GF addition, and the whole of a Tornado, LT or
 //! Raptor coder — goes through [`kernels::xor_sum`] / [`kernels::xor_acc`],

@@ -41,7 +41,7 @@ use df_core::{
     LtDecoder, LtEncoder, PayloadDecoder, RaptorCode, Reception, ReceptionCounter, TornadoCode,
     TornadoError, TornadoProfile, LT_DEFAULT_C, LT_DEFAULT_DELTA,
 };
-use df_mcast::LayeredSession;
+use df_mcast::{LayeredSession, TransmissionSchedule};
 
 /// Reception statistics for one download: the session's
 /// [`ReceptionCounter`] and the symbols it refused.  It reads as its
@@ -256,15 +256,10 @@ pub(crate) fn admit_session(
             info.sp_interval
         ));
     }
-    // The cadence is checked here, before the build, and its session is
-    // made again over the code's `n` after it.
-    let cadence = |n| {
-        (info.sp_interval > 0)
-            .then(|| LayeredSession::new(layers, n, info.sp_interval, info.burst_rounds))
-            .transpose()
-            .map_err(|e| format!("a layered cadence it cannot run ({e})"))
-    };
-    cadence(1)?;
+    let cadence = (info.sp_interval > 0)
+        .then(|| LayeredSession::new(info.sp_interval, info.burst_rounds))
+        .transpose()
+        .map_err(|e| format!("a layered cadence it cannot run ({e})"))?;
     let unbuilt = |e: TornadoError| format!("a code that does not build ({e})");
     let (code, n) = match info.rateless {
         RatelessMode::Off => {
@@ -285,7 +280,7 @@ pub(crate) fn admit_session(
             (SessionCode::Raptor(code), n)
         }
     };
-    Ok((code, n, cadence(n)?))
+    Ok((code, n, cadence))
 }
 
 /// The memory caps of a rateless session over `k` source packets, as
@@ -368,7 +363,10 @@ impl ClientSession {
             Backend::Carousel { code, .. } => ReceptionCounter::new(code.n(), code.k()),
             Backend::Rateless(_) => ReceptionCounter::streaming(control.k),
         };
-        let controller = layered.map(|session| LayerController::new(session, control.base_group));
+        let controller = layered.map(|cadence| {
+            let schedule = TransmissionSchedule::new(control.layers, n);
+            LayerController::new(cadence, schedule, control.base_group)
+        });
         Ok(ClientSession {
             stats: DownloadStats {
                 counter,

@@ -41,12 +41,14 @@ use std::collections::VecDeque;
 
 /// The receiver-side join/leave state machine for one layered session.
 ///
-/// The SP/burst cadence lives in the embedded [`LayeredSession`] — the same
-/// type the server transmits from — so the two sides cannot drift apart on
-/// what a burst round is.
+/// The SP/burst cadence lives in the embedded [`LayeredSession`] and the
+/// packets of each round in the [`TransmissionSchedule`] — the same types
+/// the server transmits from — so the two sides cannot drift apart on what
+/// a burst round is or how many datagrams a round sends.
 #[derive(Debug)]
 pub(crate) struct LayerController {
     session: LayeredSession,
+    schedule: TransmissionSchedule,
     base_group: u32,
     /// Current cumulative subscription level (layers `0..=level`).
     level: usize,
@@ -87,13 +89,17 @@ pub(crate) struct LayerController {
 }
 
 impl LayerController {
-    /// `session` must mirror the server's announced cadence (`layers` and
-    /// `n` from the control info, validated by `ClientSession::new` through
-    /// [`LayeredSession::new`]).
-    pub(crate) fn new(session: LayeredSession, base_group: u32) -> Self {
+    /// `session` and `schedule` must mirror the server's announced cadence
+    /// and its `layers` and `n` (validated by `ClientSession::new`).
+    pub(crate) fn new(
+        session: LayeredSession,
+        schedule: TransmissionSchedule,
+        base_group: u32,
+    ) -> Self {
         let next_sp = session.sp_interval();
         LayerController {
             session,
+            schedule,
             base_group,
             level: 0,
             max_serial: None,
@@ -142,7 +148,7 @@ impl LayerController {
     }
 
     fn schedule(&self) -> &TransmissionSchedule {
-        self.session.schedule()
+        &self.schedule
     }
 
     fn sp_interval(&self) -> usize {
@@ -383,7 +389,11 @@ mod tests {
     use super::*;
 
     fn controller(layers: usize, n: usize, sp: usize, burst: usize) -> LayerController {
-        LayerController::new(LayeredSession::new(layers, n, sp, burst).unwrap(), 10)
+        LayerController::new(
+            LayeredSession::new(sp, burst).unwrap(),
+            TransmissionSchedule::new(layers, n),
+            10,
+        )
     }
 
     /// Feed one server round to the controller the way a real driver would:

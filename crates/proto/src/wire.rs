@@ -75,21 +75,23 @@ impl DataPacket {
     /// that retains its encoding (the carousel re-sends every packet
     /// forever).  Sending the header and the retained payload as two
     /// `iovec`s — the socket-path item of ROADMAP.md — is what removes the
-    /// copy.  [`DataPacket::to_bytes`] delegates here.
+    /// copy.  The header and the payload are appended to an unfilled
+    /// buffer, so no byte is written twice.  [`DataPacket::to_bytes`]
+    /// delegates here.
     pub fn frame(header: &PacketHeader, payload: &[u8]) -> Bytes {
-        let framed = Self::frame_in_place(payload.len(), |room| {
-            room.copy_from_slice(payload);
-            Some(*header)
-        });
-        framed.unwrap_or_else(Bytes::new)
+        let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
+        buf.extend_from_slice(&header.encode());
+        buf.extend_from_slice(payload);
+        Bytes::from(buf)
     }
 
     /// Frame a datagram whose `payload_len`-byte payload is written in
     /// place: `write` fills the bytes behind the header and returns the
     /// header to put in front of them, or `None` for no datagram.  A sender
     /// that computes its payloads (a rateless symbol is an XOR of rows)
-    /// writes each one once, straight into the datagram.  This is the single
-    /// definition of the data-packet wire layout.
+    /// writes it straight into the datagram, which therefore starts
+    /// zeroed.  The layout is [`DataPacket::frame`]'s: the
+    /// [`HEADER_LEN`]-byte header, then the payload.
     pub fn frame_in_place(
         payload_len: usize,
         write: impl FnOnce(&mut [u8]) -> Option<PacketHeader>,
@@ -170,6 +172,18 @@ mod tests {
             );
             let back = DataPacket::from_bytes(pkt.to_bytes()).unwrap();
             prop_assert_eq!(back, pkt);
+        }
+
+        /// The copying and the in-place framings lay a datagram out alike.
+        #[test]
+        fn prop_both_framings_agree(index: u32, serial: u32, group: u32,
+                                    payload in proptest::collection::vec(any::<u8>(), 0..600)) {
+            let header = PacketHeader { packet_index: index, serial, group };
+            let in_place = DataPacket::frame_in_place(payload.len(), |room| {
+                room.copy_from_slice(&payload);
+                Some(header)
+            });
+            prop_assert_eq!(Some(DataPacket::frame(&header, &payload)), in_place);
         }
     }
 }

@@ -25,7 +25,7 @@
 //! bit matrices so encoding uses only word XORs; that changes constant
 //! factors, not asymptotics, and is noted as a substitution in DESIGN.md.
 
-use crate::code::{check_received, check_source, reset_copy, reset_zeroed, ErasureCode, RsError};
+use crate::code::{check_received, check_source, reset_copy, zeroed_rows, ErasureCode, RsError};
 use df_gf::{Field, GF256, GF65536};
 
 /// A systematic Cauchy Reed–Solomon erasure code.
@@ -93,88 +93,76 @@ impl<F: Field> CauchyCode<F> {
         Ok(CauchyCode { k, n, x, y })
     }
 
-    /// Coefficient of source packet `col` in redundant packet `row`
-    /// (`row < ℓ`, `col < k`): redundant packet `k + row` is the sum over
-    /// `col` of this times source packet `col`.  For a caller that keeps its
-    /// packets somewhere [`ErasureCode::encode_into`] cannot write.
-    #[inline]
-    pub fn coefficient(&self, row: usize, col: usize) -> F {
-        (self.x[row] + self.y[col])
-            .inverse()
-            .expect("x and y point sets are disjoint by construction")
-    }
-
-    /// Solve the `x × x` Cauchy system `C_sub · m = b` for the missing source
-    /// packets using the closed-form Cauchy inverse, writing each recovered
-    /// payload directly into its final slot `out[cols[i]]` (buffers reused).
+    /// Accumulate the redundant packets of `source` into `checks`:
+    /// `checks[r] ^= Σ_c C[r][c] · source[c]` for every redundant row `r`,
+    /// so zeroed rows come out as encoding packets `k..n`.  For a caller
+    /// that keeps its packets somewhere [`ErasureCode::encode_into`] cannot
+    /// write.
     ///
-    /// `rows` are indices into `self.x` (which redundant packets we use),
-    /// `cols` are the missing source indices (into both `self.y` and `out`),
-    /// and `b` holds one partially-reduced payload per row.
-    fn solve_cauchy(
-        &self,
-        rows: &[usize],
-        cols: &[usize],
-        b: &[Vec<u8>],
-        len: usize,
-        out: &mut [Vec<u8>],
-    ) {
-        let m = rows.len();
-        debug_assert_eq!(cols.len(), m);
-        debug_assert_eq!(b.len(), m);
-        let xs: Vec<F> = rows.iter().map(|&r| self.x[r]).collect();
-        let ys: Vec<F> = cols.iter().map(|&c| self.y[c]).collect();
-
-        // Closed-form inverse of the Cauchy matrix A[j][i] = 1/(xs[j] + ys[i]):
-        //   (A^{-1})[i][j] = (Π_p (xs[j]+ys[p]) · Π_p (xs[p]+ys[i]))
-        //                    / ((xs[j]+ys[i]) · Π_{p≠j}(xs[j]+xs[p]) · Π_{p≠i}(ys[i]+ys[p]))
-        // All products are over p in 0..m.  In characteristic 2, + and − agree.
-        let mut row_cross = vec![F::ONE; m]; // Π_p (xs[j] + ys[p]) for each j
-        let mut col_cross = vec![F::ONE; m]; // Π_p (xs[p] + ys[i]) for each i
-        for j in 0..m {
-            for &y in &ys {
-                row_cross[j] *= xs[j] + y;
-            }
-        }
-        for i in 0..m {
-            for &x in &xs {
-                col_cross[i] *= x + ys[i];
-            }
-        }
-        let mut row_self = vec![F::ONE; m]; // Π_{p≠j} (xs[j] + xs[p])
-        let mut col_self = vec![F::ONE; m]; // Π_{p≠i} (ys[i] + ys[p])
-        for j in 0..m {
-            for p in 0..m {
-                if p != j {
-                    row_self[j] *= xs[j] + xs[p];
-                }
-            }
-        }
-        for i in 0..m {
-            for p in 0..m {
-                if p != i {
-                    col_self[i] *= ys[i] + ys[p];
-                }
-            }
-        }
-
-        for i in 0..m {
-            let target = &mut out[cols[i]];
-            reset_zeroed(target, len);
-            for j in 0..m {
-                let num = row_cross[j] * col_cross[i];
-                let den = (xs[j] + ys[i]) * row_self[j] * col_self[i];
-                let inv_entry = num
-                    * den
-                        .inverse()
-                        .expect("denominator factors are nonzero for distinct points");
-                if inv_entry.is_zero() {
-                    continue;
-                }
-                F::mul_acc_slice(inv_entry, target, &b[j]);
-            }
-        }
+    /// # Panics
+    ///
+    /// Panics unless `source` holds `k` packets and `checks` `n − k` rows,
+    /// all of one length (a whole number of field elements).
+    pub fn mul_acc_checks(&self, source: &[&[u8]], checks: &mut [&mut [u8]]) {
+        assert_eq!(source.len(), self.k, "one source packet per column");
+        assert_eq!(checks.len(), self.x.len(), "one check row per row point");
+        F::mul_acc_matrix(&cauchy_matrix(&self.x, &self.y), checks, source);
     }
+}
+
+/// The Cauchy matrix `C[i][j] = 1 / (xs[i] + ys[j])`, row-major, each row
+/// computed once for one [`Field::mul_acc_matrix`].
+fn cauchy_matrix<F: Field>(xs: &[F], ys: &[F]) -> Vec<F> {
+    let mut matrix = Vec::with_capacity(xs.len() * ys.len());
+    for &x in xs {
+        matrix.extend(ys.iter().map(|&y| {
+            (x + y)
+                .inverse()
+                .expect("x and y point sets are disjoint by construction")
+        }));
+    }
+    matrix
+}
+
+/// The closed-form inverse of the square Cauchy matrix
+/// `A[j][i] = 1 / (xs[j] + ys[i])`, row-major: row `i` holds the
+/// coefficients that recover unknown `i` from the `m` right-hand sides.
+/// It costs `O(m²)` field operations where Gaussian elimination would cost
+/// `O(m³)`:
+///
+/// ```text
+/// (A^{-1})[i][j] = (Π_p (xs[j]+ys[p]) · Π_p (xs[p]+ys[i]))
+///                  / ((xs[j]+ys[i]) · Π_{p≠j}(xs[j]+xs[p]) · Π_{p≠i}(ys[i]+ys[p]))
+/// ```
+///
+/// with every product over `p` in `0..m`.  In characteristic 2, `+` and `−`
+/// agree.
+fn cauchy_inverse<F: Field>(xs: &[F], ys: &[F]) -> Vec<F> {
+    let m = xs.len();
+    debug_assert_eq!(ys.len(), m);
+    // Π over all of `others` of (point + other), skipping `skip`.
+    let product = |point: F, others: &[F], skip: Option<usize>| {
+        others
+            .iter()
+            .enumerate()
+            .filter(|&(p, _)| Some(p) != skip)
+            .fold(F::ONE, |acc, (_, &o)| acc * (point + o))
+    };
+    let row_cross: Vec<F> = xs.iter().map(|&x| product(x, ys, None)).collect();
+    let col_cross: Vec<F> = ys.iter().map(|&y| product(y, xs, None)).collect();
+    let row_self: Vec<F> = (0..m).map(|j| product(xs[j], xs, Some(j))).collect();
+    let col_self: Vec<F> = (0..m).map(|i| product(ys[i], ys, Some(i))).collect();
+    (0..m)
+        .flat_map(|i| (0..m).map(move |j| (i, j)))
+        .map(|(i, j)| {
+            let den = (xs[j] + ys[i]) * row_self[j] * col_self[i];
+            row_cross[j]
+                * col_cross[i]
+                * den
+                    .inverse()
+                    .expect("denominator factors are nonzero for distinct points")
+        })
+        .collect()
 }
 
 impl<F: Field> ErasureCode for CauchyCode<F> {
@@ -198,12 +186,9 @@ impl<F: Field> ErasureCode for CauchyCode<F> {
         for (slot, pkt) in systematic.iter_mut().zip(source) {
             reset_copy(slot, pkt);
         }
-        for (r, acc) in redundant.iter_mut().enumerate() {
-            reset_zeroed(acc, len);
-            for (c, pkt) in source.iter().enumerate() {
-                F::mul_acc_slice(self.coefficient(r, c), acc, pkt);
-            }
-        }
+        let mut checks = zeroed_rows(redundant, len);
+        let source: Vec<&[u8]> = source.iter().map(Vec::as_slice).collect();
+        self.mul_acc_checks(&source, &mut checks);
         Ok(())
     }
 
@@ -219,38 +204,38 @@ impl<F: Field> ErasureCode for CauchyCode<F> {
             });
         }
         out.resize_with(self.k, Vec::new);
+        let (held, redundant): (Vec<_>, Vec<_>) =
+            picked.iter().partition(|&&(idx, _)| idx < self.k);
         let mut have_source = vec![false; self.k];
-        let mut redundant: Vec<(usize, &[u8])> = Vec::new();
-        for &(idx, payload) in &picked {
-            if idx < self.k {
-                have_source[idx] = true;
-                reset_copy(&mut out[idx], payload);
-            } else {
-                redundant.push((idx - self.k, payload));
-            }
+        for &(idx, payload) in &held {
+            have_source[idx] = true;
+            reset_copy(&mut out[idx], payload);
         }
-        let missing: Vec<usize> = (0..self.k).filter(|&i| !have_source[i]).collect();
-        if missing.is_empty() {
+        if held.len() == self.k {
             return Ok(());
         }
         // `picked` contains exactly k distinct packets, so the number of
         // redundant packets equals the number of missing source packets.
-        debug_assert_eq!(redundant.len(), missing.len());
-        let rows: Vec<usize> = redundant.iter().map(|(r, _)| *r).collect();
+        let xs: Vec<F> = redundant.iter().map(|&(r, _)| self.x[r - self.k]).collect();
 
         // Reduce each used redundant packet by the contribution of the source
         // packets we already hold:  b_j = red_j  ⊕  Σ_{c received} C[r_j][c]·src_c.
-        let mut b: Vec<Vec<u8>> = Vec::with_capacity(rows.len());
-        for &(r, payload) in &redundant {
-            let mut acc = payload.to_vec();
-            for c in 0..self.k {
-                if have_source[c] {
-                    F::mul_acc_slice(self.coefficient(r, c), &mut acc, &out[c]);
-                }
-            }
-            b.push(acc);
-        }
-        self.solve_cauchy(&rows, &missing, &b, len, out);
+        let mut b: Vec<Vec<u8>> = redundant.iter().map(|(_, p)| p.to_vec()).collect();
+        let held_ys: Vec<F> = held.iter().map(|&(c, _)| self.y[c]).collect();
+        let held: Vec<&[u8]> = held.iter().map(|&(_, p)| p).collect();
+        let mut rows: Vec<&mut [u8]> = b.iter_mut().map(Vec::as_mut_slice).collect();
+        F::mul_acc_matrix(&cauchy_matrix(&xs, &held_ys), &mut rows, &held);
+
+        // Solve C_sub · m = b for the missing source packets, writing each
+        // straight into its slot of `out`.
+        let missing_ys: Vec<F> = (0..self.k)
+            .filter(|&c| !have_source[c])
+            .map(|c| self.y[c])
+            .collect();
+        let slots = out.iter_mut().zip(&have_source).filter(|&(_, &have)| !have);
+        let mut missing = zeroed_rows(slots.map(|(slot, _)| slot), len);
+        let b: Vec<&[u8]> = b.iter().map(Vec::as_slice).collect();
+        F::mul_acc_matrix(&cauchy_inverse(&xs, &missing_ys), &mut missing, &b);
         Ok(())
     }
 

@@ -135,10 +135,19 @@ pub trait ErasureCode: Send + Sync {
     fn name(&self) -> &'static str;
 }
 
-/// Reset `buf` to `len` zero bytes, reusing its capacity.
-pub(crate) fn reset_zeroed(buf: &mut Vec<u8>, len: usize) {
-    buf.clear();
-    buf.resize(len, 0);
+/// Reset each of `bufs` to `len` zero bytes, reusing its capacity: the
+/// destination rows of one [`df_gf::Field::mul_acc_matrix`].
+pub(crate) fn zeroed_rows<'a>(
+    bufs: impl IntoIterator<Item = &'a mut Vec<u8>>,
+    len: usize,
+) -> Vec<&'a mut [u8]> {
+    bufs.into_iter()
+        .map(|buf| {
+            buf.clear();
+            buf.resize(len, 0);
+            buf.as_mut_slice()
+        })
+        .collect()
 }
 
 /// Overwrite `buf` with a copy of `data`, reusing its capacity.

@@ -12,7 +12,7 @@
 //! byte where `x` is the number of missing source packets — the costs the
 //! paper summarises in Table 1.
 
-use crate::code::{check_received, check_source, reset_copy, reset_zeroed, ErasureCode, RsError};
+use crate::code::{check_received, check_source, reset_copy, zeroed_rows, ErasureCode, RsError};
 use df_gf::{Field, Matrix, GF256, GF65536};
 
 /// A systematic Vandermonde Reed–Solomon erasure code over GF(2^8) by default
@@ -107,16 +107,12 @@ impl<F: Field> ErasureCode for VandermondeCode<F> {
         for (slot, pkt) in systematic.iter_mut().zip(source) {
             reset_copy(slot, pkt);
         }
-        for (j, acc) in (self.k..self.n).zip(redundant.iter_mut()) {
-            let row = self.generator.row(j);
-            reset_zeroed(acc, len);
-            for (i, coeff) in row.iter().enumerate() {
-                if coeff.is_zero() {
-                    continue;
-                }
-                F::mul_acc_slice(*coeff, acc, &source[i]);
-            }
-        }
+        let coeffs: Vec<F> = (self.k..self.n)
+            .flat_map(|j| self.generator.row(j).iter().copied())
+            .collect();
+        let mut checks = zeroed_rows(redundant, len);
+        let source: Vec<&[u8]> = source.iter().map(Vec::as_slice).collect();
+        F::mul_acc_matrix(&coeffs, &mut checks, &source);
         Ok(())
     }
 
@@ -153,17 +149,14 @@ impl<F: Field> ErasureCode for VandermondeCode<F> {
             .select_rows(&rows)
             .inverse()
             .map_err(|_| RsError::DecodeFailure)?;
-        for &mi in &missing {
-            let acc = &mut out[mi];
-            reset_zeroed(acc, len);
-            for (col, &(_, payload)) in picked.iter().enumerate() {
-                let coeff = a_inv[(mi, col)];
-                if coeff.is_zero() {
-                    continue;
-                }
-                F::mul_acc_slice(coeff, acc, payload);
-            }
-        }
+        let coeffs: Vec<F> = missing
+            .iter()
+            .flat_map(|&mi| a_inv.row(mi).iter().copied())
+            .collect();
+        let slots = out.iter_mut().zip(&have_source).filter(|&(_, &have)| !have);
+        let mut targets = zeroed_rows(slots.map(|(slot, _)| slot), len);
+        let payloads: Vec<&[u8]> = picked.iter().map(|&(_, payload)| payload).collect();
+        F::mul_acc_matrix(&coeffs, &mut targets, &payloads);
         Ok(())
     }
 
