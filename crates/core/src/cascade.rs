@@ -420,7 +420,8 @@ impl Cascade {
     }
 
     /// Number of check packets produced by the final code.
-    pub fn rs_checks(&self) -> usize {
+    #[cfg(test)]
+    fn rs_checks(&self) -> usize {
         self.n - self.rs_offset
     }
 
@@ -466,12 +467,6 @@ impl Cascade {
     pub fn global_index(&self, level: usize, pos: usize) -> usize {
         debug_assert!(pos < self.level_sizes[level]);
         self.level_offsets[level] + pos
-    }
-
-    /// Global index of final-code check packet `pos`.
-    pub fn rs_check_index(&self, pos: usize) -> usize {
-        debug_assert!(pos < self.rs_checks());
-        self.rs_offset + pos
     }
 
     /// Average number of XOR operations per source packet implied by the
@@ -539,7 +534,7 @@ mod tests {
                     level_counts[level] += 1;
                 }
                 PacketRole::RsCheck { pos } => {
-                    assert_eq!(c.rs_check_index(pos), i);
+                    assert_eq!(c.rs_offset() + pos, i);
                     rs_count += 1;
                 }
             }

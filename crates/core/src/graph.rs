@@ -322,12 +322,14 @@ impl BipartiteGraph {
     }
 
     /// Average degree of the left nodes (XORs per message packet).
-    pub fn average_left_degree(&self) -> f64 {
+    #[cfg(test)]
+    fn average_left_degree(&self) -> f64 {
         self.edges() as f64 / self.left as f64
     }
 
     /// Average degree of the check nodes (XORs per check packet).
-    pub fn average_check_degree(&self) -> f64 {
+    #[cfg(test)]
+    fn average_check_degree(&self) -> f64 {
         self.edges() as f64 / self.right as f64
     }
 }

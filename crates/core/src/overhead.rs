@@ -76,7 +76,7 @@ impl OverheadStats {
 
     /// Fraction of trials still unfinished after receiving `(1 + overhead)·k`
     /// packets — the y-axis of Figure 2.
-    pub fn fraction_unfinished_at(&self, overhead: f64) -> f64 {
+    fn fraction_unfinished_at(&self, overhead: f64) -> f64 {
         if self.samples.is_empty() {
             return 0.0;
         }
@@ -96,13 +96,6 @@ impl OverheadStats {
                 (x, 100.0 * self.fraction_unfinished_at(x))
             })
             .collect()
-    }
-
-    /// The overhead at which `percent` of clients have finished (e.g. the
-    /// paper's statement "after receiving 6 % overhead, 90 % of the clients
-    /// could reconstruct the source data" corresponds to `percent = 90`).
-    pub fn overhead_for_completion_percent(&self, percent: f64) -> f64 {
-        self.quantile(percent / 100.0)
     }
 
     /// Borrow the sorted samples.
@@ -145,7 +138,7 @@ mod tests {
         let s = stats();
         assert_eq!(s.quantile(0.0), 0.03);
         assert_eq!(s.quantile(1.0), 0.07);
-        assert_eq!(s.overhead_for_completion_percent(60.0), 0.05);
+        assert_eq!(s.quantile(0.6), 0.05);
     }
 
     #[test]

@@ -104,19 +104,12 @@ impl LtEncoder {
     ///
     /// Propagates [`RobustSoliton::new`] parameter validation.
     pub fn new(count: usize, c: f64, delta: f64, stream_seed: u64) -> Result<Self> {
-        Ok(LtEncoder::with_distribution(
-            RobustSoliton::new(count, c, delta)?,
-            stream_seed,
-        ))
-    }
-
-    /// Build an encoder from an explicit robust-soliton distribution.
-    pub fn with_distribution(soliton: RobustSoliton, stream_seed: u64) -> Self {
-        LtEncoder {
+        let soliton = RobustSoliton::new(count, c, delta)?;
+        Ok(LtEncoder {
             count: soliton.k(),
             stream_seed,
             dist: LtDist::Soliton(Arc::new(soliton)),
-        }
+        })
     }
 
     /// Build an encoder over `count` symbols sampling a fixed
@@ -154,11 +147,6 @@ impl LtEncoder {
             LtDist::Soliton(s) => Some(s),
             LtDist::Table(_) => None,
         }
-    }
-
-    /// The stream seed folded into every equation derivation.
-    pub fn stream_seed(&self) -> u64 {
-        self.stream_seed
     }
 
     /// Derive the equation for `seed` — deterministic, total over all 2^64

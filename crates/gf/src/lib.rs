@@ -76,8 +76,6 @@ pub enum GfError {
         /// Human-readable description of the shape that was provided.
         found: String,
     },
-    /// A division by the zero element was attempted.
-    DivisionByZero,
 }
 
 impl std::fmt::Display for GfError {
@@ -87,7 +85,6 @@ impl std::fmt::Display for GfError {
             GfError::DimensionMismatch { expected, found } => {
                 write!(f, "dimension mismatch: expected {expected}, found {found}")
             }
-            GfError::DivisionByZero => write!(f, "division by zero field element"),
         }
     }
 }

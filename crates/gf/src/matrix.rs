@@ -1,6 +1,6 @@
 //! Dense matrices over a [`Field`], with the operations Reed–Solomon erasure
 //! codes need: multiplication, Gaussian-elimination inversion, systematic-form
-//! construction, and Vandermonde / Cauchy constructors.
+//! construction, and the Vandermonde constructor.
 //!
 //! The matrices here are *small* (dimension = number of packets in a block, a
 //! few hundred to a few tens of thousands of entries), so a straightforward
@@ -43,6 +43,7 @@ impl<F: Field> Matrix<F> {
     /// # Panics
     ///
     /// Panics if `data.len() != rows * cols`.
+    #[cfg(test)]
     pub fn from_vec(rows: usize, cols: usize, data: Vec<F>) -> Self {
         assert_eq!(data.len(), rows * cols, "element count must match shape");
         Matrix { rows, cols, data }
@@ -66,31 +67,6 @@ impl<F: Field> Matrix<F> {
     /// Vandermonde Reed–Solomon code relies on.
     pub fn vandermonde(points: &[F], cols: usize) -> Self {
         Self::from_fn(points.len(), cols, |r, c| points[r].pow(c as u64))
-    }
-
-    /// A Cauchy matrix whose entry (r, c) is `1 / (x[r] + y[c])`.
-    ///
-    /// Requires `x[r] + y[c] != 0` for all pairs, i.e. the two point sets are
-    /// disjoint (addition is XOR in GF(2^w)).  Every square submatrix of a
-    /// Cauchy matrix is invertible.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GfError::DivisionByZero`] if the point sets overlap.
-    pub fn cauchy(x: &[F], y: &[F]) -> Result<Self> {
-        let mut data = Vec::with_capacity(x.len() * y.len());
-        for &xi in x {
-            for &yj in y {
-                let denom = xi + yj;
-                let inv = denom.inverse().ok_or(GfError::DivisionByZero)?;
-                data.push(inv);
-            }
-        }
-        Ok(Matrix {
-            rows: x.len(),
-            cols: y.len(),
-            data,
-        })
     }
 
     /// Number of rows.
@@ -201,35 +177,8 @@ impl<F: Field> Matrix<F> {
         Ok(inv)
     }
 
-    /// Solve `self * x = b` for a single right-hand-side vector.
-    ///
-    /// Used by erasure decoders that only need one combination rather than the
-    /// full inverse.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the matrix is singular or shapes are inconsistent.
-    pub fn solve(&self, b: &[F]) -> Result<Vec<F>> {
-        if b.len() != self.rows {
-            return Err(GfError::DimensionMismatch {
-                expected: format!("rhs of length {}", self.rows),
-                found: format!("length {}", b.len()),
-            });
-        }
-        let inv = self.inverse()?;
-        let mut x = vec![F::ZERO; self.cols];
-        for i in 0..self.cols {
-            let mut acc = F::ZERO;
-            for j in 0..self.rows {
-                acc += inv[(i, j)] * b[j];
-            }
-            x[i] = acc;
-        }
-        Ok(x)
-    }
-
     /// Swap two rows in place.
-    pub fn swap_rows(&mut self, a: usize, b: usize) {
+    fn swap_rows(&mut self, a: usize, b: usize) {
         if a == b {
             return;
         }
@@ -265,6 +214,7 @@ impl<F: Field> Matrix<F> {
     }
 
     /// True if this matrix is the identity.
+    #[cfg(test)]
     pub fn is_identity(&self) -> bool {
         if self.rows != self.cols {
             return false;
@@ -297,7 +247,7 @@ impl<F: Field> std::ops::IndexMut<(usize, usize)> for Matrix<F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{GF256, GF65536};
+    use crate::GF256;
     use proptest::prelude::*;
 
     #[test]
@@ -322,22 +272,6 @@ mod tests {
             .inverse()
             .expect("Vandermonde with distinct points is invertible");
         assert!(m.mul(&inv).unwrap().is_identity());
-    }
-
-    #[test]
-    fn cauchy_square_is_invertible() {
-        let x: Vec<GF256> = (1..=10u8).map(GF256).collect();
-        let y: Vec<GF256> = (11..=20u8).map(GF256).collect();
-        let m = Matrix::cauchy(&x, &y).unwrap();
-        let inv = m.inverse().expect("Cauchy matrices are invertible");
-        assert!(m.mul(&inv).unwrap().is_identity());
-    }
-
-    #[test]
-    fn cauchy_rejects_overlapping_points() {
-        let x: Vec<GF256> = vec![GF256(1), GF256(2)];
-        let y: Vec<GF256> = vec![GF256(2), GF256(3)];
-        assert_eq!(Matrix::cauchy(&x, &y), Err(GfError::DivisionByZero));
     }
 
     #[test]
@@ -367,22 +301,6 @@ mod tests {
         // (the MDS property survives the change of basis).
         let pick = [0usize, 2, 3, 5, 8, 9, 10, 11];
         assert!(sys.select_rows(&pick).inverse().is_ok());
-    }
-
-    #[test]
-    fn solve_matches_inverse_multiplication() {
-        let points: Vec<GF65536> = (1..=6u16).map(GF65536).collect();
-        let m = Matrix::vandermonde(&points, 6);
-        let b: Vec<GF65536> = (10..16u16).map(GF65536).collect();
-        let x = m.solve(&b).unwrap();
-        // Check m * x == b
-        for r in 0..6 {
-            let mut acc = GF65536::ZERO;
-            for c in 0..6 {
-                acc += m[(r, c)] * x[c];
-            }
-            assert_eq!(acc, b[r]);
-        }
     }
 
     #[test]

@@ -285,7 +285,8 @@ impl ServerSession {
     /// True when the round currently being transmitted is part of a
     /// double-rate burst period (always false for flat and rateless
     /// sessions).
-    pub fn in_burst(&self) -> bool {
+    #[cfg(test)]
+    fn in_burst(&self) -> bool {
         match &self.engine {
             Engine::Carousel { layered, .. } => {
                 layered.as_ref().is_some_and(|l| l.is_burst(self.round))

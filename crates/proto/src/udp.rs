@@ -55,7 +55,7 @@ impl GroupAddressing {
     /// truncate or wrap, otherwise two distinct groups would silently alias
     /// onto one socket and a receiver could be fed a foreign session's
     /// packets.
-    pub fn group_addr(&self, group: u32) -> Option<SocketAddrV4> {
+    fn group_addr(&self, group: u32) -> Option<SocketAddrV4> {
         let offset = u16::try_from(group).ok()?;
         match *self {
             GroupAddressing::Multicast {

@@ -7,10 +7,10 @@
 //! delivery jitters.  The wireless fountain-code studies (PAPERS.md) show
 //! these are exactly the conditions under which reception-efficiency and
 //! congestion-control claims must be re-checked, so this module provides the
-//! apparatus: small composable [`ChannelModel`] stages (Gilbert–Elliott
-//! bursty loss, bounded-displacement reordering, duplication, delay jitter)
-//! and a [`HostileChannel`] decorator that applies a pipeline of them to any
-//! [`Transport`]'s receive path.
+//! apparatus: small composable [`ChannelModel`] stages (loss, which is any
+//! [`LossModel`] of the Section 6 simulations, bounded-displacement
+//! reordering, duplication, delay jitter) and a [`HostileChannel`] decorator
+//! that applies a pipeline of them to any [`Transport`]'s receive path.
 //!
 //! ## The delivery-fate representation
 //!
@@ -38,6 +38,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::fmt::Debug;
 
 use crate::loss::{GilbertElliottLoss, LossModel};
 
@@ -52,7 +53,7 @@ use crate::loss::{GilbertElliottLoss, LossModel};
 ///
 /// Stages are `Send` (they are plain data) so that a [`HostileChannel`] can
 /// move to the `df_proto::Driver` shard that owns its session.
-pub trait ChannelModel: std::fmt::Debug + Send {
+pub trait ChannelModel: Debug + Send {
     /// Rewrite the delivery fate of the next arriving datagram.
     ///
     /// `deliveries` holds one displacement offset per copy to deliver and
@@ -69,41 +70,19 @@ pub trait ChannelModel: std::fmt::Debug + Send {
     }
 }
 
-/// Gilbert–Elliott two-state bursty loss as a channel stage, wrapping the
-/// [`GilbertElliottLoss`] process of the Section 6 simulations.
-#[derive(Debug, Clone)]
-pub struct GilbertElliottChannel {
-    loss: GilbertElliottLoss,
-    episodes: u64,
-}
-
-impl GilbertElliottChannel {
-    /// Wrap an explicit Gilbert–Elliott process.
-    pub fn new(loss: GilbertElliottLoss) -> Self {
-        GilbertElliottChannel { loss, episodes: 0 }
-    }
-
-    /// A stage calibrated to an average loss `target` with mean bad-state
-    /// burst length `burst_len` (see [`GilbertElliottLoss::with_average`]).
-    pub fn with_average(target: f64, burst_len: f64) -> Self {
-        GilbertElliottChannel::new(GilbertElliottLoss::with_average(target, burst_len))
-    }
-}
-
-impl ChannelModel for GilbertElliottChannel {
+/// Every [`LossModel`] is a drop stage: it advances its process once per
+/// arrival, drawing from the channel's RNG, and drops the datagram when the
+/// process loses it.  A [`GilbertElliottLoss`] stage reports its good→bad
+/// transitions as the channel's burst episodes.
+impl<L: LossModel + Debug + Send> ChannelModel for L {
     fn transform(&mut self, rng: &mut ChaCha8Rng, deliveries: &mut Vec<u64>) {
-        let was_bad = self.loss.in_bad_state();
-        let lost = self.loss.is_lost(rng);
-        if !was_bad && self.loss.in_bad_state() {
-            self.episodes += 1;
-        }
-        if lost {
+        if self.is_lost(rng) {
             deliveries.clear();
         }
     }
 
     fn burst_episodes(&self) -> u64 {
-        self.episodes
+        LossModel::burst_episodes(self)
     }
 }
 
@@ -220,9 +199,11 @@ pub struct ChannelStats {
 }
 
 /// A [`Transport`] decorator that runs every received datagram through a
-/// pipeline of [`ChannelModel`] stages — the hostile-channel counterpart of
-/// a bottleneck decorator such as the private `ThrottledLink` of the
-/// `layered_fountain` example.
+/// pipeline of [`ChannelModel`] stages — the one channel decorator, over
+/// simulated endpoints and real sockets alike.  With no stages it is
+/// transparent; the `layered_fountain` example puts its congested
+/// receiver's UDP transport behind one whose only stage is a
+/// [`BernoulliLoss`](crate::BernoulliLoss).
 ///
 /// Sends, joins, leaves and readiness pass through untouched: the decorator
 /// models the receiver's downstream path.  Copies a stage displaces are held
@@ -296,7 +277,8 @@ impl<T: Transport> HostileChannel<T> {
     /// Copies currently held for later release.  Bounded by the pipeline's
     /// maximum displacement (every copy is due at most `max displacement`
     /// arrivals after it was enqueued).
-    pub fn in_flight(&self) -> usize {
+    #[cfg(test)]
+    fn in_flight(&self) -> usize {
         self.pending.len()
     }
 
@@ -405,10 +387,9 @@ impl HostileChannelBuilder {
     /// Add a Gilbert–Elliott loss stage calibrated to `target` average loss
     /// with mean burst length `burst_len`.
     pub fn gilbert_elliott(mut self, target: f64, burst_len: f64) -> Self {
-        self.stages
-            .push(Box::new(GilbertElliottChannel::with_average(
-                target, burst_len,
-            )));
+        self.stages.push(Box::new(GilbertElliottLoss::with_average(
+            target, burst_len,
+        )));
         self
     }
 
@@ -510,6 +491,33 @@ mod tests {
             "{episodes} episodes for {} drops is not bursty",
             stats.dropped
         );
+    }
+
+    #[test]
+    fn a_loss_stage_drops_exactly_what_its_process_drops_standalone() {
+        // The stage draws from the channel's `ChaCha8Rng::seed_from_u64(seed)`
+        // once per arrival, so it must drop the very arrivals the same
+        // process drops when it runs alone on that stream.
+        fn check<L: LossModel + Clone + Debug + Send + 'static>(model: L, seed: u64) -> u64 {
+            const ARRIVALS: usize = 20_000;
+            let mut alone = model.clone();
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let kept: Vec<usize> = (0..ARRIVALS).filter(|_| !alone.is_lost(&mut rng)).collect();
+            let net = SimMulticast::new(8);
+            let mut tx = net.endpoint(0.0);
+            let mut rx = HostileChannelBuilder::new(seed)
+                .stage(Box::new(model))
+                .wrap(net.endpoint(0.0));
+            rx.join(0).unwrap();
+            feed(&mut tx, 0, ARRIVALS, 0);
+            assert_eq!(drain(&mut rx), kept);
+            assert_eq!(rx.stats().dropped as usize, ARRIVALS - kept.len());
+            assert_eq!(rx.burst_episodes(), LossModel::burst_episodes(&alone));
+            rx.burst_episodes()
+        }
+        let episodes = check(GilbertElliottLoss::with_average(0.3, 10.0), 21);
+        assert!(episodes > 0, "premise: the process bursts");
+        assert_eq!(check(crate::loss::BernoulliLoss::new(0.25), 22), 0);
     }
 
     #[test]

@@ -181,7 +181,7 @@ pub fn trace_experiment(
                 Scheme::Tornado(profile) => {
                     let code = TornadoCode::with_profile(k, *profile, 0xf0a5u64).expect("valid k");
                     for trace in traces.traces() {
-                        let offset = rng.gen_range(0..trace.len().max(1));
+                        let offset = rng.gen_range(0..trace.len());
                         let mut loss = TraceReplay::new(trace, offset);
                         let o = simulate_tornado_receiver(&code, &mut loss, &mut rng);
                         sum += o.reception_efficiency();
@@ -193,7 +193,7 @@ pub fn trace_experiment(
                     let code =
                         InterleavedCode::new(k, *block_source, 2.0).expect("valid parameters");
                     for trace in traces.traces() {
-                        let offset = rng.gen_range(0..trace.len().max(1));
+                        let offset = rng.gen_range(0..trace.len());
                         let mut loss = TraceReplay::new(trace, offset);
                         let o = simulate_interleaved_receiver(&code, &mut loss, &mut rng);
                         sum += o.reception_efficiency();

@@ -181,9 +181,7 @@ pub fn hostile_channel_experiment(cfg: &HostileConfig) -> HostileOutcome {
         cfg.seed,
     );
     let rx = HostileChannelBuilder::new(cfg.seed ^ 0x686f_7374)
-        .stage(Box::new(crate::channel::GilbertElliottChannel::new(
-            cfg.gilbert_elliott(),
-        )))
+        .stage(Box::new(cfg.gilbert_elliott()))
         .reorder(cfg.reorder_p, cfg.reorder_displacement)
         .duplicate(cfg.duplicate_p)
         .jitter(cfg.jitter)

@@ -75,11 +75,6 @@ impl InterleavedCode {
         })
     }
 
-    /// Total number of source packets `K`.
-    pub fn total_source(&self) -> usize {
-        self.total_source
-    }
-
     /// Nominal block size `k`.
     pub fn block_source(&self) -> usize {
         self.block_source
@@ -190,7 +185,7 @@ impl InterleavedCode {
     /// A lightweight reception tracker for simulations: counts receptions
     /// and reports completion as soon as every block holds `k` distinct
     /// packets (the MDS property makes payloads irrelevant to the decision).
-    pub fn tracker(&self) -> InterleavedTracker<'_> {
+    pub(crate) fn tracker(&self) -> InterleavedTracker<'_> {
         InterleavedTracker {
             code: self,
             tally: ReceptionCounter::new(self.n, self.total_source),
@@ -203,7 +198,7 @@ impl InterleavedCode {
 /// Index-level reception state for an [`InterleavedCode`] receiver.  It
 /// reads as its [`Reception`] counts: `tracker.distinct`.
 #[derive(Debug, Clone)]
-pub struct InterleavedTracker<'a> {
+pub(crate) struct InterleavedTracker<'a> {
     code: &'a InterleavedCode,
     tally: ReceptionCounter,
     /// Distinct packets held per block.
@@ -214,7 +209,7 @@ pub struct InterleavedTracker<'a> {
 impl<'a> InterleavedTracker<'a> {
     /// Record the reception of encoding packet `index`; returns `true` once
     /// the whole file is reconstructible.
-    pub fn receive(&mut self, index: usize) -> bool {
+    pub(crate) fn receive(&mut self, index: usize) -> bool {
         if self.tally.record(index) {
             let (b, _) = self.code.locate(index);
             self.have[b] += 1;
@@ -226,7 +221,7 @@ impl<'a> InterleavedTracker<'a> {
     }
 
     /// True once every block has at least `k` distinct packets.
-    pub fn is_complete(&self) -> bool {
+    fn is_complete(&self) -> bool {
         self.complete_blocks == self.code.blocks.len()
     }
 }

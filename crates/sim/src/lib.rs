@@ -22,10 +22,11 @@
 //! * [`swarm`] — the driver-scale experiment: thousands of concurrent
 //!   client sessions pumped through the sharded `df_proto::Driver`, from
 //!   one shard thread up to a per-core shard sweep.
-//! * [`channel`] — composable hostile-channel stages (Gilbert–Elliott
-//!   bursty loss, bounded reordering, duplication, jitter) and the
+//! * [`channel`] — composable hostile-channel stages (any [`LossModel`] as
+//!   the drop stage, bounded reordering, duplication, jitter) and the
 //!   [`HostileChannel`] transport decorator that applies them to any
-//!   `df_proto::Transport`.
+//!   `df_proto::Transport` — simulated endpoints and real UDP sockets
+//!   alike.
 //! * [`hostile`] — the robustness experiment: adaptive layered receivers
 //!   downloading through hostile channels, sweeping Gilbert–Elliott
 //!   parameters while asserting completion and join/leave stability.
@@ -45,8 +46,8 @@ pub mod swarm;
 pub mod trace;
 
 pub use channel::{
-    ChannelModel, ChannelStats, DuplicateChannel, GilbertElliottChannel, HostileChannel,
-    HostileChannelBuilder, JitterChannel, ReorderChannel,
+    ChannelModel, ChannelStats, DuplicateChannel, HostileChannel, HostileChannelBuilder,
+    JitterChannel, ReorderChannel,
 };
 pub use experiment::{
     file_size_experiment, receiver_scaling_experiment, speedup_table, trace_experiment,

@@ -4,7 +4,9 @@
 //! fixed probability `p` per receiver (Figures 4 and 5, Table 4) and
 //! trace-driven bursty loss from MBone sessions (Figure 6).  This module
 //! provides both, plus the two-state Gilbert–Elliott process the synthetic
-//! traces are generated from.
+//! traces are generated from.  Every model here is also the drop stage of a
+//! [`HostileChannel`](crate::HostileChannel): the channel module implements
+//! `ChannelModel` for each `LossModel`.
 
 use rand::Rng;
 
@@ -18,6 +20,12 @@ pub trait LossModel {
 
     /// The long-run average loss rate of the model, if known.
     fn average_loss_rate(&self) -> f64;
+
+    /// Completed good→bad transitions so far, for a bursty model; `0` for a
+    /// model without a bad state.
+    fn burst_episodes(&self) -> u64 {
+        0
+    }
 }
 
 /// Independent ("Bernoulli") loss: every packet is lost with probability `p`,
@@ -74,6 +82,8 @@ pub struct GilbertElliottLoss {
     /// Loss probability while in the bad state.
     loss_bad: f64,
     in_bad_state: bool,
+    /// Good→bad transitions so far.
+    episodes: u64,
 }
 
 impl GilbertElliottLoss {
@@ -96,6 +106,7 @@ impl GilbertElliottLoss {
             loss_good,
             loss_bad,
             in_bad_state: false,
+            episodes: 0,
         }
     }
 
@@ -125,11 +136,6 @@ impl GilbertElliottLoss {
         let p_good_to_bad = (pi_b * p_bad_to_good / (1.0 - pi_b)).min(1.0);
         GilbertElliottLoss::new(p_good_to_bad, p_bad_to_good, loss_good, loss_bad)
     }
-
-    /// True if the process is currently in the bad (bursty-loss) state.
-    pub fn in_bad_state(&self) -> bool {
-        self.in_bad_state
-    }
 }
 
 impl LossModel for GilbertElliottLoss {
@@ -148,6 +154,7 @@ impl LossModel for GilbertElliottLoss {
         };
         if rng.gen::<f64>() < flip_p {
             self.in_bad_state = !self.in_bad_state;
+            self.episodes += u64::from(self.in_bad_state);
         }
         lost
     }
@@ -159,6 +166,10 @@ impl LossModel for GilbertElliottLoss {
         }
         let pi_b = self.p_good_to_bad / denom;
         pi_b * self.loss_bad + (1.0 - pi_b) * self.loss_good
+    }
+
+    fn burst_episodes(&self) -> u64 {
+        self.episodes
     }
 }
 

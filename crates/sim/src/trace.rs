@@ -25,17 +25,36 @@ pub struct ReceiverTrace {
 impl ReceiverTrace {
     /// Wrap an explicit loss sequence (useful for tests and for replaying real
     /// trace files if they are available).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace is empty or loses every packet: replay wraps
+    /// around, so a receiver on such a trace would never finish — the same
+    /// reason [`BernoulliLoss::new`](crate::BernoulliLoss::new) refuses a
+    /// loss rate of 1.
     pub fn from_losses(lost: Vec<bool>) -> Self {
+        assert!(
+            !lost.is_empty(),
+            "a receiver trace needs at least one packet slot"
+        );
+        assert!(
+            lost.contains(&false),
+            "a receiver trace must deliver at least one packet, or no receiver can finish"
+        );
         ReceiverTrace { lost }
     }
 
     /// Generate a synthetic trace of `len` packet slots with the given target
     /// average loss rate and burstiness.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`ReceiverTrace::from_losses`] does if the draw leaves no
+    /// packet delivered (or `len` is 0).
     pub fn synthetic(len: usize, loss_rate: f64, burst_len: f64, seed: u64) -> Self {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut model = GilbertElliottLoss::with_average(loss_rate, burst_len);
-        let lost = (0..len).map(|_| model.is_lost(&mut rng)).collect();
-        ReceiverTrace { lost }
+        ReceiverTrace::from_losses((0..len).map(|_| model.is_lost(&mut rng)).collect())
     }
 
     /// Number of packet slots in the trace.
@@ -58,14 +77,12 @@ impl ReceiverTrace {
 
     /// Empirical loss rate of the trace.
     pub fn loss_rate(&self) -> f64 {
-        if self.lost.is_empty() {
-            return 0.0;
-        }
         self.lost.iter().filter(|&&l| l).count() as f64 / self.lost.len() as f64
     }
 
     /// An iterator over the loss flags starting at `offset`, wrapping around.
-    pub fn replay_from(&self, offset: usize) -> impl Iterator<Item = bool> + '_ {
+    #[cfg(test)]
+    fn replay_from(&self, offset: usize) -> impl Iterator<Item = bool> + '_ {
         (0..).map(move |i| self.is_lost(offset + i))
     }
 }
@@ -158,6 +175,18 @@ mod tests {
         assert_eq!(got, vec![false, true, false, false, true]);
         assert!(t.is_lost(0));
         assert!(t.is_lost(3));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one packet slot")]
+    fn an_empty_trace_is_refused() {
+        let _ = ReceiverTrace::from_losses(Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "no receiver can finish")]
+    fn an_all_lost_trace_is_refused() {
+        let _ = ReceiverTrace::from_losses(vec![true; 64]);
     }
 
     #[test]

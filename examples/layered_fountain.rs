@@ -15,19 +15,21 @@
 //! joins the perpetual stream whenever it likes; sequential receivers also
 //! keep the group ports free for one another in loopback mode): an
 //! unthrottled one that climbs as far as the download length allows, and
-//! one behind a deliberately lossy access link — modelled as a transport
-//! wrapper that eats every fourth received datagram, exactly where a real
-//! bottleneck queue would sit — whose bursts are never clean, so it stays
-//! pinned near the base layer and finishes later.  That heterogeneity is
-//! what the layered scheme exists to serve.
+//! one behind a congested access link — its socket wrapped in a
+//! `HostileChannel` whose one stage, a seeded `BernoulliLoss`, drops a
+//! quarter of the received datagrams, exactly where a real bottleneck queue
+//! would sit — whose bursts are rarely clean, so it stays pinned near the
+//! base layer and finishes later.  That heterogeneity is what the layered
+//! scheme exists to serve.
 //!
 //! Addressing: real IPv4 multicast when the host can loop it back,
 //! loopback unicast otherwise (same sessions, same datagrams either way).
 
 use digital_fountain::proto::{
     ClientSession, Driver, DriverConfig, DriverEvent, FountainServer, GroupAddressing, Pacing,
-    Readiness, SessionConfig, Transport, UdpMulticastTransport,
+    SessionConfig, Transport, UdpMulticastTransport,
 };
+use digital_fountain::sim::{BernoulliLoss, HostileChannel, HostileChannelBuilder};
 use std::time::{Duration, Instant};
 
 const MCAST_ADDR: std::net::Ipv4Addr = std::net::Ipv4Addr::new(239, 255, 71, 92);
@@ -56,58 +58,20 @@ fn patterned_file(len: usize) -> Vec<u8> {
     (0..len).map(|i| (i * 131 % 251) as u8).collect()
 }
 
-/// A congested access link as a transport decorator: every `drop_every`-th
-/// *received* datagram is discarded before the session sees it (0 = clean
-/// path).  Sends, joins and readiness pass straight through — the loss sits
-/// exactly where a bottleneck queue would.
-struct ThrottledLink {
-    inner: UdpMulticastTransport,
-    drop_every: u64,
-    seen: u64,
-}
+/// Every slot's transport: a UDP socket behind the channel decorator, which
+/// is transparent unless it is given a loss stage.
+type Link = HostileChannel<UdpMulticastTransport>;
 
-impl ThrottledLink {
-    fn new(inner: UdpMulticastTransport, drop_every: u64) -> ThrottledLink {
-        ThrottledLink {
-            inner,
-            drop_every,
-            seen: 0,
-        }
-    }
-}
-
-impl Transport for ThrottledLink {
-    fn send(&mut self, group: u32, datagram: bytes::Bytes) {
-        self.inner.send(group, datagram);
-    }
-    fn recv(&mut self) -> Option<(u32, bytes::Bytes)> {
-        loop {
-            let got = self.inner.recv()?;
-            self.seen += 1;
-            if self.drop_every != 0 && self.seen.is_multiple_of(self.drop_every) {
-                continue; // the congested path eats this one
-            }
-            return Some(got);
-        }
-    }
-    fn join(&mut self, group: u32) -> std::io::Result<()> {
-        self.inner.join(group)
-    }
-    fn leave(&mut self, group: u32) {
-        self.inner.leave(group);
-    }
-    fn readiness(&self) -> Readiness {
-        self.inner.readiness()
-    }
+fn link(addressing: GroupAddressing, builder: HostileChannelBuilder) -> Link {
+    builder.wrap(UdpMulticastTransport::new(addressing).expect("udp transport"))
 }
 
 /// Run one receiver through the shared driver until its download
 /// completes, reporting its subscription journey.
 fn run_receiver(
-    driver: &mut Driver<ThrottledLink>,
+    driver: &mut Driver<Link>,
     name: &'static str,
-    addressing: GroupAddressing,
-    drop_every: u64,
+    link: Link,
     info: digital_fountain::proto::ControlInfo,
     expected: &[u8],
 ) {
@@ -117,10 +81,6 @@ fn run_receiver(
         client.control_info().n,
         client.control_info().layers,
         client.control_info().sp_interval
-    );
-    let link = ThrottledLink::new(
-        UdpMulticastTransport::new(addressing).expect("client transport"),
-        drop_every,
     );
     let t0 = Instant::now();
     let handle = driver.add_client(client, link).expect("shard is alive");
@@ -186,17 +146,26 @@ fn main() {
     let mut driver = DriverConfig::new()
         .shards(1)
         .pacing(Pacing::new(Duration::from_millis(1), 64))
-        .build::<ThrottledLink>();
-    let server_link = ThrottledLink::new(
-        UdpMulticastTransport::new(addressing).expect("server transport"),
-        0,
-    );
+        .build::<Link>();
     driver
-        .add_fountain_server(server, server_link, None)
+        .add_fountain_server(
+            server,
+            link(addressing, HostileChannelBuilder::new(0)),
+            None,
+        )
         .expect("register server slot");
 
-    run_receiver(&mut driver, "wideband", addressing, 0, info.clone(), &file);
-    run_receiver(&mut driver, "congested", addressing, 4, info, &file);
+    let wideband = link(addressing, HostileChannelBuilder::new(1));
+    run_receiver(&mut driver, "wideband", wideband, info.clone(), &file);
+    // The congested path loses a quarter of its datagrams, independently.
+    let congested = HostileChannelBuilder::new(4).stage(Box::new(BernoulliLoss::new(0.25)));
+    run_receiver(
+        &mut driver,
+        "congested",
+        link(addressing, congested),
+        info,
+        &file,
+    );
 
     let stats = driver
         .shutdown()
