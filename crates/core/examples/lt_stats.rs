@@ -1,16 +1,15 @@
 //! Scratch harness for the rateless decoder's operating point: reception
 //! overhead and how many symbols the solver had to inactivate, per mode and
 //! `k`, over seeded symbolic decodes; then the payload-XOR budget of a
-//! decode at `k` = 4096, counted by a symbol that counts its XORs.
+//! decode at `k` = 4096, read from the kernels' work ledger
+//! ([`df_gf::ledger`]) around real payload decoders.
 //!
 //! Not part of the test suite; run with
 //! `cargo run -p df-core --release --example lt_stats`.
 
 use df_core::rateless::{LtDecoder, LtEncoder, RaptorDecoder};
-use df_core::{
-    FinalCode, Mark, PerValue, RaptorCode, SolveTrace, Symbol, LT_DEFAULT_C, LT_DEFAULT_DELTA,
-};
-use std::cell::Cell;
+use df_core::{Mark, RaptorCode, SolveTrace, LT_DEFAULT_C, LT_DEFAULT_DELTA};
+use df_gf::ledger;
 
 /// `(received / k, inactivated symbols)` of one decode fed by `add`, which
 /// takes a seed and says whether the decode is complete.
@@ -44,57 +43,22 @@ fn raptor_trial(k: usize, seed: u64) -> (f64, usize) {
     })
 }
 
-thread_local! {
-    static XORS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// A one-byte payload that counts the XORs performed on it: one per source
-/// folded into a value, whichever kernel a real payload would use.
-#[derive(Clone)]
-struct Counted(u8);
-
-impl Symbol for Counted {
-    type Row = Self;
-    type Store = PerValue<Self>;
-
-    fn xor(&mut self, other: &Self) {
-        XORS.with(|x| x.set(x.get() + 1));
-        self.0 ^= other.0;
-    }
-
-    fn recover_final_level(
-        _code: &FinalCode,
-        _received: &[(usize, &Self)],
-    ) -> df_core::Result<Option<Vec<Self>>> {
-        unreachable!("a rateless decoder has no final level")
-    }
-}
-
-/// One decode of `k` symbols' worth of counted values: the solver's
-/// trace, and the XORs the counting symbol saw.
+/// One decode of `k` eight-byte payloads: the solver's trace, and the row
+/// XORs the ledger counted while it ran.
 fn budget(raptor: bool, k: usize, seed: u64) -> (SolveTrace, u64) {
-    XORS.with(|x| x.set(0));
-    let value = |i: u64| Counted((i.wrapping_mul(0x9e37_79b9) >> 7) as u8);
-    let trace = if raptor {
-        let code = RaptorCode::new(k, seed).unwrap();
-        let mut dec = LtDecoder::from(RaptorDecoder::<Counted>::new(&code));
-        let mut s = seed.wrapping_mul(1_000_003);
-        while !dec.is_complete() {
-            dec.add_symbol(s, value(s));
-            s += 1;
-        }
-        dec.solve_trace()
+    let value = |i: u64| i.wrapping_mul(0x9e37_79b9_7f4a_7c15).to_le_bytes().to_vec();
+    let mut dec = if raptor {
+        LtDecoder::from(RaptorDecoder::new(&RaptorCode::new(k, seed).unwrap()))
     } else {
-        let enc = LtEncoder::new(k, LT_DEFAULT_C, LT_DEFAULT_DELTA, seed).unwrap();
-        let mut dec = LtDecoder::<Counted>::new(enc);
-        let mut s = seed.wrapping_mul(1_000_003);
-        while !dec.is_complete() {
-            dec.add_symbol(s, value(s));
-            s += 1;
-        }
-        dec.solve_trace()
+        LtDecoder::new(LtEncoder::new(k, LT_DEFAULT_C, LT_DEFAULT_DELTA, seed).unwrap())
     };
-    (trace, XORS.with(Cell::get))
+    let before = ledger::snapshot();
+    let mut s = seed.wrapping_mul(1_000_003);
+    while !dec.is_complete() {
+        dec.add_symbol(s, value(s));
+        s += 1;
+    }
+    (dec.solve_trace(), (ledger::snapshot() - before).xors)
 }
 
 fn main() {
@@ -141,7 +105,7 @@ fn main() {
         let (mut free, mut peeled) = (0usize, 0usize);
         for t in 0..trials {
             let (trace, counted) = budget(raptor, k, 0xACCE_5500 + t);
-            assert_eq!(trace.xors(), counted, "the trace and the symbol disagree");
+            assert_eq!(trace.xors(), counted, "the trace and the ledger disagree");
             let parts = [trace.peel_xors]
                 .into_iter()
                 .chain(trace.finish_xors)

@@ -180,7 +180,7 @@ impl TornadoCode {
     /// bytes (one padding byte to reach 16-bit alignment plus one odd-length
     /// marker byte — see [`FinalCode`](crate::FinalCode)).  Protocol layers
     /// should validate received payload lengths against this instead of
-    /// re-deriving the codec's padding rules; [`StoreShape::row_len`] is the
+    /// re-deriving the codec's padding rules; `StoreShape::row_len` is the
     /// rule itself, shared with the decoder's store and the [`Encoding`].
     ///
     /// # Panics

@@ -29,7 +29,7 @@
 //! The decoder is generic over [`Symbol`]: with `Vec<u8>` it produces real
 //! payloads, with [`crate::symbol::Mark`] it is the index-only decoder
 //! used by the reception-efficiency simulations (Figures 4–6).  The symbol
-//! type also chooses where the values live ([`crate::store`]): a payload
+//! type also chooses where the values live (`store.rs`): a payload
 //! decoder keeps its source rows in one buffer laid out as the file and its
 //! check rows in a second, so what it holds is one file plus the check rows
 //! the decode needed, and a finished decode hands the file over without a
@@ -48,7 +48,7 @@
 
 use crate::cascade::{Cascade, PacketRole};
 use crate::error::{Result, TornadoError};
-use crate::store::{StoreShape, SymbolStore};
+use crate::store::{as_row, StoreShape, SymbolStore};
 use crate::symbol::{Mark, Symbol};
 use std::sync::Arc;
 
@@ -203,14 +203,14 @@ impl<S: Symbol> PeelingDecoder<S> {
     /// Returns [`TornadoError::MalformedInput`] for an out-of-range index or
     /// a payload the store refuses — one whose length does not fit the
     /// packets already held, or a first one whose file the allocator cannot
-    /// reserve (see [`crate::Slab`]) — and propagates final-code errors,
-    /// after which the decoder may never complete: what the packet would
-    /// have released is not revisited.
+    /// reserve — and propagates final-code errors, after which the decoder
+    /// may never complete: what the packet would have released is not
+    /// revisited.
     pub fn add_packet(&mut self, index: usize, value: S) -> Result<AddOutcome> {
         if self.register(index)? {
             return Ok(AddOutcome::Duplicate);
         }
-        self.state.store.insert_owned(index, value)?;
+        self.state.store.insert(index, as_row::<S::Row>(&value))?;
         self.accept_new(index)
     }
 
@@ -466,7 +466,7 @@ impl<S: Symbol> State<S> {
             self.rs_done = true;
             for (g, v) in level.zip(solved) {
                 if !self.known[g] {
-                    self.store.insert_owned(g, v)?;
+                    self.store.insert(g, as_row::<S::Row>(&v))?;
                     self.learn(g);
                 }
             }

@@ -28,7 +28,7 @@ use crate::symbol::xor_rows;
 ///
 /// Rows are the packet size `P` long and lie back to back, except that at
 /// an odd `P` a GF(2^16) final block's check rows are `P + 2` (see
-/// [`crate::cascade::FinalCode`]); [`StoreShape::row_len`] says which, the
+/// [`crate::cascade::FinalCode`]); `StoreShape::row_len` says which, the
 /// same rule a receiver's store and
 /// [`TornadoCode::expected_payload_len`](crate::TornadoCode::expected_payload_len)
 /// follow.

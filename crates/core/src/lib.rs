@@ -61,7 +61,7 @@ pub mod graph;
 pub mod overhead;
 pub mod profile;
 pub mod rateless;
-pub mod store;
+mod store;
 pub mod symbol;
 
 pub use cascade::{Cascade, FinalCode, PacketRole};
@@ -79,5 +79,4 @@ pub use rateless::{
     SolveTrace, INACTIVATION_CAP, LT_DEFAULT_C, LT_DEFAULT_DELTA, PRECODE_DEGREE,
     RAPTOR_DEGREE_TABLE,
 };
-pub use store::{NoValues, PerValue, Slab, StoreShape, SymbolStore};
 pub use symbol::{Mark, Symbol};

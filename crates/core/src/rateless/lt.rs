@@ -197,8 +197,11 @@ impl LtEncoder {
     /// # Errors
     ///
     /// Returns [`TornadoError::MalformedInput`] if `symbols.len() != count`.
-    /// All symbols must share one length (payload XOR requires it).
-    pub fn encode_symbol<S: Symbol>(&self, seed: u64, symbols: &[S]) -> Result<S> {
+    ///
+    /// # Panics
+    ///
+    /// Panics unless all symbols share one length.
+    pub fn encode_symbol(&self, seed: u64, symbols: &[Vec<u8>]) -> Result<Vec<u8>> {
         if symbols.len() != self.count {
             return Err(TornadoError::MalformedInput {
                 reason: format!(
@@ -208,16 +211,10 @@ impl LtEncoder {
                 ),
             });
         }
-        let eq = self.equation(seed);
-        // Degree ≥ 1 by construction, so `first` always exists and the
-        // accumulator starts from a real neighbor.
-        let mut iter = eq.neighbors.iter().map(|&i| &symbols[i as usize]);
-        let first = iter.next().ok_or_else(|| TornadoError::MalformedInput {
-            reason: "LT equation with no neighbors".to_string(),
-        })?;
-        let mut acc = first.clone();
-        acc.xor_all(iter);
-        Ok(acc)
+        let mut out = vec![0; symbols.first().map_or(0, Vec::len)];
+        let rows = self.equation(seed).neighbors.into_iter();
+        xor_rows(&mut out, rows.map(|i| &symbols[i as usize][..]), false);
+        Ok(out)
     }
 
     /// Write symbol `seed` — the XOR of its equation's rows of `symbols` —

@@ -338,7 +338,7 @@ mod tests {
         for (j, check) in inter[100..].iter().enumerate() {
             let mut expect = vec![0u8; 16];
             for &i in code.precode_graph().check_neighbors(j) {
-                expect.xor(&src[i as usize]);
+                df_gf::field::xor_slice(&mut expect, &src[i as usize]);
             }
             assert_eq!(check, &expect, "check {j}");
         }

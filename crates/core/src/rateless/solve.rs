@@ -59,7 +59,7 @@
 //! one arrival can cost — stays bounded however large `n` is.
 
 use crate::error::Result;
-use crate::store::{StoreShape, SymbolStore};
+use crate::store::{as_row, StoreShape, SymbolStore};
 use crate::symbol::Symbol;
 use std::collections::HashSet;
 
@@ -500,7 +500,7 @@ impl<S: Symbol> Solver<S> {
         let held = match value {
             Value::Zero => false,
             Value::Owned(v) => {
-                self.store.insert_owned(slot, v)?;
+                self.store.insert(slot, as_row::<S::Row>(&v))?;
                 true
             }
             Value::Row(v) => {
@@ -1107,7 +1107,7 @@ mod tests {
         let mut solver = Solver::new(n, n);
         let pair = |a: usize| {
             let mut value = values[a].clone();
-            value.xor(&values[a + 1]);
+            df_gf::field::xor_slice(&mut value, &values[a + 1]);
             (vec![a as u32, a as u32 + 1], Value::Owned(value))
         };
         let mut tag = 0u64;

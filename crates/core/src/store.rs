@@ -8,15 +8,13 @@
 //! a store keeps them, addressed by index: a carousel's packets by global
 //! encoding index; the solver's unknowns at `0..n` and its equations' values
 //! at `n + slot`.  The symbol type chooses the store ([`Symbol::Store`]):
-//!
-//! * payloads (`Vec<u8>`) live in a [`Slab`]: the source rows in one buffer
-//!   laid out as the file, every other row in a second one.  A receiver
-//!   therefore holds one file plus the rows its decode needed, and the
-//!   finished file *is* the source buffer
-//!   ([`PeelingDecoder::take_file`](crate::PeelingDecoder::take_file),
-//!   [`LtDecoder::take_source`](crate::LtDecoder::take_source));
-//! * the index-only [`Mark`](crate::Mark) keeps nothing ([`NoValues`]);
-//! * any other symbol keeps one value per packet ([`PerValue`]).
+//! payloads (`Vec<u8>`) live in a [`Slab`]: the source rows in one buffer
+//! laid out as the file, every other row in a second one.  A receiver
+//! therefore holds one file plus the rows its decode needed, and the
+//! finished file *is* the source buffer
+//! ([`PeelingDecoder::take_file`](crate::PeelingDecoder::take_file),
+//! [`LtDecoder::take_source`](crate::LtDecoder::take_source)).  The
+//! index-only [`Mark`](crate::Mark) keeps nothing ([`NoValues`]).
 //!
 //! A store knows rows, not the decoding schedule: it is told to keep a
 //! value, to lend one, and to build one as the XOR of others — all of the
@@ -34,21 +32,21 @@ use std::ops::Range;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreShape {
     /// Rows `0..k` are the source, kept laid out as the file.
-    pub k: usize,
+    pub(crate) k: usize,
     /// How many rows the decoder expects to address (a carousel's `n`
     /// packets; the solver's unknowns and about as many equations).  The
     /// second buffer and the slot index are sized for the rows past `k` at
     /// the first of them; rows past `n` may still be kept, and grow them.
-    pub n: usize,
+    pub(crate) n: usize,
     /// First row that may be two bytes wider than the packet size at an odd
     /// packet size (a GF(2^16) final block's check rows, see
     /// [`FinalCode`]); `usize::MAX` when no row is.
-    pub wide_from: usize,
+    pub(crate) wide_from: usize,
 }
 
 impl StoreShape {
     /// The shape of `cascade`'s packets.
-    pub fn of(cascade: &Cascade) -> Self {
+    pub(crate) fn of(cascade: &Cascade) -> Self {
         let gf16_final = matches!(cascade.final_code(), FinalCode::Large(_));
         StoreShape {
             k: cascade.k(),
@@ -63,7 +61,7 @@ impl StoreShape {
 
     /// Rows of one width, the first `k` of them the source, about `n` of
     /// them expected.
-    pub fn uniform(k: usize, n: usize) -> Self {
+    pub(crate) fn uniform(k: usize, n: usize) -> Self {
         StoreShape {
             k,
             n,
@@ -74,7 +72,7 @@ impl StoreShape {
     /// The length of row `g` at packet size `packet_size`: the packet size,
     /// or two bytes more for a row from `wide_from` on at an odd packet
     /// size.
-    pub fn row_len(&self, g: usize, packet_size: usize) -> usize {
+    pub(crate) fn row_len(&self, g: usize, packet_size: usize) -> usize {
         if g >= self.wide_from && packet_size % 2 == 1 {
             packet_size + 2
         } else {
@@ -84,7 +82,7 @@ impl StoreShape {
 
     /// Where row `g` starts when rows `0..g` lie back to back, each
     /// [`Self::row_len`] long; `row_start(n, P)` is the length of all `n`.
-    pub fn row_start(&self, g: usize, packet_size: usize) -> usize {
+    pub(crate) fn row_start(&self, g: usize, packet_size: usize) -> usize {
         let wide = g.saturating_sub(self.wide_from);
         g * packet_size + wide * (self.row_len(g, packet_size) - packet_size)
     }
@@ -104,16 +102,6 @@ pub trait SymbolStore<S: Symbol>: Clone + Debug {
     /// (a [`Slab`] row of another length than the packets already kept).
     fn insert(&mut self, g: usize, value: &S::Row) -> Result<()>;
 
-    /// [`Self::insert`], handing the store the value itself; a store that
-    /// keeps values whole keeps it without a copy.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::insert`].
-    fn insert_owned(&mut self, g: usize, value: S) -> Result<()> {
-        self.insert(g, as_row::<S::Row>(&value))
-    }
-
     /// The value of held packet `g`.
     fn row(&self, g: usize) -> &S::Row;
 
@@ -131,7 +119,7 @@ pub trait SymbolStore<S: Symbol>: Clone + Debug {
 }
 
 /// A symbol lent as its row (`&Vec<u8>` as `&[u8]`).
-fn as_row<R: ?Sized + ToOwned>(value: &R::Owned) -> &R {
+pub(crate) fn as_row<R: ?Sized + ToOwned>(value: &R::Owned) -> &R {
     value.borrow()
 }
 
@@ -157,64 +145,6 @@ impl SymbolStore<crate::Mark> for NoValues {
     fn accumulate(&mut self, _dst: usize, _srcs: impl Iterator<Item = usize>) {}
 
     fn clear(&mut self) {}
-}
-
-/// One value per packet, for any [`Symbol`] without a store of its own.
-#[derive(Clone)]
-pub struct PerValue<S> {
-    values: Vec<Option<S>>,
-}
-
-impl<S> Debug for PerValue<S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let held = self.values.iter().filter(|v| v.is_some()).count();
-        f.debug_struct("PerValue").field("held", &held).finish()
-    }
-}
-
-impl<S: Symbol> SymbolStore<S> for PerValue<S> {
-    fn empty(_shape: StoreShape) -> Self {
-        PerValue { values: Vec::new() }
-    }
-
-    fn insert(&mut self, g: usize, value: &S::Row) -> Result<()> {
-        self.insert_owned(g, value.to_owned())
-    }
-
-    fn insert_owned(&mut self, g: usize, value: S) -> Result<()> {
-        self.put(g, value);
-        Ok(())
-    }
-
-    fn row(&self, g: usize) -> &S::Row {
-        as_row::<S::Row>(self.values[g].as_ref().expect("held packets have values"))
-    }
-
-    fn combine(&mut self, dst: usize, mut srcs: impl Iterator<Item = usize>) {
-        let value = |g: usize| self.values[g].as_ref().expect("held packets have values");
-        let mut combined = value(srcs.next().expect("at least one source")).clone();
-        combined.xor_all(srcs.map(value));
-        self.put(dst, combined);
-    }
-
-    fn accumulate(&mut self, dst: usize, srcs: impl Iterator<Item = usize>) {
-        let mut acc = self.values[dst].take().expect("held packets have values");
-        acc.xor_all(srcs.map(|g| self.values[g].as_ref().expect("held packets have values")));
-        self.values[dst] = Some(acc);
-    }
-
-    fn clear(&mut self) {
-        self.values = Vec::new();
-    }
-}
-
-impl<S: Clone> PerValue<S> {
-    fn put(&mut self, g: usize, value: S) {
-        if self.values.len() <= g {
-            self.values.resize(g + 1, None);
-        }
-        self.values[g] = Some(value);
-    }
 }
 
 /// The two buffers of a [`Slab`].

@@ -16,29 +16,16 @@ use crate::error::Result;
 use crate::store::{NoValues, Slab, SymbolStore};
 use df_gf::kernels::{xor_acc, xor_sum};
 
-/// A value carried by one encoding packet during decoding.
+/// A value carried by one encoding packet during decoding: a payload
+/// (`Vec<u8>`) or a [`Mark`].
 pub trait Symbol: Clone + Sized {
     /// How a decoder lends out a held value: `[u8]` for a payload, whose
-    /// rows live in a [`Slab`]; the symbol itself for most others.
+    /// rows live in the decoder's file-shaped slab; the [`Mark`] itself.
     type Row: ?Sized + ToOwned<Owned = Self>;
 
-    /// Where a [`crate::PeelingDecoder`] over this symbol keeps its values
-    /// (see [`crate::store`]).
+    /// Where a [`crate::PeelingDecoder`] over this symbol keeps its values:
+    /// a payload's rows in two buffers, a mark's nowhere.
     type Store: SymbolStore<Self>;
-
-    /// XOR `other` into `self`.
-    fn xor(&mut self, other: &Self);
-
-    /// XOR every one of `others` into `self`: one [`Self::xor`] each, or —
-    /// for a payload — one pass of the many-source kernel over all of them.
-    fn xor_all<'a>(&mut self, others: impl IntoIterator<Item = &'a Self>)
-    where
-        Self: 'a,
-    {
-        for other in others {
-            self.xor(other);
-        }
-    }
 
     /// Attempt to recover the full final cascade level from the packets of the
     /// final block received so far.
@@ -62,14 +49,6 @@ pub trait Symbol: Clone + Sized {
 impl Symbol for Vec<u8> {
     type Row = [u8];
     type Store = Slab;
-
-    fn xor(&mut self, other: &Self) {
-        xor_acc(self, &[other]);
-    }
-
-    fn xor_all<'a>(&mut self, others: impl IntoIterator<Item = &'a Self>) {
-        xor_rows(self, others.into_iter().map(Vec::as_slice), true);
-    }
 
     fn recover_final_level(
         code: &FinalCode,
@@ -127,8 +106,6 @@ impl Symbol for Mark {
     type Row = Mark;
     type Store = NoValues;
 
-    fn xor(&mut self, _other: &Self) {}
-
     fn recover_final_level(
         code: &FinalCode,
         received: &[(usize, &Self)],
@@ -149,7 +126,7 @@ mod tests {
     #[test]
     fn payload_xor_is_bytewise() {
         let mut a = vec![0xf0u8, 0x0f];
-        a.xor(&vec![0xffu8, 0xff]);
+        xor_rows(&mut a, [&[0xffu8, 0xff][..]], true);
         assert_eq!(a, vec![0x0f, 0xf0]);
     }
 
@@ -166,16 +143,11 @@ mod tests {
                     expect.fill(0);
                 }
                 for row in &rows {
-                    expect.xor(row);
+                    xor_acc(&mut expect, &[row]);
                 }
                 let mut got: Vec<u8> = (0..37u8).collect();
                 xor_rows(&mut got, rows.iter().map(Vec::as_slice), keep);
                 assert_eq!(got, expect, "{count} rows, keep {keep}");
-                let mut all: Vec<u8> = (0..37u8).collect();
-                if keep {
-                    all.xor_all(&rows);
-                    assert_eq!(all, expect, "xor_all over {count} rows");
-                }
             }
         }
     }

@@ -4,19 +4,18 @@
 //! `fixtures/peeling_parent.txt` was written by `regenerate_the_fixture` at
 //! that commit, before `decode.rs` changed.  One row per seeded reception
 //! order: the packet that completed the decode, a hash of the recovered
-//! source, and the number of `Symbol::xor` calls the parent made.  The
-//! decoder must complete on the same packet with the same bytes, agree with
-//! the index-only `Mark` decoder at every packet on the way, and never XOR
-//! more than the parent did.
+//! source, and the number of row XORs the parent made.  The decoder must
+//! complete on the same packet with the same bytes, agree with the
+//! index-only `Mark` decoder at every packet on the way, and never XOR more
+//! than the parent did — counted by the kernels' work ledger
+//! ([`df_gf::ledger`]) around the payload decoder, final-block solve
+//! included.
 
-use df_core::{
-    AddOutcome, FinalCode, Mark, PeelingDecoder, PerValue, Symbol, TornadoCode, TornadoProfile,
-    TORNADO_A, TORNADO_B,
-};
+use df_core::{AddOutcome, Mark, TornadoCode, TornadoProfile, TORNADO_A, TORNADO_B};
+use df_gf::ledger;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use std::cell::Cell;
 use std::fmt::Write as _;
 
 const FIXTURE: &str = include_str!("fixtures/peeling_parent.txt");
@@ -62,33 +61,6 @@ const CONFIGS: [Config; 4] = [
         orders: 100,
     },
 ];
-
-thread_local! {
-    static XORS: Cell<u64> = const { Cell::new(0) };
-}
-
-/// A payload that counts the XORs performed on it.
-#[derive(Clone)]
-struct Counted(Vec<u8>);
-
-impl Symbol for Counted {
-    type Row = Self;
-    type Store = PerValue<Self>;
-
-    fn xor(&mut self, other: &Self) {
-        XORS.with(|x| x.set(x.get() + 1));
-        self.0.xor(&other.0);
-    }
-
-    fn recover_final_level(
-        code: &FinalCode,
-        received: &[(usize, &Self)],
-    ) -> df_core::Result<Option<Vec<Self>>> {
-        let inner: Vec<(usize, &[u8])> = received.iter().map(|&(i, s)| (i, &s.0[..])).collect();
-        Ok(Vec::<u8>::recover_final_level(code, &inner)?
-            .map(|level| level.into_iter().map(Counted).collect()))
-    }
-}
 
 fn build(config: &Config) -> (TornadoCode, Vec<Vec<u8>>, Vec<Vec<u8>>) {
     let mut rng = ChaCha8Rng::seed_from_u64(config.k as u64);
@@ -138,27 +110,19 @@ fn fnv1a(packets: &[Vec<u8>]) -> u64 {
     hash
 }
 
-/// Decode one order three ways — real payloads, counted payloads, marks — and
-/// return `(completing packet count, source hash, xor calls)`.
+/// Decode one order two ways — real payloads and marks — and return
+/// `(completing packet count, source hash, row XORs)`.
 fn decode(code: &TornadoCode, encoding: &[Vec<u8>], order: &[usize]) -> (usize, u64, u64) {
     let mut payload = code.decoder();
     let mut marks = code.symbolic_decoder();
-    let mut counted: PeelingDecoder<Counted> = PeelingDecoder::new(code.shared_cascade());
-    XORS.with(|x| x.set(0));
+    let before = ledger::snapshot();
     for (fed, &i) in order.iter().enumerate() {
         let outcome = payload.add_packet_ref(i, &encoding[i]).unwrap();
         assert_eq!(outcome, marks.add_packet(i, Mark).unwrap(), "packet {fed}");
-        assert_eq!(
-            outcome,
-            counted.add_packet(i, Counted(encoding[i].clone())).unwrap(),
-            "packet {fed}"
-        );
         if outcome == AddOutcome::Complete {
+            let xors = (ledger::snapshot() - before).xors;
             let source = payload.source().expect("complete");
-            let from_counted: Vec<Vec<u8>> =
-                counted.source().unwrap().into_iter().map(|c| c.0).collect();
-            assert_eq!(source, from_counted);
-            return (fed + 1, fnv1a(&source), XORS.with(Cell::get));
+            return (fed + 1, fnv1a(&source), xors);
         }
     }
     panic!("four carousel cycles did not decode");

@@ -91,6 +91,7 @@
 
 pub mod gf16;
 
+use crate::ledger::{self, Op};
 use std::sync::OnceLock;
 
 /// Split-nibble product tables: `lo[c][x] = c·x` for `x < 16`,
@@ -241,6 +242,7 @@ pub fn active_kernel() -> &'static str {
 ///
 /// Panics if the slices have different lengths.
 pub fn mul_acc_slice(coeff: u8, dst: &mut [u8], src: &[u8]) {
+    ledger::count(Op::Mul8, 1, dst.len());
     mul_acc_tier(isa(), coeff, dst, src);
 }
 
@@ -279,6 +281,7 @@ fn mul_acc_tier(isa: Isa, coeff: u8, dst: &mut [u8], src: &[u8]) {
 /// Panics unless `coeffs.len() == dsts.len() * srcs.len()` and every slice
 /// has the same length.
 pub fn mul_acc_matrix(coeffs: &[u8], dsts: &mut [&mut [u8]], srcs: &[&[u8]]) {
+    ledger::count(Op::Mul8, coeffs.len(), srcs.first().map_or(0, |s| s.len()));
     mul_acc_matrix_tier(isa(), coeffs, dsts, srcs);
 }
 
@@ -343,6 +346,7 @@ fn affine_matrices() -> &'static [u64; 256] {
 ///
 /// Panics if any source's length differs from `dst`'s.
 pub fn xor_sum(dst: &mut [u8], srcs: &[&[u8]]) {
+    ledger::count(Op::Xor, srcs.len().saturating_sub(1), dst.len());
     xor_tier(isa(), dst, srcs, false);
 }
 
@@ -353,6 +357,7 @@ pub fn xor_sum(dst: &mut [u8], srcs: &[&[u8]]) {
 ///
 /// Panics if any source's length differs from `dst`'s.
 pub fn xor_acc(dst: &mut [u8], srcs: &[&[u8]]) {
+    ledger::count(Op::Xor, srcs.len(), dst.len());
     xor_tier(isa(), dst, srcs, true);
 }
 

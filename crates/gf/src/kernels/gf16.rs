@@ -151,6 +151,7 @@ pub fn active_kernel() -> &'static str {
 ///
 /// Panics if the slices have different lengths or the length is odd.
 pub fn mul_acc_slice(coeff: u16, dst: &mut [u8], src: &[u8]) {
+    crate::ledger::count(crate::ledger::Op::Mul16, 1, dst.len());
     if dst.len() < SMALL_SLICE_CUTOFF_BYTES {
         scalar::mul_acc_slice(coeff, dst, src);
     } else {

@@ -32,6 +32,20 @@
 //! Both implement the [`Field`] trait so matrix code and the Reed–Solomon
 //! codecs are generic over the field.
 //!
+//! # The work ledger
+//!
+//! The kernels' public entry points count their work in plain per-thread
+//! counters, read by [`ledger::snapshot`], in the units of the paper's
+//! Table 1.  Per call over rows of `len` bytes: [`kernels::xor_acc`] with
+//! `s` sources is `s` row XORs and [`kernels::xor_sum`] `s − 1` (its first
+//! source is a copy); [`kernels::mul_acc_slice`] is one GF(2^8) pair and
+//! [`kernels::mul_acc_matrix`] one per coefficient, zero and one included;
+//! [`kernels::gf16::mul_acc_slice`] is one GF(2^16) pair; and each row XOR
+//! or pair is `len` bytes.  A tier's own calls inside an entry point (the
+//! XOR a matrix loop takes for a coefficient of 1, a scalar tail) count
+//! nothing more, so no count depends on the tier.  [`GF65536`] peels
+//! coefficients 0 and 1 before its kernel: in GF(2^16) a 1 is a row XOR.
+//!
 //! # Example
 //!
 //! ```
@@ -57,6 +71,7 @@ pub mod field;
 pub mod gf16;
 pub mod gf8;
 pub mod kernels;
+pub mod ledger;
 pub mod matrix;
 
 pub use field::Field;

@@ -27,7 +27,7 @@
 //! lives in the same process — finds it alive, so a swarm of receivers pays
 //! for one graph.  And a session holds each payload once: a carousel
 //! receiver copies every new payload straight from the datagram into its
-//! decoder's file-shaped slab ([`df_core::Slab`]), and at completion that
+//! decoder's file-shaped slab, and at completion that
 //! slab's source rows *are* [`ClientSession::file`] — taken out of the
 //! decoder, not copied from it — while the check rows are dropped, leaving
 //! only the counters behind.

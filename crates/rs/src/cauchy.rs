@@ -12,9 +12,11 @@
 //! Two implementation choices matter for scale, because the paper benchmarks
 //! this code on whole files up to 16 MB (k up to 16 384 one-kilobyte packets):
 //!
-//! * coefficients are computed **on the fly** from the point sets rather than
-//!   materialising the `ℓ × k` generator (which would be gigabytes for large
-//!   files), and
+//! * coefficients are computed from the point sets a **block of rows at a
+//!   time**, at most 256 KiB of them, and applied before the next block is
+//!   built, rather than materialising the `ℓ × k` generator (512 MiB at
+//!   `k = ℓ = 16 384` over GF(2^16)); a GF(2^8) code's whole matrix (at
+//!   most 16 KiB) is one block, and
 //! * the decode linear system is solved with the **closed-form Cauchy matrix
 //!   inverse**, so recovering `x` missing source packets costs `O(x²)` field
 //!   operations for the matrix plus `O(k · x)` multiply-accumulates per packet
@@ -106,29 +108,44 @@ impl<F: Field> CauchyCode<F> {
     pub fn mul_acc_checks(&self, source: &[&[u8]], checks: &mut [&mut [u8]]) {
         assert_eq!(source.len(), self.k, "one source packet per column");
         assert_eq!(checks.len(), self.x.len(), "one check row per row point");
-        F::mul_acc_matrix(&cauchy_matrix(&self.x, &self.y), checks, source);
+        mul_acc_blocked(|r, c| cauchy(self.x[r], self.y[c]), checks, source);
     }
 }
 
-/// The Cauchy matrix `C[i][j] = 1 / (xs[i] + ys[j])`, row-major, each row
-/// computed once for one [`Field::mul_acc_matrix`].
-fn cauchy_matrix<F: Field>(xs: &[F], ys: &[F]) -> Vec<F> {
-    let mut matrix = Vec::with_capacity(xs.len() * ys.len());
-    for &x in xs {
-        matrix.extend(ys.iter().map(|&y| {
-            (x + y)
-                .inverse()
-                .expect("x and y point sets are disjoint by construction")
-        }));
+/// The most coefficient bytes built at once: a GF(2^8) code's largest
+/// matrix (128 × 128) fits, so the cascade's final block stays one call.
+const MATRIX_BUDGET: usize = 256 << 10;
+
+/// `dsts[i] ^= Σ_j coeff(i, j) · srcs[j]`, one [`Field::mul_acc_matrix`]
+/// per block of destination rows whose coefficients fit [`MATRIX_BUDGET`].
+fn mul_acc_blocked<F: Field>(
+    coeff: impl Fn(usize, usize) -> F,
+    dsts: &mut [&mut [u8]],
+    srcs: &[&[u8]],
+) {
+    let rows = (MATRIX_BUDGET / (srcs.len() * std::mem::size_of::<F>()).max(1)).max(1);
+    let mut block = Vec::with_capacity(rows.min(dsts.len()) * srcs.len());
+    for (b, dsts) in dsts.chunks_mut(rows).enumerate() {
+        block.clear();
+        for i in b * rows..b * rows + dsts.len() {
+            block.extend((0..srcs.len()).map(|j| coeff(i, j)));
+        }
+        F::mul_acc_matrix(&block, dsts, srcs);
     }
-    matrix
+}
+
+/// The Cauchy coefficient `1 / (x + y)`.
+fn cauchy<F: Field>(x: F, y: F) -> F {
+    (x + y)
+        .inverse()
+        .expect("x and y point sets are disjoint by construction")
 }
 
 /// The closed-form inverse of the square Cauchy matrix
-/// `A[j][i] = 1 / (xs[j] + ys[i])`, row-major: row `i` holds the
-/// coefficients that recover unknown `i` from the `m` right-hand sides.
-/// It costs `O(m²)` field operations where Gaussian elimination would cost
-/// `O(m³)`:
+/// `A[j][i] = 1 / (xs[j] + ys[i])`, as its entry `(i, j)`: row `i` holds
+/// the coefficients that recover unknown `i` from the `m` right-hand sides.
+/// It costs `O(m)` field operations up front and `O(1)` per entry, `O(m²)`
+/// in all, where Gaussian elimination would cost `O(m³)`:
 ///
 /// ```text
 /// (A^{-1})[i][j] = (Π_p (xs[j]+ys[p]) · Π_p (xs[p]+ys[i]))
@@ -137,7 +154,7 @@ fn cauchy_matrix<F: Field>(xs: &[F], ys: &[F]) -> Vec<F> {
 ///
 /// with every product over `p` in `0..m`.  In characteristic 2, `+` and `−`
 /// agree.
-fn cauchy_inverse<F: Field>(xs: &[F], ys: &[F]) -> Vec<F> {
+fn cauchy_inverse<'a, F: Field>(xs: &'a [F], ys: &'a [F]) -> impl Fn(usize, usize) -> F + 'a {
     let m = xs.len();
     debug_assert_eq!(ys.len(), m);
     // Π over all of `others` of (point + other), skipping `skip`.
@@ -152,17 +169,14 @@ fn cauchy_inverse<F: Field>(xs: &[F], ys: &[F]) -> Vec<F> {
     let col_cross: Vec<F> = ys.iter().map(|&y| product(y, xs, None)).collect();
     let row_self: Vec<F> = (0..m).map(|j| product(xs[j], xs, Some(j))).collect();
     let col_self: Vec<F> = (0..m).map(|i| product(ys[i], ys, Some(i))).collect();
-    (0..m)
-        .flat_map(|i| (0..m).map(move |j| (i, j)))
-        .map(|(i, j)| {
-            let den = (xs[j] + ys[i]) * row_self[j] * col_self[i];
-            row_cross[j]
-                * col_cross[i]
-                * den
-                    .inverse()
-                    .expect("denominator factors are nonzero for distinct points")
-        })
-        .collect()
+    move |i, j| {
+        let den = (xs[j] + ys[i]) * row_self[j] * col_self[i];
+        row_cross[j]
+            * col_cross[i]
+            * den
+                .inverse()
+                .expect("denominator factors are nonzero for distinct points")
+    }
 }
 
 impl<F: Field> ErasureCode for CauchyCode<F> {
@@ -224,7 +238,7 @@ impl<F: Field> ErasureCode for CauchyCode<F> {
         let held_ys: Vec<F> = held.iter().map(|&(c, _)| self.y[c]).collect();
         let held: Vec<&[u8]> = held.iter().map(|&(_, p)| p).collect();
         let mut rows: Vec<&mut [u8]> = b.iter_mut().map(Vec::as_mut_slice).collect();
-        F::mul_acc_matrix(&cauchy_matrix(&xs, &held_ys), &mut rows, &held);
+        mul_acc_blocked(|j, c| cauchy(xs[j], held_ys[c]), &mut rows, &held);
 
         // Solve C_sub · m = b for the missing source packets, writing each
         // straight into its slot of `out`.
@@ -235,7 +249,7 @@ impl<F: Field> ErasureCode for CauchyCode<F> {
         let slots = out.iter_mut().zip(&have_source).filter(|&(_, &have)| !have);
         let mut missing = zeroed_rows(slots.map(|(slot, _)| slot), len);
         let b: Vec<&[u8]> = b.iter().map(Vec::as_slice).collect();
-        F::mul_acc_matrix(&cauchy_inverse(&xs, &missing_ys), &mut missing, &b);
+        mul_acc_blocked(cauchy_inverse(&xs, &missing_ys), &mut missing, &b);
         Ok(())
     }
 
@@ -370,6 +384,31 @@ mod tests {
         let mut idx: Vec<usize> = (0..2 * k).collect();
         idx.shuffle(&mut rng);
         let rx: Vec<(usize, &[u8])> = idx[..k].iter().map(|&i| (i, enc[i].as_slice())).collect();
+        assert_eq!(code.decode_ref(&rx).unwrap(), src);
+    }
+
+    #[test]
+    fn codes_past_the_matrix_budget_take_several_blocks() {
+        // 400 × 800 GF(2^16) coefficients are 625 KiB, three encode blocks.
+        // Losing the 400 even source packets, the reduction (400 × 400 held)
+        // and the inverse (400 × 400) are 312.5 KiB each, two blocks apiece.
+        let (k, ell, len) = (800, 400, 4);
+        assert!(ell * k * 2 > 2 * MATRIX_BUDGET && 400 * 400 * 2 > MATRIX_BUDGET);
+        let code = CauchyCode::new_large(k, k + ell).unwrap();
+        let src = random_source(k, len, 9);
+        let enc = code.encode(&src).unwrap();
+        for (r, check) in enc[k..].iter().enumerate() {
+            let mut expect = vec![0u8; len];
+            for (c, packet) in src.iter().enumerate() {
+                let pair = GF65536::from_usize(r) + GF65536::from_usize(ell + c);
+                GF65536::mul_acc_slice(pair.inverse().unwrap(), &mut expect, packet);
+            }
+            assert_eq!(check, &expect, "check {r}");
+        }
+        let rx: Vec<(usize, &[u8])> = (0..k + ell)
+            .filter(|&i| i >= k || i % 2 == 1)
+            .map(|i| (i, enc[i].as_slice()))
+            .collect();
         assert_eq!(code.decode_ref(&rx).unwrap(), src);
     }
 

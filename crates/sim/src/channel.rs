@@ -220,33 +220,14 @@ pub struct HostileChannel<T: Transport> {
     /// Monotone tiebreak so equal due times release in arrival order.
     seq: u64,
     pending: BinaryHeap<Reverse<PendingCopy>>,
+    /// The fate of the arrival in the pipeline, reused from one to the next.
+    fate: Vec<u64>,
     stats: ChannelStats,
 }
 
-#[derive(Debug)]
-struct PendingCopy {
-    due: u64,
-    seq: u64,
-    group: u32,
-    datagram: Bytes,
-}
-
-impl PartialEq for PendingCopy {
-    fn eq(&self, other: &Self) -> bool {
-        (self.due, self.seq) == (other.due, other.seq)
-    }
-}
-impl Eq for PendingCopy {}
-impl PartialOrd for PendingCopy {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for PendingCopy {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.due, self.seq).cmp(&(other.due, other.seq))
-    }
-}
+/// A held copy: `(due, seq, group, datagram)`.  Copies order by due time,
+/// then by `seq`, which no two share, so datagrams are never compared.
+type PendingCopy = (u64, u64, u32, Bytes);
 
 impl<T: Transport> HostileChannel<T> {
     /// Wrap `inner`, passing every received datagram through `stages` in
@@ -260,6 +241,7 @@ impl<T: Transport> HostileChannel<T> {
             clock: 0,
             seq: 0,
             pending: BinaryHeap::new(),
+            fate: Vec::new(),
             stats: ChannelStats::default(),
         }
     }
@@ -288,7 +270,7 @@ impl<T: Transport> HostileChannel<T> {
     /// needs it because fresh arrivals keep the clock moving.
     pub fn flush(&mut self) {
         self.ingest();
-        if let Some(max_due) = self.pending.iter().map(|Reverse(c)| c.due).max() {
+        if let Some(max_due) = self.pending.iter().map(|Reverse(c)| c.0).max() {
             self.clock = self.clock.max(max_due);
         }
     }
@@ -296,29 +278,32 @@ impl<T: Transport> HostileChannel<T> {
     /// Pull every waiting arrival off the inner transport through the
     /// pipeline into the pending queue, advancing the packet clock.
     fn ingest(&mut self) {
-        while let Some((group, datagram)) = self.inner.try_recv() {
+        while let Some((group, mut datagram)) = self.inner.try_recv() {
             self.clock += 1;
             self.stats.arrivals += 1;
-            let mut deliveries = vec![0u64];
+            self.fate.clear();
+            self.fate.push(0);
             for stage in &mut self.stages {
-                stage.transform(&mut self.rng, &mut deliveries);
+                stage.transform(&mut self.rng, &mut self.fate);
             }
-            if deliveries.is_empty() {
+            let Some(last) = self.fate.len().checked_sub(1) else {
                 self.stats.dropped += 1;
                 continue;
-            }
-            self.stats.duplicated += deliveries.len() as u64 - 1;
-            for offset in deliveries {
+            };
+            self.stats.duplicated += last as u64;
+            for (copy, &offset) in self.fate.iter().enumerate() {
                 if offset > 0 {
                     self.stats.displaced += 1;
                 }
                 self.seq += 1;
-                self.pending.push(Reverse(PendingCopy {
-                    due: self.clock + offset,
-                    seq: self.seq,
-                    group,
-                    datagram: datagram.clone(),
-                }));
+                // Every copy but the last shares the datagram; the last takes it.
+                let datagram = if copy < last {
+                    datagram.clone()
+                } else {
+                    std::mem::take(&mut datagram)
+                };
+                self.pending
+                    .push(Reverse((self.clock + offset, self.seq, group, datagram)));
             }
         }
     }
@@ -332,10 +317,10 @@ impl<T: Transport> Transport for HostileChannel<T> {
     fn recv(&mut self) -> Option<(u32, Bytes)> {
         self.ingest();
         match self.pending.peek() {
-            Some(Reverse(copy)) if copy.due <= self.clock => {
-                let Reverse(copy) = self.pending.pop().expect("peeked entry exists");
+            Some(Reverse((due, ..))) if *due <= self.clock => {
+                let Reverse((_, _, group, datagram)) = self.pending.pop().expect("peeked");
                 self.stats.delivered += 1;
-                Some((copy.group, copy.datagram))
+                Some((group, datagram))
             }
             _ => None,
         }
