@@ -144,8 +144,8 @@ pub fn active_kernel() -> &'static str {
 /// `dst[i] ^= coeff · src[i]` over GF(2^16) (little-endian elements), fastest
 /// available kernel.
 ///
-/// Callers are expected to have peeled the `coeff == 0` (no-op) and
-/// `coeff == 1` (plain XOR) cases; this function is still correct for them.
+/// Every coefficient takes the same path, 0 and 1 included, and counts as
+/// one GF(2^16) pair in the [ledger](crate#the-work-ledger).
 ///
 /// # Panics
 ///

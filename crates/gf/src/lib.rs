@@ -40,11 +40,12 @@
 //! `s` sources is `s` row XORs and [`kernels::xor_sum`] `s − 1` (its first
 //! source is a copy); [`kernels::mul_acc_slice`] is one GF(2^8) pair and
 //! [`kernels::mul_acc_matrix`] one per coefficient, zero and one included;
-//! [`kernels::gf16::mul_acc_slice`] is one GF(2^16) pair; and each row XOR
-//! or pair is `len` bytes.  A tier's own calls inside an entry point (the
-//! XOR a matrix loop takes for a coefficient of 1, a scalar tail) count
-//! nothing more, so no count depends on the tier.  [`GF65536`] peels
-//! coefficients 0 and 1 before its kernel: in GF(2^16) a 1 is a row XOR.
+//! [`kernels::gf16::mul_acc_slice`] is one GF(2^16) pair, zero and one
+//! included; and each row XOR or pair is `len` bytes.  A tier's own calls
+//! inside an entry point (the XOR a matrix loop takes for a coefficient of
+//! 1, a scalar tail) count nothing more, so no count depends on the tier.
+//! A Reed–Solomon solve therefore books one field pair per coefficient in
+//! either field, and none of them as row XORs.
 //!
 //! # Example
 //!

@@ -11,7 +11,7 @@
 use crate::client::ClientSession;
 use crate::driver::shard::Driver;
 use crate::driver::{Pacing, ShardStats};
-use crate::server::{FountainServer, ServerSession};
+use crate::server::FountainServer;
 use crate::transport::Transport;
 use std::net::UdpSocket;
 use std::time::Duration;
@@ -45,26 +45,21 @@ impl SessionHandle {
 /// Anything a [`Driver`] can run, as handed to
 /// [`Driver::add_on`](crate::driver::Driver::add_on) (the plain `add_*`
 /// methods build one of these and place it on the least-loaded shard).
+///
+/// A server slot always holds a [`FountainServer`]: a single carousel is a
+/// one-session server (`FountainServer::from(session)`).  Every server slot
+/// emits the driver's one [`DriverConfig::pacing`] budget per tick.
 #[derive(Debug)]
 pub enum Session {
     /// A downloading client.
     Client(Box<ClientSession>),
-    /// A single carousel session emitting one `pacing` budget per tick.
+    /// A [`FountainServer`], optionally answering its binary control
+    /// channel on `control` (made non-blocking by the shard).
     Server {
-        /// The carousel.
-        session: Box<ServerSession>,
-        /// Its token bucket.
-        pacing: Pacing,
-    },
-    /// A multi-session [`FountainServer`], optionally answering its binary
-    /// control channel on `control` (made non-blocking by the shard).
-    Fountain {
         /// The carousels.
         server: Box<FountainServer>,
         /// The control socket, if this shard should answer it.
         control: Option<UdpSocket>,
-        /// The token bucket all its sessions share.
-        pacing: Pacing,
     },
 }
 
@@ -74,8 +69,7 @@ impl Session {
     pub(crate) fn placement_weight(&self) -> usize {
         let weight = match self {
             Session::Client(session) => session.control_info().k,
-            Session::Server { session, .. } => session.control_info().n,
-            Session::Fountain { server, .. } => {
+            Session::Server { server, .. } => {
                 server.sessions().iter().map(|s| s.control_info().n).sum()
             }
         };
@@ -186,10 +180,9 @@ impl DriverConfig {
         self
     }
 
-    /// Pacing of servers registered through
-    /// [`Driver::add_server_session`](crate::driver::Driver::add_server_session)
-    /// and
-    /// [`Driver::add_fountain_server`](crate::driver::Driver::add_fountain_server).
+    /// The one pacing of every server slot: each shard's loop receives it
+    /// when the driver is built, and gives each server slot a token bucket
+    /// of its own at that rate.
     pub fn pacing(mut self, pacing: Pacing) -> DriverConfig {
         self.pacing = pacing;
         self

@@ -20,7 +20,10 @@
 //! own group memberships.  A client's slot empties at the moment its
 //! download completes — the session leaves inside
 //! [`DriverEvent::Completed`] and the transport is dropped there, on the
-//! owning shard.
+//! owning shard.  A server slot holds a [`FountainServer`] (a lone carousel
+//! is the one-session server it converts to), whose
+//! [`FountainServer::poll_transmit`] is the only place a served round
+//! advances.
 //!
 //! # Readiness vs. polled transports
 //!
@@ -36,8 +39,10 @@
 //!
 //! # Pacing
 //!
-//! Server slots are rate-paced by a token bucket: every [`Pacing`] interval
-//! the slot may emit up to `datagrams_per_tick` datagrams.  Missed ticks are
+//! A driver has one [`Pacing`], set by [`DriverConfig::pacing`] and handed
+//! to each shard's loop when the driver is built.  Every server slot is
+//! paced by a token bucket of its own at that rate: every interval the slot
+//! may emit up to `datagrams_per_tick` datagrams.  Missed ticks are
 //! dropped rather than accumulated, so a shard that stalls (or a laptop that
 //! sleeps) resumes at the configured rate instead of blasting a catch-up
 //! burst; [`ShardStats::ticks_dropped`] counts them, so a shard that cannot
@@ -67,17 +72,17 @@ pub use handle::{DriverConfig, DriverEvent, DriverReport, Session, SessionHandle
 pub use shard::Driver;
 
 use crate::client::{ClientEvent, ClientSession};
-use crate::server::{FountainServer, ServerSession};
+use crate::server::FountainServer;
 use crate::transport::{Readiness, Transport};
-use bytes::Bytes;
 use polling::{Event, Poller};
 use std::collections::VecDeque;
 use std::io;
 use std::net::UdpSocket;
 use std::time::{Duration, Instant};
 
-/// Rate pacing for a server slot: a token bucket releasing
-/// `datagrams_per_tick` datagrams every `interval` of wall-clock time.
+/// Rate pacing of a driver's server slots ([`DriverConfig::pacing`]): each
+/// slot's token bucket releases `datagrams_per_tick` datagrams every
+/// `interval` of wall-clock time.
 ///
 /// Layered sessions stay correct under any pacing — their serial → round
 /// contract is about datagram *order*, which the carousel preserves across
@@ -134,35 +139,13 @@ impl ShardStats {
     }
 }
 
-/// Either kind of carousel a server slot can pump.
-enum Carousel {
-    Session(Box<ServerSession>),
-    Server(FountainServer),
-}
-
-impl Carousel {
-    /// Next datagram of the never-ending carousel (rounds advance
-    /// automatically), or `None` if there are no sessions at all.
-    fn poll_transmit(&mut self) -> Option<(u32, Bytes)> {
-        match self {
-            Carousel::Session(s) => {
-                if s.round_complete() {
-                    s.advance_round();
-                }
-                s.poll_transmit()
-            }
-            Carousel::Server(f) => f.poll_transmit(),
-        }
-    }
-}
-
 struct ServerSlot<T> {
-    carousel: Carousel,
+    server: FountainServer,
     transport: T,
     /// Non-blocking control socket answered on this slot's ticks and on its
-    /// readiness events ([`FountainServer`] slots only).
+    /// readiness events.
     control: Option<UdpSocket>,
-    pacing: Pacing,
+    /// When this slot's token bucket next releases a budget.
     next_tick: Instant,
 }
 
@@ -186,6 +169,8 @@ enum Slot<T> {
 /// one shard — the scale test in `df-sim` does exactly that.
 pub(crate) struct ShardLoop<T: Transport> {
     shard: usize,
+    /// The driver's one pacing, applied to every server slot.
+    pacing: Pacing,
     slots: Vec<Option<Slot<T>>>,
     poller: Option<Poller>,
     /// Fd registrations must be rebuilt before the next wait (membership or
@@ -206,10 +191,12 @@ pub(crate) struct ShardLoop<T: Transport> {
 }
 
 impl<T: Transport> ShardLoop<T> {
-    /// An empty loop for shard `shard`.
-    pub(crate) fn new(shard: usize) -> ShardLoop<T> {
+    /// An empty loop for shard `shard`, pacing its server slots at
+    /// `pacing`.
+    pub(crate) fn new(shard: usize, pacing: Pacing) -> ShardLoop<T> {
         ShardLoop {
             shard,
+            pacing,
             slots: Vec::new(),
             // On platforms without ppoll(2) the loop degrades to pure
             // tick-paced polling, which every code path below supports.
@@ -246,15 +233,6 @@ impl<T: Transport> ShardLoop<T> {
         session: Session,
         mut transport: T,
     ) -> io::Result<()> {
-        let server_slot = |carousel, control, pacing, transport| {
-            Slot::Server(Box::new(ServerSlot {
-                carousel,
-                transport,
-                control,
-                pacing,
-                next_tick: Instant::now(),
-            }))
-        };
         let occupant = match session {
             Session::Client(session) => {
                 for group in session.subscribed_groups() {
@@ -264,18 +242,16 @@ impl<T: Transport> ShardLoop<T> {
                 let session = *session;
                 Slot::Client(Box::new(ClientSlot { session, transport }))
             }
-            Session::Server { session, pacing } => {
-                server_slot(Carousel::Session(session), None, pacing, transport)
-            }
-            Session::Fountain {
-                server,
-                control,
-                pacing,
-            } => {
+            Session::Server { server, control } => {
                 if let Some(socket) = &control {
                     socket.set_nonblocking(true)?;
                 }
-                server_slot(Carousel::Server(*server), control, pacing, transport)
+                Slot::Server(Box::new(ServerSlot {
+                    server: *server,
+                    transport,
+                    control,
+                    next_tick: Instant::now(),
+                }))
             }
         };
         if self.slots.len() <= slot {
@@ -333,9 +309,9 @@ impl<T: Transport> ShardLoop<T> {
             return;
         };
         self.stats.ticks += 1;
-        self.stats.control_answered += answer_control(&mut slot.carousel, slot.control.as_ref());
-        for _ in 0..slot.pacing.datagrams_per_tick {
-            match slot.carousel.poll_transmit() {
+        self.stats.control_answered += answer_control(&slot.server, slot.control.as_ref());
+        for _ in 0..self.pacing.datagrams_per_tick {
+            match slot.server.poll_transmit() {
                 Some((group, datagram)) => {
                     slot.transport.send(group, datagram);
                     self.stats.datagrams_sent += 1;
@@ -467,7 +443,7 @@ impl<T: Transport> ShardLoop<T> {
                         // Control traffic: answer it now rather than at the
                         // next tick.
                         self.stats.control_answered +=
-                            answer_control(&mut slot.carousel, slot.control.as_ref());
+                            answer_control(&slot.server, slot.control.as_ref());
                     }
                     _ => {}
                 }
@@ -526,14 +502,14 @@ impl<T: Transport> ShardLoop<T> {
                 if due {
                     self.tick_server(index);
                     if let Some(Some(Slot::Server(s))) = self.slots.get_mut(index) {
-                        s.next_tick += s.pacing.interval;
+                        s.next_tick += self.pacing.interval;
                         if s.next_tick < now {
                             // Ticks missed while we were busy are dropped,
                             // not burst out (see the module docs on pacing):
                             // the one due at `next_tick` runs late, at `now`,
                             // and every later one already due is skipped.
                             let behind = (now - s.next_tick).as_nanos();
-                            let skipped = behind.checked_div(s.pacing.interval.as_nanos());
+                            let skipped = behind.checked_div(self.pacing.interval.as_nanos());
                             self.stats.ticks_dropped +=
                                 skipped.map_or(0, |n| n.try_into().unwrap_or(u64::MAX));
                             s.next_tick = now;
@@ -569,11 +545,10 @@ fn control_fd(socket: &UdpSocket) -> Option<i32> {
     }
 }
 
-/// Answer every control request currently queued on `control`; returns how
-/// many were answered.  Only [`FountainServer`] slots speak the control
-/// protocol.
-fn answer_control(carousel: &mut Carousel, control: Option<&UdpSocket>) -> u64 {
-    let (Carousel::Server(server), Some(socket)) = (carousel, control) else {
+/// Answer every control request currently queued on `control` from
+/// `server`; returns how many were answered.
+fn answer_control(server: &FountainServer, control: Option<&UdpSocket>) -> u64 {
+    let Some(socket) = control else {
         return 0;
     };
     let mut buf = [0u8; 2048];
@@ -610,9 +585,9 @@ impl<T: Transport> ShardLoop<T> {
     /// Rounds transmitted so far by the single-session server in `slot`.
     fn server_rounds(&self, slot: usize) -> Option<usize> {
         match self.slots.get(slot)?.as_ref()? {
-            Slot::Server(s) => match &s.carousel {
-                Carousel::Session(session) => Some(session.rounds_sent()),
-                Carousel::Server(_) => None,
+            Slot::Server(s) => match s.server.sessions() {
+                [session] => Some(session.rounds_sent()),
+                _ => None,
             },
             Slot::Client(_) => None,
         }
@@ -622,9 +597,10 @@ impl<T: Transport> ShardLoop<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::SessionConfig;
+    use crate::server::{ServerSession, SessionConfig};
     use crate::transport::SimMulticast;
     use crate::ControlInfo;
+    use bytes::Bytes;
 
     fn patterned(len: usize, salt: usize) -> Vec<u8> {
         (0..len).map(|i| ((i * 131 + salt) % 251) as u8).collect()
@@ -636,11 +612,16 @@ mod tests {
         (session, info)
     }
 
-    fn server(session: ServerSession, pacing: Pacing) -> Session {
+    fn server(session: ServerSession) -> Session {
         Session::Server {
-            session: Box::new(session),
-            pacing,
+            server: Box::new(session.into()),
+            control: None,
         }
+    }
+
+    /// An empty loop pacing its servers at `datagrams_per_tick` per step.
+    fn shard<T: Transport>(datagrams_per_tick: usize) -> ShardLoop<T> {
+        ShardLoop::new(0, Pacing::new(Duration::from_millis(1), datagrams_per_tick))
     }
 
     fn client(info: ControlInfo) -> Session {
@@ -669,12 +650,8 @@ mod tests {
                 ..SessionConfig::default()
             },
         );
-        let mut el: ShardLoop<crate::SimEndpoint> = ShardLoop::new(0);
-        el.push(
-            server(session, Pacing::new(Duration::from_millis(1), 256)),
-            net.endpoint(0.0),
-        )
-        .unwrap();
+        let mut el: ShardLoop<crate::SimEndpoint> = shard(256);
+        el.push(server(session), net.endpoint(0.0)).unwrap();
         let mut slots = Vec::new();
         for i in 0..20 {
             let loss = if i % 2 == 0 { 0.0 } else { 0.25 };
@@ -708,12 +685,8 @@ mod tests {
         let data = patterned(30_000, 2);
         let net = SimMulticast::new(4);
         let (session, info) = sim_server(&data, SessionConfig::default());
-        let mut el: ShardLoop<crate::SimEndpoint> = ShardLoop::new(0);
-        el.push(
-            server(session, Pacing::new(Duration::from_millis(1), 512)),
-            net.endpoint(0.0),
-        )
-        .unwrap();
+        let mut el: ShardLoop<crate::SimEndpoint> = shard(512);
+        el.push(server(session), net.endpoint(0.0)).unwrap();
         let slot = el.push(client(info), net.endpoint(0.0)).unwrap();
         for _ in 0..5_000 {
             el.step();
@@ -784,12 +757,9 @@ mod tests {
             },
         );
         let n = session.code().unwrap().n();
-        let mut el: ShardLoop<MaybeJoin> = ShardLoop::new(0);
-        el.push(
-            server(session, Pacing::new(Duration::from_millis(1), 2 * n)),
-            MaybeJoin::on(&net, |_| true),
-        )
-        .unwrap();
+        let mut el: ShardLoop<MaybeJoin> = shard(2 * n);
+        el.push(server(session), MaybeJoin::on(&net, |_| true))
+            .unwrap();
         // The client can join only the base layer; every upgrade attempt
         // fails at the transport.
         let slot = el
@@ -838,12 +808,8 @@ mod tests {
                     ..SessionConfig::default()
                 },
             );
-            let mut el: ShardLoop<crate::SimEndpoint> = ShardLoop::new(0);
-            el.push(
-                server(session, Pacing::new(Duration::from_millis(1), 128)),
-                net.endpoint(0.0),
-            )
-            .unwrap();
+            let mut el: ShardLoop<crate::SimEndpoint> = shard(128);
+            el.push(server(session), net.endpoint(0.0)).unwrap();
             for i in 0..4 {
                 let loss = if i % 2 == 0 { 0.0 } else { 0.3 };
                 el.push(client(info.clone()), net.endpoint(loss)).unwrap();
@@ -879,13 +845,9 @@ mod tests {
             },
         );
         let n = session.code().unwrap().n();
-        let mut el: ShardLoop<crate::SimEndpoint> = ShardLoop::new(0);
-        el.push(
-            // Whole rounds per tick keep the layered cadence dense in time.
-            server(session, Pacing::new(Duration::from_millis(1), 2 * n)),
-            net.endpoint(0.0),
-        )
-        .unwrap();
+        // Whole rounds per tick keep the layered cadence dense in time.
+        let mut el: ShardLoop<crate::SimEndpoint> = shard(2 * n);
+        el.push(server(session), net.endpoint(0.0)).unwrap();
         let client = ClientSession::new(info).unwrap();
         assert!(client.is_layered());
         el.push(Session::Client(Box::new(client)), net.endpoint(0.0))
@@ -912,7 +874,7 @@ mod tests {
         // Fairness: N server sessions with identical pacing each advance the
         // same number of rounds (±1 for mid-round budgets) after M steps.
         let net = SimMulticast::new(6);
-        let mut el: ShardLoop<crate::SimEndpoint> = ShardLoop::new(0);
+        let mut el: ShardLoop<crate::SimEndpoint> = shard(64);
         let mut tokens = Vec::new();
         for salt in 0..5 {
             let data = patterned(40_000, salt);
@@ -923,13 +885,7 @@ mod tests {
                     ..SessionConfig::default()
                 },
             );
-            tokens.push(
-                el.push(
-                    server(session, Pacing::new(Duration::from_millis(1), 64)),
-                    net.endpoint(0.0),
-                )
-                .unwrap(),
-            );
+            tokens.push(el.push(server(session), net.endpoint(0.0)).unwrap());
         }
         for _ in 0..100 {
             el.step();
@@ -1007,9 +963,9 @@ mod tests {
             );
             let n = session.code().unwrap().n();
             let log = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
-            let mut el: ShardLoop<Recording<crate::SimEndpoint>> = ShardLoop::new(0);
+            let mut el: ShardLoop<Recording<crate::SimEndpoint>> = shard(n);
             el.push(
-                server(session, Pacing::new(Duration::from_millis(1), n)),
+                server(session),
                 Recording {
                     inner: net.endpoint(0.0),
                     log: log.clone(),
@@ -1078,7 +1034,7 @@ mod tests {
             steps in 1usize..120,
         ) {
             let net = SimMulticast::new(8);
-            let mut el: ShardLoop<crate::SimEndpoint> = ShardLoop::new(0);
+            let mut el: ShardLoop<crate::SimEndpoint> = shard(budget);
             let mut tokens = Vec::new();
             for salt in 0..servers {
                 let data = patterned(10_000, salt);
@@ -1090,7 +1046,7 @@ mod tests {
                     },
                 );
                 tokens.push(el.push(
-                    server(session, Pacing::new(Duration::from_millis(1), budget)),
+                    server(session),
                     net.endpoint(0.0),
                 )
                 .unwrap());

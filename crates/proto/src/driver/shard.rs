@@ -54,7 +54,7 @@
 use crate::client::ClientSession;
 use crate::driver::handle::{DriverConfig, DriverEvent, DriverReport, Session, SessionHandle};
 use crate::driver::placement::Placer;
-use crate::driver::{Pacing, ShardLoop, ShardStats};
+use crate::driver::{ShardLoop, ShardStats};
 use crate::server::{FountainServer, ServerSession};
 use crate::transport::Transport;
 use std::collections::{HashSet, VecDeque};
@@ -99,13 +99,13 @@ fn forward<T: Transport>(el: &mut ShardLoop<T>, replies: &Sender<Reply>) {
 /// Body of one shard worker thread; returns the shard's final counters.
 fn worker_main<T: Transport>(
     shard: usize,
-    stepped: bool,
+    cfg: DriverConfig,
     commands: Receiver<ShardCommand<T>>,
     replies: Sender<Reply>,
 ) -> ShardStats {
-    let mut el = ShardLoop::new(shard);
+    let mut el = ShardLoop::new(shard, cfg.pacing);
     loop {
-        let command = if stepped {
+        let command = if cfg.stepped {
             // Ticks come only from Step commands.
             commands.recv().ok()
         } else {
@@ -185,7 +185,6 @@ pub struct Driver<T: Transport + Send + 'static> {
     live_handles: HashSet<SessionHandle>,
     registered_clients: usize,
     completed_clients: usize,
-    pacing: Pacing,
     /// Latest lifetime counters per shard (refreshed by acks and shutdown).
     shard_stats: Vec<ShardStats>,
 }
@@ -198,7 +197,7 @@ impl<T: Transport + Send + 'static> Driver<T> {
                 let (reply_tx, replies) = mpsc::channel();
                 let thread = thread::Builder::new()
                     .name(format!("df-shard-{shard}"))
-                    .spawn(move || worker_main(shard, cfg.stepped, command_rx, reply_tx))
+                    .spawn(move || worker_main(shard, cfg, command_rx, reply_tx))
                     .expect("spawning a shard worker thread");
                 ShardHandle {
                     commands,
@@ -215,7 +214,6 @@ impl<T: Transport + Send + 'static> Driver<T> {
             live_handles: HashSet::new(),
             registered_clients: 0,
             completed_clients: 0,
-            pacing: cfg.pacing,
             shard_stats: vec![ShardStats::default(); cfg.shards],
         }
     }
@@ -245,8 +243,8 @@ impl<T: Transport + Send + 'static> Driver<T> {
         self.register(None, Session::Client(Box::new(session)), transport)
     }
 
-    /// Register a single carousel session paced by the *configured* pacing,
-    /// on the least-loaded shard.
+    /// Register a single carousel session, as the one-session
+    /// [`FountainServer`] it is, on the least-loaded shard.
     ///
     /// # Errors
     ///
@@ -256,16 +254,11 @@ impl<T: Transport + Send + 'static> Driver<T> {
         session: ServerSession,
         transport: T,
     ) -> io::Result<SessionHandle> {
-        let session = Session::Server {
-            session: Box::new(session),
-            pacing: self.pacing,
-        };
-        self.register(None, session, transport)
+        self.add_fountain_server(session.into(), transport, None)
     }
 
-    /// Register a multi-session [`FountainServer`] (optionally with its
-    /// control socket) paced by the configured pacing, on the least-loaded
-    /// shard.
+    /// Register a [`FountainServer`] (optionally with its control socket)
+    /// on the least-loaded shard.
     ///
     /// # Errors
     ///
@@ -276,18 +269,15 @@ impl<T: Transport + Send + 'static> Driver<T> {
         transport: T,
         control: Option<UdpSocket>,
     ) -> io::Result<SessionHandle> {
-        let session = Session::Fountain {
-            server: Box::new(server),
-            control,
-            pacing: self.pacing,
-        };
-        self.register(None, session, transport)
+        let server = Box::new(server);
+        self.register(None, Session::Server { server, control }, transport)
     }
 
-    /// Register any [`Session`] on an explicit shard, with the pacing it
-    /// carries (recorded against the shard loads).  This is how a server
-    /// and its own receivers are kept on one shard, or one carousel is
-    /// replicated onto every shard's channel.
+    /// Register any [`Session`] on an explicit shard (recorded against the
+    /// shard loads).  A server added here is paced like every other, at the
+    /// driver's [`DriverConfig::pacing`].  This is how a server and its own
+    /// receivers are kept on one shard, or one carousel is replicated onto
+    /// every shard's channel.
     ///
     /// # Errors
     ///
@@ -534,6 +524,7 @@ impl<T: Transport + Send + 'static> Drop for Driver<T> {
 mod tests {
     use super::*;
     use crate::driver::tests::MaybeJoin;
+    use crate::driver::Pacing;
     use crate::server::SessionConfig;
     use crate::transport::{Readiness, SimMulticast};
     use crate::{ClientSession, ControlInfo, SimEndpoint};
@@ -574,10 +565,10 @@ mod tests {
         events.into_iter().filter_map(completion).collect()
     }
 
-    fn server_at(session: ServerSession, datagrams_per_tick: usize) -> Session {
+    fn server(session: ServerSession) -> Session {
         Session::Server {
-            session: Box::new(session),
-            pacing: Pacing::new(Duration::from_millis(1), datagrams_per_tick),
+            server: Box::new(session.into()),
+            control: None,
         }
     }
 
@@ -594,6 +585,7 @@ mod tests {
         let shards = 2;
         let mut driver = DriverConfig::new()
             .shards(shards)
+            .pacing(Pacing::new(Duration::from_millis(1), 512))
             .stepped(true)
             .build::<SimEndpoint>();
         let mut handles = Vec::new();
@@ -603,7 +595,7 @@ mod tests {
             let net = SimMulticast::new(40 + shard as u64);
             let (session, info) = carousel(&data, 7, 0);
             driver
-                .add_on(shard, server_at(session, 512), net.endpoint(0.0))
+                .add_on(shard, server(session), net.endpoint(0.0))
                 .unwrap();
             for i in 0..4 {
                 let loss = if i % 2 == 0 { 0.0 } else { 0.2 };
@@ -730,7 +722,7 @@ mod tests {
             .stepped(true)
             .build::<SimEndpoint>();
         driver
-            .add_on(0, server_at(session, 256), net.endpoint(0.0))
+            .add_on(0, server(session), net.endpoint(0.0))
             .unwrap();
         let handle = driver.add_on(1, client(info), net.endpoint(0.0)).unwrap();
         step_to_completion(&mut driver, 10_000);
@@ -752,7 +744,7 @@ mod tests {
             .stepped(true)
             .build::<MaybeJoin>();
         driver
-            .add_on(0, server_at(session, 256), MaybeJoin::on(&net, |_| true))
+            .add_on(0, server(session), MaybeJoin::on(&net, |_| true))
             .unwrap();
         let bad = driver
             .add_on(0, client(info.clone()), MaybeJoin::on(&net, |_| false))
@@ -882,7 +874,7 @@ mod tests {
         let (session, info) = carousel(&small, 1, 0);
         let (_, silent) = carousel(&small, 1, 8);
         driver
-            .add_on(0, server_at(session, 256), PanicsAt::healthy(&net))
+            .add_on(0, server(session), PanicsAt::healthy(&net))
             .unwrap();
         let finisher = driver
             .add_on(0, client(info), PanicsAt::healthy(&net))
@@ -890,12 +882,13 @@ mod tests {
         driver
             .add_on(0, client(silent), PanicsAt::after(&net, 5))
             .unwrap();
-        // Shard 1: a slow carousel and two clients on a channel of their own.
-        let large = patterned(60_000, 8);
+        // Shard 1: two clients on a channel of their own, fed a file of
+        // k = 3 000 packets, more than the batch's 10 ticks of 256 send.
+        let large = patterned(1_500_000, 8);
         let net = SimMulticast::new(65);
         let (session, info) = carousel(&large, 2, 0);
         driver
-            .add_on(1, server_at(session, 8), PanicsAt::healthy(&net))
+            .add_on(1, server(session), PanicsAt::healthy(&net))
             .unwrap();
         let others: Vec<SessionHandle> = (0..2)
             .map(|_| {
@@ -950,9 +943,9 @@ mod tests {
             .add_on(0, client(silent), PanicsAt::after(&net, 5))
             .unwrap();
         let net = SimMulticast::new(67);
-        let (session, info) = carousel(&large, 2, 0);
+        let (session, info) = carousel(&patterned(60_000, 8), 2, 0);
         driver
-            .add_on(1, server_at(session, 256), PanicsAt::healthy(&net))
+            .add_on(1, server(session), PanicsAt::healthy(&net))
             .unwrap();
         for _ in 0..2 {
             let transport = PanicsAt::healthy(&net);

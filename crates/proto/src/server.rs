@@ -544,6 +544,21 @@ impl FountainServer {
     }
 }
 
+/// A single carousel is a one-session server.  The session keeps its id and
+/// group range; a later [`FountainServer::add_session`] takes the next id and
+/// the groups after them.
+impl From<ServerSession> for FountainServer {
+    fn from(session: ServerSession) -> Self {
+        let info = session.control_info();
+        FountainServer {
+            next_group: u64::from(info.base_group) + info.layers as u64,
+            next_id: info.session_id.wrapping_add(1),
+            cursor: 0,
+            sessions: vec![session],
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -761,6 +776,58 @@ mod tests {
             }
         }
         assert_eq!(counts, [500, 500], "strict alternation between sessions");
+    }
+
+    #[test]
+    fn a_one_session_server_is_its_session() {
+        let data: Vec<u8> = (0..30_000).map(|i| (i * 131 % 251) as u8).collect();
+        let flat = SessionConfig {
+            layers: 4,
+            code_seed: 3,
+            session_id: 7,
+            base_group: 10,
+            ..SessionConfig::default()
+        };
+        let layered = SessionConfig {
+            sp_interval: 4,
+            burst_rounds: 1,
+            ..flat
+        };
+        let raptor = SessionConfig {
+            layers: 1,
+            rateless: RatelessMode::Raptor,
+            ..flat
+        };
+        for config in [flat, layered, raptor] {
+            let mut twin = ServerSession::new(&data, config).unwrap();
+            let info = twin.control_info().clone();
+            let mut server = FountainServer::from(ServerSession::new(&data, config).unwrap());
+            // Five rounds: the layered cadence's fourth is a burst.
+            let mut expected = Vec::new();
+            for _ in 0..5 {
+                expected.extend(std::iter::from_fn(|| twin.poll_transmit()));
+                assert!(twin.round_complete());
+                twin.advance_round();
+            }
+            if config.burst_rounds > 0 {
+                assert!(expected.len() > 5 * info.n, "premise: a burst round");
+            }
+            let sent: Vec<_> = (0..expected.len())
+                .map(|_| server.poll_transmit().unwrap())
+                .collect();
+            assert!(sent == expected, "{config:?} emitted other datagrams");
+            assert_eq!(server.sessions()[0].rounds_sent(), 4);
+
+            let describe = ControlRequest::Describe { session_id: 7 };
+            assert_eq!(
+                server.handle_control(&describe),
+                ControlResponse::Session { info: info.clone() }
+            );
+            let id = server.add_session(&data, config).unwrap();
+            assert_eq!(id, 8);
+            let next = server.session(id).unwrap().control_info();
+            assert!(next.groups().all(|g| !info.groups().any(|own| own == g)));
+        }
     }
 
     #[test]

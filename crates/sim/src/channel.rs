@@ -37,7 +37,7 @@ use df_proto::{Readiness, Transport};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 use std::fmt::Debug;
 
 use crate::loss::{GilbertElliottLoss, LossModel};
@@ -209,7 +209,9 @@ pub struct ChannelStats {
 /// models the receiver's downstream path.  Copies a stage displaces are held
 /// in a pending queue keyed by the packet clock (see the module docs) and
 /// released in `(due, arrival)` order, so an undisplaced stream comes out in
-/// arrival order.
+/// arrival order.  An arrival whose fate is one undisplaced copy, while
+/// nothing is held, skips that queue for a FIFO served first, so a channel
+/// that displaces nothing does no heap work.
 #[derive(Debug)]
 pub struct HostileChannel<T: Transport> {
     inner: T,
@@ -220,6 +222,9 @@ pub struct HostileChannel<T: Transport> {
     /// Monotone tiebreak so equal due times release in arrival order.
     seq: u64,
     pending: BinaryHeap<Reverse<PendingCopy>>,
+    /// Arrivals due now that came while `pending` was empty: each precedes
+    /// everything in `pending` in `(due, arrival)` order.
+    ready: VecDeque<(u32, Bytes)>,
     /// The fate of the arrival in the pipeline, reused from one to the next.
     fate: Vec<u64>,
     stats: ChannelStats,
@@ -241,6 +246,7 @@ impl<T: Transport> HostileChannel<T> {
             clock: 0,
             seq: 0,
             pending: BinaryHeap::new(),
+            ready: VecDeque::new(),
             fate: Vec::new(),
             stats: ChannelStats::default(),
         }
@@ -256,12 +262,12 @@ impl<T: Transport> HostileChannel<T> {
         self.stages.iter().map(|s| s.burst_episodes()).sum()
     }
 
-    /// Copies currently held for later release.  Bounded by the pipeline's
+    /// Copies received and not yet handed out.  Bounded by the pipeline's
     /// maximum displacement (every copy is due at most `max displacement`
     /// arrivals after it was enqueued).
     #[cfg(test)]
     fn in_flight(&self) -> usize {
-        self.pending.len()
+        self.ready.len() + self.pending.len()
     }
 
     /// Advance the packet clock past every held copy so subsequent
@@ -276,7 +282,8 @@ impl<T: Transport> HostileChannel<T> {
     }
 
     /// Pull every waiting arrival off the inner transport through the
-    /// pipeline into the pending queue, advancing the packet clock.
+    /// pipeline into the ready FIFO or the pending queue, advancing the
+    /// packet clock.
     fn ingest(&mut self) {
         while let Some((group, mut datagram)) = self.inner.try_recv() {
             self.clock += 1;
@@ -290,6 +297,10 @@ impl<T: Transport> HostileChannel<T> {
                 self.stats.dropped += 1;
                 continue;
             };
+            if self.fate == [0] && self.pending.is_empty() {
+                self.ready.push_back((group, datagram));
+                continue;
+            }
             self.stats.duplicated += last as u64;
             for (copy, &offset) in self.fate.iter().enumerate() {
                 if offset > 0 {
@@ -316,14 +327,18 @@ impl<T: Transport> Transport for HostileChannel<T> {
 
     fn recv(&mut self) -> Option<(u32, Bytes)> {
         self.ingest();
-        match self.pending.peek() {
-            Some(Reverse((due, ..))) if *due <= self.clock => {
-                let Reverse((_, _, group, datagram)) = self.pending.pop().expect("peeked");
-                self.stats.delivered += 1;
-                Some((group, datagram))
-            }
-            _ => None,
-        }
+        let next = self
+            .ready
+            .pop_front()
+            .or_else(|| match self.pending.peek() {
+                Some(Reverse((due, ..))) if *due <= self.clock => {
+                    let Reverse((_, _, group, datagram)) = self.pending.pop().expect("peeked");
+                    Some((group, datagram))
+                }
+                _ => None,
+            });
+        self.stats.delivered += u64::from(next.is_some());
+        next
     }
 
     fn readiness(&self) -> Readiness {

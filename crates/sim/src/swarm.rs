@@ -76,43 +76,42 @@ pub fn swarm_experiment(
     let data: Vec<u8> = (0..file_len)
         .map(|i| ((i * 131 + seed as usize) % 251) as u8)
         .collect();
+    let config = SessionConfig {
+        packet_size,
+        code_seed: seed,
+        ..SessionConfig::default()
+    };
+    let servers: Vec<ServerSession> = (0..shards)
+        .map(|_| ServerSession::new(&data, config).expect("swarm server session encodes"))
+        .collect();
+    let info = servers[0].control_info().clone();
+    // A quarter round per step: several steps per carousel cycle, so the
+    // driver's scheduling (tick, drain, repeat) is actually exercised rather
+    // than every client completing inside a single monster tick.
     let mut driver = DriverConfig::new()
         .shards(shards)
+        .pacing(Pacing::new(
+            Duration::from_millis(1),
+            info.n.div_ceil(4).max(1),
+        ))
         .stepped(true)
         .build::<SimEndpoint>();
     let mut nets = Vec::with_capacity(shards);
-    let mut infos = Vec::with_capacity(shards);
-    for shard in 0..shards {
+    for (shard, server) in servers.into_iter().enumerate() {
         let net = SimMulticast::new(seed.wrapping_add(shard as u64));
-        let server = ServerSession::new(
-            &data,
-            SessionConfig {
-                packet_size,
-                code_seed: seed,
-                ..SessionConfig::default()
-            },
-        )
-        .expect("swarm server session encodes");
-        let info = server.control_info().clone();
-        // A quarter round per step: several steps per carousel cycle, so the
-        // driver's scheduling (tick, drain, repeat) is actually exercised
-        // rather than every client completing inside a single monster tick.
-        let pacing = Pacing::new(Duration::from_millis(1), info.n.div_ceil(4).max(1));
         let server = Session::Server {
-            session: Box::new(server),
-            pacing,
+            server: Box::new(server.into()),
+            control: None,
         };
         driver
             .add_on(shard, server, net.endpoint(0.0))
             .expect("shard workers are alive at setup");
         nets.push(net);
-        infos.push(info);
     }
     for i in 0..clients {
         let shard = i % shards;
         let loss = if i % 4 == 3 { 0.2 } else { 0.0 };
-        let session =
-            ClientSession::new(infos[shard].clone()).expect("server-produced control info");
+        let session = ClientSession::new(info.clone()).expect("server-produced control info");
         driver
             .add_on(
                 shard,

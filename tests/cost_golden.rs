@@ -11,7 +11,10 @@
 //!   permutation order, lossless and behind 10 % loss, at `k` = 512;
 //! * an LT and a Raptor stream decode, lossless and behind 10 % loss, at
 //!   `k` = 512 (the symbols are encoded before the ledger is read);
-//! * one `ServerSession` built for a carousel and polled for one round.
+//! * one `ServerSession` built for a carousel and polled for one round;
+//! * the three Tornado shapes again for Tornado B at `k` = 129, named in
+//!   their labels: its code is then a single 129-of-258 Cauchy block over
+//!   GF(2^16), so these lines pin GF(2^16) pairs.
 //!
 //! The counts do not depend on the kernel tier, so this test passes under
 //! any `DF_GF_FORCE_TIER`.  A change that does more or less work shows as a
@@ -21,7 +24,8 @@
 
 use digital_fountain::core::rateless::{LtDecoder, LtEncoder};
 use digital_fountain::core::{
-    AddOutcome, Carousel, RaptorCode, TornadoCode, LT_DEFAULT_C, LT_DEFAULT_DELTA, TORNADO_A,
+    AddOutcome, Carousel, RaptorCode, TornadoCode, TornadoProfile, LT_DEFAULT_C, LT_DEFAULT_DELTA,
+    TORNADO_A, TORNADO_B,
 };
 use digital_fountain::gf::ledger::{self, Work};
 use digital_fountain::proto::{ServerSession, SessionConfig};
@@ -34,6 +38,11 @@ const FIXTURE: &str = include_str!("fixtures/cost_v1.txt");
 const K: usize = 512;
 const PACKET: usize = 64;
 const SEED: u64 = 0xC057;
+
+/// The smallest `k` at which Tornado B's code is one block over GF(2^16):
+/// up to its 1 000-packet threshold the code is a single `k`-of-`2k` Cauchy
+/// block, over GF(2^16) once `2k` passes 256.
+const K_B: usize = 129;
 
 /// `K` packets of file.
 fn file() -> Vec<u8> {
@@ -68,11 +77,13 @@ fn line(out: &mut String, shape: &str, packets: usize, work: Work) {
     .unwrap();
 }
 
-fn tornado(out: &mut String) {
-    let data = file();
-    let code = TornadoCode::with_profile(K, TORNADO_A, SEED).unwrap();
+/// The encode and the two decodes of `profile` over the first `k` packets of
+/// the file, labelled `label`.
+fn tornado(out: &mut String, label: &str, profile: TornadoProfile, k: usize) {
+    let data = file()[..k * PACKET].to_vec();
+    let code = TornadoCode::with_profile(k, profile, SEED).unwrap();
     let (work, encoding) = counted(|| code.encode_file(&data, PACKET).unwrap());
-    line(out, "tornado-a encode", code.n(), work);
+    line(out, &format!("{label} encode"), code.n(), work);
     for (name, loss) in [("lossless", 0.0), ("loss-10%", 0.1)] {
         let mut carousel = Carousel::new(code.n(), SEED);
         let mut rng = ChaCha8Rng::seed_from_u64(SEED);
@@ -91,7 +102,7 @@ fn tornado(out: &mut String) {
             }
         });
         assert_eq!(decoder.take_file(data.len()).unwrap(), data);
-        line(out, &format!("tornado-a decode {name}"), received, work);
+        line(out, &format!("{label} decode {name}"), received, work);
     }
 }
 
@@ -160,9 +171,10 @@ fn render() -> String {
          # <shape> packets=<received or sent> xors=<row XORs> xor_bytes=<bytes>\n\
          # mul8=<GF(2^8) pairs>/<bytes> mul16=<GF(2^16) pairs>/<bytes>\n",
     );
-    tornado(&mut out);
+    tornado(&mut out, "tornado-a", TORNADO_A, K);
     rateless(&mut out);
     session(&mut out);
+    tornado(&mut out, &format!("tornado-b k={K_B}"), TORNADO_B, K_B);
     out
 }
 
