@@ -14,7 +14,11 @@
 //! * one `ServerSession` built for a carousel and polled for one round;
 //! * the three Tornado shapes again for Tornado B at `k` = 129, named in
 //!   their labels: its code is then a single 129-of-258 Cauchy block over
-//!   GF(2^16), so these lines pin GF(2^16) pairs.
+//!   GF(2^16), so these lines pin GF(2^16) pairs;
+//! * a lossless Tornado A decode at `k` = 512 in the emission order of a
+//!   4-layer `ServerSession` (the reverse-binary schedule strides through
+//!   the encoding, so checks become computable before they arrive), and in
+//!   that of a 1-layer one (the source first and whole: a copy, no XOR).
 //!
 //! The counts do not depend on the kernel tier, so this test passes under
 //! any `DF_GF_FORCE_TIER`.  A change that does more or less work shows as a
@@ -28,7 +32,7 @@ use digital_fountain::core::{
     TORNADO_A, TORNADO_B,
 };
 use digital_fountain::gf::ledger::{self, Work};
-use digital_fountain::proto::{ServerSession, SessionConfig};
+use digital_fountain::proto::{PacketHeader, ServerSession, SessionConfig};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::fmt::Write as _;
@@ -163,6 +167,45 @@ fn session(out: &mut String) {
     line(out, "session carousel new+round", sent, work);
 }
 
+/// A lossless Tornado A decode of the packet indices a `layers`-layer
+/// `ServerSession` emits, round after round, until the file is whole.
+fn session_order(out: &mut String, layers: usize) {
+    let data = file();
+    let config = SessionConfig {
+        packet_size: PACKET,
+        code_seed: SEED,
+        layers,
+        ..SessionConfig::default()
+    };
+    let mut server = ServerSession::new(&data, config).unwrap();
+    let code = server.code().unwrap().clone();
+    let encoding = code.encode_file(&data, PACKET).unwrap();
+    let mut order = Vec::new();
+    for _ in 0..2 {
+        while let Some((_, datagram)) = server.poll_transmit() {
+            order.push(PacketHeader::decode(&datagram).unwrap().packet_index as usize);
+        }
+        server.advance_round();
+    }
+    let mut decoder = code.decoder();
+    let (work, received) = counted(|| {
+        order
+            .iter()
+            .position(|&i| {
+                decoder.add_packet_ref(i, encoding.row(i)).unwrap() == AddOutcome::Complete
+            })
+            .expect("two rounds decode")
+            + 1
+    });
+    assert_eq!(decoder.take_file(data.len()).unwrap(), data);
+    line(
+        out,
+        &format!("tornado-a decode session-{layers}-layer"),
+        received,
+        work,
+    );
+}
+
 /// The fixture file this build would write.
 fn render() -> String {
     let mut out = String::from(
@@ -175,6 +218,8 @@ fn render() -> String {
     rateless(&mut out);
     session(&mut out);
     tornado(&mut out, &format!("tornado-b k={K_B}"), TORNADO_B, K_B);
+    session_order(&mut out, 4);
+    session_order(&mut out, 1);
     out
 }
 
