@@ -43,14 +43,17 @@ pub enum DegreeDistribution {
         max_degree: usize,
     },
     /// Right-regular ("check-concentrated") sequences: the edge fractions are
-    /// the power-series coefficients of `1 − (1 − x)^{1/(a−1)}` truncated at
-    /// `max_degree`, with the residual tail mass assigned to `max_degree`.
-    /// Designed to pair with check nodes of constant degree `a`
+    /// the power-series coefficients of `1 − (1 − x)^{1/(a−1)}` truncated
+    /// after the `max_degree`-th and renormalised.  In the convention
+    /// λ(x) = Σ λᵢ xⁱ⁻¹ the coefficient of xʲ belongs to degree `j + 1`, so
+    /// message nodes have degrees `2..=max_degree + 1`.  Designed to pair
+    /// with check nodes of constant degree `a`
     /// ([`crate::graph::CheckSide::Regular`]).
     CheckConcentrated {
         /// The design check-node degree `a`.
         check_degree: usize,
-        /// Maximum message-node degree retained after truncation.
+        /// Power-series terms retained after truncation (the largest
+        /// message-node degree is one more).
         max_degree: usize,
     },
     /// All nodes share a single degree — useful as an ablation baseline
@@ -101,10 +104,12 @@ impl DegreeDistribution {
                 let d = (*max_degree).max(2);
                 // Edge-perspective coefficients of 1 − (1 − x)^α:
                 //   c_1 = α,  c_{j+1} = c_j · (j − α) / (j + 1).
+                // Under λ(x) = Σ λᵢ xⁱ⁻¹ the coefficient of xʲ is the
+                // fraction of edges on nodes of degree j + 1.
                 let mut edge = Vec::with_capacity(d);
                 let mut c = alpha;
                 for j in 1..=d {
-                    edge.push((j, c));
+                    edge.push((j + 1, c));
                     c *= (j as f64 - alpha) / (j as f64 + 1.0);
                 }
                 // Renormalise after truncation (the truncated tail is what
@@ -268,8 +273,8 @@ mod tests {
             .iter()
             .map(|(i, p)| (*i, *i as f64 * p / mean))
             .collect();
-        assert_eq!(edge[0].0, 1);
-        assert_eq!(edge[1].0, 2);
+        assert_eq!(edge[0].0, 2);
+        assert_eq!(edge[1].0, 3);
         let expect_ratio = alpha / (alpha * (1.0 - alpha) / 2.0);
         let got_ratio = edge[0].1 / edge[1].1;
         assert!(
