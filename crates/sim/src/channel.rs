@@ -326,7 +326,12 @@ impl<T: Transport> Transport for HostileChannel<T> {
     }
 
     fn recv(&mut self) -> Option<(u32, Bytes)> {
-        self.ingest();
+        // While `ready` holds a datagram nothing is taken from `pending`,
+        // so arrivals left on the inner transport until `ready` runs dry
+        // meet the same queue, and get the same fate, as they would now.
+        if self.ready.is_empty() {
+            self.ingest();
+        }
         let next = self
             .ready
             .pop_front()
