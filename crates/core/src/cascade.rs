@@ -261,9 +261,6 @@ pub struct Cascade {
     level_offsets: Vec<usize>,
     /// `graphs[i]` connects level `i` (left) to level `i + 1` (right).
     graphs: Vec<BipartiteGraph>,
-    /// Left degree of every check node, levels 1.. in order: the
-    /// unknown-neighbour counts a decoder starts from.
-    check_degrees: Vec<u32>,
     /// Final code over the last level.
     final_code: FinalCode,
     /// Global index of the first final-code check packet.
@@ -358,11 +355,6 @@ impl Cascade {
             ));
         }
 
-        let check_degrees = graphs
-            .iter()
-            .flat_map(|graph| (0..graph.right()).map(|pos| graph.check_neighbors(pos).len() as u32))
-            .collect();
-
         Ok(Cascade {
             k,
             n,
@@ -371,7 +363,6 @@ impl Cascade {
             level_sizes,
             level_offsets,
             graphs,
-            check_degrees,
             final_code,
             rs_offset,
         })
@@ -405,13 +396,6 @@ impl Cascade {
     /// The bipartite graphs; `graphs()[i]` connects level `i` to level `i+1`.
     pub fn graphs(&self) -> &[BipartiteGraph] {
         &self.graphs
-    }
-
-    /// Number of left neighbours of every check node (the packets of levels
-    /// 1.., in global-index order).  Computed once at build time so that a
-    /// decoder's initial state is a copy of this, not a walk of the graphs.
-    pub(crate) fn check_degrees(&self) -> &[u32] {
-        &self.check_degrees
     }
 
     /// The final conventional code.
@@ -550,22 +534,6 @@ mod tests {
         for (i, g) in c.graphs().iter().enumerate() {
             assert_eq!(g.left(), c.level_sizes()[i]);
             assert_eq!(g.right(), c.level_sizes()[i + 1]);
-        }
-    }
-
-    #[test]
-    fn check_degrees_follow_the_graphs_in_global_index_order() {
-        let c = Cascade::build(5000, TORNADO_A, 6).unwrap();
-        assert!(c.num_levels() > 2, "premise: more than one graph");
-        assert_eq!(c.check_degrees().len(), c.rs_offset() - c.level_offset(1));
-        for (level, graph) in c.graphs().iter().enumerate() {
-            let base = c.level_offset(level + 1) - c.level_offset(1);
-            for pos in 0..graph.right() {
-                assert_eq!(
-                    c.check_degrees()[base + pos] as usize,
-                    graph.check_neighbors(pos).len()
-                );
-            }
         }
     }
 

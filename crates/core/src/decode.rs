@@ -6,23 +6,29 @@
 //! neighbour, and a check packet whose neighbours are all known is itself
 //! known.  The final cascade level is recovered through the conventional MDS
 //! code as soon as enough of its block is known.  The decoder runs this
-//! relaxation after every packet arrival and stops at the packet that makes
-//! the source level known.
+//! relaxation as each packet arrives and stops at the packet that makes the
+//! source level known.
 //!
-//! Arrival only *counts*: a packet that becomes known decrements the
-//! unknown-neighbour count of its checks, and a check whose count reaches
-//! zero is *computable* — counted as known, its value not built.  XORs are
-//! spent at release, when a held check with one missing neighbour recovers
-//! it (building the computable neighbours it needs, once each).  A reception
-//! that already contains the source therefore performs no XOR at all, and no
-//! check costs anything unless a recovery goes through it.
+//! That relaxation is the degree-one release of the crate's one peeling
+//! engine (`solve.rs`), so the decoder is a thin equation source over it, as
+//! the LT and Raptor decoders are: a received packet `i` is the unit
+//! equation `{i} = payload`, written straight into its row, and check `j`
+//! of level `ℓ ≥ 1` is the zero-valued equation `{check} ∪ left
+//! neighbours`.  A check the engine releases — computable from its
+//! neighbours, or recovered from the level above — is known but not built:
+//! XORs are spent only when a recovery goes through it.  The engine runs
+//! with no inactivation, so the decoder completes exactly where the paper's
+//! does.  The final MDS block is the one step that is not an XOR: once
+//! `final_code().k()` of its packets are known the decoder solves it
+//! through [`Symbol::recover_final_level`] and feeds the recovered
+//! last-level rows back as unit equations.
 //!
-//! Until a packet other than a source packet arrives, arrival does not even
-//! count.  Source packets alone recover nothing, so while the reception is
-//! source-only each one is kept in its row and tallied, and no check hears of
-//! it.  The first check or final-block packet pays for the prefix once: the
-//! held sources are settled in index order before that packet is judged, so
-//! a check they already make computable is still a duplicate.  A lossless
+//! Until a packet other than a source packet arrives, the checks'
+//! equations are not fed at all.  Source packets alone recover nothing, so
+//! while the reception is source-only each one is a unit equation and no
+//! check hears of it.  The first check or final-block packet feeds the
+//! checks' equations once, before that packet is judged, so a check the
+//! sources already make computable is still a duplicate.  A lossless
 //! one-layer carousel receiver, which has the whole source before any check,
 //! therefore does nothing per packet but copy it.
 //!
@@ -35,20 +41,21 @@
 //! the decode needed, and a finished decode hands the file over without a
 //! copy ([`PeelingDecoder::take_file`]).
 //!
-//! A decoder owns only its per-download state.  The graphs, and the checks'
-//! initial unknown-neighbour counts, belong to the [`Cascade`] — which the
-//! decoder holds by a shared handle, as every session of one code in a
-//! process does (see [`crate::codec`]) — so creating a decoder allocates its
-//! per-packet flags and a copy of those counts, and nothing sized by the
-//! file: a payload decoder reserves the file's bytes, without touching them,
-//! at its first packet.  A finished one can [`PeelingDecoder::release`] what
-//! it holds, or give its source rows away as the file.  It keeps no
-//! reception tally: a receiver counts what it took through a
-//! [`crate::ReceptionCounter`], and [`AddOutcome`] is the decoder's verdict.
+//! A decoder owns only its per-download state.  The graphs belong to the
+//! [`Cascade`] — which the decoder holds by a shared handle, as every
+//! session of one code in a process does (see [`crate::codec`]) — so
+//! creating a decoder allocates two bytes of state per packet and nothing
+//! sized by the file: a payload decoder reserves the file's bytes, without
+//! touching them, at its first packet.  A finished one can
+//! [`PeelingDecoder::release`] what it holds, or give its source rows away
+//! as the file.  It keeps no reception tally: a receiver counts what it took
+//! through a [`crate::ReceptionCounter`], and [`AddOutcome`] is the
+//! decoder's verdict.
 
-use crate::cascade::{Cascade, PacketRole};
+use crate::cascade::Cascade;
 use crate::error::{Result, TornadoError};
-use crate::store::{as_row, StoreShape, SymbolStore};
+use crate::solve::{Solver, Value};
+use crate::store::StoreShape;
 use crate::symbol::{Mark, Symbol};
 use std::sync::Arc;
 
@@ -65,24 +72,6 @@ pub enum AddOutcome {
     Complete,
 }
 
-/// One bit per packet.
-#[derive(Debug, Clone, Default)]
-struct Bits(Vec<u64>);
-
-impl Bits {
-    fn new(n: usize) -> Self {
-        Bits(vec![0; n.div_ceil(64)])
-    }
-
-    fn get(&self, i: usize) -> bool {
-        self.0[i / 64] >> (i % 64) & 1 == 1
-    }
-
-    fn set(&mut self, i: usize) {
-        self.0[i / 64] |= 1 << (i % 64);
-    }
-}
-
 /// Incremental peeling decoder over an agreed [`Cascade`].
 ///
 /// The decoder holds the cascade by a shared [`Arc`] handle, so it lives
@@ -92,75 +81,26 @@ impl Bits {
 #[derive(Debug, Clone)]
 pub struct PeelingDecoder<S: Symbol> {
     cascade: Arc<Cascade>,
-    /// Everything else, a field apart so that peeling reads the graphs and
-    /// writes the state without touching the handle.
-    state: State<S>,
-}
-
-/// The per-download state of a [`PeelingDecoder`].
-#[derive(Debug, Clone)]
-struct State<S: Symbol> {
-    /// Value of every encoding packet (global index) the decoder holds:
-    /// received, recovered, or built from its neighbours on demand.
-    store: S::Store,
-    /// Packets whose value is in `store`; empty once released.
-    holds: Bits,
-    /// Packets that are held or computable.
-    known: Vec<bool>,
-    /// Per check node (levels 1..): left neighbours not yet known.
-    unknown_left: Vec<u32>,
-    /// Global index of the first check node (= first packet of level 1), when
-    /// the cascade has more than one level.
-    check_base: usize,
-    /// Packets that just became known and have not been settled; empty
-    /// between calls, kept so that an arrival allocates nothing.
-    worklist: Vec<usize>,
-    /// Values currently stored in `store`.
-    held: usize,
-    /// Known packets among the source level.
-    source_known: usize,
-    /// Known packets among the final block (last level + RS checks).
-    rs_block_known: usize,
-    /// Whether the final level is fully known, through the MDS code or
-    /// without it.
-    rs_done: bool,
-    /// Every packet so far is a source packet, and none of them has been
-    /// settled: nothing can be recovered yet, so the checks' counts wait
-    /// for the first packet that could use them (`catch_up`).  Never set for
-    /// a single-level cascade.
+    /// The packets are its unknowns; the source is the part it wants back,
+    /// and the final block is its counted tail.
+    solver: Solver<S>,
+    /// Every packet so far is a source packet: the checks' equations are
+    /// not fed yet.  Never set for a single-level cascade, which has none.
     source_only: bool,
-    /// Packets settled so far, to pin the deferral in tests.
-    #[cfg(test)]
-    settled: usize,
+    /// Whether the final level is known, through the MDS code or without it.
+    final_done: bool,
 }
 
 impl<S: Symbol> PeelingDecoder<S> {
     /// Create a decoder for the given cascade with no packets received yet.
     pub fn new(cascade: Arc<Cascade>) -> Self {
-        let check_base = if cascade.num_levels() > 1 {
-            cascade.level_offset(1)
-        } else {
-            cascade.rs_offset()
-        };
-        let unknown_left = cascade.check_degrees().to_vec();
-        debug_assert_eq!(unknown_left.len(), cascade.rs_offset() - check_base);
-        let n = cascade.n();
-        let state = State {
-            store: S::Store::empty(StoreShape::of(&cascade)),
-            holds: Bits::new(n),
-            known: vec![false; n],
-            unknown_left,
-            check_base,
-            worklist: Vec::new(),
-            held: 0,
-            source_known: 0,
-            rs_block_known: 0,
-            rs_done: false,
+        let final_block = cascade.level_offset(cascade.num_levels() - 1);
+        PeelingDecoder {
+            solver: Solver::new(cascade.n(), StoreShape::of(&cascade), 0, final_block),
             source_only: cascade.num_levels() > 1,
-            #[cfg(test)]
-            settled: 0,
-        };
-        PeelingDecoder { cascade, state }
+            final_done: false,
+            cascade,
+        }
     }
 
     /// The cascade this decoder operates on.
@@ -170,13 +110,13 @@ impl<S: Symbol> PeelingDecoder<S> {
 
     /// True once every source packet is known.
     pub fn is_complete(&self) -> bool {
-        self.state.is_complete(&self.cascade)
+        self.solver.is_complete()
     }
 
     /// Packet values the decoder stores — its memory footprint in packets,
     /// at most `n` whatever is fed, and `0` after [`Self::release`].
     pub fn held(&self) -> usize {
-        self.state.held
+        self.solver.held()
     }
 
     /// Let go of every packet value, for a caller that has copied what it
@@ -186,14 +126,7 @@ impl<S: Symbol> PeelingDecoder<S> {
     /// packet is a [`AddOutcome::Duplicate`] (so a decoder released before
     /// it completed never completes).
     pub fn release(&mut self) {
-        self.state.store.clear();
-        self.state.holds = Bits::default();
-        self.state.held = 0;
-    }
-
-    /// `holds` has a bit per packet (`n ≥ 2`) until it is released.
-    fn released(&self) -> bool {
-        self.state.holds.0.is_empty()
+        self.solver.release();
     }
 
     /// Feed one encoding packet to the decoder.
@@ -207,11 +140,7 @@ impl<S: Symbol> PeelingDecoder<S> {
     /// may never complete: what the packet would have released is not
     /// revisited.
     pub fn add_packet(&mut self, index: usize, value: S) -> Result<AddOutcome> {
-        if self.register(index)? {
-            return Ok(AddOutcome::Duplicate);
-        }
-        self.state.store.insert(index, as_row::<S::Row>(&value))?;
-        self.accept_new(index)
+        self.add(index, Value::Owned(value))
     }
 
     /// Feed one encoding packet by reference — a payload as any byte slice —
@@ -227,16 +156,10 @@ impl<S: Symbol> PeelingDecoder<S> {
     ///
     /// Same as [`PeelingDecoder::add_packet`].
     pub fn add_packet_ref(&mut self, index: usize, value: &S::Row) -> Result<AddOutcome> {
-        if self.register(index)? {
-            return Ok(AddOutcome::Duplicate);
-        }
-        self.state.store.insert(index, value)?;
-        self.accept_new(index)
+        self.add(index, Value::Row(value))
     }
 
-    /// Validate `index` and report whether the packet is a duplicate — as
-    /// every packet is to a released decoder.
-    fn register(&mut self, index: usize) -> Result<bool> {
+    fn add(&mut self, index: usize, value: Value<'_, S>) -> Result<AddOutcome> {
         if index >= self.cascade.n() {
             return Err(TornadoError::MalformedInput {
                 reason: format!(
@@ -245,61 +168,98 @@ impl<S: Symbol> PeelingDecoder<S> {
                 ),
             });
         }
-        if self.released() {
-            return Ok(true);
+        if self.solver.released() {
+            return Ok(AddOutcome::Duplicate);
         }
-        if self.state.source_only && index >= self.cascade.k() {
-            self.catch_up()?;
+        if self.source_only && index >= self.cascade.k() {
+            self.feed_checks()?;
         }
-        Ok(self.state.known[index])
+        if self.solver.is_known(index) {
+            return Ok(AddOutcome::Duplicate);
+        }
+        if !self.solver.is_complete() {
+            self.feed(&[index as u32], value)?;
+        }
+        Ok(if self.solver.is_complete() {
+            AddOutcome::Complete
+        } else {
+            AddOutcome::Accepted
+        })
     }
 
-    /// Run peeling on a new packet, whose value the store now has — or,
-    /// while only source packets have arrived, just keep it.
-    fn accept_new(&mut self, index: usize) -> Result<AddOutcome> {
-        let (cascade, state) = (&*self.cascade, &mut self.state);
-        if state.source_only {
-            state.hold(index);
-            state.known[index] = true;
-            state.source_known += 1;
-            return Ok(if state.is_complete(cascade) {
-                AddOutcome::Complete
-            } else {
-                AddOutcome::Accepted
-            });
-        }
-        state.learn(index);
-        let outcome = state.peel(cascade);
-        state.worklist.clear();
-        outcome
-    }
-
-    /// Leave the source-only state: settle every held source packet, in
-    /// index order, as if each had been peeled on arrival.  Held sources
-    /// alone recover nothing, so this only counts — each check learns its
-    /// known neighbours, and whatever that makes computable is known — and
-    /// the packet that ended the state then meets the same decoder it would
-    /// have met had nothing been deferred.
-    fn catch_up(&mut self) -> Result<()> {
-        let (cascade, state) = (&*self.cascade, &mut self.state);
-        state.source_only = false;
-        // `settle` counts each source again.
-        state.source_known = 0;
-        for g in 0..cascade.k() {
-            if state.known[g] {
-                state.worklist.push(g);
-                state.peel(cascade)?;
+    /// Leave the source-only state: give the solver every check's equation,
+    /// level by level, so that the packet that ended the state meets the
+    /// same decoder it would have met had nothing been deferred.
+    fn feed_checks(&mut self) -> Result<()> {
+        self.source_only = false;
+        let cascade = Arc::clone(&self.cascade);
+        let mut cols = Vec::new();
+        for (level, graph) in cascade.graphs().iter().enumerate() {
+            let left = cascade.level_offset(level) as u32;
+            let checks = cascade.level_offset(level + 1);
+            for j in 0..graph.right() {
+                if self.solver.is_complete() {
+                    return Ok(());
+                }
+                cols.clear();
+                cols.push((checks + j) as u32);
+                cols.extend(graph.check_neighbors(j).iter().map(|&l| left + l));
+                self.feed(&cols, Value::Zero)?;
             }
         }
-        state.worklist.clear();
+        Ok(())
+    }
+
+    /// Give the solver one equation, then solve the final block if that
+    /// made enough of it known.
+    fn feed(&mut self, cols: &[u32], value: Value<'_, S>) -> Result<()> {
+        self.solver.add(None, cols, value)?;
+        self.try_final_level()
+    }
+
+    /// Recover the final cascade level through the MDS code once `k` of its
+    /// block's packets are known — unless every packet of it is known
+    /// already, which is what a reception that started with the source
+    /// looks like.
+    fn try_final_level(&mut self) -> Result<()> {
+        let code = self.cascade.final_code();
+        if self.final_done || self.solver.is_complete() || self.solver.tail_known() < code.k() {
+            return Ok(());
+        }
+        let level =
+            self.cascade.level_offset(self.cascade.num_levels() - 1)..self.cascade.rs_offset();
+        if level.clone().all(|g| self.solver.is_known(g)) {
+            self.final_done = true;
+            return Ok(());
+        }
+        // Level packets are the systematic part of the block: each one
+        // known is one fewer for the MDS code to solve for, at a few XORs.
+        for g in level.clone() {
+            self.solver.materialize(g);
+        }
+        // The solve borrows the rows straight out of the store.
+        let received: Vec<(usize, &S::Row)> = (level.start..self.cascade.n())
+            .filter_map(|g| Some((g - level.start, self.solver.value(g)?)))
+            .collect();
+        let Some(solved) = S::recover_final_level(code, &received)? else {
+            return Ok(());
+        };
+        self.final_done = true;
+        for (g, v) in level.zip(solved) {
+            if self.solver.is_complete() {
+                break;
+            }
+            if !self.solver.is_known(g) {
+                self.solver.add(None, &[g as u32], Value::Owned(v))?;
+            }
+        }
         Ok(())
     }
 
     /// Borrow the recovered source packets, in order, if decoding is
     /// complete and the values have not been [released](Self::release).
     pub fn source_iter(&self) -> Option<impl ExactSizeIterator<Item = &S::Row> + '_> {
-        (self.is_complete() && !self.released())
-            .then(|| (0..self.cascade.k()).map(|g| self.state.store.row(g)))
+        self.solver.wanted_iter()
     }
 
     /// A copy of the recovered source packets, if [`Self::source_iter`] has
@@ -309,184 +269,13 @@ impl<S: Symbol> PeelingDecoder<S> {
     }
 }
 
-impl<S: Symbol> State<S> {
-    fn is_complete(&self, cascade: &Cascade) -> bool {
-        self.source_known == cascade.k()
-    }
-
-    /// Settle the worklist until it runs dry or the source is known: what
-    /// else the packet would have made known no longer matters.
-    fn peel(&mut self, cascade: &Cascade) -> Result<AddOutcome> {
-        while !self.is_complete(cascade) {
-            let Some(g) = self.worklist.pop() else {
-                return Ok(AddOutcome::Accepted);
-            };
-            self.settle(cascade, g)?;
-        }
-        Ok(AddOutcome::Complete)
-    }
-
-    /// Packet `g`, whose value the store has just been given, is known and
-    /// held: queue it for [`Self::settle`].
-    fn learn(&mut self, g: usize) {
-        debug_assert!(!self.known[g]);
-        self.hold(g);
-        self.known[g] = true;
-        self.worklist.push(g);
-    }
-
-    fn hold(&mut self, g: usize) {
-        self.holds.set(g);
-        self.held += 1;
-    }
-
-    /// Packet `g` just became known (held or computable): count it, tell the
-    /// checks above it, and queue whatever that makes known.
-    fn settle(&mut self, cascade: &Cascade, g: usize) -> Result<()> {
-        #[cfg(test)]
-        {
-            self.settled += 1;
-        }
-        match cascade.role(g) {
-            PacketRole::Level { level, pos } => {
-                if level == 0 {
-                    self.source_known += 1;
-                }
-                if level + 1 == cascade.num_levels() {
-                    self.rs_block_known += 1;
-                } else {
-                    let check_offset = cascade.level_offset(level + 1);
-                    for &c in cascade.graphs()[level].left_neighbors(pos) {
-                        let check = check_offset + c as usize;
-                        let unknown = &mut self.unknown_left[check - self.check_base];
-                        *unknown -= 1;
-                        match *unknown {
-                            // Every neighbour known: the check is computable
-                            // (it feeds the level above and the final block),
-                            // but nothing is XORed until something needs it.
-                            0 if !self.known[check] => {
-                                self.known[check] = true;
-                                self.worklist.push(check);
-                            }
-                            1 if self.holds.get(check) => self.recover_neighbor(cascade, check),
-                            _ => {}
-                        }
-                    }
-                }
-                // As a held check of the graph below: it may now resolve its
-                // one unknown neighbour.  (A computable check has none.)
-                if level >= 1 && self.holds.get(g) && self.unknown_left[g - self.check_base] == 1 {
-                    self.recover_neighbor(cascade, g);
-                }
-            }
-            PacketRole::RsCheck { .. } => self.rs_block_known += 1,
-        }
-        // The final level becomes recoverable as soon as k of its block's
-        // packets are known.
-        if !self.rs_done
-            && !self.is_complete(cascade)
-            && self.rs_block_known >= cascade.final_code().k()
-        {
-            self.try_final_level(cascade)?;
-        }
-        Ok(())
-    }
-
-    /// The left neighbours of check node `check`, as global indices.
-    fn neighbors_below(cascade: &Cascade, check: usize) -> impl Iterator<Item = usize> + '_ {
-        let PacketRole::Level { level, pos } = cascade.role(check) else {
-            unreachable!("check nodes are level packets");
-        };
-        let left_offset = cascade.level_offset(level - 1);
-        cascade.graphs()[level - 1]
-            .check_neighbors(pos)
-            .iter()
-            .map(move |&l| left_offset + l as usize)
-    }
-
-    /// Recover the one unknown neighbour of held check node `check`: the
-    /// check's value XOR every other neighbour.
-    fn recover_neighbor(&mut self, cascade: &Cascade, check: usize) {
-        // None when the neighbour still counted as unknown is a computable
-        // check waiting in the worklist.
-        let Some(missing) = Self::neighbors_below(cascade, check).find(|&g| !self.known[g]) else {
-            return;
-        };
-        let others = || Self::neighbors_below(cascade, check).filter(move |&g| g != missing);
-        for g in others() {
-            self.materialize(cascade, g);
-        }
-        self.store
-            .combine(missing, std::iter::once(check).chain(others()));
-        self.learn(missing);
-    }
-
-    /// Build and keep the value of computable check `g` from its neighbours
-    /// (building those first where they are computable too); no-op when `g`
-    /// is held.
-    fn materialize(&mut self, cascade: &Cascade, g: usize) {
-        if self.holds.get(g) {
-            return;
-        }
-        debug_assert!(self.known[g]);
-        for below in Self::neighbors_below(cascade, g) {
-            self.materialize(cascade, below);
-        }
-        self.store.combine(g, Self::neighbors_below(cascade, g));
-        self.hold(g);
-    }
-
-    /// Recover the final cascade level through the MDS code — unless every
-    /// packet of it is known already, which is what a reception that started
-    /// with the source looks like.
-    fn try_final_level(&mut self, cascade: &Cascade) -> Result<()> {
-        let last_level = cascade.num_levels() - 1;
-        let level_offset = cascade.level_offset(last_level);
-        let level = level_offset..level_offset + cascade.level_sizes()[last_level];
-        let rs_offset = cascade.rs_offset();
-
-        if level.clone().all(|g| self.known[g]) {
-            self.rs_done = true;
-            return Ok(());
-        }
-        // Level packets are the systematic part of the block: each one held
-        // is one fewer for the MDS code to solve for, at a few XORs.
-        for g in level.clone() {
-            if self.known[g] {
-                self.materialize(cascade, g);
-            }
-        }
-        // Borrow the rows straight out of the store: the solve never copies
-        // a payload to marshal its input.
-        let received: Vec<(usize, &S::Row)> = (level.clone().chain(rs_offset..cascade.n()))
-            .filter(|&g| self.holds.get(g))
-            .map(|g| (g - level_offset, self.store.row(g)))
-            .collect();
-        if let Some(solved) = S::recover_final_level(cascade.final_code(), &received)? {
-            self.rs_done = true;
-            for (g, v) in level.zip(solved) {
-                if !self.known[g] {
-                    self.store.insert(g, as_row::<S::Row>(&v))?;
-                    self.learn(g);
-                }
-            }
-        }
-        Ok(())
-    }
-}
-
 impl PeelingDecoder<Vec<u8>> {
     /// The recovered file, `file_len` bytes: the source rows taken out of the
     /// decoder — the buffer they were written to, not a copy — after which
     /// the decoder is [released](Self::release).  `None` unless the decode is
     /// complete, not released, and `file_len` fits in its `k` rows.
     pub fn take_file(&mut self, file_len: usize) -> Option<Vec<u8>> {
-        if !self.is_complete() || self.released() {
-            return None;
-        }
-        let file = self.state.store.take_source(file_len)?;
-        self.release();
-        Some(file)
+        self.solver.take_wanted(file_len)
     }
 }
 
@@ -527,6 +316,7 @@ mod tests {
     use super::*;
     use crate::cascade::Cascade;
     use crate::profile::{TornadoProfile, TORNADO_A, TORNADO_B};
+    use df_gf::ledger::{self, Work};
     use proptest::prelude::*;
     use rand::seq::SliceRandom;
     use rand::{Rng, SeedableRng};
@@ -677,32 +467,47 @@ mod tests {
     }
 
     #[test]
-    fn a_source_first_reception_settles_nothing_until_a_check_arrives() {
+    fn a_source_only_prefix_feeds_no_check_equation_and_xors_nothing() {
         let k = 500;
         let cascade = Arc::new(Cascade::build(k, TORNADO_A, 17).unwrap());
         let src = random_source(k, 8, 17);
         let enc = encode_all(&cascade, &src);
+        let xors = |since: Work| (ledger::snapshot() - since).xors;
+        let start = ledger::snapshot();
         let mut whole = PayloadDecoder::new(cascade.clone());
         for (i, p) in src.iter().enumerate() {
             whole.add_packet_ref(i, p).unwrap();
         }
         assert!(whole.is_complete());
-        assert_eq!(whole.state.settled, 0, "a source-only reception is a copy");
+        assert_eq!(xors(start), 0, "a source-only reception is a copy");
 
-        // One source lost: the check that covers it settles the k − 1 held
-        // sources once, and then recovers the missing one.
+        // One source lost: nothing reaches the solver but the k − 1 unit
+        // equations until a check arrives.  The first one feeds every
+        // check's equation (this one is computable, so a duplicate); the
+        // one that covers the missing source then recovers it.
+        let start = ledger::snapshot();
         let mut dec = PayloadDecoder::new(cascade.clone());
         for (i, p) in src[..k - 1].iter().enumerate().rev() {
             assert_eq!(dec.add_packet_ref(i, p), Ok(AddOutcome::Accepted));
         }
-        assert_eq!(dec.state.settled, 0);
+        assert_eq!(dec.solver.pending_equations(), 0);
+        assert_eq!(xors(start), 0);
         let graph = &cascade.graphs()[0];
+        let computable = (0..graph.right())
+            .find(|&c| !graph.check_neighbors(c).contains(&(k as u32 - 1)))
+            .unwrap();
+        let computable = cascade.global_index(1, computable);
+        assert_eq!(
+            dec.add_packet_ref(computable, &enc[computable]),
+            Ok(AddOutcome::Duplicate)
+        );
+        assert!(dec.solver.pending_equations() > 0, "the checks are fed");
+        assert_eq!(xors(start), 0, "and nothing is built");
         let covering = cascade.global_index(1, graph.left_neighbors(k - 1)[0] as usize);
         assert_eq!(
             dec.add_packet_ref(covering, &enc[covering]),
             Ok(AddOutcome::Complete)
         );
-        assert!(dec.state.settled >= k, "settled {}", dec.state.settled);
         assert_eq!(dec.source().unwrap(), src);
     }
 

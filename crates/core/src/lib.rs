@@ -61,6 +61,7 @@ pub mod graph;
 pub mod overhead;
 pub mod profile;
 pub mod rateless;
+mod solve;
 mod store;
 pub mod symbol;
 

@@ -17,8 +17,8 @@
 //! writes a symbol from those rows straight into the caller's buffer.
 //!
 //! The decoder is a thin equation *source*: it turns each arriving seed back
-//! into its equation and hands `(neighbours, payload)` to the one streaming
-//! GF(2) solver of the rateless path (`solve.rs` — degree-one release while
+//! into its equation and hands `(neighbours, payload)` to the crate's one
+//! streaming GF(2) solver (`solve.rs` — degree-one release while
 //! a ripple exists, inactivation when it dries up, the remaining values
 //! computed once the system is determined).  [`crate::RaptorDecoder`] is the
 //! same source over the same solver, with the precode's checks fed in up
@@ -39,7 +39,8 @@ use crate::encode::Encoding;
 use crate::error::{Result, TornadoError};
 use crate::graph::BipartiteGraph;
 use crate::rateless::soliton::{DegreeTable, RobustSoliton};
-use crate::rateless::solve::{SolveTrace, Solver, Value};
+use crate::solve::{SolveTrace, Solver, Value, INACTIVATION_CAP};
+use crate::store::StoreShape;
 use crate::symbol::{xor_rows, Symbol};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -282,7 +283,7 @@ impl<S: Symbol> LtDecoder<S> {
     pub fn new(encoder: LtEncoder) -> Self {
         let count = encoder.count();
         LtDecoder {
-            solver: Solver::new(count, count),
+            solver: Self::solver(count, count),
             encoder,
             neighbors: Vec::new(),
             received_total: 0,
@@ -296,7 +297,7 @@ impl<S: Symbol> LtDecoder<S> {
     /// zero-valued equation `check ⊕ Σ neighbours = 0`.
     pub(crate) fn over_precode(encoder: LtEncoder, precode: &BipartiteGraph) -> Self {
         let k = precode.left();
-        let mut solver = Solver::new(encoder.count(), k);
+        let mut solver = Self::solver(encoder.count(), k);
         let mut cols = Vec::new();
         for j in 0..precode.right() {
             cols.clear();
@@ -312,6 +313,14 @@ impl<S: Symbol> LtDecoder<S> {
             received_total: 0,
             received_distinct: 0,
         }
+    }
+
+    /// A solver over `n` symbols wanting the first `wanted` back, its
+    /// store sized for about as many equations held at once as an honest
+    /// decode receives (an eighth more, for small-k tails).
+    fn solver(n: usize, wanted: usize) -> Solver<S> {
+        let shape = StoreShape::uniform(wanted, 2 * n + n / 8 + 64);
+        Solver::new(n, shape, INACTIVATION_CAP, n)
     }
 
     /// Number of symbols the equations range over.

@@ -15,10 +15,11 @@
 //!   which trades 5 % more symbols to range over for a constant encoding
 //!   cost per symbol.
 //!
-//! Both decoders are equation sources over one streaming sparse GF(2)
-//! solver (`solve.rs`): peeling while a ripple exists, inactivation decoding
-//! when it dries up, so either mode completes on the first symbol that makes
-//! the file determined at all.
+//! Both decoders are equation sources over the crate's one streaming sparse
+//! GF(2) solver (`solve.rs`, which the Tornado peeling decoder feeds too):
+//! peeling while a ripple exists, inactivation decoding when it dries up,
+//! so either mode completes on the first symbol that makes the file
+//! determined at all.
 //!
 //! `df-proto` carries the seed in the existing 12-byte header
 //! (`packet_index:serial` = high:low 32 bits) and advertises the mode on the
@@ -27,12 +28,11 @@
 mod lt;
 mod raptor;
 mod soliton;
-mod solve;
 
+pub use crate::solve::{SolveTrace, INACTIVATION_CAP};
 pub use lt::{LtDecoder, LtEncoder, LtEquation};
 pub use raptor::{RaptorCode, RaptorDecoder, PRECODE_DEGREE, RAPTOR_DEGREE_TABLE};
 pub use soliton::{DegreeTable, RobustSoliton};
-pub use solve::{SolveTrace, INACTIVATION_CAP};
 
 /// Default robust-soliton `c` for plain-LT sessions (the classic
 /// literature operating point, also the ISSUE/acceptance parameters).

@@ -30,7 +30,7 @@ use crate::error::{Result, TornadoError};
 use crate::graph::{BipartiteGraph, CheckSide};
 use crate::rateless::lt::{LtDecoder, LtEncoder};
 use crate::rateless::soliton::DegreeTable;
-use crate::rateless::solve::{SolveTrace, Value};
+use crate::solve::{SolveTrace, Value};
 use crate::store::StoreShape;
 use crate::symbol::{Mark, Symbol};
 use rand::SeedableRng;

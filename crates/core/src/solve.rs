@@ -1,16 +1,27 @@
-//! The one decoder of the rateless path: a streaming sparse GF(2) solver.
+//! The one peeling engine: a streaming sparse GF(2) solver.
 //!
-//! Both rateless modes hand their equations here.  An equation is a set of
-//! unknowns (columns `0..n`) whose XOR equals a value; plain LT feeds the
-//! received symbols over its `k` source packets, Raptor feeds the same over
-//! its `k + m` intermediates *plus* the precode's `m` checks as zero-valued
-//! equations, so the precode is not a second decoder — it is more rows of
-//! the same system.
+//! Every decoder of the crate is an equation source over it.  An equation
+//! is a set of unknowns (columns `0..n`) whose XOR equals a value:
 //!
-//! The solver is maximum-likelihood: it completes on exactly the equation
-//! that brings the system to full column rank (`tests/rateless_oracle.rs`
-//! holds it to a dense Gaussian elimination), and it gets there by
-//! **inactivation decoding** rather than by eliminating a `n × n` matrix:
+//! * a Tornado cascade ([`crate::PeelingDecoder`]) feeds each received
+//!   packet `i` as the unit equation `{i} = payload` and each check of
+//!   level ≥ 1 as the zero-valued equation `{check} ∪ left neighbours` —
+//!   the paper's substitution decoding (Section 5.1) is this solver's
+//!   degree-one release.  Its final MDS block is the one step that is not
+//!   an XOR: the decoder solves it once enough of the block is known and
+//!   feeds the recovered rows back as unit equations;
+//! * plain LT ([`crate::LtDecoder`]) feeds the received symbols over its
+//!   `k` source packets;
+//! * Raptor ([`crate::RaptorDecoder`]) feeds the same over its `k + m`
+//!   intermediates *plus* the precode's `m` checks as zero-valued
+//!   equations, so the precode is not a second decoder — it is more rows of
+//!   the same system.
+//!
+//! The solver is maximum-likelihood up to its inactivation cap: it
+//! completes on exactly the equation that brings the system to full column
+//! rank (`tests/rateless_oracle.rs` holds it to a dense Gaussian
+//! elimination), and it gets there by **inactivation decoding** rather than
+//! by eliminating a `n × n` matrix:
 //!
 //! 1. *Peel.*  While some buffered equation has exactly one unresolved
 //!    unknown (the ripple), that unknown is released — the classic LT
@@ -32,8 +43,26 @@
 //!    one dense pass for the inactive values (≈ `u²/2` XORs for `u`
 //!    inactive unknowns), one sparse pass in peel order for the rest.
 //!
+//! The cap on the inactive set is the constructor's: the rateless decoders
+//! pass [`INACTIVATION_CAP`], the cascade passes 0, so it only peels and
+//! completes where the paper's decoder does.  At the cap the solver stops
+//! inactivating and waits for the ripple: further equations still peel
+//! (the inactive unknowns count as resolved), so it completes from somewhat
+//! more than the ML minimum, and its dense system — hence the work one
+//! arrival can cost — stays bounded however large `n` is.
+//!
 //! Every value — released at a peel or computed in a pass — is one call of
-//! the many-source XOR kernel over all of its sources.
+//! the many-source XOR kernel over all of its sources, with two rules that
+//! keep payload work to what the decode needs, whichever source feeds it:
+//!
+//! * **One copy per payload.**  A unit equation on an unresolved unknown,
+//!   before anything is inactive, is written straight into that unknown's
+//!   row: its value is never kept as an equation first.
+//! * **Lazy values.**  An unknown outside `0..wanted` that a zero-valued
+//!   equation releases is known but not computed: it keeps the equation's
+//!   other unknowns as its definition and is XORed from them at its first
+//!   use, if any (a cascade's check that only ever counts as known, a
+//!   Raptor precode intermediate no peel goes through).
 //!
 //! Every decision above reads indices, counters and masks — never a value —
 //! so a [`crate::Mark`] solver and a payload solver fed the same equations
@@ -50,20 +79,18 @@
 //! most as many equation values as the solver ever held equations at once.
 //! The equations' neighbour lists share one arena and the column → row
 //! lists one node pool, both reclaimed as rows are let go: once those have
-//! grown to what a download holds, an equation costs no allocation.
-//!
-//! [`INACTIVATION_CAP`] bounds the inactive set.  At the cap the solver
-//! stops inactivating and waits for the ripple: further equations still
-//! peel (the inactive unknowns count as resolved), so it completes from
-//! somewhat more than the ML minimum, and its dense system — hence the work
-//! one arrival can cost — stays bounded however large `n` is.
+//! grown to what a download holds, an equation costs no allocation.  The
+//! per-unknown state is two bytes until the first equation of two or more
+//! unknowns arrives: a reception of unit equations alone allocates nothing
+//! else.
 
 use crate::error::Result;
 use crate::store::{as_row, StoreShape, SymbolStore};
 use crate::symbol::Symbol;
 use std::collections::HashSet;
 
-/// Most unknowns the solver will inactivate — the side of its dense system.
+/// Most unknowns the rateless decoders let the solver inactivate — the
+/// side of its dense system.
 ///
 /// An honest decode at `k` = 4096 inactivates ≈ 100 (plain LT) to ≈ 200
 /// (Raptor) unknowns and the count grows roughly with `√k`, so the bound
@@ -104,16 +131,28 @@ fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
     })
 }
 
+/// Where an unknown stands.  The three states that need a number keep it
+/// in the solver's `at`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Col {
     /// Neither valued nor resolved symbolically.
     Active,
     /// Its value is computed.
     Known,
+    /// Known, its value the XOR of the definition at this position of
+    /// `defs` and computed at its first use.
+    Lazy,
     /// Resolved symbolically by the equation at this position of `order`.
-    Peeled(u32),
+    Peeled,
     /// Inactive, with this index into the dense system.
-    Inactive(u32),
+    Inactive,
+}
+
+impl Col {
+    /// Known, computed or not.
+    fn known(self) -> bool {
+        matches!(self, Col::Known | Col::Lazy)
+    }
 }
 
 /// Whether an unknown has a value in the store.
@@ -155,9 +194,11 @@ struct Row {
 /// no allocation of its own once the pool has grown to what a download
 /// holds.  List `c < n` is column `c`'s: the buffered rows in which it is
 /// still [`Col::Active`], in the order they arrived (appended, then taken
-/// whole).  List `n + d` is degree bucket `d`, used as a stack.
+/// whole).  List `n + d` is degree bucket `d`, used as a stack.  Nothing is
+/// allocated before the first entry.
 #[derive(Debug, Clone, Default)]
 struct Lists {
+    lists: usize,
     head: Vec<u32>,
     tail: Vec<u32>,
     len: Vec<u32>,
@@ -170,11 +211,18 @@ struct Lists {
 impl Lists {
     fn new(lists: usize) -> Self {
         Lists {
-            head: vec![NONE; lists],
-            tail: vec![NONE; lists],
-            len: vec![0; lists],
-            nodes: Vec::new(),
+            lists,
             free: NONE,
+            ..Lists::default()
+        }
+    }
+
+    /// Allocate the lists' heads at the first entry.
+    fn grow(&mut self) {
+        if self.head.is_empty() {
+            self.head = vec![NONE; self.lists];
+            self.tail = vec![NONE; self.lists];
+            self.len = vec![0; self.lists];
         }
     }
 
@@ -191,6 +239,7 @@ impl Lists {
 
     /// Append `r` to list `l`.
     fn push_back(&mut self, l: usize, r: u32) {
+        self.grow();
         let node = self.node(r, NONE);
         match self.tail[l] {
             NONE => self.head[l] = node,
@@ -202,6 +251,7 @@ impl Lists {
 
     /// Put `r` in front of list `l`.
     fn push_front(&mut self, l: usize, r: u32) {
+        self.grow();
         let node = self.node(r, self.head[l]);
         if self.head[l] == NONE {
             self.tail[l] = node;
@@ -211,7 +261,7 @@ impl Lists {
     }
 
     fn front(&self, l: usize) -> Option<u32> {
-        let head = self.head[l];
+        let head = *self.head.get(l)?;
         (head != NONE).then(|| self.nodes[head as usize].0)
     }
 
@@ -227,12 +277,15 @@ impl Lists {
     }
 
     fn len(&self, l: usize) -> usize {
-        self.len[l] as usize
+        self.len.get(l).map_or(0, |&len| len as usize)
     }
 
     /// Empty list `l`; its rows come out of [`Self::pop`] from the returned
     /// cursor.
     fn take(&mut self, l: usize) -> u32 {
+        if self.head.is_empty() {
+            return NONE;
+        }
         self.tail[l] = NONE;
         self.len[l] = 0;
         std::mem::replace(&mut self.head[l], NONE)
@@ -258,7 +311,8 @@ impl Lists {
 /// symbols performs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveTrace {
-    /// Payload XORs of the values released by peeling as symbols arrived.
+    /// Payload XORs of the values released by peeling as symbols arrived,
+    /// a lazy value's when it is first used.
     pub peel_xors: u64,
     /// Payload XORs of the four passes that compute the rest at full rank:
     /// the peeled unknowns' constants, the dense rows' constants, the
@@ -299,6 +353,12 @@ pub(crate) struct Solver<S: Symbol> {
     wanted: usize,
     cols: Vec<Col>,
     vals: Vec<Val>,
+    /// Per column, the number its state needs (see [`Col`]); allocated at
+    /// the first column that needs one.
+    at: Vec<u32>,
+    /// The definitions of the lazy columns, back to back, each its length
+    /// and then its columns.
+    defs: Vec<u32>,
     /// Unknown `c`'s value at `c`, row slot `r`'s at `cols.len() + r`.
     store: S::Store,
     /// The column lists and the degree buckets (see [`Lists`]); equations
@@ -324,6 +384,11 @@ pub(crate) struct Solver<S: Symbol> {
     pending_edges: usize,
     known: usize,
     wanted_known: usize,
+    /// Columns from `tail` on are counted apart, in `tail_known`.
+    tail: usize,
+    tail_known: usize,
+    /// Columns whose value is in the store.
+    held: usize,
     /// Columns still [`Col::Active`].
     unresolved: usize,
     /// Buffered rows with two or more active columns.
@@ -337,7 +402,6 @@ pub(crate) struct Solver<S: Symbol> {
     masks: Vec<u64>,
     /// Inactive columns by dense index; never more than `cap` of them.
     inactive: Vec<u32>,
-    /// [`INACTIVATION_CAP`], but for the tests of what happens at it.
     cap: usize,
     /// Rows whose columns are all resolved, waiting to enter `dense`.
     residual: Vec<u32>,
@@ -356,15 +420,18 @@ pub(crate) struct Solver<S: Symbol> {
 }
 
 impl<S: Symbol> Solver<S> {
-    /// A solver over `n` unknowns of which the first `wanted` are asked for.
-    pub(crate) fn new(n: usize, wanted: usize) -> Self {
+    /// A solver over `n` unknowns whose values go in a store of `shape`;
+    /// the first `shape.k` unknowns are the ones asked for.  It inactivates
+    /// at most `cap` unknowns, and counts the known ones from `tail` on
+    /// apart ([`Self::tail_known`]).
+    pub(crate) fn new(n: usize, shape: StoreShape, cap: usize, tail: usize) -> Self {
         Solver {
-            wanted,
+            wanted: shape.k,
             cols: vec![Col::Active; n],
             vals: vec![Val::Unset; n],
-            // Unknowns `0..n`, and about as many equations held at once as
-            // an honest decode receives (an eighth more, for small-k tails).
-            store: S::Store::empty(StoreShape::uniform(wanted, 2 * n + n / 8 + 64)),
+            at: Vec::new(),
+            defs: Vec::new(),
+            store: S::Store::empty(shape),
             lists: Lists::new(n + BUCKETS),
             rows: Vec::new(),
             arena: Vec::new(),
@@ -376,6 +443,9 @@ impl<S: Symbol> Solver<S> {
             pending_edges: 0,
             known: 0,
             wanted_known: 0,
+            tail,
+            tail_known: 0,
+            held: 0,
             unresolved: n,
             buffered: 0,
             ripple: Vec::new(),
@@ -383,7 +453,7 @@ impl<S: Symbol> Solver<S> {
             mask_span: Vec::new(),
             masks: Vec::new(),
             inactive: Vec::new(),
-            cap: INACTIVATION_CAP,
+            cap,
             residual: Vec::new(),
             dense: Vec::new(),
             dense_words: Vec::new(),
@@ -401,9 +471,24 @@ impl<S: Symbol> Solver<S> {
         self.complete
     }
 
-    /// Unknowns whose value has been computed.
+    /// Unknowns known so far, computed or lazy.
     pub(crate) fn known(&self) -> usize {
         self.known
+    }
+
+    /// Whether unknown `c` is known, computed or lazy.
+    pub(crate) fn is_known(&self, c: usize) -> bool {
+        self.cols[c].known()
+    }
+
+    /// Known unknowns from the constructor's `tail` on.
+    pub(crate) fn tail_known(&self) -> usize {
+        self.tail_known
+    }
+
+    /// Unknowns whose value is in the store.
+    pub(crate) fn held(&self) -> usize {
+        self.held
     }
 
     /// Equations held.
@@ -411,7 +496,7 @@ impl<S: Symbol> Solver<S> {
         self.live
     }
 
-    /// References from held equations to unknowns without a value.
+    /// References from held equations to unknowns not known.
     pub(crate) fn pending_edges(&self) -> usize {
         self.pending_edges
     }
@@ -437,7 +522,7 @@ impl<S: Symbol> Solver<S> {
     }
 
     /// The wanted values in order, once complete and not yet released.
-    pub(crate) fn wanted_iter(&self) -> Option<impl Iterator<Item = &S::Row> + '_> {
+    pub(crate) fn wanted_iter(&self) -> Option<impl ExactSizeIterator<Item = &S::Row> + '_> {
         let wanted = self.vals.get(..self.wanted)?;
         (self.complete && wanted.iter().all(|&v| v == Val::Held))
             .then(|| (0..self.wanted).map(|c| self.store.row(c)))
@@ -448,6 +533,7 @@ impl<S: Symbol> Solver<S> {
         self.drop_equations();
         self.store.clear();
         self.vals = Vec::new();
+        self.held = 0;
     }
 
     /// True once [`Self::release`] has run (`n ≥ 1` until then).
@@ -474,6 +560,22 @@ impl<S: Symbol> Solver<S> {
         debug_assert!(!self.complete && !self.released());
         if tag.is_some_and(|t| self.tags.contains(&t)) {
             return Ok(false);
+        }
+        if let [c] = *cols {
+            let c = c as usize;
+            if self.cols[c] == Col::Active && self.inactive.is_empty() {
+                // Its value is the column's: written straight into its row.
+                match value {
+                    Value::Zero => self.vals[c] = Val::Zero,
+                    Value::Owned(v) => self.insert(c, as_row::<S::Row>(&v))?,
+                    Value::Row(v) => self.insert(c, v)?,
+                }
+                self.trace.peeled += 1;
+                self.cols[c] = Col::Known;
+                self.resolve_known(c as u32);
+                self.settle();
+                return Ok(true);
+            }
         }
         let active = cols
             .iter()
@@ -549,6 +651,13 @@ impl<S: Symbol> Solver<S> {
         Ok(true)
     }
 
+    /// Keep `value` as unknown `c`'s.
+    fn insert(&mut self, c: usize, value: &S::Row) -> Result<()> {
+        self.store.insert(c, value)?;
+        self.set_held(c, true);
+        Ok(())
+    }
+
     /// Row `r`'s unknowns.
     fn row_cols(&self, r: u32) -> &[u32] {
         let row = &self.rows[r as usize];
@@ -578,7 +687,7 @@ impl<S: Symbol> Solver<S> {
 
     fn unvalued(&self, cols: &[u32]) -> usize {
         cols.iter()
-            .filter(|&&c| self.cols[c as usize] != Col::Known)
+            .filter(|&&c| !self.cols[c as usize].known())
             .count()
     }
 
@@ -625,6 +734,27 @@ impl<S: Symbol> Solver<S> {
         }
     }
 
+    /// Column `p` has just become known: count it and, unless that
+    /// completes the decode, resolve it in every buffered row.
+    fn resolve_known(&mut self, p: u32) {
+        self.known += 1;
+        self.wanted_known += usize::from((p as usize) < self.wanted);
+        self.tail_known += usize::from(p as usize >= self.tail);
+        self.unresolved -= 1;
+        if self.wanted_known == self.wanted {
+            self.complete = true;
+            self.drop_equations();
+            return;
+        }
+        let mut cursor = self.lists.take(p as usize);
+        while let Some(r) = self.lists.pop(&mut cursor) {
+            if self.rows[r as usize].len > 0 {
+                self.pending_edges -= 1;
+                self.decrement(r);
+            }
+        }
+    }
+
     /// Run the ripple dry, inactivate while that can help, and fold what
     /// fell out into the dense system.
     fn settle(&mut self) {
@@ -646,7 +776,8 @@ impl<S: Symbol> Solver<S> {
             let Some(c) = self.column_to_inactivate() else {
                 break;
             };
-            self.cols[c as usize] = Col::Inactive(self.inactive.len() as u32);
+            self.cols[c as usize] = Col::Inactive;
+            self.set_at(c, self.inactive.len());
             self.inactive.push(c);
             self.unresolved -= 1;
             self.resolve_column(c, NONE);
@@ -673,9 +804,21 @@ impl<S: Symbol> Solver<S> {
         }
     }
 
+    /// Column `c`'s number (see [`Col`]).
+    fn at(&self, c: u32) -> usize {
+        self.at[c as usize] as usize
+    }
+
+    fn set_at(&mut self, c: u32, at: usize) {
+        if self.at.is_empty() {
+            self.at = vec![0; self.cols.len()];
+        }
+        self.at[c as usize] = at as u32;
+    }
+
     /// Whether store index `g` — an unknown, or a row slot past `n` — has
     /// its value in the store.
-    fn held(&self, g: usize) -> bool {
+    fn has_value(&self, g: usize) -> bool {
         match g.checked_sub(self.cols.len()) {
             Some(r) => self.rows[r].held,
             None => self.vals[g] == Val::Held,
@@ -685,7 +828,11 @@ impl<S: Symbol> Solver<S> {
     fn set_held(&mut self, g: usize, held: bool) {
         match g.checked_sub(self.cols.len()) {
             Some(r) => self.rows[r].held = held,
-            None => self.vals[g] = if held { Val::Held } else { Val::Zero },
+            None => {
+                let was =
+                    std::mem::replace(&mut self.vals[g], if held { Val::Held } else { Val::Zero });
+                self.held = self.held + usize::from(held) - usize::from(was == Val::Held);
+            }
         }
     }
 
@@ -704,7 +851,7 @@ impl<S: Symbol> Solver<S> {
     fn put_more(&mut self, g: usize, srcs: &[usize]) -> u64 {
         if srcs.is_empty() {
             0
-        } else if self.held(g) {
+        } else if self.has_value(g) {
             self.store.accumulate(g, srcs.iter().copied());
             srcs.len() as u64
         } else {
@@ -712,23 +859,58 @@ impl<S: Symbol> Solver<S> {
         }
     }
 
+    /// Compute lazy column `c`'s value, and first those of the lazy columns
+    /// of its definition; a no-op for any other column.
+    pub(crate) fn materialize(&mut self, c: usize) {
+        if self.cols[c] != Col::Lazy {
+            return;
+        }
+        let start = self.at(c as u32);
+        let def = start + 1..start + 1 + self.defs[start] as usize;
+        for d in def.clone() {
+            self.materialize(self.defs[d] as usize);
+        }
+        let mut srcs = std::mem::take(&mut self.srcs);
+        srcs.clear();
+        let defs = &self.defs[def];
+        srcs.extend(
+            defs.iter()
+                .map(|&d| d as usize)
+                .filter(|&d| self.vals[d] == Val::Held),
+        );
+        self.trace.peel_xors += self.put(c, &srcs);
+        self.srcs = srcs;
+        self.cols[c] = Col::Known;
+    }
+
+    /// Compute the lazy columns of row `r`.
+    fn materialize_row(&mut self, r: u32) {
+        let row = &self.rows[r as usize];
+        for i in row.start..row.start + row.len as usize {
+            self.materialize(self.arena[i] as usize);
+        }
+    }
+
     /// Gather into `srcs` row `r`'s value, if it has one, and the values
-    /// of its unknowns that are `Known` or (for the constant parts)
+    /// of its unknowns that are known or (for the constant parts)
     /// `Peeled`, `skip` aside; with `all`, every valued unknown but `skip`.
+    /// Its lazy columns must have been computed ([`Self::materialize_row`]).
     fn gather_row(&self, srcs: &mut Vec<usize>, r: u32, skip: u32, all: bool) {
         srcs.clear();
         if self.rows[r as usize].held {
             srcs.push(self.cols.len() + r as usize);
         }
         for &c in self.row_cols(r) {
-            let counts = all || matches!(self.cols[c as usize], Col::Known | Col::Peeled(_));
+            let counts = all || matches!(self.cols[c as usize], Col::Known | Col::Peeled);
             if c != skip && counts && self.vals[c as usize] == Val::Held {
                 srcs.push(c as usize);
             }
         }
     }
 
-    /// Degree-one release with values, before anything is inactive.
+    /// Degree-one release with values, before anything is inactive.  A
+    /// column outside `0..wanted` released by a zero-valued row is lazy: the
+    /// row's other columns become its definition.
     fn peel(&mut self) {
         while let Some(r) = self.ripple.pop() {
             if self.rows[r as usize].active != 1 {
@@ -739,30 +921,32 @@ impl<S: Symbol> Solver<S> {
                 .iter()
                 .copied()
                 .find(|&c| self.cols[c as usize] == Col::Active);
+            // The column's state changes once the row is let go, whose
+            // edge to it still counts as pending.
+            let mut state = Col::Known;
             if let Some(p) = target {
-                let mut srcs = std::mem::take(&mut self.srcs);
-                self.gather_row(&mut srcs, r, p, true);
-                self.trace.peel_xors += self.put(p as usize, &srcs);
+                if self.rows[r as usize].held || (p as usize) < self.wanted {
+                    self.materialize_row(r);
+                    let mut srcs = std::mem::take(&mut self.srcs);
+                    self.gather_row(&mut srcs, r, p, true);
+                    self.trace.peel_xors += self.put(p as usize, &srcs);
+                    self.srcs = srcs;
+                } else {
+                    state = Col::Lazy;
+                    self.set_at(p, self.defs.len());
+                    let row = &self.rows[r as usize];
+                    let cols = &self.arena[row.start..row.start + row.len as usize];
+                    self.defs.push(row.len - 1);
+                    self.defs.extend(cols.iter().filter(|&&c| c != p));
+                }
                 self.trace.peeled += 1;
-                self.srcs = srcs;
             }
             self.free(r);
             let Some(p) = target else { continue };
-            self.cols[p as usize] = Col::Known;
-            self.known += 1;
-            self.wanted_known += usize::from((p as usize) < self.wanted);
-            self.unresolved -= 1;
-            if self.wanted_known == self.wanted {
-                self.complete = true;
-                self.drop_equations();
+            self.cols[p as usize] = state;
+            self.resolve_known(p);
+            if self.complete {
                 return;
-            }
-            let mut cursor = self.lists.take(p as usize);
-            while let Some(r2) = self.lists.pop(&mut cursor) {
-                if self.rows[r2 as usize].len > 0 {
-                    self.pending_edges -= 1;
-                    self.decrement(r2);
-                }
             }
         }
     }
@@ -782,7 +966,8 @@ impl<S: Symbol> Solver<S> {
             else {
                 continue;
             };
-            self.cols[p as usize] = Col::Peeled(self.order.len() as u32);
+            self.cols[p as usize] = Col::Peeled;
+            self.set_at(p, self.order.len());
             self.order.push((p, r));
             self.trace.peeled_symbolically += 1;
             self.unresolved -= 1;
@@ -818,9 +1003,12 @@ impl<S: Symbol> Solver<S> {
     fn fill_mask(&self, mask: &mut [u64], masks: &[u64], cols: &[u32], skip: u32) {
         for &c in cols {
             match self.cols[c as usize] {
-                Col::Inactive(i) => mask[i as usize / 64] ^= 1 << (i % 64),
-                Col::Peeled(at) if c != skip => {
-                    let (start, len) = self.mask_span[at as usize];
+                Col::Inactive => {
+                    let i = self.at(c);
+                    mask[i / 64] ^= 1 << (i % 64);
+                }
+                Col::Peeled if c != skip => {
+                    let (start, len) = self.mask_span[self.at(c)];
                     xor_words(mask, &masks[start..start + len]);
                 }
                 _ => {}
@@ -929,6 +1117,7 @@ impl<S: Symbol> Solver<S> {
         for at in 0..self.order.len() {
             let (p, r) = self.order[at];
             if needed[p as usize] {
+                self.materialize_row(r);
                 self.gather_row(&mut srcs, r, p, false);
                 self.trace.finish_xors[0] += self.put(p as usize, &srcs);
             }
@@ -937,6 +1126,7 @@ impl<S: Symbol> Solver<S> {
         //    their own rows' values.
         for d in 0..self.dense.len() {
             let r = self.dense[d].source;
+            self.materialize_row(r);
             self.gather_row(&mut srcs, r, NONE, false);
             let slot = n + r as usize;
             srcs.retain(|&g| g != slot);
@@ -968,7 +1158,7 @@ impl<S: Symbol> Solver<S> {
             srcs.extend(
                 set_bits(combo)
                     .map(|j| n + self.dense[j].source as usize)
-                    .filter(|&g| self.held(g)),
+                    .filter(|&g| self.has_value(g)),
             );
             self.trace.finish_xors[2] += self.put(self.inactive[i] as usize, &srcs);
         }
@@ -989,17 +1179,18 @@ impl<S: Symbol> Solver<S> {
                 srcs.extend(
                     set_bits(mask)
                         .map(|i| self.inactive[i] as usize)
-                        .filter(|&c| self.held(c)),
+                        .filter(|&c| self.has_value(c)),
                 );
                 self.put_more(p as usize, &srcs)
             } else {
+                self.materialize_row(r);
                 self.gather_row(&mut srcs, r, p, true);
                 self.put(p as usize, &srcs)
             };
         }
         self.srcs = srcs;
         for (c, state) in self.cols.iter_mut().enumerate() {
-            if needed[c] && *state != Col::Known {
+            if needed[c] && !state.known() {
                 *state = Col::Known;
                 self.known += 1;
             }
@@ -1011,6 +1202,8 @@ impl<S: Symbol> Solver<S> {
 
     /// Everything but the values and the counters of what was computed.
     fn drop_equations(&mut self) {
+        self.at = Vec::new();
+        self.defs = Vec::new();
         self.rows = Vec::new();
         self.arena = Vec::new();
         self.spare = Vec::new();
@@ -1066,9 +1259,9 @@ mod tests {
         let lt = LtEncoder::new(n, LT_DEFAULT_C, LT_DEFAULT_DELTA, 8).unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         let values: Vec<Vec<u8>> = (0..n).map(|_| vec![rng.gen(), rng.gen()]).collect();
-        let mut capped = Solver::new(n, n);
-        capped.cap = 8;
-        let mut free = Solver::new(n, n);
+        let shape = StoreShape::uniform(n, 2 * n);
+        let mut capped = Solver::new(n, shape, 8, n);
+        let mut free = Solver::new(n, shape, INACTIVATION_CAP, n);
         let (mut seed, mut free_done) = (0u64, 0u64);
         while !capped.is_complete() {
             let cols = lt.equation(seed).neighbors;
@@ -1104,7 +1297,7 @@ mod tests {
         let n = 64;
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let values: Vec<Vec<u8>> = (0..n).map(|_| vec![rng.gen()]).collect();
-        let mut solver = Solver::new(n, n);
+        let mut solver = Solver::new(n, StoreShape::uniform(n, 2 * n), INACTIVATION_CAP, n);
         let pair = |a: usize| {
             let mut value = values[a].clone();
             df_gf::field::xor_slice(&mut value, &values[a + 1]);

@@ -1,13 +1,13 @@
-//! Where a decoder keeps the values it holds: the
-//! [`PeelingDecoder`](crate::PeelingDecoder) of a carousel, and the rateless
-//! solver behind [`LtDecoder`](crate::LtDecoder) and
+//! Where a decoder keeps the values it holds: the one solver behind the
+//! [`PeelingDecoder`](crate::PeelingDecoder) of a carousel,
+//! [`LtDecoder`](crate::LtDecoder) and
 //! [`RaptorDecoder`](crate::RaptorDecoder).
 //!
-//! The decoder decides *which* values are held — one bit per packet, or one
-//! state per unknown and per equation, the same for every symbol type — and
-//! a store keeps them, addressed by index: a carousel's packets by global
-//! encoding index; the solver's unknowns at `0..n` and its equations' values
-//! at `n + slot`.  The symbol type chooses the store ([`Symbol::Store`]):
+//! The solver decides *which* values are held — one state per unknown and
+//! per equation, the same for every symbol type — and a store keeps them,
+//! addressed by index: the solver's unknowns at `0..n` (a carousel's
+//! packets by global encoding index) and its equations' values at
+//! `n + slot`.  The symbol type chooses the store ([`Symbol::Store`]):
 //! payloads (`Vec<u8>`) live in a [`Slab`]: the source rows in one buffer
 //! laid out as the file, every other row in a second one.  A receiver
 //! therefore holds one file plus the rows its decode needed, and the
