@@ -5,57 +5,45 @@
 //! known check packet with exactly one unknown neighbour yields that
 //! neighbour, and a check packet whose neighbours are all known is itself
 //! known.  The final cascade level is recovered through the conventional MDS
-//! code as soon as enough of its block is known.  The decoder runs this
-//! relaxation as each packet arrives and stops at the packet that makes the
-//! source level known.
+//! code as soon as enough of its block is known.  The decoder stops at the
+//! packet that makes the source level known.
 //!
 //! That relaxation is the degree-one release of the crate's one peeling
-//! engine (`solve.rs`), so the decoder is a thin equation source over it, as
-//! the LT and Raptor decoders are: a received packet `i` is the unit
-//! equation `{i} = payload`, written straight into its row, and check `j`
-//! of level `ℓ ≥ 1` is the zero-valued equation `{check} ∪ left
-//! neighbours`.  A check the engine releases — computable from its
-//! neighbours, or recovered from the level above — is known but not built:
-//! XORs are spent only when a recovery goes through it.  The engine runs
-//! with no inactivation, so the decoder completes exactly where the paper's
-//! does.  The final MDS block is the one step that is not an XOR: once
-//! `final_code().k()` of its packets are known the decoder solves it
-//! through [`Symbol::recover_final_level`] and feeds the recovered
+//! engine (`solve.rs`), so the decoder is an equation source over it, as the
+//! LT and Raptor decoders are: a received packet `i` is the unit equation
+//! `{i} = payload`, copied once, into its row; check `j` of level `ℓ ≥ 1` is
+//! the zero-valued equation `{check} ∪ left neighbours`.  A check the engine
+//! releases is known but not built until a recovery goes through it, so a
+//! reception that already contains the source performs no XOR at all.  The
+//! engine runs with no inactivation, so the decoder completes exactly where
+//! the paper's does.  The final MDS block is the one step that is not an
+//! XOR: once `final_code().k()` of its packets are known the decoder solves
+//! it through [`Symbol::recover_final_level`] and feeds the recovered
 //! last-level rows back as unit equations.
 //!
-//! Until a packet other than a source packet arrives, the checks'
-//! equations are not fed at all.  Source packets alone recover nothing, so
-//! while the reception is source-only each one is a unit equation and no
-//! check hears of it.  The first check or final-block packet feeds the
-//! checks' equations once, before that packet is judged, so a check the
-//! sources already make computable is still a duplicate.  A lossless
-//! one-layer carousel receiver, which has the whole source before any check,
-//! therefore does nothing per packet but copy it.
+//! Until a packet other than a source packet arrives, the checks' equations
+//! are not fed at all: source packets alone recover nothing.  The first check
+//! or final-block packet feeds them once, before that packet is judged, so a
+//! check the sources already make computable is still a duplicate.  A
+//! lossless one-layer carousel receiver, which has the whole source before
+//! any check, therefore does nothing per packet but copy it.
 //!
 //! The decoder is generic over [`Symbol`]: with `Vec<u8>` it produces real
-//! payloads, with [`crate::symbol::Mark`] it is the index-only decoder
-//! used by the reception-efficiency simulations (Figures 4–6).  The symbol
-//! type also chooses where the values live (`store.rs`): a payload
-//! decoder keeps its source rows in one buffer laid out as the file and its
-//! check rows in a second, so what it holds is one file plus the check rows
-//! the decode needed, and a finished decode hands the file over without a
-//! copy ([`PeelingDecoder::take_file`]).
-//!
-//! A decoder owns only its per-download state.  The graphs belong to the
-//! [`Cascade`] — which the decoder holds by a shared handle, as every
-//! session of one code in a process does (see [`crate::codec`]) — so
-//! creating a decoder allocates two bytes of state per packet and nothing
-//! sized by the file: a payload decoder reserves the file's bytes, without
-//! touching them, at its first packet.  A finished one can
-//! [`PeelingDecoder::release`] what it holds, or give its source rows away
-//! as the file.  It keeps no reception tally: a receiver counts what it took
+//! payloads, with [`crate::symbol::Mark`] it is the index-only decoder used
+//! by the reception-efficiency simulations (Figures 4–6).  A payload decoder
+//! keeps its source rows in one buffer laid out as the file (`store.rs`), and
+//! a finished decode hands the file over without a copy
+//! ([`PeelingDecoder::take_file`]).  The graphs belong to the [`Cascade`],
+//! which every decoder and session of one code shares (see [`crate::codec`]),
+//! so creating a decoder allocates two bytes per packet and nothing sized by
+//! the file.  It keeps no reception tally: a receiver counts what it took
 //! through a [`crate::ReceptionCounter`], and [`AddOutcome`] is the
 //! decoder's verdict.
 
 use crate::cascade::Cascade;
 use crate::error::{Result, TornadoError};
-use crate::solve::{Solver, Value};
-use crate::store::StoreShape;
+use crate::solve::Solver;
+use crate::store::{as_row, StoreShape};
 use crate::symbol::{Mark, Symbol};
 use std::sync::Arc;
 
@@ -140,7 +128,7 @@ impl<S: Symbol> PeelingDecoder<S> {
     /// may never complete: what the packet would have released is not
     /// revisited.
     pub fn add_packet(&mut self, index: usize, value: S) -> Result<AddOutcome> {
-        self.add(index, Value::Owned(value))
+        self.add(index, as_row::<S::Row>(&value))
     }
 
     /// Feed one encoding packet by reference — a payload as any byte slice —
@@ -156,10 +144,10 @@ impl<S: Symbol> PeelingDecoder<S> {
     ///
     /// Same as [`PeelingDecoder::add_packet`].
     pub fn add_packet_ref(&mut self, index: usize, value: &S::Row) -> Result<AddOutcome> {
-        self.add(index, Value::Row(value))
+        self.add(index, value)
     }
 
-    fn add(&mut self, index: usize, value: Value<'_, S>) -> Result<AddOutcome> {
+    fn add(&mut self, index: usize, value: &S::Row) -> Result<AddOutcome> {
         if index >= self.cascade.n() {
             return Err(TornadoError::MalformedInput {
                 reason: format!(
@@ -171,14 +159,15 @@ impl<S: Symbol> PeelingDecoder<S> {
         if self.solver.released() {
             return Ok(AddOutcome::Duplicate);
         }
-        if self.source_only && index >= self.cascade.k() {
+        if self.source_only && index >= self.cascade.k() && !self.solver.is_complete() {
             self.feed_checks()?;
         }
         if self.solver.is_known(index) {
             return Ok(AddOutcome::Duplicate);
         }
         if !self.solver.is_complete() {
-            self.feed(&[index as u32], value)?;
+            self.solver.add(None, &[index as u32], value)?;
+            self.try_final_level()?;
         }
         Ok(if self.solver.is_complete() {
             AddOutcome::Complete
@@ -188,32 +177,24 @@ impl<S: Symbol> PeelingDecoder<S> {
     }
 
     /// Leave the source-only state: give the solver every check's equation,
-    /// level by level, so that the packet that ended the state meets the
-    /// same decoder it would have met had nothing been deferred.
+    /// so that the packet that ended the state meets the same decoder it
+    /// would have met had nothing been deferred.
     fn feed_checks(&mut self) -> Result<()> {
         self.source_only = false;
-        let cascade = Arc::clone(&self.cascade);
-        let mut cols = Vec::new();
-        for (level, graph) in cascade.graphs().iter().enumerate() {
-            let left = cascade.level_offset(level) as u32;
-            let checks = cascade.level_offset(level + 1);
-            for j in 0..graph.right() {
-                if self.solver.is_complete() {
-                    return Ok(());
-                }
-                cols.clear();
-                cols.push((checks + j) as u32);
-                cols.extend(graph.check_neighbors(j).iter().map(|&l| left + l));
-                self.feed(&cols, Value::Zero)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Give the solver one equation, then solve the final block if that
-    /// made enough of it known.
-    fn feed(&mut self, cols: &[u32], value: Value<'_, S>) -> Result<()> {
-        self.solver.add(None, cols, value)?;
+        let cascade = &*self.cascade;
+        let rows = cascade
+            .graphs()
+            .iter()
+            .enumerate()
+            .flat_map(|(level, graph)| {
+                let left = cascade.level_offset(level) as u32;
+                let checks = cascade.level_offset(level + 1) as u32;
+                (0..graph.right()).map(move |j| {
+                    let neighbours = graph.check_neighbors(j).iter().map(move |&l| left + l);
+                    std::iter::once(checks + j as u32).chain(neighbours)
+                })
+            });
+        self.solver.add_zero_rows(rows);
         self.try_final_level()
     }
 
@@ -250,7 +231,7 @@ impl<S: Symbol> PeelingDecoder<S> {
                 break;
             }
             if !self.solver.is_known(g) {
-                self.solver.add(None, &[g as u32], Value::Owned(v))?;
+                self.solver.add(None, &[g as u32], as_row::<S::Row>(&v))?;
             }
         }
         Ok(())

@@ -39,8 +39,8 @@ use crate::encode::Encoding;
 use crate::error::{Result, TornadoError};
 use crate::graph::BipartiteGraph;
 use crate::rateless::soliton::{DegreeTable, RobustSoliton};
-use crate::solve::{SolveTrace, Solver, Value, INACTIVATION_CAP};
-use crate::store::StoreShape;
+use crate::solve::{SolveTrace, Solver, INACTIVATION_CAP};
+use crate::store::{as_row, StoreShape};
 use crate::symbol::{xor_rows, Symbol};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -298,18 +298,14 @@ impl<S: Symbol> LtDecoder<S> {
     pub(crate) fn over_precode(encoder: LtEncoder, precode: &BipartiteGraph) -> Self {
         let k = precode.left();
         let mut solver = Self::solver(encoder.count(), k);
-        let mut cols = Vec::new();
-        for j in 0..precode.right() {
-            cols.clear();
-            cols.push((k + j) as u32);
-            cols.extend_from_slice(precode.check_neighbors(j));
-            // A zero value is never handed to the store, so never refused.
-            let _ = solver.add(None, &cols, Value::Zero);
-        }
+        solver.add_zero_rows((0..precode.right()).map(|j| {
+            let neighbours = precode.check_neighbors(j).iter().copied();
+            std::iter::once((k + j) as u32).chain(neighbours)
+        }));
         LtDecoder {
             solver,
             encoder,
-            neighbors: cols,
+            neighbors: Vec::new(),
             received_total: 0,
             received_distinct: 0,
         }
@@ -420,7 +416,7 @@ impl<S: Symbol> LtDecoder<S> {
     /// answered [`AddOutcome::Duplicate`]; [`Self::add_symbol_ref`] reports
     /// why instead.
     pub fn add_symbol(&mut self, seed: u64, value: S) -> AddOutcome {
-        self.add(seed, Value::Owned(value))
+        self.add(seed, as_row::<S::Row>(&value))
             .unwrap_or(AddOutcome::Duplicate)
     }
 
@@ -432,10 +428,10 @@ impl<S: Symbol> LtDecoder<S> {
     /// [`TornadoError::MalformedInput`] for a payload the decoder cannot
     /// keep (see [`Self::add_symbol`]); nothing changes then.
     pub fn add_symbol_ref(&mut self, seed: u64, value: &S::Row) -> Result<AddOutcome> {
-        self.add(seed, Value::Row(value))
+        self.add(seed, value)
     }
 
-    pub(crate) fn add(&mut self, seed: u64, value: Value<'_, S>) -> Result<AddOutcome> {
+    pub(crate) fn add(&mut self, seed: u64, value: &S::Row) -> Result<AddOutcome> {
         let outcome =
             if self.solver.is_complete() || self.solver.released() || self.solver.holds(seed) {
                 AddOutcome::Duplicate

@@ -30,7 +30,7 @@ use crate::error::{Result, TornadoError};
 use crate::graph::{BipartiteGraph, CheckSide};
 use crate::rateless::lt::{LtDecoder, LtEncoder};
 use crate::rateless::soliton::DegreeTable;
-use crate::solve::{SolveTrace, Value};
+use crate::solve::SolveTrace;
 use crate::store::StoreShape;
 use crate::symbol::{Mark, Symbol};
 use rand::SeedableRng;
@@ -282,7 +282,7 @@ impl RaptorDecoder<Vec<u8>> {
     /// [`TornadoError::MalformedInput`] for a payload the decoder cannot
     /// keep, as [`LtDecoder::add_symbol_ref`] says; nothing changes then.
     pub fn add_symbol(&mut self, seed: u64, payload: Vec<u8>) -> Result<AddOutcome> {
-        self.lt.add(seed, Value::Owned(payload))
+        self.lt.add(seed, &payload)
     }
 }
 

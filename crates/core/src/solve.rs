@@ -1,21 +1,15 @@
 //! The one peeling engine: a streaming sparse GF(2) solver.
 //!
 //! Every decoder of the crate is an equation source over it.  An equation
-//! is a set of unknowns (columns `0..n`) whose XOR equals a value:
-//!
-//! * a Tornado cascade ([`crate::PeelingDecoder`]) feeds each received
-//!   packet `i` as the unit equation `{i} = payload` and each check of
-//!   level ≥ 1 as the zero-valued equation `{check} ∪ left neighbours` —
-//!   the paper's substitution decoding (Section 5.1) is this solver's
-//!   degree-one release.  Its final MDS block is the one step that is not
-//!   an XOR: the decoder solves it once enough of the block is known and
-//!   feeds the recovered rows back as unit equations;
-//! * plain LT ([`crate::LtDecoder`]) feeds the received symbols over its
-//!   `k` source packets;
-//! * Raptor ([`crate::RaptorDecoder`]) feeds the same over its `k + m`
-//!   intermediates *plus* the precode's `m` checks as zero-valued
-//!   equations, so the precode is not a second decoder — it is more rows of
-//!   the same system.
+//! is a set of unknowns (columns `0..n`) whose XOR equals a value.  A
+//! Tornado cascade ([`crate::PeelingDecoder`]) feeds each received packet
+//! as the unit equation `{i} = payload` and each check as the zero-valued
+//! `{check} ∪ left neighbours`, and solves its final MDS block itself;
+//! plain LT ([`crate::LtDecoder`]) feeds the received symbols over its `k`
+//! source packets; Raptor ([`crate::RaptorDecoder`]) feeds the same over its
+//! `k + m` intermediates *plus* the precode's `m` checks as zero-valued
+//! equations, so the precode is not a second decoder — it is more rows of
+//! the same system.
 //!
 //! The solver is maximum-likelihood up to its inactivation cap: it
 //! completes on exactly the equation that brings the system to full column
@@ -52,17 +46,14 @@
 //! arrival can cost — stays bounded however large `n` is.
 //!
 //! Every value — released at a peel or computed in a pass — is one call of
-//! the many-source XOR kernel over all of its sources, with two rules that
-//! keep payload work to what the decode needs, whichever source feeds it:
-//!
-//! * **One copy per payload.**  A unit equation on an unresolved unknown,
-//!   before anything is inactive, is written straight into that unknown's
-//!   row: its value is never kept as an equation first.
-//! * **Lazy values.**  An unknown outside `0..wanted` that a zero-valued
-//!   equation releases is known but not computed: it keeps the equation's
-//!   other unknowns as its definition and is XORed from them at its first
-//!   use, if any (a cascade's check that only ever counts as known, a
-//!   Raptor precode intermediate no peel goes through).
+//! the many-source XOR kernel over all of its sources.  **One copy per
+//! payload:** a unit equation on an unresolved unknown, before anything is
+//! inactive, is written straight into that unknown's row.  **Lazy values:**
+//! an unknown outside `0..wanted` that a zero-valued equation releases is
+//! known but not computed; the equation's other unknowns are its
+//! definition, XORed at its first use, if any (a cascade's check that only
+//! ever counts as known, a Raptor precode intermediate no peel goes
+//! through).
 //!
 //! Every decision above reads indices, counters and masks — never a value —
 //! so a [`crate::Mark`] solver and a payload solver fed the same equations
@@ -85,7 +76,7 @@
 //! else.
 
 use crate::error::Result;
-use crate::store::{as_row, StoreShape, SymbolStore};
+use crate::store::{StoreShape, SymbolStore};
 use crate::symbol::Symbol;
 use std::collections::HashSet;
 
@@ -166,24 +157,12 @@ enum Val {
     Held,
 }
 
-/// An equation's value as [`Solver::add`] is handed it.
-pub(crate) enum Value<'a, S: Symbol> {
-    /// All zero (a precode check), at any length.
-    Zero,
-    /// A value the store may keep as it is.
-    Owned(S),
-    /// A value the store copies if the equation is kept.
-    Row(&'a S::Row),
-}
-
 #[derive(Debug, Clone)]
 struct Row {
     /// Its unknowns are `arena[start..start + len]`; `len` is 0 once the
     /// row has been let go.
     start: usize,
     len: u32,
-    /// How many of its unknowns are still [`Col::Active`].
-    active: u32,
     /// Its value is in the store at `n + slot` (else it is zero).
     held: bool,
     /// The caller's name for it, for exact-repeat detection.
@@ -198,10 +177,9 @@ struct Row {
 /// allocated before the first entry.
 #[derive(Debug, Clone, Default)]
 struct Lists {
-    lists: usize,
-    head: Vec<u32>,
-    tail: Vec<u32>,
-    len: Vec<u32>,
+    count: usize,
+    /// Per list, its `(first node, last node, length)`.
+    ends: Vec<(u32, u32, u32)>,
     /// `(row, next node)`.
     nodes: Vec<(u32, u32)>,
     /// Nodes let go, linked through their `next`.
@@ -209,20 +187,11 @@ struct Lists {
 }
 
 impl Lists {
-    fn new(lists: usize) -> Self {
+    fn new(count: usize) -> Self {
         Lists {
-            lists,
+            count,
             free: NONE,
             ..Lists::default()
-        }
-    }
-
-    /// Allocate the lists' heads at the first entry.
-    fn grow(&mut self) {
-        if self.head.is_empty() {
-            self.head = vec![NONE; self.lists];
-            self.tail = vec![NONE; self.lists];
-            self.len = vec![0; self.lists];
         }
     }
 
@@ -237,58 +206,99 @@ impl Lists {
         node
     }
 
+    /// List `l`'s ends, allocating every list's at the first entry.
+    fn ends(&mut self, l: usize) -> &mut (u32, u32, u32) {
+        if self.ends.is_empty() {
+            self.ends = vec![(NONE, NONE, 0); self.count];
+        }
+        &mut self.ends[l]
+    }
+
+    /// Lay out the column lists of `rows` in the empty pool: list `c`'s
+    /// `counts[c]` nodes in one run, in row order, one per row in which
+    /// column `c` is active.
+    fn lay_out(&mut self, mut counts: Vec<u32>, rows: &[Row], arena: &[u32], cols: &[Col]) {
+        debug_assert!(self.nodes.is_empty());
+        // Each count becomes the next node of its run.
+        let mut at = 0;
+        for (c, count) in counts.iter_mut().enumerate() {
+            if *count > 0 {
+                *self.ends(c) = (at, at + *count - 1, *count);
+            }
+            (at, *count) = (at + *count, at);
+        }
+        self.nodes.resize(at as usize, (NONE, NONE));
+        for (r, row) in rows.iter().enumerate() {
+            for &c in &arena[row.start..row.start + row.len as usize] {
+                if cols[c as usize] == Col::Active {
+                    let node = &mut counts[c as usize];
+                    self.nodes[*node as usize] = (r as u32, *node + 1);
+                    *node += 1;
+                }
+            }
+        }
+        for &(_, last, len) in &self.ends {
+            if len > 0 {
+                self.nodes[last as usize].1 = NONE;
+            }
+        }
+    }
+
     /// Append `r` to list `l`.
     fn push_back(&mut self, l: usize, r: u32) {
-        self.grow();
         let node = self.node(r, NONE);
-        match self.tail[l] {
-            NONE => self.head[l] = node,
-            tail => self.nodes[tail as usize].1 = node,
+        let (_, tail, _) = *self.ends(l);
+        if tail != NONE {
+            self.nodes[tail as usize].1 = node;
         }
-        self.tail[l] = node;
-        self.len[l] += 1;
+        let (head, tail, len) = self.ends(l);
+        if *head == NONE {
+            *head = node;
+        }
+        *tail = node;
+        *len += 1;
     }
 
     /// Put `r` in front of list `l`.
     fn push_front(&mut self, l: usize, r: u32) {
-        self.grow();
-        let node = self.node(r, self.head[l]);
-        if self.head[l] == NONE {
-            self.tail[l] = node;
+        let next = self.ends(l).0;
+        let node = self.node(r, next);
+        let (head, tail, len) = self.ends(l);
+        if *head == NONE {
+            *tail = node;
         }
-        self.head[l] = node;
-        self.len[l] += 1;
+        *head = node;
+        *len += 1;
     }
 
     fn front(&self, l: usize) -> Option<u32> {
-        let head = *self.head.get(l)?;
+        let (head, ..) = *self.ends.get(l)?;
         (head != NONE).then(|| self.nodes[head as usize].0)
     }
 
     fn pop_front(&mut self, l: usize) -> Option<u32> {
-        let mut cursor = self.head[l];
+        let mut cursor = self.ends[l].0;
         let r = self.pop(&mut cursor)?;
-        self.head[l] = cursor;
+        let (head, tail, len) = &mut self.ends[l];
+        *head = cursor;
         if cursor == NONE {
-            self.tail[l] = NONE;
+            *tail = NONE;
         }
-        self.len[l] -= 1;
+        *len -= 1;
         Some(r)
     }
 
     fn len(&self, l: usize) -> usize {
-        self.len.get(l).map_or(0, |&len| len as usize)
+        self.ends.get(l).map_or(0, |&(.., len)| len as usize)
     }
 
     /// Empty list `l`; its rows come out of [`Self::pop`] from the returned
     /// cursor.
     fn take(&mut self, l: usize) -> u32 {
-        if self.head.is_empty() {
-            return NONE;
+        match self.ends.get_mut(l) {
+            Some(ends) => std::mem::replace(ends, (NONE, NONE, 0)).0,
+            None => NONE,
         }
-        self.tail[l] = NONE;
-        self.len[l] = 0;
-        std::mem::replace(&mut self.head[l], NONE)
     }
 
     /// The next row of a taken list, letting its node go.
@@ -366,6 +376,10 @@ pub(crate) struct Solver<S: Symbol> {
     /// without a scan.
     lists: Lists,
     rows: Vec<Row>,
+    /// Per row slot, how many of its unknowns are still [`Col::Active`]; 0
+    /// once it is let go.  Apart from `rows`, so that resolving a column
+    /// touches one dense array.
+    active: Vec<u32>,
     /// Every held row's unknowns, back to back, and the space of rows let
     /// go until [`Self::compact`] reclaims it.
     arena: Vec<u32>,
@@ -434,6 +448,7 @@ impl<S: Symbol> Solver<S> {
             store: S::Store::empty(shape),
             lists: Lists::new(n + BUCKETS),
             rows: Vec::new(),
+            active: Vec::new(),
             arena: Vec::new(),
             spare: Vec::new(),
             arena_live: 0,
@@ -551,12 +566,7 @@ impl<S: Symbol> Solver<S> {
     /// The store's, when it refuses the value of an equation that would be
     /// kept (a payload of another length than the first, or a first one
     /// whose reservation fails); nothing changes then.
-    pub(crate) fn add(
-        &mut self,
-        tag: Option<u64>,
-        cols: &[u32],
-        value: Value<'_, S>,
-    ) -> Result<bool> {
+    pub(crate) fn add(&mut self, tag: Option<u64>, cols: &[u32], value: &S::Row) -> Result<bool> {
         debug_assert!(!self.complete && !self.released());
         if tag.is_some_and(|t| self.tags.contains(&t)) {
             return Ok(false);
@@ -565,11 +575,8 @@ impl<S: Symbol> Solver<S> {
             let c = c as usize;
             if self.cols[c] == Col::Active && self.inactive.is_empty() {
                 // Its value is the column's: written straight into its row.
-                match value {
-                    Value::Zero => self.vals[c] = Val::Zero,
-                    Value::Owned(v) => self.insert(c, as_row::<S::Row>(&v))?,
-                    Value::Row(v) => self.insert(c, v)?,
-                }
+                self.store.insert(c, value)?;
+                self.set_held(c, true);
                 self.trace.peeled += 1;
                 self.cols[c] = Col::Known;
                 self.resolve_known(c as u32);
@@ -598,18 +605,7 @@ impl<S: Symbol> Solver<S> {
             },
             _ => None,
         };
-        let slot = self.cols.len() + id as usize;
-        let held = match value {
-            Value::Zero => false,
-            Value::Owned(v) => {
-                self.store.insert(slot, as_row::<S::Row>(&v))?;
-                true
-            }
-            Value::Row(v) => {
-                self.store.insert(slot, v)?;
-                true
-            }
-        };
+        self.store.insert(self.cols.len() + id as usize, value)?;
         if let Some(bit) = pivot {
             self.dense_push(bit, id);
         }
@@ -629,33 +625,78 @@ impl<S: Symbol> Solver<S> {
         let row = Row {
             start: self.arena.len(),
             len: cols.len() as u32,
-            active,
-            held,
+            held: true,
             tag,
         };
         self.arena.extend_from_slice(cols);
         self.arena_live += cols.len();
         match self.free_rows.pop() {
-            Some(slot) => self.rows[slot as usize] = row,
-            None => self.rows.push(row),
+            Some(slot) => {
+                self.rows[slot as usize] = row;
+                self.active[slot as usize] = active;
+            }
+            None => {
+                self.rows.push(row);
+                self.active.push(active);
+            }
         }
         match active {
             0 => {}
             1 => self.ripple.push(id),
             a => {
                 self.buffered += 1;
-                self.lists.push_front(self.bucket(a), id);
+                self.file(id, a);
             }
         }
         self.settle();
         Ok(true)
     }
 
-    /// Keep `value` as unknown `c`'s.
-    fn insert(&mut self, c: usize, value: &S::Row) -> Result<()> {
-        self.store.insert(c, value)?;
-        self.set_held(c, true);
-        Ok(())
+    /// Take zero-valued equations in bulk, the XOR of each row's unknowns
+    /// being zero: as if [`Self::add`]ed one by one, but each column's list
+    /// is laid out in one run of the node pool, and the solver settles
+    /// once.  Only before any other equation is held.
+    pub(crate) fn add_zero_rows<R: IntoIterator<Item = u32>>(
+        &mut self,
+        rows: impl IntoIterator<Item = R>,
+    ) {
+        debug_assert!(self.rows.is_empty() && self.inactive.is_empty() && !self.complete);
+        let mut counts = vec![0u32; self.cols.len()];
+        for cols in rows {
+            let start = self.arena.len();
+            self.arena.extend(cols);
+            let mut active = 0;
+            for &c in &self.arena[start..] {
+                if self.cols[c as usize] == Col::Active {
+                    counts[c as usize] += 1;
+                    active += 1;
+                }
+            }
+            self.pending_edges += active as usize;
+            let len = (self.arena.len() - start) as u32;
+            self.rows.push(Row {
+                start,
+                len,
+                held: false,
+                tag: None,
+            });
+            self.active.push(active);
+        }
+        self.live += self.rows.len();
+        self.arena_live = self.arena.len();
+        self.lists
+            .lay_out(counts, &self.rows, &self.arena, &self.cols);
+        for r in 0..self.rows.len() as u32 {
+            match self.active[r as usize] {
+                0 => self.free(r),
+                1 => self.ripple.push(r),
+                a => {
+                    self.buffered += 1;
+                    self.file(r, a);
+                }
+            }
+        }
+        self.settle();
     }
 
     /// Row `r`'s unknowns.
@@ -698,6 +739,7 @@ impl<S: Symbol> Solver<S> {
         self.arena_live -= row.len as usize;
         row.len = 0;
         row.held = false;
+        self.active[r as usize] = 0;
         if let Some(t) = row.tag {
             self.tags.remove(&t);
         }
@@ -708,18 +750,25 @@ impl<S: Symbol> Solver<S> {
 
     /// One of row `r`'s active columns has just been resolved.
     fn decrement(&mut self, r: u32) {
-        let row = &mut self.rows[r as usize];
-        row.active -= 1;
-        let active = row.active;
-        match active {
+        let active = &mut self.active[r as usize];
+        *active -= 1;
+        match *active {
             0 if self.inactive.is_empty() => self.free(r),
             0 => self.residual.push(r),
             1 => {
                 self.buffered -= 1;
                 self.ripple.push(r);
             }
-            a if (a as usize) < BUCKETS - 1 => self.lists.push_front(self.bucket(a), r),
+            a if (a as usize) < BUCKETS - 1 => self.file(r, a),
             _ => {}
+        }
+    }
+
+    /// File row `r` under its `active` count in the degree buckets — only
+    /// where the solver may inactivate, the buckets' one use.
+    fn file(&mut self, r: u32, active: u32) {
+        if self.cap > 0 {
+            self.lists.push_front(self.bucket(active), r);
         }
     }
 
@@ -748,7 +797,7 @@ impl<S: Symbol> Solver<S> {
         }
         let mut cursor = self.lists.take(p as usize);
         while let Some(r) = self.lists.pop(&mut cursor) {
-            if self.rows[r as usize].len > 0 {
+            if self.active[r as usize] > 0 {
                 self.pending_edges -= 1;
                 self.decrement(r);
             }
@@ -913,7 +962,7 @@ impl<S: Symbol> Solver<S> {
     /// row's other columns become its definition.
     fn peel(&mut self) {
         while let Some(r) = self.ripple.pop() {
-            if self.rows[r as usize].active != 1 {
+            if self.active[r as usize] != 1 {
                 continue; // its last column was released through another row
             }
             let target = self
@@ -955,7 +1004,7 @@ impl<S: Symbol> Solver<S> {
     /// its row and nothing is computed.
     fn peel_symbolically(&mut self) {
         while let Some(r) = self.ripple.pop() {
-            if self.rows[r as usize].active != 1 {
+            if self.active[r as usize] != 1 {
                 continue; // already a residual row
             }
             let Some(p) = self
@@ -979,8 +1028,8 @@ impl<S: Symbol> Solver<S> {
     fn column_to_inactivate(&mut self) -> Option<u32> {
         for d in 2..BUCKETS as u32 {
             while let Some(r) = self.lists.front(self.bucket(d)) {
-                let row = &self.rows[r as usize];
-                if row.active < 2 || self.bucket(row.active) != self.bucket(d) {
+                let active = self.active[r as usize];
+                if active < 2 || self.bucket(active) != self.bucket(d) {
                     self.lists.pop_front(self.bucket(d)); // the row has moved on
                     continue;
                 }
@@ -1205,6 +1254,7 @@ impl<S: Symbol> Solver<S> {
         self.at = Vec::new();
         self.defs = Vec::new();
         self.rows = Vec::new();
+        self.active = Vec::new();
         self.arena = Vec::new();
         self.spare = Vec::new();
         self.arena_live = 0;
@@ -1260,17 +1310,17 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         let values: Vec<Vec<u8>> = (0..n).map(|_| vec![rng.gen(), rng.gen()]).collect();
         let shape = StoreShape::uniform(n, 2 * n);
-        let mut capped = Solver::new(n, shape, 8, n);
-        let mut free = Solver::new(n, shape, INACTIVATION_CAP, n);
+        let mut capped = Solver::<Vec<u8>>::new(n, shape, 8, n);
+        let mut free = Solver::<Vec<u8>>::new(n, shape, INACTIVATION_CAP, n);
         let (mut seed, mut free_done) = (0u64, 0u64);
         while !capped.is_complete() {
             let cols = lt.equation(seed).neighbors;
             let value = lt.encode_symbol(seed, &values).unwrap();
             if !free.is_complete() {
-                free.add(Some(seed), &cols, Value::Row(&value[..])).unwrap();
+                free.add(Some(seed), &cols, &value).unwrap();
                 free_done = seed;
             }
-            capped.add(Some(seed), &cols, Value::Owned(value)).unwrap();
+            capped.add(Some(seed), &cols, &value).unwrap();
             seed += 1;
             assert!(capped.inactive_columns() <= 8 && capped.dense.len() <= 8);
             assert!(seed < 10 * n as u64, "never completed");
@@ -1297,23 +1347,22 @@ mod tests {
         let n = 64;
         let mut rng = ChaCha8Rng::seed_from_u64(3);
         let values: Vec<Vec<u8>> = (0..n).map(|_| vec![rng.gen()]).collect();
-        let mut solver = Solver::new(n, StoreShape::uniform(n, 2 * n), INACTIVATION_CAP, n);
+        let mut solver =
+            Solver::<Vec<u8>>::new(n, StoreShape::uniform(n, 2 * n), INACTIVATION_CAP, n);
         let pair = |a: usize| {
             let mut value = values[a].clone();
             df_gf::field::xor_slice(&mut value, &values[a + 1]);
-            (vec![a as u32, a as u32 + 1], Value::Owned(value))
+            (vec![a as u32, a as u32 + 1], value)
         };
         let mut tag = 0u64;
         for a in (0..n / 2).step_by(2) {
             for _ in 0..8 {
                 let (cols, value) = pair(a);
-                solver.add(Some(tag), &cols, value).unwrap();
+                solver.add(Some(tag), &cols, &value).unwrap();
                 tag += 1;
             }
             assert_eq!(solver.pending_equations(), 8);
-            solver
-                .add(Some(tag), &[a as u32], Value::Row(&values[a][..]))
-                .unwrap();
+            solver.add(Some(tag), &[a as u32], &values[a]).unwrap();
             tag += 1;
             assert_eq!((solver.pending_equations(), solver.pending_edges()), (0, 0));
             assert!(solver.rows.len() <= 9, "{} slots", solver.rows.len());
