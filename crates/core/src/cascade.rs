@@ -17,30 +17,13 @@
 use crate::error::{Result, TornadoError};
 use crate::graph::BipartiteGraph;
 use crate::profile::TornadoProfile;
+use crate::solve::Fixed;
 use df_gf::{Field, GF65536};
 use df_rs::{CauchyCode, ErasureCode};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::ops::Range;
-
-/// Identifies where a global encoding-packet index lives in the cascade.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PacketRole {
-    /// A packet of cascade level `level` (0 = source data), at position
-    /// `pos` within that level.
-    Level {
-        /// Cascade level index.
-        level: usize,
-        /// Position within the level.
-        pos: usize,
-    },
-    /// A check packet of the final Reed–Solomon code, at position `pos`
-    /// among the RS check packets.
-    RsCheck {
-        /// Position among the RS check packets.
-        pos: usize,
-    },
-}
+use std::sync::{Arc, OnceLock};
 
 /// Largest final-code block (last level + its checks) that still fits in
 /// GF(2^8) — the field order, since the Cauchy construction needs `n`
@@ -261,6 +244,9 @@ pub struct Cascade {
     level_offsets: Vec<usize>,
     /// `graphs[i]` connects level `i` (left) to level `i + 1` (right).
     graphs: Vec<BipartiteGraph>,
+    /// The checks of levels 1.. as zero-valued equations over the `n`
+    /// packets, built for the first decoder that feeds them.
+    check_equations: OnceLock<Arc<Fixed>>,
     /// Final code over the last level.
     final_code: FinalCode,
     /// Global index of the first final-code check packet.
@@ -363,6 +349,7 @@ impl Cascade {
             level_sizes,
             level_offsets,
             graphs,
+            check_equations: OnceLock::new(),
             final_code,
             rs_offset,
         })
@@ -398,6 +385,23 @@ impl Cascade {
         &self.graphs
     }
 
+    /// Check `j` of every level `ℓ ≥ 1` as the zero-valued equation
+    /// `{check} ∪ left neighbours`, in global order: what every decoder of
+    /// the cascade feeds its solver, built once and shared.
+    pub(crate) fn check_equations(&self) -> &Arc<Fixed> {
+        self.check_equations.get_or_init(|| {
+            let rows = self.graphs.iter().enumerate().flat_map(|(level, graph)| {
+                let left = self.level_offset(level) as u32;
+                let checks = self.level_offset(level + 1) as u32;
+                (0..graph.right()).map(move |j| {
+                    let neighbours = graph.check_neighbors(j).iter().map(move |&l| left + l);
+                    std::iter::once(checks + j as u32).chain(neighbours)
+                })
+            });
+            Arc::new(Fixed::new(self.n, rows))
+        })
+    }
+
     /// The final conventional code.
     pub fn final_code(&self) -> &FinalCode {
         &self.final_code
@@ -422,29 +426,6 @@ impl Cascade {
     /// Number of cascade levels, including the source level.
     pub fn num_levels(&self) -> usize {
         self.level_sizes.len()
-    }
-
-    /// Classify a global encoding-packet index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index >= n`.
-    pub fn role(&self, index: usize) -> PacketRole {
-        assert!(index < self.n, "packet index {index} out of range");
-        if index >= self.rs_offset {
-            return PacketRole::RsCheck {
-                pos: index - self.rs_offset,
-            };
-        }
-        // Levels are contiguous; binary search over offsets.
-        let level = match self.level_offsets.binary_search(&index) {
-            Ok(l) => l,
-            Err(ins) => ins - 1,
-        };
-        PacketRole::Level {
-            level,
-            pos: index - self.level_offsets[level],
-        }
     }
 
     /// Global index of the packet at `pos` within `level`.
@@ -506,25 +487,16 @@ mod tests {
     }
 
     #[test]
-    fn roles_partition_the_index_space() {
+    fn levels_and_the_final_block_partition_the_index_space() {
         let c = Cascade::build(3000, TORNADO_A, 4).unwrap();
-        let mut level_counts = vec![0usize; c.num_levels()];
-        let mut rs_count = 0usize;
-        for i in 0..c.n() {
-            match c.role(i) {
-                PacketRole::Level { level, pos } => {
-                    assert!(pos < c.level_sizes()[level]);
-                    assert_eq!(c.global_index(level, pos), i);
-                    level_counts[level] += 1;
-                }
-                PacketRole::RsCheck { pos } => {
-                    assert_eq!(c.rs_offset() + pos, i);
-                    rs_count += 1;
-                }
-            }
+        let mut next = 0;
+        for (level, &size) in c.level_sizes().iter().enumerate() {
+            assert_eq!(c.level_offset(level), next);
+            assert_eq!(c.global_index(level, size - 1), next + size - 1);
+            next += size;
         }
-        assert_eq!(level_counts, c.level_sizes());
-        assert_eq!(rs_count, c.rs_checks());
+        assert_eq!(c.rs_offset(), next);
+        assert_eq!(c.rs_offset() + c.rs_checks(), c.n());
     }
 
     #[test]

@@ -12,33 +12,28 @@
 //! engine (`solve.rs`), so the decoder is an equation source over it, as the
 //! LT and Raptor decoders are: a received packet `i` is the unit equation
 //! `{i} = payload`, copied once, into its row; check `j` of level `ℓ ≥ 1` is
-//! the zero-valued equation `{check} ∪ left neighbours`.  A check the engine
-//! releases is known but not built until a recovery goes through it, so a
-//! reception that already contains the source performs no XOR at all.  The
-//! engine runs with no inactivation, so the decoder completes exactly where
-//! the paper's does.  The final MDS block is the one step that is not an
-//! XOR: once `final_code().k()` of its packets are known the decoder solves
-//! it through [`Symbol::recover_final_level`] and feeds the recovered
-//! last-level rows back as unit equations.
+//! the zero-valued equation `{check} ∪ left neighbours`, which the cascade
+//! keeps for all its decoders.  A check the engine releases is not built
+//! until a recovery goes through it, and the engine never inactivates, so
+//! the decoder completes exactly where the paper's does.  The final MDS
+//! block is the one step that is not an XOR: once `final_code().k()` of its
+//! packets are known the decoder solves it through
+//! [`Symbol::recover_final_level`] and feeds the recovered last-level rows
+//! back as unit equations.
 //!
 //! Until a packet other than a source packet arrives, the checks' equations
-//! are not fed at all: source packets alone recover nothing.  The first check
-//! or final-block packet feeds them once, before that packet is judged, so a
-//! check the sources already make computable is still a duplicate.  A
-//! lossless one-layer carousel receiver, which has the whole source before
-//! any check, therefore does nothing per packet but copy it.
+//! are not fed at all: source packets alone recover nothing.  The first
+//! check or final-block packet feeds them, before it is judged, so a check
+//! the sources already make computable is still a duplicate.  A lossless
+//! one-layer carousel receiver therefore does nothing per packet but copy it.
 //!
 //! The decoder is generic over [`Symbol`]: with `Vec<u8>` it produces real
 //! payloads, with [`crate::symbol::Mark`] it is the index-only decoder used
 //! by the reception-efficiency simulations (Figures 4–6).  A payload decoder
-//! keeps its source rows in one buffer laid out as the file (`store.rs`), and
-//! a finished decode hands the file over without a copy
-//! ([`PeelingDecoder::take_file`]).  The graphs belong to the [`Cascade`],
-//! which every decoder and session of one code shares (see [`crate::codec`]),
-//! so creating a decoder allocates two bytes per packet and nothing sized by
-//! the file.  It keeps no reception tally: a receiver counts what it took
-//! through a [`crate::ReceptionCounter`], and [`AddOutcome`] is the
-//! decoder's verdict.
+//! keeps its source rows in one buffer laid out as the file (`store.rs`),
+//! handed over without a copy ([`PeelingDecoder::take_file`]).  It keeps no
+//! reception tally: a receiver counts what it took through a
+//! [`crate::ReceptionCounter`], and [`AddOutcome`] is the decoder's verdict.
 
 use crate::cascade::Cascade;
 use crate::error::{Result, TornadoError};
@@ -181,20 +176,8 @@ impl<S: Symbol> PeelingDecoder<S> {
     /// would have met had nothing been deferred.
     fn feed_checks(&mut self) -> Result<()> {
         self.source_only = false;
-        let cascade = &*self.cascade;
-        let rows = cascade
-            .graphs()
-            .iter()
-            .enumerate()
-            .flat_map(|(level, graph)| {
-                let left = cascade.level_offset(level) as u32;
-                let checks = cascade.level_offset(level + 1) as u32;
-                (0..graph.right()).map(move |j| {
-                    let neighbours = graph.check_neighbors(j).iter().map(move |&l| left + l);
-                    std::iter::once(checks + j as u32).chain(neighbours)
-                })
-            });
-        self.solver.add_zero_rows(rows);
+        let checks = Arc::clone(self.cascade.check_equations());
+        self.solver.add_fixed(checks);
         self.try_final_level()
     }
 

@@ -65,7 +65,7 @@ mod solve;
 mod store;
 pub mod symbol;
 
-pub use cascade::{Cascade, FinalCode, PacketRole};
+pub use cascade::{Cascade, FinalCode};
 pub use codec::TornadoCode;
 pub use decode::{AddOutcome, PayloadDecoder, PeelingDecoder, SymbolicDecoder};
 pub use degree::DegreeDistribution;

@@ -37,9 +37,8 @@
 use crate::decode::AddOutcome;
 use crate::encode::Encoding;
 use crate::error::{Result, TornadoError};
-use crate::graph::BipartiteGraph;
 use crate::rateless::soliton::{DegreeTable, RobustSoliton};
-use crate::solve::{SolveTrace, Solver, INACTIVATION_CAP};
+use crate::solve::{Fixed, SolveTrace, Solver, INACTIVATION_CAP};
 use crate::store::{as_row, StoreShape};
 use crate::symbol::{xor_rows, Symbol};
 use rand::{Rng, SeedableRng};
@@ -291,17 +290,13 @@ impl<S: Symbol> LtDecoder<S> {
         }
     }
 
-    /// A decoder over a precoded symbol array: the first `precode.left()`
-    /// symbols are the source, the rest are `precode`'s checks, each the XOR
-    /// of its neighbours — which the solver is told up front as the
-    /// zero-valued equation `check ⊕ Σ neighbours = 0`.
-    pub(crate) fn over_precode(encoder: LtEncoder, precode: &BipartiteGraph) -> Self {
-        let k = precode.left();
+    /// A decoder over a precoded symbol array: the first `k` symbols are
+    /// the source, the rest are a precode's checks, each the XOR of its
+    /// neighbours — which the solver is told up front as the zero-valued
+    /// equations `precode`.
+    pub(crate) fn over_precode(encoder: LtEncoder, k: usize, precode: &Arc<Fixed>) -> Self {
         let mut solver = Self::solver(encoder.count(), k);
-        solver.add_zero_rows((0..precode.right()).map(|j| {
-            let neighbours = precode.check_neighbors(j).iter().copied();
-            std::iter::once((k + j) as u32).chain(neighbours)
-        }));
+        solver.add_fixed(Arc::clone(precode));
         LtDecoder {
             solver,
             encoder,

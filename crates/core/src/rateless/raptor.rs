@@ -30,7 +30,7 @@ use crate::error::{Result, TornadoError};
 use crate::graph::{BipartiteGraph, CheckSide};
 use crate::rateless::lt::{LtDecoder, LtEncoder};
 use crate::rateless::soliton::DegreeTable;
-use crate::solve::SolveTrace;
+use crate::solve::{Fixed, SolveTrace};
 use crate::store::StoreShape;
 use crate::symbol::{Mark, Symbol};
 use rand::SeedableRng;
@@ -74,6 +74,9 @@ fn raptor_degree_table() -> Result<DegreeTable> {
 pub struct RaptorCode {
     /// Source packets on the left, the `m` checks on the right.
     precode: Arc<BipartiteGraph>,
+    /// Check `j` as the zero-valued equation `{k + j} ∪ neighbours` over
+    /// the intermediates, shared by every decoder of the code.
+    equations: Arc<Fixed>,
     lt: LtEncoder,
 }
 
@@ -101,8 +104,16 @@ impl RaptorCode {
             &mut ChaCha8Rng::seed_from_u64(seed),
         );
         let lt = LtEncoder::with_table(k + checks, raptor_degree_table()?, seed)?;
+        let equations = Fixed::new(
+            k + checks,
+            (0..checks).map(|j| {
+                let neighbours = precode.check_neighbors(j).iter().copied();
+                std::iter::once((k + j) as u32).chain(neighbours)
+            }),
+        );
         Ok(RaptorCode {
             precode: Arc::new(precode),
+            equations: Arc::new(equations),
             lt,
         })
     }
@@ -198,7 +209,7 @@ impl<S: Symbol> RaptorDecoder<S> {
     /// payload and index-only ones).
     pub fn new(code: &RaptorCode) -> Self {
         RaptorDecoder {
-            lt: LtDecoder::over_precode(code.lt().clone(), code.precode_graph()),
+            lt: LtDecoder::over_precode(code.lt().clone(), code.k(), &code.equations),
         }
     }
 

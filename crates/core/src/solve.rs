@@ -8,77 +8,61 @@
 //! plain LT ([`crate::LtDecoder`]) feeds the received symbols over its `k`
 //! source packets; Raptor ([`crate::RaptorDecoder`]) feeds the same over its
 //! `k + m` intermediates *plus* the precode's `m` checks as zero-valued
-//! equations, so the precode is not a second decoder — it is more rows of
-//! the same system.
+//! equations.  Zero-valued equations are the same for every decode of a
+//! code, so the code keeps them once ([`Fixed`]) and a solver only counts.
 //!
-//! The solver is maximum-likelihood up to its inactivation cap: it
-//! completes on exactly the equation that brings the system to full column
-//! rank (`tests/rateless_oracle.rs` holds it to a dense Gaussian
-//! elimination), and it gets there by **inactivation decoding** rather than
-//! by eliminating a `n × n` matrix:
+//! The solver completes on exactly the equation that brings the system to
+//! full column rank, up to its inactivation cap (`tests/rateless_oracle.rs`
+//! holds it to a dense Gaussian elimination), by **inactivation decoding**:
 //!
 //! 1. *Peel.*  While some buffered equation has exactly one unresolved
-//!    unknown (the ripple), that unknown is released — the classic LT
-//!    decoder, linear time, values XORed at release.
+//!    unknown (the ripple), that unknown is released, its value XORed then.
 //! 2. *Inactivate.*  When the ripple is empty and at least as many
-//!    equations are buffered as unknowns remain (fewer could not determine
-//!    them), an unknown of the lowest-degree equation is declared
-//!    **inactive**: treated as if known, so peeling continues — but
-//!    *symbolically*.  From here on a peeled unknown is "its equation's
-//!    value ⊕ some inactive unknowns", the "some" kept as a bit mask.
-//! 3. *Solve the small dense system.*  An equation all of whose unknowns
-//!    are resolved reduces to a mask over the inactive unknowns alone.
-//!    Those rows are kept in echelon form with **persistent pivots**: a new
-//!    row is reduced once against the pivots already there and either
-//!    becomes one or vanishes — an arrival never restarts anything.
-//! 4. *Compute the rest once.*  Only when the masks say every unknown is
-//!    determined are the remaining values computed: one sparse pass for the
-//!    peeled unknowns' constant parts, one for the dense rows' constants,
-//!    one dense pass for the inactive values (≈ `u²/2` XORs for `u`
-//!    inactive unknowns), one sparse pass in peel order for the rest.
+//!    equations are buffered as unknowns remain, an unknown of the
+//!    lowest-degree equation is declared **inactive**: treated as if known,
+//!    so peeling continues *symbolically* — a peeled unknown is now "its
+//!    equation's value ⊕ some inactive unknowns", the "some" a bit mask.
+//! 3. *Solve the small dense system.*  An equation whose unknowns are all
+//!    resolved reduces to a mask over the inactive unknowns; those rows are
+//!    kept in echelon form with **persistent pivots**, so an arrival never
+//!    restarts an elimination.
+//! 4. *Compute the rest once.*  When the masks say every unknown is
+//!    determined: one sparse pass for the peeled unknowns' constant parts,
+//!    one for the dense rows' constants, one dense pass for the inactive
+//!    values (≈ `u²/2` XORs for `u` of them), one sparse pass in peel order.
 //!
 //! The cap on the inactive set is the constructor's: the rateless decoders
-//! pass [`INACTIVATION_CAP`], the cascade passes 0, so it only peels and
-//! completes where the paper's decoder does.  At the cap the solver stops
-//! inactivating and waits for the ripple: further equations still peel
-//! (the inactive unknowns count as resolved), so it completes from somewhat
-//! more than the ML minimum, and its dense system — hence the work one
-//! arrival can cost — stays bounded however large `n` is.
+//! pass [`INACTIVATION_CAP`], the cascade 0, so it only peels and completes
+//! where the paper's decoder does.  At the cap the solver waits for the
+//! ripple, so its dense system stays bounded however large `n` is.
 //!
-//! Every value — released at a peel or computed in a pass — is one call of
-//! the many-source XOR kernel over all of its sources.  **One copy per
-//! payload:** a unit equation on an unresolved unknown, before anything is
-//! inactive, is written straight into that unknown's row.  **Lazy values:**
-//! an unknown outside `0..wanted` that a zero-valued equation releases is
-//! known but not computed; the equation's other unknowns are its
-//! definition, XORed at its first use, if any (a cascade's check that only
-//! ever counts as known, a Raptor precode intermediate no peel goes
-//! through).
+//! Every value is one call of the many-source XOR kernel over all of its
+//! sources.  **One copy per payload:** a unit equation on an unresolved
+//! unknown, before anything is inactive, is written straight into that
+//! unknown's row.  **Lazy values:** an unknown outside `0..wanted` that a
+//! zero-valued equation releases is known but computed — as the XOR of the
+//! equation's other unknowns — only at its first use, if any.
 //!
-//! Every decision above reads indices, counters and masks — never a value —
-//! so a [`crate::Mark`] solver and a payload solver fed the same equations
-//! take the same steps and complete on the same one.  Nothing is iterated
-//! in an address- or hash-dependent order, so two runs over one stream are
-//! identical.
+//! Every decision reads indices, counters and masks — never a value, nor a
+//! hash-ordered container — so a [`crate::Mark`] solver and a payload solver
+//! fed the same equations take the same steps, and two runs over one stream
+//! are identical.
 //!
-//! **Where the values live.**  In the symbol's store
-//! ([`crate::store`]): unknown `c` at index `c` — for a payload, unknowns
-//! `0..wanted` are the rows of a buffer laid out as the file — and the
-//! value of the equation in row slot `r` at index `n + r`.  An equation's
-//! value is copied into the store only once the equation is kept, into the
-//! slot of a row let go before it if there is one, so the store holds at
-//! most as many equation values as the solver ever held equations at once.
-//! The equations' neighbour lists share one arena and the column → row
-//! lists one node pool, both reclaimed as rows are let go: once those have
-//! grown to what a download holds, an equation costs no allocation.  The
-//! per-unknown state is two bytes until the first equation of two or more
-//! unknowns arrives: a reception of unit equations alone allocates nothing
-//! else.
+//! **Where the values live.**  In the symbol's store ([`crate::store`]):
+//! unknown `c` at index `c` (for a payload, unknowns `0..wanted` are the rows
+//! of a buffer laid out as the file), and the value of row `r` at `n + r`,
+//! copied there only once the equation is kept.  The equations' neighbour
+//! lists share one arena and the column → row lists one node pool, both
+//! reclaimed as rows are let go, so once they have grown to what a download
+//! holds an equation costs no allocation.  A reception of unit equations
+//! alone allocates nothing but the two state bytes per unknown.
 
 use crate::error::Result;
 use crate::store::{StoreShape, SymbolStore};
 use crate::symbol::Symbol;
 use std::collections::HashSet;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Most unknowns the rateless decoders let the solver inactivate — the
 /// side of its dense system.
@@ -130,20 +114,13 @@ enum Col {
     Active,
     /// Its value is computed.
     Known,
-    /// Known, its value the XOR of the definition at this position of
-    /// `defs` and computed at its first use.
+    /// Known, its value the XOR of the other unknowns of the fixed row at
+    /// this position, computed at its first use.
     Lazy,
     /// Resolved symbolically by the equation at this position of `order`.
     Peeled,
     /// Inactive, with this index into the dense system.
     Inactive,
-}
-
-impl Col {
-    /// Known, computed or not.
-    fn known(self) -> bool {
-        matches!(self, Col::Known | Col::Lazy)
-    }
 }
 
 /// Whether an unknown has a value in the store.
@@ -157,24 +134,88 @@ enum Val {
     Held,
 }
 
+/// A row taken by [`Solver::add`].
 #[derive(Debug, Clone)]
 struct Row {
     /// Its unknowns are `arena[start..start + len]`; `len` is 0 once the
     /// row has been let go.
     start: usize,
     len: u32,
-    /// Its value is in the store at `n + slot` (else it is zero).
-    held: bool,
     /// The caller's name for it, for exact-repeat detection.
     tag: Option<u64>,
 }
 
+/// Zero-valued equations every decode of one code shares — a cascade's
+/// checks, a Raptor precode's — kept once, both ways round, so that a
+/// solver given them ([`Solver::add_fixed`]) holds only its own counts.
+#[derive(Debug, Default)]
+pub(crate) struct Fixed {
+    /// Row `r`'s unknowns are `cols[row_at[r]..row_at[r + 1]]`.
+    row_at: Vec<u32>,
+    cols: Vec<u32>,
+    /// Unknown `c`'s rows, in row order, are `rows[col_at[c]..col_at[c + 1]]`.
+    col_at: Vec<u32>,
+    rows: Vec<u32>,
+}
+
+impl Fixed {
+    /// The equations `rows` over `n` unknowns, each the XOR of its unknowns
+    /// being zero.
+    pub(crate) fn new<R: IntoIterator<Item = u32>>(
+        n: usize,
+        rows: impl IntoIterator<Item = R>,
+    ) -> Self {
+        let mut row_at = vec![0];
+        let mut cols = Vec::new();
+        for row in rows {
+            cols.extend(row);
+            row_at.push(cols.len() as u32);
+        }
+        let mut col_at = vec![0; n + 1];
+        for &c in &cols {
+            col_at[c as usize + 1] += 1;
+        }
+        for c in 0..n {
+            col_at[c + 1] += col_at[c];
+        }
+        let (mut next, mut by_col) = (col_at.clone(), vec![0; cols.len()]);
+        for (r, ends) in row_at.windows(2).enumerate() {
+            for &c in &cols[ends[0] as usize..ends[1] as usize] {
+                by_col[next[c as usize] as usize] = r as u32;
+                next[c as usize] += 1;
+            }
+        }
+        Fixed {
+            row_at,
+            cols,
+            col_at,
+            rows: by_col,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.row_at.len().saturating_sub(1)
+    }
+
+    fn row(&self, r: usize) -> &[u32] {
+        &self.cols[self.row_at[r] as usize..self.row_at[r + 1] as usize]
+    }
+
+    /// Where the rows unknown `c` is in are in `rows`.
+    fn col_span(&self, c: usize) -> Range<usize> {
+        match self.col_at.get(c..c + 2) {
+            Some(&[start, end]) => start as usize..end as usize,
+            _ => 0..0,
+        }
+    }
+}
+
 /// Lists of row slots over one shared node pool, so a new list entry costs
 /// no allocation of its own once the pool has grown to what a download
-/// holds.  List `c < n` is column `c`'s: the buffered rows in which it is
-/// still [`Col::Active`], in the order they arrived (appended, then taken
-/// whole).  List `n + d` is degree bucket `d`, used as a stack.  Nothing is
-/// allocated before the first entry.
+/// holds.  List `c < n` is column `c`'s: the rows [`Solver::add`] took in
+/// which it is still [`Col::Active`], in the order they arrived (appended,
+/// then taken whole).  List `n + d` is degree bucket `d`, used as a stack.
+/// Nothing is allocated before the first entry.
 #[derive(Debug, Clone, Default)]
 struct Lists {
     count: usize,
@@ -212,36 +253,6 @@ impl Lists {
             self.ends = vec![(NONE, NONE, 0); self.count];
         }
         &mut self.ends[l]
-    }
-
-    /// Lay out the column lists of `rows` in the empty pool: list `c`'s
-    /// `counts[c]` nodes in one run, in row order, one per row in which
-    /// column `c` is active.
-    fn lay_out(&mut self, mut counts: Vec<u32>, rows: &[Row], arena: &[u32], cols: &[Col]) {
-        debug_assert!(self.nodes.is_empty());
-        // Each count becomes the next node of its run.
-        let mut at = 0;
-        for (c, count) in counts.iter_mut().enumerate() {
-            if *count > 0 {
-                *self.ends(c) = (at, at + *count - 1, *count);
-            }
-            (at, *count) = (at + *count, at);
-        }
-        self.nodes.resize(at as usize, (NONE, NONE));
-        for (r, row) in rows.iter().enumerate() {
-            for &c in &arena[row.start..row.start + row.len as usize] {
-                if cols[c as usize] == Col::Active {
-                    let node = &mut counts[c as usize];
-                    self.nodes[*node as usize] = (r as u32, *node + 1);
-                    *node += 1;
-                }
-            }
-        }
-        for &(_, last, len) in &self.ends {
-            if len > 0 {
-                self.nodes[last as usize].1 = NONE;
-            }
-        }
     }
 
     /// Append `r` to list `l`.
@@ -366,20 +377,22 @@ pub(crate) struct Solver<S: Symbol> {
     /// Per column, the number its state needs (see [`Col`]); allocated at
     /// the first column that needs one.
     at: Vec<u32>,
-    /// The definitions of the lazy columns, back to back, each its length
-    /// and then its columns.
-    defs: Vec<u32>,
     /// Unknown `c`'s value at `c`, row slot `r`'s at `cols.len() + r`.
     store: S::Store,
     /// The column lists and the degree buckets (see [`Lists`]); equations
     /// are bucketed by unresolved degree so the lowest-degree one is found
     /// without a scan.
     lists: Lists,
+    /// Rows `0..fixed.len()`; the rows [`Self::add`] took follow them.
+    fixed: Arc<Fixed>,
+    /// The rows [`Self::add`] took, row `fixed.len() + i` at `i`.
     rows: Vec<Row>,
-    /// Per row slot, how many of its unknowns are still [`Col::Active`]; 0
-    /// once it is let go.  Apart from `rows`, so that resolving a column
-    /// touches one dense array.
+    /// Per row, how many of its unknowns are still [`Col::Active`]; 0 once
+    /// it is let go.
     active: Vec<u32>,
+    /// Per row, whether its value is in the store, at `n + row`; a fixed
+    /// row's value is zero until the finishing passes give it one.
+    valued: Vec<bool>,
     /// Every held row's unknowns, back to back, and the space of rows let
     /// go until [`Self::compact`] reclaims it.
     arena: Vec<u32>,
@@ -401,8 +414,6 @@ pub(crate) struct Solver<S: Symbol> {
     /// Columns from `tail` on are counted apart, in `tail_known`.
     tail: usize,
     tail_known: usize,
-    /// Columns whose value is in the store.
-    held: usize,
     /// Columns still [`Col::Active`].
     unresolved: usize,
     /// Buffered rows with two or more active columns.
@@ -444,11 +455,12 @@ impl<S: Symbol> Solver<S> {
             cols: vec![Col::Active; n],
             vals: vec![Val::Unset; n],
             at: Vec::new(),
-            defs: Vec::new(),
             store: S::Store::empty(shape),
             lists: Lists::new(n + BUCKETS),
+            fixed: Arc::default(),
             rows: Vec::new(),
             active: Vec::new(),
+            valued: Vec::new(),
             arena: Vec::new(),
             spare: Vec::new(),
             arena_live: 0,
@@ -460,7 +472,6 @@ impl<S: Symbol> Solver<S> {
             wanted_known: 0,
             tail,
             tail_known: 0,
-            held: 0,
             unresolved: n,
             buffered: 0,
             ripple: Vec::new(),
@@ -493,7 +504,7 @@ impl<S: Symbol> Solver<S> {
 
     /// Whether unknown `c` is known, computed or lazy.
     pub(crate) fn is_known(&self, c: usize) -> bool {
-        self.cols[c].known()
+        matches!(self.cols[c], Col::Known | Col::Lazy)
     }
 
     /// Known unknowns from the constructor's `tail` on.
@@ -503,7 +514,7 @@ impl<S: Symbol> Solver<S> {
 
     /// Unknowns whose value is in the store.
     pub(crate) fn held(&self) -> usize {
-        self.held
+        self.vals.iter().filter(|&&v| v == Val::Held).count()
     }
 
     /// Equations held.
@@ -548,7 +559,6 @@ impl<S: Symbol> Solver<S> {
         self.drop_equations();
         self.store.clear();
         self.vals = Vec::new();
-        self.held = 0;
     }
 
     /// True once [`Self::release`] has run (`n ≥ 1` until then).
@@ -592,7 +602,7 @@ impl<S: Symbol> Solver<S> {
             .free_rows
             .last()
             .copied()
-            .unwrap_or(self.rows.len() as u32);
+            .unwrap_or((self.fixed.len() + self.rows.len()) as u32);
         // Nothing left to peel in it.  Before any inactivation that means
         // every unknown is valued and the equation says nothing new; after,
         // it is a row of the dense system — kept only if it is independent
@@ -625,19 +635,20 @@ impl<S: Symbol> Solver<S> {
         let row = Row {
             start: self.arena.len(),
             len: cols.len() as u32,
-            held: true,
             tag,
         };
         self.arena.extend_from_slice(cols);
         self.arena_live += cols.len();
         match self.free_rows.pop() {
             Some(slot) => {
-                self.rows[slot as usize] = row;
+                self.rows[slot as usize - self.fixed.len()] = row;
                 self.active[slot as usize] = active;
+                self.valued[slot as usize] = true;
             }
             None => {
                 self.rows.push(row);
                 self.active.push(active);
+                self.valued.push(true);
             }
         }
         match active {
@@ -652,41 +663,23 @@ impl<S: Symbol> Solver<S> {
         Ok(true)
     }
 
-    /// Take zero-valued equations in bulk, the XOR of each row's unknowns
-    /// being zero: as if [`Self::add`]ed one by one, but each column's list
-    /// is laid out in one run of the node pool, and the solver settles
-    /// once.  Only before any other equation is held.
-    pub(crate) fn add_zero_rows<R: IntoIterator<Item = u32>>(
-        &mut self,
-        rows: impl IntoIterator<Item = R>,
-    ) {
-        debug_assert!(self.rows.is_empty() && self.inactive.is_empty() && !self.complete);
-        let mut counts = vec![0u32; self.cols.len()];
-        for cols in rows {
-            let start = self.arena.len();
-            self.arena.extend(cols);
-            let mut active = 0;
-            for &c in &self.arena[start..] {
-                if self.cols[c as usize] == Col::Active {
-                    counts[c as usize] += 1;
-                    active += 1;
-                }
-            }
-            self.pending_edges += active as usize;
-            let len = (self.arena.len() - start) as u32;
-            self.rows.push(Row {
-                start,
-                len,
-                held: false,
-                tag: None,
-            });
-            self.active.push(active);
-        }
-        self.live += self.rows.len();
-        self.arena_live = self.arena.len();
-        self.lists
-            .lay_out(counts, &self.rows, &self.arena, &self.cols);
-        for r in 0..self.rows.len() as u32 {
+    /// Take `fixed`'s equations, as if [`Self::add`]ed one by one but
+    /// without a copy of them: only their counts are the solver's own.
+    /// Only before any other equation is held.
+    pub(crate) fn add_fixed(&mut self, fixed: Arc<Fixed>) {
+        debug_assert!(self.active.is_empty() && self.inactive.is_empty() && !self.complete);
+        self.active = (0..fixed.len())
+            .map(|r| {
+                let cols = fixed.row(r).iter();
+                cols.filter(|&&c| self.cols[c as usize] == Col::Active)
+                    .count() as u32
+            })
+            .collect();
+        self.valued = vec![false; fixed.len()];
+        self.pending_edges += self.active.iter().sum::<u32>() as usize;
+        self.live += fixed.len();
+        self.fixed = fixed;
+        for r in 0..self.fixed.len() as u32 {
             match self.active[r as usize] {
                 0 => self.free(r),
                 1 => self.ripple.push(r),
@@ -701,8 +694,15 @@ impl<S: Symbol> Solver<S> {
 
     /// Row `r`'s unknowns.
     fn row_cols(&self, r: u32) -> &[u32] {
-        let row = &self.rows[r as usize];
-        &self.arena[row.start..row.start + row.len as usize]
+        Self::cols_of(&self.fixed, &self.rows, &self.arena, r)
+    }
+
+    /// Row `r`'s unknowns, out of the parts of a solver that hold them.
+    fn cols_of<'a>(fixed: &'a Fixed, rows: &[Row], arena: &'a [u32], r: u32) -> &'a [u32] {
+        match (r as usize).checked_sub(fixed.len()) {
+            Some(i) => &arena[rows[i].start..rows[i].start + rows[i].len as usize],
+            None => fixed.row(r as usize),
+        }
     }
 
     /// Move the held rows' unknowns to the front of the arena's other half,
@@ -718,7 +718,8 @@ impl<S: Symbol> Solver<S> {
         self.spare = std::mem::replace(&mut self.arena, spare);
     }
 
-    /// [`Self::pending_edges`] from first principles.
+    /// [`Self::pending_edges`] from first principles, for a solver without
+    /// fixed rows.
     #[cfg(test)]
     pub(crate) fn recount_pending_edges(&self) -> usize {
         (0..self.rows.len() as u32)
@@ -727,25 +728,24 @@ impl<S: Symbol> Solver<S> {
     }
 
     fn unvalued(&self, cols: &[u32]) -> usize {
-        cols.iter()
-            .filter(|&&c| !self.cols[c as usize].known())
-            .count()
+        cols.iter().filter(|&&c| !self.is_known(c as usize)).count()
     }
 
-    /// Let a buffered row go.
+    /// Let a buffered row go; a fixed one's slot is never reused.
     fn free(&mut self, r: u32) {
-        let edges = self.unvalued(self.row_cols(r));
-        let row = &mut self.rows[r as usize];
-        self.arena_live -= row.len as usize;
-        row.len = 0;
-        row.held = false;
-        self.active[r as usize] = 0;
-        if let Some(t) = row.tag {
-            self.tags.remove(&t);
-        }
+        self.pending_edges -= self.unvalued(self.row_cols(r));
         self.live -= 1;
-        self.pending_edges -= edges;
-        self.free_rows.push(r);
+        self.active[r as usize] = 0;
+        self.valued[r as usize] = false;
+        if let Some(i) = (r as usize).checked_sub(self.fixed.len()) {
+            let row = &mut self.rows[i];
+            self.arena_live -= row.len as usize;
+            row.len = 0;
+            if let Some(t) = row.tag {
+                self.tags.remove(&t);
+            }
+            self.free_rows.push(r);
+        }
     }
 
     /// One of row `r`'s active columns has just been resolved.
@@ -772,9 +772,15 @@ impl<S: Symbol> Solver<S> {
         }
     }
 
-    /// Every row of column `c`'s list, decremented unless it is `skip`; the
-    /// list is left empty.
+    /// Every row column `c` is active in, decremented unless it is
+    /// `skip`; its list is left empty.
     fn resolve_column(&mut self, c: u32, skip: u32) {
+        for i in self.fixed.col_span(c as usize) {
+            let r = self.fixed.rows[i];
+            if r != skip {
+                self.decrement(r);
+            }
+        }
         let mut cursor = self.lists.take(c as usize);
         while let Some(r) = self.lists.pop(&mut cursor) {
             if r != skip {
@@ -795,12 +801,21 @@ impl<S: Symbol> Solver<S> {
             self.drop_equations();
             return;
         }
+        for i in self.fixed.col_span(p as usize) {
+            self.resolved_in(self.fixed.rows[i]);
+        }
         let mut cursor = self.lists.take(p as usize);
         while let Some(r) = self.lists.pop(&mut cursor) {
-            if self.active[r as usize] > 0 {
-                self.pending_edges -= 1;
-                self.decrement(r);
-            }
+            self.resolved_in(r);
+        }
+    }
+
+    /// A column of row `r` just became known: count it, unless the row was
+    /// let go (it is the row that released the column).
+    fn resolved_in(&mut self, r: u32) {
+        if self.active[r as usize] > 0 {
+            self.pending_edges -= 1;
+            self.decrement(r);
         }
     }
 
@@ -837,9 +852,8 @@ impl<S: Symbol> Solver<S> {
         self.extend_masks();
         let mut residual = std::mem::take(&mut self.residual);
         for &r in &residual {
-            let arena = std::mem::take(&mut self.arena);
-            let row = &self.rows[r as usize];
-            let reduced = self.reduce(&arena[row.start..row.start + row.len as usize]);
+            let (fixed, arena) = (Arc::clone(&self.fixed), std::mem::take(&mut self.arena));
+            let reduced = self.reduce(Self::cols_of(&fixed, &self.rows, &arena, r));
             self.arena = arena;
             match reduced {
                 Some(bit) => self.dense_push(bit, r),
@@ -869,19 +883,15 @@ impl<S: Symbol> Solver<S> {
     /// its value in the store.
     fn has_value(&self, g: usize) -> bool {
         match g.checked_sub(self.cols.len()) {
-            Some(r) => self.rows[r].held,
+            Some(r) => self.valued[r],
             None => self.vals[g] == Val::Held,
         }
     }
 
     fn set_held(&mut self, g: usize, held: bool) {
         match g.checked_sub(self.cols.len()) {
-            Some(r) => self.rows[r].held = held,
-            None => {
-                let was =
-                    std::mem::replace(&mut self.vals[g], if held { Val::Held } else { Val::Zero });
-                self.held = self.held + usize::from(held) - usize::from(was == Val::Held);
-            }
+            Some(r) => self.valued[r] = held,
+            None => self.vals[g] = if held { Val::Held } else { Val::Zero },
         }
     }
 
@@ -908,35 +918,33 @@ impl<S: Symbol> Solver<S> {
         }
     }
 
-    /// Compute lazy column `c`'s value, and first those of the lazy columns
-    /// of its definition; a no-op for any other column.
+    /// Compute lazy column `c`'s value — the XOR of the other unknowns of
+    /// the fixed row that released it, the lazy ones among them computed
+    /// first; a no-op for any other column.
     pub(crate) fn materialize(&mut self, c: usize) {
         if self.cols[c] != Col::Lazy {
             return;
         }
-        let start = self.at(c as u32);
-        let def = start + 1..start + 1 + self.defs[start] as usize;
-        for d in def.clone() {
-            self.materialize(self.defs[d] as usize);
-        }
+        let row = self.at(c as u32);
+        self.cols[c] = Col::Known;
+        self.materialize_row(row as u32);
         let mut srcs = std::mem::take(&mut self.srcs);
         srcs.clear();
-        let defs = &self.defs[def];
         srcs.extend(
-            defs.iter()
+            self.fixed
+                .row(row)
+                .iter()
                 .map(|&d| d as usize)
-                .filter(|&d| self.vals[d] == Val::Held),
+                .filter(|&d| d != c && self.vals[d] == Val::Held),
         );
         self.trace.peel_xors += self.put(c, &srcs);
         self.srcs = srcs;
-        self.cols[c] = Col::Known;
     }
 
     /// Compute the lazy columns of row `r`.
     fn materialize_row(&mut self, r: u32) {
-        let row = &self.rows[r as usize];
-        for i in row.start..row.start + row.len as usize {
-            self.materialize(self.arena[i] as usize);
+        for i in 0..self.row_cols(r).len() {
+            self.materialize(self.row_cols(r)[i] as usize);
         }
     }
 
@@ -946,7 +954,7 @@ impl<S: Symbol> Solver<S> {
     /// Its lazy columns must have been computed ([`Self::materialize_row`]).
     fn gather_row(&self, srcs: &mut Vec<usize>, r: u32, skip: u32, all: bool) {
         srcs.clear();
-        if self.rows[r as usize].held {
+        if self.valued[r as usize] {
             srcs.push(self.cols.len() + r as usize);
         }
         for &c in self.row_cols(r) {
@@ -958,8 +966,8 @@ impl<S: Symbol> Solver<S> {
     }
 
     /// Degree-one release with values, before anything is inactive.  A
-    /// column outside `0..wanted` released by a zero-valued row is lazy: the
-    /// row's other columns become its definition.
+    /// column outside `0..wanted` released by a fixed row, whose value is
+    /// zero, is lazy: the row's other columns are its definition.
     fn peel(&mut self) {
         while let Some(r) = self.ripple.pop() {
             if self.active[r as usize] != 1 {
@@ -974,7 +982,7 @@ impl<S: Symbol> Solver<S> {
             // edge to it still counts as pending.
             let mut state = Col::Known;
             if let Some(p) = target {
-                if self.rows[r as usize].held || (p as usize) < self.wanted {
+                if self.valued[r as usize] || (p as usize) < self.wanted {
                     self.materialize_row(r);
                     let mut srcs = std::mem::take(&mut self.srcs);
                     self.gather_row(&mut srcs, r, p, true);
@@ -982,11 +990,7 @@ impl<S: Symbol> Solver<S> {
                     self.srcs = srcs;
                 } else {
                     state = Col::Lazy;
-                    self.set_at(p, self.defs.len());
-                    let row = &self.rows[r as usize];
-                    let cols = &self.arena[row.start..row.start + row.len as usize];
-                    self.defs.push(row.len - 1);
-                    self.defs.extend(cols.iter().filter(|&&c| c != p));
+                    self.set_at(p, r as usize);
                 }
                 self.trace.peeled += 1;
             }
@@ -1038,7 +1042,9 @@ impl<S: Symbol> Solver<S> {
                     .iter()
                     .copied()
                     .filter(|&c| self.cols[c as usize] == Col::Active)
-                    .max_by_key(|&c| self.lists.len(c as usize));
+                    .max_by_key(|&c| {
+                        self.fixed.col_span(c as usize).len() + self.lists.len(c as usize)
+                    });
             }
         }
         None
@@ -1239,7 +1245,7 @@ impl<S: Symbol> Solver<S> {
         }
         self.srcs = srcs;
         for (c, state) in self.cols.iter_mut().enumerate() {
-            if needed[c] && !state.known() {
+            if needed[c] && !matches!(state, Col::Known | Col::Lazy) {
                 *state = Col::Known;
                 self.known += 1;
             }
@@ -1252,9 +1258,9 @@ impl<S: Symbol> Solver<S> {
     /// Everything but the values and the counters of what was computed.
     fn drop_equations(&mut self) {
         self.at = Vec::new();
-        self.defs = Vec::new();
         self.rows = Vec::new();
         self.active = Vec::new();
+        self.valued = Vec::new();
         self.arena = Vec::new();
         self.spare = Vec::new();
         self.arena_live = 0;
