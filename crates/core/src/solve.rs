@@ -55,7 +55,7 @@
 //! lists share one arena and the column → row lists one node pool, both
 //! reclaimed as rows are let go, so once they have grown to what a download
 //! holds an equation costs no allocation.  A reception of unit equations
-//! alone allocates nothing but the two state bytes per unknown.
+//! alone allocates nothing but the six state bytes per unknown.
 
 use crate::error::Result;
 use crate::store::{StoreShape, SymbolStore};
@@ -374,8 +374,10 @@ pub(crate) struct Solver<S: Symbol> {
     wanted: usize,
     cols: Vec<Col>,
     vals: Vec<Val>,
-    /// Per column, the number its state needs (see [`Col`]); allocated at
-    /// the first column that needs one.
+    /// Per column, the number its state needs (see [`Col`]).  Allocated
+    /// with the rest, not mid-decode: a block freed above a download's
+    /// buffers lets the allocator hand their pages back, and the next
+    /// download fault them in again.
     at: Vec<u32>,
     /// Unknown `c`'s value at `c`, row slot `r`'s at `cols.len() + r`.
     store: S::Store,
@@ -454,7 +456,7 @@ impl<S: Symbol> Solver<S> {
             wanted: shape.k,
             cols: vec![Col::Active; n],
             vals: vec![Val::Unset; n],
-            at: Vec::new(),
+            at: vec![0; n],
             store: S::Store::empty(shape),
             lists: Lists::new(n + BUCKETS),
             fixed: Arc::default(),
@@ -873,9 +875,6 @@ impl<S: Symbol> Solver<S> {
     }
 
     fn set_at(&mut self, c: u32, at: usize) {
-        if self.at.is_empty() {
-            self.at = vec![0; self.cols.len()];
-        }
         self.at[c as usize] = at as u32;
     }
 
@@ -1257,7 +1256,6 @@ impl<S: Symbol> Solver<S> {
 
     /// Everything but the values and the counters of what was computed.
     fn drop_equations(&mut self) {
-        self.at = Vec::new();
         self.rows = Vec::new();
         self.active = Vec::new();
         self.valued = Vec::new();
