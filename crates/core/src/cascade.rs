@@ -22,8 +22,9 @@ use df_gf::{Field, GF65536};
 use df_rs::{CauchyCode, ErasureCode};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::iter;
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Largest final-code block (last level + its checks) that still fits in
 /// GF(2^8) — the field order, since the Cauchy construction needs `n`
@@ -245,8 +246,8 @@ pub struct Cascade {
     /// `graphs[i]` connects level `i` (left) to level `i + 1` (right).
     graphs: Vec<BipartiteGraph>,
     /// The checks of levels 1.. as zero-valued equations over the `n`
-    /// packets, built for the first decoder that feeds them.
-    check_equations: OnceLock<Arc<Fixed>>,
+    /// packets, for every decoder of the cascade to share.
+    check_equations: Arc<Fixed>,
     /// Final code over the last level.
     final_code: FinalCode,
     /// Global index of the first final-code check packet.
@@ -341,7 +342,7 @@ impl Cascade {
             ));
         }
 
-        Ok(Cascade {
+        let mut cascade = Cascade {
             k,
             n,
             profile,
@@ -349,10 +350,14 @@ impl Cascade {
             level_sizes,
             level_offsets,
             graphs,
-            check_equations: OnceLock::new(),
+            check_equations: Arc::default(),
             final_code,
             rs_offset,
-        })
+        };
+        if cascade.num_levels() > 1 {
+            cascade.check_equations = Arc::new(cascade.equations());
+        }
+        Ok(cascade)
     }
 
     /// Number of source packets.
@@ -387,19 +392,24 @@ impl Cascade {
 
     /// Check `j` of every level `ℓ ≥ 1` as the zero-valued equation
     /// `{check} ∪ left neighbours`, in global order: what every decoder of
-    /// the cascade feeds its solver, built once and shared.
+    /// the cascade feeds its solver.  Built with the graphs, as a decoder's
+    /// starting point.
     pub(crate) fn check_equations(&self) -> &Arc<Fixed> {
-        self.check_equations.get_or_init(|| {
-            let rows = self.graphs.iter().enumerate().flat_map(|(level, graph)| {
-                let left = self.level_offset(level) as u32;
-                let checks = self.level_offset(level + 1) as u32;
-                (0..graph.right()).map(move |j| {
-                    let neighbours = graph.check_neighbors(j).iter().map(move |&l| left + l);
-                    std::iter::once(checks + j as u32).chain(neighbours)
-                })
-            });
-            Arc::new(Fixed::new(self.n, rows))
-        })
+        &self.check_equations
+    }
+
+    /// See [`Self::check_equations`]; for a cascade of more than one level.
+    fn equations(&self) -> Fixed {
+        let rows = self.graphs.iter().enumerate().flat_map(|(level, graph)| {
+            let (left, checks) = (self.level_offset(level), self.level_offset(level + 1));
+            (0..graph.right()).map(move |j| {
+                let neighbours = graph.check_neighbors(j).iter();
+                iter::once((checks + j) as u32).chain(neighbours.map(move |&l| left as u32 + l))
+            })
+        });
+        let checks = self.rs_offset - self.level_offset(1);
+        let entries = checks + self.graphs.iter().map(|g| g.edges()).sum::<usize>();
+        Fixed::new((checks, self.n, entries), rows)
     }
 
     /// The final conventional code.

@@ -105,7 +105,7 @@ impl RaptorCode {
         );
         let lt = LtEncoder::with_table(k + checks, raptor_degree_table()?, seed)?;
         let equations = Fixed::new(
-            k + checks,
+            (checks, k + checks, checks + precode.edges()),
             (0..checks).map(|j| {
                 let neighbours = precode.check_neighbors(j).iter().copied();
                 std::iter::once((k + j) as u32).chain(neighbours)

@@ -159,18 +159,20 @@ pub(crate) struct Fixed {
 }
 
 impl Fixed {
-    /// The equations `rows` over `n` unknowns, each the XOR of its unknowns
-    /// being zero.
+    /// The `m` zero-valued equations `rows` over `n` unknowns, `entries`
+    /// unknowns in all, each the XOR of its unknowns being zero.  Every
+    /// array is allocated once, at its size.
     pub(crate) fn new<R: IntoIterator<Item = u32>>(
-        n: usize,
+        (m, n, entries): (usize, usize, usize),
         rows: impl IntoIterator<Item = R>,
     ) -> Self {
-        let mut row_at = vec![0];
-        let mut cols = Vec::new();
+        let (mut row_at, mut cols) = (Vec::with_capacity(m + 1), Vec::with_capacity(entries));
+        row_at.push(0);
         for row in rows {
             cols.extend(row);
             row_at.push(cols.len() as u32);
         }
+        // Each unknown's rows, in row order: the entries sorted by unknown.
         let mut col_at = vec![0; n + 1];
         for &c in &cols {
             col_at[c as usize + 1] += 1;
@@ -178,10 +180,10 @@ impl Fixed {
         for c in 0..n {
             col_at[c + 1] += col_at[c];
         }
-        let (mut next, mut by_col) = (col_at.clone(), vec![0; cols.len()]);
+        let (mut next, mut rows) = (col_at.clone(), vec![0; cols.len()]);
         for (r, ends) in row_at.windows(2).enumerate() {
             for &c in &cols[ends[0] as usize..ends[1] as usize] {
-                by_col[next[c as usize] as usize] = r as u32;
+                rows[next[c as usize] as usize] = r as u32;
                 next[c as usize] += 1;
             }
         }
@@ -189,7 +191,7 @@ impl Fixed {
             row_at,
             cols,
             col_at,
-            rows: by_col,
+            rows,
         }
     }
 
@@ -670,13 +672,13 @@ impl<S: Symbol> Solver<S> {
     /// Only before any other equation is held.
     pub(crate) fn add_fixed(&mut self, fixed: Arc<Fixed>) {
         debug_assert!(self.active.is_empty() && self.inactive.is_empty() && !self.complete);
-        self.active = (0..fixed.len())
-            .map(|r| {
-                let cols = fixed.row(r).iter();
-                cols.filter(|&&c| self.cols[c as usize] == Col::Active)
-                    .count() as u32
-            })
-            .collect();
+        // Each row's length, less its unknowns resolved already.
+        self.active = fixed.row_at.windows(2).map(|w| w[1] - w[0]).collect();
+        for c in (0..self.cols.len()).filter(|&c| self.cols[c] != Col::Active) {
+            for &r in &fixed.rows[fixed.col_span(c)] {
+                self.active[r as usize] -= 1;
+            }
+        }
         self.valued = vec![false; fixed.len()];
         self.pending_edges += self.active.iter().sum::<u32>() as usize;
         self.live += fixed.len();
@@ -843,7 +845,7 @@ impl<S: Symbol> Solver<S> {
                 break;
             };
             self.cols[c as usize] = Col::Inactive;
-            self.set_at(c, self.inactive.len());
+            self.at[c as usize] = self.inactive.len() as u32;
             self.inactive.push(c);
             self.unresolved -= 1;
             self.resolve_column(c, NONE);
@@ -867,15 +869,6 @@ impl<S: Symbol> Solver<S> {
         if self.unresolved == 0 && self.dense.len() == self.inactive.len() {
             self.finish();
         }
-    }
-
-    /// Column `c`'s number (see [`Col`]).
-    fn at(&self, c: u32) -> usize {
-        self.at[c as usize] as usize
-    }
-
-    fn set_at(&mut self, c: u32, at: usize) {
-        self.at[c as usize] = at as u32;
     }
 
     /// Whether store index `g` — an unknown, or a row slot past `n` — has
@@ -924,7 +917,7 @@ impl<S: Symbol> Solver<S> {
         if self.cols[c] != Col::Lazy {
             return;
         }
-        let row = self.at(c as u32);
+        let row = self.at[c] as usize;
         self.cols[c] = Col::Known;
         self.materialize_row(row as u32);
         let mut srcs = std::mem::take(&mut self.srcs);
@@ -989,7 +982,7 @@ impl<S: Symbol> Solver<S> {
                     self.srcs = srcs;
                 } else {
                     state = Col::Lazy;
-                    self.set_at(p, r as usize);
+                    self.at[p as usize] = r;
                 }
                 self.trace.peeled += 1;
             }
@@ -1019,7 +1012,7 @@ impl<S: Symbol> Solver<S> {
                 continue;
             };
             self.cols[p as usize] = Col::Peeled;
-            self.set_at(p, self.order.len());
+            self.at[p as usize] = self.order.len() as u32;
             self.order.push((p, r));
             self.trace.peeled_symbolically += 1;
             self.unresolved -= 1;
@@ -1058,11 +1051,11 @@ impl<S: Symbol> Solver<S> {
         for &c in cols {
             match self.cols[c as usize] {
                 Col::Inactive => {
-                    let i = self.at(c);
+                    let i = self.at[c as usize] as usize;
                     mask[i / 64] ^= 1 << (i % 64);
                 }
                 Col::Peeled if c != skip => {
-                    let (start, len) = self.mask_span[self.at(c)];
+                    let (start, len) = self.mask_span[self.at[c as usize] as usize];
                     xor_words(mask, &masks[start..start + len]);
                 }
                 _ => {}
