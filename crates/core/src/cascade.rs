@@ -22,9 +22,8 @@ use df_gf::{Field, GF65536};
 use df_rs::{CauchyCode, ErasureCode};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use std::iter;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Largest final-code block (last level + its checks) that still fits in
 /// GF(2^8) — the field order, since the Cauchy construction needs `n`
@@ -246,8 +245,8 @@ pub struct Cascade {
     /// `graphs[i]` connects level `i` (left) to level `i + 1` (right).
     graphs: Vec<BipartiteGraph>,
     /// The checks of levels 1.. as zero-valued equations over the `n`
-    /// packets, for every decoder of the cascade to share.
-    check_equations: Arc<Fixed>,
+    /// packets, built for the first decoder that feeds them.
+    check_equations: OnceLock<Arc<Fixed>>,
     /// Final code over the last level.
     final_code: FinalCode,
     /// Global index of the first final-code check packet.
@@ -342,7 +341,7 @@ impl Cascade {
             ));
         }
 
-        let mut cascade = Cascade {
+        Ok(Cascade {
             k,
             n,
             profile,
@@ -350,14 +349,10 @@ impl Cascade {
             level_sizes,
             level_offsets,
             graphs,
-            check_equations: Arc::default(),
+            check_equations: OnceLock::new(),
             final_code,
             rs_offset,
-        };
-        if cascade.num_levels() > 1 {
-            cascade.check_equations = Arc::new(cascade.equations());
-        }
-        Ok(cascade)
+        })
     }
 
     /// Number of source packets.
@@ -392,10 +387,11 @@ impl Cascade {
 
     /// Check `j` of every level `ℓ ≥ 1` as the zero-valued equation
     /// `{check} ∪ left neighbours`, in global order: what every decoder of
-    /// the cascade feeds its solver.  Built with the graphs, as a decoder's
-    /// starting point.
+    /// the cascade feeds its solver, built once and shared.  A sender, and a
+    /// receiver that has the source before any check, never needs them.
     pub(crate) fn check_equations(&self) -> &Arc<Fixed> {
-        &self.check_equations
+        self.check_equations
+            .get_or_init(|| Arc::new(self.equations()))
     }
 
     /// See [`Self::check_equations`]; for a cascade of more than one level.
@@ -404,7 +400,8 @@ impl Cascade {
             let (left, checks) = (self.level_offset(level), self.level_offset(level + 1));
             (0..graph.right()).map(move |j| {
                 let neighbours = graph.check_neighbors(j).iter();
-                iter::once((checks + j) as u32).chain(neighbours.map(move |&l| left as u32 + l))
+                std::iter::once((checks + j) as u32)
+                    .chain(neighbours.map(move |&l| left as u32 + l))
             })
         });
         let checks = self.rs_offset - self.level_offset(1);

@@ -103,9 +103,7 @@ impl DegreeDistribution {
                 let alpha = 1.0 / (a - 1.0);
                 let d = (*max_degree).max(2);
                 // Edge-perspective coefficients of 1 − (1 − x)^α:
-                //   c_1 = α,  c_{j+1} = c_j · (j − α) / (j + 1).
-                // Under λ(x) = Σ λᵢ xⁱ⁻¹ the coefficient of xʲ is the
-                // fraction of edges on nodes of degree j + 1.
+                //   c_1 = α,  c_{j+1} = c_j · (j − α) / (j + 1), for degree j + 1.
                 let mut edge = Vec::with_capacity(d);
                 let mut c = alpha;
                 for j in 1..=d {

@@ -19,6 +19,12 @@
 //!   sends its layered schedule's order instead); every receiver in the
 //!   workspace counts what it took through a [`ReceptionCounter`], and the
 //!   paper's efficiencies are defined once, on its [`Reception`] counts.
+//! * **One decoding engine** — the cascade's [`PeelingDecoder`], the
+//!   [`LtDecoder`] and the [`RaptorDecoder`] are equation sources over one
+//!   streaming sparse GF(2) solver (`solve.rs`): a received packet or symbol
+//!   is an equation, a check is a zero-valued one, and the solver's
+//!   degree-one release is the paper's substitution decoding (Section 5.1).
+//!   Only the cascade's final Reed–Solomon block is solved apart.
 //!
 //! The companion crates build on these primitives: `df-sim` reproduces the
 //! paper's simulation study (interleaved Reed–Solomon baseline, loss models,

@@ -594,7 +594,10 @@ impl<S: Symbol> Solver<S> {
                 self.trace.peeled += 1;
                 self.cols[c] = Col::Known;
                 self.resolve_known(c as u32);
-                self.settle();
+                // With no equation held there is nothing to settle.
+                if self.live > 0 {
+                    self.settle();
+                }
                 return Ok(true);
             }
         }
