@@ -161,7 +161,7 @@ impl<S: Symbol> PeelingDecoder<S> {
             return Ok(AddOutcome::Duplicate);
         }
         if !self.solver.is_complete() {
-            self.solver.add(None, &[index as u32], value)?;
+            self.solver.add_unit(index, value)?;
             self.try_final_level()?;
         }
         Ok(if self.solver.is_complete() {
@@ -214,7 +214,7 @@ impl<S: Symbol> PeelingDecoder<S> {
                 break;
             }
             if !self.solver.is_known(g) {
-                self.solver.add(None, &[g as u32], as_row::<S::Row>(&v))?;
+                self.solver.add_unit(g, as_row::<S::Row>(&v))?;
             }
         }
         Ok(())

@@ -55,7 +55,7 @@
 //! lists share one arena and the column → row lists one node pool, both
 //! reclaimed as rows are let go, so once they have grown to what a download
 //! holds an equation costs no allocation.  A reception of unit equations
-//! alone allocates nothing but the six state bytes per unknown.
+//! alone allocates nothing but two state bytes per unknown.
 
 use crate::error::Result;
 use crate::store::{StoreShape, SymbolStore};
@@ -376,10 +376,11 @@ pub(crate) struct Solver<S: Symbol> {
     wanted: usize,
     cols: Vec<Col>,
     vals: Vec<Val>,
-    /// Per column, the number its state needs (see [`Col`]).  Allocated
-    /// with the rest, not mid-decode: a block freed above a download's
+    /// Per column, the number its state needs (see [`Col`]): allocated
+    /// with the first fixed equations or at the first inactivation, and
+    /// kept until the solver goes (a block freed above a download's
     /// buffers lets the allocator hand their pages back, and the next
-    /// download fault them in again.
+    /// download fault them in again).
     at: Vec<u32>,
     /// Unknown `c`'s value at `c`, row slot `r`'s at `cols.len() + r`.
     store: S::Store,
@@ -458,7 +459,7 @@ impl<S: Symbol> Solver<S> {
             wanted: shape.k,
             cols: vec![Col::Active; n],
             vals: vec![Val::Unset; n],
-            at: vec![0; n],
+            at: Vec::new(),
             store: S::Store::empty(shape),
             lists: Lists::new(n + BUCKETS),
             fixed: Arc::default(),
@@ -586,18 +587,8 @@ impl<S: Symbol> Solver<S> {
             return Ok(false);
         }
         if let [c] = *cols {
-            let c = c as usize;
-            if self.cols[c] == Col::Active && self.inactive.is_empty() {
-                // Its value is the column's: written straight into its row.
-                self.store.insert(c, value)?;
-                self.set_held(c, true);
-                self.trace.peeled += 1;
-                self.cols[c] = Col::Known;
-                self.resolve_known(c as u32);
-                // With no equation held there is nothing to settle.
-                if self.live > 0 {
-                    self.settle();
-                }
+            if self.cols[c as usize] == Col::Active && self.inactive.is_empty() {
+                self.add_unit(c as usize, value)?;
                 return Ok(true);
             }
         }
@@ -670,6 +661,27 @@ impl<S: Symbol> Solver<S> {
         Ok(true)
     }
 
+    /// Take the unit equation `{c} = value` on unknown `c`, which is still
+    /// [`Col::Active`], while nothing is inactive: the value is written
+    /// straight into `c`'s row, never kept as an equation first.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::add`]'s; nothing changes then.
+    pub(crate) fn add_unit(&mut self, c: usize, value: &S::Row) -> Result<()> {
+        debug_assert!(self.cols[c] == Col::Active && self.inactive.is_empty());
+        self.store.insert(c, value)?;
+        self.vals[c] = Val::Held;
+        self.trace.peeled += 1;
+        self.cols[c] = Col::Known;
+        self.resolve_known(c as u32);
+        // With no equation held there is nothing to settle.
+        if self.live > 0 {
+            self.settle();
+        }
+        Ok(())
+    }
+
     /// Take `fixed`'s equations, as if [`Self::add`]ed one by one but
     /// without a copy of them: only their counts are the solver's own.
     /// Only before any other equation is held.
@@ -683,6 +695,7 @@ impl<S: Symbol> Solver<S> {
             }
         }
         self.valued = vec![false; fixed.len()];
+        self.at.resize(self.cols.len(), 0);
         self.pending_edges += self.active.iter().sum::<u32>() as usize;
         self.live += fixed.len();
         self.fixed = fixed;
@@ -848,6 +861,7 @@ impl<S: Symbol> Solver<S> {
                 break;
             };
             self.cols[c as usize] = Col::Inactive;
+            self.at.resize(self.cols.len(), 0);
             self.at[c as usize] = self.inactive.len() as u32;
             self.inactive.push(c);
             self.unresolved -= 1;
