@@ -386,27 +386,22 @@ impl Cascade {
     }
 
     /// Check `j` of every level `ℓ ≥ 1` as the zero-valued equation
-    /// `{check} ∪ left neighbours`, in global order: what every decoder of
-    /// the cascade feeds its solver, built once and shared.  A sender, and a
-    /// receiver that has the source before any check, never needs them.
+    /// `{check} ∪ left neighbours`, in global order, built for the first
+    /// decoder that feeds them (a sender never does) and shared.
     pub(crate) fn check_equations(&self) -> &Arc<Fixed> {
-        self.check_equations
-            .get_or_init(|| Arc::new(self.equations()))
-    }
-
-    /// See [`Self::check_equations`]; for a cascade of more than one level.
-    fn equations(&self) -> Fixed {
-        let rows = self.graphs.iter().enumerate().flat_map(|(level, graph)| {
-            let (left, checks) = (self.level_offset(level), self.level_offset(level + 1));
-            (0..graph.right()).map(move |j| {
-                let neighbours = graph.check_neighbors(j).iter();
-                std::iter::once((checks + j) as u32)
-                    .chain(neighbours.map(move |&l| left as u32 + l))
-            })
-        });
-        let checks = self.rs_offset - self.level_offset(1);
-        let entries = checks + self.graphs.iter().map(|g| g.edges()).sum::<usize>();
-        Fixed::new((checks, self.n, entries), rows)
+        self.check_equations.get_or_init(|| {
+            let rows = self.graphs.iter().enumerate().flat_map(|(level, graph)| {
+                let (left, checks) = (self.level_offset(level), self.level_offset(level + 1));
+                (0..graph.right()).map(move |j| {
+                    let neighbours = graph.check_neighbors(j).iter();
+                    std::iter::once((checks + j) as u32)
+                        .chain(neighbours.map(move |&l| left as u32 + l))
+                })
+            });
+            let checks = self.rs_offset - self.level_offset(1);
+            let entries = checks + self.graphs.iter().map(|g| g.edges()).sum::<usize>();
+            Arc::new(Fixed::new((checks, self.n, entries), rows))
+        })
     }
 
     /// The final conventional code.

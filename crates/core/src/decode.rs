@@ -21,11 +21,10 @@
 //! [`Symbol::recover_final_level`] and feeds the recovered last-level rows
 //! back as unit equations.
 //!
-//! Until a packet other than a source packet arrives, the checks' equations
-//! are not fed at all: source packets alone recover nothing.  The first
-//! check or final-block packet feeds them, before it is judged, so a check
-//! the sources already make computable is still a duplicate.  A lossless
-//! one-layer carousel receiver therefore does nothing per packet but copy it.
+//! Source packets alone recover nothing, so the checks' equations are fed
+//! only when the first check or final-block packet arrives, before it is
+//! judged (a check the sources make computable is still a duplicate): a
+//! lossless one-layer carousel receiver does nothing per packet but copy.
 //!
 //! The decoder is generic over [`Symbol`]: with `Vec<u8>` it produces real
 //! payloads, with [`crate::symbol::Mark`] it is the index-only decoder used

@@ -49,13 +49,11 @@
 //! are identical.
 //!
 //! **Where the values live.**  In the symbol's store ([`crate::store`]):
-//! unknown `c` at index `c` (for a payload, unknowns `0..wanted` are the rows
-//! of a buffer laid out as the file), and the value of row `r` at `n + r`,
-//! copied there only once the equation is kept.  The equations' neighbour
-//! lists share one arena and the column → row lists one node pool, both
-//! reclaimed as rows are let go, so once they have grown to what a download
-//! holds an equation costs no allocation.  A reception of unit equations
-//! alone allocates nothing but two state bytes per unknown.
+//! unknown `c` at index `c` (unknowns `0..wanted` laid out as the file), and
+//! the value of row `r` at `n + r`, copied there only once the equation is
+//! kept.  Neighbour lists share one arena and column → row lists one node
+//! pool, both reclaimed as rows are let go, so a download's equations soon
+//! cost no allocation; unit equations alone, none but two bytes per unknown.
 
 use crate::error::Result;
 use crate::store::{StoreShape, SymbolStore};
@@ -376,11 +374,9 @@ pub(crate) struct Solver<S: Symbol> {
     wanted: usize,
     cols: Vec<Col>,
     vals: Vec<Val>,
-    /// Per column, the number its state needs (see [`Col`]): allocated
-    /// with the first fixed equations or at the first inactivation, and
-    /// kept until the solver goes (a block freed above a download's
-    /// buffers lets the allocator hand their pages back, and the next
-    /// download fault them in again).
+    /// Per column, the number its state needs (see [`Col`]), from the first
+    /// fixed equations or inactivation on; kept, since freed mid-download it
+    /// let the allocator trim the heap under the download's buffers.
     at: Vec<u32>,
     /// Unknown `c`'s value at `c`, row slot `r`'s at `cols.len() + r`.
     store: S::Store,
@@ -661,13 +657,9 @@ impl<S: Symbol> Solver<S> {
         Ok(true)
     }
 
-    /// Take the unit equation `{c} = value` on unknown `c`, which is still
-    /// [`Col::Active`], while nothing is inactive: the value is written
-    /// straight into `c`'s row, never kept as an equation first.
-    ///
-    /// # Errors
-    ///
-    /// As [`Self::add`]'s; nothing changes then.
+    /// Take the unit equation `{c} = value` for an unknown still
+    /// [`Col::Active`] while nothing is inactive: the value goes straight
+    /// into `c`'s row.  Errors as [`Self::add`]'s; nothing changes then.
     pub(crate) fn add_unit(&mut self, c: usize, value: &S::Row) -> Result<()> {
         debug_assert!(self.cols[c] == Col::Active && self.inactive.is_empty());
         self.store.insert(c, value)?;
